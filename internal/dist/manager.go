@@ -859,7 +859,7 @@ func (m *Manager) handleSync(w http.ResponseWriter, r *http.Request) {
 	m.setGaugesLocked()
 	m.mu.Unlock()
 	m.do.ev.Info(req.WorkerID, "dist.sync", map[string]any{
-		"campaign": c.name,
+		"campaign":      c.name,
 		"recv_programs": recvProgs, "sent_programs": len(toSend),
 		"recv_bytes": len(req.Programs), "sent_bytes": payload.Len(),
 		"want": len(want), "deregister": req.Deregister,

@@ -33,8 +33,8 @@ type distObs struct {
 	heartbeatMisses                                *obs.Counter
 	leasesPending                                  *obs.Gauge
 
-	corpusProgs             *obs.Gauge
-	reportsNew, reportsDup  *obs.Counter
+	corpusProgs            *obs.Gauge
+	reportsNew, reportsDup *obs.Counter
 
 	// Durability (write-ahead log + snapshots).
 	walRecords  map[string]*obs.Counter // by record type

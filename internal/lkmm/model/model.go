@@ -45,9 +45,9 @@
 package model
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
-	"strings"
 
 	"ozz/internal/lkmm"
 	"ozz/internal/memmodel"
@@ -94,93 +94,102 @@ type pendingStore struct {
 type state struct {
 	clock uint64
 	// hist is the per-location commit history in coherence order; the
-	// initial value 0 at time 0 is implicit.
+	// initial value 0 at time 0 is implicit. Histories only grow at the
+	// end, so clones share the backing arrays capped at their length and
+	// the first append copies.
 	hist [][]version
 	// pc is each thread's next-op index.
 	pc []int
 	// sb is each thread's virtual store buffer, program order, at most
 	// one entry per location (coalescing).
 	sb [][]pendingStore
+	// slab backs tRmb, lastCommit, seen and regs, so a clone copies them
+	// with one allocation.
+	slab []uint64
 	// tRmb is each thread's versioning-window start (§3.2).
 	tRmb []uint64
-	// lastCommit[t][loc] is the commit time of thread t's own newest
+	// lastCommit[at(t, loc)] is the commit time of thread t's own newest
 	// committed store to loc (CoWR floor), 0 if none.
-	lastCommit [][]uint64
-	// seen[t][loc] is the version time thread t most recently observed
-	// at loc (CoRR floor), 0 if none.
-	seen [][]uint64
+	lastCommit []uint64
+	// seen[at(t, loc)] is the version time thread t most recently
+	// observed at loc (CoRR floor), 0 if none.
+	seen []uint64
 	// regs is the global register file (loads write it).
 	regs []uint64
 }
 
 func newState(t *lkmm.Test) *state {
-	n := len(t.Threads)
+	n, locs := len(t.Threads), t.NumLocs
 	s := &state{
-		hist:       make([][]version, t.NumLocs),
-		pc:         make([]int, n),
-		sb:         make([][]pendingStore, n),
-		tRmb:       make([]uint64, n),
-		lastCommit: make([][]uint64, n),
-		seen:       make([][]uint64, n),
-		regs:       make([]uint64, t.NumRegs),
+		hist: make([][]version, locs),
+		pc:   make([]int, n),
+		sb:   make([][]pendingStore, n),
+		slab: make([]uint64, n+2*n*locs+t.NumRegs),
 	}
-	for i := 0; i < n; i++ {
-		s.lastCommit[i] = make([]uint64, t.NumLocs)
-		s.seen[i] = make([]uint64, t.NumLocs)
-	}
+	s.carve()
 	return s
 }
 
-// clone deep-copies the state for one branch of the search.
+// carve points tRmb, lastCommit, seen and regs at their windows of slab.
+func (s *state) carve() {
+	n, tl := len(s.pc), len(s.pc)*len(s.hist)
+	s.tRmb = s.slab[:n:n]
+	s.lastCommit = s.slab[n : n+tl : n+tl]
+	s.seen = s.slab[n+tl : n+2*tl : n+2*tl]
+	s.regs = s.slab[n+2*tl:]
+}
+
+// at indexes thread t's entry for loc in lastCommit and seen.
+func (s *state) at(t, loc int) int { return t*len(s.hist) + loc }
+
+// clone copies the state for one branch of the search.
 func (s *state) clone() *state {
 	ns := &state{
-		clock:      s.clock,
-		hist:       make([][]version, len(s.hist)),
-		pc:         append([]int(nil), s.pc...),
-		sb:         make([][]pendingStore, len(s.sb)),
-		tRmb:       append([]uint64(nil), s.tRmb...),
-		lastCommit: make([][]uint64, len(s.lastCommit)),
-		seen:       make([][]uint64, len(s.seen)),
-		regs:       append([]uint64(nil), s.regs...),
+		clock: s.clock,
+		hist:  make([][]version, len(s.hist)),
+		pc:    append([]int(nil), s.pc...),
+		sb:    make([][]pendingStore, len(s.sb)),
+		slab:  append([]uint64(nil), s.slab...),
 	}
-	for i := range s.hist {
-		ns.hist[i] = append([]version(nil), s.hist[i]...)
+	ns.carve()
+	for i, h := range s.hist {
+		ns.hist[i] = h[:len(h):len(h)]
 	}
-	for i := range s.sb {
-		ns.sb[i] = append([]pendingStore(nil), s.sb[i]...)
-	}
-	for i := range s.lastCommit {
-		ns.lastCommit[i] = append([]uint64(nil), s.lastCommit[i]...)
-		ns.seen[i] = append([]uint64(nil), s.seen[i]...)
+	for i, b := range s.sb {
+		if len(b) > 0 {
+			ns.sb[i] = append([]pendingStore(nil), b...)
+		}
 	}
 	return ns
 }
 
-// key canonically encodes the state for the visited set.
-func (s *state) key() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "c%d|", s.clock)
+// appendKey appends the state's canonical binary encoding to b for the
+// visited set. Every field is a uvarint; the variable-length hist and sb
+// entries carry length prefixes and everything else has a fixed count for
+// a given test, so the encoding is injective.
+func (s *state) appendKey(b []byte) []byte {
+	b = binary.AppendUvarint(b, s.clock)
 	for _, h := range s.hist {
+		b = binary.AppendUvarint(b, uint64(len(h)))
 		for _, v := range h {
-			fmt.Fprintf(&b, "%d:%d,", v.time, v.val)
+			b = binary.AppendUvarint(b, v.time)
+			b = binary.AppendUvarint(b, v.val)
 		}
-		b.WriteByte(';')
 	}
-	for i := range s.pc {
-		fmt.Fprintf(&b, "p%d,", s.pc[i])
-		for _, p := range s.sb[i] {
-			fmt.Fprintf(&b, "s%d:%d,", p.loc, p.val)
+	for _, pc := range s.pc {
+		b = binary.AppendUvarint(b, uint64(pc))
+	}
+	for _, q := range s.sb {
+		b = binary.AppendUvarint(b, uint64(len(q)))
+		for _, p := range q {
+			b = binary.AppendUvarint(b, uint64(p.loc))
+			b = binary.AppendUvarint(b, p.val)
 		}
-		fmt.Fprintf(&b, "w%d,", s.tRmb[i])
-		for l := range s.lastCommit[i] {
-			fmt.Fprintf(&b, "%d:%d,", s.lastCommit[i][l], s.seen[i][l])
-		}
-		b.WriteByte('|')
 	}
-	for _, r := range s.regs {
-		fmt.Fprintf(&b, "r%d,", r)
+	for _, v := range s.slab {
+		b = binary.AppendUvarint(b, v)
 	}
-	return b.String()
+	return b
 }
 
 // commit appends a new version of loc to the coherence order and advances
@@ -188,7 +197,7 @@ func (s *state) key() string {
 func (s *state) commit(t, loc int, val uint64) {
 	s.clock++
 	s.hist[loc] = append(s.hist[loc], version{time: s.clock, val: val})
-	s.lastCommit[t][loc] = s.clock
+	s.lastCommit[s.at(t, loc)] = s.clock
 }
 
 // drain commits thread t's buffered stores in program order (a barrier
@@ -239,8 +248,10 @@ func (s *state) pendingIndex(t, loc int) int {
 type machine struct {
 	test    *lkmm.Test
 	mm      *memmodel.Table
-	visited map[string]bool
-	res     *Result
+	visited map[string]struct{}
+	// key is the reused buffer the current state's key is encoded into.
+	key []byte
+	res *Result
 }
 
 // Run explores every interleaving of the test's threads across every
@@ -255,7 +266,7 @@ func RunModel(t *lkmm.Test, mm *memmodel.Table) *Result {
 	m := &machine{
 		test:    t,
 		mm:      mm,
-		visited: make(map[string]bool),
+		visited: make(map[string]struct{}),
 		res:     &Result{Outcomes: make(map[lkmm.Outcome]bool)},
 	}
 	m.explore(newState(t))
@@ -266,11 +277,11 @@ func RunModel(t *lkmm.Test, mm *memmodel.Table) *Result {
 // explore recurses over all successor states of s, recording the outcome
 // when every thread has retired.
 func (m *machine) explore(s *state) {
-	k := s.key()
-	if m.visited[k] {
+	m.key = s.appendKey(m.key[:0])
+	if _, ok := m.visited[string(m.key)]; ok {
 		return
 	}
-	m.visited[k] = true
+	m.visited[string(m.key)] = struct{}{}
 	done := true
 	for ti := range m.test.Threads {
 		if s.pc[ti] >= len(m.test.Threads[ti]) {
@@ -283,12 +294,9 @@ func (m *machine) explore(s *state) {
 	}
 	if done {
 		// Thread exit drains any remaining buffered stores (the syscall
-		// boundary, §3.1); registers are already final.
-		ns := s.clone()
-		for ti := range m.test.Threads {
-			ns.drain(ti)
-		}
-		m.res.Outcomes[lkmm.MakeOutcome(ns.regs)] = true
+		// boundary, §3.1), but draining commits memory only: the registers
+		// are already final.
+		m.res.Outcomes[lkmm.MakeOutcome(s.regs)] = true
 	}
 }
 
@@ -329,19 +337,17 @@ func (m *machine) step(s *state, ti int) []*state {
 			// in-place commit must drain older buffered stores so
 			// visibility order matches program order. Mirrors the
 			// emulator's FlushPPO rules exactly.
-			base := s
-			if s.pendingIndex(ti, op.Loc) >= 0 {
-				base = s.clone()
-				base.drain(ti)
-			}
-			inOrder := base.clone()
+			inOrder := s.clone()
 			inOrder.pc[ti]++
 			inOrder.drain(ti)
 			inOrder.commit(ti, op.Loc, op.Val)
 			if !mm.Delayable(op.Atomic) {
 				return []*state{inOrder}
 			}
-			delayed := base.clone()
+			delayed := s.clone()
+			if s.pendingIndex(ti, op.Loc) >= 0 {
+				delayed.drain(ti)
+			}
 			delayed.pc[ti]++
 			delayed.sb[ti] = append(delayed.sb[ti], pendingStore{loc: op.Loc, val: op.Val})
 			return []*state{inOrder, delayed}
@@ -394,10 +400,10 @@ func (m *machine) step(s *state, ti int) []*state {
 		out := []*state{m.readLoad(s, ti, op, curVal, curTime)}
 		if mm.Versionable(op.Atomic) {
 			floor := s.tRmb[ti]
-			if lc := s.lastCommit[ti][op.Loc]; lc > floor {
+			if lc := s.lastCommit[s.at(ti, op.Loc)]; lc > floor {
 				floor = lc
 			}
-			if sv := s.seen[ti][op.Loc]; sv > floor {
+			if sv := s.seen[s.at(ti, op.Loc)]; sv > floor {
 				floor = sv
 			}
 			if oldVal, oldTime := s.valueAt(op.Loc, floor); oldTime != curTime {
@@ -417,7 +423,7 @@ func (m *machine) readLoad(s *state, ti int, op lkmm.Op, val, time uint64) *stat
 	ns := s.clone()
 	ns.pc[ti]++
 	ns.regs[op.Reg] = val
-	ns.seen[ti][op.Loc] = time
+	ns.seen[ns.at(ti, op.Loc)] = time
 	if m.mm.LoadBarrier(op.Atomic) {
 		ns.tRmb[ti] = ns.clock
 	}

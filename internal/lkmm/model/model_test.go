@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ozz/internal/lkmm"
+	"ozz/internal/memmodel"
 )
 
 func mp(b0, b1 []lkmm.Op) *lkmm.Test {
@@ -165,5 +166,24 @@ func TestSuiteCoversAllPPOCases(t *testing.T) {
 		if !cov[c] {
 			t.Errorf("suite covers no shape for PPO case %d", c)
 		}
+	}
+}
+
+// resultSink keeps benchmarked results live.
+var resultSink *Result
+
+// BenchmarkRunModel explores every named suite shape once per iteration,
+// under each registered memory model.
+func BenchmarkRunModel(b *testing.B) {
+	suite := lkmm.Suite()
+	for _, mm := range memmodel.All() {
+		b.Run(mm.Name(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, e := range suite {
+					resultSink = RunModel(e.Test, mm)
+				}
+			}
+		})
 	}
 }

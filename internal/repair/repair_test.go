@@ -1,12 +1,15 @@
 package repair
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"ozz/internal/lkmm"
 	"ozz/internal/lkmm/model"
+	"ozz/internal/memmodel"
 	"ozz/internal/obs"
 )
 
@@ -142,6 +145,61 @@ func TestEnumerationDeterminism(t *testing.T) {
 	}
 }
 
+// TestLegalityMemo runs the Litmus search over every suite shape with a
+// counting reference enumerator: with the legality memo, no (repaired
+// test, model) pair may be explored twice — across size classes, per-model
+// reports, or concurrent workers — and the result must deep-equal both
+// Litmus and the unmemoized search.
+func TestLegalityMemo(t *testing.T) {
+	for _, e := range lkmm.Suite() {
+		for _, workers := range []int{1, 4} {
+			opts := Options{Workers: workers}
+			var mu sync.Mutex
+			explored := map[string]int{}
+			p := newProblem(e.Test, litmusLabels(e.Test), opts, -1)
+			p.enumerate = func(test *lkmm.Test, mm *memmodel.Table) *model.Result {
+				mu.Lock()
+				explored[fmt.Sprintf("%s %v", mm.Name(), test.Threads)]++
+				mu.Unlock()
+				return model.RunModel(test, mm)
+			}
+			got := p.run(e.Test.Name, "litmus")
+			for k, n := range explored {
+				if n > 1 {
+					t.Errorf("%s (workers=%d): %d explorations of %s", e.Test.Name, workers, n, k)
+				}
+			}
+			if want := Litmus(e.Test, opts); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s (workers=%d): counted search diverged from Litmus:\ngot:  %s\nwant: %s",
+					e.Test.Name, workers, got.Render(), want.Render())
+			}
+			plain := newProblem(e.Test, litmusLabels(e.Test), opts, -1)
+			plain.legality = nil
+			if want := plain.run(e.Test.Name, "litmus"); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s (workers=%d): memoized search diverged from unmemoized:\ngot:  %s\nwant: %s",
+					e.Test.Name, workers, got.Render(), want.Render())
+			}
+		}
+	}
+}
+
+// TestFenceSetKeyInjective checks that distinct candidates of sizes 1 and
+// 2 never share a legality memo key.
+func TestFenceSetKeyInjective(t *testing.T) {
+	test := suiteTest(t, "MP (relaxed)")
+	singles := newProblem(test, litmusLabels(test), Options{}, -1).singleFences()
+	seen := map[string][]Fence{}
+	for size := 1; size <= 2; size++ {
+		for _, c := range combinations(singles, size) {
+			k := fenceSetKey(c)
+			if prev, ok := seen[k]; ok {
+				t.Fatalf("candidates %v and %v share a key", prev, c)
+			}
+			seen[k] = c
+		}
+	}
+}
+
 // TestBuggySetIsWeakOnly cross-checks the buggy-outcome derivation: every
 // buggy outcome must be reachable under the primary model and unreachable
 // under the SC baseline.
@@ -192,5 +250,24 @@ func TestMetricsAccounting(t *testing.T) {
 	// A nil Metrics must be a no-op, not a panic.
 	if nilRes := Litmus(suiteTest(t, "MP+wmb only"), Options{}); nilRes.Stats.Enumerated != res.Stats.Enumerated {
 		t.Errorf("nil-metrics search diverged: %d vs %d candidates", nilRes.Stats.Enumerated, res.Stats.Enumerated)
+	}
+}
+
+// litmusSink keeps benchmarked results live.
+var litmusSink *Result
+
+// BenchmarkLitmusRepair runs the Litmus repair search over every named
+// suite shape once per iteration, under each registered memory model.
+func BenchmarkLitmusRepair(b *testing.B) {
+	suite := lkmm.Suite()
+	for _, mm := range memmodel.All() {
+		b.Run(mm.Name(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, e := range suite {
+					litmusSink = Litmus(e.Test, Options{Model: mm})
+				}
+			}
+		})
 	}
 }

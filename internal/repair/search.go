@@ -1,6 +1,7 @@
 package repair
 
 import (
+	"encoding/binary"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -67,20 +68,43 @@ type problem struct {
 	// closure overrides the closure oracle; nil falls back to the
 	// OEMU-driven litmus enumeration (lkmm.RunModel).
 	closure func(fences []Fence, mm *memmodel.Table) bool
+	// enumerate is the reference enumerator behind buggy sets and
+	// legality (model.RunModel).
+	enumerate func(t *lkmm.Test, mm *memmodel.Table) *model.Result
 
 	mu    sync.Mutex
 	buggy map[string][]lkmm.Outcome
 	sc    map[lkmm.Outcome]bool
+	// legality memoizes legal verdicts for the whole search, so size-k
+	// minimality checks reuse the size-(k-1) verdicts and per-model
+	// reports reuse the primary model's. nil disables the memo.
+	legality map[legalKey]*legalVerdict
+}
+
+// legalKey identifies one legality verdict: a candidate's fence set (see
+// fenceSetKey) under one model.
+type legalKey struct {
+	model  string
+	fences string
+}
+
+// legalVerdict is one memoized legality verdict. once makes concurrent
+// validation workers that need the same verdict share one enumeration.
+type legalVerdict struct {
+	once sync.Once
+	ok   bool
 }
 
 func newProblem(test *lkmm.Test, labels [][]string, opts Options, restrict int) *problem {
 	return &problem{
-		test:     test,
-		labels:   labels,
-		primary:  opts.model(),
-		opts:     opts,
-		restrict: restrict,
-		buggy:    map[string][]lkmm.Outcome{},
+		test:      test,
+		labels:    labels,
+		primary:   opts.model(),
+		opts:      opts,
+		restrict:  restrict,
+		enumerate: model.RunModel,
+		buggy:     map[string][]lkmm.Outcome{},
+		legality:  map[legalKey]*legalVerdict{},
 	}
 }
 
@@ -94,9 +118,9 @@ func (p *problem) buggySet(mm *memmodel.Table) []lkmm.Outcome {
 		return b
 	}
 	if p.sc == nil {
-		p.sc = model.RunModel(p.test, scBaseline).Outcomes
+		p.sc = p.enumerate(p.test, scBaseline).Outcomes
 	}
-	weak := model.RunModel(p.test, mm)
+	weak := p.enumerate(p.test, mm)
 	var b []lkmm.Outcome
 	for _, s := range weak.Sorted() {
 		if o := lkmm.Outcome(s); !p.sc[o] {
@@ -244,10 +268,48 @@ func applyFences(t *lkmm.Test, fences []Fence) *lkmm.Test {
 	return nt
 }
 
+// fenceSetKey encodes a candidate as a binary string of its fences'
+// (thread, position, action, barrier, atomicity) coordinates. Candidates
+// and their minimality sub-candidates list fences in singleFences order,
+// so one set always encodes the same way.
+func fenceSetKey(fences []Fence) string {
+	b := make([]byte, 0, 8*len(fences))
+	for _, f := range fences {
+		action := uint64(0)
+		if f.Action == ActionStrengthen {
+			action = 1
+		}
+		b = binary.AppendUvarint(b, uint64(f.thread))
+		b = binary.AppendUvarint(b, uint64(f.pos))
+		b = binary.AppendUvarint(b, action)
+		b = binary.AppendUvarint(b, uint64(f.bar))
+		b = binary.AppendUvarint(b, uint64(f.atom))
+	}
+	return string(b)
+}
+
 // legal reports whether the repaired test forbids every buggy outcome
-// under mm, per the reference enumerator.
+// under mm, per the reference enumerator. Verdicts are memoized per
+// (fence set, model).
 func (p *problem) legal(fences []Fence, mm *memmodel.Table) bool {
-	res := model.RunModel(applyFences(p.test, fences), mm)
+	if p.legality == nil {
+		return p.checkLegal(fences, mm)
+	}
+	k := legalKey{model: mm.Name(), fences: fenceSetKey(fences)}
+	p.mu.Lock()
+	v := p.legality[k]
+	if v == nil {
+		v = &legalVerdict{}
+		p.legality[k] = v
+	}
+	p.mu.Unlock()
+	v.once.Do(func() { v.ok = p.checkLegal(fences, mm) })
+	return v.ok
+}
+
+// checkLegal runs the reference enumerator over the repaired test.
+func (p *problem) checkLegal(fences []Fence, mm *memmodel.Table) bool {
+	res := p.enumerate(applyFences(p.test, fences), mm)
 	for _, o := range p.buggySet(mm) {
 		if res.Has(o) {
 			return false
@@ -263,7 +325,9 @@ const maxDirectiveSites = 12
 
 // closes reports whether the candidate closes the bug under mm in the
 // live layer: the injected in-vivo oracle when present, otherwise the
-// OEMU-driven litmus enumeration of the repaired test.
+// OEMU-driven litmus enumeration of the repaired test. Unlike legality,
+// closure is not memoized, so the engine executes exactly the runs an
+// unmemoized search would.
 func (p *problem) closes(fences []Fence, mm *memmodel.Table) bool {
 	if p.closure != nil {
 		return p.closure(fences, mm)
