@@ -23,6 +23,7 @@ import (
 
 	"ozz/internal/engine"
 	"ozz/internal/kernel"
+	"ozz/internal/lazyrand"
 	"ozz/internal/modules"
 	"ozz/internal/obs"
 	"ozz/internal/sched"
@@ -105,7 +106,7 @@ func (s *Strategy) Name() string { return "kcsan" }
 // The sampling stream is drawn fresh per run from (Seed, Round).
 func (s *Strategy) Attach(k *kernel.Kernel, _ *engine.Request) {
 	d := s.Detector
-	rng := rand.New(rand.NewSource(d.Seed ^ s.Round))
+	rng := rand.New(lazyrand.New(d.Seed ^ s.Round))
 
 	var wp *watchpoint
 	sampleCountdown := 1 + rng.Intn(d.SampleEvery)

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"ozz/internal/hints"
+	"ozz/internal/lazyrand"
 	"ozz/internal/memmodel"
 	"ozz/internal/modules"
 	"ozz/internal/obs"
@@ -397,7 +398,7 @@ type jobResult struct {
 // the corpus as of the current batch boundary, using the step's private
 // rng. Caller holds p.mu.
 func (p *Pool) planStep(idx uint64) job {
-	rng := rand.New(rand.NewSource(jobSeed(p.cfg.Seed, idx)))
+	rng := rand.New(lazyrand.New(jobSeed(p.cfg.Seed, idx)))
 	var prog *syzlang.Program
 	switch {
 	case len(p.seeds) > 0:

@@ -3,6 +3,7 @@ package sched
 import (
 	"math/rand"
 
+	"ozz/internal/lazyrand"
 	"ozz/internal/trace"
 )
 
@@ -97,7 +98,7 @@ func (r *Random) First(order []int) int { return order[0] }
 // OnYield flips the seeded coin.
 func (r *Random) OnYield(cur *Task, _ trace.InstrID) (int, bool) {
 	if r.rng == nil {
-		r.rng = rand.New(rand.NewSource(r.Seed))
+		r.rng = rand.New(lazyrand.New(r.Seed))
 	}
 	period := r.Period
 	if period <= 0 {

@@ -7,14 +7,16 @@
 // does NOT flush its virtual store buffer, which is what lets OEMU keep
 // memory-access reordering observable across an interleaving (§2.3).
 //
-// The scheduler is token-based: every task runs in its own goroutine but
-// blocks until handed the run token, so all simulated-kernel state is only
-// ever touched by one goroutine at a time. Given the same policy and task
-// bodies, execution is fully deterministic.
+// The scheduler is token-based: every task runs on its own goroutine (a
+// carrier, reused across sessions) but blocks until handed the run token,
+// so all simulated-kernel state is only ever touched by one goroutine at a
+// time. Given the same policy and task bodies, execution is fully
+// deterministic.
 package sched
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"ozz/internal/trace"
 )
@@ -146,7 +148,7 @@ func (s *Session) Spawn(id, cpu int, body func(*Task)) *Task {
 
 func (s *Session) launch(t *Task) {
 	body := s.bodies[t.ID]
-	go func() {
+	run := func() {
 		<-t.resume
 		defer func() {
 			if r := recover(); r != nil {
@@ -165,7 +167,45 @@ func (s *Session) launch(t *Task) {
 			panic(abortUnwind{})
 		}
 		body(t)
-	}()
+	}
+	select {
+	case c := <-idleCarriers:
+		c <- run
+	default:
+		carriersStarted.Add(1)
+		go carry(run)
+	}
+}
+
+// maxIdleCarriers bounds the parked carrier goroutines. A campaign needs
+// about as many as it runs tasks at once (a few per pool worker); the rest
+// of a burst exits instead of parking.
+const maxIdleCarriers = 64
+
+var (
+	// idleCarriers holds each parked carrier's hand-off channel. Task
+	// bodies run on reused carriers rather than fresh goroutines so that
+	// the stack a carrier grew inside module code is kept for the next
+	// body instead of being grown again from 2 KB for every task.
+	idleCarriers = make(chan chan func(), maxIdleCarriers)
+	// carriersStarted counts carrier goroutines ever started; tests bound
+	// it to check that carriers are reused.
+	carriersStarted atomic.Uint64
+)
+
+// carry runs task bodies: run, then each body handed to it while parked.
+// It exits when the idle set is full or it is handed nil.
+func carry(run func()) {
+	in := make(chan func(), 1)
+	for run != nil {
+		run()
+		select {
+		case idleCarriers <- in:
+		default:
+			return
+		}
+		run = <-in
+	}
 }
 
 // Run executes all spawned tasks to completion and returns the panic value

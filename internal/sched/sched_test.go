@@ -287,11 +287,32 @@ func TestYieldCount(t *testing.T) {
 	}
 }
 
+// drainIdleCarriers stops every parked carrier goroutine and waits for
+// them to exit, so goroutine counts see only what sessions still own.
+func drainIdleCarriers() {
+	n := runtime.NumGoroutine()
+	for {
+		select {
+		case c := <-idleCarriers:
+			c <- nil
+			n--
+			continue
+		default:
+		}
+		break
+	}
+	for try := 0; try < 1000 && runtime.NumGoroutine() > n; try++ {
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestNoGoroutineLeak: sessions must not leak goroutines — a fuzzer runs
 // millions of them. Both clean completions and aborted (crashing) sessions
-// must unwind every task goroutine.
+// must unwind every task goroutine. Parked carriers are reused rather than
+// leaked, so they are drained before each count.
 func TestNoGoroutineLeak(t *testing.T) {
 	runtime.GC()
+	drainIdleCarriers()
 	before := runtime.NumGoroutine()
 	for i := 0; i < 200; i++ {
 		s := NewSession(Sequential{})
@@ -310,10 +331,66 @@ func TestNoGoroutineLeak(t *testing.T) {
 	// Let unwinding goroutines finish.
 	for try := 0; try < 100; try++ {
 		runtime.GC()
+		drainIdleCarriers()
 		if runtime.NumGoroutine() <= before+2 {
 			return
 		}
 		time.Sleep(time.Millisecond)
 	}
 	t.Fatalf("goroutines leaked: %d before, %d after", before, runtime.NumGoroutine())
+}
+
+// TestCarriersBounded: over clean, crashing, deadlocking and oversized
+// sessions, the idle carrier set stays within its cap, carriers are reused
+// (goroutines started stay within cap plus the tasks one session runs at
+// once), carriers beyond the cap exit, and every session still reports its
+// own outcome.
+func TestCarriersBounded(t *testing.T) {
+	drainIdleCarriers()
+	before := runtime.NumGoroutine()
+	started := carriersStarted.Load()
+	const wide = maxIdleCarriers + 16
+	for i := 0; i < 200; i++ {
+		s := NewSession(&Random{Seed: int64(i), Period: 2})
+		tasks := 3
+		if i%50 == 49 {
+			tasks = wide // more tasks than the idle set holds
+		}
+		for id := 0; id < tasks; id++ {
+			id := id
+			s.Spawn(id, 0, func(h *Task) {
+				h.Yield(1)
+				switch {
+				case id == 2 && i%3 == 1:
+					panic("boom")
+				case id == 0 && i%3 == 2:
+					for {
+						h.BlockSpin() // never released: deadlock
+					}
+				}
+				h.Yield(2)
+			})
+		}
+		aborted := s.Run()
+		switch _, deadlock := aborted.(*Deadlock); {
+		case i%3 == 1 && aborted != "boom":
+			t.Fatalf("session %d: aborted = %v, want boom", i, aborted)
+		case i%3 == 2 && !deadlock:
+			t.Fatalf("session %d: aborted = %v, want a deadlock", i, aborted)
+		case i%3 == 0 && aborted != nil:
+			t.Fatalf("session %d: aborted = %v", i, aborted)
+		}
+		if n := len(idleCarriers); n > maxIdleCarriers {
+			t.Fatalf("session %d: %d idle carriers, cap %d", i, n, maxIdleCarriers)
+		}
+	}
+	if n := carriersStarted.Load() - started; n > maxIdleCarriers+wide {
+		t.Fatalf("started %d carriers for 200 sessions, want <= %d", n, maxIdleCarriers+wide)
+	}
+	for try := 0; runtime.NumGoroutine() > before+maxIdleCarriers+2; try++ {
+		if try == 100 {
+			t.Fatalf("%d goroutines left, want <= %d parked carriers over %d", runtime.NumGoroutine(), maxIdleCarriers, before)
+		}
+		time.Sleep(time.Millisecond)
+	}
 }

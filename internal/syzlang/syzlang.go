@@ -12,6 +12,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 )
 
 // ResourceKind names a kernel resource type flowing between calls (a file
@@ -179,10 +180,18 @@ func (p *Program) String() string {
 // Target is a set of syscall templates available for generation — the
 // paper's "predefined templates written in Syzlang".
 type Target struct {
+	// Defs are the templates. They must not change once the target is in
+	// use: the per-module index below is built from them once.
 	Defs   []*SyscallDef
 	byName map[string]*SyscallDef
 	// producers[kind] lists defs returning the resource kind.
 	producers map[ResourceKind][]*SyscallDef
+
+	// The module index is built on first use rather than in NewTarget,
+	// because building a target is part of every campaign's set-up.
+	indexOnce sync.Once
+	modules   []string                 // distinct Defs modules, sorted
+	byModule  map[string][]*SyscallDef // module -> its Defs, in Defs order
 }
 
 // NewTarget builds a target from templates.
@@ -259,30 +268,34 @@ func (t *Target) Generate(r *rand.Rand, n int) *Program {
 // syzkaller's call-selection priorities similarly bias programs toward
 // related calls, which is what makes concurrent pairs share state.
 func (t *Target) GenerateFocused(r *rand.Rand, n int, module string) *Program {
-	var defs []*SyscallDef
-	for _, d := range t.Defs {
-		if d.Module == module {
-			defs = append(defs, d)
-		}
-	}
+	t.index()
+	defs := t.byModule[module]
 	if len(defs) == 0 {
 		defs = t.Defs
 	}
 	return t.generateFrom(r, n, defs)
 }
 
-// Modules lists the distinct module names of the target's templates.
+// Modules lists the distinct module names of the target's templates,
+// sorted. The returned slice is shared by every caller and must not be
+// modified.
 func (t *Target) Modules() []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, d := range t.Defs {
-		if !seen[d.Module] {
-			seen[d.Module] = true
-			out = append(out, d.Module)
+	t.index()
+	return t.modules
+}
+
+// index builds the module list and per-module template lists once.
+func (t *Target) index() {
+	t.indexOnce.Do(func() {
+		t.byModule = make(map[string][]*SyscallDef)
+		for _, d := range t.Defs {
+			if _, seen := t.byModule[d.Module]; !seen {
+				t.modules = append(t.modules, d.Module)
+			}
+			t.byModule[d.Module] = append(t.byModule[d.Module], d)
 		}
-	}
-	sort.Strings(out)
-	return out
+		sort.Strings(t.modules)
+	})
 }
 
 func (t *Target) generateFrom(r *rand.Rand, n int, defs []*SyscallDef) *Program {

@@ -219,3 +219,50 @@ func TestNames(t *testing.T) {
 		t.Fatalf("names = %v", names)
 	}
 }
+
+// TestModuleIndex: Modules and GenerateFocused build their index once,
+// from any number of goroutines at a time, and draw exactly what a serial
+// first use of another target over the same templates draws.
+func TestModuleIndex(t *testing.T) {
+	defs := []*SyscallDef{
+		{Name: "b_open", Module: "b", Ret: "fd"},
+		{Name: "a_op", Module: "a"},
+		{Name: "b_write", Module: "b", Args: []ArgType{ResourceArg{Kind: "fd"}, IntRange{Min: 0, Max: 9}}},
+		{Name: "c_op", Module: "c", Args: []ArgType{IntRange{Min: 0, Max: 9}}},
+	}
+	focus := []string{"b", "a", "c", "missing"}
+	ref := NewTarget(defs)
+	want := make([]string, len(focus))
+	for i, m := range focus {
+		p := ref.GenerateFocused(rand.New(rand.NewSource(int64(i))), 6, m)
+		for _, c := range p.Calls {
+			if m != "missing" && c.Def.Module != m {
+				t.Fatalf("focused on %q drew %s from module %q", m, c.Def.Name, c.Def.Module)
+			}
+		}
+		want[i] = p.String()
+	}
+	if got := strings.Join(ref.Modules(), ","); got != "a,b,c" {
+		t.Fatalf("Modules() = %s, want a,b,c", got)
+	}
+
+	tg := NewTarget(defs)
+	done := make(chan struct{})
+	for g := 0; g < 8; g++ {
+		g := g
+		go func() {
+			defer func() { done <- struct{}{} }()
+			if got := strings.Join(tg.Modules(), ","); got != "a,b,c" {
+				t.Errorf("goroutine %d: Modules() = %s", g, got)
+			}
+			i := g % len(focus)
+			p := tg.GenerateFocused(rand.New(rand.NewSource(int64(i))), 6, focus[i])
+			if p.String() != want[i] {
+				t.Errorf("goroutine %d: focused on %q drew\n%s\nwant\n%s", g, focus[i], p, want[i])
+			}
+		}()
+	}
+	for g := 0; g < 8; g++ {
+		<-done
+	}
+}
