@@ -113,31 +113,31 @@ func run(args []string, stdout io.Writer) int {
 			fmt.Fprintf(stdout, "unknown bug switch %q (try -list)\n", *bug)
 			return 2
 		}
-		f := core.NewFuzzer(core.Config{
+		p := core.NewPool(core.Config{
 			Modules:  []string{b.Module},
 			Bugs:     modules.Bugs(b.Switch),
 			Seed:     *seed,
 			UseSeeds: true,
 			Model:    mm,
 			Repair:   true,
-		})
+		}, 1)
 		want := b.Title
 		if want == "" {
 			want = b.SoftTitle
 		}
 		doc.Title = want
-		r := f.RunUntil(want, *budget)
+		r := p.RunUntil(want, *budget)
 		if r == nil {
 			if *jsonOut {
 				emit(stdout, &doc)
 			} else {
 				fmt.Fprintf(stdout, "NOT reproduced within %d steps (%d hypothetical-barrier tests)\n",
-					*budget, f.Stats.MTIs)
+					*budget, p.Stats().MTIs)
 			}
 			return 1
 		}
 		doc.Reproduced = true
-		doc.Repair = f.RepairResult(want)
+		doc.Repair = p.RepairResult(want)
 		if !*jsonOut {
 			fmt.Fprint(stdout, r.String())
 		}

@@ -11,9 +11,7 @@
 //
 // With -bugs all (the default), every Table 3/Table 4 bug switch is active —
 // the fuzzer hunts the whole corpus. With -bugs "" the kernel is fully
-// fixed and a clean campaign is expected to find nothing. Deprecated
-// switches (modules.DeprecatedSwitches) are excluded from "all" and warn
-// when requested explicitly.
+// fixed and a clean campaign is expected to find nothing.
 //
 // -strategy selects the engine strategy reordering tests run under
 // (standalone mode only): "ooo" (default), "migration" (real cross-CPU
@@ -129,19 +127,11 @@ func main() {
 	switch *bugs {
 	case "all":
 		for _, b := range modules.AllBugs() {
-			if _, deprecated := modules.DeprecatedSwitches[b.Switch]; deprecated {
-				continue
-			}
 			bugNames = append(bugNames, b.Switch)
 		}
 	case "":
 	default:
 		bugNames = strings.Split(*bugs, ",")
-		for _, sw := range bugNames {
-			if why, deprecated := modules.DeprecatedSwitches[sw]; deprecated {
-				fmt.Fprintf(os.Stderr, "warning: bug switch %q is deprecated: %s\n", sw, why)
-			}
-		}
 	}
 	bugSet := modules.Bugs(bugNames...)
 

@@ -1,7 +1,7 @@
 // Fuzz: a whole-corpus OZZ campaign — every module loaded, every Table 3 /
 // Table 4 bug switch active — mirroring the paper's §6.1 evaluation run in
-// miniature. Prints the findings as they appear and a closing summary of
-// unique crash titles classified as OOO bugs.
+// miniature. Prints the findings in discovery order and a closing summary
+// of unique crash titles classified as OOO bugs.
 //
 //	go run ./examples/fuzz [-steps 400]
 package main
@@ -15,7 +15,7 @@ import (
 )
 
 func main() {
-	steps := flag.Int("steps", 400, "fuzzer iterations")
+	steps := flag.Int("steps", 400, "campaign steps")
 	flag.Parse()
 
 	var switches []string
@@ -24,25 +24,24 @@ func main() {
 			switches = append(switches, b.Switch)
 		}
 	}
-	f := ozz.NewFuzzer(ozz.Config{
+	p := ozz.NewPool(ozz.Config{
 		Bugs:     ozz.Bugs(switches...),
 		Seed:     1,
 		UseSeeds: true,
-	})
-	for n := 0; n < *steps; n++ {
-		for _, r := range f.Step() {
-			tag := "crash"
-			if r.OOO {
-				tag = "OOO bug"
-			}
-			fmt.Printf("[step %3d] %-7s %s\n", n, tag, r.Title)
+	}, 0)
+	for i, r := range p.Run(*steps) {
+		tag := "crash"
+		if r.OOO {
+			tag = "OOO bug"
 		}
+		fmt.Printf("[finding %2d] %-7s %s\n", i+1, tag, r.Title)
 	}
 
+	st := p.Stats()
 	fmt.Printf("\ncampaign: %d programs, %d hypothetical-barrier tests, %d hints, %d coverage edges\n",
-		f.Stats.Steps, f.Stats.MTIs, f.Stats.Hints, f.CoverageEdges())
+		st.Steps, st.MTIs, st.Hints, p.CoverageEdges())
 	var ooo, other []string
-	for _, r := range f.Reports.All() {
+	for _, r := range p.Reports.All() {
 		if r.OOO {
 			ooo = append(ooo, fmt.Sprintf("%s  (%s; %s)", r.Title, r.Type, r.HypBarrier))
 		} else {

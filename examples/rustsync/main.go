@@ -26,13 +26,13 @@ func main() {
 	// schedules among its tests, so we show it on the UNINSTRUMENTED
 	// baseline expectations by simply noting the corpus test; here we run
 	// OZZ and watch the assertion fall to a delayed store.
-	f := ozz.NewFuzzer(ozz.Config{
+	p := ozz.NewPool(ozz.Config{
 		Modules:  []string{"rustsync"},
 		Bugs:     ozz.Bugs("rustsync:relaxed_sb"),
 		Seed:     3,
 		UseSeeds: true,
-	})
-	r := f.RunUntil("kernel BUG: Relaxed store buffering: both threads read 0 in rust_check", 100)
+	}, 1)
+	r := p.RunUntil("kernel BUG: Relaxed store buffering: both threads read 0 in rust_check", 100)
 	if r == nil {
 		fmt.Println("assertion never violated (unexpected)")
 		return

@@ -18,15 +18,15 @@ import (
 
 func campaign(name string, bugs ozz.BugSet) {
 	fmt.Printf("== %s ==\n", name)
-	f := ozz.NewFuzzer(ozz.Config{
+	p := ozz.NewPool(ozz.Config{
 		Modules:  []string{"watchqueue"},
 		Bugs:     bugs,
 		Seed:     7,
 		UseSeeds: true,
-	})
-	f.Run(60)
+	}, 1)
+	p.Run(60)
 	ooo := 0
-	for _, r := range f.Reports.All() {
+	for _, r := range p.Reports.All() {
 		if !r.OOO {
 			continue
 		}
@@ -35,7 +35,7 @@ func campaign(name string, bugs ozz.BugSet) {
 		fmt.Printf("    type: %s, missing barrier: %s\n", r.Type, r.HypBarrier)
 	}
 	if ooo == 0 {
-		fmt.Printf("  no OOO bug found (%d hypothetical-barrier tests run)\n", f.Stats.MTIs)
+		fmt.Printf("  no OOO bug found (%d hypothetical-barrier tests run)\n", p.Stats().MTIs)
 	}
 	fmt.Println()
 }

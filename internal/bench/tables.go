@@ -23,23 +23,23 @@ type BugRunResult struct {
 	Type string
 }
 
-// runBug runs a seeded OZZ campaign against one bug (plus extra switches)
-// and reports the outcome. The campaign uses the engine strategy the bug
+// runBug runs a seeded OZZ campaign against one bug and reports the
+// outcome. The campaign uses the engine strategy the bug
 // declares (BugInfo.Strategy), so migration-sensitive bugs run under the
 // Migration strategy with no per-row special casing.
-func runBug(b modules.BugInfo, budget int, extra ...string) BugRunResult {
-	f := core.NewFuzzer(campaignConfig(core.Config{
+func runBug(b modules.BugInfo, budget int) BugRunResult {
+	p := core.NewPool(campaignConfig(core.Config{
 		Modules:  []string{b.Module},
-		Bugs:     modules.Bugs(append([]string{b.Switch}, extra...)...),
+		Bugs:     modules.Bugs(b.Switch),
 		Seed:     42,
 		UseSeeds: true,
 		Strategy: b.Strategy,
-	}))
+	}), 1)
 	want := b.Title
 	if want == "" {
 		want = b.SoftTitle
 	}
-	r := f.RunUntil(want, budget)
+	r := p.RunUntil(want, budget)
 	if r == nil {
 		return BugRunResult{Bug: b}
 	}

@@ -67,26 +67,23 @@ func MeasureThroughputWorkers(budget time.Duration, mods []string, bugs modules.
 	}
 	szRate := float64(sz.Execs) / time.Since(start).Seconds()
 
-	// OZZ: the full pipeline (STI + profile + hints + MTIs).
-	f := core.NewFuzzer(campaignConfig(core.Config{Modules: mods, Bugs: bugs, Seed: 1, UseSeeds: true}))
-	start = time.Now()
-	for time.Since(start) < budget {
-		f.Step()
-	}
-	elapsed := time.Since(start).Seconds()
-	ozzRate := float64(f.Stats.Steps) / elapsed
+	// OZZ: the full pipeline (STI + profile + hints + MTIs) on one worker.
+	ozz := core.NewPool(campaignConfig(core.Config{Modules: mods, Bugs: bugs, Seed: 1, UseSeeds: true}), 1)
+	ozz.RunFor(budget)
+	st := ozz.Stats()
+	ozzRate := st.Perf.TestsPerSec
 
 	res := ThroughputResult{
 		SyzkallerTestsPerSec: szRate,
 		OzzTestsPerSec:       ozzRate,
 		SyzkallerRecycleRate: sz.RecycleRate(),
-		OzzRecycleRate:       f.Snapshot().Perf.RecycleRate(),
+		OzzRecycleRate:       st.Perf.RecycleRate(),
 	}
 	if ozzRate > 0 {
 		res.Slowdown = szRate / ozzRate
 	}
-	if f.Stats.Steps > 0 {
-		res.OzzMTIsPerProgram = float64(f.Stats.MTIs) / float64(f.Stats.Steps)
+	if st.Steps > 0 {
+		res.OzzMTIsPerProgram = float64(st.MTIs) / float64(st.Steps)
 	}
 
 	// Worker-scaling rows: same campaign Config through the Pool executor.

@@ -9,34 +9,33 @@ import (
 
 // findBug runs a seeded campaign against a single module with one bug
 // switch active and returns the matching report (nil if not found).
-func findBug(t *testing.T, b modules.BugInfo, extraSwitches ...string) *testReport {
+func findBug(t *testing.T, b modules.BugInfo) *testReport {
 	t.Helper()
-	r, _ := findBugUnder(t, b, "", extraSwitches...)
+	r, _ := findBugUnder(t, b, "")
 	return r
 }
 
 // findBugUnder is findBug with the campaign's engine strategy selectable
 // ("" = default OOO); it also returns the campaign counters so callers can
 // assert on strategy activity (Stats.Migrations, Stats.DeferredTasks).
-func findBugUnder(t *testing.T, b modules.BugInfo, strategy string, extraSwitches ...string) (*testReport, Stats) {
+func findBugUnder(t *testing.T, b modules.BugInfo, strategy string) (*testReport, Stats) {
 	t.Helper()
-	sw := append([]string{b.Switch}, extraSwitches...)
-	f := NewFuzzer(Config{
+	p := NewPool(Config{
 		Modules:  []string{b.Module},
-		Bugs:     modules.Bugs(sw...),
+		Bugs:     modules.Bugs(b.Switch),
 		Seed:     42,
 		UseSeeds: true,
 		Strategy: strategy,
-	})
+	}, 1)
 	want := b.Title
 	if want == "" {
 		want = b.SoftTitle
 	}
-	r := f.RunUntil(want, 120)
+	r := p.RunUntil(want, 120)
 	if r == nil {
-		return nil, f.Stats
+		return nil, p.Stats()
 	}
-	return &testReport{Title: r.Title, Type: r.Type, OOO: r.OOO, HintRank: r.HintRank, Strategy: r.Strategy}, f.Stats
+	return &testReport{Title: r.Title, Type: r.Type, OOO: r.OOO, HintRank: r.HintRank, Strategy: r.Strategy}, p.Stats()
 }
 
 type testReport struct {
@@ -92,12 +91,12 @@ func TestCorpusAllBugsFound(t *testing.T) {
 // TestCleanCorpusQuiet fuzzes every module with all barriers present: no
 // OOO report may appear (no false positives across the whole corpus).
 func TestCleanCorpusQuiet(t *testing.T) {
-	f := NewFuzzer(Config{
+	p := NewPool(Config{
 		Seed:     7,
 		UseSeeds: true,
-	})
-	f.Run(60)
-	for _, r := range f.Reports.All() {
+	}, 1)
+	p.Run(60)
+	for _, r := range p.Reports.All() {
 		if r.OOO {
 			t.Errorf("false positive on fully-fixed corpus: %s (%s)", r.Title, r.HypBarrier)
 		}
@@ -113,23 +112,6 @@ func TestSbitmapNotReproducedWithoutMigration(t *testing.T) {
 	}
 	if r := findBug(t, b); r != nil {
 		t.Fatalf("sbitmap bug unexpectedly reproduced without migration: %+v", r)
-	}
-}
-
-// TestSbitmapReproducedWithMigrationAssist ...and IS reproducible once the
-// two threads resolve the per-CPU hint from the same CPU (the paper's
-// manual kernel modification).
-func TestSbitmapReproducedWithMigrationAssist(t *testing.T) {
-	b, ok := modules.FindBug("sbitmap:freed_order")
-	if !ok {
-		t.Fatal("sbitmap bug not registered")
-	}
-	r := findBug(t, b, "sbitmap:migration_assist")
-	if r == nil {
-		t.Fatal("sbitmap bug not reproduced even with the migration assist")
-	}
-	if r.Type != "S-S" {
-		t.Errorf("expected S-S, got %s", r.Type)
 	}
 }
 
@@ -242,28 +224,26 @@ func TestSoakCampaign(t *testing.T) {
 			expected[b.SoftTitle] = b.ID
 		}
 	}
-	f := NewFuzzer(Config{
+	p := NewPool(Config{
 		Bugs:     modules.Bugs(switches...),
 		Seed:     99,
 		UseSeeds: true,
-	})
-	deadlineSteps := 3000
-	for n := 0; n < deadlineSteps; n++ {
-		f.Step()
-		// Early exit once everything is found.
-		all := true
+	}, 1)
+	allFound := func() bool {
 		for title := range expected {
-			if f.Reports.Get(title) == nil {
-				all = false
-				break
+			if p.Reports.Get(title) == nil {
+				return false
 			}
 		}
-		if all {
-			break
-		}
+		return true
+	}
+	// One batch per Run, with an early exit once everything is found.
+	const deadlineSteps = 3000
+	for n := 0; n < deadlineSteps && !allFound(); n += batchSize {
+		p.Run(batchSize)
 	}
 	for title, id := range expected {
-		if f.Reports.Get(title) == nil {
+		if p.Reports.Get(title) == nil {
 			t.Errorf("soak campaign missed %s (%q)", id, title)
 		}
 	}
@@ -274,7 +254,7 @@ func TestSoakCampaign(t *testing.T) {
 	// fixed module. We check the simpler global invariant: at least as
 	// many OOO findings as expected titles, all discovered titles unique.
 	ooo := 0
-	for _, r := range f.Reports.All() {
+	for _, r := range p.Reports.All() {
 		if r.OOO {
 			ooo++
 		}
@@ -282,6 +262,7 @@ func TestSoakCampaign(t *testing.T) {
 	if ooo < len(expected) {
 		t.Errorf("only %d OOO findings for %d expected bugs", ooo, len(expected))
 	}
+	s := p.Stats()
 	t.Logf("soak: %d steps, %d MTIs, %d titles (%d OOO), %d coverage edges",
-		f.Stats.Steps, f.Stats.MTIs, f.Reports.Len(), ooo, f.CoverageEdges())
+		s.Steps, s.MTIs, p.Reports.Len(), ooo, p.CoverageEdges())
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"ozz/internal/hints"
@@ -121,18 +122,21 @@ func TestMinimize(t *testing.T) {
 // maximum-reordering hints first).
 func TestHintOrderAblation(t *testing.T) {
 	const title = "BUG: unable to handle kernel NULL pointer dereference in pipe_read"
-	mtisToFind := func(order string) uint64 {
-		f := NewFuzzer(Config{
+	// r.Tests, not Stats.MTIs: RunUntil stops at a batch boundary, so the
+	// counters include the rest of the finding batch.
+	mtisToFind := func(order string) int {
+		p := NewPool(Config{
 			Modules:   []string{"watchqueue"},
 			Bugs:      modules.Bugs("watchqueue:pipe_wmb"),
 			Seed:      5,
 			UseSeeds:  true,
 			HintOrder: order,
-		})
-		if r := f.RunUntil(title, 80); r == nil {
+		}, 1)
+		r := p.RunUntil(title, 80)
+		if r == nil {
 			t.Fatalf("order %q never found the bug", order)
 		}
-		return f.Stats.MTIs
+		return r.Tests
 	}
 	heuristic := mtisToFind("heuristic")
 	reverse := mtisToFind("reverse")
@@ -145,13 +149,15 @@ func TestHintOrderAblation(t *testing.T) {
 // statistics — the determinism claim of §7's comparison with KCSAN.
 func TestDeterministicCampaign(t *testing.T) {
 	run := func() (Stats, []string) {
-		f := NewFuzzer(Config{
+		p := NewPool(Config{
 			Bugs:     modules.Bugs("tls:sk_prot_wmb", "xsk:state_wmb"),
 			Seed:     11,
 			UseSeeds: true,
-		})
-		f.Run(40)
-		return f.Stats, f.Reports.Titles()
+		}, 1)
+		p.Run(40)
+		s := p.Stats()
+		s.Perf = PerfStats{} // scheduling-dependent; excluded from comparison
+		return s, p.Reports.Titles()
 	}
 	s1, t1 := run()
 	s2, t2 := run()
@@ -171,33 +177,36 @@ func TestDeterministicCampaign(t *testing.T) {
 // TestCorpusExportImport: a campaign's coverage corpus round-trips through
 // the text format and primes a fresh campaign.
 func TestCorpusExportImport(t *testing.T) {
-	f1 := NewFuzzer(Config{
+	p1 := NewPool(Config{
 		Modules:  []string{"watchqueue"},
 		Seed:     21,
 		UseSeeds: true,
-	})
-	f1.Run(30)
-	if len(f1.CorpusPrograms()) == 0 {
+	}, 1)
+	p1.Run(30)
+	if p1.CorpusLen() == 0 {
 		t.Fatal("campaign built no corpus")
 	}
-	exported := f1.ExportCorpus()
+	var exported strings.Builder
+	if err := p1.WriteCorpus(&exported); err != nil {
+		t.Fatal(err)
+	}
 
-	f2 := NewFuzzer(Config{Modules: []string{"watchqueue"}, Seed: 22})
-	n := f2.ImportCorpus(exported)
-	if n != len(f1.CorpusPrograms()) {
-		t.Fatalf("imported %d of %d programs", n, len(f1.CorpusPrograms()))
+	p2 := NewPool(Config{Modules: []string{"watchqueue"}, Seed: 22}, 1)
+	n, err := p2.ReadCorpus(strings.NewReader(exported.String()))
+	if err != nil || n != p1.CorpusLen() {
+		t.Fatalf("imported %d of %d programs (err %v)", n, p1.CorpusLen(), err)
 	}
 	// The primed campaign replays the imported programs first.
-	f2.Step()
-	if f2.Stats.STIs != 1 {
-		t.Fatalf("stats = %+v", f2.Stats)
+	p2.Run(1)
+	if s := p2.Stats(); s.STIs != 1 {
+		t.Fatalf("stats = %+v", s)
 	}
 }
 
 // TestImportCorpusSkipsGarbage: unparseable blocks are ignored.
 func TestImportCorpusSkipsGarbage(t *testing.T) {
-	f := NewFuzzer(Config{Modules: []string{"watchqueue"}, Seed: 1})
-	n := f.ImportCorpus("not a program\n\nr0 = wq_create()\nwq_pipe_read(r0)\n\n???")
+	p := NewPool(Config{Modules: []string{"watchqueue"}, Seed: 1}, 1)
+	n, _ := p.ReadCorpus(strings.NewReader("not a program\n\nr0 = wq_create()\nwq_pipe_read(r0)\n\n???"))
 	if n != 1 {
 		t.Fatalf("imported %d, want 1", n)
 	}

@@ -201,10 +201,12 @@ func (s *SafeReportSet) Titles() []string {
 	return s.set.Titles()
 }
 
-// Pool is the parallel campaign executor: N workers execute OZZ pipeline
-// steps (STI profiling, hint calculation, hypothetical-barrier MTI runs)
+// Pool is OZZ's fuzzing loop (Fig. 6: generate STI -> profile ->
+// calculate scheduling hints -> run MTIs -> collect OOO bug reports) and
+// the only campaign executor. N workers execute pipeline steps
 // concurrently over a shared Env, publishing into a sharded coverage map
-// and a deduplicated, concurrency-guarded report set.
+// and a deduplicated, concurrency-guarded report set; width 1 runs the
+// same campaign on a single worker.
 //
 // Determinism: each step's random stream is derived from (campaign seed,
 // step index) — not from a shared sequential generator — and results are
@@ -242,9 +244,8 @@ type Pool struct {
 	mergeMaps  []map[uint64]struct{}
 }
 
-// NewPool builds a parallel campaign executor. workers <= 0 selects
-// runtime.GOMAXPROCS(0). The Config fields have the same meaning as for
-// NewFuzzer.
+// NewPool builds a campaign executor of the given width. workers <= 0
+// selects runtime.GOMAXPROCS(0).
 func NewPool(cfg Config, workers int) *Pool {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -261,9 +262,7 @@ func NewPool(cfg Config, workers int) *Pool {
 		Reports: NewSafeReportSet(),
 		repairs: make(map[string]*repair.Result),
 	}
-	// The pool's width is authoritative for any Stats view over this
-	// registry (the Snapshot-hardcodes-1 fix).
-	p.co.claimWorkers(workers, true)
+	p.co.workers.Set(float64(workers))
 	if cfg.UseSeeds {
 		for _, src := range modules.Seeds(cfg.Modules...) {
 			if sp, err := p.target.Parse(src); err == nil {
@@ -369,7 +368,7 @@ type job struct {
 // jobReport is one finding produced inside a job. rebaseTests marks
 // reports whose Tests field counts job-local MTIs at discovery time; the
 // merger rebases it onto the campaign-cumulative count in index order, so
-// the final value matches what a serial run would have reported.
+// the final value is the campaign's MTI count at discovery, at any width.
 type jobReport struct {
 	r           *report.Report
 	rebaseTests bool
@@ -394,9 +393,10 @@ type jobResult struct {
 	deferred   uint64
 }
 
-// planStep picks step idx's program exactly like Fuzzer.nextProgram, from
-// the corpus as of the current batch boundary, using the step's private
-// rng. Caller holds p.mu.
+// planStep picks step idx's single-threaded input — pending seeds first,
+// then mutations of the coverage corpus as of the current batch boundary,
+// then fresh generations — using the step's private rng. Caller holds
+// p.mu.
 func (p *Pool) planStep(idx uint64) job {
 	rng := rand.New(lazyrand.New(jobSeed(p.cfg.Seed, idx)))
 	var prog *syzlang.Program
@@ -407,16 +407,20 @@ func (p *Pool) planStep(idx uint64) job {
 	case len(p.corpus) > 0 && rng.Intn(3) != 0:
 		prog = p.target.Mutate(rng, p.corpus[rng.Intn(len(p.corpus))])
 	default:
+		// Focus each generated program on one module (syzkaller's call
+		// priorities have the same effect): concurrent pairs then operate
+		// on shared state, which is what the hypothetical barrier test
+		// needs.
 		mods := p.target.Modules()
 		prog = p.target.GenerateFocused(rng, p.cfg.ProgLen, mods[rng.Intn(len(mods))])
 	}
 	return job{idx: idx, prog: prog, rng: rng}
 }
 
-// runJob executes one campaign step: STI profile (cached), scheduling
-// hints, and the pair's MTI runs — the worker-side mirror of Fuzzer.Step,
-// writing only to the job-local result. wid tags this worker's event
-// stream (1..Workers).
+// runJob executes one campaign step: the STI profile (cached; §4.2),
+// then scheduling hints and the pair's MTI runs (§4.3, §4.4), writing
+// only to the job-local result. wid tags this worker's event stream
+// (1..Workers).
 func (p *Pool) runJob(jb job, wid int) jobResult {
 	res := jobResult{idx: jb.idx, prog: jb.prog}
 	defer func() {
@@ -487,12 +491,15 @@ func (p *Pool) runJob(jb job, wid int) jobResult {
 	return res
 }
 
-// harvestJob converts an MTI result into job-local reports — the mirror of
-// Fuzzer.harvest, with Tests counted job-locally (rebased at merge).
+// harvestJob converts an MTI result into job-local reports, with Tests
+// counted job-locally (rebased at merge).
 func (p *Pool) harvestJob(res *jobResult, prog *syzlang.Program, i, j int, h *hints.Hint, rank int, mres *MTIResult) {
 	if mres.Crash != nil {
 		ooo := !mres.PrefixCrash
 		if ooo {
+			// Triage: re-run the same schedule without reordering
+			// directives. If the crash still reproduces in order, it is a
+			// plain interleaving race, not an OOO bug.
 			tStart := time.Now()
 			rerun := p.env.RunMTI(MTIOpts{Prog: prog, I: i, J: j, Hint: h, NoReorder: true})
 			observe(p.co.stTriage, tStart)
@@ -617,17 +624,34 @@ func (p *Pool) merge(res *jobResult, stiNew int, found *[]*report.Report) {
 // Run executes `steps` campaign steps across the pool's workers and
 // returns the new reports in deterministic discovery order.
 func (p *Pool) Run(steps int) []*report.Report {
-	return p.run(steps, time.Time{})
+	return p.run(steps, time.Time{}, "")
 }
 
 // RunFor executes whole batches until the wall-clock budget is spent and
 // returns the new reports. The step sequence is the same deterministic
 // sequence Run walks; only where it stops depends on the clock.
 func (p *Pool) RunFor(budget time.Duration) []*report.Report {
-	return p.run(-1, time.Now().Add(budget))
+	return p.run(-1, time.Now().Add(budget), "")
 }
 
-func (p *Pool) run(steps int, deadline time.Time) []*report.Report {
+// RunUntil executes whole batches until one publishes a report with the
+// given title, or maxSteps steps have run, and returns that report (nil
+// if it never appeared). A title already known returns at once. Because
+// it stops only at batch boundaries, the campaign it walks is a prefix of
+// Run(maxSteps) and the report it returns is the one Run(maxSteps)
+// publishes; Stats include the rest of the finding batch.
+func (p *Pool) RunUntil(title string, maxSteps int) *report.Report {
+	if r := p.Reports.Get(title); r != nil {
+		return r
+	}
+	p.run(maxSteps, time.Time{}, title)
+	return p.Reports.Get(title)
+}
+
+// run walks the campaign batch by batch until steps steps have run (< 0:
+// no limit), the deadline passes (zero: none), or a batch publishes the
+// until title ("": never).
+func (p *Pool) run(steps int, deadline time.Time, until string) []*report.Report {
 	if steps == 0 {
 		return nil
 	}
@@ -703,6 +727,9 @@ func (p *Pool) run(steps int, deadline time.Time) []*report.Report {
 		if remaining > 0 {
 			remaining -= n
 		}
+		if until != "" && p.Reports.Get(until) != nil {
+			break
+		}
 	}
 	close(jobs)
 	wg.Wait()
@@ -710,7 +737,7 @@ func (p *Pool) run(steps int, deadline time.Time) []*report.Report {
 }
 
 // orderHints applies the HintOrder configuration knob to a freshly
-// calculated hint list (shared by the serial fuzzer and pool workers).
+// calculated hint list.
 func orderHints(hs []*hints.Hint, order string, rng *rand.Rand) {
 	switch order {
 	case "", "heuristic":

@@ -13,9 +13,6 @@ import (
 func allBugSwitches() modules.BugSet {
 	var names []string
 	for _, b := range modules.AllBugs() {
-		if _, deprecated := modules.DeprecatedSwitches[b.Switch]; deprecated {
-			continue
-		}
 		names = append(names, b.Switch)
 	}
 	return modules.Bugs(names...)

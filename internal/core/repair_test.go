@@ -31,8 +31,8 @@ func repairConfig(bug string) Config {
 // insertion between the two profiled stores, validated under lkmm and
 // armv8 and reported unnecessary under tso.
 func TestRepairFig1(t *testing.T) {
-	f := NewFuzzer(repairConfig("watchqueue:pipe_wmb"))
-	r := f.RunUntil(fig1Title, 200)
+	p := NewPool(repairConfig("watchqueue:pipe_wmb"), 1)
+	r := p.RunUntil(fig1Title, 200)
 	if r == nil {
 		t.Fatal("Fig. 1 crash did not reproduce")
 	}
@@ -47,7 +47,7 @@ func TestRepairFig1(t *testing.T) {
 	if !strings.Contains(top, "fixes: armv8, lkmm") || !strings.Contains(top, "unnecessary: tso") {
 		t.Fatalf("top suggestion lacks the per-model verdicts: %q", top)
 	}
-	rr := f.RepairResult(fig1Title)
+	rr := p.RepairResult(fig1Title)
 	if rr == nil {
 		t.Fatal("RepairResult returned nil for the repaired title")
 	}
@@ -67,8 +67,8 @@ func TestRepairFig1(t *testing.T) {
 // reader fence must be repaired by an smp_rmb insertion (or nothing
 // weaker), on the reader's side.
 func TestRepairFig1LoadBarrier(t *testing.T) {
-	f := NewFuzzer(repairConfig("watchqueue:pipe_rmb"))
-	r := f.RunUntil(fig1Title, 200)
+	p := NewPool(repairConfig("watchqueue:pipe_rmb"), 1)
+	r := p.RunUntil(fig1Title, 200)
 	if r == nil {
 		t.Fatal("load-barrier crash did not reproduce")
 	}
@@ -92,41 +92,38 @@ func TestRepairFig1LoadBarrier(t *testing.T) {
 func TestRepairOffByDefault(t *testing.T) {
 	cfg := repairConfig("watchqueue:pipe_wmb")
 	cfg.Repair = false
-	f := NewFuzzer(cfg)
-	r := f.RunUntil(fig1Title, 200)
+	p := NewPool(cfg, 1)
+	r := p.RunUntil(fig1Title, 200)
 	if r == nil {
 		t.Fatal("crash did not reproduce")
 	}
-	if len(r.SuggestedFix) != 0 || f.RepairResult(fig1Title) != nil {
+	if len(r.SuggestedFix) != 0 || p.RepairResult(fig1Title) != nil {
 		t.Fatalf("repair ran despite Repair=false: %v", r.SuggestedFix)
 	}
 }
 
-// TestRepairPoolMatchesSerial checks executor equivalence and worker-count
-// determinism of the repair results: the pool at several widths must
-// publish exactly the serial fuzzer's SuggestedFix lines and structured
-// result.
+// TestRepairPoolMatchesSerial checks worker-count determinism of the
+// repair results: a width-1 RunUntil and a width-4 Run over the same
+// campaign must publish identical SuggestedFix lines and structured
+// results.
 func TestRepairPoolMatchesSerial(t *testing.T) {
-	serial := NewFuzzer(repairConfig("watchqueue:pipe_wmb"))
+	serial := NewPool(repairConfig("watchqueue:pipe_wmb"), 1)
 	want := serial.RunUntil(fig1Title, 96)
 	if want == nil {
-		t.Fatal("serial run did not reproduce the crash")
+		t.Fatal("width-1 RunUntil did not reproduce the crash")
 	}
 	wantRR := serial.RepairResult(fig1Title)
-	for _, workers := range []int{1, 4} {
-		p := NewPool(repairConfig("watchqueue:pipe_wmb"), workers)
-		p.Run(96)
-		got := p.Reports.Get(fig1Title)
-		if got == nil {
-			t.Fatalf("pool (workers=%d) did not reproduce the crash", workers)
-		}
-		if !reflect.DeepEqual(got.SuggestedFix, want.SuggestedFix) {
-			t.Fatalf("pool (workers=%d) SuggestedFix = %v, serial = %v",
-				workers, got.SuggestedFix, want.SuggestedFix)
-		}
-		if gotRR := p.RepairResult(fig1Title); !reflect.DeepEqual(gotRR, wantRR) {
-			t.Fatalf("pool (workers=%d) repair result diverged from serial:\n%s\nvs\n%s",
-				workers, gotRR.Render(), wantRR.Render())
-		}
+	p := NewPool(repairConfig("watchqueue:pipe_wmb"), 4)
+	p.Run(96)
+	got := p.Reports.Get(fig1Title)
+	if got == nil {
+		t.Fatal("width-4 Run did not reproduce the crash")
+	}
+	if !reflect.DeepEqual(got.SuggestedFix, want.SuggestedFix) {
+		t.Fatalf("width-4 SuggestedFix = %v, width-1 = %v", got.SuggestedFix, want.SuggestedFix)
+	}
+	if gotRR := p.RepairResult(fig1Title); !reflect.DeepEqual(gotRR, wantRR) {
+		t.Fatalf("width-4 repair result diverged from width-1:\n%s\nvs\n%s",
+			gotRR.Render(), wantRR.Render())
 	}
 }

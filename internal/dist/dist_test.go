@@ -221,7 +221,7 @@ func TestSyncDeltaConvergence(t *testing.T) {
 	// Round 1: advertise the key; the manager lacks it and must ask.
 	var s1 SyncResponse
 	if err := postJSON(client, srv.URL+PathSync, SyncRequest{
-		V: ProtocolVersion, WorkerID: reg.WorkerID, Keys: []string{h},
+		V: ProtocolVersion, WorkerID: reg.WorkerID, Epoch: reg.Epoch, Keys: []string{h},
 	}, &s1); err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestSyncDeltaConvergence(t *testing.T) {
 	}
 	var s2 SyncResponse
 	if err := postJSON(client, srv.URL+PathSync, SyncRequest{
-		V: ProtocolVersion, WorkerID: reg.WorkerID, Keys: []string{h}, Programs: payload.String(),
+		V: ProtocolVersion, WorkerID: reg.WorkerID, Epoch: reg.Epoch, Keys: []string{h}, Programs: payload.String(),
 	}, &s2); err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +257,7 @@ func TestSyncDeltaConvergence(t *testing.T) {
 	}
 	var s3 SyncResponse
 	if err := postJSON(client, srv.URL+PathSync, SyncRequest{
-		V: ProtocolVersion, WorkerID: regB.WorkerID,
+		V: ProtocolVersion, WorkerID: regB.WorkerID, Epoch: regB.Epoch,
 	}, &s3); err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +286,7 @@ func TestProtocolVersionMismatch(t *testing.T) {
 // turned away with HTTP 410 so the client knows to re-register.
 func TestManagerUnknownWorker(t *testing.T) {
 	_, srv := startManager(t, fastManagerConfig(10, 10))
-	err := postJSON(srv.Client(), srv.URL+PathPoll, PollRequest{V: ProtocolVersion, WorkerID: 42}, nil)
+	err := postJSON(srv.Client(), srv.URL+PathPoll, PollRequest{V: ProtocolVersion, WorkerID: 42, Epoch: 1}, nil)
 	if err == nil || !strings.Contains(err.Error(), "HTTP 410") {
 		t.Errorf("unknown worker poll: err = %v, want HTTP 410", err)
 	}

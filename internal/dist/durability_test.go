@@ -657,39 +657,29 @@ func TestMultiTenancyEndToEnd(t *testing.T) {
 	}
 }
 
-// TestProtocolNegotiation: version 1 clients are still served (answered
-// at their version, single-lease grants), and versions above the window
-// are rejected.
+// TestProtocolNegotiation: the manager answers at ProtocolVersion and
+// rejects every other version — the retired version 1 included — with
+// HTTP 400 on register and poll.
 func TestProtocolNegotiation(t *testing.T) {
-	cfg := fastManagerConfig(40, 10) // 4 shards: a v2 batch would grant several
-	_, srv := startManager(t, cfg)
+	_, srv := startManager(t, fastManagerConfig(40, 10))
 	client := srv.Client()
 
 	var reg RegisterResponse
-	if err := postJSON(client, srv.URL+PathRegister, RegisterRequest{V: 1, Name: "old"}, &reg); err != nil {
-		t.Fatalf("v1 register: %v", err)
+	if err := postJSON(client, srv.URL+PathRegister, RegisterRequest{V: ProtocolVersion, Name: "w"}, &reg); err != nil {
+		t.Fatalf("current-version register: %v", err)
 	}
-	if reg.V != 1 {
-		t.Errorf("v1 register answered at version %d", reg.V)
+	if reg.V != ProtocolVersion {
+		t.Errorf("register answered at version %d, want %d", reg.V, ProtocolVersion)
 	}
-	var poll PollResponse
-	if err := postJSON(client, srv.URL+PathPoll, PollRequest{V: 1, WorkerID: reg.WorkerID}, &poll); err != nil {
-		t.Fatalf("v1 poll (no epoch, never-restarted campaign): %v", err)
-	}
-	if poll.V != 1 || poll.Lease == nil {
-		t.Errorf("v1 poll: V=%d Lease=%v, want a version-1 single-lease grant", poll.V, poll.Lease)
-	}
-	if len(poll.Leases) > 1 {
-		t.Errorf("v1 poll carried a %d-lease batch", len(poll.Leases))
-	}
-
-	err := postJSON(client, srv.URL+PathRegister, RegisterRequest{V: ProtocolVersion + 1}, nil)
-	if errStatus(err) != 400 {
-		t.Errorf("future-version register: %v, want HTTP 400", err)
-	}
-	err = postJSON(client, srv.URL+PathRegister, RegisterRequest{V: 0}, nil)
-	if errStatus(err) != 400 {
-		t.Errorf("version-0 register: %v, want HTTP 400", err)
+	for _, v := range []int{0, 1, ProtocolVersion + 1} {
+		err := postJSON(client, srv.URL+PathRegister, RegisterRequest{V: v, Name: "old"}, nil)
+		if errStatus(err) != 400 {
+			t.Errorf("version-%d register: %v, want HTTP 400", v, err)
+		}
+		err = postJSON(client, srv.URL+PathPoll, PollRequest{V: v, WorkerID: reg.WorkerID, Epoch: reg.Epoch}, nil)
+		if errStatus(err) != 400 {
+			t.Errorf("version-%d poll: %v, want HTTP 400", v, err)
+		}
 	}
 }
 

@@ -36,12 +36,11 @@ func FuzzProtocol(f *testing.F) {
 		RegisterResponse{V: ProtocolVersion, WorkerID: 2, Epoch: 3, HeartbeatMS: 500},
 		PollRequest{V: ProtocolVersion, WorkerID: 2, Campaign: "alpha", Token: "t0k", Epoch: 3},
 		PollResponse{V: ProtocolVersion,
-			Lease:  &Lease{ID: 1<<32 | 1, Shard: 0, Seed: 9, Steps: 10, TTLMS: 3000},
 			Leases: []*Lease{{ID: 1<<32 | 1, Shard: 0, Seed: 9, Steps: 10, TTLMS: 3000}, {ID: 1<<32 | 2, Shard: 1, Seed: 10, Steps: 10, TTLMS: 3000}}},
 		RegisterResponse{V: ProtocolVersion, WorkerID: 1, HeartbeatMS: 500,
 			Campaign: CampaignSpec{Modules: []string{"wq"}, Bugs: []string{"wq_missing_barrier"}, ProgLen: 3, UseSeeds: true}},
 		PollRequest{V: ProtocolVersion, WorkerID: 1, Completed: []uint64{1, 2}},
-		PollResponse{V: ProtocolVersion, Lease: &Lease{ID: 7, Shard: 3, Seed: -1, Steps: 40, TTLMS: 3000}},
+		PollResponse{V: ProtocolVersion, Leases: []*Lease{{ID: 7, Shard: 3, Seed: -1, Steps: 40, TTLMS: 3000}}},
 		PollResponse{V: ProtocolVersion, Done: true},
 		SyncRequest{V: ProtocolVersion, WorkerID: 1, Keys: []string{"abc123"}, Programs: "r0 = wq_create()\n"},
 		SyncResponse{V: ProtocolVersion, Want: []string{"def456"}},
@@ -62,7 +61,7 @@ func FuzzProtocol(f *testing.F) {
 	}
 	f.Add([]byte(`{`))
 	f.Add([]byte(`null`))
-	f.Add([]byte(`{"v":9999,"lease":{"id":18446744073709551615}}`))
+	f.Add([]byte(`{"v":9999,"leases":[{"id":18446744073709551615}]}`))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		for _, zero := range protoMessages() {
 			msg := reflect.New(reflect.TypeOf(zero).Elem()).Interface()

@@ -519,30 +519,19 @@ func (m *Manager) timed(h *obs.Histogram, fn http.HandlerFunc) http.HandlerFunc 
 	}
 }
 
-// negotiate returns the protocol version to answer a request with.
-func negotiate(reqV int) int {
-	if reqV < ProtocolVersion {
-		return reqV
-	}
-	return ProtocolVersion
-}
-
-// checkVersion rejects protocol versions outside the accepted window;
-// reports whether the request may proceed.
+// checkVersion rejects any protocol version but ProtocolVersion; reports
+// whether the request may proceed.
 func checkVersion(w http.ResponseWriter, v int) bool {
-	if v < MinProtocolVersion || v > ProtocolVersion {
+	if v != ProtocolVersion {
 		writeError(w, http.StatusBadRequest,
-			"protocol version %d, manager speaks %d..%d", v, MinProtocolVersion, ProtocolVersion)
+			"protocol version %d, manager speaks %d", v, ProtocolVersion)
 		return false
 	}
 	return true
 }
 
 // resolveLocked authenticates a request's (campaign, token, epoch)
-// triple, writing the error reply and returning nil on failure. Version
-// 1 clients carry no epoch; their epoch 0 is only accepted while the
-// campaign is still in its first epoch, so legacy workers are fenced off
-// exactly when state actually moved under them.
+// triple, writing the error reply and returning nil on failure.
 func (m *Manager) resolveLocked(w http.ResponseWriter, campaignName, token string, epoch uint64, checkEpoch bool) *campaign {
 	c := m.campLocked(campaignName)
 	if c == nil {
@@ -553,16 +542,10 @@ func (m *Manager) resolveLocked(w http.ResponseWriter, campaignName, token strin
 		writeError(w, http.StatusForbidden, "campaign %q: bad or missing token", c.name)
 		return nil
 	}
-	if checkEpoch {
-		want := c.epoch
-		if epoch == 0 && want == 1 {
-			epoch = 1 // v1 clients on a never-restarted campaign
-		}
-		if epoch != want {
-			writeError(w, http.StatusGone,
-				"stale epoch %d for campaign %q (current %d): re-register", epoch, c.name, want)
-			return nil
-		}
+	if checkEpoch && epoch != c.epoch {
+		writeError(w, http.StatusGone,
+			"stale epoch %d for campaign %q (current %d): re-register", epoch, c.name, c.epoch)
+		return nil
 	}
 	return c
 }
@@ -614,7 +597,7 @@ func (m *Manager) handleRegister(w http.ResponseWriter, r *http.Request) {
 		})
 	}
 	writeJSON(w, http.StatusOK, RegisterResponse{
-		V:           negotiate(req.V),
+		V:           ProtocolVersion,
 		WorkerID:    id,
 		Epoch:       epoch,
 		Campaign:    spec,
@@ -650,24 +633,13 @@ func (m *Manager) handlePoll(w http.ResponseWriter, r *http.Request) {
 	for _, id := range req.Completed {
 		c.completeLocked(ws, id)
 	}
-	resp := PollResponse{V: negotiate(req.V)}
+	resp := PollResponse{V: ProtocolVersion}
 	var stolen bool
 	if c.doneLocked() {
 		resp.Done = true
 	} else {
-		var granted []*Lease
-		granted, stolen = c.grantLocked(ws)
-		if req.V < 2 && len(granted) > 1 {
-			// A v1 client reads a single lease; return the rest.
-			for _, l := range granted[1:] {
-				c.ungrantLocked(l.ID)
-			}
-			granted = granted[:1]
-		}
-		if len(granted) > 0 {
-			resp.Leases = granted
-			resp.Lease = granted[0]
-		} else {
+		resp.Leases, stolen = c.grantLocked(ws)
+		if len(resp.Leases) == 0 {
 			resp.RetryMS = (m.cfg.HeartbeatEvery / 2).Milliseconds()
 		}
 	}
@@ -685,23 +657,6 @@ func (m *Manager) handlePoll(w http.ResponseWriter, r *http.Request) {
 	}
 	m.maybeEmitDone(c)
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// ungrantLocked retracts a just-granted lease (v1 batch downgrade),
-// returning its shard to the head of the queue.
-func (c *campaign) ungrantLocked(leaseID uint64) {
-	ls := c.inflight[leaseID]
-	if ls == nil {
-		return
-	}
-	delete(c.inflight, leaseID)
-	delete(c.leaseByID, leaseID)
-	if owner := c.workers[ls.worker]; owner != nil {
-		delete(owner.leases, leaseID)
-	}
-	if !ls.stolen && !c.shards[ls.shard].completed {
-		c.pending = append([]int{ls.shard}, c.pending...)
-	}
 }
 
 // sweep requeues expired leases and declares silent workers dead, across
@@ -868,7 +823,7 @@ func (m *Manager) handleSync(w http.ResponseWriter, r *http.Request) {
 		m.do.ev.Info(req.WorkerID, "dist.deregister", nil)
 	}
 	writeJSON(w, http.StatusOK, SyncResponse{
-		V: negotiate(req.V), Programs: payload.String(), Want: want,
+		V: ProtocolVersion, Programs: payload.String(), Want: want,
 	})
 }
 
@@ -909,7 +864,7 @@ func (m *Manager) handleReport(w http.ResponseWriter, r *http.Request) {
 	m.do.ev.Info(req.WorkerID, "dist.report", map[string]any{
 		"campaign": c.name, "received": len(req.Reports), "added": added,
 	})
-	writeJSON(w, http.StatusOK, ReportResponse{V: negotiate(req.V), Added: added})
+	writeJSON(w, http.StatusOK, ReportResponse{V: ProtocolVersion, Added: added})
 }
 
 // handleHeartbeat renews worker liveness and its leases.
@@ -939,7 +894,7 @@ func (m *Manager) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	m.mu.Unlock()
-	writeJSON(w, http.StatusOK, HeartbeatResponse{V: negotiate(req.V), OK: ok})
+	writeJSON(w, http.StatusOK, HeartbeatResponse{V: ProtocolVersion, OK: ok})
 }
 
 // RunShardsLocal executes the manager configuration's whole shard plan

@@ -49,19 +49,12 @@ import (
 )
 
 // ProtocolVersion is the fabric's wire protocol version. Every request
-// carries it in the V field. Version 2 added multi-tenancy (campaign
-// names and auth tokens), the epoch-stamped re-register handshake, and
-// lease batches; the manager still negotiates down to version 1 clients
-// (see MinProtocolVersion), which speak to the untokened default campaign
-// with single-lease grants and no epoch fencing.
+// and response carries it in the V field. Version 2 has multi-tenancy
+// (campaign names and auth tokens), the epoch-stamped re-register
+// handshake, and lease batches. The manager accepts exactly this version:
+// any other is rejected with HTTP 400 and an ErrorResponse, so
+// incompatible fleets fail fast instead of corrupting each other's state.
 const ProtocolVersion = 2
-
-// MinProtocolVersion is the oldest protocol version the manager still
-// accepts. Requests outside [MinProtocolVersion, ProtocolVersion] are
-// rejected with HTTP 400 and an ErrorResponse, so incompatible fleets
-// fail fast instead of corrupting each other's state; versions inside the
-// window are answered at the requester's version.
-const MinProtocolVersion = 1
 
 // DefaultCampaign is the campaign name a request with an empty Campaign
 // field addresses — the single campaign of a pre-multi-tenancy fleet.
@@ -145,7 +138,7 @@ type RegisterRequest struct {
 
 // RegisterResponse assigns the worker its identity and the campaign.
 type RegisterResponse struct {
-	// V is the negotiated protocol version.
+	// V is the manager's protocol version.
 	V int `json:"v"`
 	// WorkerID is the manager-assigned worker identity (1-based per
 	// campaign); it tags the worker's records in the manager's event log.
@@ -180,16 +173,12 @@ type PollRequest struct {
 // PollResponse grants leases, asks the worker to retry later, or
 // declares the campaign done.
 type PollResponse struct {
-	// V is the negotiated protocol version.
+	// V is the manager's protocol version.
 	V int `json:"v"`
-	// Lease is the first granted work unit, nil when none is available.
-	// Version 1 clients read only this field; version 2 clients should
-	// prefer Leases.
-	Lease *Lease `json:"lease,omitempty"`
-	// Leases is the granted lease batch (version 2): the manager sizes it
-	// dynamically from the pending-shard backlog and the connected worker
-	// count, so a lone or fast worker drains several shards per round
-	// trip. Leases[0] == *Lease when both are set.
+	// Leases is the granted lease batch, empty when none is available:
+	// the manager sizes it dynamically from the pending-shard backlog and
+	// the connected worker count, so a lone or fast worker drains several
+	// shards per round trip.
 	Leases []*Lease `json:"leases,omitempty"`
 	// Done reports that every shard has completed; the worker should
 	// perform a final sync and deregister.

@@ -184,13 +184,9 @@ func (w *Worker) register(ctx context.Context) error {
 		}, &resp)
 		observe(w.do.httpRegister, start)
 		if err == nil {
-			epoch := resp.Epoch
-			if epoch == 0 {
-				epoch = 1 // v1 manager: single implicit epoch
-			}
 			w.mu.Lock()
 			w.id = resp.WorkerID
-			w.epoch = epoch
+			w.epoch = resp.Epoch
 			w.held = nil
 			w.mu.Unlock()
 			w.campaign = resp.Campaign
@@ -201,7 +197,7 @@ func (w *Worker) register(ctx context.Context) error {
 			w.heartbeatEvery = time.Duration(resp.HeartbeatMS) * time.Millisecond
 			w.do.ev.Info(resp.WorkerID, "dist.register", map[string]any{
 				"manager": w.cfg.ManagerURL, "name": w.cfg.Name,
-				"campaign": w.cfg.Campaign, "epoch": epoch, "prev_worker": prevID,
+				"campaign": w.cfg.Campaign, "epoch": resp.Epoch, "prev_worker": prevID,
 			})
 			return nil
 		}
@@ -304,9 +300,6 @@ func (w *Worker) Run(ctx context.Context) error {
 			return nil
 		}
 		batch := resp.Leases
-		if len(batch) == 0 && resp.Lease != nil {
-			batch = []*Lease{resp.Lease}
-		}
 		if len(batch) == 0 {
 			retry := time.Duration(resp.RetryMS) * time.Millisecond
 			if retry <= 0 {

@@ -20,12 +20,9 @@ import (
 // runs both calls on CPU 0, so the per-CPU hint IS a shared location there
 // and Algorithm 2 keeps it — the hint comes out annotated with the per-CPU
 // sites (Hint.Migrate), and the strategy migrates the observer back to
-// CPU 0 at the scheduling point, reproducing the bug organically.
-//
-// The paper instead verified its analysis by patching the kernel so both
-// threads resolve the hint from the same CPU; the deprecated switch
-// "sbitmap:migration_assist" models that manual assist and is kept only
-// for the historical experiment (modules.DeprecatedSwitches).
+// CPU 0 at the scheduling point, reproducing the bug organically. (The
+// paper instead verified its analysis by patching the kernel so both
+// threads resolve the hint from the same CPU.)
 //
 // Protocol: sb_resize() resets this CPU's alloc hint and installs a smaller
 // word map; sb_get() reads the map pointer and the hint and indexes
@@ -92,17 +89,6 @@ func init() {
 	})
 }
 
-// hintAddr resolves the per-CPU alloc hint for the task. With the migration
-// assist, every task resolves CPU 0's copy — modelling two threads that got
-// the address on the same CPU and then migrated apart.
-func (in *sbInstance) hintAddr(t *kernel.Task, idx int) trace.Addr {
-	h := in.hints[idx]
-	if in.bugs.Has("sbitmap:migration_assist") {
-		return h
-	}
-	return t.ThisCPUAddr(h, 1)
-}
-
 func (in *sbInstance) sbInit(t *kernel.Task, args []uint64) uint64 {
 	sb := t.Kzalloc(2)
 	m := t.Kzalloc(4)
@@ -119,7 +105,7 @@ func (in *sbInstance) sbGet(t *kernel.Task, args []uint64) uint64 {
 		return EBADF
 	}
 	defer t.Enter("sbitmap_get")()
-	hint := in.hintAddr(t, int(args[0]-1))
+	hint := t.ThisCPUAddr(in.hints[int(args[0]-1)], 1)
 	m := t.ReadOnce(sbSiteGetMap, kernel.Field(sb, 0))
 	h := t.Load(sbSiteGetHint, hint)
 	v := t.Load(sbSiteGetWord, kernel.Field(trace.Addr(m), int(h)))
@@ -149,7 +135,7 @@ func (in *sbInstance) sbResize(t *kernel.Task, args []uint64) uint64 {
 	// Reset every CPU's allocation hint for the new depth. The racing
 	// reader resolves its own CPU's copy: with pinned threads the writer
 	// and the reader therefore touch DIFFERENT addresses here, and only
-	// the same address after a migration (or the migration assist).
+	// the same address after a migration.
 	base := in.hints[int(args[0]-1)]
 	for cpu := 0; cpu < t.K.NrCPU(); cpu++ {
 		t.Store(sbSiteHintReset, base+trace.Addr(cpu*8), 0)

@@ -193,20 +193,3 @@ func TestObservabilityEventOrdering(t *testing.T) {
 		t.Errorf("step events came from %d distinct workers, want >= 2", len(workersSeen))
 	}
 }
-
-// TestSnapshotWorkers pins the Stats.Perf.Workers fix: the serial fuzzer
-// reports 1, and a fuzzer sharing a pool's registry reports the pool's
-// actual width rather than a hardcoded 1.
-func TestSnapshotWorkers(t *testing.T) {
-	f := core.NewFuzzer(core.Config{Seed: 1})
-	if got := f.Snapshot().Perf.Workers; got != 1 {
-		t.Errorf("serial fuzzer Snapshot().Perf.Workers = %d, want 1", got)
-	}
-
-	reg := obs.NewRegistry()
-	p := core.NewPool(core.Config{Seed: 1, Obs: reg}, 3)
-	shared := core.NewFuzzer(core.Config{Seed: 1, Obs: reg})
-	if got := shared.Snapshot().Perf.Workers; got != p.Workers {
-		t.Errorf("shared-registry Snapshot().Perf.Workers = %d, want the pool's %d", got, p.Workers)
-	}
-}

@@ -7,11 +7,12 @@
 // This root package is the public facade: it re-exports the pieces a
 // downstream user composes —
 //
-//   - Fuzzer / Config: the OZZ fuzzing loop (§4) — generate single-threaded
+//   - Pool / Config: the OZZ fuzzing loop (§4) — generate single-threaded
 //     inputs, profile memory accesses and barriers, compute scheduling
 //     hints by the hypothetical memory barrier test, execute multi-threaded
 //     inputs under OEMU reordering directives, and collect crash reports
-//     annotated with the missing-barrier location;
+//     annotated with the missing-barrier location — on N workers,
+//     deterministic in the campaign seed at any width;
 //   - Env / MTIOpts: the execution environment for driving single tests
 //     (a thin facade over internal/engine, the pluggable Strategy layer
 //     every execution path — OZZ and all baselines — runs through);
@@ -33,11 +34,8 @@ import (
 // Config parameterizes a fuzzing campaign (see core.Config).
 type Config = core.Config
 
-// Fuzzer is the OZZ fuzzing loop.
-type Fuzzer = core.Fuzzer
-
-// Pool is the parallel campaign executor: N workers over a shared
-// environment, deterministic in the campaign seed at any worker count.
+// Pool is the OZZ fuzzing loop: N workers over a shared environment,
+// deterministic in the campaign seed at any worker count.
 type Pool = core.Pool
 
 // Stats counts campaign work (with the Perf throughput/reuse block).
@@ -59,11 +57,8 @@ type BugInfo = modules.BugInfo
 // BugSet selects active bug switches (missing barriers).
 type BugSet = modules.BugSet
 
-// NewFuzzer builds a fuzzer.
-func NewFuzzer(cfg Config) *Fuzzer { return core.NewFuzzer(cfg) }
-
-// NewPool builds a parallel campaign executor (workers <= 0 selects
-// GOMAXPROCS).
+// NewPool builds a campaign executor of the given width (workers <= 0
+// selects GOMAXPROCS).
 func NewPool(cfg Config, workers int) *Pool { return core.NewPool(cfg, workers) }
 
 // NewEnv builds an execution environment for the named modules with the
