@@ -152,49 +152,57 @@ func FilterOut(si, sj []trace.Event) (fi, fj []trace.Event) {
 	return keepShared(si, shared), keepShared(sj, shared)
 }
 
+// Access bits of a location in sharedLocations' index.
+const (
+	loaded uint8 = 1 << iota
+	stored
+)
+
 // sharedLocations computes Algorithm 2's shared_mem set: locations accessed
-// by both calls where at least one of the overlapping pair writes.
+// by both calls where at least one of the overlapping pair writes. It
+// returns nil when the calls share no such location.
 func sharedLocations(si, sj []trace.Event) map[trace.Addr]bool {
-	type accInfo struct{ load, store bool }
-	idx := make(map[trace.Addr]*accInfo)
+	idx := make(map[trace.Addr]uint8)
 	for _, e := range si {
 		if e.Barrier {
 			continue
 		}
-		info := idx[e.Acc.Addr]
-		if info == nil {
-			info = &accInfo{}
-			idx[e.Acc.Addr] = info
-		}
 		if e.Acc.Kind == trace.Load {
-			info.load = true
+			idx[e.Acc.Addr] |= loaded
 		} else {
-			info.store = true
+			idx[e.Acc.Addr] |= stored
 		}
 	}
-	shared := make(map[trace.Addr]bool)
+	var shared map[trace.Addr]bool
 	for _, e := range sj {
 		if e.Barrier {
 			continue
 		}
-		info := idx[e.Acc.Addr]
-		if info == nil {
-			continue
-		}
 		// The pair (a_i, a_j) shares the location; require a write on
 		// at least one side.
-		if info.store || e.Acc.Kind == trace.Store {
+		if acc := idx[e.Acc.Addr]; acc&stored != 0 || acc != 0 && e.Acc.Kind == trace.Store {
+			if shared == nil {
+				shared = make(map[trace.Addr]bool)
+			}
 			shared[e.Acc.Addr] = true
 		}
 	}
 	return shared
 }
 
+// keepShared returns the barriers of s and its accesses to shared
+// locations, in order, in a slice of exactly that length.
 func keepShared(s []trace.Event, shared map[trace.Addr]bool) []trace.Event {
-	out := make([]trace.Event, 0, len(s))
-	for _, e := range s {
-		if e.Barrier || shared[e.Acc.Addr] {
-			out = append(out, e)
+	n := 0
+	for i := range s {
+		if s[i].Barrier || shared[s[i].Acc.Addr] {
+			n++
+		}
+	}
+	out := make([]trace.Event, 0, n)
+	for i := range s {
+		if s[i].Barrier || shared[s[i].Acc.Addr] {
+			out = append(out, s[i])
 		}
 	}
 	return out
@@ -231,21 +239,27 @@ func Calculate(si, sj []trace.Event) []*Hint {
 // scheduling point is a load (S-L) — its FIFO buffer makes S-S
 // reorderings unobservable, so those hints would only burn executions.
 func CalculateModel(si, sj []trace.Event, mm *memmodel.Table) []*Hint {
-	fi, fj := FilterOut(si, sj)
+	// Most pairs share no location. Their filtered sequences would hold
+	// only barriers, which form no groups, so they yield no hints.
+	shared := sharedLocations(si, sj)
+	if len(shared) == 0 {
+		return nil
+	}
+	fi, fj := keepShared(si, shared), keepShared(sj, shared)
 	migrate := perCPUSites(fi, fj)
 	var hints []*Hint
-	for k, events := range [][]trace.Event{fi, fj} {
-		for _, test := range []TestKind{StoreBarrierTest, LoadBarrierTest} {
+	for k, events := range [2][]trace.Event{fi, fj} {
+		accs := accessesOf(events)
+		for _, test := range [2]TestKind{StoreBarrierTest, LoadBarrierTest} {
 			if test == StoreBarrierTest && !mm.AnyDelayable() {
 				continue
 			}
 			if test == LoadBarrierTest && !mm.AnyVersionable() {
 				continue
 			}
-			groups := groupByBarrier(events, test, mm)
-			for _, g := range groups {
+			groupByBarrier(events, accs, test, mm, func(g []groupAccess) {
 				hints = append(hints, hintsForGroup(k, test, g, mm)...)
-			}
+			})
 		}
 	}
 	// Step 4: sort by the search heuristic — most reordered accesses
@@ -293,36 +307,55 @@ func perCPUSites(fi, fj []trace.Event) []trace.InstrID {
 	return out
 }
 
+// accessesOf returns the call's accesses in order, each with its
+// occurrence index. occ counts SCHEDULING POINTS per site, not events: the
+// store half of an RMW shares its scheduling point with the load half
+// (NoYield), so the breakpoint occurrence for it is the load half's.
+func accessesOf(events []trace.Event) []groupAccess {
+	n := 0
+	for i := range events {
+		if !events[i].Barrier {
+			n++
+		}
+	}
+	accs := make([]groupAccess, 0, n)
+	occ := make(map[trace.InstrID]int)
+	for i := range events {
+		if events[i].Barrier {
+			continue
+		}
+		e := &events[i].Acc
+		if !e.NoYield {
+			occ[e.Instr]++
+		}
+		accs = append(accs, groupAccess{instr: e.Instr, kind: e.Kind, occ: occ[e.Instr]})
+	}
+	return accs
+}
+
 // groupByBarrier is Step 2 of Algorithm 1: split the call's accesses into
 // groups delimited by the barriers that close groups for the given test
 // kind under the model (closedByModel — store barriers close store-test
 // groups; load barriers close load-test groups; full barriers close both).
-func groupByBarrier(events []trace.Event, test TestKind, mm *memmodel.Table) [][]groupAccess {
-	// occ counts SCHEDULING POINTS per site, not events: the store half
-	// of an RMW shares its scheduling point with the load half (NoYield),
-	// so the breakpoint occurrence for it is the load half's.
-	occ := make(map[trace.InstrID]int)
-	var groups [][]groupAccess
-	var g []groupAccess
-	for _, e := range events {
-		if e.Barrier {
-			if closedByModel(test, &e.Bar, mm) {
-				if len(g) > 0 {
-					groups = append(groups, g)
-				}
-				g = nil
-			}
+// accs is accessesOf(events); each group, passed to fn in order, is a
+// subslice of it.
+func groupByBarrier(events []trace.Event, accs []groupAccess, test TestKind, mm *memmodel.Table, fn func(g []groupAccess)) {
+	start, n := 0, 0 // the open group is accs[start:n]
+	for i := range events {
+		if !events[i].Barrier {
+			n++
 			continue
 		}
-		if !e.Acc.NoYield {
-			occ[e.Acc.Instr]++
+		if closedByModel(test, &events[i].Bar, mm) {
+			if n > start {
+				fn(accs[start:n:n])
+			}
+			start = n
 		}
-		g = append(g, groupAccess{instr: e.Acc.Instr, kind: e.Acc.Kind, occ: occ[e.Acc.Instr]})
 	}
-	if len(g) > 0 {
-		groups = append(groups, g)
+	if n > start {
+		fn(accs[start:n:n])
 	}
-	return groups
 }
 
 // hintsForGroup is Step 3 of Algorithm 1: slide the hypothetical barrier

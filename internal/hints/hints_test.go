@@ -1,9 +1,11 @@
 package hints
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
+	"ozz/internal/memmodel"
 	"ozz/internal/trace"
 )
 
@@ -302,5 +304,73 @@ func TestPropertySortedByHeuristic(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDisjointPairAllocs: a pair sharing no location costs at most the
+// location index (one map) and yields nil — no filtered copies, groups or
+// occurrence counts. Both calls load b, which shares nothing without a
+// write.
+func TestDisjointPairAllocs(t *testing.T) {
+	si := []trace.Event{st(1, a), ld(2, b), bar(3, trace.BarrierFull), st(4, a)}
+	sj := []trace.Event{ld(10, b), ld(11, c), st(12, d), bar(13, trace.BarrierStore)}
+	var hs []*Hint
+	allocs := testing.AllocsPerRun(100, func() {
+		hs = CalculateModel(si, sj, memmodel.LKMM)
+	})
+	if hs != nil {
+		t.Fatalf("hints for a pair sharing no written location: %v", hs)
+	}
+	if allocs > 1 {
+		t.Fatalf("%v allocs, want at most 1", allocs)
+	}
+}
+
+// rmw is a read-modify-write at instr: the load half, then the store half,
+// which shares the load half's scheduling point (NoYield).
+func rmw(instr trace.InstrID, addr trace.Addr) []trace.Event {
+	s := st(instr, addr)
+	s.Acc.NoYield = true
+	return []trace.Event{ld(instr, addr), s}
+}
+
+// TestRMWStoreHalfOccurrence pins the breakpoint occurrence of an RMW's
+// NoYield store half: it is its load half's, under both test kinds. Three
+// RMWs at site 5, split by full barriers, are the 1st, 2nd and 3rd
+// scheduling points of site 5; counting the store halves as well would
+// make them the 1st, 3rd and 5th.
+func TestRMWStoreHalfOccurrence(t *testing.T) {
+	var si []trace.Event
+	si = append(si, rmw(5, a)...)
+	si = append(si, ld(8, d), bar(20, trace.BarrierFull), st(7, c))
+	si = append(si, rmw(5, a)...)
+	si = append(si, bar(21, trace.BarrierFull))
+	si = append(si, rmw(5, a)...)
+	si = append(si, ld(9, e))
+	sj := []trace.Event{ld(10, a), ld(11, c), st(12, d), st(13, e)}
+
+	type key struct {
+		test  TestKind
+		sched trace.InstrID
+		occ   int
+	}
+	got := map[key][]trace.InstrID{}
+	for _, h := range Calculate(si, sj) {
+		if h.Reorderer == 0 {
+			got[key{h.Test, h.Sched, h.SchedOcc}] = h.Reorder
+		}
+	}
+	want := map[key][]trace.InstrID{
+		// Store test: the 2nd RMW's store half ends its group and is
+		// the scheduling point, at site 5's 2nd occurrence.
+		{StoreBarrierTest, 8, 1}: {5},
+		{StoreBarrierTest, 5, 2}: {7},
+		{StoreBarrierTest, 9, 1}: {5},
+		// Load test: each RMW's load half leads a group.
+		{LoadBarrierTest, 5, 1}: {8},
+		{LoadBarrierTest, 5, 3}: {9},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("reorderer-0 hints:\n got %v\nwant %v", got, want)
 	}
 }

@@ -1,5 +1,6 @@
 // Package lazyrand provides a math/rand source that yields exactly the
-// stream of rand.NewSource(seed), but seeds in constant time.
+// stream of rand.NewSource(seed), but seeds in constant time and holds no
+// generator state for the first 273 draws.
 //
 // math/rand's source is an additive lagged Fibonacci generator over 607
 // words. Seeding it fills all 607 words up front, running 1,841 steps of a
@@ -9,22 +10,26 @@
 //
 //	vec[i] = (x0·48271^(21+3i))<<40 ^ (x0·48271^(22+3i))<<20 ^ (x0·48271^(23+3i)) ^ cooked[i]
 //
-// (each product mod 2³¹−1), so this source keeps a bitmap of which words
-// hold their seeded value and computes a word on its first touch from a
-// precomputed power table. Seed only normalizes the seed and clears the
-// bitmap.
+// (each product mod 2³¹−1, from a precomputed power table). Draw k writes
+// vec[333−k] = vec[333−k] + vec[606−k] (indices mod 607) and returns the
+// sum. Until draw 273 (the lag) no tap word has been overwritten yet, so
+// draw k is a pure function of the seed, word(333−k) + word(606−k), and
+// the source keeps only the seed and a draw count. The 274th draw builds
+// the 607-word state: every seeded word, then the k writes replayed. From
+// there on it runs the plain lagged-Fibonacci loop. Seed resets the count
+// and keeps an already built state array for reuse.
 package lazyrand
 
 import "math/rand"
 
 const (
-	length = 607       // state words (math/rand's rngLen)
-	lag    = 273       // tap distance (math/rand's rngTap)
-	mod    = 1<<31 - 1 // modulus of the seeding Lehmer generator
-	mult   = 48271     // its multiplier
-	mask63 = 1<<63 - 1 // Int63 keeps the low 63 bits of Uint64
-	zero   = 89482311  // math/rand's replacement for a zero seed
-	words  = (length + 63) / 64
+	length = 607              // state words (math/rand's rngLen)
+	lag    = 273              // tap distance (math/rand's rngTap)
+	mod    = 1<<31 - 1        // modulus of the seeding Lehmer generator
+	mult   = 48271            // its multiplier
+	mask63 = 1<<63 - 1        // Int63 keeps the low 63 bits of Uint64
+	zero   = 89482311         // math/rand's replacement for a zero seed
+	feed0  = length - lag - 1 // feed index of draw 0; its tap index is length-1
 )
 
 var (
@@ -55,7 +60,6 @@ func init() {
 	for k := range out {
 		out[k] = int64(src.Uint64())
 	}
-	feed0 := length - lag - 1
 	for k := lag; k < length; k++ {
 		v0[(feed0-k+length)%length] = out[k] - out[k-lag]
 	}
@@ -81,9 +85,13 @@ func seeded(x0 uint64, i int) int64 {
 // seeded with the same value. Like math/rand's source, it is not safe for
 // concurrent use.
 type Source struct {
-	vec       [length]int64
-	ready     [words]uint64 // bit i set: vec[i] holds its current value
-	x0        uint64        // normalized seed
+	x0 uint64 // normalized seed
+	// k counts draws up to lag. Draw lag builds vec; from then on
+	// tap/feed index it.
+	k   int
+	vec *[length]int64 // nil until first built; kept across Seed
+	// live is set once vec holds the state of the current stream.
+	live      bool
 	tap, feed int
 }
 
@@ -96,8 +104,6 @@ func New(seed int64) *Source {
 
 // Seed resets the source to the stream rand.NewSource(seed) yields.
 func (s *Source) Seed(seed int64) {
-	s.tap = 0
-	s.feed = length - lag
 	seed %= mod
 	if seed < 0 {
 		seed += mod
@@ -106,7 +112,8 @@ func (s *Source) Seed(seed int64) {
 		seed = zero
 	}
 	s.x0 = uint64(seed)
-	s.ready = [words]uint64{}
+	s.k = 0
+	s.live = false
 }
 
 // Int63 returns a non-negative pseudo-random 63-bit integer.
@@ -114,6 +121,13 @@ func (s *Source) Int63() int64 { return int64(s.Uint64() & mask63) }
 
 // Uint64 returns a pseudo-random 64-bit integer.
 func (s *Source) Uint64() uint64 {
+	if !s.live {
+		if k := s.k; k < lag {
+			s.k++
+			return uint64(s.word(feed0-k) + s.word(length-1-k))
+		}
+		s.build()
+	}
 	s.tap--
 	if s.tap < 0 {
 		s.tap += length
@@ -122,17 +136,29 @@ func (s *Source) Uint64() uint64 {
 	if s.feed < 0 {
 		s.feed += length
 	}
-	x := s.word(s.feed) + s.word(s.tap)
+	x := s.vec[s.feed] + s.vec[s.tap]
 	s.vec[s.feed] = x
 	return uint64(x)
 }
 
-// word returns vec[i], computing its seeded value on first touch.
-func (s *Source) word(i int) int64 {
-	w, bit := i>>6, uint64(1)<<(i&63)
-	if s.ready[w]&bit == 0 {
-		s.ready[w] |= bit
-		s.vec[i] = seeded(s.x0, i) ^ cooked[i]
+// word is word i of the seeded state.
+func (s *Source) word(i int) int64 { return seeded(s.x0, i) ^ cooked[i] }
+
+// build materializes the state after the first lag draws: every seeded
+// word, then the writes those draws made. Their tap words (length-lag and
+// up) are never written before draw lag, so replay order does not matter.
+func (s *Source) build() {
+	if s.vec == nil {
+		s.vec = new([length]int64)
 	}
-	return s.vec[i]
+	v := s.vec
+	for i := range v {
+		v[i] = s.word(i)
+	}
+	for j := 0; j < lag; j++ {
+		v[feed0-j] += v[length-1-j]
+	}
+	s.tap = length - lag     // the next draw taps length-lag-1
+	s.feed = feed0 + 1 - lag // and feeds feed0-lag
+	s.live = true
 }

@@ -61,6 +61,73 @@ func TestReseed(t *testing.T) {
 	}
 }
 
+// TestBoundaryDrawCounts: the stream equals rand.NewSource's when it stops
+// right around the draw that builds the state (lag), the end of the first
+// pass over it (length) and three passes, and a draw after each stop
+// still matches.
+func TestBoundaryDrawCounts(t *testing.T) {
+	for _, n := range []int{lag - 1, lag, lag + 1, length - 1, length, length + 1, 3 * length} {
+		for _, seed := range testSeeds() {
+			want := rand.NewSource(seed).(rand.Source64)
+			got := New(seed)
+			for k := 0; k <= n; k++ {
+				if w, g := want.Uint64(), got.Uint64(); w != g {
+					t.Fatalf("stop %d seed %d draw %d: got %#x, want %#x", n, seed, k, g, w)
+				}
+			}
+		}
+	}
+}
+
+// TestSeedReusesState: Seed after the state was built keeps the state
+// array and restarts the stream; Seed before it was built leaves none.
+func TestSeedReusesState(t *testing.T) {
+	s := New(3)
+	for k := 0; k < lag; k++ {
+		s.Uint64()
+	}
+	if s.vec != nil {
+		t.Fatalf("state built after %d draws, want none before draw %d", lag, lag+1)
+	}
+	s.Seed(4) // before the state was built
+	if s.vec != nil {
+		t.Fatal("Seed built a state")
+	}
+	for k := 0; k < length; k++ {
+		s.Uint64()
+	}
+	vec := s.vec
+	if vec == nil {
+		t.Fatalf("no state after %d draws", length)
+	}
+	for _, seed := range []int64{5, 6} {
+		s.Seed(seed)
+		want := rand.NewSource(seed).(rand.Source64)
+		for k := 0; k < 2*length; k++ {
+			if w, g := want.Uint64(), s.Uint64(); w != g {
+				t.Fatalf("reseed %d draw %d: got %#x, want %#x", seed, k, g, w)
+			}
+		}
+		if s.vec != vec {
+			t.Fatalf("reseed %d allocated a new state", seed)
+		}
+	}
+}
+
+// TestStepAllocs: a step's worth of draws allocates only the Source.
+func TestStepAllocs(t *testing.T) {
+	var sum int
+	allocs := testing.AllocsPerRun(100, func() {
+		r := rand.New(New(42))
+		for k := 0; k < 200; k++ {
+			sum += r.Intn(1 + k)
+		}
+	})
+	if allocs != 1 {
+		t.Fatalf("New + 200 Intn draws: %v allocs, want 1", allocs)
+	}
+}
+
 // TestRandMethodsMatch: the *rand.Rand methods campaigns use draw the same
 // values through either source.
 func TestRandMethodsMatch(t *testing.T) {

@@ -39,6 +39,11 @@ import (
 // power of two: the ring index math masks with historyCapPerAddr-1.
 const historyCapPerAddr = 128
 
+// historyMinPerAddr is the entry count a location's store history starts
+// with; it doubles on demand up to historyCapPerAddr. Most locations see a
+// few commits per run, and a recycled kernel keeps every ring it built.
+const historyMinPerAddr = 8
+
 // internCap bounds the persistent address-intern table. Interned addresses
 // recur across recycled runs (the simulated allocator hands out the same
 // address ranges after every Reset), so the table normally stabilizes at
@@ -219,30 +224,47 @@ type histEntry struct {
 	thread   int
 }
 
-// histRing is the per-location store history: a fixed-capacity ring of the
-// most recent historyCapPerAddr commits, overwritten oldest-first in place.
-// The entry array is allocated on a location's first commit and retained
-// across Reset, so recycled runs record history without allocating.
+// histRing is the per-location store history: a ring of the most recent
+// historyCapPerAddr commits, overwritten oldest-first in place. The entry
+// array is allocated on a location's first commit with historyMinPerAddr
+// entries, doubles while the ring is full and below the cap, and is
+// retained across Reset, so recycled runs record history without
+// allocating.
 type histRing struct {
-	entries []histEntry // nil until first commit; len == historyCapPerAddr
+	entries []histEntry // nil until first commit; len a power of two <= historyCapPerAddr
 	start   int32       // index of the oldest entry
 	n       int32
 }
 
-// push appends a commit, evicting the oldest entry once full.
+// push appends a commit, evicting the oldest entry once the ring is full
+// at the cap.
 func (r *histRing) push(e histEntry) {
-	if int(r.n) < historyCapPerAddr {
-		r.entries[(int(r.start)+int(r.n))&(historyCapPerAddr-1)] = e
+	size := len(r.entries)
+	if int(r.n) == size && size < historyCapPerAddr {
+		r.grow()
+		size *= 2
+	}
+	if int(r.n) < size {
+		r.entries[(int(r.start)+int(r.n))&(size-1)] = e
 		r.n++
 		return
 	}
 	r.entries[r.start] = e
-	r.start = (r.start + 1) & (historyCapPerAddr - 1)
+	r.start = (r.start + 1) & int32(size-1)
+}
+
+// grow doubles the entry array, moving the entries to its front in order.
+func (r *histRing) grow() {
+	bigger := make([]histEntry, 2*len(r.entries))
+	for k := range int(r.n) {
+		bigger[k] = r.at(k)
+	}
+	r.entries, r.start = bigger, 0
 }
 
 // at returns the k-th entry, oldest first (0 <= k < n).
 func (r *histRing) at(k int) histEntry {
-	return r.entries[(int(r.start)+k)&(historyCapPerAddr-1)]
+	return r.entries[(int(r.start)+k)&(len(r.entries)-1)]
 }
 
 // pendingStore is one in-flight entry of a virtual store buffer.
@@ -640,7 +662,7 @@ func (em *OEMU) commit(t *Thread, addr trace.Addr, val uint64) {
 	r := &em.hist[idx]
 	if r.n == 0 && r.start == 0 {
 		if r.entries == nil {
-			r.entries = make([]histEntry, historyCapPerAddr)
+			r.entries = make([]histEntry, historyMinPerAddr)
 			em.n.HistRingsBuilt++
 		} else {
 			em.n.HistRingsRecycled++

@@ -510,6 +510,35 @@ func TestHistoryEviction(t *testing.T) {
 	}
 }
 
+// TestHistRingGrowth: a ring starts small, doubles while full, and keeps
+// exactly the newest historyCapPerAddr entries in commit order, whatever
+// the commit count.
+func TestHistRingGrowth(t *testing.T) {
+	for _, n := range []int{1, historyMinPerAddr, historyMinPerAddr + 1, 50, historyCapPerAddr, historyCapPerAddr + 1, 3*historyCapPerAddr + 7} {
+		var r histRing
+		r.entries = make([]histEntry, historyMinPerAddr)
+		for i := 1; i <= n; i++ {
+			r.push(histEntry{new: uint64(i)})
+		}
+		size := historyMinPerAddr
+		for size < n && size < historyCapPerAddr {
+			size *= 2
+		}
+		if len(r.entries) != size {
+			t.Fatalf("%d commits: ring of %d entries, want %d", n, len(r.entries), size)
+		}
+		kept := min(n, historyCapPerAddr)
+		if int(r.n) != kept {
+			t.Fatalf("%d commits: %d entries kept, want %d", n, r.n, kept)
+		}
+		for k := 0; k < kept; k++ {
+			if got, want := r.at(k).new, uint64(n-kept+k+1); got != want {
+				t.Fatalf("%d commits: entry %d = %d, want %d", n, k, got, want)
+			}
+		}
+	}
+}
+
 // TestPerThreadBuffersIndependent: one thread's delayed stores never leak
 // into another thread's buffer or forwarding path.
 func TestPerThreadBuffersIndependent(t *testing.T) {

@@ -3,6 +3,7 @@ package sched
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -392,5 +393,105 @@ func TestCarriersBounded(t *testing.T) {
 			t.Fatalf("%d goroutines left, want <= %d parked carriers over %d", runtime.NumGoroutine(), maxIdleCarriers, before)
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestDuplicateSpawnPanics: a task id names one task per session, whether
+// the duplicate comes before Run or from a running task.
+func TestDuplicateSpawnPanics(t *testing.T) {
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s: duplicate Spawn did not panic", what)
+			}
+		}()
+		f()
+	}
+	s := NewSession(Sequential{})
+	s.Spawn(1, 0, func(*Task) {})
+	mustPanic("before Run", func() { s.Spawn(1, 1, func(*Task) {}) })
+
+	s = NewSession(Sequential{})
+	s.Spawn(0, 0, func(h *Task) { h.Session().Spawn(0, 0, func(*Task) {}) })
+	if aborted := s.Run(); aborted == nil || !strings.Contains(fmt.Sprint(aborted), "duplicate task id 0") {
+		t.Fatalf("mid-session duplicate: aborted = %v", aborted)
+	}
+}
+
+// TestByID: the id lookup finds each task whatever the spawn order, and
+// nothing for an id that was never spawned.
+func TestByID(t *testing.T) {
+	s := NewSession(Sequential{})
+	for _, id := range []int{2, 0, 5, 1} {
+		s.Spawn(id, id, func(*Task) {})
+	}
+	for _, id := range []int{2, 0, 5, 1} {
+		if got := s.byID(id); got == nil || got.ID != id {
+			t.Fatalf("byID(%d) = %v", id, got)
+		}
+	}
+	for _, id := range []int{-1, 3, 4, 6} {
+		if got := s.byID(id); got != nil {
+			t.Fatalf("byID(%d) = task %d, want nil", id, got.ID)
+		}
+	}
+}
+
+// TestMidSessionSpawnScheduled: a task spawned from a breakpoint's fire
+// hook, the way the deferred-work strategy spawns its handler, is found by
+// id — by the breakpoint's switch, by a CPU predicate — and runs.
+func TestMidSessionSpawnScheduled(t *testing.T) {
+	const deferred = 3
+	var log []string
+	onDeferredCPU := OnTaskCPU(deferred, 1)
+	bp := &Breakpoint{FromTask: 1, Instr: 5, Pos: PosBefore, ToTask: deferred}
+	s := NewSession(bp)
+	var before, after bool
+	bp.OnSwitch = func() {
+		before = onDeferredCPU(s.tasks[0], 0)
+		s.Spawn(deferred, 1, func(h *Task) {
+			h.Yield(9)
+			log = append(log, "deferred")
+		})
+		after = onDeferredCPU(s.tasks[0], 0)
+	}
+	s.Spawn(1, 0, func(h *Task) {
+		h.Yield(5)
+		log = append(log, "reorderer")
+	})
+	s.Spawn(2, 1, func(h *Task) {
+		h.Yield(7)
+		log = append(log, "observer")
+	})
+	if aborted := s.Run(); aborted != nil {
+		t.Fatalf("aborted: %v", aborted)
+	}
+	if before || !after {
+		t.Fatalf("OnTaskCPU(%d, 1) before/after spawn = %v/%v, want false/true", deferred, before, after)
+	}
+	// The breakpoint switches straight to the new task; spawn order then
+	// resumes the reorderer, then the observer.
+	want := []string{"deferred", "reorderer", "observer"}
+	if fmt.Sprint(log) != fmt.Sprint(want) {
+		t.Fatalf("order %v, want %v", log, want)
+	}
+}
+
+// BenchmarkSessionRun measures one two-task sequential session: the
+// per-session cost every STI profile and MTI prefix/suffix pays.
+func BenchmarkSessionRun(b *testing.B) {
+	body := func(h *Task) {
+		h.Yield(1)
+		h.Yield(2)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s := NewSession(Sequential{})
+		s.Spawn(0, 0, body)
+		s.Spawn(1, 1, body)
+		if aborted := s.Run(); aborted != nil {
+			b.Fatal(aborted)
+		}
 	}
 }
