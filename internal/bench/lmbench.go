@@ -51,7 +51,7 @@ func runTimed(k *kernel.Kernel, fn func(t *kernel.Task) time.Duration) time.Dura
 // scheduling point — the context-switch workload.
 type alternate struct{}
 
-func (alternate) First(order []int) int { return order[0] }
+func (alternate) First(spawned int) int { return spawned }
 func (alternate) OnYield(cur *sched.Task, _ trace.InstrID) (int, bool) {
 	return 1 - cur.ID, true
 }

@@ -138,7 +138,7 @@ func MicroSchedYield(b *testing.B) {
 // tasks at every scheduling point — the worst-case preemption rate.
 type switchEvery struct{}
 
-func (switchEvery) First(order []int) int { return order[0] }
+func (switchEvery) First(spawned int) int { return spawned }
 func (switchEvery) OnYield(cur *sched.Task, _ trace.InstrID) (int, bool) {
 	if cur.ID == 1 {
 		return 2, true
