@@ -30,50 +30,14 @@ import (
 )
 
 func main() {
-	table := flag.String("table", "all", "which artifact to regenerate: 3|4|5|throughput|heuristic|ofence|all")
+	table := flag.String("table", "all", "which artifact to regenerate: 3|4|5|throughput|heuristic|ofence|kcsan|all")
 	budget := flag.Int("budget", 80, "fuzzer steps per bug for the campaign tables")
 	iters := flag.Int("iters", 5000, "operations per LMBench workload")
 	tpBudget := flag.Duration("tp-budget", time.Second, "wall-clock budget per side of the throughput comparison")
 	workers := flag.Bool("workers", true, "include the worker-scaling rows (1, 2, 4, GOMAXPROCS) in the throughput table")
 	metricsAddr := flag.String("metrics-addr", "", `serve /metrics and /debug/pprof/ on this address while tables regenerate`)
 	eventsPath := flag.String("events", "", "append campaign events as JSON lines to this file")
-	benchOut := flag.String("bench-out", "", "measure a perf trajectory point and write it as JSON to this path (see docs/PERFORMANCE.md)")
-	benchCompare := flag.String("bench-compare", "", "compare the measured point against this committed BENCH_*.json; exit 3 past the fail threshold")
-	benchRev := flag.String("bench-rev", "", "revision label recorded in the -bench-out report")
-	benchBudget := flag.Duration("bench-budget", time.Second, "wall-clock budget per side of the perf report's throughput measurement")
 	flag.Parse()
-
-	// Perf-trajectory mode is standalone: measure, optionally write,
-	// optionally gate, exit.
-	if *benchOut != "" || *benchCompare != "" {
-		fmt.Fprintln(os.Stderr, "measuring perf trajectory point...")
-		rep := bench.CollectPerf(bench.PerfOpts{Rev: *benchRev, ThroughputBudget: *benchBudget})
-		if *benchOut != "" {
-			if err := rep.WriteFile(*benchOut); err != nil {
-				fmt.Fprintf(os.Stderr, "bench-out: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s (%d metrics)\n", *benchOut, len(rep.Metrics))
-		}
-		if *benchCompare != "" {
-			old, err := bench.ReadPerfReport(*benchCompare)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "bench-compare: %v\n", err)
-				os.Exit(1)
-			}
-			cmp, err := bench.ComparePerf(old, rep)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "bench-compare: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("== perf regression gate: %s (baseline %s) ==\n", *benchRev, *benchCompare)
-			fmt.Print(cmp.Format())
-			if cmp.Failed() {
-				os.Exit(3)
-			}
-		}
-		return
-	}
 
 	reg := obs.NewRegistry()
 	var events *obs.EventLog

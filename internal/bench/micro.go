@@ -2,9 +2,9 @@
 // built from: OEMU store/load stepping, commit into the store-history
 // ring, delayed-store flushing, scheduler yields and switches, and the
 // kmem sanitizer access check. Each driver takes a *testing.B, so the same
-// code backs both `go test -bench Micro` (via the wrappers in
-// micro_bench_test.go) and the ozz-bench binary's BENCH_*.json writer
-// (via testing.Benchmark).
+// code backs `go test -bench Micro` (via the wrappers in
+// micro_bench_test.go), perfbench's per-layer metrics and the zero-alloc
+// test (both via testing.Benchmark).
 package bench
 
 import (
@@ -19,7 +19,8 @@ import (
 
 // Micro names one microbenchmark driver.
 type Micro struct {
-	// Name is the stable metric identifier used in BENCH_*.json.
+	// Name is the driver's stable identifier: perfbench maps it to its
+	// per-layer metric prefix, so renaming one renames a metric.
 	Name string
 	// Fn is the benchmark body.
 	Fn func(b *testing.B)

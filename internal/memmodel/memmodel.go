@@ -12,7 +12,7 @@
 // trace.Atomicity value and produces an immutable Table — dense bool
 // arrays indexed by the enum values — so the emulator's inner loop pays an
 // array load per decision, never an interface call or map lookup
-// (pinned by the micro/model_dispatch zero-alloc benchmark).
+// (pinned by the model_dispatch micro driver's zero-alloc test).
 //
 // Three models ship (see models.go): "lkmm" (bit-identical to the
 // hard-coded semantics this package replaced), "tso" (x86: store→load
