@@ -2,9 +2,9 @@
 # Perf regression gate. Runs the repository benchmark (perfbench) on a
 # parent revision and on the working tree, in alternating pairs on the same
 # machine, and fails when either side's perfbench fails (a correctness check
-# broke) or when the working tree's median cpu_s on any workload exceeds the
-# parent's by more than BENCHMARK.json's cpu_s bound. Run from anywhere in
-# the repository:
+# broke) or when the working tree's median cpu_s or peak_heap_mb on any
+# workload exceeds the parent's by more than that metric's BENCHMARK.json
+# bound. Run from anywhere in the repository:
 #
 #   bash .github/perf-gate.sh <parent-rev>
 #
@@ -49,27 +49,31 @@ for i in $(seq 1 $pairs); do
 	fi
 done
 
-# median <side> <workload>: the median cpu_s over the side's runs.
+# median <side> <workload> <metric>: the metric's median over the side's
+# runs.
 median() {
-	jq -r --arg k "$2.cpu_s" '.metrics[$k].value' "$out/$1.jsonl" |
+	jq -r --arg k "$2.$3" '.metrics[$k].value' "$out/$1.jsonl" |
 		sort -g | awk '{ v[NR] = $1 } END { print v[int((NR + 1) / 2)] }'
 }
 
-bound=$(jq -r '.end_to_end[] | select(.name == "cpu_s") | .bound' BENCHMARK.json)
 status=0
-for w in $(jq -r '.workloads[].name' BENCHMARK.json); do
-	p=$(median parent "$w")
-	c=$(median change "$w")
-	if ! awk -v w="$w" -v p="$p" -v c="$c" -v b="$bound" 'BEGIN {
-		r = c / p
-		printf "%-7s cpu_s median: parent %.3f s, change %.3f s, ratio %.3f (fail > %.2f)\n", w, p, c, r, 1 + b
-		exit r > 1 + b
-	}'; then
-		status=1
-	fi
+for m in cpu_s peak_heap_mb; do
+	bound=$(jq -r --arg m "$m" '.end_to_end[] | select(.name == $m) | .bound' BENCHMARK.json)
+	unit=$(jq -r --arg m "$m" '.end_to_end[] | select(.name == $m) | .unit' BENCHMARK.json)
+	for w in $(jq -r '.workloads[].name' BENCHMARK.json); do
+		p=$(median parent "$w" "$m")
+		c=$(median change "$w" "$m")
+		if ! awk -v w="$w" -v m="$m" -v u="$unit" -v p="$p" -v c="$c" -v b="$bound" 'BEGIN {
+			r = c / p
+			printf "%-7s %s median: parent %.3f %s, change %.3f %s, ratio %.3f (fail > %.2f)\n", w, m, p, u, c, u, r, 1 + b
+			exit r > 1 + b
+		}'; then
+			status=1
+		fi
+	done
 done
 if ((status)); then
-	echo "perf gate: FAIL, cpu_s regressed beyond the bound" >&2
+	echo "perf gate: FAIL, cpu_s or peak_heap_mb regressed beyond its bound" >&2
 else
 	echo "perf gate: OK" >&2
 fi

@@ -102,3 +102,15 @@ func (c *campaignObs) reportOutcome(added, ooo bool) {
 		c.reportsOOO.Inc()
 	}
 }
+
+// stepEvent emits the "step" event of a finished step on worker wid's
+// stream. Without an event log it builds nothing.
+func (c *campaignObs) stepEvent(wid int, res *jobResult) {
+	if c.ev == nil {
+		return
+	}
+	c.ev.Info(wid, "step", map[string]any{
+		"step": res.idx, "mtis": res.mtis, "hints": res.hints,
+		"vacuous": res.vacuous, "reports": len(res.reports),
+	})
+}

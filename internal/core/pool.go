@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
 	"ozz/internal/hints"
+	"ozz/internal/kernel"
 	"ozz/internal/lazyrand"
 	"ozz/internal/memmodel"
 	"ozz/internal/modules"
@@ -58,23 +60,8 @@ func shardOf(edge uint64) int {
 	return int((edge * 0x9e3779b97f4a7c15) >> (64 - 6))
 }
 
-// MergeNew inserts every edge of cov and returns how many were new.
-func (c *ShardedCov) MergeNew(cov map[uint64]struct{}) int {
-	grew := 0
-	for e := range cov {
-		s := &c.shards[shardOf(e)]
-		s.mu.Lock()
-		if _, ok := s.m[e]; !ok {
-			s.m[e] = struct{}{}
-			grew++
-		}
-		s.mu.Unlock()
-	}
-	return grew
-}
-
 // covRef is one edge reference inside a MergeBatch, tagged with the index
-// of the earliest batch map that contributed it.
+// of the batch list that contributed it.
 type covRef struct {
 	edge uint64
 	mi   int32
@@ -88,23 +75,23 @@ type MergeBatch struct {
 	buckets [covShards][]covRef
 }
 
-// MergeNewOrdered inserts the union of maps into the set with one lock
-// round per touched shard — instead of one lock acquisition per edge — and
-// returns how many edges each map newly contributed. Novelty is attributed
-// in map order: an edge appearing in several maps counts only for the
-// earliest, byte-identical to merging the maps one at a time with
-// MergeNew. Nil maps are allowed and contribute nothing. batch may be nil
+// MergeNewOrdered inserts the union of edge lists into the set with one
+// lock round per touched shard — instead of one lock acquisition per edge
+// — and returns how many distinct edges each list newly contributed.
+// Novelty is attributed in list order: an edge appearing in several lists
+// counts only for the earliest, as if the lists were inserted one at a
+// time. Nil lists are allowed and contribute nothing. batch may be nil
 // (scratch is then allocated per call).
-func (c *ShardedCov) MergeNewOrdered(maps []map[uint64]struct{}, batch *MergeBatch) []int {
-	counts := make([]int, len(maps))
+func (c *ShardedCov) MergeNewOrdered(lists [][]uint64, batch *MergeBatch) []int {
+	counts := make([]int, len(lists))
 	if batch == nil {
 		batch = &MergeBatch{}
 	}
 	for i := range batch.buckets {
 		batch.buckets[i] = batch.buckets[i][:0]
 	}
-	for mi, m := range maps {
-		for e := range m {
+	for mi, l := range lists {
+		for _, e := range l {
 			si := shardOf(e)
 			batch.buckets[si] = append(batch.buckets[si], covRef{edge: e, mi: int32(mi)})
 		}
@@ -238,10 +225,10 @@ type Pool struct {
 	start   time.Time
 	repairs map[string]*repair.Result
 
-	// mergeBatch/mergeMaps are batch-merge scratch, reused under mu so the
-	// per-batch coverage publication allocates nothing in steady state.
+	// mergeBatch/mergeLists are batch-merge scratch, reused under mu so
+	// the per-batch coverage publication allocates nothing in steady state.
 	mergeBatch MergeBatch
-	mergeMaps  []map[uint64]struct{}
+	mergeLists [][]uint64
 }
 
 // NewPool builds a campaign executor of the given width. workers <= 0
@@ -379,10 +366,12 @@ type jobReport struct {
 
 // jobResult is the outcome of one executed step, merged in index order.
 type jobResult struct {
-	idx     uint64
-	prog    *syzlang.Program
-	stiCov  map[uint64]struct{} // STI coverage (corpus admission signal)
-	mtiCov  map[uint64]struct{} // union of MTI coverage
+	idx    uint64
+	prog   *syzlang.Program
+	stiCov []uint64 // STI coverage, sorted (corpus admission signal)
+	// mtiCov is the union of the step's MTI coverage minus its STI
+	// coverage, each edge once.
+	mtiCov  []uint64
 	reports []jobReport
 	mtis    uint64
 	hints   uint64
@@ -417,18 +406,21 @@ func (p *Pool) planStep(idx uint64) job {
 	return job{idx: idx, prog: prog, rng: rng}
 }
 
+// worker is one pool worker's identity and reusable step scratch.
+type worker struct {
+	// id tags the worker's event stream (1..Workers).
+	id int
+	// mtiCov collects the current step's MTI edges that its STI missed.
+	mtiCov kernel.EdgeSet
+	// hints is the worker's hint-calculation memory.
+	hints hints.Scratch
+}
+
 // runJob executes one campaign step: the STI profile (cached; §4.2),
 // then scheduling hints and the pair's MTI runs (§4.3, §4.4), writing
-// only to the job-local result. wid tags this worker's event stream
-// (1..Workers).
-func (p *Pool) runJob(jb job, wid int) jobResult {
+// only to the job-local result.
+func (p *Pool) runJob(w *worker, jb job) jobResult {
 	res := jobResult{idx: jb.idx, prog: jb.prog}
-	defer func() {
-		p.co.ev.Info(wid, "step", map[string]any{
-			"step": jb.idx, "mtis": res.mtis, "hints": res.hints,
-			"vacuous": res.vacuous, "reports": len(res.reports),
-		})
-	}()
 	pStart := time.Now()
 	sti := p.env.RunSTICached(jb.prog)
 	observe(p.co.stProfile, pStart)
@@ -448,7 +440,7 @@ func (p *Pool) runJob(jb job, wid int) jobResult {
 		}})
 	}
 
-	res.mtiCov = make(map[uint64]struct{})
+	w.mtiCov.Clear()
 	// Call pairs (i, i+d), adjacent pairs first — concurrency bugs
 	// overwhelmingly involve calls operating on the same just-created
 	// resource. Only the first MaxPairs pairs are tested.
@@ -460,20 +452,23 @@ pairs:
 				break pairs
 			}
 			left--
-			p.runPair(&res, jb, sti, i, i+d)
+			p.runPair(w, &res, jb, sti, i, i+d)
 		}
+	}
+	if w.mtiCov.Len() > 0 {
+		res.mtiCov = slices.Clone(w.mtiCov.Edges())
 	}
 	return res
 }
 
 // runPair tests call pair (i, j) of a step: scheduling hints from the
 // pair's STI events, then one MTI run per kept hint.
-func (p *Pool) runPair(res *jobResult, jb job, sti *STIResult, i, j int) {
+func (p *Pool) runPair(w *worker, res *jobResult, jb job, sti *STIResult, i, j int) {
 	if len(sti.CallEvents[i]) == 0 || len(sti.CallEvents[j]) == 0 {
 		return
 	}
 	hStart := time.Now()
-	hs := hints.CalculateModel(sti.CallEvents[i], sti.CallEvents[j], p.cfg.Model)
+	hs := w.hints.CalculateModel(sti.CallEvents[i], sti.CallEvents[j], p.cfg.Model)
 	observe(p.co.stHints, hStart)
 	res.hints += uint64(len(hs))
 	orderHints(hs, p.cfg.HintOrder, jb.rng)
@@ -494,9 +489,9 @@ func (p *Pool) runPair(res *jobResult, jb job, sti *STIResult, i, j int) {
 		// coverage of the same step merges first, so sti-duplicate
 		// edges could never count as new — dropping them here shrinks
 		// the merge work without changing any outcome.
-		for e := range mres.Cov {
-			if _, dup := res.stiCov[e]; !dup {
-				res.mtiCov[e] = struct{}{}
+		for _, e := range mres.Cov {
+			if _, dup := slices.BinarySearch(res.stiCov, e); !dup {
+				w.mtiCov.Add(e)
 			}
 		}
 		p.harvestJob(res, jb.prog, i, j, h, rank, mres)
@@ -588,8 +583,8 @@ func (p *Pool) harvestJob(res *jobResult, prog *syzlang.Program, i, j int, h *hi
 // merge folds one step result into the campaign state. Called in strict
 // step-index order; that ordering is what makes coverage novelty, corpus
 // admission, report deduplication, and Tests rebasing deterministic.
-// The step's coverage maps were already merged by the caller's batched
-// MergeNewOrdered; stiNew is the STI map's novelty count from that merge
+// The step's coverage lists were already merged by the caller's batched
+// MergeNewOrdered; stiNew is the STI list's novelty count from that merge
 // (the corpus-admission signal). Caller holds p.mu.
 func (p *Pool) merge(res *jobResult, stiNew int, found *[]*report.Report) {
 	base := p.stats.MTIs
@@ -678,12 +673,14 @@ func (p *Pool) run(steps int, deadline time.Time, until string) []*report.Report
 	var wg sync.WaitGroup
 	for w := 0; w < p.Workers; w++ {
 		wg.Add(1)
-		go func(wid int) {
+		go func(w *worker) {
 			defer wg.Done()
 			for jb := range jobs {
-				results <- p.runJob(jb, wid)
+				r := p.runJob(w, jb)
+				p.co.stepEvent(w.id, &r)
+				results <- r
 			}
-		}(w + 1)
+		}(&worker{id: w + 1})
 	}
 
 	var found []*report.Report
@@ -717,18 +714,18 @@ func (p *Pool) run(steps int, deadline time.Time, until string) []*report.Report
 			pending[r.idx] = &r
 		}
 		// Merge in step-index order. Coverage publishes per batch: the
-		// interleaved [sti_0, mti_0, sti_1, mti_1, ...] map order makes the
-		// shard-grouped merge's novelty attribution byte-identical to the
-		// former per-step MergeNew sequence, with one lock round per shard
-		// instead of one per edge.
+		// interleaved [sti_0, mti_0, sti_1, mti_1, ...] list order makes
+		// the shard-grouped merge's novelty attribution byte-identical to
+		// merging the steps one after another, with one lock round per
+		// shard instead of one per edge.
 		p.mu.Lock()
 		mStart := time.Now()
-		p.mergeMaps = p.mergeMaps[:0]
+		p.mergeLists = p.mergeLists[:0]
 		for _, jb := range batch {
 			r := pending[jb.idx]
-			p.mergeMaps = append(p.mergeMaps, r.stiCov, r.mtiCov)
+			p.mergeLists = append(p.mergeLists, r.stiCov, r.mtiCov)
 		}
-		counts := p.Cov.MergeNewOrdered(p.mergeMaps, &p.mergeBatch)
+		counts := p.Cov.MergeNewOrdered(p.mergeLists, &p.mergeBatch)
 		for bi, jb := range batch {
 			p.merge(pending[jb.idx], counts[2*bi], &found)
 		}

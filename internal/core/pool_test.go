@@ -229,13 +229,13 @@ func TestSTICacheHits(t *testing.T) {
 // TestShardedCov exercises the striped set against a plain map.
 func TestShardedCov(t *testing.T) {
 	c := NewShardedCov()
-	a := map[uint64]struct{}{1: {}, 2: {}, 1 << 40: {}}
-	b := map[uint64]struct{}{2: {}, 3: {}}
-	if got := c.MergeNew(a); got != 3 {
-		t.Errorf("MergeNew(a) = %d, want 3", got)
+	a := []uint64{1, 2, 1 << 40}
+	b := []uint64{2, 3}
+	if got := c.MergeNewOrdered([][]uint64{a}, nil); got[0] != 3 {
+		t.Errorf("merge a: %d new, want 3", got[0])
 	}
-	if got := c.MergeNew(b); got != 1 {
-		t.Errorf("MergeNew(b) = %d, want 1", got)
+	if got := c.MergeNewOrdered([][]uint64{b}, nil); got[0] != 1 {
+		t.Errorf("merge b: %d new, want 1", got[0])
 	}
 	if c.Len() != 4 {
 		t.Errorf("Len = %d, want 4", c.Len())
@@ -247,44 +247,46 @@ func TestShardedCov(t *testing.T) {
 }
 
 // TestMergeNewOrderedEquivalence: the shard-grouped batch merge must
-// produce exactly the per-map novelty counts and final set that merging
-// the maps one at a time with MergeNew would — including nil maps,
-// cross-map duplicates (earliest map wins), and reused scratch.
+// produce exactly the per-list novelty counts and final set that inserting
+// the lists one at a time into a plain map would — including nil lists,
+// duplicates within a list, cross-list duplicates (earliest list wins),
+// and reused scratch.
 func TestMergeNewOrderedEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var batch MergeBatch
 	for round := 0; round < 20; round++ {
-		maps := make([]map[uint64]struct{}, rng.Intn(8))
-		for i := range maps {
+		lists := make([][]uint64, rng.Intn(8))
+		for i := range lists {
 			if rng.Intn(5) == 0 {
 				continue // leave nil, like a crashed step's mtiCov
 			}
-			m := make(map[uint64]struct{})
 			for n := rng.Intn(40); n > 0; n-- {
-				m[uint64(rng.Intn(64))<<uint(rng.Intn(3)*20)] = struct{}{}
+				lists[i] = append(lists[i], uint64(rng.Intn(64))<<uint(rng.Intn(3)*20))
 			}
-			maps[i] = m
 		}
-		serial := NewShardedCov()
-		want := make([]int, len(maps))
-		for i, m := range maps {
-			if m != nil {
-				want[i] = serial.MergeNew(m)
+		serial := make(map[uint64]struct{})
+		want := make([]int, len(lists))
+		for i, l := range lists {
+			for _, e := range l {
+				if _, ok := serial[e]; !ok {
+					serial[e] = struct{}{}
+					want[i]++
+				}
 			}
 		}
 		batched := NewShardedCov()
-		got := batched.MergeNewOrdered(maps, &batch)
+		got := batched.MergeNewOrdered(lists, &batch)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("round %d: novelty counts %v, want %v", round, got, want)
 		}
-		if !reflect.DeepEqual(batched.Snapshot(), serial.Snapshot()) {
+		if !reflect.DeepEqual(batched.Snapshot(), serial) {
 			t.Fatalf("round %d: batched set diverges from serial set", round)
 		}
-		// Merging the same maps again must report zero novelty everywhere.
-		again := batched.MergeNewOrdered(maps, &batch)
+		// Merging the same lists again must report zero novelty everywhere.
+		again := batched.MergeNewOrdered(lists, &batch)
 		for i, n := range again {
 			if n != 0 {
-				t.Fatalf("round %d: re-merge map %d reported %d new edges", round, i, n)
+				t.Fatalf("round %d: re-merge list %d reported %d new edges", round, i, n)
 			}
 		}
 	}

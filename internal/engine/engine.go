@@ -10,6 +10,7 @@
 package engine
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -80,25 +81,50 @@ type Result struct {
 	// Returns holds each call's return value (resources for later calls)
 	// in sequential runs.
 	Returns []uint64
-	// Cov is the KCov edge set covered by the run.
-	Cov map[uint64]struct{}
+	// Cov is the KCov edge set covered by the run, sorted ascending. The
+	// result owns the slice: it is a copy of the kernel's edge set, which
+	// the kernel's next Reset clears.
+	Cov []uint64
 	// Soft holds non-crash oracle reports.
 	Soft []string
 }
 
-// buildFunc instantiates modules over a kernel; the default is
-// modules.Build with the config's module list and bug set. Tests inject
-// alternatives to run synthetic syscall implementations.
-type buildFunc func(k *kernel.Kernel) map[string]modules.Impl
+// buildFunc stands in for module building in white-box tests: the
+// instance it returns serves the calls whose def names no module, so
+// synthetic syscall implementations run without a registered module.
+type buildFunc func(k *kernel.Kernel) modules.Instance
+
+// runner is one recyclable kernel together with the per-run state the
+// engine reuses alongside it.
+type runner struct {
+	k *kernel.Kernel
+	// prof records each profiled call's events; Clone copies them out.
+	prof trace.Buffer
+	// mods and insts are the run's syscall table: insts[i] is the built
+	// instance of module mods[i] and serves the calls whose def names it.
+	mods  []string
+	insts []modules.Instance
+}
+
+// impl returns the implementation of call c, or nil when its module was
+// not built.
+func (r *runner) impl(c *syzlang.Call) modules.Impl {
+	for i, m := range r.mods {
+		if m == c.Def.Module {
+			return r.insts[i][c.Def.Name]
+		}
+	}
+	return nil
+}
 
 // Engine executes requests. It is safe for concurrent use: the kernel
 // recycler and the result cache are internally synchronized, and every
 // run works on its own kernel. One Engine instance amortizes kernel
 // construction across all runs sharing it, whatever their Config.
 type Engine struct {
-	// kpool recycles kernel instances across executions: Reset on a used
-	// kernel is much cheaper than rebuilding memory pages, emulator maps,
-	// and allocator state from scratch. sync.Pool is concurrency-safe, so
+	// kpool recycles runners across executions: Reset on a used kernel
+	// is much cheaper than rebuilding memory pages, emulator maps, and
+	// allocator state from scratch. sync.Pool is concurrency-safe, so
 	// parallel campaign workers share one recycler.
 	kpool sync.Pool
 
@@ -147,7 +173,8 @@ func (e *Engine) Run(cfg Config, s Strategy, req Request) *Result {
 func (e *Engine) run(cfg Config, s Strategy, req Request, build buildFunc) *Result {
 	cfg.normalize()
 	start := time.Now()
-	k := e.acquire(&cfg)
+	r := e.acquire(&cfg)
+	k := r.k
 	// The model must be installed before Attach (OOO's history-tracking
 	// decision reads it) and before any task executes an access. Reset
 	// restored the recycled emulator to LKMM; this is the one switch point.
@@ -162,47 +189,44 @@ func (e *Engine) run(cfg Config, s Strategy, req Request, build buildFunc) *Resu
 	// read-old directive mid-run re-enables tracking with a window floored
 	// at the arm point.
 	k.Em.SetHistoryTracking(false)
-	var impls map[string]modules.Impl
+	r.insts = r.insts[:0]
 	if build != nil {
-		impls = build(k)
+		r.mods = append(r.mods[:0], "")
+		r.insts = append(r.insts, build(k))
 	} else {
-		impls = modules.BuildNamed(k, cfg.Bugs, moduleSubset(&cfg, req.Prog))
+		r.mods = moduleSubset(r.mods[:0], &cfg, req.Prog)
+		for _, n := range r.mods {
+			r.insts = append(r.insts, modules.ByName(n).New(k, cfg.Bugs))
+		}
 	}
 	s.Attach(k, &req)
 	var res *Result
 	shape := "sequential"
 	if plan := s.Pair(&cfg, &req); plan != nil {
 		shape = "pair"
-		res = e.runPair(k, impls, &cfg, &req, plan)
+		res = e.runPair(r, &cfg, &req, plan)
 	} else {
-		res = e.runSequential(k, impls, &cfg, &req)
+		res = e.runSequential(r, &cfg, &req)
 	}
 	// Publication is observation only: counters and wall-clock timings,
 	// never anything a deterministic execution depends on.
 	e.m.publishRun(s.Name(), shape, cfg.Model.Name(), time.Since(start), res, k.Em.Counters())
-	e.release(k)
+	e.release(r)
 	return res
 }
 
-// moduleSubset returns the module names to build for one run of prog: the
-// modules the program's calls actually belong to, intersected with the
-// configured universe. Building every registered module dominated the run
-// profile (~40% CPU, ~2/3 of allocations) while a typical program touches
-// one or two. The subset is a pure function of (program, config), so runs
-// stay deterministic, and the enosys semantics of disallowed modules are
-// preserved: a call whose module is outside cfg.Modules gets no
-// implementation either way. Programs with calls that don't name a
-// registered module (synthetic test defs) fall back to the configured
-// universe — the exact pre-subset behavior.
-func moduleSubset(cfg *Config, p *syzlang.Program) []string {
-	if p == nil {
-		return fullModuleList(cfg)
-	}
-	names := make([]string, 0, 4)
+// moduleSubset returns the modules to build for one run of prog, in sorted
+// order and in names' storage: the registered modules the program's calls
+// belong to, intersected with the configured universe. Building every registered
+// module dominated the run profile (~40% CPU, ~2/3 of allocations) while a
+// typical program touches one or two. The subset is a pure function of
+// (program, config), so runs stay deterministic, and a call whose module
+// is outside cfg.Modules gets no implementation: -ENOSYS.
+func moduleSubset(names []string, cfg *Config, p *syzlang.Program) []string {
 	for i := range p.Calls {
 		m := p.Calls[i].Def.Module
-		if m == "" || modules.ByName(m) == nil {
-			return fullModuleList(cfg)
+		if modules.ByName(m) == nil {
+			continue
 		}
 		dup := false
 		for _, n := range names {
@@ -231,20 +255,6 @@ func moduleSubset(cfg *Config, p *syzlang.Program) []string {
 	return names
 }
 
-// fullModuleList is the configured module universe: cfg.Modules when set,
-// else every registered module.
-func fullModuleList(cfg *Config) []string {
-	if len(cfg.Modules) > 0 {
-		return cfg.Modules
-	}
-	all := modules.All()
-	names := make([]string, len(all))
-	for i, m := range all {
-		names[i] = m.Name
-	}
-	return names
-}
-
 // KernelCounters reports how many kernel acquisitions were recycled from
 // the pool vs. built fresh.
 func (e *Engine) KernelCounters() (recycled, built uint64) {
@@ -261,33 +271,43 @@ func (e *Engine) RecycleRate() float64 {
 	return float64(r) / float64(r+b)
 }
 
-// acquire returns a kernel — recycled from the pool when possible — with
-// the config's feature switches applied. The result is identical to a
-// freshly-constructed kernel: Reset restores every observable property
-// (memory content, sanitizer state, emulator clock, site tables).
-func (e *Engine) acquire(cfg *Config) *kernel.Kernel {
+// acquire returns a runner — recycled from the pool when possible — whose
+// kernel has the config's feature switches applied. The kernel is
+// identical to a freshly-constructed one: Reset restores every observable
+// property (memory content, sanitizer state, emulator clock, site tables).
+func (e *Engine) acquire(cfg *Config) *runner {
 	start := time.Now()
-	var k *kernel.Kernel
+	var r *runner
 	if v := e.kpool.Get(); v != nil {
-		k = v.(*kernel.Kernel)
-		k.Reset()
+		r = v.(*runner)
+		r.k.Reset()
 		e.m.kernelRecycled.Inc()
 	} else {
-		k = kernel.New(cfg.NrCPU)
+		r = &runner{k: kernel.New(cfg.NrCPU)}
 		e.m.kernelBuilt.Inc()
 	}
 	e.m.acquireDur.Observe(time.Since(start).Seconds())
-	k.Instrumented = cfg.Instrumented
-	k.Sanitizers = cfg.Sanitizers
-	return k
+	r.k.Instrumented = cfg.Instrumented
+	r.k.Sanitizers = cfg.Sanitizers
+	return r
 }
 
-// release returns a kernel to the recycler once an execution has finished
-// with it. Callers must first take ownership of any kernel state they hand
-// out in results (Cov, Soft): Reset replaces those rather than mutating
-// them, so already-captured maps stay valid.
-func (e *Engine) release(k *kernel.Kernel) {
-	e.kpool.Put(k)
+// release returns a runner to the recycler once an execution has finished
+// with it. Results must not share kernel state that Reset mutates in
+// place: Cov is handed out as a copy (covEdges), and Soft survives because
+// Reset replaces the slice rather than truncating it.
+func (e *Engine) release(r *runner) {
+	clear(r.insts)
+	e.kpool.Put(r)
+}
+
+// covEdges copies a run's coverage set into a sorted slice of exactly its
+// size.
+func covEdges(cov *kernel.EdgeSet) []uint64 {
+	out := make([]uint64, cov.Len())
+	copy(out, cov.Edges())
+	slices.Sort(out)
+	return out
 }
 
 // resolveArgs materializes a call's arguments given earlier calls' results.
@@ -310,8 +330,8 @@ const enosys = ^uint64(37) // -38
 
 // execCall runs one call on a task and returns its result. The store
 // buffer drains at syscall return.
-func execCall(t *kernel.Task, impls map[string]modules.Impl, c *syzlang.Call, args []uint64) uint64 {
-	impl := impls[c.Def.Name]
+func execCall(t *kernel.Task, r *runner, c *syzlang.Call, args []uint64) uint64 {
+	impl := r.impl(c)
 	if impl == nil {
 		return enosys
 	}
@@ -322,24 +342,24 @@ func execCall(t *kernel.Task, impls map[string]modules.Impl, c *syzlang.Call, ar
 
 // runSequential executes the whole program on one task — the STI
 // profiling path and the syzkaller baseline.
-func (e *Engine) runSequential(k *kernel.Kernel, impls map[string]modules.Impl, cfg *Config, req *Request) *Result {
-	p := req.Prog
+func (e *Engine) runSequential(r *runner, cfg *Config, req *Request) *Result {
+	k, p := r.k, req.Prog
 	res := &Result{
 		CallEvents: make([][]trace.Event, len(p.Calls)),
 		Returns:    make([]uint64, len(p.Calls)),
 	}
 	profiling := req.Profile && cfg.Instrumented
 	task := k.NewTask(0)
-	// One profiling buffer serves every call: Clone captures each call's
-	// events, Reset recycles the backing storage for the next call.
-	prof := &trace.Buffer{}
+	// The runner's profiling buffer serves every call: Clone captures each
+	// call's events, Reset recycles the backing storage for the next call.
+	prof := &r.prof
 	session := sched.NewSession(sched.Sequential{})
 	session.Spawn(0, 0, func(st *sched.Task) {
 		task.Bind(st)
 		for ci := range p.Calls {
 			c := &p.Calls[ci]
 			args := resolveArgs(c, res.Returns)
-			if impl := impls[c.Def.Name]; impl != nil {
+			if impl := r.impl(c); impl != nil {
 				if profiling {
 					prof.Reset()
 					task.Prof = prof
@@ -357,6 +377,7 @@ func (e *Engine) runSequential(k *kernel.Kernel, impls map[string]modules.Impl, 
 	})
 	aborted := session.Run()
 	e.m.observeSession(session)
+	session.Release()
 	// Capture the crashing call's partial profile.
 	if task.Prof != nil {
 		for ci := range res.CallEvents {
@@ -368,7 +389,7 @@ func (e *Engine) runSequential(k *kernel.Kernel, impls map[string]modules.Impl, 
 		task.Prof = nil
 	}
 	classifyAbort(aborted, res)
-	res.Cov = k.Cov
+	res.Cov = covEdges(&k.Cov)
 	res.Soft = k.Soft
 	return res
 }
@@ -377,8 +398,8 @@ func (e *Engine) runSequential(k *kernel.Kernel, impls map[string]modules.Impl, 
 // before J (except I) run sequentially to build kernel state; then the
 // plan's two calls run concurrently on CPUs 1 and 2 under its policy
 // (Fig. 5).
-func (e *Engine) runPair(k *kernel.Kernel, impls map[string]modules.Impl, cfg *Config, req *Request, plan *PairPlan) *Result {
-	p := req.Prog
+func (e *Engine) runPair(r *runner, cfg *Config, req *Request, plan *PairPlan) *Result {
+	k, p := r.k, req.Prog
 	res := &Result{}
 	returns := make([]uint64, len(p.Calls))
 
@@ -392,15 +413,16 @@ func (e *Engine) runPair(k *kernel.Kernel, impls map[string]modules.Impl, cfg *C
 				continue
 			}
 			c := &p.Calls[ci]
-			returns[ci] = execCall(prefixTask, impls, c, resolveArgs(c, returns))
+			returns[ci] = execCall(prefixTask, r, c, resolveArgs(c, returns))
 		}
 	})
 	aborted := prefix.Run()
 	e.m.observeSession(prefix)
+	prefix.Release()
 	if aborted != nil {
 		classifyAbort(aborted, res)
 		res.PrefixCrash = true
-		res.Cov = k.Cov
+		res.Cov = covEdges(&k.Cov)
 		return res
 	}
 
@@ -419,7 +441,7 @@ func (e *Engine) runPair(k *kernel.Kernel, impls map[string]modules.Impl, cfg *C
 		return func(st *sched.Task) {
 			task.Bind(st)
 			c := &p.Calls[ci]
-			returns[ci] = execCall(task, impls, c, resolveArgs(c, returns))
+			returns[ci] = execCall(task, r, c, resolveArgs(c, returns))
 		}
 	}
 	session.Spawn(1, 1, runPair(taskA, plan.CallA))
@@ -430,6 +452,7 @@ func (e *Engine) runPair(k *kernel.Kernel, impls map[string]modules.Impl, cfg *C
 	if plan.Finish != nil {
 		plan.Finish(res, taskA, taskB)
 	}
+	session.Release()
 
 	// Stage 3: sequential suffix (an MTI consists of the same call set as
 	// its STI; calls after the pair can carry bug-detecting assertions).
@@ -439,15 +462,16 @@ func (e *Engine) runPair(k *kernel.Kernel, impls map[string]modules.Impl, cfg *C
 			prefixTask.Bind(st)
 			for ci := req.J + 1; ci < len(p.Calls); ci++ {
 				c := &p.Calls[ci]
-				returns[ci] = execCall(prefixTask, impls, c, resolveArgs(c, returns))
+				returns[ci] = execCall(prefixTask, r, c, resolveArgs(c, returns))
 			}
 		})
 		suffixAborted := suffix.Run()
 		e.m.observeSession(suffix)
+		suffix.Release()
 		classifyAbort(suffixAborted, res)
 	}
 	res.Soft = k.Soft
-	res.Cov = k.Cov
+	res.Cov = covEdges(&k.Cov)
 	return res
 }
 

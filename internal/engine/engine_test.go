@@ -1,11 +1,13 @@
 package engine
 
 import (
+	"slices"
 	"testing"
 
 	"ozz/internal/kernel"
 	"ozz/internal/modules"
 	"ozz/internal/syzlang"
+	"ozz/internal/trace"
 )
 
 // prog builds a one-call program whose syscall has the given name.
@@ -14,8 +16,8 @@ func prog(name string) *syzlang.Program {
 }
 
 // injected returns a buildFunc serving the given implementations.
-func injected(impls map[string]modules.Impl) buildFunc {
-	return func(*kernel.Kernel) map[string]modules.Impl { return impls }
+func injected(impls modules.Instance) buildFunc {
+	return func(*kernel.Kernel) modules.Instance { return impls }
 }
 
 // TestCrashPanicRecovered: a syscall panicking with *kernel.Crash is the
@@ -110,5 +112,40 @@ func TestMissingImplReturnsENOSYS(t *testing.T) {
 		injected(map[string]modules.Impl{}))
 	if res.Returns[0] != enosys {
 		t.Fatalf("missing impl returned %#x, want ENOSYS", res.Returns[0])
+	}
+}
+
+// TestResultCovSurvivesRecycling: a result's coverage is its own copy. A
+// later run on the recycled kernel clears and refills the kernel's edge
+// set, and must leave the earlier result's edges as they were.
+func TestResultCovSurvivesRecycling(t *testing.T) {
+	e := New()
+	touch := func(sites ...trace.InstrID) modules.Impl {
+		return func(tk *kernel.Task, _ []uint64) uint64 {
+			a := tk.Kzalloc(1)
+			for _, s := range sites {
+				tk.Store(s, a, 1)
+			}
+			return 0
+		}
+	}
+	impls := modules.Instance{"a": touch(1, 2, 3), "b": touch(7, 8)}
+	first := e.run(Config{Instrumented: true}, OOO{}, Request{Prog: prog("a")}, injected(impls))
+	want := slices.Clone(first.Cov)
+	if len(want) < 3 || !slices.IsSorted(want) {
+		t.Fatalf("coverage %v: want at least 3 sorted edges", want)
+	}
+	var later *Result
+	for i := 0; i < 3; i++ {
+		later = e.run(Config{Instrumented: true}, OOO{}, Request{Prog: prog("b")}, injected(impls))
+	}
+	if recycled, _ := e.KernelCounters(); recycled == 0 && !raceEnabled {
+		t.Fatal("no run recycled a kernel")
+	}
+	if slices.Equal(later.Cov, want) {
+		t.Fatal("the later program covered the same edges; the test needs distinct coverage")
+	}
+	if !slices.Equal(first.Cov, want) {
+		t.Fatalf("first result's coverage changed after recycling: %v, want %v", first.Cov, want)
 	}
 }

@@ -11,8 +11,9 @@ import (
 )
 
 // BenchmarkCalculateModel measures hint calculation over every call pair
-// of the modules' seed programs, as profiled by their STI runs. One op is
-// one pair; most pairs, as in a campaign, share no location.
+// of the modules' seed programs, as profiled by their STI runs, in one
+// reused Scratch as a campaign worker computes them. One op is one pair;
+// most pairs, as in a campaign, share no location.
 func BenchmarkCalculateModel(b *testing.B) {
 	target := modules.Target()
 	env := core.NewEnv(nil, nil)
@@ -39,10 +40,11 @@ func BenchmarkCalculateModel(b *testing.B) {
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
+	var sc hints.Scratch
 	n := 0
 	for i := 0; i < b.N; i++ {
 		pr := pairs[i%len(pairs)]
-		n += len(hints.CalculateModel(pr[0], pr[1], memmodel.LKMM))
+		n += len(sc.CalculateModel(pr[0], pr[1], memmodel.LKMM))
 	}
 	b.ReportMetric(float64(n)/float64(b.N), "hints/op")
 }

@@ -12,8 +12,9 @@
 package hints
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"ozz/internal/memmodel"
@@ -148,8 +149,23 @@ func (h *Hint) String() string {
 // also touches with at least one of the pair being a store. Barrier events
 // are always retained — they delimit groups in Algorithm 1.
 func FilterOut(si, sj []trace.Event) (fi, fj []trace.Event) {
-	shared := sharedLocations(si, sj)
-	return keepShared(si, shared), keepShared(sj, shared)
+	var sc Scratch
+	sc.sharedLocations(si, sj)
+	return keepShared(nil, si, sc.shared), keepShared(nil, sj, sc.shared)
+}
+
+// Scratch is reusable working memory for hint calculation: a caller that
+// keeps one per goroutine, as each campaign worker does, allocates only
+// the hints it gets back. The zero value is ready to use. A Scratch must
+// not be used by two goroutines at once.
+type Scratch struct {
+	idx    map[trace.Addr]uint8 // sharedLocations' location index
+	shared map[trace.Addr]bool  // Algorithm 2's shared_mem
+	fi, fj []trace.Event        // the filtered call sequences
+	accs   []groupAccess        // accessesOf's result
+	occ    map[trace.InstrID]int
+	seen   map[trace.InstrID]bool // collectKinds' dedup set
+	sites  []trace.InstrID        // collectKinds' result
 }
 
 // Access bits of a location in sharedLocations' index.
@@ -158,11 +174,17 @@ const (
 	stored
 )
 
-// sharedLocations computes Algorithm 2's shared_mem set: locations accessed
-// by both calls where at least one of the overlapping pair writes. It
-// returns nil when the calls share no such location.
-func sharedLocations(si, sj []trace.Event) map[trace.Addr]bool {
-	idx := make(map[trace.Addr]uint8)
+// sharedLocations computes Algorithm 2's shared_mem set into sc.shared:
+// locations accessed by both calls where at least one of the overlapping
+// pair writes.
+func (sc *Scratch) sharedLocations(si, sj []trace.Event) {
+	if sc.idx == nil {
+		sc.idx = make(map[trace.Addr]uint8)
+		sc.shared = make(map[trace.Addr]bool)
+	}
+	idx, shared := sc.idx, sc.shared
+	clear(idx)
+	clear(shared)
 	for _, e := range si {
 		if e.Barrier {
 			continue
@@ -173,7 +195,6 @@ func sharedLocations(si, sj []trace.Event) map[trace.Addr]bool {
 			idx[e.Acc.Addr] |= stored
 		}
 	}
-	var shared map[trace.Addr]bool
 	for _, e := range sj {
 		if e.Barrier {
 			continue
@@ -181,31 +202,21 @@ func sharedLocations(si, sj []trace.Event) map[trace.Addr]bool {
 		// The pair (a_i, a_j) shares the location; require a write on
 		// at least one side.
 		if acc := idx[e.Acc.Addr]; acc&stored != 0 || acc != 0 && e.Acc.Kind == trace.Store {
-			if shared == nil {
-				shared = make(map[trace.Addr]bool)
-			}
 			shared[e.Acc.Addr] = true
 		}
 	}
-	return shared
 }
 
-// keepShared returns the barriers of s and its accesses to shared
-// locations, in order, in a slice of exactly that length.
-func keepShared(s []trace.Event, shared map[trace.Addr]bool) []trace.Event {
-	n := 0
+// keepShared appends the barriers of s and its accesses to shared
+// locations, in order, to dst[:0].
+func keepShared(dst, s []trace.Event, shared map[trace.Addr]bool) []trace.Event {
+	dst = dst[:0]
 	for i := range s {
 		if s[i].Barrier || shared[s[i].Acc.Addr] {
-			n++
+			dst = append(dst, s[i])
 		}
 	}
-	out := make([]trace.Event, 0, n)
-	for i := range s {
-		if s[i].Barrier || shared[s[i].Acc.Addr] {
-			out = append(out, s[i])
-		}
-	}
-	return out
+	return dst
 }
 
 // group is one barrier-delimited run of accesses (g in Algorithm 1), with
@@ -239,17 +250,26 @@ func Calculate(si, sj []trace.Event) []*Hint {
 // scheduling point is a load (S-L) — its FIFO buffer makes S-S
 // reorderings unobservable, so those hints would only burn executions.
 func CalculateModel(si, sj []trace.Event, mm *memmodel.Table) []*Hint {
+	var sc Scratch
+	return sc.CalculateModel(si, sj, mm)
+}
+
+// CalculateModel is the package's CalculateModel, worked out in sc's
+// memory.
+func (sc *Scratch) CalculateModel(si, sj []trace.Event, mm *memmodel.Table) []*Hint {
 	// Most pairs share no location. Their filtered sequences would hold
 	// only barriers, which form no groups, so they yield no hints.
-	shared := sharedLocations(si, sj)
-	if len(shared) == 0 {
+	sc.sharedLocations(si, sj)
+	if len(sc.shared) == 0 {
 		return nil
 	}
-	fi, fj := keepShared(si, shared), keepShared(sj, shared)
+	sc.fi = keepShared(sc.fi, si, sc.shared)
+	sc.fj = keepShared(sc.fj, sj, sc.shared)
+	fi, fj := sc.fi, sc.fj
 	migrate := perCPUSites(fi, fj)
 	var hints []*Hint
 	for k, events := range [2][]trace.Event{fi, fj} {
-		accs := accessesOf(events)
+		accs := sc.accessesOf(events)
 		for _, test := range [2]TestKind{StoreBarrierTest, LoadBarrierTest} {
 			if test == StoreBarrierTest && !mm.AnyDelayable() {
 				continue
@@ -258,20 +278,20 @@ func CalculateModel(si, sj []trace.Event, mm *memmodel.Table) []*Hint {
 				continue
 			}
 			groupByBarrier(events, accs, test, mm, func(g []groupAccess) {
-				hints = append(hints, hintsForGroup(k, test, g, mm)...)
+				hints = sc.hintsForGroup(hints, k, test, g, mm)
 			})
 		}
 	}
 	// Step 4: sort by the search heuristic — most reordered accesses
 	// first; ties broken deterministically.
-	sort.SliceStable(hints, func(a, b int) bool {
-		if d := hints[a].ReorderCount() - hints[b].ReorderCount(); d != 0 {
-			return d > 0
+	slices.SortStableFunc(hints, func(a, b *Hint) int {
+		if d := b.ReorderCount() - a.ReorderCount(); d != 0 {
+			return d
 		}
-		if hints[a].Sched != hints[b].Sched {
-			return hints[a].Sched < hints[b].Sched
+		if c := cmp.Compare(a.Sched, b.Sched); c != 0 {
+			return c
 		}
-		return hints[a].Reorderer < hints[b].Reorderer
+		return cmp.Compare(a.Reorderer, b.Reorderer)
 	})
 	// Pair-level migration annotation: every hint of a migration-sensitive
 	// pair carries the (shared) per-CPU site list. Computed from the
@@ -297,7 +317,7 @@ func perCPUSites(fi, fj []trace.Event) []trace.InstrID {
 	if len(sites) == 0 {
 		return nil
 	}
-	sort.Slice(sites, func(i, j int) bool { return sites[i] < sites[j] })
+	slices.Sort(sites)
 	out := sites[:1]
 	for _, s := range sites[1:] {
 		if s != out[len(out)-1] {
@@ -308,18 +328,16 @@ func perCPUSites(fi, fj []trace.Event) []trace.InstrID {
 }
 
 // accessesOf returns the call's accesses in order, each with its
-// occurrence index. occ counts SCHEDULING POINTS per site, not events: the
-// store half of an RMW shares its scheduling point with the load half
-// (NoYield), so the breakpoint occurrence for it is the load half's.
-func accessesOf(events []trace.Event) []groupAccess {
-	n := 0
-	for i := range events {
-		if !events[i].Barrier {
-			n++
-		}
+// occurrence index, in sc.accs. occ counts SCHEDULING POINTS per site, not
+// events: the store half of an RMW shares its scheduling point with the
+// load half (NoYield), so the breakpoint occurrence for it is the load
+// half's.
+func (sc *Scratch) accessesOf(events []trace.Event) []groupAccess {
+	if sc.occ == nil {
+		sc.occ = make(map[trace.InstrID]int)
 	}
-	accs := make([]groupAccess, 0, n)
-	occ := make(map[trace.InstrID]int)
+	accs, occ := sc.accs[:0], sc.occ
+	clear(occ)
 	for i := range events {
 		if events[i].Barrier {
 			continue
@@ -330,6 +348,7 @@ func accessesOf(events []trace.Event) []groupAccess {
 		}
 		accs = append(accs, groupAccess{instr: e.Instr, kind: e.Kind, occ: occ[e.Instr]})
 	}
+	sc.accs = accs
 	return accs
 }
 
@@ -366,58 +385,59 @@ func groupByBarrier(events []trace.Event, accs []groupAccess, test TestKind, mm 
 // and moves upward, shrinking the delayed prefix. For a load test the
 // scheduling point is the group's first load (it reads the updated value,
 // Fig. 5b) and the barrier moves downward, shrinking the versioned suffix.
-func hintsForGroup(reorderer int, test TestKind, g []groupAccess, mm *memmodel.Table) []*Hint {
-	var out []*Hint
+// The group's hints are appended to dst.
+func (sc *Scratch) hintsForGroup(dst []*Hint, reorderer int, test TestKind, g []groupAccess, mm *memmodel.Table) []*Hint {
+	first := len(dst)
 	emit := func(test TestKind, sched groupAccess, reorder []trace.InstrID) {
 		if len(reorder) == 0 {
 			return
 		}
-		// Skip duplicates of the previous emission (site dedup can
-		// make consecutive prefixes identical).
-		if n := len(out); n > 0 && sameSites(out[n-1].Reorder, reorder) &&
-			out[n-1].Sched == sched.instr && out[n-1].Test == test {
+		// Skip duplicates of the group's previous emission (site dedup
+		// can make consecutive prefixes identical).
+		if n := len(dst); n > first && sameSites(dst[n-1].Reorder, reorder) &&
+			dst[n-1].Sched == sched.instr && dst[n-1].Test == test {
 			return
 		}
-		out = append(out, &Hint{
+		dst = append(dst, &Hint{
 			Reorderer: reorderer,
 			Test:      test,
 			Sched:     sched.instr,
 			SchedOcc:  sched.occ,
 			SchedKind: sched.kind,
-			Reorder:   reorder,
+			Reorder:   slices.Clone(reorder),
 		})
 	}
 	if test == StoreBarrierTest {
 		if len(g) < 2 {
-			return nil
+			return dst
 		}
 		sched := g[len(g)-1]
 		if mm.StoreStoreOrdered() && sched.kind != trace.Load {
 			// FIFO store buffer: earlier stores cannot become visible
 			// after a later store, so an S-S hint can never fire.
-			return nil
+			return dst
 		}
 		// Hypothetical barrier positions: between g[end-1] and the
 		// scheduling access, moving upward.
 		for end := len(g) - 1; end > 0; end-- {
-			emit(StoreBarrierTest, sched, collectKinds(g[:end], trace.Store, sched.instr))
+			emit(StoreBarrierTest, sched, sc.collectKinds(g[:end], trace.Store, sched.instr))
 		}
-		return out
+		return dst
 	}
 	if len(g) < 2 || g[0].kind != trace.Load {
 		// The access reading the "new" side of a load-load reordering
 		// must be a load; groups led by a store contribute no
 		// load-test hints (their loads are covered by neighbouring
 		// groups' iterations).
-		return nil
+		return dst
 	}
 	sched := g[0]
 	// Hypothetical barrier positions: just after the scheduling load,
 	// moving downward.
 	for start := 1; start < len(g); start++ {
-		emit(LoadBarrierTest, sched, collectKinds(g[start:], trace.Load, sched.instr))
+		emit(LoadBarrierTest, sched, sc.collectKinds(g[start:], trace.Load, sched.instr))
 	}
-	return out
+	return dst
 }
 
 // sameSites reports whether two site slices are identical.
@@ -435,10 +455,14 @@ func sameSites(a, b []trace.InstrID) bool {
 
 // collectKinds returns the deduplicated instruction sites of the given kind,
 // excluding the scheduling-point site itself (a directive on it would also
-// reorder the scheduling access, defeating the test).
-func collectKinds(g []groupAccess, kind trace.AccessKind, exclude trace.InstrID) []trace.InstrID {
-	seen := make(map[trace.InstrID]bool)
-	var out []trace.InstrID
+// reorder the scheduling access, defeating the test). The result is scratch
+// that the next call overwrites.
+func (sc *Scratch) collectKinds(g []groupAccess, kind trace.AccessKind, exclude trace.InstrID) []trace.InstrID {
+	if sc.seen == nil {
+		sc.seen = make(map[trace.InstrID]bool)
+	}
+	seen, out := sc.seen, sc.sites[:0]
+	clear(seen)
 	for _, a := range g {
 		if a.kind != kind || a.instr == exclude || seen[a.instr] {
 			continue
@@ -446,5 +470,6 @@ func collectKinds(g []groupAccess, kind trace.AccessKind, exclude trace.InstrID)
 		seen[a.instr] = true
 		out = append(out, a.instr)
 	}
+	sc.sites = out
 	return out
 }

@@ -307,22 +307,22 @@ func TestPropertySortedByHeuristic(t *testing.T) {
 	}
 }
 
-// TestDisjointPairAllocs: a pair sharing no location costs at most the
-// location index (one map) and yields nil — no filtered copies, groups or
-// occurrence counts. Both calls load b, which shares nothing without a
-// write.
+// TestDisjointPairAllocs: with a reused Scratch, a pair sharing no
+// location allocates nothing and yields nil. Both calls load b, which
+// shares nothing without a write.
 func TestDisjointPairAllocs(t *testing.T) {
 	si := []trace.Event{st(1, a), ld(2, b), bar(3, trace.BarrierFull), st(4, a)}
 	sj := []trace.Event{ld(10, b), ld(11, c), st(12, d), bar(13, trace.BarrierStore)}
+	var sc Scratch
 	var hs []*Hint
 	allocs := testing.AllocsPerRun(100, func() {
-		hs = CalculateModel(si, sj, memmodel.LKMM)
+		hs = sc.CalculateModel(si, sj, memmodel.LKMM)
 	})
 	if hs != nil {
 		t.Fatalf("hints for a pair sharing no written location: %v", hs)
 	}
-	if allocs > 1 {
-		t.Fatalf("%v allocs, want at most 1", allocs)
+	if allocs != 0 {
+		t.Fatalf("%v allocs, want 0", allocs)
 	}
 }
 

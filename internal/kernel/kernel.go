@@ -74,7 +74,7 @@ type Kernel struct {
 	Lockdep *Lockdep
 
 	// Cov accumulates KCov-style edges (prev site << 32 | site).
-	Cov map[uint64]struct{}
+	Cov EdgeSet
 
 	// Soft collects non-crash oracle reports (e.g. the wrong-return-value
 	// symptom of Table 4 bug #8) without aborting execution.
@@ -108,7 +108,6 @@ func New(nrCPU int) *Kernel {
 		Em:           oemu.New(mem),
 		Instrumented: true,
 		Lockdep:      NewLockdep(),
-		Cov:          make(map[uint64]struct{}),
 		nrCPU:        nrCPU,
 	}
 	// Slot 0 of the fn table is never handed out: FnBase|0 is reserved so
@@ -124,23 +123,20 @@ func (k *Kernel) NrCPU() int { return k.nrCPU }
 // Reset returns the kernel to the state New left it in — empty memory,
 // emulator, oracles, coverage, and task/function tables — while retaining
 // the underlying storage, so an executor can recycle one Kernel across
-// independent test executions instead of rebuilding it. The coverage map
-// is replaced (not cleared): callers take ownership of the old one when
-// they capture a run's coverage.
+// independent test executions instead of rebuilding it. The coverage set
+// is cleared in place: a caller that hands a run's coverage out must copy
+// the edges before the next Reset.
 func (k *Kernel) Reset() {
 	k.Mem.Reset()
 	k.Em.Reset()
 	k.Instrumented = true
 	k.Sanitizers = false
 	k.Lockdep.Reset()
-	k.Cov = make(map[uint64]struct{})
+	k.Cov.Clear()
 	k.Soft = nil
 	k.OnAccess = nil
 	k.fns = k.fns[:1]
 	k.fnNames = k.fnNames[:1]
-	for i := range k.tasks {
-		k.tasks[i] = nil
-	}
 	k.tasks = k.tasks[:0]
 	k.nextID = 0
 	k.percpuStride = 0
@@ -148,17 +144,28 @@ func (k *Kernel) Reset() {
 	k.rcu = nil
 }
 
-// NewTask creates a simulated kernel task pinned to the given CPU.
+// NewTask creates a simulated kernel task pinned to the given CPU. After a
+// Reset it reuses the Task structs of earlier runs, which keep their call
+// stack storage and leave func.
 func (k *Kernel) NewTask(cpu int) *Task {
-	t := &Task{
+	var t *Task
+	if n := len(k.tasks); n < cap(k.tasks) {
+		t = k.tasks[:n+1][n]
+	}
+	if t == nil {
+		t = new(Task)
+	}
+	*t = Task{
 		K:        k,
 		ID:       k.nextID,
 		oe:       k.Em.NewThread(k.nextID),
 		cpu:      cpu,
+		fnStack:  t.fnStack[:0],
+		leave:    t.leave,
 		lastEdge: noEdge,
 	}
-	k.nextID++
 	k.tasks = append(k.tasks, t)
+	k.nextID++
 	return t
 }
 
@@ -200,7 +207,10 @@ type Task struct {
 	// Prof, when non-nil, records the access/barrier events of §4.2.
 	Prof *trace.Buffer
 
-	fnStack  []string
+	fnStack []string
+	// leave pops fnStack; Enter hands out this one func instead of a new
+	// closure per call.
+	leave    func()
 	prevSite trace.InstrID
 	// lastEdge caches the coverage edge inserted by the previous yield so
 	// tight loops re-hitting the same edge (spin waits, scan loops) skip
@@ -236,7 +246,10 @@ func (t *Task) CPU() int {
 // use as: defer t.Enter("tls_setsockopt")().
 func (t *Task) Enter(name string) func() {
 	t.fnStack = append(t.fnStack, name)
-	return func() { t.fnStack = t.fnStack[:len(t.fnStack)-1] }
+	if t.leave == nil {
+		t.leave = func() { t.fnStack = t.fnStack[:len(t.fnStack)-1] }
+	}
+	return t.leave
 }
 
 // CurrentFn returns the innermost function name, or "unknown".
@@ -255,7 +268,7 @@ func (t *Task) yield(i trace.InstrID) {
 	}
 	edge := uint64(t.prevSite)<<32 | uint64(i)
 	if edge != t.lastEdge {
-		t.K.Cov[edge] = struct{}{}
+		t.K.Cov.Add(edge)
 		t.lastEdge = edge
 	}
 	t.prevSite = i

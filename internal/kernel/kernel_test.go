@@ -358,8 +358,8 @@ func TestCoverageEdges(t *testing.T) {
 		t2.Store(2, a, 2)
 		t2.Store(1, a, 3)
 	})
-	if len(k.Cov) < 2 {
-		t.Fatalf("coverage edges = %d", len(k.Cov))
+	if k.Cov.Len() < 2 {
+		t.Fatalf("coverage edges = %d", k.Cov.Len())
 	}
 }
 

@@ -135,9 +135,9 @@ type Memory struct {
 	lastPage *page
 
 	next    trace.Addr // allocator bump pointer
-	objects map[trace.Addr]*object
+	objects map[trace.Addr]object
 
-	quarantine    []*object
+	quarantine    []object
 	quarantineCap int
 
 	// Sanitize toggles access checking. It is on by default; Table 5's
@@ -152,7 +152,7 @@ func New() *Memory {
 	return &Memory{
 		pages:         make(map[uint64]*page),
 		next:          heapBase,
-		objects:       make(map[trace.Addr]*object),
+		objects:       make(map[trace.Addr]object),
 		quarantineCap: 64,
 		Sanitize:      true,
 	}
@@ -171,9 +171,6 @@ func (m *Memory) Reset() {
 	m.lastIdx, m.lastPage = 0, nil
 	m.next = heapBase
 	clear(m.objects)
-	for i := range m.quarantine {
-		m.quarantine[i] = nil
-	}
 	m.quarantine = m.quarantine[:0]
 	m.Sanitize = true
 	m.allocs, m.frees = 0, 0
@@ -217,7 +214,7 @@ func (m *Memory) Alloc(n int) trace.Addr {
 	m.next += trace.Addr(n * WordSize)
 	m.setState(m.next, Redzone) // trailing redzone
 	m.next += WordSize
-	m.objects[base] = &object{base: base, words: n}
+	m.objects[base] = object{base: base, words: n}
 	m.allocs++
 	return base
 }
@@ -256,7 +253,8 @@ func (m *Memory) Free(base trace.Addr) error {
 	m.frees++
 	if len(m.quarantine) > m.quarantineCap {
 		old := m.quarantine[0]
-		m.quarantine = m.quarantine[1:]
+		// Shift in place so the quarantine keeps one backing array.
+		m.quarantine = m.quarantine[:copy(m.quarantine, m.quarantine[1:])]
 		for i := 0; i < old.words; i++ {
 			m.setState(old.base+trace.Addr(i*WordSize), Unmapped)
 		}

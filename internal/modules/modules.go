@@ -183,23 +183,13 @@ func Seeds(names ...string) []string {
 
 // Build constructs fresh instances of the named modules over k and returns
 // the merged syscall-implementation table. An empty name list builds every
-// registered module; use BuildNamed when an empty list must mean "none".
+// registered module.
 func Build(k *kernel.Kernel, bugs BugSet, names ...string) map[string]Impl {
-	use := names
-	if len(use) == 0 {
+	if len(names) == 0 {
 		for _, m := range All() {
-			use = append(use, m.Name)
+			names = append(names, m.Name)
 		}
 	}
-	return BuildNamed(k, bugs, use)
-}
-
-// BuildNamed constructs exactly the named modules — an empty list builds
-// nothing, unlike Build's empty-means-all. Callers that compute a module
-// subset (e.g. the engine's program-aware build) need the literal
-// semantics: a program whose calls all belong to disallowed modules must
-// see no implementations, not all of them.
-func BuildNamed(k *kernel.Kernel, bugs BugSet, names []string) map[string]Impl {
 	impls := make(map[string]Impl, 8*len(names))
 	for _, n := range names {
 		m := registry[n]

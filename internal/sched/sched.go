@@ -16,6 +16,7 @@ package sched
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"ozz/internal/trace"
@@ -70,10 +71,11 @@ type Task struct {
 	armedSwitch int // target task id, or -1
 }
 
-// Session runs one set of tasks to completion under a policy. A session is
-// single-use; simulated-kernel state (memory, OEMU threads) persists outside
+// Session runs one set of tasks to completion under a policy. A session
+// runs once; simulated-kernel state (memory, OEMU threads) persists outside
 // it, so an executor runs multiple sessions in sequence over the same
-// kernel (e.g. sequential prefix calls, then the concurrent pair).
+// kernel (e.g. sequential prefix calls, then the concurrent pair). Release
+// hands a finished session back to NewSession's free list.
 type Session struct {
 	policy Policy
 	// seq and bp are the devirtualized fast paths for the two policies on
@@ -87,10 +89,12 @@ type Session struct {
 
 	// tasks lists the tasks in spawn order, the default scheduling
 	// preference. A session has a handful of tasks (at most four in the
-	// engine), so lookups by id scan tasks (byID) and the slice starts in
-	// an inline buffer.
+	// engine), so lookups by id scan tasks (byID), the slice starts in an
+	// inline buffer, and the first tasks live in inline slots whose resume
+	// channels survive Release.
 	tasks    []*Task
 	taskBuf  [4]*Task
+	slots    [4]Task
 	driverCh chan struct{}
 
 	cur      *Task
@@ -115,12 +119,30 @@ type Policy interface {
 	OnYield(cur *Task, instr trace.InstrID) (int, bool)
 }
 
-// NewSession creates a session with the given policy.
+// maxFreeSessions bounds the free list: about the sessions a campaign has
+// in flight at once (one per pool worker), with room to spare.
+const maxFreeSessions = 64
+
+// freeSessions holds released sessions, most recent last.
+var freeSessions struct {
+	mu sync.Mutex
+	s  []*Session
+}
+
+// NewSession returns a session with the given policy, reusing a released
+// one when the free list has any.
 func NewSession(policy Policy) *Session {
-	s := &Session{
-		policy:   policy,
-		driverCh: make(chan struct{}),
+	var s *Session
+	freeSessions.mu.Lock()
+	if n := len(freeSessions.s); n > 0 {
+		s = freeSessions.s[n-1]
+		freeSessions.s = freeSessions.s[:n-1]
 	}
+	freeSessions.mu.Unlock()
+	if s == nil {
+		s = &Session{driverCh: make(chan struct{})}
+	}
+	s.policy = policy
 	s.tasks = s.taskBuf[:0]
 	switch p := policy.(type) {
 	case Sequential:
@@ -138,7 +160,16 @@ func (s *Session) Spawn(id, cpu int, body func(*Task)) *Task {
 	if s.byID(id) != nil {
 		panic(fmt.Sprintf("sched: duplicate task id %d", id))
 	}
-	t := &Task{ID: id, CPU: cpu, resume: make(chan struct{}), session: s, body: body, armedSwitch: -1}
+	var t *Task
+	if n := len(s.tasks); n < len(s.slots) {
+		t = &s.slots[n]
+	} else {
+		t = new(Task)
+	}
+	if t.resume == nil {
+		t.resume = make(chan struct{})
+	}
+	t.ID, t.CPU, t.session, t.body, t.armedSwitch = id, cpu, s, body, -1
 	s.tasks = append(s.tasks, t)
 	if s.started {
 		s.launch(t)
@@ -157,33 +188,37 @@ func (s *Session) byID(id int) *Task {
 }
 
 func (s *Session) launch(t *Task) {
-	run := func() {
-		<-t.resume
-		defer func() {
-			if r := recover(); r != nil {
-				if _, unwind := r.(abortUnwind); !unwind {
-					// First real failure aborts the session.
-					if s.Aborted == nil {
-						s.Aborted = r
-					}
-					s.aborting = true
-				}
-			}
-			t.state = Done
-			s.next(t)
-		}()
-		if s.aborting {
-			panic(abortUnwind{})
-		}
-		t.body(t)
-	}
 	select {
 	case c := <-idleCarriers:
-		c <- run
+		c <- t
 	default:
 		carriersStarted.Add(1)
-		go carry(run)
+		go carry(t)
 	}
+}
+
+// run executes the task's body on its carrier once it is first handed the
+// run token, then passes the token on.
+func (t *Task) run() {
+	s := t.session
+	<-t.resume
+	defer func() {
+		if r := recover(); r != nil {
+			if _, unwind := r.(abortUnwind); !unwind {
+				// First real failure aborts the session.
+				if s.Aborted == nil {
+					s.Aborted = r
+				}
+				s.aborting = true
+			}
+		}
+		t.state = Done
+		s.next(t)
+	}()
+	if s.aborting {
+		panic(abortUnwind{})
+	}
+	t.body(t)
 }
 
 // maxIdleCarriers bounds the parked carrier goroutines. A campaign needs
@@ -192,28 +227,28 @@ func (s *Session) launch(t *Task) {
 const maxIdleCarriers = 64
 
 var (
-	// idleCarriers holds each parked carrier's hand-off channel. Task
-	// bodies run on reused carriers rather than fresh goroutines so that
-	// the stack a carrier grew inside module code is kept for the next
-	// body instead of being grown again from 2 KB for every task.
-	idleCarriers = make(chan chan func(), maxIdleCarriers)
+	// idleCarriers holds each parked carrier's hand-off channel. Tasks
+	// run on reused carriers rather than fresh goroutines so that the
+	// stack a carrier grew inside module code is kept for the next task
+	// instead of being grown again from 2 KB for every task.
+	idleCarriers = make(chan chan *Task, maxIdleCarriers)
 	// carriersStarted counts carrier goroutines ever started; tests bound
 	// it to check that carriers are reused.
 	carriersStarted atomic.Uint64
 )
 
-// carry runs task bodies: run, then each body handed to it while parked.
-// It exits when the idle set is full or it is handed nil.
-func carry(run func()) {
-	in := make(chan func(), 1)
-	for run != nil {
-		run()
+// carry runs tasks: t, then each task handed to it while parked. It exits
+// when the idle set is full or it is handed nil.
+func carry(t *Task) {
+	in := make(chan *Task, 1)
+	for t != nil {
+		t.run()
 		select {
 		case idleCarriers <- in:
 		default:
 			return
 		}
-		run = <-in
+		t = <-in
 	}
 }
 
@@ -235,6 +270,21 @@ func (s *Session) Run() any {
 	first.resume <- struct{}{}
 	<-s.driverCh
 	return s.Aborted
+}
+
+// Release returns a session to NewSession's free list. Call it only once
+// Run has returned (or when Run will never be called), after the last read
+// of the session or its tasks; neither may be used afterwards.
+func (s *Session) Release() {
+	for i := range s.slots {
+		s.slots[i] = Task{resume: s.slots[i].resume}
+	}
+	*s = Session{slots: s.slots, driverCh: s.driverCh}
+	freeSessions.mu.Lock()
+	if len(freeSessions.s) < maxFreeSessions {
+		freeSessions.s = append(freeSessions.s, s)
+	}
+	freeSessions.mu.Unlock()
 }
 
 // Yields returns the number of scheduling points hit (diagnostics).

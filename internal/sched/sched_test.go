@@ -478,8 +478,9 @@ func TestMidSessionSpawnScheduled(t *testing.T) {
 	}
 }
 
-// BenchmarkSessionRun measures one two-task sequential session: the
-// per-session cost every STI profile and MTI prefix/suffix pays.
+// BenchmarkSessionRun measures one two-task sequential session, released
+// for reuse the way the engine releases it: the per-session cost every
+// STI profile and MTI prefix/suffix pays.
 func BenchmarkSessionRun(b *testing.B) {
 	body := func(h *Task) {
 		h.Yield(1)
@@ -493,5 +494,78 @@ func BenchmarkSessionRun(b *testing.B) {
 		if aborted := s.Run(); aborted != nil {
 			b.Fatal(aborted)
 		}
+		s.Release()
+	}
+}
+
+// TestSessionReuseAfterAbort: a session released after a crashed or
+// deadlocked run comes back from NewSession with no trace of that run: no
+// Aborted value, no yields or switches, and tasks with no spin count or
+// armed switch.
+func TestSessionReuseAfterAbort(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		a, b func(h *Task)
+	}{
+		{"crash",
+			func(h *Task) {
+				h.Yield(1)
+				h.ArmSwitchAfter(1)
+				h.BlockSpin()
+			},
+			func(h *Task) {
+				h.Yield(2)
+				panic("boom")
+			}},
+		{"deadlock",
+			func(h *Task) {
+				h.Yield(1)
+				h.ArmSwitchAfter(1)
+				for {
+					h.BlockSpin()
+				}
+			},
+			func(h *Task) {
+				for {
+					h.BlockSpin()
+				}
+			}},
+	} {
+		s := NewSession(Sequential{})
+		a := s.Spawn(0, 0, tc.a)
+		s.Spawn(1, 1, tc.b)
+		if s.Run() == nil {
+			t.Fatalf("%s: session did not abort", tc.name)
+		}
+		if s.Yields() == 0 || s.Switches() == 0 || a.spin == 0 || a.armedSwitch != 1 {
+			t.Fatalf("%s: run left yields %d, switches %d, spin %d, armed %d; want all set",
+				tc.name, s.Yields(), s.Switches(), a.spin, a.armedSwitch)
+		}
+		s.Release()
+
+		r := NewSession(Sequential{})
+		if r != s {
+			t.Fatalf("%s: NewSession did not reuse the released session", tc.name)
+		}
+		if r.Aborted != nil || r.Yields() != 0 || r.Switches() != 0 || r.started || r.aborting {
+			t.Fatalf("%s: reused session starts with Aborted %v, yields %d, switches %d, started %v, aborting %v",
+				tc.name, r.Aborted, r.Yields(), r.Switches(), r.started, r.aborting)
+		}
+		body := func(h *Task) {
+			if h.spin != 0 || h.armedSwitch != -1 || h.state != Runnable {
+				t.Errorf("%s: reused task %d starts with spin %d, armed %d, state %d",
+					tc.name, h.ID, h.spin, h.armedSwitch, h.state)
+			}
+			h.Yield(3)
+		}
+		r.Spawn(0, 0, body)
+		r.Spawn(1, 1, body)
+		if aborted := r.Run(); aborted != nil {
+			t.Fatalf("%s: reused session aborted: %v", tc.name, aborted)
+		}
+		if r.Yields() != 2 || r.Switches() != 0 {
+			t.Fatalf("%s: reused session counted %d yields, %d switches; want 2, 0", tc.name, r.Yields(), r.Switches())
+		}
+		r.Release()
 	}
 }
