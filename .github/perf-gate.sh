@@ -4,7 +4,8 @@
 # machine, and fails when either side's perfbench fails (a correctness check
 # broke) or when the working tree's median cpu_s or peak_heap_mb on any
 # workload exceeds the parent's by more than that metric's BENCHMARK.json
-# bound. Run from anywhere in the repository:
+# bound. It also prints each workload's digest on both sides of every pair,
+# without gating on it. Run from anywhere in the repository:
 #
 #   bash .github/perf-gate.sh <parent-rev>
 #
@@ -47,6 +48,21 @@ for i in $(seq 1 $pairs); do
 		run change "$root" "$i"
 		run parent "$parent" "$i"
 	fi
+done
+
+# digests <side> <pair>: one "<workload> <digest>" line per workload of a
+# run, from its log.
+digests() {
+	awk '$1 == "workload" { w = $2 } $1 == "digest:" { print w, $2 }' "$out/$1.$2.log"
+}
+
+# The digests are informational and never fail the gate: they show in the
+# log whether a change kept every workload's counts unchanged.
+for i in $(seq 1 $pairs); do
+	paste -d ' ' <(digests parent "$i") <(digests change "$i") | awk -v i="$i" '{
+		printf "pair %d %-7s digest: parent %s, change %s, digest %s\n", i, $1, $2, $4,
+			($1 == $3 && $2 == $4) ? "same" : "CHANGED"
+	}'
 done
 
 # median <side> <workload> <metric>: the metric's median over the side's

@@ -28,118 +28,6 @@ import (
 // stragglers at the batch barrier cost little parallelism.
 const batchSize = 32
 
-// covShards is the stripe count of ShardedCov. 64 stripes keep lock
-// contention negligible at any realistic worker count.
-const covShards = 64
-
-// ShardedCov is a mutex-striped coverage edge set, safe for concurrent
-// merging and reading. The final content of the set is independent of merge
-// order (set union commutes), so concurrent publication never compromises
-// campaign determinism.
-type ShardedCov struct {
-	shards [covShards]covShard
-}
-
-type covShard struct {
-	mu sync.Mutex
-	m  map[uint64]struct{}
-}
-
-// NewShardedCov returns an empty sharded coverage set.
-func NewShardedCov() *ShardedCov {
-	c := &ShardedCov{}
-	for i := range c.shards {
-		c.shards[i].m = make(map[uint64]struct{})
-	}
-	return c
-}
-
-// shardOf spreads edges over stripes by multiplicative hashing (edge values
-// are structured — prev<<32|site — so raw low bits would collide).
-func shardOf(edge uint64) int {
-	return int((edge * 0x9e3779b97f4a7c15) >> (64 - 6))
-}
-
-// covRef is one edge reference inside a MergeBatch, tagged with the index
-// of the batch list that contributed it.
-type covRef struct {
-	edge uint64
-	mi   int32
-}
-
-// MergeBatch is reusable scratch for MergeNewOrdered: per-shard buckets of
-// edge references. A zero value is ready to use; reusing one across calls
-// makes steady-state batch merging allocation-free. Not safe for
-// concurrent use of the same batch.
-type MergeBatch struct {
-	buckets [covShards][]covRef
-}
-
-// MergeNewOrdered inserts the union of edge lists into the set with one
-// lock round per touched shard — instead of one lock acquisition per edge
-// — and returns how many distinct edges each list newly contributed.
-// Novelty is attributed in list order: an edge appearing in several lists
-// counts only for the earliest, as if the lists were inserted one at a
-// time. Nil lists are allowed and contribute nothing. batch may be nil
-// (scratch is then allocated per call).
-func (c *ShardedCov) MergeNewOrdered(lists [][]uint64, batch *MergeBatch) []int {
-	counts := make([]int, len(lists))
-	if batch == nil {
-		batch = &MergeBatch{}
-	}
-	for i := range batch.buckets {
-		batch.buckets[i] = batch.buckets[i][:0]
-	}
-	for mi, l := range lists {
-		for _, e := range l {
-			si := shardOf(e)
-			batch.buckets[si] = append(batch.buckets[si], covRef{edge: e, mi: int32(mi)})
-		}
-	}
-	for si := range batch.buckets {
-		refs := batch.buckets[si]
-		if len(refs) == 0 {
-			continue
-		}
-		s := &c.shards[si]
-		s.mu.Lock()
-		for _, r := range refs {
-			if _, ok := s.m[r.edge]; !ok {
-				s.m[r.edge] = struct{}{}
-				counts[r.mi]++
-			}
-		}
-		s.mu.Unlock()
-	}
-	return counts
-}
-
-// Len returns the number of distinct edges.
-func (c *ShardedCov) Len() int {
-	n := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		n += len(s.m)
-		s.mu.Unlock()
-	}
-	return n
-}
-
-// Snapshot copies the set into one plain map.
-func (c *ShardedCov) Snapshot() map[uint64]struct{} {
-	out := make(map[uint64]struct{}, c.Len())
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		for e := range s.m {
-			out[e] = struct{}{}
-		}
-		s.mu.Unlock()
-	}
-	return out
-}
-
 // SafeReportSet wraps report.Set for concurrent use: the campaign merger
 // adds findings while progress printers and other goroutines read counts
 // and titles.
@@ -191,9 +79,10 @@ func (s *SafeReportSet) Titles() []string {
 // Pool is OZZ's fuzzing loop (Fig. 6: generate STI -> profile ->
 // calculate scheduling hints -> run MTIs -> collect OOO bug reports) and
 // the only campaign executor. N workers execute pipeline steps
-// concurrently over a shared Env, publishing into a sharded coverage map
-// and a deduplicated, concurrency-guarded report set; width 1 runs the
-// same campaign on a single worker.
+// concurrently over a shared Env, each writing only its step's result;
+// the batch merger alone publishes into the coverage set and the
+// deduplicated, concurrency-guarded report set. Width 1 runs the same
+// campaign on a single worker.
 //
 // Determinism: each step's random stream is derived from (campaign seed,
 // step index) — not from a shared sequential generator — and results are
@@ -212,23 +101,17 @@ type Pool struct {
 	target *syzlang.Target
 	co     *campaignObs
 
-	// Cov is the global coverage set, concurrently readable.
-	Cov *ShardedCov
 	// Reports collects deduplicated findings, concurrently readable.
 	Reports *SafeReportSet
 
-	mu      sync.Mutex // guards seeds, corpus, Stats, steps, repairs
+	mu      sync.Mutex // guards seeds, corpus, cov, Stats, steps, repairs
 	seeds   []*syzlang.Program
 	corpus  []*syzlang.Program
+	cov     kernel.EdgeSet // campaign coverage; written only by merge
 	stats   Stats
 	steps   uint64 // next global step index
 	start   time.Time
 	repairs map[string]*repair.Result
-
-	// mergeBatch/mergeLists are batch-merge scratch, reused under mu so
-	// the per-batch coverage publication allocates nothing in steady state.
-	mergeBatch MergeBatch
-	mergeLists [][]uint64
 }
 
 // NewPool builds a campaign executor of the given width. workers <= 0
@@ -245,7 +128,6 @@ func NewPool(cfg Config, workers int) *Pool {
 		env:     env,
 		target:  modules.Target(cfg.Modules...),
 		co:      newCampaignObs(env.Obs(), cfg.Events),
-		Cov:     NewShardedCov(),
 		Reports: NewSafeReportSet(),
 		repairs: make(map[string]*repair.Result),
 	}
@@ -314,7 +196,11 @@ func (p *Pool) CorpusPrograms() []*syzlang.Program {
 }
 
 // CoverageEdges returns the number of distinct edges covered so far.
-func (p *Pool) CoverageEdges() int { return p.Cov.Len() }
+func (p *Pool) CoverageEdges() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.cov.Len()
+}
 
 // fillPerf refreshes the scheduling-dependent Perf block. Caller holds
 // p.mu (it reads p.start).
@@ -368,9 +254,8 @@ type jobReport struct {
 type jobResult struct {
 	idx    uint64
 	prog   *syzlang.Program
-	stiCov []uint64 // STI coverage, sorted (corpus admission signal)
-	// mtiCov is the union of the step's MTI coverage minus its STI
-	// coverage, each edge once.
+	stiCov []uint64 // STI coverage (corpus admission signal)
+	// mtiCov is the union of the step's MTI coverage, each edge once.
 	mtiCov  []uint64
 	reports []jobReport
 	mtis    uint64
@@ -410,7 +295,7 @@ func (p *Pool) planStep(idx uint64) job {
 type worker struct {
 	// id tags the worker's event stream (1..Workers).
 	id int
-	// mtiCov collects the current step's MTI edges that its STI missed.
+	// mtiCov collects the current step's MTI edges.
 	mtiCov kernel.EdgeSet
 	// hints is the worker's hint-calculation memory.
 	hints hints.Scratch
@@ -485,14 +370,8 @@ func (p *Pool) runPair(w *worker, res *jobResult, jb job, sti *STIResult, i, j i
 		if !mres.Fired {
 			res.vacuous++
 		}
-		// Record only edges the STI did not already cover: the STI
-		// coverage of the same step merges first, so sti-duplicate
-		// edges could never count as new — dropping them here shrinks
-		// the merge work without changing any outcome.
 		for _, e := range mres.Cov {
-			if _, dup := slices.BinarySearch(res.stiCov, e); !dup {
-				w.mtiCov.Add(e)
-			}
+			w.mtiCov.Add(e)
 		}
 		p.harvestJob(res, jb.prog, i, j, h, rank, mres)
 	}
@@ -502,91 +381,81 @@ func (p *Pool) runPair(w *worker, res *jobResult, jb job, sti *STIResult, i, j i
 // counted job-locally (rebased at merge).
 func (p *Pool) harvestJob(res *jobResult, prog *syzlang.Program, i, j int, h *hints.Hint, rank int, mres *MTIResult) {
 	if mres.Crash != nil {
-		ooo := !mres.PrefixCrash
-		if ooo {
-			// Triage: re-run the same schedule without reordering
-			// directives. If the crash still reproduces in order, it is a
-			// plain interleaving race, not an OOO bug.
-			tStart := time.Now()
-			rerun := p.env.RunMTI(MTIOpts{Prog: prog, I: i, J: j, Hint: h, NoReorder: true})
-			observe(p.co.stTriage, tStart)
-			if rerun.Crash != nil && rerun.Crash.Title == mres.Crash.Title {
-				ooo = false
-			}
-		}
 		r := &report.Report{
 			Title:   mres.Crash.Title,
 			Oracle:  mres.Crash.Oracle,
-			OOO:     ooo,
 			Program: prog.String(),
 		}
-		var rr *repair.Result
-		if r.OOO {
-			r.Type = h.Type()
-			r.Strategy = nonDefaultStrategy(p.cfg.Strategy)
-			r.HypBarrier = fmt.Sprintf("before %s (%s)", modules.SiteName(h.Sched), h.Test)
+		// Triage: re-run the same schedule without reordering directives.
+		// If the crash still reproduces in order, it is a plain
+		// interleaving race, not an OOO bug.
+		ooo := !mres.PrefixCrash
+		if ooo {
+			tStart := time.Now()
+			rerun := p.env.RunMTI(MTIOpts{Prog: prog, I: i, J: j, Hint: h, NoReorder: true})
+			observe(p.co.stTriage, tStart)
+			ooo = rerun.Crash == nil || rerun.Crash.Title != r.Title
+		}
+		if ooo {
 			for _, s := range h.Reorder {
 				r.ReorderedSites = append(r.ReorderedSites, modules.SiteName(s))
 			}
-			r.Pair = PairName(prog, i, j)
-			r.HintRank = rank + 1
-			r.Tests = int(res.mtis)
-			// Cross-model probe, job-side so the runs parallelize with the
-			// rest of the batch and Models is populated before the report is
-			// ever published. The Get is a cheap filter against re-probing a
-			// title an earlier batch already merged; duplicates racing within
-			// one in-flight batch probe redundantly (same deterministic
-			// result), and only the merge-ordered first instance survives.
-			if p.Reports.Get(r.Title) == nil {
-				r.Models = probeModels(p.env, p.cfg.Model, prog, i, j, h, func(pr *MTIResult) bool {
-					return pr.Crash != nil && pr.Crash.Title == r.Title
-				})
-				// Fence repair under the same guard: racing in-batch
-				// duplicates search redundantly but deterministically, and
-				// only the merge-ordered first instance's result is kept.
-				if rr = repairFinding(p.env, &p.cfg, p.co, prog, i, j, h, r.Title, false); rr != nil {
-					r.SuggestedFix = rr.Lines()
-				}
-			}
+			p.addOOOReport(res, r, prog, i, j, h, rank, false, func(pr *MTIResult) bool {
+				return pr.Crash != nil && pr.Crash.Title == r.Title
+			})
+		} else {
+			res.reports = append(res.reports, jobReport{r: r})
 		}
-		res.reports = append(res.reports, jobReport{r: r, rebaseTests: r.OOO, repair: rr})
 	}
 	for _, s := range mres.Soft {
-		r := &report.Report{
-			Title: s, Oracle: "semantic", OOO: true,
-			Type:       h.Type(),
-			Strategy:   nonDefaultStrategy(p.cfg.Strategy),
-			HypBarrier: fmt.Sprintf("before %s (%s)", modules.SiteName(h.Sched), h.Test),
-			Pair:       PairName(prog, i, j),
-			Program:    prog.String(),
-			HintRank:   rank + 1,
-			Tests:      int(res.mtis),
-		}
-		var rr *repair.Result
-		if p.Reports.Get(r.Title) == nil {
-			r.Models = probeModels(p.env, p.cfg.Model, prog, i, j, h, func(pr *MTIResult) bool {
-				for _, ps := range pr.Soft {
-					if ps == s {
-						return true
-					}
-				}
-				return false
-			})
-			if rr = repairFinding(p.env, &p.cfg, p.co, prog, i, j, h, r.Title, true); rr != nil {
-				r.SuggestedFix = rr.Lines()
-			}
-		}
-		res.reports = append(res.reports, jobReport{r: r, rebaseTests: true, repair: rr})
+		r := &report.Report{Title: s, Oracle: "semantic", Program: prog.String()}
+		p.addOOOReport(res, r, prog, i, j, h, rank, true, func(pr *MTIResult) bool {
+			return slices.Contains(pr.Soft, s)
+		})
 	}
+}
+
+// addOOOReport completes r as an OOO finding of hint h on pair (i, j) and
+// appends it to the step's reports. For a title no earlier batch merged,
+// it also probes the other memory models (reproduced tells whether a
+// probe run hit the finding) and searches a fence repair. The probe runs
+// job-side so it parallelizes with the rest of the batch and Models is
+// set before the report is published. The Get only filters titles
+// already merged: in-batch duplicates probe and search redundantly but
+// deterministically, and only the merge-ordered first instance survives.
+func (p *Pool) addOOOReport(res *jobResult, r *report.Report, prog *syzlang.Program, i, j int, h *hints.Hint, rank int, soft bool, reproduced func(*MTIResult) bool) {
+	r.OOO = true
+	r.Type = h.Type()
+	r.Strategy = nonDefaultStrategy(p.cfg.Strategy)
+	r.HypBarrier = fmt.Sprintf("before %s (%s)", modules.SiteName(h.Sched), h.Test)
+	r.Pair = PairName(prog, i, j)
+	r.HintRank = rank + 1
+	r.Tests = int(res.mtis)
+	jr := jobReport{r: r, rebaseTests: true}
+	if p.Reports.Get(r.Title) == nil {
+		r.Models = probeModels(p.env, p.cfg.Model, prog, i, j, h, reproduced)
+		if jr.repair = repairFinding(p.env, &p.cfg, p.co, prog, i, j, h, r.Title, soft); jr.repair != nil {
+			r.SuggestedFix = jr.repair.Lines()
+		}
+	}
+	res.reports = append(res.reports, jr)
 }
 
 // merge folds one step result into the campaign state. Called in strict
 // step-index order; that ordering is what makes coverage novelty, corpus
 // admission, report deduplication, and Tests rebasing deterministic.
-// The step's coverage lists were already merged by the caller's batched
-// MergeNewOrdered; stiNew is the STI list's novelty count from that merge
-// (the corpus-admission signal). Caller holds p.mu.
-func (p *Pool) merge(res *jobResult, stiNew int, found *[]*report.Report) {
+// The step's STI edges merge before its MTI edges, and only STI novelty
+// admits the program to the corpus. Caller holds p.mu.
+func (p *Pool) merge(res *jobResult, found *[]*report.Report) {
+	stiNew := false
+	for _, e := range res.stiCov {
+		if p.cov.Add(e) {
+			stiNew = true
+		}
+	}
+	for _, e := range res.mtiCov {
+		p.cov.Add(e)
+	}
 	base := p.stats.MTIs
 	p.stats.Steps++
 	p.stats.STIs++
@@ -600,7 +469,7 @@ func (p *Pool) merge(res *jobResult, stiNew int, found *[]*report.Report) {
 	p.co.mtis.Add(res.mtis)
 	p.co.hintsTotal.Add(res.hints)
 	p.co.vacuous.Add(res.vacuous)
-	if stiNew > 0 {
+	if stiNew {
 		p.stats.NewCov++
 		p.co.newCov.Inc()
 		p.corpus = append(p.corpus, res.prog)
@@ -626,6 +495,7 @@ func (p *Pool) merge(res *jobResult, stiNew int, found *[]*report.Report) {
 		}
 	}
 	p.co.corpusLen.Set(float64(len(p.corpus)))
+	p.co.covEdges.Set(float64(p.cov.Len()))
 }
 
 // Run executes `steps` campaign steps across the pool's workers and
@@ -669,7 +539,7 @@ func (p *Pool) run(steps int, deadline time.Time, until string) []*report.Report
 	p.mu.Unlock()
 
 	jobs := make(chan job, batchSize)
-	results := make(chan jobResult, batchSize)
+	done := make(chan jobResult, batchSize)
 	var wg sync.WaitGroup
 	for w := 0; w < p.Workers; w++ {
 		wg.Add(1)
@@ -678,7 +548,7 @@ func (p *Pool) run(steps int, deadline time.Time, until string) []*report.Report
 			for jb := range jobs {
 				r := p.runJob(w, jb)
 				p.co.stepEvent(w.id, &r)
-				results <- r
+				done <- r
 			}
 		}(&worker{id: w + 1})
 	}
@@ -708,31 +578,20 @@ func (p *Pool) run(steps int, deadline time.Time, until string) []*report.Report
 		for _, jb := range batch {
 			jobs <- jb
 		}
-		pending := make(map[uint64]*jobResult, n)
-		for done := 0; done < n; done++ {
-			r := <-results
-			pending[r.idx] = &r
+		results := make([]jobResult, n)
+		for range batch {
+			r := <-done
+			results[r.idx-batch[0].idx] = r
 		}
-		// Merge in step-index order. Coverage publishes per batch: the
-		// interleaved [sti_0, mti_0, sti_1, mti_1, ...] list order makes
-		// the shard-grouped merge's novelty attribution byte-identical to
-		// merging the steps one after another, with one lock round per
-		// shard instead of one per edge.
+		// Merge in step-index order.
 		p.mu.Lock()
 		mStart := time.Now()
-		p.mergeLists = p.mergeLists[:0]
-		for _, jb := range batch {
-			r := pending[jb.idx]
-			p.mergeLists = append(p.mergeLists, r.stiCov, r.mtiCov)
-		}
-		counts := p.Cov.MergeNewOrdered(p.mergeLists, &p.mergeBatch)
-		for bi, jb := range batch {
-			p.merge(pending[jb.idx], counts[2*bi], &found)
+		for bi := range batch {
+			p.merge(&results[bi], &found)
 		}
 		observe(p.co.stMerge, mStart)
 		p.fillPerf(&p.stats)
 		p.mu.Unlock()
-		p.co.covEdges.Set(float64(p.Cov.Len()))
 		if remaining > 0 {
 			remaining -= n
 		}

@@ -1,14 +1,16 @@
 package core
 
 import (
-	"math/rand"
+	"fmt"
 	"reflect"
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"ozz/internal/modules"
 	"ozz/internal/report"
+	"ozz/internal/syzlang"
 )
 
 func allBugSwitches() modules.BugSet {
@@ -28,6 +30,17 @@ type campaignFingerprint struct {
 	titles  []string
 	reports []string
 	found   []string // discovery order of Run's return value
+}
+
+// covSet copies the pool's coverage into a plain set.
+func covSet(p *Pool) map[uint64]struct{} {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	out := make(map[uint64]struct{}, p.cov.Len())
+	for _, e := range p.cov.Edges() {
+		out[e] = struct{}{}
+	}
+	return out
 }
 
 func fingerprint(t *testing.T, workers, steps int) campaignFingerprint {
@@ -56,7 +69,7 @@ func fingerprintUnder(t *testing.T, strategy string, workers, steps int) campaig
 	}
 	return campaignFingerprint{
 		stats:   s,
-		cov:     p.Cov.Snapshot(),
+		cov:     covSet(p),
 		corpus:  corpus,
 		titles:  p.Reports.Titles(),
 		reports: reports,
@@ -161,7 +174,7 @@ func TestPoolResumeDeterministic(t *testing.T) {
 	if ws != ss {
 		t.Errorf("split runs diverged: %+v vs %+v", ss, ws)
 	}
-	if !reflect.DeepEqual(whole.Cov.Snapshot(), split.Cov.Snapshot()) {
+	if !reflect.DeepEqual(covSet(whole), covSet(split)) {
 		t.Errorf("split runs diverged in coverage")
 	}
 }
@@ -226,69 +239,72 @@ func TestSTICacheHits(t *testing.T) {
 	}
 }
 
-// TestShardedCov exercises the striped set against a plain map.
-func TestShardedCov(t *testing.T) {
-	c := NewShardedCov()
-	a := []uint64{1, 2, 1 << 40}
-	b := []uint64{2, 3}
-	if got := c.MergeNewOrdered([][]uint64{a}, nil); got[0] != 3 {
-		t.Errorf("merge a: %d new, want 3", got[0])
+// TestMergeCoverageAttribution pins the order merge publishes coverage
+// in: steps in index order, and within a step the STI edges before the
+// MTI edges. Only STI novelty admits a program to the corpus.
+func TestMergeCoverageAttribution(t *testing.T) {
+	p := NewPool(Config{Seed: 1}, 1)
+	steps := []jobResult{
+		{stiCov: []uint64{1, 2}, mtiCov: []uint64{3, 1}},
+		// Edge 3 came from step 0's MTI: this STI is not new.
+		{stiCov: []uint64{3}, mtiCov: []uint64{4}},
+		// The step's own MTI also hits 5, but its STI merges first.
+		{stiCov: []uint64{5}, mtiCov: []uint64{5, 6}},
+		{stiCov: []uint64{2, 4}},
 	}
-	if got := c.MergeNewOrdered([][]uint64{b}, nil); got[0] != 1 {
-		t.Errorf("merge b: %d new, want 1", got[0])
+	var found []*report.Report
+	p.mu.Lock()
+	for i := range steps {
+		steps[i].idx = uint64(i)
+		steps[i].prog = &syzlang.Program{}
+		p.merge(&steps[i], &found)
 	}
-	if c.Len() != 4 {
-		t.Errorf("Len = %d, want 4", c.Len())
+	p.mu.Unlock()
+	if len(p.corpus) != 2 || p.corpus[0] != steps[0].prog || p.corpus[1] != steps[2].prog {
+		t.Errorf("corpus admitted %d programs, want steps 0 and 2", len(p.corpus))
 	}
-	want := map[uint64]struct{}{1: {}, 2: {}, 3: {}, 1 << 40: {}}
-	if !reflect.DeepEqual(c.Snapshot(), want) {
-		t.Errorf("Snapshot = %v, want %v", c.Snapshot(), want)
+	if s := p.Stats(); s.NewCov != 2 || s.Steps != 4 {
+		t.Errorf("NewCov = %d, Steps = %d; want 2 and 4", s.NewCov, s.Steps)
+	}
+	if got := p.CoverageEdges(); got != 6 {
+		t.Errorf("CoverageEdges = %d, want 6", got)
 	}
 }
 
-// TestMergeNewOrderedEquivalence: the shard-grouped batch merge must
-// produce exactly the per-list novelty counts and final set that inserting
-// the lists one at a time into a plain map would — including nil lists,
-// duplicates within a list, cross-list duplicates (earliest list wins),
-// and reused scratch.
-func TestMergeNewOrderedEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	var batch MergeBatch
-	for round := 0; round < 20; round++ {
-		lists := make([][]uint64, rng.Intn(8))
-		for i := range lists {
-			if rng.Intn(5) == 0 {
-				continue // leave nil, like a crashed step's mtiCov
+// TestPoolConcurrentReaders: coverage, stats and reports stay readable
+// while a multi-worker campaign merges, and never move backwards. Run
+// under -race, it checks that every reader takes the merger's locks.
+func TestPoolConcurrentReaders(t *testing.T) {
+	p := NewPool(Config{Seed: 5, UseSeeds: true, Bugs: allBugSwitches()}, 2)
+	stop := make(chan struct{})
+	errs := make(chan string, 1)
+	go func() {
+		defer close(errs)
+		var edges, reports int
+		var steps uint64
+		for {
+			select {
+			case <-stop:
+				return
+			default:
 			}
-			for n := rng.Intn(40); n > 0; n-- {
-				lists[i] = append(lists[i], uint64(rng.Intn(64))<<uint(rng.Intn(3)*20))
+			e, s, r := p.CoverageEdges(), p.Stats().Steps, p.Reports.Len()
+			if e < edges || s < steps || r < reports {
+				errs <- fmt.Sprintf("went backwards: edges %d->%d, steps %d->%d, reports %d->%d",
+					edges, e, steps, s, reports, r)
+				return
 			}
+			edges, steps, reports = e, s, r
+			runtime.Gosched()
 		}
-		serial := make(map[uint64]struct{})
-		want := make([]int, len(lists))
-		for i, l := range lists {
-			for _, e := range l {
-				if _, ok := serial[e]; !ok {
-					serial[e] = struct{}{}
-					want[i]++
-				}
-			}
-		}
-		batched := NewShardedCov()
-		got := batched.MergeNewOrdered(lists, &batch)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("round %d: novelty counts %v, want %v", round, got, want)
-		}
-		if !reflect.DeepEqual(batched.Snapshot(), serial) {
-			t.Fatalf("round %d: batched set diverges from serial set", round)
-		}
-		// Merging the same lists again must report zero novelty everywhere.
-		again := batched.MergeNewOrdered(lists, &batch)
-		for i, n := range again {
-			if n != 0 {
-				t.Fatalf("round %d: re-merge list %d reported %d new edges", round, i, n)
-			}
-		}
+	}()
+	p.RunFor(200 * time.Millisecond)
+	close(stop)
+	for msg := range errs {
+		t.Error(msg)
+	}
+	if p.CoverageEdges() == 0 || p.Stats().Steps == 0 {
+		t.Fatalf("campaign did no work: %+v", p.Stats())
 	}
 }
 

@@ -10,7 +10,6 @@
 package engine
 
 import (
-	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -81,9 +80,9 @@ type Result struct {
 	// Returns holds each call's return value (resources for later calls)
 	// in sequential runs.
 	Returns []uint64
-	// Cov is the KCov edge set covered by the run, sorted ascending. The
-	// result owns the slice: it is a copy of the kernel's edge set, which
-	// the kernel's next Reset clears.
+	// Cov is the KCov edge set covered by the run, each edge once, in
+	// first-hit order. The result owns the slice: it is a copy of the
+	// kernel's edge set, which the kernel's next Reset clears.
 	Cov []uint64
 	// Soft holds non-crash oracle reports.
 	Soft []string
@@ -301,12 +300,10 @@ func (e *Engine) release(r *runner) {
 	e.kpool.Put(r)
 }
 
-// covEdges copies a run's coverage set into a sorted slice of exactly its
-// size.
+// covEdges copies a run's coverage set into a slice of exactly its size.
 func covEdges(cov *kernel.EdgeSet) []uint64 {
 	out := make([]uint64, cov.Len())
 	copy(out, cov.Edges())
-	slices.Sort(out)
 	return out
 }
 
@@ -431,7 +428,7 @@ func (e *Engine) runPair(r *runner, cfg *Config, req *Request, plan *PairPlan) *
 	taskA := k.NewTask(1)
 	taskB := k.NewTask(2)
 	if plan.Reorder != nil {
-		taskA.OEMU().InstallPlan(e.plans.plan(p, plan.Reorder, cfg.Model))
+		taskA.OEMU().InstallPlan(e.plans.plan(plan.Reorder, cfg.Model))
 	}
 	if plan.Arm != nil {
 		plan.Arm(taskA, taskB)

@@ -132,8 +132,8 @@ func TestResultCovSurvivesRecycling(t *testing.T) {
 	impls := modules.Instance{"a": touch(1, 2, 3), "b": touch(7, 8)}
 	first := e.run(Config{Instrumented: true}, OOO{}, Request{Prog: prog("a")}, injected(impls))
 	want := slices.Clone(first.Cov)
-	if len(want) < 3 || !slices.IsSorted(want) {
-		t.Fatalf("coverage %v: want at least 3 sorted edges", want)
+	if len(want) < 3 {
+		t.Fatalf("coverage %v: want at least 3 edges", want)
 	}
 	var later *Result
 	for i := 0; i < 3; i++ {

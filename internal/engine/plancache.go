@@ -8,7 +8,6 @@ import (
 	"ozz/internal/memmodel"
 	"ozz/internal/obs"
 	"ozz/internal/oemu"
-	"ozz/internal/syzlang"
 )
 
 // planCacheCap bounds the number of cached directive plans. Like the STI
@@ -16,13 +15,13 @@ import (
 // cap: O(1) eviction with no iteration-order nondeterminism.
 const planCacheCap = 4096
 
-// planCache memoizes precompiled OEMU directive plans keyed by the
-// program's canonical serialization plus the reorder spec (test kind and
-// site list). Hint generation emits the same (program, sites) pair for
-// every MTI schedule derived from one STI profile, and triage re-runs the
-// same MTI repeatedly — so compiling the sorted site slices once and
-// sharing the immutable *Plan removes per-run directive-set construction
-// from the hot loop.
+// planCache memoizes precompiled OEMU directive plans keyed by what a
+// plan depends on: the memory model and the reorder spec (test kind and
+// site list), not the program. Hint generation emits the same sites for
+// every MTI schedule derived from one STI profile, mutated programs reach
+// the same sites again, and triage re-runs the same MTI repeatedly — so
+// compiling the sorted site slices once and sharing the immutable *Plan
+// removes per-run directive-set construction from the hot loop.
 //
 // Safe for concurrent use. Cached plans are shared and immutable by
 // construction (oemu.Plan is read-only after CompilePlan; threads hold it
@@ -43,8 +42,8 @@ type planCache struct {
 // yields two cache entries. Two workers racing one uncached spec both
 // compile (both count a miss); the plans are equivalent, so
 // last-write-wins is fine.
-func (c *planCache) plan(prog *syzlang.Program, spec *ReorderSpec, mm *memmodel.Table) *oemu.Plan {
-	key := planKey(prog, spec, mm)
+func (c *planCache) plan(spec *ReorderSpec, mm *memmodel.Table) *oemu.Plan {
+	key := planKey(spec, mm)
 	c.mu.RLock()
 	p := c.m[key]
 	c.mu.RUnlock()
@@ -76,17 +75,14 @@ func compileSpec(spec *ReorderSpec, mm *memmodel.Table) *oemu.Plan {
 	return oemu.CompilePlanModel(nil, nil, mm)
 }
 
-// planKey builds the cache key: program serialization, model name, test
-// kind byte, then the site list little-endian. Sites come straight from
-// the hint (already deterministic order for a given hint), so
-// byte-identical specs collide exactly.
-func planKey(prog *syzlang.Program, spec *ReorderSpec, mm *memmodel.Table) string {
+// planKey builds the cache key: model name, test kind byte, then the site
+// list little-endian. Sites come straight from the hint (already
+// deterministic order for a given hint), so byte-identical specs collide
+// exactly.
+func planKey(spec *ReorderSpec, mm *memmodel.Table) string {
 	var sb strings.Builder
-	pk := prog.Key()
 	mn := mm.Name()
-	sb.Grow(len(pk) + len(mn) + 3 + 8*len(spec.Sites))
-	sb.WriteString(pk)
-	sb.WriteByte(0)
+	sb.Grow(len(mn) + 2 + 8*len(spec.Sites))
 	sb.WriteString(mn)
 	sb.WriteByte(0)
 	sb.WriteByte(byte(spec.Test))

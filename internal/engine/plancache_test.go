@@ -11,14 +11,13 @@ import (
 	"ozz/internal/trace"
 )
 
-// TestPlanCacheHitMiss: the first lookup of a (program, spec) compiles
-// and counts a miss; repeats return the same shared plan and count hits.
+// TestPlanCacheHitMiss: the first lookup of a spec compiles and counts a
+// miss; repeats return the same shared plan and count hits.
 func TestPlanCacheHitMiss(t *testing.T) {
 	e := New()
-	pr := prog("a")
 	spec := &ReorderSpec{Test: hints.StoreBarrierTest, Sites: []trace.InstrID{7, 3}}
-	p1 := e.plans.plan(pr, spec, memmodel.LKMM)
-	p2 := e.plans.plan(pr, spec, memmodel.LKMM)
+	p1 := e.plans.plan(spec, memmodel.LKMM)
+	p2 := e.plans.plan(spec, memmodel.LKMM)
 	if p1 != p2 {
 		t.Fatal("repeat lookup did not return the cached plan")
 	}
@@ -33,39 +32,51 @@ func TestPlanCacheHitMiss(t *testing.T) {
 	}
 }
 
-// TestPlanCacheKeyDiscrimination: changing the program, the test kind, or
-// the site list must each produce a distinct cache entry — never a false
-// hit on a stale plan.
+// TestPlanCacheKeyDiscrimination: changing the test kind, the site list
+// or the model must each produce a distinct cache entry — never a false
+// hit on a stale plan — while two programs with the same spec share one.
 func TestPlanCacheKeyDiscrimination(t *testing.T) {
 	e := New()
-	base := prog("a")
 	spec := &ReorderSpec{Test: hints.StoreBarrierTest, Sites: []trace.InstrID{5}}
-	p := e.plans.plan(base, spec, memmodel.LKMM)
+	p := e.plans.plan(spec, memmodel.LKMM)
 
 	variants := []struct {
 		name string
-		prog *syzlang.Program
 		spec *ReorderSpec
 	}{
-		{"mutated program", prog("b"), spec},
-		{"other test kind", base, &ReorderSpec{Test: hints.LoadBarrierTest, Sites: []trace.InstrID{5}}},
-		{"other sites", base, &ReorderSpec{Test: hints.StoreBarrierTest, Sites: []trace.InstrID{6}}},
+		{"other test kind", &ReorderSpec{Test: hints.LoadBarrierTest, Sites: []trace.InstrID{5}}},
+		{"other sites", &ReorderSpec{Test: hints.StoreBarrierTest, Sites: []trace.InstrID{6}}},
 	}
 	for _, v := range variants {
-		if got := e.plans.plan(v.prog, v.spec, memmodel.LKMM); got == p {
+		if got := e.plans.plan(v.spec, memmodel.LKMM); got == p {
 			t.Errorf("%s: lookup returned the unrelated cached plan", v.name)
 		}
 	}
 	// A different memory model is its own cache entry: the same spec under
 	// armv8 must not return the LKMM-compiled plan.
-	if got := e.plans.plan(base, spec, memmodel.ARMv8); got == p {
+	if got := e.plans.plan(spec, memmodel.ARMv8); got == p {
 		t.Error("other model: lookup returned the LKMM-cached plan")
 	}
-	if hits, misses := e.PlanCacheCounters(); hits != 0 || misses != 5 {
-		t.Errorf("counters = (%d hits, %d misses), want (0, 5)", hits, misses)
+	if hits, misses := e.PlanCacheCounters(); hits != 0 || misses != 4 {
+		t.Errorf("counters = (%d hits, %d misses), want (0, 4)", hits, misses)
+	}
+	// Two programs with the same spec share one plan: compiling a plan
+	// never reads the program, so MTIs of either hit the cached entry.
+	nop := func(*kernel.Task, []uint64) uint64 { return 0 }
+	impls := modules.Instance{"a": nop, "b": nop, "c": nop}
+	hint := &hints.Hint{Test: hints.StoreBarrierTest, Sched: 9, SchedOcc: 1, Reorder: spec.Sites}
+	for _, first := range []string{"a", "b"} {
+		pr := &syzlang.Program{Calls: []syzlang.Call{
+			{Def: &syzlang.SyscallDef{Name: first}},
+			{Def: &syzlang.SyscallDef{Name: "c"}},
+		}}
+		e.run(Config{Instrumented: true}, OOO{}, Request{Prog: pr, I: 0, J: 1, Hint: hint}, injected(impls))
+	}
+	if hits, misses := e.PlanCacheCounters(); hits != 2 || misses != 4 {
+		t.Errorf("after two programs: counters = (%d hits, %d misses), want (2, 4)", hits, misses)
 	}
 	// The load-barrier variant must compile into read directives.
-	lp := e.plans.plan(base, variants[1].spec, memmodel.LKMM)
+	lp := e.plans.plan(variants[0].spec, memmodel.LKMM)
 	if !lp.HasReads() || len(lp.DelaySites()) != 0 {
 		t.Errorf("load-barrier plan shape wrong: reads=%v delays=%v", lp.ReadSites(), lp.DelaySites())
 	}

@@ -50,10 +50,10 @@ type PairPlan struct {
 	Suffix bool
 	// Reorder, when non-nil, names the OEMU directive set task A (the
 	// reorderer) runs under. The engine resolves it through its
-	// precompiled-plan cache — keyed beside the STI profile cache by
-	// Program.Key — and installs the shared immutable plan on task A's
+	// precompiled-plan cache — keyed by model, test kind and sites, not
+	// by program — and installs the shared immutable plan on task A's
 	// OEMU thread before Arm runs, so per-run directive-set construction
-	// happens at most once per distinct (program, test, sites).
+	// happens at most once per distinct (model, test, sites).
 	Reorder *ReorderSpec
 	// Arm, if non-nil, runs after the pair tasks are created, after the
 	// Reorder plan is installed, and before the tasks are spawned — the

@@ -15,26 +15,26 @@ type EdgeSet struct {
 	edges []uint64
 }
 
-// Add inserts edge e.
-func (s *EdgeSet) Add(e uint64) {
+// Add inserts edge e and reports whether it was new to the set.
+func (s *EdgeSet) Add(e uint64) bool {
 	if 2*(len(s.edges)+1) > len(s.slots) {
 		s.grow()
 	}
-	s.insert(e)
+	return s.insert(e)
 }
 
-// insert places e in the table, appending it to edges if it is new. The
-// table has room.
-func (s *EdgeSet) insert(e uint64) {
+// insert places e in the table, appending it to edges if it is new, and
+// reports whether it was. The table has room.
+func (s *EdgeSet) insert(e uint64) bool {
 	mask := uint64(len(s.slots) - 1)
 	for i := (e * 0x9e3779b97f4a7c15) >> s.shift; ; i = (i + 1) & mask {
 		switch s.slots[i] {
 		case 0:
 			s.slots[i] = e + 1
 			s.edges = append(s.edges, e)
-			return
+			return true
 		case e + 1:
-			return
+			return false
 		}
 	}
 }

@@ -8,7 +8,8 @@ import (
 
 // TestEdgeSetMatchesMap: across growth and Clear, the set holds exactly
 // the distinct edges added since the last Clear, in first-hit order, like
-// a map plus an order list would.
+// a map plus an order list would, and Add reports the edges the map had
+// not seen.
 func TestEdgeSetMatchesMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	var s EdgeSet
@@ -18,7 +19,9 @@ func TestEdgeSetMatchesMap(t *testing.T) {
 		for n := rng.Intn(300); n > 0; n-- {
 			// Structured like real edges, with 0 and repeats included.
 			e := uint64(rng.Intn(40))<<32 | uint64(rng.Intn(40))
-			s.Add(e)
+			if added := s.Add(e); added == seen[e] {
+				t.Fatalf("round %d: Add(%#x) = %v, but the edge was seen before: %v", round, e, added, seen[e])
+			}
 			if !seen[e] {
 				seen[e] = true
 				want = append(want, e)
