@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ozz/internal/hints"
@@ -528,6 +529,13 @@ func (p *Pool) RunUntil(title string, maxSteps int) *report.Report {
 // run walks the campaign batch by batch until steps steps have run (< 0:
 // no limit), the deadline passes (zero: none), or a batch publishes the
 // until title ("": never).
+//
+// Each worker goroutine is woken once per batch, through its own channel,
+// so a step costs no goroutine wakeup. Worker k runs the batch's step k
+// first, so every woken worker runs at least one step; after that,
+// workers claim the remaining steps through an atomic counter and write
+// each step's result into its slot of results. The coordinator waits for
+// the whole batch, then merges the results in step order.
 func (p *Pool) run(steps int, deadline time.Time, until string) []*report.Report {
 	if steps == 0 {
 		return nil
@@ -538,19 +546,28 @@ func (p *Pool) run(steps int, deadline time.Time, until string) []*report.Report
 	}
 	p.mu.Unlock()
 
-	jobs := make(chan job, batchSize)
-	done := make(chan jobResult, batchSize)
-	var wg sync.WaitGroup
-	for w := 0; w < p.Workers; w++ {
-		wg.Add(1)
-		go func(w *worker) {
-			defer wg.Done()
-			for jb := range jobs {
-				r := p.runJob(w, jb)
-				p.co.stepEvent(w.id, &r)
-				done <- r
+	var (
+		batch   = make([]job, batchSize)
+		results = make([]jobResult, batchSize)
+		n       int          // steps in the current batch
+		claimed atomic.Int64 // next unclaimed step of the batch
+		pending sync.WaitGroup
+		exited  sync.WaitGroup
+	)
+	wake := make([]chan struct{}, p.Workers)
+	for k := range wake {
+		wake[k] = make(chan struct{}, 1)
+		exited.Add(1)
+		go func(k int, w *worker) {
+			defer exited.Done()
+			for range wake[k] {
+				for i := k; i < n; i = int(claimed.Add(1)) - 1 {
+					results[i] = p.runJob(w, batch[i])
+					p.co.stepEvent(w.id, &results[i])
+				}
+				pending.Done()
 			}
-		}(&worker{id: w + 1})
+		}(k, &worker{id: k + 1})
 	}
 
 	var found []*report.Report
@@ -559,13 +576,12 @@ func (p *Pool) run(steps int, deadline time.Time, until string) []*report.Report
 		if !deadline.IsZero() && !time.Now().Before(deadline) {
 			break
 		}
-		n := batchSize
+		n = batchSize
 		if remaining > 0 && remaining < n {
 			n = remaining
 		}
 		// Plan the batch against the corpus as of this boundary.
 		p.mu.Lock()
-		batch := make([]job, n)
 		for bi := 0; bi < n; bi++ {
 			gStart := time.Now()
 			batch[bi] = p.planStep(p.steps)
@@ -573,25 +589,25 @@ func (p *Pool) run(steps int, deadline time.Time, until string) []*report.Report
 			p.steps++
 		}
 		p.mu.Unlock()
-		// Execute in parallel; buffer capacities fit a whole batch, so
-		// dispatch can never deadlock against result publication.
-		for _, jb := range batch {
-			jobs <- jb
+		// Execute in parallel: workers 0..m-1 take steps 0..m-1, then
+		// claim the rest from m on.
+		m := min(p.Workers, n)
+		claimed.Store(int64(m))
+		pending.Add(m)
+		for k := 0; k < m; k++ {
+			wake[k] <- struct{}{}
 		}
-		results := make([]jobResult, n)
-		for range batch {
-			r := <-done
-			results[r.idx-batch[0].idx] = r
-		}
+		pending.Wait()
 		// Merge in step-index order.
 		p.mu.Lock()
 		mStart := time.Now()
-		for bi := range batch {
+		for bi := 0; bi < n; bi++ {
 			p.merge(&results[bi], &found)
 		}
 		observe(p.co.stMerge, mStart)
 		p.fillPerf(&p.stats)
 		p.mu.Unlock()
+		clear(results[:n])
 		if remaining > 0 {
 			remaining -= n
 		}
@@ -599,8 +615,10 @@ func (p *Pool) run(steps int, deadline time.Time, until string) []*report.Report
 			break
 		}
 	}
-	close(jobs)
-	wg.Wait()
+	for _, c := range wake {
+		close(c)
+	}
+	exited.Wait()
 	return found
 }
 

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -9,6 +11,7 @@ import (
 	"time"
 
 	"ozz/internal/modules"
+	"ozz/internal/obs"
 	"ozz/internal/report"
 	"ozz/internal/syzlang"
 )
@@ -381,5 +384,63 @@ func TestNewPoolSizeIndependentOfProgLen(t *testing.T) {
 	p.Run(2)
 	if st := p.Stats(); st.Steps != 2 {
 		t.Errorf("ran %d steps, want 2", st.Steps)
+	}
+}
+
+// TestBatchSpreadsWorkers: in one 16-step batch at width 4, worker k runs
+// step k-1 before it claims any other step, so every worker runs at least
+// one step however the goroutines are scheduled, and every step runs
+// exactly once.
+func TestBatchSpreadsWorkers(t *testing.T) {
+	var events bytes.Buffer
+	ev := obs.NewEventLog(&events, obs.LevelInfo)
+	p := NewPool(Config{Seed: 1, UseSeeds: true, Events: ev}, 4)
+	p.Run(16)
+	if err := ev.Err(); err != nil {
+		t.Fatalf("event log error: %v", err)
+	}
+	first := map[int]int{} // worker -> its first step
+	ran := map[int]int{}   // step -> times run
+	for _, line := range strings.Split(strings.TrimSpace(events.String()), "\n") {
+		var e obs.Event
+		if err := json.Unmarshal([]byte(line), &e); err != nil {
+			t.Fatalf("bad event line %q: %v", line, err)
+		}
+		if e.Kind != "step" {
+			continue
+		}
+		step := int(e.Fields["step"].(float64))
+		ran[step]++
+		if _, ok := first[e.Worker]; !ok {
+			first[e.Worker] = step
+		}
+	}
+	for w := 1; w <= 4; w++ {
+		if step, ok := first[w]; !ok || step != w-1 {
+			t.Errorf("worker %d: first step %d (ran any: %v), want %d", w, step, ok, w-1)
+		}
+	}
+	for step := 0; step < 16; step++ {
+		if ran[step] != 1 {
+			t.Errorf("step %d ran %d times, want once", step, ran[step])
+		}
+	}
+	if len(ran) != 16 {
+		t.Errorf("step events for %d distinct steps, want 16", len(ran))
+	}
+}
+
+// BenchmarkPoolRun measures a 64-step campaign at width 1, the way hunts,
+// repair bug ops and ozz-repro run one: two batches, each handed to the
+// single worker at once, on a fresh pool per op so every op runs the same
+// steps.
+func BenchmarkPoolRun(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		p := NewPool(Config{Seed: 1, UseSeeds: true}, 1)
+		p.Run(64)
+		if st := p.Stats(); st.Steps != 64 {
+			b.Fatalf("ran %d steps, want 64", st.Steps)
+		}
 	}
 }

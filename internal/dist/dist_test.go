@@ -318,9 +318,10 @@ func TestManagerMetricsEndpoint(t *testing.T) {
 // TestGracefulShutdownFlushes: cancelling a worker mid-campaign flushes
 // its findings and corpus to the manager via the final deregistering
 // sync; the manager requeues its leases and drops it from the connected
-// gauge — nothing is lost.
+// gauge — nothing is lost. The campaign is far longer than the worker
+// runs before the cancel, so the cancel always lands mid-campaign.
 func TestGracefulShutdownFlushes(t *testing.T) {
-	cfg := fastManagerConfig(200, 10)
+	cfg := fastManagerConfig(4000, 10)
 	m, srv := startManager(t, cfg)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

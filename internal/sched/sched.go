@@ -7,17 +7,19 @@
 // does NOT flush its virtual store buffer, which is what lets OEMU keep
 // memory-access reordering observable across an interleaving (§2.3).
 //
-// The scheduler is token-based: every task runs on its own goroutine (a
-// carrier, reused across sessions) but blocks until handed the run token,
-// so all simulated-kernel state is only ever touched by one goroutine at a
-// time. Given the same policy and task bodies, execution is fully
-// deterministic.
+// The scheduler is token-based: every task body runs on its own coroutine
+// (a carrier, reused across sessions), and Session.Run is a trampoline that
+// resumes the carrier of the task holding the run token. A task passes the
+// token by naming its successor and yielding back to Run, so all
+// simulated-kernel state is only ever touched by one goroutine at a time,
+// and a token pass is a direct coroutine switch rather than a trip through
+// the Go scheduler. Given the same policy and task bodies, execution is
+// fully deterministic.
 package sched
 
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"ozz/internal/trace"
 )
@@ -49,7 +51,7 @@ type Deadlock struct {
 // Error implements error.
 func (d *Deadlock) Error() string { return "deadlock: " + d.Reason }
 
-// abortUnwind is panicked inside suspended tasks to unwind their goroutines
+// abortUnwind is panicked inside suspended tasks to unwind their carriers
 // once the session is aborting. It never escapes the package.
 type abortUnwind struct{}
 
@@ -61,9 +63,11 @@ type Task struct {
 
 	state   State
 	spin    int
-	resume  chan struct{}
 	session *Session
 	body    func(*Task)
+	// carrier runs the body; attached when the task is first resumed and
+	// detached when it is done.
+	carrier *carrier
 
 	// armed implements "switch after instruction X": when a breakpoint
 	// with PosAfter matches, the policy arms the task and the switch
@@ -90,13 +94,12 @@ type Session struct {
 	// tasks lists the tasks in spawn order, the default scheduling
 	// preference. A session has a handful of tasks (at most four in the
 	// engine), so lookups by id scan tasks (byID), the slice starts in an
-	// inline buffer, and the first tasks live in inline slots whose resume
-	// channels survive Release.
-	tasks    []*Task
-	taskBuf  [4]*Task
-	slots    [4]Task
-	driverCh chan struct{}
+	// inline buffer, and the first tasks live in inline slots.
+	tasks   []*Task
+	taskBuf [4]*Task
+	slots   [4]Task
 
+	// cur holds the run token: the task Run resumes next.
 	cur      *Task
 	aborting bool
 	// Aborted carries the recovered panic value (e.g. a *kernel.Crash)
@@ -140,7 +143,7 @@ func NewSession(policy Policy) *Session {
 	}
 	freeSessions.mu.Unlock()
 	if s == nil {
-		s = &Session{driverCh: make(chan struct{})}
+		s = new(Session)
 	}
 	s.policy = policy
 	s.tasks = s.taskBuf[:0]
@@ -166,14 +169,8 @@ func (s *Session) Spawn(id, cpu int, body func(*Task)) *Task {
 	} else {
 		t = new(Task)
 	}
-	if t.resume == nil {
-		t.resume = make(chan struct{})
-	}
 	t.ID, t.CPU, t.session, t.body, t.armedSwitch = id, cpu, s, body, -1
 	s.tasks = append(s.tasks, t)
-	if s.started {
-		s.launch(t)
-	}
 	return t
 }
 
@@ -187,21 +184,10 @@ func (s *Session) byID(id int) *Task {
 	return nil
 }
 
-func (s *Session) launch(t *Task) {
-	select {
-	case c := <-idleCarriers:
-		c <- t
-	default:
-		carriersStarted.Add(1)
-		go carry(t)
-	}
-}
-
-// run executes the task's body on its carrier once it is first handed the
-// run token, then passes the token on.
+// run executes the task's body on its carrier, then passes the run token
+// to the next live task (nil when none remain).
 func (t *Task) run() {
 	s := t.session
-	<-t.resume
 	defer func() {
 		if r := recover(); r != nil {
 			if _, unwind := r.(abortUnwind); !unwind {
@@ -213,43 +199,12 @@ func (t *Task) run() {
 			}
 		}
 		t.state = Done
-		s.next(t)
+		s.cur = s.pick()
 	}()
 	if s.aborting {
 		panic(abortUnwind{})
 	}
 	t.body(t)
-}
-
-// maxIdleCarriers bounds the parked carrier goroutines. A campaign needs
-// about as many as it runs tasks at once (a few per pool worker); the rest
-// of a burst exits instead of parking.
-const maxIdleCarriers = 64
-
-var (
-	// idleCarriers holds each parked carrier's hand-off channel. Tasks
-	// run on reused carriers rather than fresh goroutines so that the
-	// stack a carrier grew inside module code is kept for the next task
-	// instead of being grown again from 2 KB for every task.
-	idleCarriers = make(chan chan *Task, maxIdleCarriers)
-	// carriersStarted counts carrier goroutines ever started; tests bound
-	// it to check that carriers are reused.
-	carriersStarted atomic.Uint64
-)
-
-// carry runs tasks: t, then each task handed to it while parked. It exits
-// when the idle set is full or it is handed nil.
-func carry(t *Task) {
-	in := make(chan *Task, 1)
-	for t != nil {
-		t.run()
-		select {
-		case idleCarriers <- in:
-		default:
-			return
-		}
-		t = <-in
-	}
 }
 
 // Run executes all spawned tasks to completion and returns the panic value
@@ -262,13 +217,21 @@ func (s *Session) Run() any {
 	if len(s.tasks) == 0 {
 		return nil
 	}
-	for _, t := range s.tasks {
-		s.launch(t)
+	// Trampoline: resume the token holder's carrier until it yields back,
+	// having passed the token on (handoff) or finished (run).
+	if s.cur = s.byID(s.policy.First(s.tasks[0].ID)); s.cur == nil {
+		panic("sched: the policy's first task was never spawned")
 	}
-	first := s.byID(s.policy.First(s.tasks[0].ID))
-	s.cur = first
-	first.resume <- struct{}{}
-	<-s.driverCh
+	for t := s.cur; t != nil; t = s.cur {
+		if t.carrier == nil {
+			t.carrier = getCarrier(t)
+		}
+		t.carrier.resume()
+		if t.state == Done {
+			putCarrier(t.carrier)
+			t.carrier = nil
+		}
+	}
 	return s.Aborted
 }
 
@@ -276,10 +239,7 @@ func (s *Session) Run() any {
 // Run has returned (or when Run will never be called), after the last read
 // of the session or its tasks; neither may be used afterwards.
 func (s *Session) Release() {
-	for i := range s.slots {
-		s.slots[i] = Task{resume: s.slots[i].resume}
-	}
-	*s = Session{slots: s.slots, driverCh: s.driverCh}
+	*s = Session{}
 	freeSessions.mu.Lock()
 	if len(freeSessions.s) < maxFreeSessions {
 		freeSessions.s = append(freeSessions.s, s)
@@ -295,27 +255,16 @@ func (s *Session) Yields() uint64 { return s.yields }
 // Deterministic for a given (program, hint, seed).
 func (s *Session) Switches() uint64 { return s.switches }
 
-// handoff transfers the run token from the calling task to target and blocks
-// the caller until rescheduled (or unwinds it if the session aborted).
+// handoff transfers the run token from the calling task to target and
+// suspends the caller until rescheduled (or unwinds it if the session
+// aborted).
 func (s *Session) handoff(from, to *Task) {
 	s.switches++
 	s.cur = to
-	to.resume <- struct{}{}
-	<-from.resume
+	from.carrier.yield(struct{}{})
 	if s.aborting {
 		panic(abortUnwind{})
 	}
-}
-
-// next is called when a task finishes: the token passes to the next live
-// task, or back to the driver when none remain.
-func (s *Session) next(done *Task) {
-	if t := s.pick(); t != nil {
-		s.cur = t
-		t.resume <- struct{}{}
-		return
-	}
-	s.driverCh <- struct{}{}
 }
 
 // pick returns the next task to resume: the first live non-blocked task in
@@ -333,17 +282,6 @@ func (s *Session) pick() *Task {
 		}
 	}
 	return blocked
-}
-
-// live counts non-done tasks.
-func (s *Session) live() int {
-	n := 0
-	for _, t := range s.tasks {
-		if t.state != Done {
-			n++
-		}
-	}
-	return n
 }
 
 // Yield is the scheduling point, invoked before every instrumented

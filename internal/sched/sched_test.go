@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -288,28 +289,29 @@ func TestYieldCount(t *testing.T) {
 	}
 }
 
-// drainIdleCarriers stops every parked carrier goroutine and waits for
-// them to exit, so goroutine counts see only what sessions still own.
+// drainIdleCarriers stops every idle carrier, so goroutine counts see
+// only what sessions still own. Stopping a carrier ends its goroutine
+// before stop returns.
 func drainIdleCarriers() {
-	n := runtime.NumGoroutine()
-	for {
-		select {
-		case c := <-idleCarriers:
-			c <- nil
-			n--
-			continue
-		default:
-		}
-		break
+	freeCarriers.mu.Lock()
+	idle := freeCarriers.c
+	freeCarriers.c = nil
+	freeCarriers.mu.Unlock()
+	for _, c := range idle {
+		c.stop()
 	}
-	for try := 0; try < 1000 && runtime.NumGoroutine() > n; try++ {
-		time.Sleep(time.Millisecond)
-	}
+}
+
+// idleCarriers returns the number of carriers on the free list.
+func idleCarriers() int {
+	freeCarriers.mu.Lock()
+	defer freeCarriers.mu.Unlock()
+	return len(freeCarriers.c)
 }
 
 // TestNoGoroutineLeak: sessions must not leak goroutines — a fuzzer runs
 // millions of them. Both clean completions and aborted (crashing) sessions
-// must unwind every task goroutine. Parked carriers are reused rather than
+// must unwind every task's carrier. Idle carriers are reused rather than
 // leaked, so they are drained before each count.
 func TestNoGoroutineLeak(t *testing.T) {
 	runtime.GC()
@@ -342,10 +344,10 @@ func TestNoGoroutineLeak(t *testing.T) {
 }
 
 // TestCarriersBounded: over clean, crashing, deadlocking and oversized
-// sessions, the idle carrier set stays within its cap, carriers are reused
-// (goroutines started stay within cap plus the tasks one session runs at
-// once), carriers beyond the cap exit, and every session still reports its
-// own outcome.
+// sessions, the idle carrier list stays within its cap, carriers are reused
+// (carriers started stay within cap plus the tasks one session runs at
+// once), carriers released beyond the cap stop, and every session still
+// reports its own outcome.
 func TestCarriersBounded(t *testing.T) {
 	drainIdleCarriers()
 	before := runtime.NumGoroutine()
@@ -353,13 +355,20 @@ func TestCarriersBounded(t *testing.T) {
 	const wide = maxIdleCarriers + 16
 	for i := 0; i < 200; i++ {
 		s := NewSession(&Random{Seed: int64(i), Period: 2})
-		tasks := 3
+		tasks, entered := 3, 0
 		if i%50 == 49 {
 			tasks = wide // more tasks than the idle set holds
 		}
 		for id := 0; id < tasks; id++ {
 			id := id
 			s.Spawn(id, 0, func(h *Task) {
+				// A task takes a carrier when it first runs, so every task
+				// of the session waits here until all have one: the wide
+				// sessions then release more carriers than the list holds.
+				for entered++; entered < tasks; {
+					h.BlockSpin()
+				}
+				h.ClearSpin()
 				h.Yield(1)
 				switch {
 				case id == 2 && i%3 == 1:
@@ -381,7 +390,7 @@ func TestCarriersBounded(t *testing.T) {
 		case i%3 == 0 && aborted != nil:
 			t.Fatalf("session %d: aborted = %v", i, aborted)
 		}
-		if n := len(idleCarriers); n > maxIdleCarriers {
+		if n := idleCarriers(); n > maxIdleCarriers {
 			t.Fatalf("session %d: %d idle carriers, cap %d", i, n, maxIdleCarriers)
 		}
 	}
@@ -390,10 +399,101 @@ func TestCarriersBounded(t *testing.T) {
 	}
 	for try := 0; runtime.NumGoroutine() > before+maxIdleCarriers+2; try++ {
 		if try == 100 {
-			t.Fatalf("%d goroutines left, want <= %d parked carriers over %d", runtime.NumGoroutine(), maxIdleCarriers, before)
+			t.Fatalf("%d goroutines left, want <= %d idle carriers over %d", runtime.NumGoroutine(), maxIdleCarriers, before)
 		}
 		time.Sleep(time.Millisecond)
 	}
+}
+
+// switchingSession runs one two-task session that switches mid-body and,
+// in every fourth round, crashes; it returns an error describing any
+// wrong outcome, and the session, already released.
+func switchingSession(round int) (*Session, error) {
+	var log []string
+	s := NewSession(&Breakpoint{FromTask: 0, Instr: 5, Pos: PosBefore, ToTask: 1})
+	s.Spawn(0, 0, func(h *Task) {
+		h.Yield(5) // switch to task 1
+		log = append(log, "a")
+	})
+	s.Spawn(1, 1, func(h *Task) {
+		log = append(log, "b")
+		h.Yield(1)
+		if round%4 == 3 {
+			panic("boom")
+		}
+	})
+	aborted := s.Run()
+	s.Release()
+	want, wantAborted := "[b a]", any(nil)
+	if round%4 == 3 {
+		want, wantAborted = "[b]", "boom"
+	}
+	if aborted != wantAborted || fmt.Sprint(log) != want {
+		return s, fmt.Errorf("round %d: aborted %v, order %v; want %v, %s", round, aborted, log, wantAborted, want)
+	}
+	return s, nil
+}
+
+// TestSessionAcrossGoroutines: a session released on one goroutine comes
+// back from NewSession on another, and the carriers its tasks ran on are
+// resumed from there, mid-body switches and aborts included; then several
+// goroutines share the free lists at once. Run it under -race: the free
+// lists must order every access to a reused session, its tasks and their
+// carriers.
+func TestSessionAcrossGoroutines(t *testing.T) {
+	drainIdleCarriers()
+	started := carriersStarted.Load()
+	var prev *Session
+	for i := 0; i < 20; i++ {
+		var (
+			s   *Session
+			err error
+		)
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			s, err = switchingSession(i)
+		}()
+		<-done
+		if err != nil {
+			t.Fatal(err)
+		}
+		if prev != nil && s != prev {
+			t.Fatalf("round %d: NewSession did not reuse the session released on the previous goroutine", i)
+		}
+		prev = s
+	}
+	if n := carriersStarted.Load() - started; n > 2 {
+		t.Fatalf("started %d carriers for 20 two-task sessions on fresh goroutines, want <= 2", n)
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				if _, err := switchingSession(i); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestFirstTaskNotSpawned: a policy whose first task was never spawned
+// panics in Run rather than reporting a clean session that ran nothing.
+func TestFirstTaskNotSpawned(t *testing.T) {
+	s := NewSession(&Breakpoint{FromTask: 7, Instr: 1, ToTask: 0})
+	s.Spawn(0, 0, func(*Task) {})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Run with an unspawned first task did not panic")
+		}
+	}()
+	s.Run()
 }
 
 // TestDuplicateSpawnPanics: a task id names one task per session, whether
