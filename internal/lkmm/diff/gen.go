@@ -42,7 +42,7 @@ func mix(x uint64) uint64 {
 
 // MaxGenOps bounds the total operation count of a generated shape. Six
 // ops means at most six delayable/versionable sites, well inside
-// lkmm.Run's 12-site directive-mask limit.
+// lkmm.MaxDirectiveSites.
 const MaxGenOps = 6
 
 // Shape deterministically generates the index-th random litmus shape of

@@ -12,9 +12,8 @@
 package lkmm
 
 import (
-	"fmt"
 	"sort"
-	"strings"
+	"strconv"
 
 	"ozz/internal/kmem"
 	"ozz/internal/memmodel"
@@ -91,11 +90,45 @@ type Outcome string
 
 // MakeOutcome renders register values canonically.
 func MakeOutcome(regs []uint64) Outcome {
-	parts := make([]string, len(regs))
+	var buf [64]byte
+	return Outcome(appendOutcome(buf[:0], regs))
+}
+
+// appendOutcome appends the canonical rendering of regs to b.
+func appendOutcome(b []byte, regs []uint64) []byte {
 	for i, v := range regs {
-		parts[i] = fmt.Sprintf("r%d=%d", i, v)
+		if i > 0 {
+			b = append(b, ';')
+		}
+		b = append(b, 'r')
+		b = strconv.AppendInt(b, int64(i), 10)
+		b = append(b, '=')
+		b = strconv.AppendUint(b, v, 10)
 	}
-	return Outcome(strings.Join(parts, ";"))
+	return b
+}
+
+// OutcomeSet collects the outcomes of one enumeration. It renders each
+// final register vector into a reused buffer and allocates the Outcome
+// only when the rendering is new, so an enumeration that reaches few
+// outcomes by many paths allocates few.
+type OutcomeSet struct {
+	// Outcomes maps every outcome added so far to true.
+	Outcomes map[Outcome]bool
+	buf      []byte
+}
+
+// NewOutcomeSet returns an empty set.
+func NewOutcomeSet() *OutcomeSet {
+	return &OutcomeSet{Outcomes: make(map[Outcome]bool)}
+}
+
+// Add records the outcome whose final registers are regs.
+func (s *OutcomeSet) Add(regs []uint64) {
+	s.buf = appendOutcome(s.buf[:0], regs)
+	if !s.Outcomes[Outcome(s.buf)] {
+		s.Outcomes[Outcome(s.buf)] = true
+	}
 }
 
 // Result is the set of observable outcomes of a test.
@@ -121,6 +154,46 @@ func (r *Result) Sorted() []string {
 // instrID assigns a unique site to thread t's op i.
 func instrID(t, i int) trace.InstrID { return trace.InstrID(t*100 + i + 1) }
 
+// MaxDirectiveSites bounds the directive sites — stores and loads — of a
+// test RunModel and RunPlannedModel enumerate: every subset of the sites
+// is one directive assignment, so the enumeration is exponential in them.
+// Both panic on a wider test.
+const MaxDirectiveSites = 12
+
+// DirectiveSite is one op an OEMU directive can target: a store it may
+// delay or a load it may version.
+type DirectiveSite struct {
+	Instr trace.InstrID
+	Store bool
+}
+
+// DirectiveSites lists the test's directive sites in thread and program
+// order; bit i of a directive mask selects site i.
+func DirectiveSites(test *Test) []DirectiveSite {
+	var sites []DirectiveSite
+	for ti, th := range test.Threads {
+		for oi, op := range th {
+			switch op.Kind {
+			case OpStore:
+				sites = append(sites, DirectiveSite{instrID(ti, oi), true})
+			case OpLoad:
+				sites = append(sites, DirectiveSite{instrID(ti, oi), false})
+			}
+		}
+	}
+	return sites
+}
+
+// enumerableSites returns the test's directive sites, panicking when they
+// exceed MaxDirectiveSites.
+func enumerableSites(test *Test) []DirectiveSite {
+	sites := DirectiveSites(test)
+	if len(sites) > MaxDirectiveSites {
+		panic("litmus test too large for exhaustive directive enumeration")
+	}
+	return sites
+}
+
 // Run enumerates all interleavings x directive assignments under the LKMM
 // and returns the observable outcomes. The search is exhaustive
 // (exponential in program size — litmus tests are tiny by design).
@@ -130,46 +203,30 @@ func Run(test *Test) *Result { return RunModel(test, memmodel.LKMM) }
 // every interleaving x directive assignment with the given semantics
 // table active.
 func RunModel(test *Test, mm *memmodel.Table) *Result {
-	res := &Result{Outcomes: make(map[Outcome]bool)}
 	// Enumerate directive assignments: a bit per delayable store and per
 	// versionable load.
-	type dirSite struct {
-		instr trace.InstrID
-		store bool
-	}
-	var sites []dirSite
-	for ti, th := range test.Threads {
-		for oi, op := range th {
-			switch op.Kind {
-			case OpStore:
-				sites = append(sites, dirSite{instrID(ti, oi), true})
-			case OpLoad:
-				sites = append(sites, dirSite{instrID(ti, oi), false})
+	sites := enumerableSites(test)
+	out, runs := NewOutcomeSet(), 0
+	x := newExecutor(test, mm)
+	for mask := 0; mask < 1<<len(sites); mask++ {
+		install := func(th *oemu.Thread) {
+			for bi, s := range sites {
+				if mask&(1<<bi) == 0 {
+					continue
+				}
+				if s.Store {
+					th.Dir.DelayStoreAt(s.Instr)
+				} else {
+					th.Dir.ReadOldValueAt(s.Instr)
+				}
 			}
 		}
-	}
-	if len(sites) > 12 {
-		panic("litmus test too large for exhaustive directive enumeration")
-	}
-	for mask := 0; mask < 1<<len(sites); mask++ {
 		enumerateInterleavings(test, func(order []int) {
-			regs := execute(test, order, mm, func(th *oemu.Thread) {
-				for bi, s := range sites {
-					if mask&(1<<bi) == 0 {
-						continue
-					}
-					if s.store {
-						th.Dir.DelayStoreAt(s.instr)
-					} else {
-						th.Dir.ReadOldValueAt(s.instr)
-					}
-				}
-			})
-			res.Outcomes[MakeOutcome(regs)] = true
-			res.Runs++
+			out.Add(x.execute(order, install))
+			runs++
 		})
 	}
-	return res
+	return &Result{Outcomes: out.Outcomes, Runs: runs}
 }
 
 // RunPlanned is Run with every directive assignment installed through the
@@ -183,47 +240,29 @@ func RunPlanned(test *Test) *Result { return RunPlannedModel(test, memmodel.LKMM
 
 // RunPlannedModel is RunPlanned under an arbitrary memory model.
 func RunPlannedModel(test *Test, mm *memmodel.Table) *Result {
-	res := &Result{Outcomes: make(map[Outcome]bool)}
-	type dirSite struct {
-		instr trace.InstrID
-		store bool
-	}
-	var sites []dirSite
-	for ti, th := range test.Threads {
-		for oi, op := range th {
-			switch op.Kind {
-			case OpStore:
-				sites = append(sites, dirSite{instrID(ti, oi), true})
-			case OpLoad:
-				sites = append(sites, dirSite{instrID(ti, oi), false})
-			}
-		}
-	}
-	if len(sites) > 12 {
-		panic("litmus test too large for exhaustive directive enumeration")
-	}
+	sites := enumerableSites(test)
+	out, runs := NewOutcomeSet(), 0
+	x := newExecutor(test, mm)
 	for mask := 0; mask < 1<<len(sites); mask++ {
 		var delay, read []trace.InstrID
 		for bi, s := range sites {
 			if mask&(1<<bi) == 0 {
 				continue
 			}
-			if s.store {
-				delay = append(delay, s.instr)
+			if s.Store {
+				delay = append(delay, s.Instr)
 			} else {
-				read = append(read, s.instr)
+				read = append(read, s.Instr)
 			}
 		}
 		plan := oemu.CompilePlanModel(delay, read, mm)
+		install := func(th *oemu.Thread) { th.InstallPlan(plan) }
 		enumerateInterleavings(test, func(order []int) {
-			regs := execute(test, order, mm, func(th *oemu.Thread) {
-				th.InstallPlan(plan)
-			})
-			res.Outcomes[MakeOutcome(regs)] = true
-			res.Runs++
+			out.Add(x.execute(order, install))
+			runs++
 		})
 	}
-	return res
+	return &Result{Outcomes: out.Outcomes, Runs: runs}
 }
 
 // enumerateInterleavings generates every merge of the threads' op
@@ -252,41 +291,70 @@ func enumerateInterleavings(test *Test, visit func(order []int)) {
 		}
 	}
 	rec()
-	_ = counts
 }
 
-// execute runs one interleaving under the given memory model with install
-// applied to every thread (incremental directives or a precompiled plan)
-// and returns the final registers. Store buffers drain at thread exit
-// (like a syscall return); registers are read after all threads finish.
-func execute(test *Test, order []int, mm *memmodel.Table, install func(*oemu.Thread)) []uint64 {
+// executor runs the interleavings of one enumeration on one memory, one
+// emulator and one thread slice, resetting them between runs instead of
+// building them anew.
+type executor struct {
+	test    *Test
+	mm      *memmodel.Table
+	mem     *kmem.Memory
+	em      *oemu.OEMU
+	threads []*oemu.Thread
+	idx     []int
+	regs    []uint64
+}
+
+func newExecutor(test *Test, mm *memmodel.Table) *executor {
 	mem := kmem.New()
-	mem.Sanitize = false
-	em := oemu.NewModel(mem, mm)
-	threads := make([]*oemu.Thread, len(test.Threads))
-	for i := range threads {
-		threads[i] = em.NewThread(i)
-		install(threads[i])
+	return &executor{
+		test:    test,
+		mm:      mm,
+		mem:     mem,
+		em:      oemu.NewModel(mem, mm),
+		threads: make([]*oemu.Thread, len(test.Threads)),
+		idx:     make([]int, len(test.Threads)),
+		regs:    make([]uint64, test.NumRegs),
 	}
-	regs := make([]uint64, test.NumRegs)
-	idx := make([]int, len(test.Threads))
-	loc := func(l int) trace.Addr { return trace.Addr(0x1000_0000 + l*8) }
+}
+
+// execute runs one interleaving under the executor's memory model with
+// install applied to every thread (incremental directives or a
+// precompiled plan) and returns the final registers, valid until the next
+// run. Store buffers drain at thread exit (like a syscall return);
+// registers are read after all threads finish.
+func (x *executor) execute(order []int, install func(*oemu.Thread)) []uint64 {
+	// Reset turns sanitizing back on and the emulator back to LKMM.
+	x.mem.Reset()
+	x.mem.Sanitize = false
+	x.em.Reset()
+	x.em.SetModel(x.mm)
+	for i := range x.threads {
+		x.threads[i] = x.em.NewThread(i)
+		install(x.threads[i])
+	}
+	clear(x.idx)
+	clear(x.regs)
 	for _, ti := range order {
-		op := test.Threads[ti][idx[ti]]
-		site := instrID(ti, idx[ti])
-		idx[ti]++
-		th := threads[ti]
+		op := x.test.Threads[ti][x.idx[ti]]
+		site := instrID(ti, x.idx[ti])
+		x.idx[ti]++
+		th := x.threads[ti]
 		switch op.Kind {
 		case OpStore:
-			th.Store(site, loc(op.Loc), op.Val, op.Atomic)
+			th.Store(site, locAddr(op.Loc), op.Val, op.Atomic)
 		case OpLoad:
-			regs[op.Reg] = th.Load(site, loc(op.Loc), op.Atomic)
+			x.regs[op.Reg] = th.Load(site, locAddr(op.Loc), op.Atomic)
 		case OpBarrier:
 			th.Barrier(op.Bar)
 		}
 	}
-	for _, th := range threads {
+	for _, th := range x.threads {
 		th.Flush()
 	}
-	return regs
+	return x.regs
 }
+
+// locAddr is the address of shared location l.
+func locAddr(l int) trace.Addr { return trace.Addr(0x1000_0000 + l*8) }

@@ -2,6 +2,7 @@ package model
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"ozz/internal/lkmm"
@@ -37,11 +38,32 @@ func fmtKey(s *state) string {
 	return b.String()
 }
 
-// RunModelFmtKey is RunModel with the visited set keyed by fmtKey and
-// the original exit path (clone, drain every thread, then read the
-// registers). It shares only the transition rules with RunModel.
+// clone deep-copies the state into freshly allocated storage.
+func (s *state) clone() *state {
+	ns := &state{
+		clock: s.clock,
+		hist:  make([][]version, len(s.hist)),
+		pc:    slices.Clone(s.pc),
+		sb:    make([][]pendingStore, len(s.sb)),
+		slab:  slices.Clone(s.slab),
+	}
+	ns.carve()
+	for i, h := range s.hist {
+		ns.hist[i] = slices.Clone(h)
+	}
+	for i, b := range s.sb {
+		ns.sb[i] = slices.Clone(b)
+	}
+	return ns
+}
+
+// RunModelFmtKey is RunModel with the visited set keyed by fmtKey, every
+// successor cloned into fresh storage before it is explored, and the
+// original exit path (clone, drain every thread, then read the registers).
+// It shares only the transition rules with RunModel.
 func RunModelFmtKey(t *lkmm.Test, mm *memmodel.Table) *Result {
-	m := &machine{test: t, mm: mm, res: &Result{Outcomes: make(map[lkmm.Outcome]bool)}}
+	m := &machine{test: t, mm: mm, slots: newStates(t, 2)}
+	res := &Result{Outcomes: make(map[lkmm.Outcome]bool)}
 	visited := map[string]bool{}
 	var explore func(s *state)
 	explore = func(s *state) {
@@ -56,7 +78,12 @@ func RunModelFmtKey(t *lkmm.Test, mm *memmodel.Table) *Result {
 				continue
 			}
 			done = false
-			for _, ns := range m.step(s, ti) {
+			succ, n := m.step(s, ti, 0)
+			branches := make([]*state, n)
+			for i, ns := range succ[:n] {
+				branches[i] = ns.clone()
+			}
+			for _, ns := range branches {
 				explore(ns)
 			}
 		}
@@ -65,10 +92,10 @@ func RunModelFmtKey(t *lkmm.Test, mm *memmodel.Table) *Result {
 			for ti := range t.Threads {
 				ns.drain(ti)
 			}
-			m.res.Outcomes[lkmm.MakeOutcome(ns.regs)] = true
+			res.Outcomes[lkmm.MakeOutcome(ns.regs)] = true
 		}
 	}
-	explore(newState(t))
-	m.res.States = len(visited)
-	return m.res
+	explore(&newStates(t, 1)[0])
+	res.States = len(visited)
+	return res
 }

@@ -45,8 +45,10 @@
 package model
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
+	"hash/maphash"
 	"sort"
 
 	"ozz/internal/lkmm"
@@ -94,17 +96,16 @@ type pendingStore struct {
 type state struct {
 	clock uint64
 	// hist is the per-location commit history in coherence order; the
-	// initial value 0 at time 0 is implicit. Histories only grow at the
-	// end, so clones share the backing arrays capped at their length and
-	// the first append copies.
+	// initial value 0 at time 0 is implicit. Every state owns its
+	// histories' backing arrays: copyFrom copies them, never aliases.
 	hist [][]version
 	// pc is each thread's next-op index.
 	pc []int
 	// sb is each thread's virtual store buffer, program order, at most
 	// one entry per location (coalescing).
 	sb [][]pendingStore
-	// slab backs tRmb, lastCommit, seen and regs, so a clone copies them
-	// with one allocation.
+	// slab backs tRmb, lastCommit, seen and regs, so copyFrom copies them
+	// with one copy.
 	slab []uint64
 	// tRmb is each thread's versioning-window start (§3.2).
 	tRmb []uint64
@@ -118,16 +119,48 @@ type state struct {
 	regs []uint64
 }
 
-func newState(t *lkmm.Test) *state {
-	n, locs := len(t.Threads), t.NumLocs
-	s := &state{
-		hist: make([][]version, locs),
-		pc:   make([]int, n),
-		sb:   make([][]pendingStore, n),
-		slab: make([]uint64, n+2*n*locs+t.NumRegs),
+// newStates allocates n states for test t, carving their storage from
+// one backing array per field. Each history and store buffer gets a window
+// as large as it can grow in this test — one entry per store to the
+// location, one per store of the thread — so neither copyFrom nor the
+// transition rules ever reallocate them.
+func newStates(t *lkmm.Test, n int) []state {
+	threads, locs := len(t.Threads), t.NumLocs
+	histCap := make([]int, locs)
+	sbCap := make([]int, threads)
+	stores := 0
+	for ti, ops := range t.Threads {
+		for _, op := range ops {
+			if op.Kind == lkmm.OpStore {
+				histCap[op.Loc]++
+				sbCap[ti]++
+				stores++
+			}
+		}
 	}
-	s.carve()
-	return s
+	slabLen := threads + 2*threads*locs + t.NumRegs
+	states := make([]state, n)
+	hists := make([][]version, n*locs)
+	sbs := make([][]pendingStore, n*threads)
+	versions := make([]version, n*stores)
+	pending := make([]pendingStore, n*stores)
+	pcs := make([]int, n*threads)
+	slab := make([]uint64, n*slabLen)
+	for i := range states {
+		s := &states[i]
+		s.hist, hists = hists[:locs:locs], hists[locs:]
+		for l, c := range histCap {
+			s.hist[l], versions = versions[:0:c], versions[c:]
+		}
+		s.sb, sbs = sbs[:threads:threads], sbs[threads:]
+		for ti, c := range sbCap {
+			s.sb[ti], pending = pending[:0:c], pending[c:]
+		}
+		s.pc, pcs = pcs[:threads:threads], pcs[threads:]
+		s.slab, slab = slab[:slabLen:slabLen], slab[slabLen:]
+		s.carve()
+	}
+	return states
 }
 
 // carve points tRmb, lastCommit, seen and regs at their windows of slab.
@@ -142,25 +175,18 @@ func (s *state) carve() {
 // at indexes thread t's entry for loc in lastCommit and seen.
 func (s *state) at(t, loc int) int { return t*len(s.hist) + loc }
 
-// clone copies the state for one branch of the search.
-func (s *state) clone() *state {
-	ns := &state{
-		clock: s.clock,
-		hist:  make([][]version, len(s.hist)),
-		pc:    append([]int(nil), s.pc...),
-		sb:    make([][]pendingStore, len(s.sb)),
-		slab:  append([]uint64(nil), s.slab...),
+// copyFrom overwrites s, a state of the same test, with src. It copies
+// into the storage s owns, so it allocates nothing.
+func (s *state) copyFrom(src *state) {
+	s.clock = src.clock
+	copy(s.pc, src.pc)
+	copy(s.slab, src.slab)
+	for i, h := range src.hist {
+		s.hist[i] = append(s.hist[i][:0], h...)
 	}
-	ns.carve()
-	for i, h := range s.hist {
-		ns.hist[i] = h[:len(h):len(h)]
+	for i, b := range src.sb {
+		s.sb[i] = append(s.sb[i][:0], b...)
 	}
-	for i, b := range s.sb {
-		if len(b) > 0 {
-			ns.sb[i] = append([]pendingStore(nil), b...)
-		}
-	}
-	return ns
 }
 
 // appendKey appends the state's canonical binary encoding to b for the
@@ -206,7 +232,7 @@ func (s *state) drain(t int) {
 	for _, p := range s.sb[t] {
 		s.commit(t, p.loc, p.val)
 	}
-	s.sb[t] = nil
+	s.sb[t] = s.sb[t][:0]
 }
 
 // current returns the newest version of loc (the memory value) and its
@@ -248,10 +274,12 @@ func (s *state) pendingIndex(t, loc int) int {
 type machine struct {
 	test    *lkmm.Test
 	mm      *memmodel.Table
-	visited map[string]struct{}
-	// key is the reused buffer the current state's key is encoded into.
-	key []byte
-	res *Result
+	visited stateSet
+	// slots[2d] and slots[2d+1] hold the successors of the state explored
+	// at depth d. A successor stays valid until the next step at its
+	// depth, which comes only after its own subtree is explored.
+	slots    []state
+	outcomes *lkmm.OutcomeSet
 }
 
 // Run explores every interleaving of the test's threads across every
@@ -263,46 +291,60 @@ func Run(t *lkmm.Test) *Result { return RunModel(t, memmodel.LKMM) }
 // RunModel is Run under an arbitrary memory model: every transition rule
 // reads its barrier/atomicity semantics from the given table.
 func RunModel(t *lkmm.Test, mm *memmodel.Table) *Result {
-	m := &machine{
-		test:    t,
-		mm:      mm,
-		visited: make(map[string]struct{}),
-		res:     &Result{Outcomes: make(map[lkmm.Outcome]bool)},
+	// Every step retires one op, so the search is at most ops deep; the
+	// extra state is the root.
+	ops := 0
+	for _, th := range t.Threads {
+		ops += len(th)
 	}
-	m.explore(newState(t))
-	m.res.States = len(m.visited)
-	return m.res
+	states := newStates(t, 2*ops+1)
+	m := &machine{
+		test:     t,
+		mm:       mm,
+		visited:  newStateSet(),
+		slots:    states[1:],
+		outcomes: lkmm.NewOutcomeSet(),
+	}
+	m.explore(&states[0], 0)
+	return &Result{Outcomes: m.outcomes.Outcomes, States: m.visited.len()}
 }
 
-// explore recurses over all successor states of s, recording the outcome
-// when every thread has retired.
-func (m *machine) explore(s *state) {
-	m.key = s.appendKey(m.key[:0])
-	if _, ok := m.visited[string(m.key)]; ok {
+// explore recurses over all successor states of s, the state at search
+// depth d, recording the outcome when every thread has retired.
+func (m *machine) explore(s *state, d int) {
+	if !m.visited.insert(s) {
 		return
 	}
-	m.visited[string(m.key)] = struct{}{}
 	done := true
 	for ti := range m.test.Threads {
 		if s.pc[ti] >= len(m.test.Threads[ti]) {
 			continue
 		}
 		done = false
-		for _, ns := range m.step(s, ti) {
-			m.explore(ns)
+		succ, n := m.step(s, ti, d)
+		for _, ns := range succ[:n] {
+			m.explore(ns, d+1)
 		}
 	}
 	if done {
 		// Thread exit drains any remaining buffered stores (the syscall
 		// boundary, §3.1), but draining commits memory only: the registers
 		// are already final.
-		m.res.Outcomes[lkmm.MakeOutcome(s.regs)] = true
+		m.outcomes.Add(s.regs)
 	}
 }
 
-// step executes thread ti's next op and returns every permitted successor
-// — one per nondeterministic choice the memory model grants the op.
-func (m *machine) step(s *state, ti int) []*state {
+// succ returns successor slot k of depth d refilled with a copy of s.
+func (m *machine) succ(s *state, d, k int) *state {
+	ns := &m.slots[2*d+k]
+	ns.copyFrom(s)
+	return ns
+}
+
+// step executes thread ti's next op from s, the state at depth d, and
+// returns every permitted successor — one per nondeterministic choice the
+// memory model grants the op — in depth d's slots.
+func (m *machine) step(s *state, ti, d int) (out [2]*state, n int) {
 	mm := m.mm
 	op := m.test.Threads[ti][s.pc[ti]]
 	switch op.Kind {
@@ -311,7 +353,7 @@ func (m *machine) step(s *state, ti int) []*state {
 		// drain the buffer, load-ordering barriers pin the versioning
 		// window (under LKMM these are exactly the five §10.1 barrier PPO
 		// cases; under TSO only smp_mb does either).
-		ns := s.clone()
+		ns := m.succ(s, d, 0)
 		ns.pc[ti]++
 		if mm.OrdersStores(op.Bar) {
 			ns.drain(ti)
@@ -319,17 +361,17 @@ func (m *machine) step(s *state, ti int) []*state {
 		if mm.OrdersLoads(op.Bar) {
 			ns.tRmb[ti] = ns.clock
 		}
-		return []*state{ns}
+		return [2]*state{ns}, 1
 
 	case lkmm.OpStore:
 		if mm.Release(op.Atomic) {
 			// Case 5 (or a TSO locked RMW): all precedent accesses
 			// complete first; the release store itself is never delayed.
-			ns := s.clone()
+			ns := m.succ(s, d, 0)
 			ns.pc[ti]++
 			ns.drain(ti)
 			ns.commit(ti, op.Loc, op.Val)
-			return []*state{ns}
+			return [2]*state{ns}, 1
 		}
 		if mm.StoreStoreOrdered() {
 			// FIFO store buffer (x86-TSO): no coalescing — a second store
@@ -337,57 +379,57 @@ func (m *machine) step(s *state, ti int) []*state {
 			// in-place commit must drain older buffered stores so
 			// visibility order matches program order. Mirrors the
 			// emulator's FlushPPO rules exactly.
-			inOrder := s.clone()
+			inOrder := m.succ(s, d, 0)
 			inOrder.pc[ti]++
 			inOrder.drain(ti)
 			inOrder.commit(ti, op.Loc, op.Val)
 			if !mm.Delayable(op.Atomic) {
-				return []*state{inOrder}
+				return [2]*state{inOrder}, 1
 			}
-			delayed := s.clone()
+			delayed := m.succ(s, d, 1)
 			if s.pendingIndex(ti, op.Loc) >= 0 {
 				delayed.drain(ti)
 			}
 			delayed.pc[ti]++
 			delayed.sb[ti] = append(delayed.sb[ti], pendingStore{loc: op.Loc, val: op.Val})
-			return []*state{inOrder, delayed}
+			return [2]*state{inOrder, delayed}, 2
 		}
 		if idx := s.pendingIndex(ti, op.Loc); idx >= 0 {
 			// CoWW: same-location program order is preserved by
 			// coalescing into the in-flight entry; the intermediate
 			// value never reaches the coherence order (a real store
 			// buffer also permits this).
-			ns := s.clone()
+			ns := m.succ(s, d, 0)
 			ns.pc[ti]++
 			ns.sb[ti][idx].val = op.Val
-			return []*state{ns}
+			return [2]*state{ns}, 1
 		}
 		// The store-buffering choice of §3.1: commit in place, or — when
 		// the model lets this annotation delay — hold the value back
 		// until the next drain point.
-		inOrder := s.clone()
+		inOrder := m.succ(s, d, 0)
 		inOrder.pc[ti]++
 		inOrder.commit(ti, op.Loc, op.Val)
 		if !mm.Delayable(op.Atomic) {
-			return []*state{inOrder}
+			return [2]*state{inOrder}, 1
 		}
-		delayed := s.clone()
+		delayed := m.succ(s, d, 1)
 		delayed.pc[ti]++
 		delayed.sb[ti] = append(delayed.sb[ti], pendingStore{loc: op.Loc, val: op.Val})
-		return []*state{inOrder, delayed}
+		return [2]*state{inOrder, delayed}, 2
 
 	case lkmm.OpLoad:
 		if idx := s.pendingIndex(ti, op.Loc); idx >= 0 {
 			// CoWR: an in-flight own store must be forwarded. The
 			// forwarded value is not yet in the coherence order, so the
 			// seen floor does not move.
-			ns := s.clone()
+			ns := m.succ(s, d, 0)
 			ns.pc[ti]++
 			ns.regs[op.Reg] = ns.sb[ti][idx].val
 			if mm.LoadBarrier(op.Atomic) {
 				ns.tRmb[ti] = ns.clock
 			}
-			return []*state{ns}
+			return [2]*state{ns}, 1
 		}
 		// The versioning choice of §3.2: observe the current value, or —
 		// when the model lets this annotation version — the value the
@@ -397,7 +439,8 @@ func (m *machine) step(s *state, ti int) []*state {
 		// loads (TSO: no invalidation-queue effects) always reads the
 		// current value.
 		curVal, curTime := s.current(op.Loc)
-		out := []*state{m.readLoad(s, ti, op, curVal, curTime)}
+		out[0] = m.readLoad(m.succ(s, d, 0), ti, op, curVal, curTime)
+		n = 1
 		if mm.Versionable(op.Atomic) {
 			floor := s.tRmb[ti]
 			if lc := s.lastCommit[s.at(ti, op.Loc)]; lc > floor {
@@ -407,20 +450,21 @@ func (m *machine) step(s *state, ti int) []*state {
 				floor = sv
 			}
 			if oldVal, oldTime := s.valueAt(op.Loc, floor); oldTime != curTime {
-				out = append(out, m.readLoad(s, ti, op, oldVal, oldTime))
+				out[1] = m.readLoad(m.succ(s, d, 1), ti, op, oldVal, oldTime)
+				n = 2
 			}
 		}
-		return out
+		return out, n
 	}
 	panic(fmt.Sprintf("model: unknown op kind %d", op.Kind))
 }
 
-// readLoad builds the successor state of a (non-forwarded) load observing
-// the version (val, time): the register and the CoRR floor update, plus
-// the window pin of model-designated load-barrier annotations (LKMM Cases
-// 4 and 6; acquire only under ARMv8).
-func (m *machine) readLoad(s *state, ti int, op lkmm.Op, val, time uint64) *state {
-	ns := s.clone()
+// readLoad turns ns, a copy of the pre-load state, into the successor of
+// a (non-forwarded) load observing the version (val, time): the register
+// and the CoRR floor update, plus the window pin of model-designated
+// load-barrier annotations (LKMM Cases 4 and 6; acquire only under
+// ARMv8).
+func (m *machine) readLoad(ns *state, ti int, op lkmm.Op, val, time uint64) *state {
 	ns.pc[ti]++
 	ns.regs[op.Reg] = val
 	ns.seen[ns.at(ti, op.Loc)] = time
@@ -428,4 +472,82 @@ func (m *machine) readLoad(s *state, ti int, op lkmm.Op, val, time uint64) *stat
 		ns.tRmb[ti] = ns.clock
 	}
 	return ns
+}
+
+// stateSet is the visited-state set. Keys are appended back to back to
+// one arena, and an open-addressing table maps each key's hash to its
+// index, so inserting a new state costs no allocation of its own and
+// looking up a visited one costs none at all.
+type stateSet struct {
+	arena []byte
+	// ends[i] is the arena offset just past key i; key i starts where key
+	// i-1 ends.
+	ends []uint32
+	// table holds tag<<32 | (i+1) for key i, where tag is the high half of
+	// the key's hash; 0 marks an empty slot. The low bits of the tag pick
+	// the home slot, and the table is kept at most half full.
+	table []uint64
+	seed  maphash.Seed
+}
+
+func newStateSet() stateSet {
+	return stateSet{
+		arena: make([]byte, 0, 4096),
+		ends:  make([]uint32, 0, 128),
+		table: make([]uint64, 256),
+		seed:  maphash.MakeSeed(),
+	}
+}
+
+func (v *stateSet) len() int { return len(v.ends) }
+
+// key returns key i's bytes.
+func (v *stateSet) key(i int) []byte {
+	start := uint32(0)
+	if i > 0 {
+		start = v.ends[i-1]
+	}
+	return v.arena[start:v.ends[i]]
+}
+
+// insert adds s's key and reports whether it was new. A key already
+// present is truncated off the arena again.
+func (v *stateSet) insert(s *state) bool {
+	start := len(v.arena)
+	v.arena = s.appendKey(v.arena)
+	k := v.arena[start:]
+	tag := maphash.Bytes(v.seed, k) >> 32
+	mask := uint64(len(v.table) - 1)
+	for i := tag & mask; ; i = (i + 1) & mask {
+		e := v.table[i]
+		if e == 0 {
+			v.ends = append(v.ends, uint32(len(v.arena)))
+			v.table[i] = tag<<32 | uint64(len(v.ends))
+			if 2*len(v.ends) > len(v.table) {
+				v.grow()
+			}
+			return true
+		}
+		if e>>32 == tag && bytes.Equal(v.key(int(uint32(e))-1), k) {
+			v.arena = v.arena[:start]
+			return false
+		}
+	}
+}
+
+// grow doubles the table and reinserts every entry by its stored tag.
+func (v *stateSet) grow() {
+	old := v.table
+	v.table = make([]uint64, 2*len(old))
+	mask := uint64(len(v.table) - 1)
+	for _, e := range old {
+		if e == 0 {
+			continue
+		}
+		i := (e >> 32) & mask
+		for v.table[i] != 0 {
+			i = (i + 1) & mask
+		}
+		v.table[i] = e
+	}
 }

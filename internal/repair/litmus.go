@@ -31,9 +31,8 @@ func litmusLabels(t *lkmm.Test) [][]string {
 // model, legality runs the reference enumerator, and closure re-checks
 // each candidate through the OEMU-driven enumeration (lkmm.RunModel) —
 // the same emulator campaigns execute in vivo. Fences may be placed on
-// any thread. Repaired tests wider than the OEMU enumerator's 12
-// directive-site bound skip the closure layer and validate on legality
-// alone.
+// any thread. Repaired tests with more than lkmm.MaxDirectiveSites
+// directive sites skip the closure layer and validate on legality alone.
 func Litmus(test *lkmm.Test, opts Options) *Result {
 	p := newProblem(test, litmusLabels(test), opts, -1)
 	return p.run(test.Name, "litmus")

@@ -146,8 +146,9 @@ func TestEnumerationDeterminism(t *testing.T) {
 }
 
 // TestLegalityMemo runs the Litmus search over every suite shape with a
-// counting reference enumerator: with the legality memo, no (repaired
-// test, model) pair may be explored twice — across size classes, per-model
+// counting reference enumerator and a counting OEMU litmus enumerator:
+// with the legality and litmus closure memos, no (repaired test, model)
+// pair may be explored twice by either — across size classes, per-model
 // reports, or concurrent workers — and the result must deep-equal both
 // Litmus and the unmemoized search.
 func TestLegalityMemo(t *testing.T) {
@@ -156,6 +157,7 @@ func TestLegalityMemo(t *testing.T) {
 			opts := Options{Workers: workers}
 			var mu sync.Mutex
 			explored := map[string]int{}
+			closed := map[string]int{}
 			p := newProblem(e.Test, litmusLabels(e.Test), opts, -1)
 			p.enumerate = func(test *lkmm.Test, mm *memmodel.Table) *model.Result {
 				mu.Lock()
@@ -163,10 +165,21 @@ func TestLegalityMemo(t *testing.T) {
 				mu.Unlock()
 				return model.RunModel(test, mm)
 			}
+			p.litmusRun = func(test *lkmm.Test, mm *memmodel.Table) *lkmm.Result {
+				mu.Lock()
+				closed[fmt.Sprintf("%s %v", mm.Name(), test.Threads)]++
+				mu.Unlock()
+				return lkmm.RunModel(test, mm)
+			}
 			got := p.run(e.Test.Name, "litmus")
 			for k, n := range explored {
 				if n > 1 {
 					t.Errorf("%s (workers=%d): %d explorations of %s", e.Test.Name, workers, n, k)
+				}
+			}
+			for k, n := range closed {
+				if n > 1 {
+					t.Errorf("%s (workers=%d): %d litmus closure enumerations of %s", e.Test.Name, workers, n, k)
 				}
 			}
 			if want := Litmus(e.Test, opts); !reflect.DeepEqual(got, want) {
@@ -174,7 +187,7 @@ func TestLegalityMemo(t *testing.T) {
 					e.Test.Name, workers, got.Render(), want.Render())
 			}
 			plain := newProblem(e.Test, litmusLabels(e.Test), opts, -1)
-			plain.legality = nil
+			plain.legality, plain.litmusClosed = nil, nil
 			if want := plain.run(e.Test.Name, "litmus"); !reflect.DeepEqual(got, want) {
 				t.Errorf("%s (workers=%d): memoized search diverged from unmemoized:\ngot:  %s\nwant: %s",
 					e.Test.Name, workers, got.Render(), want.Render())

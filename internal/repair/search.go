@@ -66,11 +66,14 @@ type problem struct {
 	// abstraction, in vivo); -1 allows every thread (litmus mode).
 	restrict int
 	// closure overrides the closure oracle; nil falls back to the
-	// OEMU-driven litmus enumeration (lkmm.RunModel).
+	// OEMU-driven litmus enumeration (litmusRun).
 	closure func(fences []Fence, mm *memmodel.Table) bool
 	// enumerate is the reference enumerator behind buggy sets and
 	// legality (model.RunModel).
 	enumerate func(t *lkmm.Test, mm *memmodel.Table) *model.Result
+	// litmusRun is the OEMU litmus enumerator behind the litmus closure
+	// (lkmm.RunModel).
+	litmusRun func(t *lkmm.Test, mm *memmodel.Table) *lkmm.Result
 
 	mu    sync.Mutex
 	buggy map[string][]lkmm.Outcome
@@ -79,17 +82,21 @@ type problem struct {
 	// minimality checks reuse the size-(k-1) verdicts and per-model
 	// reports reuse the primary model's. nil disables the memo.
 	legality map[legalKey]*legalVerdict
+	// litmusClosed memoizes litmus closure verdicts the same way, so
+	// per-model reports reuse the closure validate just passed. The
+	// in-vivo closure is never memoized. nil disables the memo.
+	litmusClosed map[legalKey]*legalVerdict
 }
 
-// legalKey identifies one legality verdict: a candidate's fence set (see
+// legalKey identifies one memoized verdict: a candidate's fence set (see
 // fenceSetKey) under one model.
 type legalKey struct {
 	model  string
 	fences string
 }
 
-// legalVerdict is one memoized legality verdict. once makes concurrent
-// validation workers that need the same verdict share one enumeration.
+// legalVerdict is one memoized verdict. once makes concurrent validation
+// workers that need the same verdict share one enumeration.
 type legalVerdict struct {
 	once sync.Once
 	ok   bool
@@ -97,14 +104,16 @@ type legalVerdict struct {
 
 func newProblem(test *lkmm.Test, labels [][]string, opts Options, restrict int) *problem {
 	return &problem{
-		test:      test,
-		labels:    labels,
-		primary:   opts.model(),
-		opts:      opts,
-		restrict:  restrict,
-		enumerate: model.RunModel,
-		buggy:     map[string][]lkmm.Outcome{},
-		legality:  map[legalKey]*legalVerdict{},
+		test:         test,
+		labels:       labels,
+		primary:      opts.model(),
+		opts:         opts,
+		restrict:     restrict,
+		enumerate:    model.RunModel,
+		litmusRun:    lkmm.RunModel,
+		buggy:        map[string][]lkmm.Outcome{},
+		legality:     map[legalKey]*legalVerdict{},
+		litmusClosed: map[legalKey]*legalVerdict{},
 	}
 }
 
@@ -292,18 +301,24 @@ func fenceSetKey(fences []Fence) string {
 // under mm, per the reference enumerator. Verdicts are memoized per
 // (fence set, model).
 func (p *problem) legal(fences []Fence, mm *memmodel.Table) bool {
-	if p.legality == nil {
-		return p.checkLegal(fences, mm)
+	return p.memo(p.legality, fences, mm, p.checkLegal)
+}
+
+// memo returns check's verdict on (fences, mm), computing it at most once
+// per key of verdicts. A nil verdicts map disables the memo.
+func (p *problem) memo(verdicts map[legalKey]*legalVerdict, fences []Fence, mm *memmodel.Table, check func([]Fence, *memmodel.Table) bool) bool {
+	if verdicts == nil {
+		return check(fences, mm)
 	}
 	k := legalKey{model: mm.Name(), fences: fenceSetKey(fences)}
 	p.mu.Lock()
-	v := p.legality[k]
+	v := verdicts[k]
 	if v == nil {
 		v = &legalVerdict{}
-		p.legality[k] = v
+		verdicts[k] = v
 	}
 	p.mu.Unlock()
-	v.once.Do(func() { v.ok = p.checkLegal(fences, mm) })
+	v.once.Do(func() { v.ok = check(fences, mm) })
 	return v.ok
 }
 
@@ -318,33 +333,27 @@ func (p *problem) checkLegal(fences []Fence, mm *memmodel.Table) bool {
 	return true
 }
 
-// maxDirectiveSites is the reference OEMU enumerator's directive-site
-// bound (lkmm.RunModel panics above it); wider repaired tests skip the
-// OEMU closure check and rely on legality alone.
-const maxDirectiveSites = 12
-
 // closes reports whether the candidate closes the bug under mm in the
 // live layer: the injected in-vivo oracle when present, otherwise the
-// OEMU-driven litmus enumeration of the repaired test. Unlike legality,
-// closure is not memoized, so the engine executes exactly the runs an
-// unmemoized search would.
+// OEMU-driven litmus enumeration of the repaired test. Only the litmus
+// closure, a pure function of (fence set, model), is memoized: the
+// in-vivo oracle runs the engine, and its runs are counted, so it
+// executes exactly the runs an unmemoized search would.
 func (p *problem) closes(fences []Fence, mm *memmodel.Table) bool {
 	if p.closure != nil {
 		return p.closure(fences, mm)
 	}
+	return p.memo(p.litmusClosed, fences, mm, p.litmusCloses)
+}
+
+// litmusCloses runs the OEMU litmus enumeration over the repaired test.
+func (p *problem) litmusCloses(fences []Fence, mm *memmodel.Table) bool {
 	repaired := applyFences(p.test, fences)
-	sites := 0
-	for _, ops := range repaired.Threads {
-		for _, op := range ops {
-			if op.Kind == lkmm.OpStore || op.Kind == lkmm.OpLoad {
-				sites++
-			}
-		}
-	}
-	if sites > maxDirectiveSites {
+	if len(lkmm.DirectiveSites(repaired)) > lkmm.MaxDirectiveSites {
+		// Too wide for the OEMU enumeration: rely on legality alone.
 		return true
 	}
-	res := lkmm.RunModel(repaired, mm)
+	res := p.litmusRun(repaired, mm)
 	for _, o := range p.buggySet(mm) {
 		if res.Has(o) {
 			return false
