@@ -42,9 +42,10 @@ func BenchmarkTable3FindNewBugs(b *testing.B) {
 
 // BenchmarkTable4ReproduceKnown reproduces the 9 previously-reported bugs
 // and reports the reproduction count (paper: 8 of 9 with pinned threads,
-// +1 with a manual migration assist; here the Migration strategy makes it
-// 9/9 organically) and the mean number of hypothetical-barrier tests to
-// trigger (paper: tens of tests). The pinned-thread control re-checks that
+// +1 with a manual migration assist; here OOO's cross-CPU move at
+// migration-sensitive scheduling points makes it 9/9 organically) and the
+// mean number of hypothetical-barrier tests to trigger (paper: tens of
+// tests). The pinned-thread control re-checks that
 // sbitmap does NOT fire without cross-CPU moves.
 func BenchmarkTable4ReproduceKnown(b *testing.B) {
 	repro, totalTests, viaMigration, pinnedControl := 0, 0, 0, 0

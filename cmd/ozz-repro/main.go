@@ -7,14 +7,11 @@
 // Usage:
 //
 //	ozz-repro -bug tls:sk_prot_wmb [-budget 200] [-seed 42]
-//	ozz-repro -bug sbitmap:freed_order [-strategy migration]
 //	ozz-repro -list
 //
-// -strategy selects the engine strategy ("ooo", "migration", "deferred").
-// When omitted it defaults to the strategy the bug's corpus entry declares
-// (BugInfo.Strategy) — so `ozz-repro -bug sbitmap:freed_order` reproduces
-// Table 4 #6 through real cross-CPU migration with no extra flags
-// (docs/SCHEDULING.md).
+// Every bug reproduces under the migration-aware OOO executor, so
+// `ozz-repro -bug sbitmap:freed_order` reproduces Table 4 #6 through a
+// real cross-CPU migration with no extra flags (docs/SCHEDULING.md).
 package main
 
 import (
@@ -24,7 +21,6 @@ import (
 
 	"ozz/internal/bench"
 	"ozz/internal/core"
-	"ozz/internal/engine"
 	"ozz/internal/modules"
 )
 
@@ -34,7 +30,6 @@ func main() {
 		budget = flag.Int("budget", 200, "max fuzzer steps")
 		seed   = flag.Int64("seed", 42, "campaign seed")
 		list   = flag.Bool("list", false, "list bug switches and exit")
-		strat  = flag.String("strategy", "", `engine strategy: "ooo", "migration", or "deferred" (default: the bug's declared strategy)`)
 		fix    = flag.Bool("repair", false, "search for a fence repair and print the suggestion (docs/REPAIR.md)")
 	)
 	flag.Parse()
@@ -51,30 +46,16 @@ func main() {
 		os.Exit(2)
 	}
 
-	// An unset -strategy defers to the strategy the corpus entry declares,
-	// so migration-gated bugs reproduce with no extra flags.
-	strategy := *strat
-	if strategy == "" {
-		strategy = b.Strategy
-	}
-	if _, err := engine.ParseStrategy(strategy); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
 	p := core.NewPool(core.Config{
 		Modules:  []string{b.Module},
 		Bugs:     modules.Bugs(b.Switch),
 		Seed:     *seed,
 		UseSeeds: true,
-		Strategy: strategy,
 		Repair:   *fix,
 	}, 1)
 	want := b.Title
 	if want == "" {
 		want = b.SoftTitle
-	}
-	if strategy != "" && strategy != "ooo" {
-		fmt.Printf("strategy: %s\n", strategy)
 	}
 	fmt.Printf("reproducing %s (%s, %s, kernel %s)...\n", b.ID, b.Switch, b.Subsystem, b.KernelVersion)
 	r := p.RunUntil(want, *budget)

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	ozz [-modules tls,xsk] [-bugs all|sw1,sw2] [-steps 500] [-seed 1] [-workers 4] [-strategy migration] [-v]
+//	ozz [-modules tls,xsk] [-bugs all|sw1,sw2] [-steps 500] [-seed 1] [-workers 4] [-v]
 //	ozz -duration 30s -metrics-addr 127.0.0.1:9911 -events events.jsonl
 //	ozz -mode manager -listen 127.0.0.1:9900 -steps 600 -shard-steps 20
 //	ozz -mode worker -manager http://127.0.0.1:9900
@@ -13,11 +13,10 @@
 // the fuzzer hunts the whole corpus. With -bugs "" the kernel is fully
 // fixed and a clean campaign is expected to find nothing.
 //
-// -strategy selects the engine strategy reordering tests run under
-// (standalone mode only): "ooo" (default), "migration" (real cross-CPU
-// moves at scheduling points for migration-annotated hints — what
-// reproduces Table 4 #6 organically), or "deferred" (interrupt handlers
-// spawned as schedulable tasks at deferral points). See docs/SCHEDULING.md.
+// Reordering tests run under the migration-aware OOO executor: at the
+// scheduling point of a hint whose racing pair shares a per-CPU location,
+// the observer task migrates to the prefix CPU — what reproduces Table 4
+// #6 organically. See docs/SCHEDULING.md.
 //
 // The campaign runs on the parallel Pool executor at -workers width. The
 // step sequence is deterministic in the campaign seed, so any worker count
@@ -61,7 +60,6 @@ import (
 
 	"ozz/internal/core"
 	"ozz/internal/dist"
-	"ozz/internal/engine"
 	"ozz/internal/memmodel"
 	"ozz/internal/modules"
 	"ozz/internal/obs"
@@ -81,7 +79,6 @@ func main() {
 		corpusIn  = flag.String("corpus-in", "", "file with a previously exported corpus to resume from")
 		corpusOut = flag.String("corpus-out", "", "file to export the coverage corpus to at exit")
 		model     = flag.String("model", "lkmm", "memory model OEMU emulates: "+strings.Join(memmodel.Names(), ", "))
-		strategy  = flag.String("strategy", "ooo", `engine strategy for reordering tests: "ooo", "migration", or "deferred" (standalone mode only)`)
 
 		duration    = flag.Duration("duration", 0, "wall-clock campaign budget; when > 0 it replaces -steps")
 		metricsAddr = flag.String("metrics-addr", "", `serve /metrics and /debug/pprof/ on this address (e.g. "127.0.0.1:9911"; ":0" picks a free port)`)
@@ -135,15 +132,6 @@ func main() {
 	}
 	bugSet := modules.Bugs(bugNames...)
 
-	if _, err := engine.ParseStrategy(*strategy); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	if *strategy != "" && *strategy != "ooo" && *mode != "standalone" {
-		fmt.Fprintf(os.Stderr, "-strategy %s is only supported in standalone mode\n", *strategy)
-		os.Exit(1)
-	}
-
 	mm, err := memmodel.ByName(*model)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -187,7 +175,7 @@ func main() {
 			modList: modList, bugSet: bugSet, seed: *seed, workers: *workers,
 			steps: *steps, duration: *duration, verbose: *v,
 			corpusIn: *corpusIn, corpusOut: *corpusOut, model: mm,
-			strategy: *strategy, reg: reg, events: events,
+			reg: reg, events: events,
 		})
 	case "manager":
 		runManager(ctx, dist.ManagerConfig{
@@ -243,7 +231,6 @@ type standaloneConfig struct {
 	corpusIn  string
 	corpusOut string
 	model     *memmodel.Table
-	strategy  string
 	reg       *obs.Registry
 	events    *obs.EventLog
 }
@@ -262,7 +249,6 @@ func runStandalone(ctx context.Context, cfg standaloneConfig) {
 		Seed:     cfg.seed,
 		UseSeeds: true,
 		Model:    cfg.model,
-		Strategy: cfg.strategy,
 		Obs:      cfg.reg,
 		Events:   cfg.events,
 	}, cfg.workers)

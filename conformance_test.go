@@ -39,12 +39,10 @@ type mtiOutcome struct {
 	Fired     bool   `json:"fired"`
 	Reordered int    `json:"reordered"`
 	CovEdges  int    `json:"cov_edges"`
-	// Migrations and Deferred count the strategy-specific events of the
-	// run (cross-CPU moves, spawned handler tasks). Zero — and therefore
-	// omitted, keeping the pre-existing fixtures byte-identical — for the
-	// plain OOO strategy.
+	// Migrations counts the run's cross-CPU moves. Zero — and therefore
+	// omitted, keeping the pre-existing fixtures byte-identical — for
+	// hints without per-CPU migration sites.
 	Migrations int `json:"migrations,omitempty"`
-	Deferred   int `json:"deferred,omitempty"`
 }
 
 // oooFixture captures the OOO strategy over one (bug, program) pair: the
@@ -91,27 +89,15 @@ type golden struct {
 	KCSANBitlockTitles   []string `json:"kcsan_bitlock_titles"`
 	// Full campaign through the pool executor.
 	Pool campaignFixture `json:"pool"`
-	// Migration strategy: Table 4 #6 reproduced organically via real
-	// cross-CPU moves at scheduling points (no migration assist).
+	// OOO strategy on Table 4 #6: reproduced organically via a real
+	// cross-CPU move at the scheduling point (no migration assist).
 	MigrationSbitmap oooFixture `json:"migration_sbitmap"`
-	// Deferred strategy: the Fig. 1 program with the interrupt handler
-	// spawned as a schedulable task at the deferral point instead of
-	// drained synchronously.
-	DeferredWQ oooFixture `json:"deferred_wq"`
 }
 
 func captureOOO(t *testing.T, bugSwitch, progSrc string, pairI, pairJ int) oooFixture {
 	t.Helper()
-	return captureStrategy(t, nil, bugSwitch, progSrc, pairI, pairJ)
-}
-
-// captureStrategy is captureOOO with the MTI engine strategy selectable
-// (nil = the default OOO executor).
-func captureStrategy(t *testing.T, strat engine.Strategy, bugSwitch, progSrc string, pairI, pairJ int) oooFixture {
-	t.Helper()
 	mods := []string{modsOf(t, bugSwitch)}
 	env := core.NewEnv(mods, modules.Bugs(bugSwitch))
-	env.Strategy = strat
 	target := modules.Target(mods...)
 	p, err := target.Parse(progSrc)
 	if err != nil {
@@ -133,7 +119,7 @@ func captureStrategy(t *testing.T, strat engine.Strategy, bugSwitch, progSrc str
 		res := env.RunMTI(core.MTIOpts{Prog: p, I: pairI, J: pairJ, Hint: h})
 		o := mtiOutcome{
 			Fired: res.Fired, Reordered: res.Reordered, CovEdges: len(res.Cov),
-			Migrations: res.Migrations, Deferred: res.DeferredTasks,
+			Migrations: res.Migrations,
 		}
 		if res.Crash != nil {
 			o.Title = res.Crash.Title
@@ -256,12 +242,9 @@ func capture(t *testing.T) golden {
 	g.Pool = captureCampaignStats(ps,
 		append([]string{}, pl.Reports.Titles()...), pooo, pl.Reports.Len(), pl.CoverageEdges())
 
-	// --- Migration: Table 4 #6 via real cross-CPU moves (no assist).
+	// --- Migration: Table 4 #6 via a real cross-CPU move (no assist).
 	const sbProg = "r0 = sb_init()\nsb_get(r0)\nsb_get(r0)\nsb_get(r0)\nsb_resize(r0, 0x3)\nsb_get(r0)\n"
-	g.MigrationSbitmap = captureStrategy(t, engine.Migration{}, "sbitmap:freed_order", sbProg, 4, 5)
-
-	// --- Deferred: Fig. 1 with the handler spawned as a task.
-	g.DeferredWQ = captureStrategy(t, engine.Deferred{}, "watchqueue:pipe_wmb", wqProg, 1, 2)
+	g.MigrationSbitmap = captureOOO(t, "sbitmap:freed_order", sbProg, 4, 5)
 
 	return g
 }
@@ -312,7 +295,6 @@ func TestEngineConformance(t *testing.T) {
 	check("kcsan_bitlock_titles", got.KCSANBitlockTitles, want.KCSANBitlockTitles)
 	check("pool_campaign", got.Pool, want.Pool)
 	check("migration_sbitmap", got.MigrationSbitmap, want.MigrationSbitmap)
-	check("deferred_wq", got.DeferredWQ, want.DeferredWQ)
 }
 
 // TestCrossStrategyProperties pins the relationships BETWEEN strategies
@@ -399,57 +381,36 @@ func TestCrossStrategyProperties(t *testing.T) {
 		}
 	})
 
-	// Property 3: the Migration strategy degenerates to plain OOO whenever
-	// a hint carries no per-CPU migration sites — the MigrateAt wrapper is
-	// only installed for migration-annotated hints, so on every other hint
-	// the two strategies must be indistinguishable run by run: same crash,
-	// same returns, same reorder count, same coverage, and zero cross-CPU
-	// moves. Checked over every module's seed corpus.
+	// Property 3: a hint with no per-CPU migration sites never migrates —
+	// the MigrateAt wrapper is only installed for migration-annotated
+	// hints, so every other hint runs the paper's pinned-thread test with
+	// zero cross-CPU moves. Checked over every hint of every module's seed
+	// corpus; the annotated hints must migrate at least once, so the
+	// property is not vacuous.
 	t.Run("migration-without-sites-is-ooo", func(t *testing.T) {
-		bugs := modules.Bugs(allOOOSwitches()...)
+		env := core.NewEnv(nil, modules.Bugs(allOOOSwitches()...))
 		target := modules.Target()
-		envO := core.NewEnv(nil, bugs)
-		envM := core.NewEnv(nil, bugs)
-		envM.Strategy = engine.Migration{}
-		checked := 0
+		checked, migrated := 0, 0
 		for i, src := range modules.Seeds() {
 			p, err := target.Parse(src)
 			if err != nil {
 				t.Fatalf("seed %d: %v", i, err)
 			}
-			sti := envO.RunSTI(p)
+			sti := env.RunSTI(p)
 			if sti.Crash != nil || len(sti.CallEvents) < 2 {
 				continue
 			}
 			for a := 0; a < len(sti.CallEvents)-1; a++ {
 				for b := a + 1; b < len(sti.CallEvents); b++ {
 					for _, h := range hints.Calculate(sti.CallEvents[a], sti.CallEvents[b]) {
+						res := env.RunMTI(core.MTIOpts{Prog: p, I: a, J: b, Hint: h})
 						if len(h.Migrate) != 0 {
+							migrated += res.Migrations
 							continue
 						}
-						opts := core.MTIOpts{Prog: p, I: a, J: b, Hint: h}
-						ro := envO.RunMTI(opts)
-						rm := envM.RunMTI(opts)
-						if rm.Migrations != 0 {
+						if res.Migrations != 0 {
 							t.Fatalf("seed %d pair (%d,%d) hint %s: %d migrations without migration sites",
-								i, a, b, h, rm.Migrations)
-						}
-						if (ro.Crash == nil) != (rm.Crash == nil) ||
-							(ro.Crash != nil && ro.Crash.Title != rm.Crash.Title) {
-							t.Fatalf("seed %d pair (%d,%d) hint %s: crash differs: ooo=%v migration=%v",
-								i, a, b, h, ro.Crash, rm.Crash)
-						}
-						if ro.Fired != rm.Fired || ro.Reordered != rm.Reordered {
-							t.Fatalf("seed %d pair (%d,%d) hint %s: fired/reordered differ: (%v,%d) vs (%v,%d)",
-								i, a, b, h, ro.Fired, ro.Reordered, rm.Fired, rm.Reordered)
-						}
-						if !reflect.DeepEqual(ro.Returns, rm.Returns) {
-							t.Fatalf("seed %d pair (%d,%d) hint %s: returns differ: %v vs %v",
-								i, a, b, h, ro.Returns, rm.Returns)
-						}
-						if len(ro.Cov) != len(rm.Cov) {
-							t.Fatalf("seed %d pair (%d,%d) hint %s: coverage differs: %d vs %d edges",
-								i, a, b, h, len(ro.Cov), len(rm.Cov))
+								i, a, b, h, res.Migrations)
 						}
 						checked++
 					}
@@ -458,6 +419,9 @@ func TestCrossStrategyProperties(t *testing.T) {
 		}
 		if checked == 0 {
 			t.Fatal("no migration-free hints in the whole seed corpus")
+		}
+		if migrated == 0 {
+			t.Fatal("no migration-annotated hint ever migrated")
 		}
 	})
 

@@ -94,8 +94,8 @@ func TestRunTable3AllFound(t *testing.T) {
 	}
 }
 
-// TestRunTable4Shape: all 9 reproduce (sbitmap via its declared Migration
-// strategy); the S-S/L-L split matches the paper's corpus (6+3 with the
+// TestRunTable4Shape: all 9 reproduce (sbitmap via OOO's cross-CPU
+// move); the S-S/L-L split matches the paper's corpus (6+3 with the
 // sbitmap S-S row included); the pinned-thread control stays negative.
 func TestRunTable4Shape(t *testing.T) {
 	rows := RunTable4(80)

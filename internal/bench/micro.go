@@ -164,7 +164,7 @@ func MicroSchedSwitch(b *testing.B) {
 }
 
 // MicroCombinatorDispatch measures a scheduling point dispatched through
-// the predicate-combinator stack the Migration strategy builds
+// a migration-aware predicate-combinator stack
 // (MigrateAt → Guarded → Breakpoint) on its non-matching fast path — the
 // cost every yield pays when a migration-aware policy is armed but idle.
 func MicroCombinatorDispatch(b *testing.B) {

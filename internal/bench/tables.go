@@ -6,7 +6,9 @@ import (
 
 	"ozz/internal/baseline/ofence"
 	"ozz/internal/core"
+	"ozz/internal/engine"
 	"ozz/internal/modules"
+	"ozz/internal/sched"
 )
 
 // BugRunResult is one row of the Table 3 / Table 4 harnesses.
@@ -24,17 +26,18 @@ type BugRunResult struct {
 }
 
 // runBug runs a seeded OZZ campaign against one bug and reports the
-// outcome. The campaign uses the engine strategy the bug
-// declares (BugInfo.Strategy), so migration-sensitive bugs run under the
-// Migration strategy with no per-row special casing.
-func runBug(b modules.BugInfo, budget int) BugRunResult {
+// outcome. The campaign's MTIs run under strat, or under the default
+// migration-aware OOO strategy when strat is nil.
+func runBug(b modules.BugInfo, budget int, strat engine.Strategy) BugRunResult {
 	p := core.NewPool(campaignConfig(core.Config{
 		Modules:  []string{b.Module},
 		Bugs:     modules.Bugs(b.Switch),
 		Seed:     42,
 		UseSeeds: true,
-		Strategy: b.Strategy,
 	}), 1)
+	if strat != nil {
+		p.Env().Strategy = strat
+	}
 	want := b.Title
 	if want == "" {
 		want = b.SoftTitle
@@ -53,7 +56,7 @@ func RunTable3(budget int) []BugRunResult {
 		if b.Table != 3 {
 			continue
 		}
-		rows = append(rows, runBug(b, budget))
+		rows = append(rows, runBug(b, budget, nil))
 	}
 	return rows
 }
@@ -74,7 +77,7 @@ func FormatTable3(rows []BugRunResult) string {
 }
 
 // RunTable4 reproduces Table 4: the known-bug benchmark. Every row —
-// sbitmap included — runs under its declared strategy, so the
+// sbitmap included — runs under the migration-aware OOO strategy, so the
 // migration-sensitive #6 reproduces organically (9/9; the paper reports
 // 8/9 with pinned threads plus a manual §6.2 assist).
 func RunTable4(budget int) []BugRunResult {
@@ -83,19 +86,34 @@ func RunTable4(budget int) []BugRunResult {
 		if b.Table != 4 {
 			continue
 		}
-		rows = append(rows, runBug(b, budget))
+		rows = append(rows, runBug(b, budget, nil))
 	}
 	return rows
 }
 
-// RunSbitmapPinned is the §6.2 negative control: sbitmap under the plain
-// OOO executor (pinned threads, no cross-CPU moves) must NOT reproduce —
-// each thread resolves its own per-CPU copy, so the freed word is never
-// observed stale. The Migration strategy row in RunTable4 is the positive.
+// RunSbitmapPinned is the §6.2 negative control: sbitmap under the
+// paper's pinned-thread OOO executor (no cross-CPU moves) must NOT
+// reproduce — each thread resolves its own per-CPU copy, so the freed word
+// is never observed stale. The sbitmap row in RunTable4 is the positive.
 func RunSbitmapPinned(budget int) BugRunResult {
 	b, _ := modules.FindBug("sbitmap:freed_order")
-	b.Strategy = "" // force pinned-thread OOO
-	return runBug(b, budget)
+	return runBug(b, budget, pinned{})
+}
+
+// pinned is the OOO strategy with its migration removed: the plan's
+// sched.MigrateAt wrapper, present for migration-sensitive hints, is
+// replaced by the breakpoint it wraps, so both tasks stay on their CPUs.
+type pinned struct{ engine.OOO }
+
+// Pair implements engine.Strategy.
+func (pinned) Pair(cfg *engine.Config, req *engine.Request) *engine.PairPlan {
+	plan := engine.OOO{}.Pair(cfg, req)
+	if plan != nil {
+		if ma, ok := plan.Policy.(*sched.MigrateAt); ok {
+			plan.Policy = ma.Inner
+		}
+	}
+	return plan
 }
 
 // FormatTable4 renders the Table 4 text table.
@@ -143,7 +161,7 @@ func RunHeuristic(budget int) ([]HeuristicRow, map[int]int) {
 		if b.Type == "" || b.Switch == "sbitmap:freed_order" {
 			continue
 		}
-		r := runBug(b, budget)
+		r := runBug(b, budget, nil)
 		if !r.Found {
 			continue
 		}

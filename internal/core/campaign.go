@@ -47,13 +47,12 @@ type Config struct {
 	// findings are additionally probed under every other registered
 	// model to fill the report's "reorders under" line.
 	Model *memmodel.Table
-	// Strategy selects the engine strategy MTI runs execute under:
-	// "" or "ooo" (default), "migration", or "deferred" — see
-	// engine.ParseStrategy. Migration performs real cross-CPU task moves
-	// at migration-sensitive scheduling points (Table 4 #6); Deferred
-	// models interrupt handlers as schedulable deferred-work tasks.
-	// Campaign findings under a non-default strategy carry it in
-	// report.Report.Strategy.
+	// Strategy names the engine strategy MTI runs execute under; see
+	// engine.ParseStrategy. Every accepted label ("", "ooo", and the
+	// retired "migration") selects the migration-aware OOO executor.
+	//
+	// Deprecated: OOO is the only campaign strategy. The field remains
+	// only for callers that still pass the "migration" label.
 	Strategy string
 	// Repair, when true, runs the automatic fence-repair search
 	// (internal/repair) on every newly-discovered OOO finding and
@@ -124,16 +123,12 @@ type Stats struct {
 	NewCov    uint64 // runs that grew coverage
 	CorpusLen int    // programs in the coverage corpus
 
-	// Migrations counts real cross-CPU task moves the Migration strategy
-	// performed at scheduling points (0 under other strategies). Like the
-	// counters above it sums only the primary MTI loop — triage re-runs
-	// and cross-model probes are observation-only — so it is identical
-	// across worker counts.
+	// Migrations counts real cross-CPU task moves the OOO strategy
+	// performed at the scheduling points of migration-sensitive hints.
+	// Like the counters above it sums only the primary MTI loop — triage
+	// re-runs and cross-model probes are observation-only — so it is
+	// identical across worker counts.
 	Migrations uint64
-	// DeferredTasks counts deferred-work handler tasks the Deferred
-	// strategy spawned at deferral points (0 under other strategies);
-	// primary MTI loop only, deterministic like Migrations.
-	DeferredTasks uint64
 
 	// Perf holds throughput and reuse metrics. Unlike the counters above
 	// these depend on wall-clock time and goroutine scheduling, so they
@@ -208,17 +203,6 @@ func repairFinding(env *Env, cfg *Config, co *campaignObs, p *syzlang.Program, i
 		Title:  title,
 		Soft:   soft,
 	}, env, repair.Options{Model: cfg.Model, Metrics: co.repair})
-}
-
-// nonDefaultStrategy returns the campaign's strategy label when it is not
-// the default OOO executor, "" otherwise — reports carry only the
-// non-default case, so default-campaign outputs (and their goldens) are
-// byte-identical to before the strategy knob existed.
-func nonDefaultStrategy(name string) string {
-	if name == "ooo" {
-		return ""
-	}
-	return name
 }
 
 // probeModels is the cross-model probe: it re-runs a newly-found OOO

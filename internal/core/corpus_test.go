@@ -8,24 +8,15 @@ import (
 )
 
 // findBug runs a seeded campaign against a single module with one bug
-// switch active and returns the matching report (nil if not found).
-func findBug(t *testing.T, b modules.BugInfo) *testReport {
-	t.Helper()
-	r, _ := findBugUnder(t, b, "")
-	return r
-}
-
-// findBugUnder is findBug with the campaign's engine strategy selectable
-// ("" = default OOO); it also returns the campaign counters so callers can
-// assert on strategy activity (Stats.Migrations, Stats.DeferredTasks).
-func findBugUnder(t *testing.T, b modules.BugInfo, strategy string) (*testReport, Stats) {
+// switch active and returns the matching report (nil if not found) plus
+// the campaign counters, so callers can assert on migration activity.
+func findBug(t *testing.T, b modules.BugInfo) (*testReport, Stats) {
 	t.Helper()
 	p := NewPool(Config{
 		Modules:  []string{b.Module},
 		Bugs:     modules.Bugs(b.Switch),
 		Seed:     42,
 		UseSeeds: true,
-		Strategy: strategy,
 	}, 1)
 	want := b.Title
 	if want == "" {
@@ -35,7 +26,7 @@ func findBugUnder(t *testing.T, b modules.BugInfo, strategy string) (*testReport
 	if r == nil {
 		return nil, p.Stats()
 	}
-	return &testReport{Title: r.Title, Type: r.Type, OOO: r.OOO, HintRank: r.HintRank, Strategy: r.Strategy}, p.Stats()
+	return &testReport{Title: r.Title, Type: r.Type, OOO: r.OOO, HintRank: r.HintRank, Text: r.String()}, p.Stats()
 }
 
 type testReport struct {
@@ -43,7 +34,8 @@ type testReport struct {
 	Type     string
 	OOO      bool
 	HintRank int
-	Strategy string
+	// Text is the rendered report.
+	Text string
 }
 
 // typeMatches accepts any of the "/"-separated expected reordering types.
@@ -56,25 +48,20 @@ func typeMatches(expected, got string) bool {
 	return false
 }
 
-// TestCorpusAllBugsFound is the Table 3 + Table 4 backbone: every bug in
-// the corpus (except sbitmap, which the paper also cannot reproduce) is
-// found by OZZ with its expected crash title and reordering type.
+// TestCorpusAllBugsFound is the Table 3 + Table 4 backbone: every OOO bug
+// in the corpus — the migration-sensitive sbitmap and percpu bugs
+// included — is found by OZZ with its expected crash title and
+// reordering type.
 func TestCorpusAllBugsFound(t *testing.T) {
 	for _, b := range modules.AllBugs() {
 		b := b
 		t.Run(b.ID+"/"+b.Switch, func(t *testing.T) {
-			if b.Strategy != "" {
-				// Needs a non-default engine strategy: covered by
-				// TestStrategyBugsReproduced (and the sbitmap-specific
-				// tests below).
-				t.Skipf("requires -strategy %s: see dedicated tests", b.Strategy)
-			}
 			if b.Type == "" {
 				// Non-OOO (plain interleaving) bugs belong to the
 				// interleaving-only baseline's tests.
 				t.Skip("not an OOO bug")
 			}
-			r := findBug(t, b)
+			r, _ := findBug(t, b)
 			if r == nil {
 				t.Fatalf("bug %s (%s) not found", b.ID, b.Switch)
 			}
@@ -103,102 +90,40 @@ func TestCleanCorpusQuiet(t *testing.T) {
 	}
 }
 
-// TestSbitmapNotReproducedWithoutMigration mirrors §6.2's negative result:
-// the per-CPU sbitmap bug is NOT reproducible with pinned threads...
-func TestSbitmapNotReproducedWithoutMigration(t *testing.T) {
-	b, ok := modules.FindBug("sbitmap:freed_order")
-	if !ok {
-		t.Fatal("sbitmap bug not registered")
-	}
-	if r := findBug(t, b); r != nil {
-		t.Fatalf("sbitmap bug unexpectedly reproduced without migration: %+v", r)
-	}
-}
-
-// TestSbitmapReproducedByMigrationStrategy is the tentpole result: the
-// Migration strategy reproduces Table 4 #6 ORGANICALLY — no migration
-// assist, no kernel modification. The sequential profile shares the
-// per-CPU hint (both calls ran on CPU 0), Algorithm 1 emits a
+// TestSbitmapReproducedByMigrationStrategy is the migration result: the
+// default, migration-aware OOO strategy reproduces Table 4 #6 (sbitmap)
+// and its OOB-write dual (percpu) ORGANICALLY — no migration assist, no
+// kernel modification, no strategy flag. The sequential profile shares
+// the per-CPU location (both calls ran on CPU 0), Algorithm 1 emits a
 // migration-annotated hint, and MigrateAt moves the observer onto the
 // prefix CPU at the scheduling point without flushing the reorderer's
-// store buffer.
+// store buffer. The report carries no strategy label: there is only one
+// campaign strategy.
 func TestSbitmapReproducedByMigrationStrategy(t *testing.T) {
-	b, ok := modules.FindBug("sbitmap:freed_order")
-	if !ok {
-		t.Fatal("sbitmap bug not registered")
-	}
-	r, stats := findBugUnder(t, b, "migration")
-	if r == nil {
-		t.Fatal("sbitmap bug not reproduced by the Migration strategy")
-	}
-	if !r.OOO {
-		t.Error("sbitmap finding not classified as OOO")
-	}
-	if r.Type != "S-S" {
-		t.Errorf("expected S-S, got %s", r.Type)
-	}
-	if r.Strategy != "migration" {
-		t.Errorf("report strategy = %q, want migration", r.Strategy)
-	}
-	if stats.Migrations == 0 {
-		t.Error("Stats.Migrations = 0: no cross-CPU move ever happened")
-	}
-}
-
-// TestStrategyBugsReproduced covers every corpus bug that declares a
-// required engine strategy (BugInfo.Strategy): each must reproduce under
-// that strategy and must exercise it (the strategy counter moves).
-func TestStrategyBugsReproduced(t *testing.T) {
-	ran := 0
-	for _, b := range modules.AllBugs() {
-		if b.Strategy == "" {
-			continue
-		}
-		b := b
-		ran++
-		t.Run(b.ID+"/"+b.Switch, func(t *testing.T) {
-			r, stats := findBugUnder(t, b, b.Strategy)
+	for _, sw := range []string{"sbitmap:freed_order", "percpu:trim_order"} {
+		sw := sw
+		t.Run(sw, func(t *testing.T) {
+			b, ok := modules.FindBug(sw)
+			if !ok {
+				t.Fatalf("%s not registered", sw)
+			}
+			r, stats := findBug(t, b)
 			if r == nil {
-				t.Fatalf("bug %s not reproduced under -strategy %s", b.ID, b.Strategy)
+				t.Fatalf("bug %s not reproduced by the default strategy", b.ID)
 			}
 			if !r.OOO {
 				t.Errorf("bug %s found but not via a reordering test", b.ID)
 			}
-			if !typeMatches(b.Type, r.Type) {
-				t.Errorf("bug %s: expected type %s, got %s", b.ID, b.Type, r.Type)
+			if r.Type != "S-S" {
+				t.Errorf("expected S-S, got %s", r.Type)
 			}
-			if b.Strategy == "migration" && stats.Migrations == 0 {
-				t.Error("migration strategy reproduced the bug without migrating")
+			if strings.Contains(r.Text, "strategy:") {
+				t.Errorf("report carries a strategy label:\n%s", r.Text)
 			}
-			if b.Strategy == "deferred" && stats.DeferredTasks == 0 {
-				t.Error("deferred strategy reproduced the bug without spawning handlers")
+			if stats.Migrations == 0 {
+				t.Error("Stats.Migrations = 0: no cross-CPU move ever happened")
 			}
 		})
-	}
-	if ran == 0 {
-		t.Fatal("no strategy-gated bugs in the corpus")
-	}
-}
-
-// TestDeferredStrategyCampaign pins the Deferred strategy's campaign
-// behavior: deferral points spawn handler tasks (the counter moves), and
-// deferring the interrupt — rather than draining the store buffer at the
-// switch like the InterruptOnSwitch ablation — keeps the reorder window
-// open, so the Fig. 1 watchqueue bug still reproduces.
-func TestDeferredStrategyCampaign(t *testing.T) {
-	b, ok := modules.FindBug("watchqueue:pipe_wmb")
-	if !ok {
-		t.Fatal("watchqueue bug not registered")
-	}
-	r, stats := findBugUnder(t, b, "deferred")
-	if r == nil {
-		t.Fatal("watchqueue bug not reproduced under the Deferred strategy")
-	}
-	if stats.DeferredTasks == 0 {
-		t.Error("Stats.DeferredTasks = 0: no handler task ever spawned")
-	}
-	if r.Strategy != "deferred" {
-		t.Errorf("report strategy = %q, want deferred", r.Strategy)
 	}
 }
 
@@ -213,7 +138,7 @@ func TestSoakCampaign(t *testing.T) {
 	var switches []string
 	expected := map[string]string{} // title -> bug id
 	for _, b := range modules.AllBugs() {
-		if b.Type == "" || b.Strategy != "" {
+		if b.Type == "" {
 			continue
 		}
 		switches = append(switches, b.Switch)

@@ -49,12 +49,10 @@ type Env struct {
 	// hints.CalculateModel over the same model.
 	Model *memmodel.Table
 	// Strategy is the engine strategy MTI runs execute under (nil = the
-	// default engine.OOO). Migration and Deferred extend the
-	// hypothetical-barrier test with cross-CPU moves and deferred-work
-	// injection; see engine.ParseStrategy. STI profiling always runs the
-	// plain sequential path regardless of this field — a profile is a
-	// pure function of the program and must stay strategy-independent so
-	// the memoized cache can be shared.
+	// default engine.OOO). STI profiling always runs the plain sequential
+	// path regardless of this field — a profile is a pure function of the
+	// program and must stay strategy-independent so the memoized cache can
+	// be shared.
 	Strategy engine.Strategy
 
 	eng *engine.Engine

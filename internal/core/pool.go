@@ -262,10 +262,9 @@ type jobResult struct {
 	mtis    uint64
 	hints   uint64
 	vacuous uint64
-	// migrations/deferred mirror Stats.Migrations/DeferredTasks for this
-	// step's primary MTI loop (commutative sums, merged in index order).
+	// migrations mirrors Stats.Migrations for this step's primary MTI
+	// loop (a commutative sum, merged in index order).
 	migrations uint64
-	deferred   uint64
 }
 
 // planStep picks step idx's single-threaded input — pending seeds first,
@@ -367,7 +366,6 @@ func (p *Pool) runPair(w *worker, res *jobResult, jb job, sti *STIResult, i, j i
 		observe(p.co.stMTI, mStart)
 		res.mtis++
 		res.migrations += uint64(mres.Migrations)
-		res.deferred += uint64(mres.DeferredTasks)
 		if !mres.Fired {
 			res.vacuous++
 		}
@@ -427,7 +425,6 @@ func (p *Pool) harvestJob(res *jobResult, prog *syzlang.Program, i, j int, h *hi
 func (p *Pool) addOOOReport(res *jobResult, r *report.Report, prog *syzlang.Program, i, j int, h *hints.Hint, rank int, soft bool, reproduced func(*MTIResult) bool) {
 	r.OOO = true
 	r.Type = h.Type()
-	r.Strategy = nonDefaultStrategy(p.cfg.Strategy)
 	r.HypBarrier = fmt.Sprintf("before %s (%s)", modules.SiteName(h.Sched), h.Test)
 	r.Pair = PairName(prog, i, j)
 	r.HintRank = rank + 1
@@ -464,7 +461,6 @@ func (p *Pool) merge(res *jobResult, found *[]*report.Report) {
 	p.stats.Hints += res.hints
 	p.stats.Vacuous += res.vacuous
 	p.stats.Migrations += res.migrations
-	p.stats.DeferredTasks += res.deferred
 	p.co.steps.Inc()
 	p.co.stis.Inc()
 	p.co.mtis.Add(res.mtis)

@@ -67,13 +67,10 @@ type Result struct {
 	Reordered int
 	// ReorderLog carries the reorder records for the bug report.
 	ReorderLog []oemu.ReorderRecord
-	// Migrations counts the real cross-CPU task moves the Migration
-	// strategy performed at scheduling points (zero for other strategies
-	// and for migration-insensitive hints).
+	// Migrations counts the real cross-CPU task moves the OOO strategy
+	// performed at the scheduling point (zero for other strategies and
+	// for migration-insensitive hints).
 	Migrations int
-	// DeferredTasks counts the deferred-work handler tasks (softirq/
-	// workqueue model) the Deferred strategy spawned at deferral points.
-	DeferredTasks int
 	// CallEvents holds the profiled event sequence of each completed
 	// call (§4.2) in profiling runs; entries past a crash are nil.
 	CallEvents [][]trace.Event

@@ -12,7 +12,7 @@ import (
 // StrategyNames lists the built-in strategy labels pre-registered on every
 // engine registry, so a scrape shows all drivers' series (at zero) before
 // any run. Out-of-tree strategies get their children created on first use.
-var StrategyNames = []string{"ooo", "sequential", "interleave", "kcsan", "migration", "deferred"}
+var StrategyNames = []string{"ooo", "sequential", "interleave", "kcsan"}
 
 // shapeNames are the two run shapes the engine executes.
 var shapeNames = []string{"sequential", "pair"}
@@ -40,7 +40,6 @@ type metrics struct {
 	mtiReorders *obs.Counter
 
 	schedMigrations *obs.Counter
-	deferredTasks   *obs.Counter
 
 	kernelRecycled *obs.Counter
 	kernelBuilt    *obs.Counter
@@ -109,9 +108,7 @@ func newMetrics(reg *obs.Registry) *metrics {
 		"Genuine OEMU reorderings (delayed stores + versioned loads) observed in MTI runs.")
 
 	m.schedMigrations = reg.Counter("ozz_sched_migrations_total",
-		"Real cross-CPU task migrations performed at scheduling points by the Migration strategy (store buffers survive the move).")
-	m.deferredTasks = reg.Counter("ozz_deferred_tasks_total",
-		"Deferred-work handler tasks (softirq/workqueue model) spawned at deferral points by the Deferred strategy.")
+		"Real cross-CPU task migrations performed at the scheduling points of migration-sensitive hints (store buffers survive the move).")
 
 	acquires := reg.CounterVec("ozz_kernel_acquires_total",
 		"Kernel acquisitions by source: recycled from the sync.Pool (Reset) vs built fresh.", "source")
@@ -197,7 +194,6 @@ func (m *metrics) publishRun(strategy, shape, model string, d time.Duration, res
 		}
 		m.mtiReorders.Add(uint64(res.Reordered))
 		m.schedMigrations.Add(uint64(res.Migrations))
-		m.deferredTasks.Add(uint64(res.DeferredTasks))
 	}
 	m.oemuDelayed.Add(oc.StoresDelayed)
 	m.oemuForwarded.Add(oc.ForwardedLoads)

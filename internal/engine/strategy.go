@@ -83,6 +83,18 @@ type ReorderSpec struct {
 // versioned loads) and a breakpoint policy switches to the observer at
 // the hint's scheduling point. Without a hint the program runs
 // sequentially — the STI profiling path.
+//
+// OOO is migration-aware (Table 4 #6, §6.2): when the hint is
+// migration-sensitive (Hint.Migrate non-empty — the racing pair shares a
+// per-CPU location) the breakpoint is wrapped in a sched.MigrateAt
+// combinator that moves the observer task to CPU 0 — the CPU the
+// sequential prefix ran on, where the stale per-CPU state lives — at the
+// moment the scheduling point fires. The move does not flush the
+// reorderer's store buffer, so the delayed stores stay delayed while the
+// observer re-resolves per-CPU addresses on its new CPU. Hints with no
+// migration sites run the pinned-thread test of the paper unchanged. The
+// directive-plan cache needs no migration awareness: a migration is
+// schedule state (a policy), not an OEMU directive.
 type OOO struct{}
 
 // Name implements Strategy.
@@ -105,19 +117,11 @@ func (OOO) Attach(k *kernel.Kernel, req *Request) {
 }
 
 // Pair implements Strategy: the hint selects reorderer/observer roles,
-// the directive kind, and the breakpoint position.
+// the directive kind, the breakpoint position, and whether the observer
+// migrates at the switch. Nil without a hint (the sequential/STI path).
 func (OOO) Pair(cfg *Config, req *Request) *PairPlan {
-	plan, _ := oooPair(cfg, req)
-	return plan
-}
-
-// oooPair builds the hypothetical-barrier pair plan shared by the OOO,
-// Migration, and Deferred strategies, returning the breakpoint so wrappers
-// can compose policies or re-point the fire hook. Nil without a hint (the
-// sequential/STI path).
-func oooPair(cfg *Config, req *Request) (*PairPlan, *sched.Breakpoint) {
 	if req.Hint == nil {
-		return nil, nil
+		return nil
 	}
 	hint := req.Hint
 	callA, callB := req.I, req.J
@@ -135,13 +139,19 @@ func oooPair(cfg *Config, req *Request) (*PairPlan, *sched.Breakpoint) {
 		Pos:        pos,
 		ToTask:     2,
 	}
+	var policy sched.Policy = bp
+	var ma *sched.MigrateAt
+	if len(hint.Migrate) > 0 {
+		ma = &sched.MigrateAt{Inner: bp, Task: bp.ToTask, ToCPU: 0}
+		policy = ma
+	}
 	var spec *ReorderSpec
 	if !req.NoReorder && len(hint.Reorder) > 0 {
 		spec = &ReorderSpec{Test: hint.Test, Sites: hint.Reorder}
 	}
 	interrupt := cfg.InterruptOnSwitch
 	return &PairPlan{
-		Policy:  bp,
+		Policy:  policy,
 		CallA:   callA,
 		CallB:   callB,
 		Suffix:  true,
@@ -155,94 +165,11 @@ func oooPair(cfg *Config, req *Request) (*PairPlan, *sched.Breakpoint) {
 			res.Fired = bp.Fired
 			res.Reordered = ta.OEMU().ReorderedCount()
 			res.ReorderLog = append(res.ReorderLog, ta.OEMU().Log...)
+			if ma != nil {
+				res.Migrations = ma.Migrations
+			}
 		},
-	}, bp
-}
-
-// Migration is the migration-aware OOO strategy (Table 4 #6, §6.2): it runs
-// the same hypothetical-barrier test as OOO, but when the hint is
-// migration-sensitive (Hint.Migrate non-empty — the racing pair shares a
-// per-CPU location) the breakpoint is wrapped in a sched.MigrateAt
-// combinator that moves the observer task to CPU 0 — the CPU the
-// sequential prefix ran on, where the stale per-CPU state lives — at the
-// moment the scheduling point fires. The move does not flush the
-// reorderer's store buffer, so the delayed stores stay delayed while the
-// observer re-resolves per-CPU addresses on its new CPU. For hints with no
-// migration sites the plan is exactly OOO's, by construction.
-//
-// The directive-plan cache needs no migration awareness: a migration is
-// schedule state (a policy), not an OEMU directive, so cached plans keyed
-// by (program, test, sites) stay valid across strategies.
-type Migration struct{}
-
-// Name implements Strategy.
-func (Migration) Name() string { return "migration" }
-
-// Attach implements Strategy (same history-tracking rule as OOO).
-func (Migration) Attach(k *kernel.Kernel, req *Request) { OOO{}.Attach(k, req) }
-
-// Pair implements Strategy: OOO's plan, with the policy wrapped in
-// MigrateAt for migration-sensitive hints.
-func (Migration) Pair(cfg *Config, req *Request) *PairPlan {
-	plan, bp := oooPair(cfg, req)
-	if plan == nil || len(req.Hint.Migrate) == 0 {
-		return plan
 	}
-	ma := &sched.MigrateAt{Inner: bp, Task: bp.ToTask, ToCPU: 0}
-	plan.Policy = ma
-	inner := plan.Finish
-	plan.Finish = func(res *Result, ta, tb *kernel.Task) {
-		inner(res, ta, tb)
-		res.Migrations = ma.Migrations
-	}
-	return plan
-}
-
-// deferredTaskID is the session task id of a spawned deferred-work handler.
-// The pair session uses ids 0 (prefix), 1 (reorderer), and 2 (observer);
-// the suffix runs in a separate session, so 3 is free.
-const deferredTaskID = 3
-
-// Deferred models softirq/workqueue deferral as a first-class strategy: at
-// the hint's scheduling point it spawns a handler task into the running
-// session instead of synchronously draining the reorderer's store buffer
-// the way the InterruptOnSwitch ablation does. The handler (task 3) runs
-// the drain when the scheduler picks it — after the observer and the
-// resumed reorderer, in spawn order — so the reordering window stays open
-// across the switch and OOO bugs remain reproducible, while the deferred
-// work still executes exactly once per fired scheduling point, like a
-// ksoftirqd thread scheduled behind the current work.
-type Deferred struct{}
-
-// Name implements Strategy.
-func (Deferred) Name() string { return "deferred" }
-
-// Attach implements Strategy (same history-tracking rule as OOO).
-func (Deferred) Attach(k *kernel.Kernel, req *Request) { OOO{}.Attach(k, req) }
-
-// Pair implements Strategy: OOO's plan, with the breakpoint's fire hook
-// spawning the deferred handler instead of honouring InterruptOnSwitch.
-func (Deferred) Pair(cfg *Config, req *Request) *PairPlan {
-	plan, bp := oooPair(cfg, req)
-	if plan == nil {
-		return nil
-	}
-	spawned := 0
-	plan.Arm = func(ta, _ *kernel.Task) {
-		bp.OnSwitch = func() {
-			st := ta.Sched()
-			spawned++
-			st.Session().Spawn(deferredTaskID, st.CPU, func(*sched.Task) {
-				ta.Interrupt()
-			})
-		}
-	}
-	inner := plan.Finish
-	plan.Finish = func(res *Result, ta, tb *kernel.Task) {
-		inner(res, ta, tb)
-		res.DeferredTasks = spawned
-	}
-	return plan
 }
 
 // Sequential is the syzkaller-baseline strategy: every program runs
@@ -262,10 +189,10 @@ func (Sequential) Pair(*Config, *Request) *PairPlan { return nil }
 // (Snowboard/Razzer-style): the pair runs under a seeded random schedule
 // — thread interleaving control WITHOUT memory reordering, so OOO bugs
 // stay invisible (§2.3).
-type Interleave struct {
-	// Period is the random policy's switch period (default 2).
-	Period int
-}
+type Interleave struct{}
+
+// interleavePeriod is the Interleave baseline's random switch period.
+const interleavePeriod = 2
 
 // Name implements Strategy.
 func (Interleave) Name() string { return "interleave" }
@@ -275,32 +202,24 @@ func (Interleave) Attach(*kernel.Kernel, *Request) {}
 
 // Pair implements Strategy: calls I and J under a random schedule seeded
 // from the request.
-func (iv Interleave) Pair(_ *Config, req *Request) *PairPlan {
-	period := iv.Period
-	if period == 0 {
-		period = 2
-	}
+func (Interleave) Pair(_ *Config, req *Request) *PairPlan {
 	return &PairPlan{
-		Policy: &sched.Random{Seed: req.Seed, Period: period},
+		Policy: &sched.Random{Seed: req.Seed, Period: interleavePeriod},
 		CallA:  req.I,
 		CallB:  req.J,
 	}
 }
 
 // ParseStrategy resolves a campaign-facing strategy label to the built-in
-// strategy it names. The empty string selects the default OOO executor.
-// Only the hypothetical-barrier family is accepted — "ooo", "migration",
-// and "deferred" — because the fuzzing workflow's hint search presumes a
-// breakpoint-driven MTI stage; the sequential/interleave/kcsan baselines
-// are separate drivers (internal/baseline), not campaign knobs.
+// strategy it names. The only campaign strategy is the OOO executor: ""
+// and "ooo" select it, and so does the retired "migration" label, which
+// OOO now subsumes (kept as an alias for callers that still pass it). The
+// sequential/interleave/kcsan baselines are separate drivers
+// (internal/baseline), not campaign knobs.
 func ParseStrategy(name string) (Strategy, error) {
 	switch name {
-	case "", "ooo":
+	case "", "ooo", "migration":
 		return OOO{}, nil
-	case "migration":
-		return Migration{}, nil
-	case "deferred":
-		return Deferred{}, nil
 	}
-	return nil, fmt.Errorf("unknown strategy %q (want ooo, migration, or deferred)", name)
+	return nil, fmt.Errorf("unknown strategy %q (want ooo)", name)
 }

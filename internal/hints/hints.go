@@ -103,9 +103,9 @@ type Hint struct {
 	// deduplicated. A non-empty set marks the pair migration-sensitive:
 	// the racing location is a per-CPU slot, so the race only manifests
 	// when one task moves CPUs between resolving the address and using it.
-	// The Migration strategy performs a real cross-CPU move exactly for
-	// such hints and degrades to plain OOO when the set is empty. It is an
-	// annotation: it does not participate in hint rendering or directives.
+	// The OOO strategy performs a real cross-CPU move exactly for such
+	// hints; a hint with an empty set never migrates. It is an annotation:
+	// it does not participate in hint rendering or directives.
 	Migrate []trace.InstrID
 }
 

@@ -77,12 +77,14 @@ type BugInfo struct {
 	OFencePattern bool
 	// Expected reproduction outcome for Table 4 ("yes", "no", "partial").
 	Repro string
-	// Note is free-form (e.g. why T4#6 needs the Migration strategy).
+	// Note is free-form (e.g. why T4#6 needs a cross-CPU migration).
 	Note string
-	// Strategy names the engine strategy required to reproduce the bug
-	// ("migration", "deferred"); empty means the default OOO strategy
-	// suffices. Corpus-wide tests run default-strategy campaigns and skip
-	// non-empty entries — dedicated per-strategy tests cover those.
+	// Strategy once named a non-default engine strategy the bug needed.
+	// No bug sets it: the OOO strategy migrates at migration-sensitive
+	// scheduling points itself, so every bug reproduces under it.
+	//
+	// Deprecated: always empty; kept only because the repository
+	// benchmark still reads it.
 	Strategy string
 }
 

@@ -18,7 +18,7 @@ import (
 // sbitmap, the race is migration-sensitive: a pinned fast-path writer
 // resolves its own CPU's position slot and never observes the stale value
 // the prefix left on another CPU. Only a writer that resolved its per-CPU
-// address after migrating onto the prefix CPU — the Migration strategy's
+// address after migrating onto the prefix CPU — the OOO executor's
 // cross-CPU move — pairs the stale position with the new, smaller buffer:
 // a slab-out-of-bounds WRITE (the dual of sbitmap's OOB read).
 //
@@ -66,8 +66,7 @@ func init() {
 				Subsystem: "lib/percpu", KernelVersion: "synthetic",
 				Title: "KASAN: slab-out-of-bounds Write in pc_mark",
 				Type:  "S-S", Table: 0, OFencePattern: false, Repro: "yes",
-				Note:     "per-CPU write position raced across a migration; the OOB-write dual of T4#6.",
-				Strategy: "migration",
+				Note: "per-CPU write position raced across a migration; the OOB-write dual of T4#6. OOO migrates the observer at the scheduling point, so it reproduces with no assist.",
 			},
 		},
 		Seeds: []string{

@@ -13,13 +13,13 @@ import (
 // threads that obtained the per-CPU hint address on the SAME CPU and then
 // ran concurrently on different CPUs after a migration. The paper's OZZ
 // pins its concurrent threads to distinct CPUs before executing system
-// calls, so under the default OOO strategy the racing accesses resolve to
-// different per-CPU copies at execution time and the crash never fires.
+// calls, so with pinned threads the racing accesses resolve to different
+// per-CPU copies at execution time and the crash never fires.
 //
-// The Migration strategy closes the gap: the sequential profiling phase
+// This OOO executor closes the gap: the sequential profiling phase
 // runs both calls on CPU 0, so the per-CPU hint IS a shared location there
 // and Algorithm 2 keeps it — the hint comes out annotated with the per-CPU
-// sites (Hint.Migrate), and the strategy migrates the observer back to
+// sites (Hint.Migrate), and the executor migrates the observer back to
 // CPU 0 at the scheduling point, reproducing the bug organically. (The
 // paper instead verified its analysis by patching the kernel so both
 // threads resolve the hint from the same CPU.)
@@ -71,8 +71,7 @@ func init() {
 				Subsystem: "sbitmap", KernelVersion: "5.1-rc1",
 				Title: "KASAN: slab-out-of-bounds Read in sbitmap_get",
 				Type:  "S-S", Table: 4, OFencePattern: false, Repro: "yes",
-				Note:     "races on a per-CPU variable across a thread migration; the paper's pinned-thread OZZ cannot reproduce it (§6.2), the Migration strategy can — with no assist switch.",
-				Strategy: "migration",
+				Note: "races on a per-CPU variable across a thread migration; the paper's pinned-thread OZZ cannot reproduce it (§6.2), this OOO executor migrates the observer at the scheduling point and can — with no assist switch.",
 			},
 		},
 		Seeds: []string{

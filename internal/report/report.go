@@ -21,10 +21,6 @@ type Report struct {
 	OOO bool
 	// Type is the reordering type when OOO: "S-S", "S-L", or "L-L".
 	Type string
-	// Strategy names the non-default engine strategy whose campaign
-	// produced the finding ("migration", "deferred"); empty for the
-	// default OOO executor, so pre-existing reports render unchanged.
-	Strategy string
 	// HypBarrier describes where the hypothetical (missing) memory
 	// barrier would go — the fix location hint for developers.
 	HypBarrier string
@@ -61,9 +57,6 @@ func (r *Report) String() string {
 	fmt.Fprintf(&sb, "  oracle:   %s\n", r.Oracle)
 	if r.OOO {
 		fmt.Fprintf(&sb, "  reorder:  %s\n", r.Type)
-		if r.Strategy != "" {
-			fmt.Fprintf(&sb, "  strategy: %s\n", r.Strategy)
-		}
 		if len(r.ReorderedSites) > 0 {
 			fmt.Fprintf(&sb, "  reordered accesses:\n")
 			for _, s := range r.ReorderedSites {

@@ -144,8 +144,3 @@ func (m *MigrateAt) OnYield(cur *Task, instr trace.InstrID) (int, bool) {
 	}
 	return id, doSwitch
 }
-
-// Session returns the session the task belongs to. Strategies use it to
-// spawn deferred-work tasks (softirq/workqueue handlers) into the running
-// session from a policy hook.
-func (t *Task) Session() *Session { return t.session }

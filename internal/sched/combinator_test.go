@@ -196,20 +196,6 @@ func TestMigrateAtNoop(t *testing.T) {
 	}
 }
 
-// TestSessionAccessor: Task.Session returns the owning session — the hook
-// strategies use to spawn deferred-work tasks from inside a policy.
-func TestSessionAccessor(t *testing.T) {
-	s := NewSession(Sequential{})
-	var got *Session
-	s.Spawn(0, 0, func(h *Task) { got = h.Session() })
-	if aborted := s.Run(); aborted != nil {
-		t.Fatalf("aborted: %v", aborted)
-	}
-	if got != s {
-		t.Fatalf("Session() = %p, want %p", got, s)
-	}
-}
-
 // TestCombinatorDispatchZeroAlloc pins the predicate-combinator dispatch
 // path as allocation-free: once a guarded policy is constructed, consulting
 // it at a scheduling point must not allocate — the fuzzer crosses this path

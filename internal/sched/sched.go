@@ -394,5 +394,5 @@ func (s *Session) pickOther(t *Task) *Task {
 // migration observed from the migrated task. The paper's OZZ pins its
 // threads and cannot do this (§6.2, Table 4 #6); here the MigrateAt policy
 // performs the move at scheduling points, which is what the engine's
-// Migration strategy is built on.
+// migration-aware OOO strategy is built on.
 func (t *Task) Migrate(cpu int) { t.CPU = cpu }

@@ -513,7 +513,7 @@ func TestDuplicateSpawnPanics(t *testing.T) {
 	mustPanic("before Run", func() { s.Spawn(1, 1, func(*Task) {}) })
 
 	s = NewSession(Sequential{})
-	s.Spawn(0, 0, func(h *Task) { h.Session().Spawn(0, 0, func(*Task) {}) })
+	s.Spawn(0, 0, func(h *Task) { h.session.Spawn(0, 0, func(*Task) {}) })
 	if aborted := s.Run(); aborted == nil || !strings.Contains(fmt.Sprint(aborted), "duplicate task id 0") {
 		t.Fatalf("mid-session duplicate: aborted = %v", aborted)
 	}
@@ -539,22 +539,22 @@ func TestByID(t *testing.T) {
 }
 
 // TestMidSessionSpawnScheduled: a task spawned from a breakpoint's fire
-// hook, the way the deferred-work strategy spawns its handler, is found by
+// hook — an interrupt handler modelled as its own task, say — is found by
 // id — by the breakpoint's switch, by a CPU predicate — and runs.
 func TestMidSessionSpawnScheduled(t *testing.T) {
-	const deferred = 3
+	const handler = 3
 	var log []string
-	onDeferredCPU := OnTaskCPU(deferred, 1)
-	bp := &Breakpoint{FromTask: 1, Instr: 5, Pos: PosBefore, ToTask: deferred}
+	onHandlerCPU := OnTaskCPU(handler, 1)
+	bp := &Breakpoint{FromTask: 1, Instr: 5, Pos: PosBefore, ToTask: handler}
 	s := NewSession(bp)
 	var before, after bool
 	bp.OnSwitch = func() {
-		before = onDeferredCPU(s.tasks[0], 0)
-		s.Spawn(deferred, 1, func(h *Task) {
+		before = onHandlerCPU(s.tasks[0], 0)
+		s.Spawn(handler, 1, func(h *Task) {
 			h.Yield(9)
-			log = append(log, "deferred")
+			log = append(log, "handler")
 		})
-		after = onDeferredCPU(s.tasks[0], 0)
+		after = onHandlerCPU(s.tasks[0], 0)
 	}
 	s.Spawn(1, 0, func(h *Task) {
 		h.Yield(5)
@@ -568,11 +568,11 @@ func TestMidSessionSpawnScheduled(t *testing.T) {
 		t.Fatalf("aborted: %v", aborted)
 	}
 	if before || !after {
-		t.Fatalf("OnTaskCPU(%d, 1) before/after spawn = %v/%v, want false/true", deferred, before, after)
+		t.Fatalf("OnTaskCPU(%d, 1) before/after spawn = %v/%v, want false/true", handler, before, after)
 	}
 	// The breakpoint switches straight to the new task; spawn order then
 	// resumes the reorderer, then the observer.
-	want := []string{"deferred", "reorderer", "observer"}
+	want := []string{"handler", "reorderer", "observer"}
 	if fmt.Sprint(log) != fmt.Sprint(want) {
 		t.Fatalf("order %v, want %v", log, want)
 	}

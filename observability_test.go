@@ -59,12 +59,12 @@ func TestObservabilityRegistryCoverage(t *testing.T) {
 		byName[s.Name] = append(byName[s.Name], s)
 	}
 
-	// All six strategies' series are present (pre-registered at zero).
+	// All four strategies' series are present (pre-registered at zero).
 	strategies := map[string]bool{}
 	for _, s := range byName["ozz_engine_runs_total"] {
 		strategies[s.Get("strategy")] = true
 	}
-	for _, want := range []string{"ooo", "migration", "deferred", "sequential", "interleave", "kcsan"} {
+	for _, want := range []string{"ooo", "sequential", "interleave", "kcsan"} {
 		if !strategies[want] {
 			t.Errorf("exposition missing ozz_engine_runs_total series for strategy %q", want)
 		}
