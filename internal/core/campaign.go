@@ -12,6 +12,7 @@ import (
 	"ozz/internal/obs"
 	"ozz/internal/repair"
 	"ozz/internal/syzlang"
+	"ozz/internal/trace"
 )
 
 // Config parameterizes a fuzzing campaign.
@@ -114,6 +115,10 @@ func newEnvFromConfig(cfg Config) *Env {
 // Stats counts campaign work, mirroring the paper's execution metrics. All
 // fields except Perf are deterministic functions of the campaign Config —
 // identical across worker counts and runs.
+//
+// A step replayed from the pool's step memo counts as if it had run:
+// MTIs, Hints, Vacuous and Migrations add the recorded step's values, so
+// the counters and Report.Tests match a campaign that executed every step.
 type Stats struct {
 	Steps     uint64 // campaign iterations
 	STIs      uint64 // single-threaded executions
@@ -143,14 +148,14 @@ type PerfStats struct {
 	Elapsed         time.Duration // wall-clock time covered by the counters below
 	TestsPerSec     float64       // campaign steps per second
 	ExecsPerSec     float64       // kernel executions per second (all workers)
-	STICacheHits    uint64        // STI profile lookups served from the cache
-	STICacheMisses  uint64        // STI profile lookups that ran a profiling execution
+	STICacheHits    uint64        // steps replayed from the step memo (no execution)
+	STICacheMisses  uint64        // steps executed (STI profile, hints, MTIs)
 	KernelsRecycled uint64        // kernel acquisitions reusing a pooled instance (Reset)
 	KernelsBuilt    uint64        // kernel acquisitions that constructed a fresh instance
 }
 
-// STICacheHitRate returns the fraction of STI profile lookups served from
-// the cache (0 when no lookups happened).
+// STICacheHitRate returns the fraction of steps replayed from the step
+// memo (0 when no step ran).
 func (p PerfStats) STICacheHitRate() float64 {
 	total := p.STICacheHits + p.STICacheMisses
 	if total == 0 {
@@ -184,22 +189,20 @@ func (s Stats) MetricsLine() string {
 
 // repairFinding runs the fence-repair search for a newly-discovered OOO
 // finding (pool workers call it under the title-is-new guard).
-// It returns nil when Config.Repair is off. The reproducer's sequential
-// profile comes from the memoized STI cache, so the extra cost is the
-// search itself.
-func repairFinding(env *Env, cfg *Config, co *campaignObs, p *syzlang.Program, i, j int, h *hints.Hint, title string, soft bool) *repair.Result {
+// It returns nil when Config.Repair is off. events is the step's STI
+// profile of p, so the extra cost is the search itself.
+func repairFinding(env *Env, cfg *Config, co *campaignObs, p *syzlang.Program, events [][]trace.Event, i, j int, h *hints.Hint, title string, soft bool) *repair.Result {
 	if !cfg.Repair {
 		return nil
 	}
 	start := time.Now()
 	defer observe(co.stRepair, start)
-	sti := env.RunSTICached(p)
 	return repair.InVivo(repair.InVivoInput{
 		Prog:   p,
 		I:      i,
 		J:      j,
 		Hint:   h,
-		Events: sti.CallEvents,
+		Events: events,
 		Title:  title,
 		Soft:   soft,
 	}, env, repair.Options{Model: cfg.Model, Metrics: co.repair})

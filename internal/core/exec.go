@@ -25,7 +25,7 @@ import (
 // independent and deterministic. An Env is safe for concurrent use by
 // multiple executor goroutines once configured: the configuration fields
 // are read-only during execution, and the engine's kernel recycler and
-// STI profile cache are internally synchronized.
+// plan cache are internally synchronized.
 type Env struct {
 	// Modules lists the loaded modules (empty = all registered).
 	Modules []string
@@ -50,9 +50,8 @@ type Env struct {
 	Model *memmodel.Table
 	// Strategy is the engine strategy MTI runs execute under (nil = the
 	// default engine.OOO). STI profiling always runs the plain sequential
-	// path regardless of this field — a profile is a pure function of the
-	// program and must stay strategy-independent so the memoized cache can
-	// be shared.
+	// path regardless of this field, so a profile is a pure function of
+	// the program.
 	Strategy engine.Strategy
 
 	eng *engine.Engine
@@ -70,7 +69,8 @@ func NewEnvObs(mods []string, bugs modules.BugSet, reg *obs.Registry) *Env {
 	return &Env{Modules: mods, Bugs: bugs, Instrumented: true, eng: engine.NewObs(reg)}
 }
 
-// Engine exposes the underlying execution engine (recycler + cache).
+// Engine exposes the underlying execution engine (kernel recycler and
+// plan cache).
 func (e *Env) Engine() *engine.Engine { return e.eng }
 
 // Obs returns the metrics registry the environment's engine publishes
@@ -97,12 +97,6 @@ func (e *Env) KernelCounters() (recycled, built uint64) {
 	return e.eng.KernelCounters()
 }
 
-// STICacheCounters reports profile-cache hits and misses (see
-// engine.Engine.CacheCounters).
-func (e *Env) STICacheCounters() (hits, misses uint64) {
-	return e.eng.CacheCounters()
-}
-
 // STIResult is the outcome of a single-threaded (profiling) execution.
 type STIResult = engine.Result
 
@@ -117,16 +111,6 @@ type MTIOpts = engine.Request
 // call's memory accesses and barriers — OZZ's first workflow step.
 func (e *Env) RunSTI(p *syzlang.Program) *STIResult {
 	return e.eng.Run(e.config(), engine.OOO{}, engine.Request{Prog: p, Profile: true})
-}
-
-// RunSTICached is RunSTI behind the engine's profile cache: the first
-// execution of a program profiles it for real; later executions of a
-// byte-identical program return the memoized result. Correct because
-// executions are deterministic — a program's STI outcome is a pure
-// function of (program, environment). The returned result is shared:
-// callers must not mutate it.
-func (e *Env) RunSTICached(p *syzlang.Program) *STIResult {
-	return e.eng.RunCached(e.config(), engine.OOO{}, engine.Request{Prog: p, Profile: true})
 }
 
 // mtiStrategy resolves the strategy MTI runs execute under.

@@ -1,0 +1,8 @@
+package core
+
+// withoutStepMemo disables p's step memo, so every step executes: the
+// reference side of the step-memo tests. Call it before the first Run.
+func withoutStepMemo(p *Pool) *Pool {
+	p.memo = nil
+	return p
+}

@@ -11,7 +11,9 @@ import (
 // ozz_stage_duration_seconds, in label order: program selection,
 // STI profiling, hint computation (Algorithm 1/2), MTI pair execution,
 // the OOO triage re-run, the pool's index-ordered batch merge, and the
-// fence-repair search on new OOO findings.
+// fence-repair search on new OOO findings. A step replayed from the step
+// memo runs no stage, so the profile through repair histograms time
+// executed steps only.
 var stageNames = []string{"generate", "profile", "hints", "mti", "triage", "merge", "repair"}
 
 // campaignObs is the campaign layer's handle bundle into an obs.Registry:
@@ -29,6 +31,7 @@ type campaignObs struct {
 	covEdges, corpusLen, workers                   *obs.Gauge
 	reportsNew, reportsDup, reportsOOO             *obs.Counter
 	modelDivergences                               *obs.Counter
+	memoHits, memoMisses                           *obs.Counter
 
 	// stage histogram children, indexed like stageNames.
 	stGenerate, stProfile, stHints, stMTI, stTriage, stMerge, stRepair *obs.Histogram
@@ -46,9 +49,9 @@ func newCampaignObs(reg *obs.Registry, ev *obs.EventLog) *campaignObs {
 	c.steps = reg.Counter("ozz_campaign_steps_total",
 		"Campaign steps completed (one STI plus its hint-driven MTIs).")
 	c.stis = reg.Counter("ozz_campaign_stis_total",
-		"Single-threaded (profiling) executions completed.")
+		"Single-threaded inputs tested, one per step (replayed steps included).")
 	c.mtis = reg.Counter("ozz_campaign_mtis_total",
-		"Multi-threaded (hypothetical barrier) test executions completed.")
+		"Multi-threaded (hypothetical barrier) tests, replayed steps' MTIs included.")
 	c.hintsTotal = reg.Counter("ozz_campaign_hints_total",
 		"Scheduling hints computed by Algorithm 1/2 (paper §4.3).")
 	c.vacuous = reg.Counter("ozz_campaign_vacuous_mtis_total",
@@ -61,6 +64,11 @@ func newCampaignObs(reg *obs.Registry, ev *obs.EventLog) *campaignObs {
 		"Programs in the coverage corpus.")
 	c.workers = reg.Gauge("ozz_campaign_workers",
 		"Campaign executor width (the pool's worker count).")
+	lookups := reg.CounterVec("ozz_sti_cache_lookups_total",
+		"Step-memo lookups, one per campaign step: hit for a step replayed from the memo, miss for an executed step.",
+		"outcome")
+	c.memoHits = lookups.With("hit")
+	c.memoMisses = lookups.With("miss")
 
 	outcomes := reg.CounterVec("ozz_reports_total",
 		"Crash/soft reports by dedup outcome at the campaign report set.", "outcome")

@@ -18,6 +18,7 @@ import (
 	"ozz/internal/repair"
 	"ozz/internal/report"
 	"ozz/internal/syzlang"
+	"ozz/internal/trace"
 )
 
 // batchSize is the number of campaign steps planned, executed, and merged
@@ -28,6 +29,12 @@ import (
 // byte-identical at any worker count. Larger than any sane worker count so
 // stragglers at the batch barrier cost little parallelism.
 const batchSize = 32
+
+// memoCap bounds the step memo. At the cap merge drops the memo wholesale:
+// campaigns cycle through generations of programs, so stale entries
+// rarely pay rent, and wholesale clearing keeps eviction O(1) and free of
+// iteration-order nondeterminism.
+const memoCap = 4096
 
 // SafeReportSet wraps report.Set for concurrent use: the campaign merger
 // adds findings while progress printers and other goroutines read counts
@@ -92,6 +99,14 @@ func (s *SafeReportSet) Titles() []string {
 // timing block), coverage, corpus, and reports at ANY worker count,
 // regardless of completion order. Heavy work (kernel executions) runs in
 // parallel; only planning and merging are serialized, and both are cheap.
+//
+// Step memo: a step's outcome is a pure function of its program (the
+// engine is deterministic and the step's random stream only orders hints
+// under HintOrder "random"), so a step whose program an earlier batch
+// already merged replays the recorded outcome instead of executing. merge
+// records executed steps while the workers are parked and workers only
+// read the memo during a batch, so which steps replay does not depend on
+// timing or width.
 type Pool struct {
 	// Workers is the executor width. NewPool defaults it to
 	// runtime.GOMAXPROCS(0).
@@ -113,6 +128,12 @@ type Pool struct {
 	steps   uint64 // next global step index
 	start   time.Time
 	repairs map[string]*repair.Result
+
+	// memo maps Program.Key to the recorded outcome of an executed step
+	// (see record). It is written only by merge and read lock-free by
+	// workers during a batch. Nil disables replay: under HintOrder
+	// "random" a step is not a function of its program.
+	memo map[string]*jobResult
 }
 
 // NewPool builds a campaign executor of the given width. workers <= 0
@@ -132,6 +153,9 @@ func NewPool(cfg Config, workers int) *Pool {
 		Reports: NewSafeReportSet(),
 		repairs: make(map[string]*repair.Result),
 	}
+	if cfg.HintOrder != "random" {
+		p.memo = make(map[string]*jobResult)
+	}
 	p.co.workers.Set(float64(workers))
 	if cfg.UseSeeds {
 		for _, src := range modules.Seeds(cfg.Modules...) {
@@ -143,8 +167,9 @@ func NewPool(cfg Config, workers int) *Pool {
 	return p
 }
 
-// Env exposes the shared execution environment (profile cache and kernel
-// recycler included).
+// Env exposes the shared execution environment (kernel recycler
+// included). Its fields must not change after the first Run: the step
+// memo replays outcomes recorded under the Env as it was then.
 func (p *Pool) Env() *Env { return p.env }
 
 // RepairResult returns the structured fence-repair search result for a
@@ -210,7 +235,6 @@ func (p *Pool) fillPerf(s *Stats) {
 	if !p.start.IsZero() {
 		s.Perf.Elapsed = time.Since(p.start)
 	}
-	s.Perf.STICacheHits, s.Perf.STICacheMisses = p.env.STICacheCounters()
 	s.Perf.KernelsRecycled, s.Perf.KernelsBuilt = p.env.KernelCounters()
 	if sec := s.Perf.Elapsed.Seconds(); sec > 0 {
 		s.Perf.TestsPerSec = float64(s.Steps) / sec
@@ -251,11 +275,16 @@ type jobReport struct {
 	repair *repair.Result
 }
 
-// jobResult is the outcome of one executed step, merged in index order.
+// jobResult is the outcome of one step, merged in index order.
 type jobResult struct {
-	idx    uint64
-	prog   *syzlang.Program
-	stiCov []uint64 // STI coverage (corpus admission signal)
+	idx  uint64
+	prog *syzlang.Program
+	// key is prog's Program.Key, set when the pool memoizes steps.
+	key string
+	// replayed marks a step served from the memo: it executed nothing
+	// and carries no coverage.
+	replayed bool
+	stiCov   []uint64 // STI coverage (corpus admission signal)
 	// mtiCov is the union of the step's MTI coverage, each edge once.
 	mtiCov  []uint64
 	reports []jobReport
@@ -301,13 +330,21 @@ type worker struct {
 	hints hints.Scratch
 }
 
-// runJob executes one campaign step: the STI profile (cached; §4.2),
-// then scheduling hints and the pair's MTI runs (§4.3, §4.4), writing
-// only to the job-local result.
+// runJob executes one campaign step: the STI profile (§4.2), then
+// scheduling hints and the pair's MTI runs (§4.3, §4.4), writing only to
+// the job-local result. A program an earlier batch already merged
+// replays its recorded outcome instead.
 func (p *Pool) runJob(w *worker, jb job) jobResult {
 	res := jobResult{idx: jb.idx, prog: jb.prog}
+	if p.memo != nil {
+		res.key = jb.prog.Key()
+		if m := p.memo[res.key]; m != nil {
+			m.replay(&res)
+			return res
+		}
+	}
 	pStart := time.Now()
-	sti := p.env.RunSTICached(jb.prog)
+	sti := p.env.RunSTI(jb.prog)
 	observe(p.co.stProfile, pStart)
 	res.stiCov = sti.Cov
 	if sti.Crash != nil {
@@ -372,13 +409,14 @@ func (p *Pool) runPair(w *worker, res *jobResult, jb job, sti *STIResult, i, j i
 		for _, e := range mres.Cov {
 			w.mtiCov.Add(e)
 		}
-		p.harvestJob(res, jb.prog, i, j, h, rank, mres)
+		p.harvestJob(res, jb.prog, sti.CallEvents, i, j, h, rank, mres)
 	}
 }
 
 // harvestJob converts an MTI result into job-local reports, with Tests
-// counted job-locally (rebased at merge).
-func (p *Pool) harvestJob(res *jobResult, prog *syzlang.Program, i, j int, h *hints.Hint, rank int, mres *MTIResult) {
+// counted job-locally (rebased at merge). events is the step's STI
+// profile, for the fence-repair search.
+func (p *Pool) harvestJob(res *jobResult, prog *syzlang.Program, events [][]trace.Event, i, j int, h *hints.Hint, rank int, mres *MTIResult) {
 	if mres.Crash != nil {
 		r := &report.Report{
 			Title:   mres.Crash.Title,
@@ -399,7 +437,7 @@ func (p *Pool) harvestJob(res *jobResult, prog *syzlang.Program, i, j int, h *hi
 			for _, s := range h.Reorder {
 				r.ReorderedSites = append(r.ReorderedSites, modules.SiteName(s))
 			}
-			p.addOOOReport(res, r, prog, i, j, h, rank, false, func(pr *MTIResult) bool {
+			p.addOOOReport(res, r, prog, events, i, j, h, rank, false, func(pr *MTIResult) bool {
 				return pr.Crash != nil && pr.Crash.Title == r.Title
 			})
 		} else {
@@ -408,7 +446,7 @@ func (p *Pool) harvestJob(res *jobResult, prog *syzlang.Program, i, j int, h *hi
 	}
 	for _, s := range mres.Soft {
 		r := &report.Report{Title: s, Oracle: "semantic", Program: prog.String()}
-		p.addOOOReport(res, r, prog, i, j, h, rank, true, func(pr *MTIResult) bool {
+		p.addOOOReport(res, r, prog, events, i, j, h, rank, true, func(pr *MTIResult) bool {
 			return slices.Contains(pr.Soft, s)
 		})
 	}
@@ -422,7 +460,7 @@ func (p *Pool) harvestJob(res *jobResult, prog *syzlang.Program, i, j int, h *hi
 // set before the report is published. The Get only filters titles
 // already merged: in-batch duplicates probe and search redundantly but
 // deterministically, and only the merge-ordered first instance survives.
-func (p *Pool) addOOOReport(res *jobResult, r *report.Report, prog *syzlang.Program, i, j int, h *hints.Hint, rank int, soft bool, reproduced func(*MTIResult) bool) {
+func (p *Pool) addOOOReport(res *jobResult, r *report.Report, prog *syzlang.Program, events [][]trace.Event, i, j int, h *hints.Hint, rank int, soft bool, reproduced func(*MTIResult) bool) {
 	r.OOO = true
 	r.Type = h.Type()
 	r.HypBarrier = fmt.Sprintf("before %s (%s)", modules.SiteName(h.Sched), h.Test)
@@ -432,19 +470,65 @@ func (p *Pool) addOOOReport(res *jobResult, r *report.Report, prog *syzlang.Prog
 	jr := jobReport{r: r, rebaseTests: true}
 	if p.Reports.Get(r.Title) == nil {
 		r.Models = probeModels(p.env, p.cfg.Model, prog, i, j, h, reproduced)
-		if jr.repair = repairFinding(p.env, &p.cfg, p.co, prog, i, j, h, r.Title, soft); jr.repair != nil {
+		if jr.repair = repairFinding(p.env, &p.cfg, p.co, prog, events, i, j, h, r.Title, soft); jr.repair != nil {
 			r.SuggestedFix = jr.repair.Lines()
 		}
 	}
 	res.reports = append(res.reports, jr)
 }
 
+// record memoizes an executed step's outcome under its program key: its
+// counts and shallow copies of its reports, taken before merge rebases
+// Tests. Coverage is not kept: the campaign EdgeSet only grows, so a
+// replay's edges are already merged. Models, SuggestedFix and repair are
+// dropped: they are filled only for titles not yet merged, and every
+// title the step reported is merged by the time a later batch replays
+// it. Caller holds p.mu and the workers are parked.
+func (p *Pool) record(res *jobResult) {
+	if len(p.memo) >= memoCap {
+		clear(p.memo)
+	}
+	m := &jobResult{
+		reports: make([]jobReport, len(res.reports)),
+		mtis:    res.mtis, hints: res.hints, vacuous: res.vacuous, migrations: res.migrations,
+	}
+	for k, jr := range res.reports {
+		r := *jr.r
+		r.Models, r.SuggestedFix = nil, nil
+		m.reports[k] = jobReport{r: &r, rebaseTests: jr.rebaseTests}
+	}
+	p.memo[res.key] = m
+}
+
+// replay fills res, a step testing the program m was recorded for, with
+// m's outcome. Each report is a fresh copy, since merge rebases Tests in
+// place.
+func (m *jobResult) replay(res *jobResult) {
+	res.replayed = true
+	res.mtis, res.hints, res.vacuous, res.migrations = m.mtis, m.hints, m.vacuous, m.migrations
+	res.reports = make([]jobReport, len(m.reports))
+	for k, jr := range m.reports {
+		r := *jr.r
+		res.reports[k] = jobReport{r: &r, rebaseTests: jr.rebaseTests}
+	}
+}
+
 // merge folds one step result into the campaign state. Called in strict
 // step-index order; that ordering is what makes coverage novelty, corpus
-// admission, report deduplication, and Tests rebasing deterministic.
-// The step's STI edges merge before its MTI edges, and only STI novelty
-// admits the program to the corpus. Caller holds p.mu.
+// admission, report deduplication, Tests rebasing and the step memo
+// deterministic. The step's STI edges merge before its MTI edges, and
+// only STI novelty admits the program to the corpus. Caller holds p.mu.
 func (p *Pool) merge(res *jobResult, found *[]*report.Report) {
+	if res.replayed {
+		p.stats.Perf.STICacheHits++
+		p.co.memoHits.Inc()
+	} else {
+		p.stats.Perf.STICacheMisses++
+		p.co.memoMisses.Inc()
+		if p.memo != nil {
+			p.record(res)
+		}
+	}
 	stiNew := false
 	for _, e := range res.stiCov {
 		if p.cov.Add(e) {

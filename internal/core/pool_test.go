@@ -55,7 +55,11 @@ func fingerprint(t *testing.T, workers, steps int) campaignFingerprint {
 // ("" = default OOO).
 func fingerprintUnder(t *testing.T, strategy string, workers, steps int) campaignFingerprint {
 	t.Helper()
-	p := NewPool(Config{Seed: 7, UseSeeds: true, Bugs: allBugSwitches(), Strategy: strategy}, workers)
+	return fingerprintPool(NewPool(Config{Seed: 7, UseSeeds: true, Bugs: allBugSwitches(), Strategy: strategy}, workers), steps)
+}
+
+// fingerprintPool runs steps steps of p and captures its fingerprint.
+func fingerprintPool(p *Pool, steps int) campaignFingerprint {
 	var found []string
 	for _, r := range p.Run(steps) {
 		found = append(found, r.Title)
@@ -210,29 +214,6 @@ func TestRecycledKernelEquivalence(t *testing.T) {
 	recycled, built := env.KernelCounters()
 	if recycled == 0 {
 		t.Fatalf("kernel pool never recycled (recycled=%d built=%d)", recycled, built)
-	}
-}
-
-// TestSTICacheHits verifies the profile cache memoizes identical programs
-// and that cached results match fresh ones.
-func TestSTICacheHits(t *testing.T) {
-	env := NewEnv([]string{"watchqueue"}, nil)
-	p, err := modules.Target("watchqueue").Parse("r0 = wq_create()\nwq_post_notification(r0, 0x4)\n")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh := env.RunSTI(p)
-	first := env.RunSTICached(p)
-	second := env.RunSTICached(p)
-	if first != second {
-		t.Errorf("cache did not memoize: distinct results for identical program")
-	}
-	if !reflect.DeepEqual(first.Cov, fresh.Cov) {
-		t.Errorf("cached coverage differs from fresh run")
-	}
-	hits, misses := env.STICacheCounters()
-	if hits == 0 || misses == 0 {
-		t.Errorf("cache counters hits=%d misses=%d, want both nonzero", hits, misses)
 	}
 }
 

@@ -114,7 +114,7 @@ func (r *runner) impl(c *syzlang.Call) modules.Impl {
 }
 
 // Engine executes requests. It is safe for concurrent use: the kernel
-// recycler and the result cache are internally synchronized, and every
+// recycler and the plan cache are internally synchronized, and every
 // run works on its own kernel. One Engine instance amortizes kernel
 // construction across all runs sharing it, whatever their Config.
 type Engine struct {
@@ -123,9 +123,6 @@ type Engine struct {
 	// allocator state from scratch. sync.Pool is concurrency-safe, so
 	// parallel campaign workers share one recycler.
 	kpool sync.Pool
-
-	// cache memoizes sequential profiling runs (see cache.go).
-	cache resultCache
 
 	// plans memoizes compiled OEMU directive plans (see plancache.go).
 	plans planCache
@@ -149,8 +146,6 @@ func NewObs(reg *obs.Registry) *Engine {
 		reg = obs.NewRegistry()
 	}
 	e := &Engine{m: newMetrics(reg)}
-	e.cache.hits = e.m.cacheHits
-	e.cache.misses = e.m.cacheMisses
 	e.plans.hits = e.m.planHits
 	e.plans.misses = e.m.planMisses
 	return e

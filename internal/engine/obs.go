@@ -45,9 +45,6 @@ type metrics struct {
 	kernelBuilt    *obs.Counter
 	acquireDur     *obs.Histogram
 
-	cacheHits   *obs.Counter
-	cacheMisses *obs.Counter
-
 	planHits   *obs.Counter
 	planMisses *obs.Counter
 
@@ -117,12 +114,6 @@ func newMetrics(reg *obs.Registry) *metrics {
 	m.acquireDur = reg.Histogram("ozz_kernel_acquire_duration_seconds",
 		"Wall-clock kernel acquire latency (pool Get + Reset, or fresh construction), seconds.",
 		obs.DurationBuckets())
-
-	lookups := reg.CounterVec("ozz_sti_cache_lookups_total",
-		"STI profile cache lookups by outcome (two workers racing one uncached program both count a miss).",
-		"outcome")
-	m.cacheHits = lookups.With("hit")
-	m.cacheMisses = lookups.With("miss")
 
 	planLookups := reg.CounterVec("ozz_plan_cache_lookups_total",
 		"Directive-plan cache lookups by outcome (precompiled OEMU reorder plans keyed by program + spec).",

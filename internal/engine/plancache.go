@@ -10,9 +10,9 @@ import (
 	"ozz/internal/oemu"
 )
 
-// planCacheCap bounds the number of cached directive plans. Like the STI
-// result cache, the cache is dropped wholesale (epoch clearing) at the
-// cap: O(1) eviction with no iteration-order nondeterminism.
+// planCacheCap bounds the number of cached directive plans. At the cap
+// the cache is dropped wholesale (epoch clearing): O(1) eviction with no
+// iteration-order nondeterminism.
 const planCacheCap = 4096
 
 // planCache memoizes precompiled OEMU directive plans keyed by what a
@@ -95,8 +95,8 @@ func planKey(spec *ReorderSpec, mm *memmodel.Table) string {
 	return sb.String()
 }
 
-// PlanCacheCounters reports directive-plan cache hits and misses (same
-// racing caveat as CacheCounters).
+// PlanCacheCounters reports directive-plan cache hits and misses. Two
+// workers racing one uncached spec both count a miss.
 func (e *Engine) PlanCacheCounters() (hits, misses uint64) {
 	return e.plans.hits.Value(), e.plans.misses.Value()
 }

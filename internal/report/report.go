@@ -35,7 +35,9 @@ type Report struct {
 	// scheduling hint that triggered the bug.
 	HintRank int
 	// Tests is the number of multi-threaded test executions run before
-	// the bug fired (the Table 4 "# of tests" column).
+	// the bug fired (the Table 4 "# of tests" column). In a campaign it
+	// includes the MTIs of steps replayed from the pool's step memo, as
+	// if they had run again.
 	Tests int
 	// Models lists the memory-model names under which the cross-model
 	// probe reproduced the reordering (sorted; empty when the probe did
