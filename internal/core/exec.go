@@ -17,6 +17,7 @@ import (
 	"ozz/internal/modules"
 	"ozz/internal/obs"
 	"ozz/internal/syzlang"
+	"ozz/internal/trace"
 )
 
 // Env is the execution environment: which modules are loaded and which bug
@@ -108,9 +109,16 @@ type MTIResult = engine.Result
 type MTIOpts = engine.Request
 
 // RunSTI executes the program sequentially on one task, profiling each
-// call's memory accesses and barriers — OZZ's first workflow step.
+// call's memory accesses and barriers — OZZ's first workflow step. The
+// result owns its profile.
 func (e *Env) RunSTI(p *syzlang.Program) *STIResult {
-	return e.eng.Run(e.config(), engine.OOO{}, engine.Request{Prog: p, Profile: true})
+	return e.runSTI(p, new(trace.Buffer))
+}
+
+// runSTI is RunSTI profiling into prof: the result's CallEvents are views
+// into prof, valid until prof is next used.
+func (e *Env) runSTI(p *syzlang.Program, prof *trace.Buffer) *STIResult {
+	return e.eng.Run(e.config(), engine.OOO{}, engine.Request{Prog: p, Prof: prof})
 }
 
 // mtiStrategy resolves the strategy MTI runs execute under.

@@ -6,3 +6,9 @@ func withoutStepMemo(p *Pool) *Pool {
 	p.memo = nil
 	return p
 }
+
+// dropWorkers discards p's worker scratch, so its next Run builds fresh
+// workers: the reference side of the persistent-worker test.
+func dropWorkers(p *Pool) {
+	p.ws = nil
+}

@@ -134,6 +134,10 @@ type Pool struct {
 	// workers during a batch. Nil disables replay: under HintOrder
 	// "random" a step is not a function of its program.
 	memo map[string]*jobResult
+
+	// ws holds each worker's step scratch across Run calls; run grows it
+	// to Workers. Only run and its worker goroutines touch it.
+	ws []*worker
 }
 
 // NewPool builds a campaign executor of the given width. workers <= 0
@@ -279,7 +283,8 @@ type jobReport struct {
 type jobResult struct {
 	idx  uint64
 	prog *syzlang.Program
-	// key is prog's Program.Key, set when the pool memoizes steps.
+	// key is prog's Program.Key, set on executed steps when the pool
+	// memoizes steps: record files the outcome under it.
 	key string
 	// replayed marks a step served from the memo: it executed nothing
 	// and carries no coverage.
@@ -320,7 +325,8 @@ func (p *Pool) planStep(idx uint64) job {
 	return job{idx: idx, prog: prog, rng: rng}
 }
 
-// worker is one pool worker's identity and reusable step scratch.
+// worker is one pool worker's identity and the step scratch it reuses
+// across steps and Run calls.
 type worker struct {
 	// id tags the worker's event stream (1..Workers).
 	id int
@@ -328,6 +334,14 @@ type worker struct {
 	mtiCov kernel.EdgeSet
 	// hints is the worker's hint-calculation memory.
 	hints hints.Scratch
+	// key holds the current step's Program.Key, the step memo's lookup
+	// key.
+	key []byte
+	// prof is the arena the step's STI profiles into. The step's
+	// CallEvents are views into it, so nothing that outlives the step may
+	// alias them: reports and memo records hold no events, and
+	// repair.InVivo copies the events it keeps.
+	prof trace.Buffer
 }
 
 // runJob executes one campaign step: the STI profile (§4.2), then
@@ -337,14 +351,15 @@ type worker struct {
 func (p *Pool) runJob(w *worker, jb job) jobResult {
 	res := jobResult{idx: jb.idx, prog: jb.prog}
 	if p.memo != nil {
-		res.key = jb.prog.Key()
-		if m := p.memo[res.key]; m != nil {
+		w.key = jb.prog.AppendKey(w.key[:0])
+		if m := p.memo[string(w.key)]; m != nil {
 			m.replay(&res)
 			return res
 		}
+		res.key = string(w.key)
 	}
 	pStart := time.Now()
-	sti := p.env.RunSTI(jb.prog)
+	sti := p.env.runSTI(jb.prog, &w.prof)
 	observe(p.co.stProfile, pStart)
 	res.stiCov = sti.Cov
 	if sti.Crash != nil {
@@ -580,14 +595,17 @@ func (p *Pool) merge(res *jobResult, found *[]*report.Report) {
 }
 
 // Run executes `steps` campaign steps across the pool's workers and
-// returns the new reports in deterministic discovery order.
+// returns the new reports in deterministic discovery order. Calls to
+// Run, RunFor and RunUntil on one Pool must not overlap: workers read
+// the step memo without a lock and reuse their scratch across calls.
 func (p *Pool) Run(steps int) []*report.Report {
 	return p.run(steps, time.Time{}, "")
 }
 
 // RunFor executes whole batches until the wall-clock budget is spent and
 // returns the new reports. The step sequence is the same deterministic
-// sequence Run walks; only where it stops depends on the clock.
+// sequence Run walks; only where it stops depends on the clock. Like Run,
+// it must not overlap another run call on the same Pool.
 func (p *Pool) RunFor(budget time.Duration) []*report.Report {
 	return p.run(-1, time.Now().Add(budget), "")
 }
@@ -597,7 +615,8 @@ func (p *Pool) RunFor(budget time.Duration) []*report.Report {
 // if it never appeared). A title already known returns at once. Because
 // it stops only at batch boundaries, the campaign it walks is a prefix of
 // Run(maxSteps) and the report it returns is the one Run(maxSteps)
-// publishes; Stats include the rest of the finding batch.
+// publishes; Stats include the rest of the finding batch. Like Run, it
+// must not overlap another run call on the same Pool.
 func (p *Pool) RunUntil(title string, maxSteps int) *report.Report {
 	if r := p.Reports.Get(title); r != nil {
 		return r
@@ -634,6 +653,9 @@ func (p *Pool) run(steps int, deadline time.Time, until string) []*report.Report
 		pending sync.WaitGroup
 		exited  sync.WaitGroup
 	)
+	for len(p.ws) < p.Workers {
+		p.ws = append(p.ws, &worker{id: len(p.ws) + 1})
+	}
 	wake := make([]chan struct{}, p.Workers)
 	for k := range wake {
 		wake[k] = make(chan struct{}, 1)
@@ -647,7 +669,7 @@ func (p *Pool) run(steps int, deadline time.Time, until string) []*report.Report
 				}
 				pending.Done()
 			}
-		}(k, &worker{id: k + 1})
+		}(k, p.ws[k])
 	}
 
 	var found []*report.Report

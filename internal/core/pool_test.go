@@ -58,12 +58,27 @@ func fingerprintUnder(t *testing.T, strategy string, workers, steps int) campaig
 	return fingerprintPool(NewPool(Config{Seed: 7, UseSeeds: true, Bugs: allBugSwitches(), Strategy: strategy}, workers), steps)
 }
 
-// fingerprintPool runs steps steps of p and captures its fingerprint.
-func fingerprintPool(p *Pool, steps int) campaignFingerprint {
+// fingerprintPool runs one Run call per entry of runs, each of that
+// many steps, and captures p's fingerprint.
+func fingerprintPool(p *Pool, runs ...int) campaignFingerprint {
+	return snapshot(p, runTitles(p, runs...))
+}
+
+// runTitles runs one Run call per entry of runs and returns the titles
+// the calls published, in order.
+func runTitles(p *Pool, runs ...int) []string {
 	var found []string
-	for _, r := range p.Run(steps) {
-		found = append(found, r.Title)
+	for _, steps := range runs {
+		for _, r := range p.Run(steps) {
+			found = append(found, r.Title)
+		}
 	}
+	return found
+}
+
+// snapshot captures p's fingerprint, found being the titles its Run calls
+// returned.
+func snapshot(p *Pool, found []string) campaignFingerprint {
 	s := p.Stats()
 	s.Perf = PerfStats{} // scheduling-dependent; excluded from comparison
 	var corpus []string
@@ -178,6 +193,65 @@ func TestPoolResumeDeterministic(t *testing.T) {
 	if !reflect.DeepEqual(covSet(whole), covSet(split)) {
 		t.Errorf("split runs diverged in coverage")
 	}
+}
+
+// TestPoolResumeKeepsWorkers: workers keep their step scratch across Run
+// calls, and that changes nothing. Batch-aligned splits, and a pool
+// widened between two Run calls, equal one uninterrupted Run; 96 Run(1)
+// calls, whose one-step batches feed the corpus after every step, equal
+// the same calls on a pool that drops its workers before each call.
+// Compared: Stats, coverage, corpus, discovery order and every rendered
+// report.
+func TestPoolResumeKeepsWorkers(t *testing.T) {
+	const steps = 96
+	newPool := func(workers int) *Pool {
+		return NewPool(Config{Seed: 7, UseSeeds: true, Bugs: allBugSwitches()}, workers)
+	}
+	compare := func(name string, got, want campaignFingerprint) {
+		t.Helper()
+		if got.stats != want.stats {
+			t.Errorf("%s: stats = %+v, want %+v", name, got.stats, want.stats)
+		}
+		if !reflect.DeepEqual(got.cov, want.cov) {
+			t.Errorf("%s: coverage diverged: %d edges vs %d", name, len(got.cov), len(want.cov))
+		}
+		if !reflect.DeepEqual(got.corpus, want.corpus) {
+			t.Errorf("%s: corpus diverged (%d vs %d programs)", name, len(got.corpus), len(want.corpus))
+		}
+		if !reflect.DeepEqual(got.reports, want.reports) {
+			t.Errorf("%s: rendered reports diverged", name)
+		}
+		if !reflect.DeepEqual(got.found, want.found) {
+			t.Errorf("%s: discovery order = %v, want %v", name, got.found, want.found)
+		}
+	}
+
+	whole := fingerprintPool(newPool(2), steps)
+	if len(whole.reports) == 0 || whole.stats.MTIs == 0 {
+		t.Fatalf("campaign found nothing: %+v", whole.stats)
+	}
+	compare("3 x Run(32)", fingerprintPool(newPool(2), 32, 32, 32), whole)
+	widened := newPool(1)
+	found := runTitles(widened, 32)
+	widened.Workers = 2
+	found = append(found, runTitles(widened, steps-32)...)
+	compare("width 1, then 2", snapshot(widened, found), whole)
+
+	ones := make([]int, steps)
+	for i := range ones {
+		ones[i] = 1
+	}
+	fresh := newPool(2)
+	found = nil
+	for range ones {
+		dropWorkers(fresh)
+		found = append(found, runTitles(fresh, 1)...)
+	}
+	want := snapshot(fresh, found)
+	if len(want.reports) == 0 {
+		t.Fatalf("one-step batches found nothing: %+v", want.stats)
+	}
+	compare("96 x Run(1)", fingerprintPool(newPool(2), ones...), want)
 }
 
 // TestRecycledKernelEquivalence verifies the sync.Pool recycler: executions

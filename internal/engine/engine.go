@@ -41,9 +41,11 @@ type Request struct {
 	// bugs from plain interleaving races (the paper's authors performed
 	// this classification manually on 61 crash titles, §6.1).
 	NoReorder bool
-	// Profile captures each call's memory-access events in sequential
-	// runs (requires an instrumented kernel).
-	Profile bool
+	// Prof, when non-nil, receives each call's memory-access events in
+	// sequential runs (requires an instrumented kernel). The engine resets
+	// it once per run and records the calls back to back; the result's
+	// CallEvents are views into it, valid until Prof is next used.
+	Prof *trace.Buffer
 	// Seed feeds seeded schedule policies (the Interleave strategy's
 	// random schedule; KCSAN's sampling stream).
 	Seed int64
@@ -71,8 +73,10 @@ type Result struct {
 	// performed at the scheduling point (zero for other strategies and
 	// for migration-insensitive hints).
 	Migrations int
-	// CallEvents holds the profiled event sequence of each completed
-	// call (§4.2) in profiling runs; entries past a crash are nil.
+	// CallEvents holds the profiled event sequence of each call (§4.2) in
+	// profiling runs: a view into Request.Prof whose capacity ends at its
+	// length. A call that recorded nothing, and every call past a crash,
+	// has a nil entry; the crashing call keeps its partial profile.
 	CallEvents [][]trace.Event
 	// Returns holds each call's return value (resources for later calls)
 	// in sequential runs.
@@ -94,8 +98,11 @@ type buildFunc func(k *kernel.Kernel) modules.Instance
 // engine reuses alongside it.
 type runner struct {
 	k *kernel.Kernel
-	// prof records each profiled call's events; Clone copies them out.
-	prof trace.Buffer
+	// args holds the resolved arguments of the call each task is in:
+	// slot 0 for the sequential task, 1 and 2 for the pair's tasks.
+	args [3][]uint64
+	// returns holds a pair run's call results.
+	returns []uint64
 	// mods and insts are the run's syscall table: insts[i] is the built
 	// instance of module mods[i] and serves the calls whose def names it.
 	mods  []string
@@ -192,16 +199,15 @@ func (e *Engine) run(cfg Config, s Strategy, req Request, build buildFunc) *Resu
 	}
 	s.Attach(k, &req)
 	var res *Result
-	shape := "sequential"
-	if plan := s.Pair(&cfg, &req); plan != nil {
-		shape = "pair"
+	plan := s.Pair(&cfg, &req)
+	if plan != nil {
 		res = e.runPair(r, &cfg, &req, plan)
 	} else {
 		res = e.runSequential(r, &cfg, &req)
 	}
 	// Publication is observation only: counters and wall-clock timings,
 	// never anything a deterministic execution depends on.
-	e.m.publishRun(s.Name(), shape, cfg.Model.Name(), time.Since(start), res, k.Em.Counters())
+	e.m.publishRun(s.Name(), plan != nil, cfg.Model.Name(), time.Since(start), res, k.Em.Counters())
 	e.release(r)
 	return res
 }
@@ -299,34 +305,38 @@ func covEdges(cov *kernel.EdgeSet) []uint64 {
 	return out
 }
 
-// resolveArgs materializes a call's arguments given earlier calls' results.
-func resolveArgs(c *syzlang.Call, returns []uint64) []uint64 {
-	args := make([]uint64, len(c.Args))
-	for i, a := range c.Args {
+// resolveArgs materializes a call's arguments, given earlier calls'
+// results, in dst's storage.
+func resolveArgs(dst []uint64, c *syzlang.Call, returns []uint64) []uint64 {
+	dst = dst[:0]
+	for _, a := range c.Args {
+		v := a.Val
 		if a.Res {
+			v = 0
 			if a.Ref >= 0 && a.Ref < len(returns) {
-				args[i] = returns[a.Ref]
+				v = returns[a.Ref]
 			}
-		} else {
-			args[i] = a.Val
 		}
+		dst = append(dst, v)
 	}
-	return args
+	return dst
 }
 
 // errno for a call with no implementation (module not loaded).
 const enosys = ^uint64(37) // -38
 
-// execCall runs one call on a task and returns its result. The store
-// buffer drains at syscall return.
-func execCall(t *kernel.Task, r *runner, c *syzlang.Call, args []uint64) uint64 {
+// execCall runs call ci of a pair run on a task, with its arguments in
+// args slot, and records its result. The store buffer drains at syscall
+// return.
+func execCall(t *kernel.Task, r *runner, slot int, c *syzlang.Call, ci int) {
+	r.args[slot] = resolveArgs(r.args[slot], c, r.returns)
 	impl := r.impl(c)
 	if impl == nil {
-		return enosys
+		r.returns[ci] = enosys
+		return
 	}
-	ret := impl(t, args)
+	r.returns[ci] = impl(t, r.args[slot])
 	t.SyscallReturn()
-	return ret
 }
 
 // runSequential executes the whole program on one task — the STI
@@ -337,26 +347,30 @@ func (e *Engine) runSequential(r *runner, cfg *Config, req *Request) *Result {
 		CallEvents: make([][]trace.Event, len(p.Calls)),
 		Returns:    make([]uint64, len(p.Calls)),
 	}
-	profiling := req.Profile && cfg.Instrumented
+	var prof *trace.Buffer
+	if cfg.Instrumented && req.Prof != nil {
+		prof = req.Prof
+		prof.Reset()
+	}
 	task := k.NewTask(0)
-	// The runner's profiling buffer serves every call: Clone captures each
-	// call's events, Reset recycles the backing storage for the next call.
-	prof := &r.prof
+	// Every call records after the previous one in prof; call ci's
+	// profile is the view of what it recorded from start on.
+	var ci, start int
 	session := sched.NewSession(sched.Sequential{})
 	session.Spawn(0, 0, func(st *sched.Task) {
 		task.Bind(st)
-		for ci := range p.Calls {
+		for ci = range p.Calls {
 			c := &p.Calls[ci]
-			args := resolveArgs(c, res.Returns)
+			r.args[0] = resolveArgs(r.args[0], c, res.Returns)
 			if impl := r.impl(c); impl != nil {
-				if profiling {
-					prof.Reset()
+				if prof != nil {
+					start = prof.Len()
 					task.Prof = prof
 				}
-				res.Returns[ci] = impl(task, args)
+				res.Returns[ci] = impl(task, r.args[0])
 				task.SyscallReturn()
-				if task.Prof != nil {
-					res.CallEvents[ci] = task.Prof.Clone()
+				if prof != nil {
+					res.CallEvents[ci] = prof.Since(start)
 					task.Prof = nil
 				}
 			} else {
@@ -367,14 +381,9 @@ func (e *Engine) runSequential(r *runner, cfg *Config, req *Request) *Result {
 	aborted := session.Run()
 	e.m.observeSession(session)
 	session.Release()
-	// Capture the crashing call's partial profile.
+	// A crash leaves call ci's profile attached: keep what it recorded.
 	if task.Prof != nil {
-		for ci := range res.CallEvents {
-			if res.CallEvents[ci] == nil {
-				res.CallEvents[ci] = task.Prof.Clone()
-				break
-			}
-		}
+		res.CallEvents[ci] = prof.Since(start)
 		task.Prof = nil
 	}
 	classifyAbort(aborted, res)
@@ -390,7 +399,8 @@ func (e *Engine) runSequential(r *runner, cfg *Config, req *Request) *Result {
 func (e *Engine) runPair(r *runner, cfg *Config, req *Request, plan *PairPlan) *Result {
 	k, p := r.k, req.Prog
 	res := &Result{}
-	returns := make([]uint64, len(p.Calls))
+	// Calls that have not run yet (call I during the prefix) read as 0.
+	r.returns = append(r.returns[:0], make([]uint64, len(p.Calls))...)
 
 	// Stage 1: sequential prefix.
 	prefixTask := k.NewTask(0)
@@ -401,8 +411,7 @@ func (e *Engine) runPair(r *runner, cfg *Config, req *Request, plan *PairPlan) *
 			if ci == req.I {
 				continue
 			}
-			c := &p.Calls[ci]
-			returns[ci] = execCall(prefixTask, r, c, resolveArgs(c, returns))
+			execCall(prefixTask, r, 0, &p.Calls[ci], ci)
 		}
 	})
 	aborted := prefix.Run()
@@ -426,15 +435,14 @@ func (e *Engine) runPair(r *runner, cfg *Config, req *Request, plan *PairPlan) *
 		plan.Arm(taskA, taskB)
 	}
 	session := sched.NewSession(plan.Policy)
-	runPair := func(task *kernel.Task, ci int) func(*sched.Task) {
+	runPair := func(task *kernel.Task, slot, ci int) func(*sched.Task) {
 		return func(st *sched.Task) {
 			task.Bind(st)
-			c := &p.Calls[ci]
-			returns[ci] = execCall(task, r, c, resolveArgs(c, returns))
+			execCall(task, r, slot, &p.Calls[ci], ci)
 		}
 	}
-	session.Spawn(1, 1, runPair(taskA, plan.CallA))
-	session.Spawn(2, 2, runPair(taskB, plan.CallB))
+	session.Spawn(1, 1, runPair(taskA, 1, plan.CallA))
+	session.Spawn(2, 2, runPair(taskB, 2, plan.CallB))
 	pairAborted := session.Run()
 	e.m.observeSession(session)
 	classifyAbort(pairAborted, res)
@@ -450,8 +458,7 @@ func (e *Engine) runPair(r *runner, cfg *Config, req *Request, plan *PairPlan) *
 		suffix.Spawn(3, 0, func(st *sched.Task) {
 			prefixTask.Bind(st)
 			for ci := req.J + 1; ci < len(p.Calls); ci++ {
-				c := &p.Calls[ci]
-				returns[ci] = execCall(prefixTask, r, c, resolveArgs(c, returns))
+				execCall(prefixTask, r, 0, &p.Calls[ci], ci)
 			}
 		})
 		suffixAborted := suffix.Run()

@@ -149,3 +149,57 @@ func TestResultCovSurvivesRecycling(t *testing.T) {
 		t.Fatalf("first result's coverage changed after recycling: %v, want %v", first.Cov, want)
 	}
 }
+
+// TestPairRunReturnsStartZeroed: a pair run's call results live in the
+// recycled runner, and a call whose resource producer has not run yet
+// must read 0, not a result an earlier run left behind. Call 1 takes call
+// 0's resource; the first run executes call 0 in its prefix, the second
+// holds it back as call I, so call 1's prefix execution must see 0.
+func TestPairRunReturnsStartZeroed(t *testing.T) {
+	e := New()
+	var seen []uint64
+	impls := modules.Instance{
+		"mk":  func(*kernel.Task, []uint64) uint64 { return 7 },
+		"use": func(_ *kernel.Task, args []uint64) uint64 { seen = append(seen, args[0]); return 0 },
+	}
+	mk := &syzlang.SyscallDef{Name: "mk"}
+	p := &syzlang.Program{Calls: []syzlang.Call{
+		{Def: mk},
+		{Def: &syzlang.SyscallDef{Name: "use"}, Args: []syzlang.Arg{{Res: true, Ref: 0}}},
+		{Def: mk},
+	}}
+	cfg := Config{Instrumented: true}
+	e.run(cfg, Interleave{}, Request{Prog: p, I: 1, J: 2}, injected(impls))
+	e.run(cfg, Interleave{}, Request{Prog: p, I: 0, J: 2}, injected(impls))
+	if !slices.Equal(seen, []uint64{7, 0}) {
+		t.Fatalf("use saw %v, want [7 0]", seen)
+	}
+}
+
+// TestPairTasksOwnTheirArgs: the pair's two tasks interleave mid-call, so
+// each must read its arguments from its own recycled slice; a shared one
+// would hand a task the other call's arguments after a switch.
+func TestPairTasksOwnTheirArgs(t *testing.T) {
+	e := New()
+	got := map[uint64][]uint64{}
+	echo := func(tk *kernel.Task, args []uint64) uint64 {
+		a := tk.Kzalloc(1)
+		for i := 0; i < 8; i++ {
+			tk.Store(trace.InstrID(i+1), a, 1) // a scheduling point each
+			got[args[0]] = append(got[args[0]], args[0])
+		}
+		return 0
+	}
+	def := &syzlang.SyscallDef{Name: "echo"}
+	p := &syzlang.Program{Calls: []syzlang.Call{
+		{Def: def, Args: []syzlang.Arg{{Val: 1}}},
+		{Def: def, Args: []syzlang.Arg{{Val: 2}}},
+	}}
+	res := e.run(Config{Instrumented: true}, Interleave{}, Request{Prog: p, I: 0, J: 1, Seed: 1}, injected(modules.Instance{"echo": echo}))
+	if res.Crash != nil || res.Deadlock != nil {
+		t.Fatalf("run aborted: %+v", res)
+	}
+	if len(got[1]) != 8 || len(got[2]) != 8 {
+		t.Fatalf("calls read args %v, want 8 reads of 1 and 8 of 2", got)
+	}
+}

@@ -23,8 +23,9 @@ var flushCauses = []string{"smp_wmb", "smp_mb", "release", "interrupt", "syscall
 
 // metrics is the engine's handle bundle into an obs.Registry: every
 // lifecycle metric, pre-resolved at construction so the run path does no
-// name lookups. All handles are per-engine unless the caller shares a
-// registry across engines (then counters are cumulative across them).
+// name lookups for built-in strategies and registered models. All handles
+// are per-engine unless the caller shares a registry across engines (then
+// counters are cumulative across them).
 type metrics struct {
 	reg *obs.Registry
 
@@ -34,6 +35,14 @@ type metrics struct {
 	deadlocks     *obs.CounterVec
 	prefixCrashes *obs.Counter
 	modelRuns     *obs.CounterVec
+
+	// strategies, and models under modelNames, hold the children of the
+	// labelled families above for every built-in strategy and registered
+	// model. They are filled by newMetrics and only read afterwards, so
+	// concurrent runs share them without the families' mutexes.
+	strategies []strategyMetrics
+	modelNames []string
+	models     []*obs.Counter
 
 	mtiPairs    *obs.Counter
 	mtiFired    *obs.Counter
@@ -80,21 +89,19 @@ func newMetrics(reg *obs.Registry) *metrics {
 		"Runs that ended in a kernel crash oracle firing, by strategy.", "strategy")
 	m.deadlocks = reg.CounterVec("ozz_engine_deadlocks_total",
 		"Runs that ended in a scheduler deadlock, by strategy.", "strategy")
-	for _, s := range StrategyNames {
-		for _, sh := range shapeNames {
-			m.runs.With(s, sh)
-		}
-		m.runDur.With(s)
-		m.crashes.With(s)
-		m.deadlocks.With(s)
+	m.strategies = make([]strategyMetrics, len(StrategyNames))
+	for i, s := range StrategyNames {
+		m.strategies[i] = m.resolveStrategy(s)
 	}
 	m.prefixCrashes = reg.Counter("ozz_engine_prefix_crashes_total",
 		"Pair runs aborted during the sequential prefix (non-OOO crash; concurrent stage never ran).")
 
 	m.modelRuns = reg.CounterVec("ozz_model_runs_total",
 		"Engine executions by the memory model OEMU emulated for the run.", "model")
-	for _, name := range memmodel.Names() {
-		m.modelRuns.With(name)
+	m.modelNames = memmodel.Names()
+	m.models = make([]*obs.Counter, len(m.modelNames))
+	for i, name := range m.modelNames {
+		m.models[i] = m.modelRuns.With(name)
 	}
 
 	m.mtiPairs = reg.Counter("ozz_mti_pairs_total",
@@ -155,6 +162,54 @@ func newMetrics(reg *obs.Registry) *metrics {
 	return m
 }
 
+// strategyMetrics are one strategy's children of the per-strategy
+// families.
+type strategyMetrics struct {
+	name      string
+	runs      [2]*obs.Counter // indexed like shapeNames
+	dur       *obs.Histogram
+	crashes   *obs.Counter
+	deadlocks *obs.Counter
+}
+
+// resolveStrategy looks up (creating at zero) a strategy's children.
+func (m *metrics) resolveStrategy(s string) strategyMetrics {
+	sm := strategyMetrics{
+		name:      s,
+		dur:       m.runDur.With(s),
+		crashes:   m.crashes.With(s),
+		deadlocks: m.deadlocks.With(s),
+	}
+	for i, sh := range shapeNames {
+		sm.runs[i] = m.runs.With(s, sh)
+	}
+	return sm
+}
+
+// strategy returns the named strategy's children: pre-resolved for the
+// built-in strategies, looked up through the families for any other.
+func (m *metrics) strategy(name string) *strategyMetrics {
+	for i := range m.strategies {
+		if m.strategies[i].name == name {
+			return &m.strategies[i]
+		}
+	}
+	sm := m.resolveStrategy(name)
+	return &sm
+}
+
+// modelRun returns the named model's run counter: pre-resolved for the
+// models registered when the engine was built, looked up through the
+// family for any other.
+func (m *metrics) modelRun(name string) *obs.Counter {
+	for i, n := range m.modelNames {
+		if n == name {
+			return m.models[i]
+		}
+	}
+	return m.modelRuns.With(name)
+}
+
 // observeSession harvests a finished scheduler session's yield/preemption
 // tallies into the registry.
 func (m *metrics) observeSession(s *sched.Session) {
@@ -165,20 +220,25 @@ func (m *metrics) observeSession(s *sched.Session) {
 // publishRun records one finished execution: run/crash counters by
 // strategy and shape, MTI outcome counters, and the kernel's OEMU
 // activity tally for the run.
-func (m *metrics) publishRun(strategy, shape, model string, d time.Duration, res *Result, oc oemu.Counters) {
-	m.runs.With(strategy, shape).Inc()
-	m.runDur.With(strategy).Observe(d.Seconds())
-	m.modelRuns.With(model).Inc()
+func (m *metrics) publishRun(strategy string, pair bool, model string, d time.Duration, res *Result, oc oemu.Counters) {
+	sm := m.strategy(strategy)
+	shape := 0
+	if pair {
+		shape = 1
+	}
+	sm.runs[shape].Inc()
+	sm.dur.Observe(d.Seconds())
+	m.modelRun(model).Inc()
 	if res.Crash != nil {
-		m.crashes.With(strategy).Inc()
+		sm.crashes.Inc()
 	}
 	if res.Deadlock != nil {
-		m.deadlocks.With(strategy).Inc()
+		sm.deadlocks.Inc()
 	}
 	if res.PrefixCrash {
 		m.prefixCrashes.Inc()
 	}
-	if shape == "pair" {
+	if pair {
 		m.mtiPairs.Inc()
 		if res.Fired {
 			m.mtiFired.Inc()

@@ -133,25 +133,29 @@ func (p *Program) Clone() *Program {
 // identical results. It is cheaper than String (no assignment prefixes,
 // no formatting verbs) but just as injective.
 func (p *Program) Key() string {
-	var sb strings.Builder
-	sb.Grow(len(p.Calls) * 32)
+	return string(p.AppendKey(make([]byte, 0, len(p.Calls)*32)))
+}
+
+// AppendKey appends p's Key to dst and returns the extended slice, so a
+// caller that keeps dst across programs encodes keys without allocating.
+func (p *Program) AppendKey(dst []byte) []byte {
 	for _, c := range p.Calls {
-		sb.WriteString(c.Def.Name)
-		sb.WriteByte('(')
+		dst = append(dst, c.Def.Name...)
+		dst = append(dst, '(')
 		for j, a := range c.Args {
 			if j > 0 {
-				sb.WriteByte(',')
+				dst = append(dst, ',')
 			}
 			if a.Res {
-				sb.WriteByte('r')
-				sb.WriteString(strconv.Itoa(a.Ref))
+				dst = append(dst, 'r')
+				dst = strconv.AppendInt(dst, int64(a.Ref), 10)
 			} else {
-				sb.WriteString(strconv.FormatUint(a.Val, 16))
+				dst = strconv.AppendUint(dst, a.Val, 16)
 			}
 		}
-		sb.WriteString(")\n")
+		dst = append(dst, ")\n"...)
 	}
-	return sb.String()
+	return dst
 }
 
 // String serializes the program in a syzlang-like text form:

@@ -110,6 +110,27 @@ func TestSerializeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAppendKey: Key is AppendKey into an empty buffer, AppendKey leaves
+// what dst already held in place, and the key pins resource wiring and
+// hex constants.
+func TestAppendKey(t *testing.T) {
+	p, err := testTarget().Parse("r0 = sock_open()\nsock_bind(r0, 0xa)\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "sock_open()\nsock_bind(r0,a)\n"
+	if got := p.Key(); got != want {
+		t.Errorf("Key = %q, want %q", got, want)
+	}
+	buf := p.AppendKey([]byte("prefix:"))
+	if got := string(buf); got != "prefix:"+want {
+		t.Errorf("AppendKey = %q", got)
+	}
+	if got := string(p.AppendKey(buf[:0])); got != want {
+		t.Errorf("AppendKey into a reused buffer = %q", got)
+	}
+}
+
 // TestParseErrors: malformed sources are rejected with useful errors.
 func TestParseErrors(t *testing.T) {
 	tg := testTarget()

@@ -255,8 +255,9 @@ func (e Event) String() string {
 	return fmt.Sprintf("%s(%s)@%d addr=0x%x", e.Acc.Kind, e.Acc.Atomic, e.Acc.Instr, uint64(e.Acc.Addr))
 }
 
-// Buffer accumulates the profiled events of one task executing one system
-// call. It is append-only and owned by a single task.
+// Buffer accumulates the profiled events of one task executing a sequence
+// of system calls. It is append-only between Resets and owned by a single
+// task.
 type Buffer struct {
 	Events []Event
 }
@@ -301,11 +302,16 @@ func (b *Buffer) Barriers() []BarrierEvent {
 	return out
 }
 
-// Clone returns a deep copy of the buffer's events.
-func (b *Buffer) Clone() []Event {
-	out := make([]Event, len(b.Events))
-	copy(out, b.Events)
-	return out
+// Since returns the events recorded after the first start, or nil when
+// there are none. The view's capacity ends at its length, so appending to
+// it copies instead of overwriting events recorded later. It aliases the
+// buffer: a Reset followed by new records overwrites it.
+func (b *Buffer) Since(start int) []Event {
+	n := len(b.Events)
+	if start == n {
+		return nil
+	}
+	return b.Events[start:n:n]
 }
 
 // Dump renders all events one per line, for debugging and reports.

@@ -45,8 +45,9 @@ func TestAccessKindAndAtomicityStrings(t *testing.T) {
 }
 
 func TestBufferRoundTrip(t *testing.T) {
-	var b Buffer
+	b := Buffer{Events: make([]Event, 0, 8)} // room to append in place
 	b.RecordAccess(AccessEvent{Instr: 1, Addr: 0x10, Kind: Store, Size: 8, Time: 5})
+	head := b.Since(0)
 	b.RecordBarrier(BarrierEvent{Instr: 2, Kind: BarrierStore, Time: 6})
 	b.RecordAccess(AccessEvent{Instr: 3, Addr: 0x18, Kind: Load, Size: 8, Time: 7})
 	if b.Len() != 3 {
@@ -58,10 +59,24 @@ func TestBufferRoundTrip(t *testing.T) {
 	if bars := b.Barriers(); len(bars) != 1 || bars[0].Kind != BarrierStore {
 		t.Fatalf("Barriers = %v", bars)
 	}
-	clone := b.Clone()
+	tail := b.Since(1)
+	if len(tail) != 2 || cap(tail) != 2 || tail[0].Bar.Kind != BarrierStore {
+		t.Fatalf("Since(1) = %v (cap %d)", tail, cap(tail))
+	}
+	if b.Since(3) != nil {
+		t.Fatal("Since(Len()) is not nil")
+	}
+	// Appending to a view must not overwrite the events recorded after it.
+	if len(head) != 1 || cap(head) != 1 {
+		t.Fatalf("Since(0) of one event: len %d cap %d", len(head), cap(head))
+	}
+	_ = append(head, Event{})
+	if b.Events[1].Bar.Kind != BarrierStore {
+		t.Fatal("append to a view overwrote the buffer")
+	}
 	b.Reset()
-	if b.Len() != 0 || len(clone) != 3 {
-		t.Fatalf("Reset/Clone interplay broken: %d / %d", b.Len(), len(clone))
+	if b.Len() != 0 || len(tail) != 2 {
+		t.Fatalf("Reset/Since interplay broken: %d / %d", b.Len(), len(tail))
 	}
 }
 
