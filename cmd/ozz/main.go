@@ -6,8 +6,8 @@
 //
 //	ozz [-modules tls,xsk] [-bugs all|sw1,sw2] [-steps 500] [-seed 1] [-workers 4] [-v]
 //	ozz -duration 30s -metrics-addr 127.0.0.1:9911 -events events.jsonl
-//	ozz -mode manager -listen 127.0.0.1:9900 -steps 600 -shard-steps 20
-//	ozz -mode worker -manager http://127.0.0.1:9900
+//	ozz -mode manager -listen 127.0.0.1:9900 -steps 600 -shard-steps 20 [-state-dir DIR] [-token T]
+//	ozz -mode worker -manager http://127.0.0.1:9900 [-token T]
 //
 // With -bugs all (the default), every Table 3/Table 4 bug switch is active —
 // the fuzzer hunts the whole corpus. With -bugs "" the kernel is fully
@@ -23,10 +23,12 @@
 // produces the same findings, coverage, and corpus — only faster.
 //
 // Modes (see internal/dist): the default "standalone" runs the whole
-// campaign in-process exactly as before. "manager" owns the campaign —
+// campaign in-process exactly as before. "manager" owns one campaign —
 // shard plan, global corpus, global crash dedup — and serves the fabric
-// API (plus /metrics) on -listen; it runs no programs itself. "worker"
-// leases shards from -manager, runs them locally, and syncs corpus deltas
+// API (plus /metrics) on -listen; it runs no programs itself. With
+// -state-dir it journals the campaign and resumes it after a restart;
+// with -token every request must carry that token. "worker" leases one
+// shard at a time from -manager, runs it locally, and syncs corpus deltas
 // and findings back. Shards are deterministic in the campaign seed, so a
 // 1-manager/N-worker campaign finds the same deduplicated crash titles as
 // a standalone campaign over the same shard plan.
@@ -53,7 +55,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -91,17 +92,9 @@ func main() {
 		leaseTTL   = flag.Duration("lease-ttl", 5*time.Second, "manager: lease time-to-live without renewal")
 		heartbeat  = flag.Duration("heartbeat", time.Second, "manager: heartbeat cadence expected from workers")
 
-		stateDir = flag.String("state-dir", "", "manager: directory for durable campaign state (snapshots + write-ahead logs); enables crash-restart resume")
-		exportTo = flag.String("export", "", "manager: write the selected -campaign's snapshot to this file and exit")
-		importAt = flag.String("import", "", "manager: import a campaign snapshot from this file before serving")
-		campName = flag.String("campaign", "", "worker: campaign to join; manager: campaign addressed by -export (default: the default campaign)")
-		token    = flag.String("token", "", "campaign auth token (manager: guards the default and imported campaigns; worker: sent with every request)")
+		stateDir = flag.String("state-dir", "", "manager: directory for durable campaign state (snapshot + write-ahead log); enables crash-restart resume")
+		token    = flag.String("token", "", "auth token (manager: required on every request; worker: sent with every request)")
 	)
-	var addCampaigns []string
-	flag.Func("add-campaign", "manager: host an extra campaign, NAME:STEPS:SEED[:TOKEN] (repeatable; inherits -modules/-bugs/-model)", func(s string) error {
-		addCampaigns = append(addCampaigns, s)
-		return nil
-	})
 	flag.Parse()
 
 	if *list {
@@ -187,15 +180,10 @@ func main() {
 			LeaseTTL: *leaseTTL, HeartbeatEvery: *heartbeat,
 			Token: *token, StateDir: *stateDir,
 			Obs: reg, Events: events,
-		}, managerOpts{
-			listen: *listen, corpusOut: *corpusOut,
-			exportTo: *exportTo, importFrom: *importAt,
-			campaign: *campName, token: *token, add: addCampaigns,
-		}, events)
+		}, *listen, *corpusOut, events)
 	case "worker":
 		runWorker(ctx, dist.WorkerConfig{
-			ManagerURL: *managerURL, Name: workerName(*name),
-			Campaign: *campName, Token: *token,
+			ManagerURL: *managerURL, Name: workerName(*name), Token: *token,
 			PoolWorkers: *workers, Obs: reg, Events: events,
 		}, *corpusOut, events)
 	default:
@@ -324,95 +312,16 @@ func runStandalone(ctx context.Context, cfg standaloneConfig) {
 	}
 }
 
-// managerOpts bundles the manager-mode command-line options beyond the
-// fabric configuration itself.
-type managerOpts struct {
-	listen     string
-	corpusOut  string
-	exportTo   string   // -export: snapshot file to write, then exit
-	importFrom string   // -import: snapshot file to seed state from
-	campaign   string   // -campaign: target of -export
-	token      string   // -token: guards the default and imported campaigns
-	add        []string // -add-campaign specs, NAME:STEPS:SEED[:TOKEN]
-}
-
-// parseAddCampaign parses one -add-campaign spec. The extra campaign
-// inherits the default campaign's spec (modules, bugs, model) and the
-// manager's -shard-steps, with its own step budget, seed, and optional
-// token.
-func parseAddCampaign(s string, base dist.CampaignSpec, shardSteps int) (string, dist.CampaignConfig, error) {
-	parts := strings.SplitN(s, ":", 4)
-	if len(parts) < 3 {
-		return "", dist.CampaignConfig{}, fmt.Errorf("want NAME:STEPS:SEED[:TOKEN], got %q", s)
-	}
-	steps, err := strconv.Atoi(parts[1])
-	if err != nil || steps <= 0 {
-		return "", dist.CampaignConfig{}, fmt.Errorf("bad STEPS in %q", s)
-	}
-	seed, err := strconv.ParseInt(parts[2], 10, 64)
-	if err != nil {
-		return "", dist.CampaignConfig{}, fmt.Errorf("bad SEED in %q", s)
-	}
-	cfg := dist.CampaignConfig{Campaign: base, TotalSteps: steps, ShardSteps: shardSteps, Seed: seed}
-	if len(parts) == 4 {
-		cfg.Token = parts[3]
-	}
-	return parts[0], cfg, nil
-}
-
-// runManager serves the fabric API until every hosted campaign completes
-// (or a signal arrives), then lingers briefly so connected workers can
-// learn the campaign is done and deregister, and finally prints the
-// merged global findings and persists the merged corpus. With -export it
-// instead writes the selected campaign's snapshot and exits; with
-// -import it seeds state from a snapshot file before serving.
-func runManager(ctx context.Context, cfg dist.ManagerConfig, opt managerOpts, events *obs.EventLog) {
+// runManager serves the fabric API until the campaign completes (or a
+// signal arrives), then lingers briefly so connected workers can learn
+// the campaign is done and deregister, and finally prints the merged
+// global findings and persists the merged corpus.
+func runManager(ctx context.Context, cfg dist.ManagerConfig, listen, corpusOut string, events *obs.EventLog) {
 	m, err := dist.NewManager(cfg)
 	if err != nil {
 		fatal(events, "manager: %v", err)
 	}
-	for _, spec := range opt.add {
-		name, ccfg, err := parseAddCampaign(spec, cfg.Campaign, cfg.ShardSteps)
-		if err != nil {
-			fatal(events, "add-campaign: %v", err)
-		}
-		if err := m.AddCampaign(name, ccfg); err != nil {
-			fatal(events, "add-campaign: %v", err)
-		}
-	}
-	if opt.importFrom != "" {
-		f, err := os.Open(opt.importFrom)
-		if err != nil {
-			fatal(events, "import: %v", err)
-		}
-		name, err := m.ImportCampaign(f, opt.token)
-		f.Close()
-		if err != nil {
-			fatal(events, "import: %v", err)
-		}
-		fmt.Fprintf(os.Stderr, "manager: imported campaign %q from %s\n", name, opt.importFrom)
-	}
-	if opt.exportTo != "" {
-		name := opt.campaign
-		if name == "" {
-			name = dist.DefaultCampaign
-		}
-		out, err := os.Create(opt.exportTo)
-		if err != nil {
-			fatal(events, "export: %v", err)
-		}
-		if err := m.ExportCampaign(name, out); err != nil {
-			out.Close()
-			fatal(events, "export: %v", err)
-		}
-		if err := out.Close(); err != nil {
-			fatal(events, "export: %v", err)
-		}
-		_ = m.Close()
-		fmt.Printf("exported campaign %q to %s\n", name, opt.exportTo)
-		return
-	}
-	ln, err := net.Listen("tcp", opt.listen)
+	ln, err := net.Listen("tcp", listen)
 	if err != nil {
 		fatal(events, "listen: %v", err)
 	}
@@ -423,7 +332,7 @@ func runManager(ctx context.Context, cfg dist.ManagerConfig, opt managerOpts, ev
 	tick := time.NewTicker(100 * time.Millisecond)
 	defer tick.Stop()
 wait:
-	for !m.AllDone() {
+	for !m.Done() {
 		select {
 		case <-ctx.Done():
 			fmt.Fprintln(os.Stderr, "interrupted: finishing up")
@@ -447,8 +356,8 @@ wait:
 	fmt.Printf("\nmanager done: %d/%d shards, %d workers peak-registered, %d corpus programs\n",
 		m.ShardsCompleted(), m.ShardsTotal(), m.WorkersSeen(), m.CorpusLen())
 	fmt.Printf("findings: %d unique crash titles\n", len(all))
-	if opt.corpusOut != "" {
-		writeCorpusFile(opt.corpusOut, m.WriteCorpus, events)
+	if corpusOut != "" {
+		writeCorpusFile(corpusOut, m.WriteCorpus, events)
 	}
 }
 

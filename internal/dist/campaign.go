@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"time"
@@ -14,30 +15,8 @@ import (
 	"ozz/internal/syzlang"
 )
 
-// CampaignConfig parameterizes one hosted campaign. The manager-wide
-// liveness timings (lease TTL, heartbeat cadence) live on ManagerConfig;
-// everything that defines the campaign's work and identity lives here.
-type CampaignConfig struct {
-	// Campaign is the campaign configuration shipped to workers.
-	Campaign CampaignSpec
-	// TotalSteps is the whole campaign's step budget across all shards.
-	TotalSteps int
-	// ShardSteps is the per-lease step budget (default 64).
-	ShardSteps int
-	// Seed is the base campaign seed the shard seeds derive from.
-	Seed int64
-	// Token, when non-empty, is the campaign's auth token: every request
-	// addressing the campaign must carry it or is rejected with HTTP 403.
-	// Tokens are configuration, never persisted or exported.
-	Token string
-}
-
-// normalize resolves the campaign defaults.
-func (c *CampaignConfig) normalize() {
-	if c.ShardSteps <= 0 {
-		c.ShardSteps = 64
-	}
-}
+// snapshotEvery is how many WAL records trigger a compaction.
+const snapshotEvery = 256
 
 // workerState is the manager's view of one registered worker.
 type workerState struct {
@@ -45,7 +24,6 @@ type workerState struct {
 	name      string
 	lastSeen  time.Time
 	connected bool
-	leases    map[uint64]struct{}
 }
 
 // shardState tracks one shard through grants, reassignments, and
@@ -61,95 +39,41 @@ type leaseState struct {
 	shard  int
 	worker int
 	expiry time.Time
-	// stolen marks a duplicate lease granted by work stealing; if it
-	// completes its shard first, that is a steal win.
-	stolen bool
 }
 
-// campaign is one hosted campaign's entire state: the shard frontier,
+// The methods below are the campaign's state machine: the shard frontier,
 // worker and lease tables, merged corpus, deduplicated report set, the
-// registration epoch, and (when the manager has a state directory) the
-// open write-ahead log. All fields are guarded by the owning Manager's
-// mutex; methods with the Locked suffix assume it is held.
-type campaign struct {
-	m      *Manager
-	name   string
-	cfg    CampaignConfig
-	target *syzlang.Target
-
-	// epoch is the registration epoch: 1 on a fresh campaign, +1 on
-	// every recovery from persistent state. Lease IDs embed it
-	// (epoch<<32 | sequence) so IDs never collide across restarts.
-	epoch uint64
-
-	workers     map[int]*workerState
-	nextWorker  int
-	shards      []*shardState
-	pending     []int // shard indexes awaiting a worker, FIFO
-	inflight    map[uint64]*leaseState
-	leaseByID   map[uint64]int // every lease ever granted -> shard index
-	nextLease   uint64         // per-epoch lease sequence
-	completed   int
-	doneEmitted bool
-
-	corpus      map[string]*syzlang.Program // key hash -> program
-	corpusOrder []string                    // key hashes in first-seen order
-	reports     *report.Set
-
-	// wal is the open write-ahead log, nil for in-memory campaigns (no
-	// state directory) and after an append failure degraded the campaign
-	// back to in-memory operation.
-	wal *wal
-}
-
-// newCampaign builds an in-memory campaign over its derived shard plan.
-func newCampaign(m *Manager, name string, cfg CampaignConfig) *campaign {
-	cfg.normalize()
-	c := &campaign{
-		m:         m,
-		name:      name,
-		cfg:       cfg,
-		target:    modules.Target(cfg.Campaign.Modules...),
-		epoch:     1,
-		workers:   make(map[int]*workerState),
-		inflight:  make(map[uint64]*leaseState),
-		leaseByID: make(map[uint64]int),
-		corpus:    make(map[string]*syzlang.Program),
-		reports:   report.NewSet(),
-	}
-	c.rebuildPlanLocked()
-	return c
-}
+// registration epoch, and the write-ahead log. The Locked suffix means
+// the caller holds m.mu.
 
 // rebuildPlanLocked derives the shard plan from the campaign config and
 // queues every incomplete shard.
-func (c *campaign) rebuildPlanLocked() {
-	c.shards, c.pending = nil, nil
-	for _, sh := range Shards(c.cfg.Seed, c.cfg.TotalSteps, c.cfg.ShardSteps) {
-		c.shards = append(c.shards, &shardState{shard: sh})
-		c.pending = append(c.pending, sh.Index)
+func (m *Manager) rebuildPlanLocked() {
+	m.shards, m.pending = nil, nil
+	for _, sh := range Shards(m.cfg.Seed, m.cfg.TotalSteps, m.cfg.ShardSteps) {
+		m.shards = append(m.shards, &shardState{shard: sh})
+		m.pending = append(m.pending, sh.Index)
 	}
-	c.completed = 0
+	m.completed = 0
 }
 
 // requeueIncompleteLocked rebuilds the pending queue as every shard not
-// yet completed, in index order, dropping all in-flight leases — the
-// recovery posture: shard execution is deterministic, so re-running work
-// a pre-crash lease may still be chewing on is a harmless duplicate.
-func (c *campaign) requeueIncompleteLocked() {
-	c.pending = c.pending[:0]
-	c.inflight = make(map[uint64]*leaseState)
-	for _, st := range c.shards {
+// yet completed, in index order — the recovery posture: leases are not
+// journaled, and shard execution is deterministic, so re-running work a
+// pre-crash lease may still be chewing on is a harmless duplicate.
+func (m *Manager) requeueIncompleteLocked() {
+	m.pending = m.pending[:0]
+	for _, st := range m.shards {
 		if !st.completed {
-			c.pending = append(c.pending, st.shard.Index)
+			m.pending = append(m.pending, st.shard.Index)
 		}
 	}
 }
 
 // connectedLocked counts live workers.
-func (c *campaign) connectedLocked() int {
+func (m *Manager) connectedLocked() int {
 	n := 0
-	for _, ws := range c.workers {
+	for _, ws := range m.workers {
 		if ws.connected {
 			n++
 		}
@@ -158,150 +82,94 @@ func (c *campaign) connectedLocked() int {
 }
 
 // doneLocked reports whether every shard has completed.
-func (c *campaign) doneLocked() bool { return c.completed == len(c.shards) }
+func (m *Manager) doneLocked() bool { return m.completed == len(m.shards) }
 
 // journalLocked appends one WAL record, degrading the campaign to
 // in-memory operation (with a warning event) if the append fails — a
 // full disk must not take down fleet traffic.
-func (c *campaign) journalLocked(t string, payload any) {
-	if c.wal == nil {
+func (m *Manager) journalLocked(t string, payload any) {
+	if m.wal == nil {
 		return
 	}
-	if err := c.wal.append(t, payload); err != nil {
-		c.m.do.ev.Warn(0, "dist.wal.error", map[string]any{
-			"campaign": c.name, "err": err.Error(),
-		})
-		_ = c.wal.close()
-		c.wal = nil
+	if err := m.wal.append(t, payload); err != nil {
+		m.do.ev.Warn(0, "dist.wal.error", map[string]any{"err": err.Error()})
+		_ = m.wal.close()
+		m.wal = nil
 		return
 	}
-	if every := c.m.cfg.SnapshotEvery; c.wal.records >= every {
-		c.snapshotLocked()
+	if m.wal.records >= snapshotEvery {
+		m.snapshotLocked()
 	}
 }
 
 // registerLocked admits a worker, journals it, and — the re-register
-// handshake — eagerly releases any leases still held by the worker's
-// previous incarnation instead of letting them sit out the TTL sweep.
+// handshake — eagerly releases any lease still held by the worker's
+// previous incarnation instead of letting it sit out the TTL sweep.
 // It returns the new worker ID and the shard indexes requeued from the
 // previous incarnation.
-func (c *campaign) registerLocked(name string, prevWorker int) (int, []int) {
-	c.nextWorker++
-	id := c.nextWorker
-	c.workers[id] = &workerState{
-		id: id, name: name, lastSeen: c.m.now(),
-		connected: true, leases: make(map[uint64]struct{}),
-	}
-	c.journalLocked(walWorker, walWorkerD{ID: id, Name: name})
+func (m *Manager) registerLocked(name string, prevWorker int) (int, []int) {
+	m.nextWorker++
+	id := m.nextWorker
+	m.workers[id] = &workerState{id: id, name: name, lastSeen: m.now(), connected: true}
+	m.journalLocked(walWorker, walWorkerD{ID: id, Name: name})
 	var requeued []int
-	if pw := c.workers[prevWorker]; pw != nil && prevWorker != id {
+	if pw := m.workers[prevWorker]; pw != nil && prevWorker != id {
 		pw.connected = false
-		for lid := range pw.leases {
-			if ls := c.inflight[lid]; ls != nil {
-				delete(c.inflight, lid)
-				if !c.shards[ls.shard].completed {
-					c.pending = append(c.pending, ls.shard)
-					c.m.do.leaseReassigns.Inc()
-					requeued = append(requeued, ls.shard)
-				}
-			}
-			delete(pw.leases, lid)
-		}
+		requeued = m.releaseLocked(prevWorker)
 	}
 	return id, requeued
 }
 
+// releaseLocked drops every in-flight lease held by worker and requeues
+// its incomplete shards, returning their indexes.
+func (m *Manager) releaseLocked(worker int) []int {
+	var requeued []int
+	for id, ls := range m.inflight {
+		if ls.worker != worker {
+			continue
+		}
+		delete(m.inflight, id)
+		if !m.shards[ls.shard].completed {
+			m.pending = append(m.pending, ls.shard)
+			m.do.leaseReassigns.Inc()
+			requeued = append(requeued, ls.shard)
+		}
+	}
+	return requeued
+}
+
 // touchLocked refreshes a worker's liveness. Returns nil for unknown or
 // dead workers.
-func (c *campaign) touchLocked(id int) *workerState {
-	ws := c.workers[id]
+func (m *Manager) touchLocked(id int) *workerState {
+	ws := m.workers[id]
 	if ws == nil || !ws.connected {
 		return nil
 	}
-	ws.lastSeen = c.m.now()
+	ws.lastSeen = m.now()
 	return ws
 }
 
-// grantLocked grants up to a dynamically sized batch of leases to ws:
-// ceil(pending / connected workers), capped by MaxLeaseBatch — a lone or
-// fast worker drains several shards per round trip while a full fleet
-// gets one each. When the pending queue is empty it falls back to work
-// stealing: a duplicate lease on an in-flight shard (bounded by
-// StealDuplicates per shard), so late-joining or fast workers race the
-// original holder instead of idling; determinism makes whichever
-// finishes first the winner and the other run a harmless duplicate.
-func (c *campaign) grantLocked(ws *workerState) (granted []*Lease, stolen bool) {
-	batch := 1
-	if n := c.connectedLocked(); n > 0 {
-		batch = (len(c.pending) + n - 1) / n
+// grantLocked leases the next pending shard to ws, or returns nil when
+// none is pending. Lease IDs embed the epoch (epoch<<32 | sequence) so a
+// restarted manager can never re-mint an ID some surviving worker still
+// holds from before the crash.
+func (m *Manager) grantLocked(ws *workerState) *Lease {
+	if len(m.pending) == 0 {
+		return nil
 	}
-	if batch < 1 {
-		batch = 1
+	idx := m.pending[0]
+	m.pending = m.pending[1:]
+	m.nextLease++
+	id := m.epoch<<32 | m.nextLease
+	m.inflight[id] = &leaseState{
+		id: id, shard: idx, worker: ws.id, expiry: m.now().Add(m.cfg.LeaseTTL),
 	}
-	if max := c.m.cfg.MaxLeaseBatch; batch > max {
-		batch = max
-	}
-	for len(granted) < batch && len(c.pending) > 0 {
-		idx := c.pending[0]
-		c.pending = c.pending[1:]
-		granted = append(granted, c.leaseLocked(ws, idx, false))
-	}
-	if len(granted) == 0 {
-		if idx, ok := c.stealTargetLocked(ws); ok {
-			granted = append(granted, c.leaseLocked(ws, idx, true))
-			c.m.do.stealGrants.Inc()
-			stolen = true
-		}
-	}
-	return granted, stolen
-}
-
-// stealTargetLocked picks the in-flight shard to duplicate for an idle
-// worker: not completed, not already leased to this worker, fewer than
-// 1+StealDuplicates outstanding leases, preferring the lease closest to
-// expiry (the one most likely to need rescue).
-func (c *campaign) stealTargetLocked(ws *workerState) (int, bool) {
-	counts := make(map[int]int)
-	mine := make(map[int]bool)
-	for _, ls := range c.inflight {
-		counts[ls.shard]++
-		if ls.worker == ws.id {
-			mine[ls.shard] = true
-		}
-	}
-	best, bestExpiry, found := 0, time.Time{}, false
-	for _, ls := range c.inflight {
-		if c.shards[ls.shard].completed || mine[ls.shard] {
-			continue
-		}
-		if counts[ls.shard] > c.m.cfg.StealDuplicates {
-			continue
-		}
-		if !found || ls.expiry.Before(bestExpiry) {
-			best, bestExpiry, found = ls.shard, ls.expiry, true
-		}
-	}
-	return best, found
-}
-
-// leaseLocked mints one lease on shard idx for ws. Lease IDs embed the
-// epoch (epoch<<32 | sequence) so a restarted manager can never re-mint
-// an ID some surviving worker still holds from before the crash.
-func (c *campaign) leaseLocked(ws *workerState, idx int, stolen bool) *Lease {
-	c.nextLease++
-	id := c.epoch<<32 | c.nextLease
-	ls := &leaseState{
-		id: id, shard: idx, worker: ws.id,
-		expiry: c.m.now().Add(c.m.cfg.LeaseTTL), stolen: stolen,
-	}
-	c.inflight[id] = ls
-	c.leaseByID[id] = idx
-	ws.leases[id] = struct{}{}
-	sh := c.shards[idx].shard
-	c.m.do.leasesGranted.Inc()
+	m.leaseByID[id] = idx
+	sh := m.shards[idx].shard
+	m.do.leasesGranted.Inc()
 	return &Lease{
 		ID: id, Shard: sh.Index, Seed: sh.Seed, Steps: sh.Steps,
-		TTLMS: c.m.cfg.LeaseTTL.Milliseconds(),
+		TTLMS: m.cfg.LeaseTTL.Milliseconds(),
 	}
 }
 
@@ -310,307 +178,256 @@ func (c *campaign) leaseLocked(ws *workerState, idx int, stolen bool) *Lease {
 // shard when known — the shard result is deterministic, so whoever
 // finishes first wins and the rerun is a harmless duplicate; IDs from
 // before the last restart are simply unknown and ignored.
-func (c *campaign) completeLocked(ws *workerState, leaseID uint64) {
-	idx, ok := c.leaseByID[leaseID]
+func (m *Manager) completeLocked(ws *workerState, leaseID uint64) {
+	idx, ok := m.leaseByID[leaseID]
 	if !ok {
 		return
 	}
-	var viaSteal bool
-	if ls := c.inflight[leaseID]; ls != nil {
-		viaSteal = ls.stolen
-		delete(c.inflight, leaseID)
-		if owner := c.workers[ls.worker]; owner != nil {
-			delete(owner.leases, leaseID)
-		}
-	}
-	delete(ws.leases, leaseID)
-	st := c.shards[idx]
+	delete(m.inflight, leaseID)
+	st := m.shards[idx]
 	if st.completed {
 		return
 	}
 	st.completed = true
-	c.completed++
-	c.m.do.leasesCompleted.Inc()
-	if viaSteal {
-		c.m.do.stealWins.Inc()
-		c.m.do.ev.Info(ws.id, "dist.steal.win", map[string]any{
-			"campaign": c.name, "lease": leaseID, "shard": idx,
-		})
-	}
-	c.journalLocked(walComplete, walCompleteD{Shard: idx})
+	m.completed++
+	m.do.leasesCompleted.Inc()
+	m.journalLocked(walComplete, walCompleteD{Shard: idx})
 	// The shard may have been requeued (expiry raced completion): drop it
 	// from pending, and retire any other in-flight lease on it.
-	for i, p := range c.pending {
+	for i, p := range m.pending {
 		if p == idx {
-			c.pending = append(c.pending[:i], c.pending[i+1:]...)
+			m.pending = append(m.pending[:i], m.pending[i+1:]...)
 			break
 		}
 	}
-	for id, ls := range c.inflight {
+	for id, ls := range m.inflight {
 		if ls.shard == idx {
-			delete(c.inflight, id)
-			if owner := c.workers[ls.worker]; owner != nil {
-				delete(owner.leases, id)
-			}
+			delete(m.inflight, id)
 		}
 	}
-	c.m.do.ev.Info(ws.id, "dist.lease_complete", map[string]any{
-		"campaign": c.name, "lease": leaseID, "shard": idx,
-		"done": c.completed, "total": len(c.shards),
+	m.do.ev.Info(ws.id, "dist.lease_complete", map[string]any{
+		"lease": leaseID, "shard": idx, "done": m.completed, "total": len(m.shards),
 	})
 }
 
 // admitProgramLocked merges one program into the campaign corpus,
 // journaling genuinely new admissions. Reports whether it was new.
-func (c *campaign) admitProgramLocked(p *syzlang.Program, journal bool) bool {
+func (m *Manager) admitProgramLocked(p *syzlang.Program, journal bool) bool {
 	h := progHash(p)
-	if _, dup := c.corpus[h]; dup {
+	if _, dup := m.corpus[h]; dup {
 		return false
 	}
-	c.corpus[h] = p
-	c.corpusOrder = append(c.corpusOrder, h)
+	m.corpus[h] = p
+	m.corpusOrder = append(m.corpusOrder, h)
 	if journal {
-		c.journalLocked(walProgram, walProgramD{Src: p.String()})
+		m.journalLocked(walProgram, walProgramD{Src: p.String()})
 	}
 	return true
 }
 
 // admitReportLocked merges one finding into the global deduplicated set,
 // journaling new titles. Reports whether it was new.
-func (c *campaign) admitReportLocked(r *report.Report, journal bool) bool {
-	if !c.reports.Add(r) {
+func (m *Manager) admitReportLocked(r *report.Report, journal bool) bool {
+	if !m.reports.Add(r) {
 		return false
 	}
 	if journal {
-		c.journalLocked(walReport, r)
+		m.journalLocked(walReport, r)
 	}
 	return true
 }
 
-// snapshotLocked builds the campaign's snapshot.
-func (c *campaign) buildSnapshotLocked() *CampaignSnapshot {
+// buildSnapshotLocked builds the campaign's snapshot.
+func (m *Manager) buildSnapshotLocked() *CampaignSnapshot {
 	snap := &CampaignSnapshot{
-		Format: SnapshotFormat, Name: c.name, Epoch: c.epoch,
-		Spec:       c.cfg.Campaign,
-		TotalSteps: c.cfg.TotalSteps, ShardSteps: c.cfg.ShardSteps, Seed: c.cfg.Seed,
-		NextWorker: c.nextWorker,
-		Reports:    c.reports.All(),
+		Format: SnapshotFormat, Name: defaultCampaign, Epoch: m.epoch,
+		Spec:       m.cfg.Campaign,
+		TotalSteps: m.cfg.TotalSteps, ShardSteps: m.cfg.ShardSteps, Seed: m.cfg.Seed,
+		NextWorker: m.nextWorker,
+		Reports:    m.reports.All(),
 	}
-	for _, st := range c.shards {
+	for _, st := range m.shards {
 		if st.completed {
 			snap.Completed = append(snap.Completed, st.shard.Index)
 		}
 	}
 	var ids []int
-	for id := range c.workers {
+	for id := range m.workers {
 		ids = append(ids, id)
 	}
 	sort.Ints(ids)
 	for _, id := range ids {
-		snap.Workers = append(snap.Workers, SnapshotWorker{ID: id, Name: c.workers[id].name})
-	}
-	progs := make([]*syzlang.Program, 0, len(c.corpusOrder))
-	for _, h := range c.corpusOrder {
-		progs = append(progs, c.corpus[h])
+		snap.Workers = append(snap.Workers, SnapshotWorker{ID: id, Name: m.workers[id].name})
 	}
 	var sb strings.Builder
-	_ = core.EncodePrograms(&sb, progs)
+	_ = core.EncodePrograms(&sb, m.corpusLocked())
 	snap.Corpus = sb.String()
 	return snap
 }
 
+// corpusLocked returns the merged corpus in first-seen order.
+func (m *Manager) corpusLocked() []*syzlang.Program {
+	progs := make([]*syzlang.Program, 0, len(m.corpusOrder))
+	for _, h := range m.corpusOrder {
+		progs = append(progs, m.corpus[h])
+	}
+	return progs
+}
+
 // snapshotLocked compacts the campaign's durable state: write the
 // snapshot atomically, then reset the WAL.
-func (c *campaign) snapshotLocked() {
-	if c.wal == nil {
+func (m *Manager) snapshotLocked() {
+	if m.wal == nil {
 		return
 	}
-	snap := c.buildSnapshotLocked()
-	dir := campaignDir(c.m.cfg.StateDir, c.name)
-	if err := writeSnapshotFile(snapshotPath(dir), snap); err != nil {
-		c.m.do.ev.Warn(0, "dist.wal.error", map[string]any{
-			"campaign": c.name, "err": err.Error(),
-		})
+	snap := m.buildSnapshotLocked()
+	if err := writeSnapshotFile(snapshotPath(m.cfg.StateDir), snap); err != nil {
+		m.do.ev.Warn(0, "dist.wal.error", map[string]any{"err": err.Error()})
 		return
 	}
-	records := c.wal.records
-	if err := c.wal.reset(); err != nil {
-		c.m.do.ev.Warn(0, "dist.wal.error", map[string]any{
-			"campaign": c.name, "err": err.Error(),
-		})
-		_ = c.wal.close()
-		c.wal = nil
+	records := m.wal.records
+	if err := m.wal.reset(); err != nil {
+		m.do.ev.Warn(0, "dist.wal.error", map[string]any{"err": err.Error()})
+		_ = m.wal.close()
+		m.wal = nil
 		return
 	}
-	c.m.do.walSnaps.Inc()
-	c.m.do.ev.Info(0, "dist.wal.snapshot", map[string]any{
-		"campaign": c.name, "compacted_records": records,
-		"corpus": len(c.corpusOrder), "reports": c.reports.Len(),
-		"completed": c.completed,
+	m.do.walSnaps.Inc()
+	m.do.ev.Info(0, "dist.wal.snapshot", map[string]any{
+		"compacted_records": records,
+		"corpus":            len(m.corpusOrder), "reports": m.reports.Len(),
+		"completed": m.completed,
 	})
 }
 
 // restoreSnapshotLocked loads a snapshot's state into the campaign,
 // replacing the in-memory plan and merged state. The snapshot's plan
-// parameters win over the configured ones (resume must not re-shard a
-// half-finished campaign because a flag changed), keeping the configured
-// auth token.
-func (c *campaign) restoreSnapshotLocked(snap *CampaignSnapshot) {
-	c.cfg.Campaign = snap.Spec
-	c.cfg.TotalSteps, c.cfg.ShardSteps, c.cfg.Seed = snap.TotalSteps, snap.ShardSteps, snap.Seed
-	c.cfg.normalize()
-	c.target = modules.Target(snap.Spec.Modules...)
-	c.epoch = snap.Epoch
-	c.doneEmitted = false
-	c.rebuildPlanLocked()
+// parameters win over the configured ones: resume must not re-shard a
+// half-finished campaign because a flag changed.
+func (m *Manager) restoreSnapshotLocked(snap *CampaignSnapshot) {
+	m.cfg.Campaign = snap.Spec
+	m.cfg.TotalSteps, m.cfg.ShardSteps, m.cfg.Seed = snap.TotalSteps, snap.ShardSteps, snap.Seed
+	m.cfg.normalize()
+	m.target = modules.Target(snap.Spec.Modules...)
+	m.epoch = snap.Epoch
+	m.rebuildPlanLocked()
 	for _, idx := range snap.Completed {
-		if idx >= 0 && idx < len(c.shards) && !c.shards[idx].completed {
-			c.shards[idx].completed = true
-			c.completed++
+		if idx >= 0 && idx < len(m.shards) && !m.shards[idx].completed {
+			m.shards[idx].completed = true
+			m.completed++
 		}
 	}
-	c.nextWorker = snap.NextWorker
-	c.workers = make(map[int]*workerState)
+	m.nextWorker = snap.NextWorker
 	for _, sw := range snap.Workers {
-		c.workers[sw.ID] = &workerState{
-			id: sw.ID, name: sw.Name, leases: make(map[uint64]struct{}),
-		}
-		if sw.ID > c.nextWorker {
-			c.nextWorker = sw.ID
+		m.workers[sw.ID] = &workerState{id: sw.ID, name: sw.Name}
+		if sw.ID > m.nextWorker {
+			m.nextWorker = sw.ID
 		}
 	}
-	c.corpus = make(map[string]*syzlang.Program)
-	c.corpusOrder = nil
 	if snap.Corpus != "" {
-		progs, _ := core.DecodePrograms(strings.NewReader(snap.Corpus), c.target)
+		progs, _ := core.DecodePrograms(strings.NewReader(snap.Corpus), m.target)
 		for _, p := range progs {
-			c.admitProgramLocked(p, false)
+			m.admitProgramLocked(p, false)
 		}
 	}
-	c.reports = report.NewSet()
 	for _, r := range snap.Reports {
 		if r != nil && r.Title != "" {
-			c.admitReportLocked(r, false)
+			m.admitReportLocked(r, false)
 		}
 	}
 }
 
 // applyWALLocked applies one replayed WAL record.
-func (c *campaign) applyWALLocked(t string, d json.RawMessage) {
+func (m *Manager) applyWALLocked(t string, d json.RawMessage) {
 	switch t {
 	case walEpoch:
 		var rec walEpochD
-		if json.Unmarshal(d, &rec) == nil && rec.Epoch > c.epoch {
-			c.epoch = rec.Epoch
+		if json.Unmarshal(d, &rec) == nil && rec.Epoch > m.epoch {
+			m.epoch = rec.Epoch
 		}
 	case walWorker:
 		var rec walWorkerD
 		if json.Unmarshal(d, &rec) == nil && rec.ID > 0 {
-			c.workers[rec.ID] = &workerState{
-				id: rec.ID, name: rec.Name, leases: make(map[uint64]struct{}),
-			}
-			if rec.ID > c.nextWorker {
-				c.nextWorker = rec.ID
+			m.workers[rec.ID] = &workerState{id: rec.ID, name: rec.Name}
+			if rec.ID > m.nextWorker {
+				m.nextWorker = rec.ID
 			}
 		}
 	case walComplete:
 		var rec walCompleteD
 		if json.Unmarshal(d, &rec) == nil &&
-			rec.Shard >= 0 && rec.Shard < len(c.shards) && !c.shards[rec.Shard].completed {
-			c.shards[rec.Shard].completed = true
-			c.completed++
+			rec.Shard >= 0 && rec.Shard < len(m.shards) && !m.shards[rec.Shard].completed {
+			m.shards[rec.Shard].completed = true
+			m.completed++
 		}
 	case walProgram:
 		var rec walProgramD
 		if json.Unmarshal(d, &rec) == nil {
-			if p, err := c.target.Parse(rec.Src); err == nil && len(p.Calls) > 0 {
-				c.admitProgramLocked(p, false)
+			if p, err := m.target.Parse(rec.Src); err == nil && len(p.Calls) > 0 {
+				m.admitProgramLocked(p, false)
 			}
 		}
 	case walReport:
 		var rec report.Report
 		if json.Unmarshal(d, &rec) == nil && rec.Title != "" {
-			c.admitReportLocked(&rec, false)
+			m.admitReportLocked(&rec, false)
 		}
 	}
 }
 
-// openStateLocked attaches the campaign to its state directory: restore
+// openStateLocked attaches the campaign to the state directory: restore
 // the latest snapshot, replay the WAL over it (truncating a torn tail),
 // bump the epoch, requeue incomplete shards, and open the log for
 // appending. A campaign that restored anything counts one WAL replay.
-func (c *campaign) openStateLocked() error {
-	dir := campaignDir(c.m.cfg.StateDir, c.name)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+func (m *Manager) openStateLocked() error {
+	if err := os.MkdirAll(filepath.Join(m.cfg.StateDir, defaultCampaign), 0o755); err != nil {
 		return fmt.Errorf("dist: campaign state dir: %w", err)
 	}
-	snap, err := readSnapshotFile(snapshotPath(dir))
+	snap, err := readSnapshotFile(snapshotPath(m.cfg.StateDir))
 	if err != nil {
 		return err
 	}
 	if snap != nil {
-		c.restoreSnapshotLocked(snap)
+		m.restoreSnapshotLocked(snap)
 	}
-	replayed, torn, err := replayWAL(walPath(dir), c.applyWALLocked)
+	replayed, torn, err := replayWAL(walPath(m.cfg.StateDir), m.applyWALLocked)
 	if err != nil {
 		return err
 	}
 	resumed := snap != nil || replayed > 0
 	if resumed {
-		c.m.do.walReplays.Inc()
-		c.m.do.walReplayed.Add(uint64(replayed))
+		m.do.walReplays.Inc()
+		m.do.walReplayed.Add(uint64(replayed))
 		if torn > 0 {
-			c.m.do.walTorn.Inc()
+			m.do.walTorn.Inc()
 		}
-		c.epoch++
-		c.requeueIncompleteLocked()
-		for _, ws := range c.workers {
+		m.epoch++
+		m.requeueIncompleteLocked()
+		for _, ws := range m.workers {
 			ws.connected = false
 		}
-		c.m.do.ev.Info(0, "dist.wal.replay", map[string]any{
-			"campaign": c.name, "snapshot": snap != nil,
-			"records": replayed, "torn_bytes": torn, "epoch": c.epoch,
-			"completed": c.completed, "corpus": len(c.corpusOrder),
-			"reports": c.reports.Len(),
+		m.do.ev.Info(0, "dist.wal.replay", map[string]any{
+			"snapshot": snap != nil,
+			"records":  replayed, "torn_bytes": torn, "epoch": m.epoch,
+			"completed": m.completed, "corpus": len(m.corpusOrder),
+			"reports": m.reports.Len(),
 		})
 	}
-	w, err := openWAL(walPath(dir), c.m.do)
+	w, err := openWAL(walPath(m.cfg.StateDir), m.do)
 	if err != nil {
 		return err
 	}
-	c.wal = w
-	c.journalLocked(walEpoch, walEpochD{Epoch: c.epoch})
+	m.wal = w
+	m.journalLocked(walEpoch, walEpochD{Epoch: m.epoch})
 	if snap == nil {
-		// First open under this state directory: persist the plan
-		// parameters (spec, total/shard steps, seed) right away. They
-		// live only in snapshots — without one, a crash before the first
-		// periodic compaction would restore the campaign from a bare WAL
-		// as a zero-shard husk (instantly "done") and drop every
-		// completion record it had journaled.
-		c.snapshotLocked()
+		// The plan parameters (spec, total/shard steps, seed) live only in
+		// snapshots, so persist them whenever none was restored — on first
+		// open and on a WAL-only directory, which resumes under the
+		// configured plan. Without one, a crash before the first periodic
+		// compaction would restore the campaign from a bare WAL as a
+		// zero-shard husk (instantly "done") and drop every completion
+		// record it had journaled.
+		m.snapshotLocked()
 	}
-	return nil
-}
-
-// attachStateLocked opens the campaign's WAL for appending without
-// restoring anything from disk — the import path, where whatever the
-// state directory holds (a stale snapshot, an orphaned WAL from a
-// degraded campaign) is precisely what the caller is replacing. The log
-// is truncated so stale records cannot replay over the imported state on
-// the next restart.
-func (c *campaign) attachStateLocked() error {
-	dir := campaignDir(c.m.cfg.StateDir, c.name)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("dist: campaign state dir: %w", err)
-	}
-	w, err := openWAL(walPath(dir), c.m.do)
-	if err != nil {
-		return err
-	}
-	if err := w.reset(); err != nil {
-		_ = w.close()
-		return fmt.Errorf("dist: truncate wal for import: %w", err)
-	}
-	c.wal = w
 	return nil
 }

@@ -7,6 +7,8 @@ import (
 	"net/http/httptest"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -30,13 +32,12 @@ func testCampaign() CampaignSpec {
 // liveness timings.
 func fastManagerConfig(totalSteps, shardSteps int) ManagerConfig {
 	return ManagerConfig{
-		Campaign:        testCampaign(),
-		TotalSteps:      totalSteps,
-		ShardSteps:      shardSteps,
-		Seed:            1,
-		LeaseTTL:        500 * time.Millisecond,
-		HeartbeatEvery:  50 * time.Millisecond,
-		HeartbeatMisses: 2,
+		Campaign:       testCampaign(),
+		TotalSteps:     totalSteps,
+		ShardSteps:     shardSteps,
+		Seed:           1,
+		LeaseTTL:       500 * time.Millisecond,
+		HeartbeatEvery: 50 * time.Millisecond,
 	}
 }
 
@@ -157,10 +158,6 @@ func TestDistributedMatchesStandalone(t *testing.T) {
 // standalone result.
 func TestWorkerKillLeaseReassignment(t *testing.T) {
 	cfg := fastManagerConfig(40, 10)
-	// Disable work stealing so the TTL sweep (not an instant duplicate
-	// lease) is what rescues the victim's shard — that path must keep
-	// working when stealing is off.
-	cfg.StealDuplicates = -1
 	wantReports, wantCorpus := RunShardsLocal(cfg, 2)
 
 	m, srv := startManager(t, cfg)
@@ -292,6 +289,154 @@ func TestManagerUnknownWorker(t *testing.T) {
 	}
 }
 
+// TestManagerToken: with a token configured, every endpoint rejects a
+// request that lacks it or carries a wrong one with HTTP 403 and accepts
+// the right one, and a worker holding a wrong token gives up on the first
+// rejection instead of retrying.
+func TestManagerToken(t *testing.T) {
+	cfg := fastManagerConfig(10, 10)
+	cfg.Token = "s3cret"
+	cfg.HeartbeatEvery = time.Hour // keep the hand-registered worker alive
+	m, err := NewManager(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var registers atomic.Int32
+	h := m.Handler()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == PathRegister {
+			registers.Add(1)
+		}
+		h.ServeHTTP(w, r)
+	}))
+	t.Cleanup(srv.Close)
+	client := srv.Client()
+
+	var reg RegisterResponse
+	if err := postJSON(client, srv.URL+PathRegister, RegisterRequest{
+		V: ProtocolVersion, Name: "w", Token: "s3cret",
+	}, &reg); err != nil {
+		t.Fatalf("register with the right token: %v", err)
+	}
+	requests := func(token string) map[string]any {
+		return map[string]any{
+			PathRegister:  RegisterRequest{V: ProtocolVersion, Name: "w", Token: token},
+			PathPoll:      PollRequest{V: ProtocolVersion, WorkerID: reg.WorkerID, Epoch: reg.Epoch, Token: token},
+			PathSync:      SyncRequest{V: ProtocolVersion, WorkerID: reg.WorkerID, Epoch: reg.Epoch, Token: token},
+			PathReport:    ReportRequest{V: ProtocolVersion, WorkerID: reg.WorkerID, Epoch: reg.Epoch, Token: token},
+			PathHeartbeat: HeartbeatRequest{V: ProtocolVersion, WorkerID: reg.WorkerID, Epoch: reg.Epoch, Token: token},
+		}
+	}
+	for _, token := range []string{"", "wrong"} {
+		for path, req := range requests(token) {
+			if err := postJSON(client, srv.URL+path, req, nil); errStatus(err) != http.StatusForbidden {
+				t.Errorf("%s with token %q: %v, want HTTP 403", path, token, err)
+			}
+		}
+	}
+	for path, req := range requests("s3cret") {
+		if err := postJSON(client, srv.URL+path, req, nil); err != nil {
+			t.Errorf("%s with the right token: %v", path, err)
+		}
+	}
+
+	registers.Store(0)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	w := NewWorker(WorkerConfig{
+		ManagerURL: srv.URL, Name: "intruder", Token: "wrong",
+		HTTPClient: client, MaxBackoff: 200 * time.Millisecond,
+	})
+	err = w.Run(ctx)
+	if errStatus(err) != http.StatusForbidden || ctx.Err() != nil {
+		t.Fatalf("worker with a wrong token: Run = %v (ctx %v), want an HTTP 403 error at once", err, ctx.Err())
+	}
+	if n := registers.Load(); n != 1 {
+		t.Errorf("worker with a wrong token sent %d register requests, want 1", n)
+	}
+}
+
+// TestWorkerHoldsLeaseUntilAcked drives a worker against a fake manager.
+// The worker must keep holding (and so heartbeating) its lease while it
+// syncs the finished shard's results, and drop it only once a poll
+// carrying the completion succeeds: a lease dropped before its ack stops
+// being renewed and expires whenever the sync outlasts the TTL.
+func TestWorkerHoldsLeaseUntilAcked(t *testing.T) {
+	const leaseID = 1<<32 | 1
+	var (
+		w          *Worker
+		mu         sync.Mutex
+		polls      int
+		acked      uint64
+		heldAtSync []uint64
+	)
+	mux := http.NewServeMux()
+	mux.HandleFunc(PathRegister, func(rw http.ResponseWriter, r *http.Request) {
+		writeJSON(rw, http.StatusOK, RegisterResponse{
+			V: ProtocolVersion, WorkerID: 1, Epoch: 1, Campaign: testCampaign(),
+			HeartbeatMS: time.Hour.Milliseconds(),
+		})
+	})
+	mux.HandleFunc(PathPoll, func(rw http.ResponseWriter, r *http.Request) {
+		var req PollRequest
+		if err := readJSON(r, &req); err != nil {
+			writeError(rw, http.StatusBadRequest, "%v", err)
+			return
+		}
+		mu.Lock()
+		polls++
+		first := polls == 1
+		if !first {
+			acked = req.Completed
+		}
+		mu.Unlock()
+		resp := PollResponse{V: ProtocolVersion, Done: true}
+		if first {
+			resp = PollResponse{V: ProtocolVersion, Lease: &Lease{ID: leaseID, Seed: 1, Steps: 2, TTLMS: 1000}}
+		}
+		writeJSON(rw, http.StatusOK, resp)
+	})
+	mux.HandleFunc(PathSync, func(rw http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		defer mu.Unlock()
+		w.mu.Lock()
+		heldAtSync = append(heldAtSync, w.held)
+		w.mu.Unlock()
+		writeJSON(rw, http.StatusOK, SyncResponse{V: ProtocolVersion})
+	})
+	mux.HandleFunc(PathReport, func(rw http.ResponseWriter, r *http.Request) {
+		writeJSON(rw, http.StatusOK, ReportResponse{V: ProtocolVersion})
+	})
+	mux.HandleFunc(PathHeartbeat, func(rw http.ResponseWriter, r *http.Request) {
+		writeJSON(rw, http.StatusOK, HeartbeatResponse{V: ProtocolVersion, OK: true})
+	})
+	srv := httptest.NewServer(mux)
+	t.Cleanup(srv.Close)
+
+	mu.Lock()
+	w = testWorker(srv, "w")
+	mu.Unlock()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := w.Run(ctx); err != nil {
+		t.Fatalf("worker: %v", err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(heldAtSync) != 2 {
+		t.Fatalf("worker synced %d times, want 2 (after the lease, then deregistering)", len(heldAtSync))
+	}
+	if heldAtSync[0] != leaseID {
+		t.Errorf("lease held while syncing the finished shard = %#x, want %#x", heldAtSync[0], uint64(leaseID))
+	}
+	if acked != leaseID {
+		t.Errorf("second poll acknowledged lease %#x, want %#x", acked, uint64(leaseID))
+	}
+	if heldAtSync[1] != 0 {
+		t.Errorf("lease still held after its acknowledgement: %#x", heldAtSync[1])
+	}
+}
+
 // TestManagerMetricsEndpoint: the manager's listener also serves its
 // registry for scrapers.
 func TestManagerMetricsEndpoint(t *testing.T) {
@@ -371,9 +516,8 @@ func TestGracefulShutdownFlushes(t *testing.T) {
 	}
 	// The worker's in-flight shard went back on the queue.
 	m.mu.Lock()
-	c := m.camps[DefaultCampaign]
-	pendingPlusDone := len(c.pending) + c.completed + len(c.inflight)
-	total := len(c.shards)
+	pendingPlusDone := len(m.pending) + m.completed + len(m.inflight)
+	total := len(m.shards)
 	m.mu.Unlock()
 	if pendingPlusDone != total {
 		t.Errorf("shard accounting broken after shutdown: pending+completed+inflight = %d, shards = %d",

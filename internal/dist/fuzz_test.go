@@ -32,15 +32,14 @@ func protoMessages() []any {
 func FuzzProtocol(f *testing.F) {
 	for _, m := range []any{
 		RegisterRequest{V: ProtocolVersion, Name: "w1"},
-		RegisterRequest{V: ProtocolVersion, Name: "w2", Campaign: "alpha", Token: "t0k", PrevWorkerID: 3, PrevEpoch: 2},
+		RegisterRequest{V: ProtocolVersion, Name: "w2", Token: "t0k", PrevWorkerID: 3, PrevEpoch: 2},
 		RegisterResponse{V: ProtocolVersion, WorkerID: 2, Epoch: 3, HeartbeatMS: 500},
-		PollRequest{V: ProtocolVersion, WorkerID: 2, Campaign: "alpha", Token: "t0k", Epoch: 3},
-		PollResponse{V: ProtocolVersion,
-			Leases: []*Lease{{ID: 1<<32 | 1, Shard: 0, Seed: 9, Steps: 10, TTLMS: 3000}, {ID: 1<<32 | 2, Shard: 1, Seed: 10, Steps: 10, TTLMS: 3000}}},
+		PollRequest{V: ProtocolVersion, WorkerID: 2, Token: "t0k", Epoch: 3},
+		PollResponse{V: ProtocolVersion, Lease: &Lease{ID: 1<<32 | 1, Shard: 0, Seed: 9, Steps: 10, TTLMS: 3000}},
 		RegisterResponse{V: ProtocolVersion, WorkerID: 1, HeartbeatMS: 500,
 			Campaign: CampaignSpec{Modules: []string{"wq"}, Bugs: []string{"wq_missing_barrier"}, ProgLen: 3, UseSeeds: true}},
-		PollRequest{V: ProtocolVersion, WorkerID: 1, Completed: []uint64{1, 2}},
-		PollResponse{V: ProtocolVersion, Leases: []*Lease{{ID: 7, Shard: 3, Seed: -1, Steps: 40, TTLMS: 3000}}},
+		PollRequest{V: ProtocolVersion, WorkerID: 1, Completed: 1<<32 | 2},
+		PollResponse{V: ProtocolVersion, Lease: &Lease{ID: 7, Shard: 3, Seed: -1, Steps: 40, TTLMS: 3000}},
 		PollResponse{V: ProtocolVersion, Done: true},
 		SyncRequest{V: ProtocolVersion, WorkerID: 1, Keys: []string{"abc123"}, Programs: "r0 = wq_create()\n"},
 		SyncResponse{V: ProtocolVersion, Want: []string{"def456"}},
@@ -49,7 +48,7 @@ func FuzzProtocol(f *testing.F) {
 			ReorderedSites: []string{"42"}, Pair: [2]string{"wq_post_notification", "wq_pipe_read"},
 		}}},
 		ReportResponse{V: ProtocolVersion, Added: 1},
-		HeartbeatRequest{V: ProtocolVersion, WorkerID: 1, Leases: []uint64{7}},
+		HeartbeatRequest{V: ProtocolVersion, WorkerID: 1, Lease: 7},
 		HeartbeatResponse{V: ProtocolVersion, OK: true},
 		ErrorResponse{Error: "protocol version mismatch"},
 	} {
@@ -61,7 +60,7 @@ func FuzzProtocol(f *testing.F) {
 	}
 	f.Add([]byte(`{`))
 	f.Add([]byte(`null`))
-	f.Add([]byte(`{"v":9999,"leases":[{"id":18446744073709551615}]}`))
+	f.Add([]byte(`{"v":9999,"lease":{"id":18446744073709551615}}`))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		for _, zero := range protoMessages() {
 			msg := reflect.New(reflect.TypeOf(zero).Elem()).Interface()

@@ -2,10 +2,8 @@ package dist
 
 import (
 	"crypto/subtle"
-	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"sort"
 	"strings"
 	"sync"
@@ -93,44 +91,31 @@ func coreConfig(spec CampaignSpec, seed int64, reg *obs.Registry, ev *obs.EventL
 	}
 }
 
-// ManagerConfig parameterizes the fabric manager. The campaign fields
-// (Campaign, TotalSteps, ShardSteps, Seed, Token) define the manager's
-// default campaign; AddCampaign hosts more next to it.
+// ManagerConfig parameterizes the fabric manager and its one campaign.
 type ManagerConfig struct {
-	// Campaign is the default campaign's configuration shipped to workers.
+	// Campaign is the campaign configuration shipped to workers.
 	Campaign CampaignSpec
-	// TotalSteps is the default campaign's step budget across all shards.
+	// TotalSteps is the campaign's step budget across all shards.
 	TotalSteps int
 	// ShardSteps is the per-lease step budget (default 64).
 	ShardSteps int
 	// Seed is the base campaign seed the shard seeds derive from.
 	Seed int64
-	// Token, when non-empty, is the default campaign's auth token.
+	// Token, when non-empty, is the auth token every request must carry;
+	// a request without it is rejected with HTTP 403. Tokens are
+	// configuration, never persisted.
 	Token string
 	// LeaseTTL is how long a granted lease lives without renewal
 	// (default 5s).
 	LeaseTTL time.Duration
 	// HeartbeatEvery is the heartbeat cadence told to workers
-	// (default 1s).
+	// (default 1s); a worker silent for 3 cadences is declared dead.
 	HeartbeatEvery time.Duration
-	// HeartbeatMisses is how many missed cadences mark a worker dead
-	// (default 3).
-	HeartbeatMisses int
-	// MaxLeaseBatch caps how many shards one poll may grant to a worker
-	// when the pending backlog is deep (default 4).
-	MaxLeaseBatch int
-	// StealDuplicates caps how many duplicate (stolen) leases may be
-	// outstanding per in-flight shard beyond the original (default 1;
-	// negative disables work stealing).
-	StealDuplicates int
-	// StateDir, when non-empty, makes every hosted campaign durable:
-	// state is journaled to <StateDir>/<campaign>/wal.log, compacted into
+	// StateDir, when non-empty, makes the campaign durable: state is
+	// journaled to <StateDir>/default/wal.log, compacted into
 	// snapshot.json, and restored (with an epoch bump) on the next
 	// NewManager over the same directory.
 	StateDir string
-	// SnapshotEvery is how many WAL records trigger a compaction
-	// (default 256).
-	SnapshotEvery int
 	// Obs, when non-nil, is the registry the manager publishes fabric
 	// metrics into; nil gives it a fresh private registry.
 	Obs *obs.Registry
@@ -138,6 +123,10 @@ type ManagerConfig struct {
 	// tagged with the registered worker IDs.
 	Events *obs.EventLog
 }
+
+// heartbeatMisses is how many missed heartbeat cadences mark a worker
+// dead.
+const heartbeatMisses = 3
 
 // normalize resolves the manager defaults.
 func (c *ManagerConfig) normalize() {
@@ -150,340 +139,177 @@ func (c *ManagerConfig) normalize() {
 	if c.HeartbeatEvery <= 0 {
 		c.HeartbeatEvery = time.Second
 	}
-	if c.HeartbeatMisses <= 0 {
-		c.HeartbeatMisses = 3
-	}
-	if c.MaxLeaseBatch <= 0 {
-		c.MaxLeaseBatch = 4
-	}
-	if c.StealDuplicates == 0 {
-		c.StealDuplicates = 1
-	}
-	if c.SnapshotEvery <= 0 {
-		c.SnapshotEvery = 256
-	}
 }
 
-// defaultCampaignConfig extracts the default campaign's config.
-func (c *ManagerConfig) defaultCampaignConfig() CampaignConfig {
-	return CampaignConfig{
-		Campaign: c.Campaign, TotalSteps: c.TotalSteps,
-		ShardSteps: c.ShardSteps, Seed: c.Seed, Token: c.Token,
-	}
-}
-
-// Manager hosts campaigns: each owns its shard frontier, merged coverage
-// corpus (keyed by program-key hash), globally deduplicated report set,
+// Manager hosts one campaign: its shard frontier, merged coverage corpus
+// (keyed by program-key hash), globally deduplicated report set,
 // worker/lease tables, and registration epoch; with a state directory
-// configured each is also journaled to a write-ahead log and restored on
-// restart. All methods and HTTP handlers are safe for concurrent use.
+// configured the campaign is also journaled to a write-ahead log and
+// restored on restart. All methods and HTTP handlers are safe for
+// concurrent use.
 type Manager struct {
 	cfg ManagerConfig
 	do  *distObs
 
-	mu    sync.Mutex
-	camps map[string]*campaign
-	order []string // campaign names in creation order
-
 	// now is stubbed in tests; defaults to time.Now.
 	now func() time.Time
+
+	// mu guards every field below it.
+	mu     sync.Mutex
+	target *syzlang.Target
+
+	// epoch is the registration epoch: 1 on a fresh campaign, +1 on
+	// every recovery from persistent state. Lease IDs embed it
+	// (epoch<<32 | sequence) so IDs never collide across restarts.
+	epoch uint64
+
+	workers     map[int]*workerState
+	nextWorker  int
+	shards      []*shardState
+	pending     []int // shard indexes awaiting a worker, FIFO
+	inflight    map[uint64]*leaseState
+	leaseByID   map[uint64]int // every lease ever granted -> shard index
+	nextLease   uint64         // per-epoch lease sequence
+	completed   int
+	doneEmitted bool
+
+	corpus      map[string]*syzlang.Program // key hash -> program
+	corpusOrder []string                    // key hashes in first-seen order
+	reports     *report.Set
+
+	// wal is the open write-ahead log, nil for in-memory campaigns (no
+	// state directory) and after an append failure degraded the campaign
+	// back to in-memory operation.
+	wal *wal
 }
 
-// NewManager builds a fabric manager hosting the configuration's default
-// campaign. With StateDir set it restores every campaign found in the
-// directory (the default campaign plus any previously hosted ones),
-// replaying snapshot+WAL and bumping epochs so surviving workers
-// re-register. It does not listen; mount Handler on an http.Server.
+// NewManager builds a fabric manager for the configured campaign. With
+// StateDir set it restores the campaign from the directory, replaying
+// snapshot+WAL and bumping the epoch so surviving workers re-register. It
+// does not listen; mount Handler on an http.Server.
 func NewManager(cfg ManagerConfig) (*Manager, error) {
 	cfg.normalize()
 	m := &Manager{
-		cfg:   cfg,
-		do:    newDistObs(cfg.Obs, cfg.Events),
-		camps: make(map[string]*campaign),
-		now:   time.Now,
+		cfg:       cfg,
+		do:        newDistObs(cfg.Obs, cfg.Events),
+		target:    modules.Target(cfg.Campaign.Modules...),
+		epoch:     1,
+		workers:   make(map[int]*workerState),
+		inflight:  make(map[uint64]*leaseState),
+		leaseByID: make(map[uint64]int),
+		corpus:    make(map[string]*syzlang.Program),
+		reports:   report.NewSet(),
+		now:       time.Now,
 	}
-	if err := m.AddCampaign(DefaultCampaign, cfg.defaultCampaignConfig()); err != nil {
-		return nil, err
-	}
+	m.rebuildPlanLocked()
 	if cfg.StateDir != "" {
-		entries, err := os.ReadDir(cfg.StateDir)
-		if err != nil && !os.IsNotExist(err) {
-			return nil, fmt.Errorf("dist: state dir: %w", err)
-		}
-		for _, e := range entries {
-			name := e.Name()
-			if !e.IsDir() || !validCampaignName(name) || name == DefaultCampaign {
-				continue
-			}
-			// A previously hosted campaign: restore it with an empty config
-			// (the snapshot supplies plan and spec; tokens are config, so a
-			// relaunched fleet re-supplies them via AddCampaign).
-			if err := m.AddCampaign(name, CampaignConfig{}); err != nil {
-				return nil, err
-			}
+		if err := m.openStateLocked(); err != nil {
+			return nil, err
 		}
 	}
+	m.do.campaignEpoch.Set(float64(m.epoch))
+	m.setGaugesLocked()
 	return m, nil
 }
 
-// AddCampaign hosts (or, when the state directory already holds its
-// snapshot/WAL, restores) a named campaign next to the default one. It
-// is idempotent on the name: re-adding updates the auth token and leaves
-// an existing campaign's plan and state untouched — except when the
-// existing campaign has no plan at all (restored from a legacy state
-// directory holding only a WAL, no snapshot), in which case it adopts
-// the supplied plan instead of staying a zero-shard husk.
-func (m *Manager) AddCampaign(name string, cfg CampaignConfig) error {
-	if !validCampaignName(name) {
-		return fmt.Errorf("dist: invalid campaign name %q", name)
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if c, ok := m.camps[name]; ok {
-		c.cfg.Token = cfg.Token
-		if len(c.shards) == 0 && cfg.TotalSteps > 0 {
-			cfg.normalize()
-			c.cfg.Campaign = cfg.Campaign
-			c.cfg.TotalSteps, c.cfg.ShardSteps, c.cfg.Seed = cfg.TotalSteps, cfg.ShardSteps, cfg.Seed
-			c.target = modules.Target(cfg.Campaign.Modules...)
-			c.doneEmitted = false
-			c.rebuildPlanLocked()
-			c.snapshotLocked()
-			m.setGaugesLocked()
-		}
-		return nil
-	}
-	c := newCampaign(m, name, cfg)
-	if m.cfg.StateDir != "" {
-		if err := c.openStateLocked(); err != nil {
-			return err
-		}
-	}
-	m.camps[name] = c
-	m.order = append(m.order, name)
-	m.do.campaigns.Set(float64(len(m.camps)))
-	m.do.campaignEpoch.With(name).Set(float64(c.epoch))
-	m.setGaugesLocked()
-	return nil
-}
-
-// Campaigns returns the hosted campaign names in creation order.
-func (m *Manager) Campaigns() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return append([]string(nil), m.order...)
-}
-
-// ExportCampaign streams the named campaign's snapshot (corpus, reports,
-// completed shards, plan, epoch — everything but auth tokens) to w, the
-// drain half of drain/relaunch. The fleet may keep running; the export
-// is a point-in-time copy.
-func (m *Manager) ExportCampaign(name string, w io.Writer) error {
-	m.mu.Lock()
-	c := m.campLocked(name)
-	if c == nil {
-		m.mu.Unlock()
-		return fmt.Errorf("dist: unknown campaign %q", name)
-	}
-	snap := c.buildSnapshotLocked()
-	m.mu.Unlock()
-	m.do.ev.Info(0, "dist.export", map[string]any{
-		"campaign": snap.Name, "corpus": len(snap.Completed), "reports": len(snap.Reports),
-	})
-	return writeSnapshotTo(w, snap)
-}
-
-// ImportCampaign reads a snapshot from r and hosts it under its recorded
-// name (overwriting a hosted campaign's state if the name collides), the
-// relaunch half of drain/relaunch. The importing manager's state
-// directory, if any, immediately persists the imported state; the token
-// argument guards the relaunched campaign.
-func (m *Manager) ImportCampaign(r io.Reader, token string) (string, error) {
-	snap, err := decodeSnapshot(r)
-	if err != nil {
-		return "", err
-	}
-	if !validCampaignName(snap.Name) {
-		return "", fmt.Errorf("dist: snapshot has invalid campaign name %q", snap.Name)
-	}
-	m.mu.Lock()
-	c := m.campLocked(snap.Name)
-	if c == nil {
-		c = newCampaign(m, snap.Name, CampaignConfig{Token: token})
-		m.camps[snap.Name] = c
-		m.order = append(m.order, snap.Name)
-	}
-	c.cfg.Token = token
-	c.restoreSnapshotLocked(snap)
-	c.epoch++
-	c.requeueIncompleteLocked()
-	if m.cfg.StateDir != "" {
-		// Attach the state directory WITHOUT restoring from it: whatever
-		// is on disk (a stale snapshot, an orphaned WAL from a campaign
-		// degraded by an earlier write failure) is exactly what this
-		// import replaces. openStateLocked here would replay that stale
-		// state over the import and then persist it, silently discarding
-		// the snapshot we just read.
-		if c.wal == nil {
-			if err := c.attachStateLocked(); err != nil {
-				m.mu.Unlock()
-				return "", err
-			}
-		}
-		c.snapshotLocked()
-		c.journalLocked(walEpoch, walEpochD{Epoch: c.epoch})
-	}
-	m.do.campaigns.Set(float64(len(m.camps)))
-	m.do.campaignEpoch.With(snap.Name).Set(float64(c.epoch))
-	m.setGaugesLocked()
-	m.mu.Unlock()
-	m.do.ev.Info(0, "dist.import", map[string]any{
-		"campaign": snap.Name, "epoch": snap.Epoch + 1,
-		"reports": len(snap.Reports), "completed": len(snap.Completed),
-	})
-	return snap.Name, nil
-}
-
-// Close snapshots and closes every durable campaign's WAL. A manager
-// that is not durable ignores Close.
+// Close snapshots and closes a durable campaign's WAL. A manager that is
+// not durable ignores Close.
 func (m *Manager) Close() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	var first error
-	for _, name := range m.order {
-		c := m.camps[name]
-		if c.wal == nil {
-			continue
-		}
-		c.snapshotLocked()
-		if c.wal != nil {
-			if err := c.wal.close(); err != nil && first == nil {
-				first = err
-			}
-			c.wal = nil
-		}
+	if m.wal == nil {
+		return nil
 	}
-	return first
-}
-
-// campLocked resolves a campaign name (empty = default); nil if unknown.
-func (m *Manager) campLocked(name string) *campaign {
-	if name == "" {
-		name = DefaultCampaign
+	m.snapshotLocked()
+	if m.wal == nil {
+		return nil
 	}
-	return m.camps[name]
-}
-
-// def returns the default campaign (always hosted).
-func (m *Manager) def() *campaign {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.camps[DefaultCampaign]
+	err := m.wal.close()
+	m.wal = nil
+	return err
 }
 
 // Obs returns the registry the manager publishes fabric metrics into.
 func (m *Manager) Obs() *obs.Registry { return m.do.reg }
 
-// Done reports whether every shard of the default campaign has completed.
+// Done reports whether every shard has completed.
 func (m *Manager) Done() bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.camps[DefaultCampaign].doneLocked()
+	return m.doneLocked()
 }
 
-// AllDone reports whether every hosted campaign has completed.
-func (m *Manager) AllDone() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, c := range m.camps {
-		if !c.doneLocked() {
-			return false
-		}
-	}
-	return true
-}
-
-// Epoch returns the default campaign's registration epoch (1 on a fresh
-// campaign, +1 per restore).
+// Epoch returns the campaign's registration epoch (1 on a fresh campaign,
+// +1 per restore).
 func (m *Manager) Epoch() uint64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.camps[DefaultCampaign].epoch
+	return m.epoch
 }
 
-// WorkersConnected returns the number of currently registered workers
-// across all campaigns.
+// WorkersConnected returns the number of currently registered workers.
 func (m *Manager) WorkersConnected() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	n := 0
-	for _, c := range m.camps {
-		n += c.connectedLocked()
-	}
-	return n
+	return m.connectedLocked()
 }
 
-// ShardsCompleted returns how many default-campaign shards have finished.
+// ShardsCompleted returns how many shards have finished.
 func (m *Manager) ShardsCompleted() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.camps[DefaultCampaign].completed
+	return m.completed
 }
 
-// ShardsTotal returns the default campaign's shard plan size.
+// ShardsTotal returns the shard plan size.
 func (m *Manager) ShardsTotal() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.camps[DefaultCampaign].shards)
+	return len(m.shards)
 }
 
-// WorkersSeen returns how many workers ever registered with the default
-// campaign (including ones that since deregistered or died).
+// WorkersSeen returns how many workers ever registered (including ones
+// that since deregistered or died).
 func (m *Manager) WorkersSeen() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.camps[DefaultCampaign].nextWorker
+	return m.nextWorker
 }
 
-// Reports returns the default campaign's globally deduplicated findings
-// in first-seen order.
+// Reports returns the globally deduplicated findings in first-seen order.
 func (m *Manager) Reports() []*report.Report {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.camps[DefaultCampaign].reports.All()
+	return m.reports.All()
 }
 
-// ReportTitles returns the default campaign's sorted unique crash titles.
+// ReportTitles returns the sorted unique crash titles.
 func (m *Manager) ReportTitles() []string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.camps[DefaultCampaign].reports.Titles()
+	return m.reports.Titles()
 }
 
-// CorpusLen returns the default campaign's merged global corpus size.
+// CorpusLen returns the merged global corpus size.
 func (m *Manager) CorpusLen() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.camps[DefaultCampaign].corpusOrder)
+	return len(m.corpusOrder)
 }
 
-// CorpusKeyHashes returns the default campaign's merged corpus key hashes
-// in first-seen order (testing and tooling).
+// CorpusKeyHashes returns the merged corpus key hashes in first-seen
+// order (testing and tooling).
 func (m *Manager) CorpusKeyHashes() []string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return append([]string(nil), m.camps[DefaultCampaign].corpusOrder...)
+	return append([]string(nil), m.corpusOrder...)
 }
 
-// WriteCorpus streams the default campaign's merged global corpus to w in
-// the corpus encoding, first-seen order.
+// WriteCorpus streams the merged global corpus to w in the corpus
+// encoding, first-seen order.
 func (m *Manager) WriteCorpus(w io.Writer) error {
 	m.mu.Lock()
-	c := m.camps[DefaultCampaign]
-	progs := make([]*syzlang.Program, 0, len(c.corpusOrder))
-	for _, h := range c.corpusOrder {
-		progs = append(progs, c.corpus[h])
-	}
+	progs := m.corpusLocked()
 	m.mu.Unlock()
 	return core.EncodePrograms(w, progs)
 }
@@ -530,70 +356,58 @@ func checkVersion(w http.ResponseWriter, v int) bool {
 	return true
 }
 
-// resolveLocked authenticates a request's (campaign, token, epoch)
-// triple, writing the error reply and returning nil on failure.
-func (m *Manager) resolveLocked(w http.ResponseWriter, campaignName, token string, epoch uint64, checkEpoch bool) *campaign {
-	c := m.campLocked(campaignName)
-	if c == nil {
-		writeError(w, http.StatusNotFound, "unknown campaign %q", campaignName)
-		return nil
+// authorized checks a request's token against the manager's, writing
+// the HTTP 403 reply and returning false on a mismatch.
+func (m *Manager) authorized(w http.ResponseWriter, token string) bool {
+	if m.cfg.Token != "" && subtle.ConstantTimeCompare([]byte(token), []byte(m.cfg.Token)) != 1 {
+		writeError(w, http.StatusForbidden, "bad or missing token")
+		return false
 	}
-	if c.cfg.Token != "" && subtle.ConstantTimeCompare([]byte(token), []byte(c.cfg.Token)) != 1 {
-		writeError(w, http.StatusForbidden, "campaign %q: bad or missing token", c.name)
-		return nil
-	}
-	if checkEpoch && epoch != c.epoch {
-		writeError(w, http.StatusGone,
-			"stale epoch %d for campaign %q (current %d): re-register", epoch, c.name, c.epoch)
-		return nil
-	}
-	return c
+	return true
 }
 
-// setGaugesLocked refreshes the cross-campaign worker and pending-shard
-// gauges; caller holds m.mu.
-func (m *Manager) setGaugesLocked() {
-	workers, pending := 0, 0
-	for _, c := range m.camps {
-		workers += c.connectedLocked()
-		pending += len(c.pending)
+// currentEpochLocked checks a request's epoch, writing the HTTP 410
+// re-register reply and returning false when it is stale.
+func (m *Manager) currentEpochLocked(w http.ResponseWriter, epoch uint64) bool {
+	if epoch != m.epoch {
+		writeError(w, http.StatusGone, "stale epoch %d (current %d): re-register", epoch, m.epoch)
+		return false
 	}
-	m.do.workers.Set(float64(workers))
-	m.do.leasesPending.Set(float64(pending))
+	return true
+}
+
+// setGaugesLocked refreshes the worker and pending-shard gauges.
+func (m *Manager) setGaugesLocked() {
+	m.do.workers.Set(float64(m.connectedLocked()))
+	m.do.leasesPending.Set(float64(len(m.pending)))
 }
 
 // handleRegister admits a worker and ships the campaign spec. A
 // re-registration (PrevWorkerID set) eagerly releases the previous
-// incarnation's leases instead of letting them block their shards until
-// the TTL sweep.
+// incarnation's lease instead of letting it block its shard until the
+// TTL sweep.
 func (m *Manager) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req RegisterRequest
 	if err := readJSON(r, &req); err != nil {
 		writeError(w, http.StatusBadRequest, "bad register body: %v", err)
 		return
 	}
-	if !checkVersion(w, req.V) {
+	if !checkVersion(w, req.V) || !m.authorized(w, req.Token) {
 		return
 	}
 	m.mu.Lock()
-	c := m.resolveLocked(w, req.Campaign, req.Token, 0, false)
-	if c == nil {
-		m.mu.Unlock()
-		return
-	}
-	id, requeued := c.registerLocked(req.Name, req.PrevWorkerID)
-	epoch := c.epoch
-	spec := c.cfg.Campaign
+	id, requeued := m.registerLocked(req.Name, req.PrevWorkerID)
+	epoch := m.epoch
+	spec := m.cfg.Campaign
 	m.do.registrations.Inc()
 	m.setGaugesLocked()
 	m.mu.Unlock()
 	m.do.ev.Info(id, "dist.register", map[string]any{
-		"campaign": c.name, "name": req.Name,
-		"prev_worker": req.PrevWorkerID, "prev_epoch": req.PrevEpoch,
+		"name": req.Name, "prev_worker": req.PrevWorkerID, "prev_epoch": req.PrevEpoch,
 	})
 	for _, shard := range requeued {
 		m.do.ev.Warn(req.PrevWorkerID, "dist.lease_reassign", map[string]any{
-			"campaign": c.name, "shard": shard, "cause": "re-register",
+			"shard": shard, "cause": "re-register",
 		})
 	}
 	writeJSON(w, http.StatusOK, RegisterResponse{
@@ -605,99 +419,73 @@ func (m *Manager) handleRegister(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handlePoll sweeps expired state, acknowledges completions, and grants
-// a dynamically sized lease batch (or a stolen duplicate lease) when
-// work is available.
+// handlePoll sweeps expired state, acknowledges a completion, and grants
+// one lease when a shard is pending.
 func (m *Manager) handlePoll(w http.ResponseWriter, r *http.Request) {
 	var req PollRequest
 	if err := readJSON(r, &req); err != nil {
 		writeError(w, http.StatusBadRequest, "bad poll body: %v", err)
 		return
 	}
-	if !checkVersion(w, req.V) {
+	if !checkVersion(w, req.V) || !m.authorized(w, req.Token) {
 		return
 	}
 	m.sweep()
 	m.mu.Lock()
-	c := m.resolveLocked(w, req.Campaign, req.Token, req.Epoch, true)
-	if c == nil {
+	if !m.currentEpochLocked(w, req.Epoch) {
 		m.mu.Unlock()
 		return
 	}
-	ws := c.touchLocked(req.WorkerID)
+	ws := m.touchLocked(req.WorkerID)
 	if ws == nil {
 		m.mu.Unlock()
 		writeError(w, http.StatusGone, "unknown worker %d: re-register", req.WorkerID)
 		return
 	}
-	for _, id := range req.Completed {
-		c.completeLocked(ws, id)
-	}
+	m.completeLocked(ws, req.Completed)
 	resp := PollResponse{V: ProtocolVersion}
-	var stolen bool
-	if c.doneLocked() {
+	if m.doneLocked() {
 		resp.Done = true
-	} else {
-		resp.Leases, stolen = c.grantLocked(ws)
-		if len(resp.Leases) == 0 {
-			resp.RetryMS = (m.cfg.HeartbeatEvery / 2).Milliseconds()
-		}
+	} else if resp.Lease = m.grantLocked(ws); resp.Lease == nil {
+		resp.RetryMS = (m.cfg.HeartbeatEvery / 2).Milliseconds()
 	}
 	m.setGaugesLocked()
 	m.mu.Unlock()
-	for _, l := range resp.Leases {
-		kind := "dist.lease_grant"
-		if stolen {
-			kind = "dist.steal.grant"
-		}
-		m.do.ev.Info(req.WorkerID, kind, map[string]any{
-			"campaign": c.name, "lease": l.ID, "shard": l.Shard,
-			"seed": l.Seed, "steps": l.Steps,
+	if l := resp.Lease; l != nil {
+		m.do.ev.Info(req.WorkerID, "dist.lease_grant", map[string]any{
+			"lease": l.ID, "shard": l.Shard, "seed": l.Seed, "steps": l.Steps,
 		})
 	}
-	m.maybeEmitDone(c)
+	m.maybeEmitDone()
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// sweep requeues expired leases and declares silent workers dead, across
-// every campaign. It runs lazily at the top of every poll/sync/heartbeat,
-// so liveness advances as long as any worker keeps talking; tests may
-// call it directly.
+// sweep requeues expired leases and declares silent workers dead. It runs
+// lazily at the top of every poll/sync/heartbeat, so liveness advances as
+// long as any worker keeps talking; tests may call it directly.
 func (m *Manager) sweep() {
-	type reassigned struct {
-		campaign string
-		lease    uint64
-		shard    int
-		worker   int
-	}
 	var (
 		dead     []int
-		deadline time.Duration
-		res      []reassigned
+		res      []*leaseState
+		deadline = heartbeatMisses * m.cfg.HeartbeatEvery
 	)
 	m.mu.Lock()
 	now := m.now()
-	deadline = time.Duration(m.cfg.HeartbeatMisses) * m.cfg.HeartbeatEvery
-	for _, c := range m.camps {
-		for id, ws := range c.workers {
-			if ws.connected && now.Sub(ws.lastSeen) > deadline {
-				ws.connected = false
-				dead = append(dead, id)
-				m.do.heartbeatMisses.Inc()
-			}
+	for id, ws := range m.workers {
+		if ws.connected && now.Sub(ws.lastSeen) > deadline {
+			ws.connected = false
+			dead = append(dead, id)
+			m.do.heartbeatMisses.Inc()
 		}
-		for id, ls := range c.inflight {
-			owner := c.workers[ls.worker]
-			if now.After(ls.expiry) || owner == nil || !owner.connected {
-				delete(c.inflight, id)
-				if owner != nil {
-					delete(owner.leases, id)
-				}
-				if !c.shards[ls.shard].completed {
-					c.pending = append(c.pending, ls.shard)
-					m.do.leaseReassigns.Inc()
-					res = append(res, reassigned{campaign: c.name, lease: id, shard: ls.shard, worker: ls.worker})
-				}
+	}
+	for id, ls := range m.inflight {
+		owner := m.workers[ls.worker]
+		if now.After(ls.expiry) || owner == nil || !owner.connected {
+			delete(m.inflight, id)
+			if !m.shards[ls.shard].completed {
+				m.pending = append(m.pending, ls.shard)
+				m.do.leaseReassigns.Inc()
+				res = append(res, ls)
 			}
 		}
 	}
@@ -708,30 +496,27 @@ func (m *Manager) sweep() {
 			"deadline_ms": deadline.Milliseconds(),
 		})
 	}
-	for _, r := range res {
-		m.do.ev.Warn(r.worker, "dist.lease_reassign", map[string]any{
-			"campaign": r.campaign, "lease": r.lease, "shard": r.shard, "cause": "expired",
+	for _, ls := range res {
+		m.do.ev.Warn(ls.worker, "dist.lease_reassign", map[string]any{
+			"lease": ls.id, "shard": ls.shard, "cause": "expired",
 		})
 	}
 }
 
-// maybeEmitDone emits the dist.done event exactly once per campaign,
-// when its last shard completes, and compacts a durable campaign's final
-// state.
-func (m *Manager) maybeEmitDone(c *campaign) {
+// maybeEmitDone emits the dist.done event exactly once, when the last
+// shard completes, and compacts a durable campaign's final state.
+func (m *Manager) maybeEmitDone() {
 	m.mu.Lock()
-	fire := c.doneLocked() && !c.doneEmitted
+	fire := m.doneLocked() && !m.doneEmitted
 	if fire {
-		c.doneEmitted = true
-		if c.wal != nil {
-			c.snapshotLocked()
-		}
+		m.doneEmitted = true
+		m.snapshotLocked()
 	}
-	shards, reports, corpus := len(c.shards), c.reports.Len(), len(c.corpusOrder)
+	shards, reports, corpus := len(m.shards), m.reports.Len(), len(m.corpusOrder)
 	m.mu.Unlock()
 	if fire {
 		m.do.ev.Info(0, "dist.done", map[string]any{
-			"campaign": c.name, "shards": shards, "reports": reports, "corpus": corpus,
+			"shards": shards, "reports": reports, "corpus": corpus,
 		})
 	}
 }
@@ -744,17 +529,16 @@ func (m *Manager) handleSync(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad sync body: %v", err)
 		return
 	}
-	if !checkVersion(w, req.V) {
+	if !checkVersion(w, req.V) || !m.authorized(w, req.Token) {
 		return
 	}
 	m.sweep()
 	m.mu.Lock()
-	c := m.resolveLocked(w, req.Campaign, req.Token, req.Epoch, true)
-	if c == nil {
+	if !m.currentEpochLocked(w, req.Epoch) {
 		m.mu.Unlock()
 		return
 	}
-	ws := c.touchLocked(req.WorkerID)
+	ws := m.touchLocked(req.WorkerID)
 	if ws == nil && !req.Deregister {
 		m.mu.Unlock()
 		writeError(w, http.StatusGone, "unknown worker %d: re-register", req.WorkerID)
@@ -764,15 +548,15 @@ func (m *Manager) handleSync(w http.ResponseWriter, r *http.Request) {
 	// validate and dedup regardless of what arrived).
 	recvProgs := 0
 	if req.Programs != "" {
-		progs, _ := core.DecodePrograms(strings.NewReader(req.Programs), c.target)
+		progs, _ := core.DecodePrograms(strings.NewReader(req.Programs), m.target)
 		for _, p := range progs {
-			if c.admitProgramLocked(p, true) {
+			if m.admitProgramLocked(p, true) {
 				recvProgs++
 			}
 		}
 		m.do.syncBytesIn.Add(uint64(len(req.Programs)))
 		m.do.syncProgsIn.Add(uint64(recvProgs))
-		m.do.corpusProgs.Set(float64(len(c.corpusOrder)))
+		m.do.corpusProgs.Set(float64(len(m.corpusOrder)))
 	}
 	// Diff the worker's advertisement against the global corpus.
 	workerHas := make(map[string]struct{}, len(req.Keys))
@@ -781,15 +565,15 @@ func (m *Manager) handleSync(w http.ResponseWriter, r *http.Request) {
 	}
 	var want []string
 	for _, k := range req.Keys {
-		if _, ok := c.corpus[k]; !ok {
+		if _, ok := m.corpus[k]; !ok {
 			want = append(want, k)
 		}
 	}
 	sort.Strings(want)
 	var toSend []*syzlang.Program
-	for _, h := range c.corpusOrder {
+	for _, h := range m.corpusOrder {
 		if _, ok := workerHas[h]; !ok {
-			toSend = append(toSend, c.corpus[h])
+			toSend = append(toSend, m.corpus[h])
 		}
 	}
 	var payload strings.Builder
@@ -800,21 +584,11 @@ func (m *Manager) handleSync(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.Deregister && ws != nil {
 		ws.connected = false
-		for id := range ws.leases {
-			if ls := c.inflight[id]; ls != nil {
-				delete(c.inflight, id)
-				if !c.shards[ls.shard].completed {
-					c.pending = append(c.pending, ls.shard)
-					m.do.leaseReassigns.Inc()
-				}
-			}
-			delete(ws.leases, id)
-		}
+		m.releaseLocked(ws.id)
 	}
 	m.setGaugesLocked()
 	m.mu.Unlock()
 	m.do.ev.Info(req.WorkerID, "dist.sync", map[string]any{
-		"campaign":      c.name,
 		"recv_programs": recvProgs, "sent_programs": len(toSend),
 		"recv_bytes": len(req.Programs), "sent_bytes": payload.Len(),
 		"want": len(want), "deregister": req.Deregister,
@@ -827,31 +601,29 @@ func (m *Manager) handleSync(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleReport merges worker findings into the campaign's global
-// deduplicated set.
+// handleReport merges worker findings into the global deduplicated set.
 func (m *Manager) handleReport(w http.ResponseWriter, r *http.Request) {
 	var req ReportRequest
 	if err := readJSON(r, &req); err != nil {
 		writeError(w, http.StatusBadRequest, "bad report body: %v", err)
 		return
 	}
-	if !checkVersion(w, req.V) {
+	if !checkVersion(w, req.V) || !m.authorized(w, req.Token) {
 		return
 	}
 	m.mu.Lock()
-	c := m.resolveLocked(w, req.Campaign, req.Token, req.Epoch, true)
-	if c == nil {
+	if !m.currentEpochLocked(w, req.Epoch) {
 		m.mu.Unlock()
 		return
 	}
-	if ws := c.touchLocked(req.WorkerID); ws == nil {
+	if ws := m.touchLocked(req.WorkerID); ws == nil {
 		m.mu.Unlock()
 		writeError(w, http.StatusGone, "unknown worker %d: re-register", req.WorkerID)
 		return
 	}
 	added := 0
 	for _, rep := range req.Reports {
-		if rep != nil && rep.Title != "" && c.admitReportLocked(rep, true) {
+		if rep != nil && rep.Title != "" && m.admitReportLocked(rep, true) {
 			added++
 		}
 	}
@@ -862,36 +634,31 @@ func (m *Manager) handleReport(w http.ResponseWriter, r *http.Request) {
 	}
 	m.mu.Unlock()
 	m.do.ev.Info(req.WorkerID, "dist.report", map[string]any{
-		"campaign": c.name, "received": len(req.Reports), "added": added,
+		"received": len(req.Reports), "added": added,
 	})
 	writeJSON(w, http.StatusOK, ReportResponse{V: ProtocolVersion, Added: added})
 }
 
-// handleHeartbeat renews worker liveness and its leases.
+// handleHeartbeat renews worker liveness and its lease.
 func (m *Manager) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	var req HeartbeatRequest
 	if err := readJSON(r, &req); err != nil {
 		writeError(w, http.StatusBadRequest, "bad heartbeat body: %v", err)
 		return
 	}
-	if !checkVersion(w, req.V) {
+	if !checkVersion(w, req.V) || !m.authorized(w, req.Token) {
 		return
 	}
 	m.sweep()
 	m.mu.Lock()
-	c := m.resolveLocked(w, req.Campaign, req.Token, req.Epoch, true)
-	if c == nil {
+	if !m.currentEpochLocked(w, req.Epoch) {
 		m.mu.Unlock()
 		return
 	}
-	ws := c.touchLocked(req.WorkerID)
+	ws := m.touchLocked(req.WorkerID)
 	ok := ws != nil
-	if ok {
-		for _, id := range req.Leases {
-			if ls := c.inflight[id]; ls != nil && ls.worker == ws.id {
-				ls.expiry = m.now().Add(m.cfg.LeaseTTL)
-			}
-		}
+	if ls := m.inflight[req.Lease]; ok && ls != nil && ls.worker == ws.id {
+		ls.expiry = m.now().Add(m.cfg.LeaseTTL)
 	}
 	m.mu.Unlock()
 	writeJSON(w, http.StatusOK, HeartbeatResponse{V: ProtocolVersion, OK: ok})

@@ -44,10 +44,7 @@ type distObs struct {
 	walTorn     *obs.Counter
 	walSnaps    *obs.Counter
 
-	// Elasticity (work stealing) and multi-tenancy.
-	stealGrants, stealWins *obs.Counter
-	campaigns              *obs.Gauge
-	campaignEpoch          *obs.GaugeVec
+	campaignEpoch *obs.Gauge
 }
 
 // newDistObs registers the fabric's metric families on reg (creating every
@@ -107,7 +104,7 @@ func newDistObs(reg *obs.Registry, ev *obs.EventLog) *distObs {
 		d.walRecords[t] = walRecs.With(t)
 	}
 	d.walBytes = reg.Counter("ozz_dist_wal_bytes_total",
-		"Bytes appended to campaign write-ahead logs (including record framing).")
+		"Bytes appended to the campaign write-ahead log (including record framing).")
 	d.walReplays = reg.Counter("ozz_dist_wal_replays_total",
 		"Campaign recoveries that restored prior state from a snapshot and/or write-ahead log at manager start.")
 	d.walReplayed = reg.Counter("ozz_dist_wal_replayed_records_total",
@@ -115,16 +112,9 @@ func newDistObs(reg *obs.Registry, ev *obs.EventLog) *distObs {
 	d.walTorn = reg.Counter("ozz_dist_wal_torn_records_total",
 		"Torn write-ahead-log tails (a record truncated mid-append by a crash) dropped during recovery.")
 	d.walSnaps = reg.Counter("ozz_dist_wal_snapshots_total",
-		"Campaign snapshots written (periodic compactions plus explicit exports to the state directory).")
-
-	d.stealGrants = reg.Counter("ozz_dist_steal_grants_total",
-		"Duplicate leases granted by work stealing: an idle worker re-running an in-flight shard because the pending queue was empty.")
-	d.stealWins = reg.Counter("ozz_dist_steal_wins_total",
-		"Stolen leases that completed their shard before the original holder did.")
-	d.campaigns = reg.Gauge("ozz_dist_campaigns",
-		"Campaigns hosted by this manager.")
-	d.campaignEpoch = reg.GaugeVec("ozz_dist_campaign_epoch",
-		"Current registration epoch of each hosted campaign (bumped on every crash-restart recovery).", "campaign")
+		"Campaign snapshots written to the state directory (periodic compactions, campaign completion and shutdown).")
+	d.campaignEpoch = reg.Gauge("ozz_dist_campaign_epoch",
+		"Current registration epoch of the campaign (bumped on every crash-restart recovery).")
 	return d
 }
 

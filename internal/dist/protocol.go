@@ -21,7 +21,7 @@
 //     finds exactly the deduplicated report titles of a standalone run
 //     over the same shard plan (see RunShardsLocal). Determinism also
 //     makes duplicate execution harmless, which is what lease
-//     reassignment, work stealing, and crash-restart resume all lean on.
+//     reassignment and crash-restart resume both lean on.
 //   - State is durable when asked: with a state directory configured the
 //     manager journals every admission (corpus program, report, shard
 //     completion, registration) to a CRC-checked write-ahead log and
@@ -29,9 +29,8 @@
 //     replays the log over the latest snapshot, bumps the campaign epoch,
 //     and workers transparently re-register (see wal.go and
 //     docs/DISTRIBUTED.md).
-//   - One manager hosts N named campaigns, each with its own shard plan,
-//     corpus, report set, epoch, and optional auth token; requests with
-//     an empty campaign name address DefaultCampaign.
+//   - One manager hosts one campaign and grants one lease per poll; an
+//     optional manager-wide token authenticates every request.
 package dist
 
 import (
@@ -49,16 +48,13 @@ import (
 )
 
 // ProtocolVersion is the fabric's wire protocol version. Every request
-// and response carries it in the V field. Version 2 has multi-tenancy
-// (campaign names and auth tokens), the epoch-stamped re-register
-// handshake, and lease batches. The manager accepts exactly this version:
-// any other is rejected with HTTP 400 and an ErrorResponse, so
-// incompatible fleets fail fast instead of corrupting each other's state.
-const ProtocolVersion = 2
-
-// DefaultCampaign is the campaign name a request with an empty Campaign
-// field addresses — the single campaign of a pre-multi-tenancy fleet.
-const DefaultCampaign = "default"
+// and response carries it in the V field. Version 3 has one campaign per
+// manager, one lease per poll, an optional auth token, and the
+// epoch-stamped re-register handshake. The manager accepts exactly this
+// version: any other is rejected with HTTP 400 and an ErrorResponse, so
+// incompatible fleets fail fast instead of corrupting each other's state
+// (a version-2 worker naming a campaign never joins the wrong one).
+const ProtocolVersion = 3
 
 // Endpoint paths of the manager's HTTP API.
 const (
@@ -120,10 +116,8 @@ type RegisterRequest struct {
 	V int `json:"v"`
 	// Name is a human-readable worker name for logs and events.
 	Name string `json:"name,omitempty"`
-	// Campaign names the campaign to join (empty = DefaultCampaign).
-	Campaign string `json:"campaign,omitempty"`
-	// Token authenticates against the campaign's auth token; required
-	// whenever the campaign has one, rejected requests get HTTP 403.
+	// Token authenticates against the manager's auth token; required
+	// whenever the manager has one, rejected requests get HTTP 403.
 	Token string `json:"token,omitempty"`
 	// PrevWorkerID is the worker identity of this client's previous
 	// incarnation, when it is re-registering after a crash, a manager
@@ -140,8 +134,7 @@ type RegisterRequest struct {
 type RegisterResponse struct {
 	// V is the manager's protocol version.
 	V int `json:"v"`
-	// WorkerID is the manager-assigned worker identity (1-based per
-	// campaign); it tags the worker's records in the manager's event log.
+	// WorkerID is the manager-assigned worker identity (1-based); it tags the worker's records in the manager's event log.
 	WorkerID int `json:"worker_id"`
 	// Epoch is the campaign's current registration epoch. It increments
 	// every time a manager restarts the campaign from persistent state;
@@ -160,26 +153,23 @@ type PollRequest struct {
 	V int `json:"v"`
 	// WorkerID is the registered worker identity.
 	WorkerID int `json:"worker_id"`
-	// Campaign names the campaign (empty = DefaultCampaign).
-	Campaign string `json:"campaign,omitempty"`
-	// Token authenticates against the campaign's auth token.
+	// Token authenticates against the manager's auth token.
 	Token string `json:"token,omitempty"`
 	// Epoch echoes the registration epoch; a stale value gets HTTP 410.
 	Epoch uint64 `json:"epoch,omitempty"`
-	// Completed lists lease IDs the worker finished since its last poll.
-	Completed []uint64 `json:"completed,omitempty"`
+	// Completed is the ID of the lease the worker finished since its last
+	// poll, 0 for none (lease IDs are epoch<<32|seq with epoch >= 1, so 0
+	// never names a lease).
+	Completed uint64 `json:"completed,omitempty"`
 }
 
-// PollResponse grants leases, asks the worker to retry later, or
+// PollResponse grants a lease, asks the worker to retry later, or
 // declares the campaign done.
 type PollResponse struct {
 	// V is the manager's protocol version.
 	V int `json:"v"`
-	// Leases is the granted lease batch, empty when none is available:
-	// the manager sizes it dynamically from the pending-shard backlog and
-	// the connected worker count, so a lone or fast worker drains several
-	// shards per round trip.
-	Leases []*Lease `json:"leases,omitempty"`
+	// Lease is the granted lease, nil when no shard is pending.
+	Lease *Lease `json:"lease,omitempty"`
 	// Done reports that every shard has completed; the worker should
 	// perform a final sync and deregister.
 	Done bool `json:"done"`
@@ -196,9 +186,7 @@ type SyncRequest struct {
 	V int `json:"v"`
 	// WorkerID is the registered worker identity.
 	WorkerID int `json:"worker_id"`
-	// Campaign names the campaign (empty = DefaultCampaign).
-	Campaign string `json:"campaign,omitempty"`
-	// Token authenticates against the campaign's auth token.
+	// Token authenticates against the manager's auth token.
 	Token string `json:"token,omitempty"`
 	// Epoch echoes the registration epoch; a stale value gets HTTP 410.
 	Epoch uint64 `json:"epoch,omitempty"`
@@ -233,9 +221,7 @@ type ReportRequest struct {
 	V int `json:"v"`
 	// WorkerID is the registered worker identity.
 	WorkerID int `json:"worker_id"`
-	// Campaign names the campaign (empty = DefaultCampaign).
-	Campaign string `json:"campaign,omitempty"`
-	// Token authenticates against the campaign's auth token.
+	// Token authenticates against the manager's auth token.
 	Token string `json:"token,omitempty"`
 	// Epoch echoes the registration epoch; a stale value gets HTTP 410.
 	Epoch uint64 `json:"epoch,omitempty"`
@@ -257,15 +243,13 @@ type HeartbeatRequest struct {
 	V int `json:"v"`
 	// WorkerID is the registered worker identity.
 	WorkerID int `json:"worker_id"`
-	// Campaign names the campaign (empty = DefaultCampaign).
-	Campaign string `json:"campaign,omitempty"`
-	// Token authenticates against the campaign's auth token.
+	// Token authenticates against the manager's auth token.
 	Token string `json:"token,omitempty"`
 	// Epoch echoes the registration epoch; a stale value gets HTTP 410.
 	Epoch uint64 `json:"epoch,omitempty"`
-	// Leases lists the lease IDs the worker currently holds; each is
-	// renewed for a fresh TTL.
-	Leases []uint64 `json:"leases,omitempty"`
+	// Lease is the ID of the lease the worker holds, renewed for a fresh
+	// TTL; 0 when it holds none.
+	Lease uint64 `json:"lease,omitempty"`
 }
 
 // HeartbeatResponse acknowledges a heartbeat.

@@ -8,16 +8,19 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"regexp"
 
 	"ozz/internal/report"
 )
 
-// Durability layer: a per-campaign write-ahead log plus periodic
-// snapshots, stdlib-only, laid out as
+// Durability layer: a write-ahead log plus periodic snapshots,
+// stdlib-only, laid out as
 //
-//	<state-dir>/<campaign>/snapshot.json   last compacted full state
-//	<state-dir>/<campaign>/wal.log         records since that snapshot
+//	<state-dir>/default/snapshot.json   last compacted full state
+//	<state-dir>/default/wal.log         records since that snapshot
+//
+// The fixed subdirectory keeps the layout of earlier managers, which
+// hosted several named campaigns side by side, so their state directories
+// still resume; other subdirectories are ignored.
 //
 // Every state change that must survive a manager crash — a corpus
 // program admission, a new global report, a shard completion, a worker
@@ -25,8 +28,8 @@ import (
 // before the handler replies. A restarted manager loads the snapshot, replays the
 // log over it, truncates any torn final record (a crash mid-append), and
 // bumps the epoch so workers re-register. Snapshots are written
-// atomically (temp file + rename) every ManagerConfig.SnapshotEvery
-// records and on demand for export, after which the log is reset.
+// atomically (temp file + rename) every snapshotEvery records, at
+// campaign completion and on Close, after which the log is reset.
 //
 // Leases are deliberately NOT journaled: shard execution is
 // deterministic, so requeueing every in-flight shard at recovery and
@@ -87,7 +90,7 @@ type walProgramD struct {
 	Src string `json:"src"`
 }
 
-// wal is one campaign's open write-ahead log.
+// wal is the campaign's open write-ahead log.
 type wal struct {
 	f       *os.File
 	path    string
@@ -208,16 +211,14 @@ type SnapshotWorker struct {
 	Name string `json:"name,omitempty"`
 }
 
-// CampaignSnapshot is the complete durable state of one campaign: what a
-// manager needs to resume it after a crash, and the interchange format of
-// campaign export/import (cmd/ozz -mode manager -export / -import), so a
-// fleet can be drained on one machine and relaunched on another. Auth
-// tokens are intentionally absent — they belong to the hosting manager's
-// configuration, not to exported state.
+// CampaignSnapshot is the complete durable state of the campaign: what a
+// manager needs to resume it after a crash or on another host. The auth
+// token is intentionally absent — it belongs to the manager's
+// configuration, not to persisted state.
 type CampaignSnapshot struct {
 	// Format is the schema version (SnapshotFormat).
 	Format int `json:"format"`
-	// Name is the campaign name.
+	// Name is the state subdirectory the snapshot lives in.
 	Name string `json:"name"`
 	// Epoch is the registration epoch the snapshot was taken under; a
 	// manager restoring it opens at Epoch+1.
@@ -276,25 +277,6 @@ func writeSnapshotFile(path string, snap *CampaignSnapshot) error {
 	return nil
 }
 
-// writeSnapshotTo streams a snapshot to an arbitrary writer (campaign
-// export).
-func writeSnapshotTo(w io.Writer, snap *CampaignSnapshot) error {
-	return json.NewEncoder(w).Encode(snap)
-}
-
-// decodeSnapshot reads one snapshot from r (campaign import), checking
-// the schema version.
-func decodeSnapshot(r io.Reader) (*CampaignSnapshot, error) {
-	var snap CampaignSnapshot
-	if err := json.NewDecoder(r).Decode(&snap); err != nil {
-		return nil, fmt.Errorf("dist: decode snapshot: %w", err)
-	}
-	if snap.Format != SnapshotFormat {
-		return nil, fmt.Errorf("dist: snapshot format %d, this build reads %d", snap.Format, SnapshotFormat)
-	}
-	return &snap, nil
-}
-
 // readSnapshotFile loads a snapshot, reporting (nil, nil) when none
 // exists yet.
 func readSnapshotFile(path string) (*CampaignSnapshot, error) {
@@ -315,16 +297,13 @@ func readSnapshotFile(path string) (*CampaignSnapshot, error) {
 	return &snap, nil
 }
 
-// campaignNameRe bounds campaign names to filesystem-safe tokens, since
-// the name doubles as the state subdirectory.
-var campaignNameRe = regexp.MustCompile(`^[a-zA-Z0-9_][a-zA-Z0-9_.-]{0,63}$`)
+// defaultCampaign names the state subdirectory holding the campaign's
+// snapshot and log, and the snapshot's Name.
+const defaultCampaign = "default"
 
-// validCampaignName reports whether name may be hosted (and persisted).
-func validCampaignName(name string) bool { return campaignNameRe.MatchString(name) }
-
-// campaignDir is the campaign's state subdirectory.
-func campaignDir(stateDir, name string) string { return filepath.Join(stateDir, name) }
-
-// snapshotPath and walPath locate the two durable files of a campaign.
-func snapshotPath(dir string) string { return filepath.Join(dir, "snapshot.json") }
-func walPath(dir string) string      { return filepath.Join(dir, "wal.log") }
+// snapshotPath and walPath locate the campaign's two durable files under
+// a state directory.
+func snapshotPath(stateDir string) string {
+	return filepath.Join(stateDir, defaultCampaign, "snapshot.json")
+}
+func walPath(stateDir string) string { return filepath.Join(stateDir, defaultCampaign, "wal.log") }

@@ -33,10 +33,7 @@ type WorkerConfig struct {
 	ManagerURL string
 	// Name is the worker's human-readable name for the manager's logs.
 	Name string
-	// Campaign names the hosted campaign to join; empty joins the
-	// manager's default campaign.
-	Campaign string
-	// Token is the campaign's auth token, required when the manager was
+	// Token is the manager's auth token, required when the manager was
 	// configured with one.
 	Token string
 	// PoolWorkers is the local pool width each lease runs at
@@ -76,7 +73,10 @@ type Worker struct {
 	reports     *report.Set
 	reported    map[string]struct{} // titles already acked by the manager
 	want        []string            // key hashes the manager asked for
-	held        []uint64            // lease IDs currently held (heartbeats renew)
+	// held is the lease the worker holds, 0 for none. Heartbeats renew it
+	// from grant until a poll acknowledging its completion succeeds, so
+	// the lease cannot expire while the shard's results are being synced.
+	held uint64
 
 	// dieAfterLeases is a test hook: when > 0, Run returns abruptly (no
 	// completion ack, no final sync, no deregister — a simulated kill)
@@ -167,8 +167,8 @@ func (w *Worker) ident() (int, uint64) {
 // A re-registration (the worker already had an identity — the manager
 // restarted under a new epoch, or forgot us) advertises the previous
 // (worker, epoch) pair so the manager can eagerly release the stale
-// incarnation's leases, and voids any leases held locally: their IDs are
-// fenced off by the epoch bump.
+// incarnation's lease, and voids the lease held locally: its ID is fenced
+// off by the epoch bump.
 func (w *Worker) register(ctx context.Context) error {
 	prevID, prevEpoch := w.ident()
 	for attempt := 0; ; attempt++ {
@@ -178,8 +178,7 @@ func (w *Worker) register(ctx context.Context) error {
 		start := time.Now()
 		var resp RegisterResponse
 		err := postJSON(w.client, w.url(PathRegister), RegisterRequest{
-			V: ProtocolVersion, Name: w.cfg.Name,
-			Campaign: w.cfg.Campaign, Token: w.cfg.Token,
+			V: ProtocolVersion, Name: w.cfg.Name, Token: w.cfg.Token,
 			PrevWorkerID: prevID, PrevEpoch: prevEpoch,
 		}, &resp)
 		observe(w.do.httpRegister, start)
@@ -187,7 +186,7 @@ func (w *Worker) register(ctx context.Context) error {
 			w.mu.Lock()
 			w.id = resp.WorkerID
 			w.epoch = resp.Epoch
-			w.held = nil
+			w.held = 0
 			w.mu.Unlock()
 			w.campaign = resp.Campaign
 			w.target = modules.Target(resp.Campaign.Modules...)
@@ -197,7 +196,7 @@ func (w *Worker) register(ctx context.Context) error {
 			w.heartbeatEvery = time.Duration(resp.HeartbeatMS) * time.Millisecond
 			w.do.ev.Info(resp.WorkerID, "dist.register", map[string]any{
 				"manager": w.cfg.ManagerURL, "name": w.cfg.Name,
-				"campaign": w.cfg.Campaign, "epoch": resp.Epoch, "prev_worker": prevID,
+				"epoch": resp.Epoch, "prev_worker": prevID,
 			})
 			return nil
 		}
@@ -209,7 +208,7 @@ func (w *Worker) register(ctx context.Context) error {
 	}
 }
 
-// heartbeatLoop renews liveness and held leases until stop closes.
+// heartbeatLoop renews liveness and the held lease until stop closes.
 func (w *Worker) heartbeatLoop(ctx context.Context, stop <-chan struct{}) {
 	t := time.NewTicker(w.heartbeatEvery)
 	defer t.Stop()
@@ -221,14 +220,13 @@ func (w *Worker) heartbeatLoop(ctx context.Context, stop <-chan struct{}) {
 			return
 		case <-t.C:
 			w.mu.Lock()
-			held := append([]uint64(nil), w.held...)
-			id, epoch := w.id, w.epoch
+			held, id, epoch := w.held, w.id, w.epoch
 			w.mu.Unlock()
 			start := time.Now()
 			var resp HeartbeatResponse
 			err := postJSON(w.client, w.url(PathHeartbeat), HeartbeatRequest{
-				V: ProtocolVersion, WorkerID: id, Leases: held,
-				Campaign: w.cfg.Campaign, Token: w.cfg.Token, Epoch: epoch,
+				V: ProtocolVersion, WorkerID: id, Lease: held,
+				Token: w.cfg.Token, Epoch: epoch,
 			}, &resp)
 			observe(w.do.httpHeartbeat, start)
 			if err != nil && errStatus(err) != http.StatusGone {
@@ -253,7 +251,7 @@ func (w *Worker) Run(ctx context.Context) error {
 	go w.heartbeatLoop(ctx, stop)
 
 	var (
-		completed []uint64
+		completed uint64 // finished lease awaiting its poll acknowledgement
 		failures  int
 		leases    int
 	)
@@ -267,7 +265,7 @@ func (w *Worker) Run(ctx context.Context) error {
 		var resp PollResponse
 		err := postJSON(w.client, w.url(PathPoll), PollRequest{
 			V: ProtocolVersion, WorkerID: id, Completed: completed,
-			Campaign: w.cfg.Campaign, Token: w.cfg.Token, Epoch: epoch,
+			Token: w.cfg.Token, Epoch: epoch,
 		}, &resp)
 		observe(w.do.httpPoll, start)
 		switch {
@@ -275,10 +273,11 @@ func (w *Worker) Run(ctx context.Context) error {
 			failures = 0
 		case errStatus(err) == http.StatusGone:
 			// The manager restarted under a new epoch (or forgot us):
-			// transparently rejoin. Completions for pre-restart lease IDs
-			// are dropped — recovery requeued those shards anyway.
+			// transparently rejoin, which voids the held lease. A
+			// completion for a pre-restart lease ID is dropped — recovery
+			// requeued that shard anyway.
 			w.do.ev.Warn(id, "dist.reregister", map[string]any{"cause": err.Error()})
-			completed = nil
+			completed = 0
 			if err := w.register(ctx); err != nil {
 				return err
 			}
@@ -291,7 +290,9 @@ func (w *Worker) Run(ctx context.Context) error {
 			sleep(ctx, w.backoff(failures))
 			continue
 		}
-		completed = nil
+		// The poll acknowledged the completion: stop renewing the lease.
+		completed = 0
+		w.setHeld(0)
 		if resp.Done {
 			w.deregister()
 			w.do.ev.Info(id, "dist.done", map[string]any{
@@ -299,8 +300,8 @@ func (w *Worker) Run(ctx context.Context) error {
 			})
 			return nil
 		}
-		batch := resp.Leases
-		if len(batch) == 0 {
+		lease := resp.Lease
+		if lease == nil {
 			retry := time.Duration(resp.RetryMS) * time.Millisecond
 			if retry <= 0 {
 				retry = 100 * time.Millisecond
@@ -308,41 +309,28 @@ func (w *Worker) Run(ctx context.Context) error {
 			sleep(ctx, retry)
 			continue
 		}
-		for _, lease := range batch {
-			leases++
-			w.mu.Lock()
-			w.held = append(w.held, lease.ID)
-			w.mu.Unlock()
-			if w.dieAfterLeases > 0 && leases >= w.dieAfterLeases {
-				return fmt.Errorf("dist: worker killed by test hook holding lease %d", lease.ID)
-			}
-			done := w.runLease(ctx, lease)
-			w.mu.Lock()
-			w.held = removeLease(w.held, lease.ID)
-			w.mu.Unlock()
-			if done {
-				completed = append(completed, lease.ID)
-			}
-			if ctx.Err() != nil {
-				break
-			}
+		leases++
+		w.setHeld(lease.ID)
+		if w.dieAfterLeases > 0 && leases >= w.dieAfterLeases {
+			return fmt.Errorf("dist: worker killed by test hook holding lease %d", lease.ID)
 		}
-		// Push findings and exchange corpus deltas after every batch —
+		if w.runLease(ctx, lease) {
+			completed = lease.ID
+		}
+		// Push findings and exchange corpus deltas after every lease —
 		// cheap (delta-based), and it keeps the global view fresh enough
-		// that a later crash loses at most one batch's discoveries.
+		// that a later crash loses at most one shard's discoveries. The
+		// next poll acknowledges the completion only after both landed.
 		w.pushReports()
 		w.syncConverse(false)
 	}
 }
 
-// removeLease drops one lease ID from the held list.
-func removeLease(held []uint64, id uint64) []uint64 {
-	for i, h := range held {
-		if h == id {
-			return append(held[:i], held[i+1:]...)
-		}
-	}
-	return held
+// setHeld records the lease heartbeats renew (0 for none).
+func (w *Worker) setHeld(id uint64) {
+	w.mu.Lock()
+	w.held = id
+	w.mu.Unlock()
 }
 
 // runLease executes one shard on a fresh local pool, folding its corpus
@@ -413,7 +401,7 @@ func (w *Worker) pushReports() {
 	var resp ReportResponse
 	err := postJSON(w.client, w.url(PathReport), ReportRequest{
 		V: ProtocolVersion, WorkerID: id, Reports: fresh,
-		Campaign: w.cfg.Campaign, Token: w.cfg.Token, Epoch: epoch,
+		Token: w.cfg.Token, Epoch: epoch,
 	}, &resp)
 	observe(w.do.httpReport, start)
 	if err != nil {
@@ -461,8 +449,7 @@ func (w *Worker) syncConverse(deregister bool) {
 		err := postJSON(w.client, w.url(PathSync), SyncRequest{
 			V: ProtocolVersion, WorkerID: id,
 			Keys: keys, Programs: payload.String(),
-			Deregister: deregister,
-			Campaign:   w.cfg.Campaign, Token: w.cfg.Token, Epoch: epoch,
+			Deregister: deregister, Token: w.cfg.Token, Epoch: epoch,
 		}, &resp)
 		observe(w.do.httpSync, start)
 		if errStatus(err) == http.StatusGone && !rejoined {
