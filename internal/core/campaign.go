@@ -44,7 +44,7 @@ type Config struct {
 	// ablation).
 	InterruptOnSwitch bool
 	// Model is the memory model the campaign emulates (nil = LKMM).
-	// Hints, directive plans, and triage all run under it; new OOO
+	// Hints, MTI directives, and triage all run under it; new OOO
 	// findings are additionally probed under every other registered
 	// model to fill the report's "reorders under" line.
 	Model *memmodel.Table

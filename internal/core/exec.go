@@ -25,8 +25,8 @@ import (
 // Every execution builds a fresh (or pool-recycled) kernel, so runs are
 // independent and deterministic. An Env is safe for concurrent use by
 // multiple executor goroutines once configured: the configuration fields
-// are read-only during execution, and the engine's kernel recycler and
-// plan cache are internally synchronized.
+// are read-only during execution, and the engine's kernel recycler is
+// internally synchronized.
 type Env struct {
 	// Modules lists the loaded modules (empty = all registered).
 	Modules []string
@@ -45,7 +45,7 @@ type Env struct {
 	InterruptOnSwitch bool
 	// Model is the memory model OEMU emulates (nil = memmodel.LKMM).
 	// STI profiles are model-independent (no directives, in-order
-	// execution), but hint generation and MTI directive plans are
+	// execution), but hint generation and MTI directives are
 	// model-relative — the fuzzer must pair this Env with
 	// hints.CalculateModel over the same model.
 	Model *memmodel.Table
@@ -71,7 +71,7 @@ func NewEnvObs(mods []string, bugs modules.BugSet, reg *obs.Registry) *Env {
 }
 
 // Engine exposes the underlying execution engine (kernel recycler and
-// plan cache).
+// metrics registry).
 func (e *Env) Engine() *engine.Engine { return e.eng }
 
 // Obs returns the metrics registry the environment's engine publishes

@@ -351,6 +351,9 @@ func TestManagerToken(t *testing.T) {
 	if errStatus(err) != http.StatusForbidden || ctx.Err() != nil {
 		t.Fatalf("worker with a wrong token: Run = %v (ctx %v), want an HTTP 403 error at once", err, ctx.Err())
 	}
+	if n := strings.Count(err.Error(), "dist:"); n != 1 {
+		t.Errorf("worker with a wrong token: Run = %q carries %d dist: prefixes, want 1", err, n)
+	}
 	if n := registers.Load(); n != 1 {
 		t.Errorf("worker with a wrong token sent %d register requests, want 1", n)
 	}

@@ -201,7 +201,7 @@ func (w *Worker) register(ctx context.Context) error {
 			return nil
 		}
 		if errStatus(err) == http.StatusForbidden {
-			return fmt.Errorf("dist: register rejected: %w", err)
+			return fmt.Errorf("register rejected: %w", err) // err carries the dist: prefix
 		}
 		w.do.ev.Warn(0, "dist.retry", map[string]any{"op": "register", "err": err.Error()})
 		sleep(ctx, w.backoff(attempt))
@@ -283,7 +283,7 @@ func (w *Worker) Run(ctx context.Context) error {
 			}
 			continue
 		case errStatus(err) == http.StatusForbidden:
-			return fmt.Errorf("dist: poll rejected: %w", err)
+			return fmt.Errorf("poll rejected: %w", err) // err carries the dist: prefix
 		default:
 			failures++
 			w.do.ev.Warn(id, "dist.retry", map[string]any{"op": "poll", "err": err.Error()})

@@ -15,7 +15,7 @@ import (
 // task structs, the scheduler sessions, the argument and return slices,
 // and the caller's profile buffer, so what is left is the result with its
 // coverage copy and its CallEvents and Returns tables, the module
-// instances and the run's closures. The counts were 17 (STI) and 23 (MTI)
+// instances and the run's closures. The counts were 17 (STI) and 21 (MTI)
 // when the bounds were set; the bounds leave room for two more.
 func TestRecycledRunAllocs(t *testing.T) {
 	if raceEnabled {
@@ -41,7 +41,7 @@ func TestRecycledRunAllocs(t *testing.T) {
 		max  float64
 	}{
 		{"sti", sti, 19},
-		{"mti", mti, 25},
+		{"mti", mti, 23},
 	} {
 		for i := 0; i < 3; i++ {
 			e.Run(cfg, OOO{}, c.req)

@@ -35,9 +35,9 @@ type Config struct {
 	// suspend vCPUs WITHOUT delivering interrupts.
 	InterruptOnSwitch bool
 	// Model is the memory model OEMU emulates for the run; nil selects
-	// memmodel.LKMM (the paper's default). Directive plans are
-	// model-specific (the engine's plan cache keys on the model name),
-	// and hint generation for the run's profiles must use the same model
+	// memmodel.LKMM (the paper's default). Directives act per model (a
+	// model with no versionable loads makes ReadOldValueAt inert), and
+	// hint generation for the run's profiles must use the same model
 	// (hints.CalculateModel).
 	Model *memmodel.Table
 }

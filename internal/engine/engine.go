@@ -121,9 +121,9 @@ func (r *runner) impl(c *syzlang.Call) modules.Impl {
 }
 
 // Engine executes requests. It is safe for concurrent use: the kernel
-// recycler and the plan cache are internally synchronized, and every
-// run works on its own kernel. One Engine instance amortizes kernel
-// construction across all runs sharing it, whatever their Config.
+// recycler is internally synchronized, and every run works on its own
+// kernel. One Engine instance amortizes kernel construction across all
+// runs sharing it, whatever their Config.
 type Engine struct {
 	// kpool recycles runners across executions: Reset on a used kernel
 	// is much cheaper than rebuilding memory pages, emulator maps, and
@@ -131,12 +131,9 @@ type Engine struct {
 	// parallel campaign workers share one recycler.
 	kpool sync.Pool
 
-	// plans memoizes compiled OEMU directive plans (see plancache.go).
-	plans planCache
-
 	// m holds the engine's pre-resolved metric handles (see obs.go).
-	// Every lifecycle counter — kernel acquisitions, cache lookups, run
-	// outcomes, OEMU/scheduler activity — is registry-backed.
+	// Every lifecycle counter — kernel acquisitions, run outcomes,
+	// OEMU/scheduler activity — is registry-backed.
 	m *metrics
 }
 
@@ -146,16 +143,13 @@ func New() *Engine { return NewObs(nil) }
 
 // NewObs returns an engine publishing its lifecycle metrics into reg
 // (nil = a fresh private registry). Sharing one registry across engines
-// is legal — registration is get-or-create — but makes the kernel/cache
+// is legal — registration is get-or-create — but makes the kernel
 // counters cumulative across all sharing engines.
 func NewObs(reg *obs.Registry) *Engine {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	e := &Engine{m: newMetrics(reg)}
-	e.plans.hits = e.m.planHits
-	e.plans.misses = e.m.planMisses
-	return e
+	return &Engine{m: newMetrics(reg)}
 }
 
 // Obs returns the registry this engine publishes into.
@@ -201,7 +195,7 @@ func (e *Engine) run(cfg Config, s Strategy, req Request, build buildFunc) *Resu
 	var res *Result
 	plan := s.Pair(&cfg, &req)
 	if plan != nil {
-		res = e.runPair(r, &cfg, &req, plan)
+		res = e.runPair(r, &req, plan)
 	} else {
 		res = e.runSequential(r, &cfg, &req)
 	}
@@ -396,7 +390,7 @@ func (e *Engine) runSequential(r *runner, cfg *Config, req *Request) *Result {
 // before J (except I) run sequentially to build kernel state; then the
 // plan's two calls run concurrently on CPUs 1 and 2 under its policy
 // (Fig. 5).
-func (e *Engine) runPair(r *runner, cfg *Config, req *Request, plan *PairPlan) *Result {
+func (e *Engine) runPair(r *runner, req *Request, plan *PairPlan) *Result {
 	k, p := r.k, req.Prog
 	res := &Result{}
 	// Calls that have not run yet (call I during the prefix) read as 0.
@@ -428,9 +422,6 @@ func (e *Engine) runPair(r *runner, cfg *Config, req *Request, plan *PairPlan) *
 	// plan's directives/observers armed on the fresh tasks.
 	taskA := k.NewTask(1)
 	taskB := k.NewTask(2)
-	if plan.Reorder != nil {
-		taskA.OEMU().InstallPlan(e.plans.plan(plan.Reorder, cfg.Model))
-	}
 	if plan.Arm != nil {
 		plan.Arm(taskA, taskB)
 	}

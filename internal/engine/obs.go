@@ -54,9 +54,6 @@ type metrics struct {
 	kernelBuilt    *obs.Counter
 	acquireDur     *obs.Histogram
 
-	planHits   *obs.Counter
-	planMisses *obs.Counter
-
 	schedYields   *obs.Counter
 	schedSwitches *obs.Counter
 
@@ -121,12 +118,6 @@ func newMetrics(reg *obs.Registry) *metrics {
 	m.acquireDur = reg.Histogram("ozz_kernel_acquire_duration_seconds",
 		"Wall-clock kernel acquire latency (pool Get + Reset, or fresh construction), seconds.",
 		obs.DurationBuckets())
-
-	planLookups := reg.CounterVec("ozz_plan_cache_lookups_total",
-		"Directive-plan cache lookups by outcome (precompiled OEMU reorder plans keyed by program + spec).",
-		"outcome")
-	m.planHits = planLookups.With("hit")
-	m.planMisses = planLookups.With("miss")
 
 	m.schedYields = reg.Counter("ozz_sched_yields_total",
 		"Scheduling points hit across all sessions (every instrumented access is one).")

@@ -6,7 +6,6 @@ import (
 	"ozz/internal/hints"
 	"ozz/internal/kernel"
 	"ozz/internal/sched"
-	"ozz/internal/trace"
 )
 
 // Strategy is an execution policy plugged into the engine: it decides how
@@ -48,34 +47,14 @@ type PairPlan struct {
 	// its STI; trailing calls can carry bug-detecting assertions). The
 	// baselines run no suffix.
 	Suffix bool
-	// Reorder, when non-nil, names the OEMU directive set task A (the
-	// reorderer) runs under. The engine resolves it through its
-	// precompiled-plan cache — keyed by model, test kind and sites, not
-	// by program — and installs the shared immutable plan on task A's
-	// OEMU thread before Arm runs, so per-run directive-set construction
-	// happens at most once per distinct (model, test, sites).
-	Reorder *ReorderSpec
-	// Arm, if non-nil, runs after the pair tasks are created, after the
-	// Reorder plan is installed, and before the tasks are spawned — the
-	// hook for schedule-coupled state and ad-hoc directives (ta is task 1,
-	// tb is task 2).
+	// Arm, if non-nil, runs after the pair tasks are created and before
+	// they are spawned — the hook for OEMU directives and
+	// schedule-coupled state (ta is task 1, tb is task 2).
 	Arm func(ta, tb *kernel.Task)
 	// Finish, if non-nil, runs after the concurrent stage completes
 	// (before the suffix) to harvest strategy-specific outcomes into the
 	// result (breakpoint fired, reorder counts, ...).
 	Finish func(res *Result, ta, tb *kernel.Task)
-}
-
-// ReorderSpec names an OEMU directive set declaratively: the hypothetical
-// barrier test kind plus the instruction sites it reorders (Table 2 — a
-// store-barrier test delays the stores at Sites, a load-barrier test makes
-// the loads at Sites read old values). Specs are values the engine can
-// hash and cache; the compiled form is oemu.Plan.
-type ReorderSpec struct {
-	// Test is the hypothetical barrier test kind the directives emulate.
-	Test hints.TestKind
-	// Sites are the instruction sites the directives apply to.
-	Sites []trace.InstrID
 }
 
 // OOO is OZZ's hypothetical-memory-barrier strategy (§4.4): the
@@ -92,9 +71,7 @@ type ReorderSpec struct {
 // moment the scheduling point fires. The move does not flush the
 // reorderer's store buffer, so the delayed stores stay delayed while the
 // observer re-resolves per-CPU addresses on its new CPU. Hints with no
-// migration sites run the pinned-thread test of the paper unchanged. The
-// directive-plan cache needs no migration awareness: a migration is
-// schedule state (a policy), not an OEMU directive.
+// migration sites run the pinned-thread test of the paper unchanged.
 type OOO struct{}
 
 // Name implements Strategy.
@@ -145,18 +122,25 @@ func (OOO) Pair(cfg *Config, req *Request) *PairPlan {
 		ma = &sched.MigrateAt{Inner: bp, Task: bp.ToTask, ToCPU: 0}
 		policy = ma
 	}
-	var spec *ReorderSpec
-	if !req.NoReorder && len(hint.Reorder) > 0 {
-		spec = &ReorderSpec{Test: hint.Test, Sites: hint.Reorder}
-	}
-	interrupt := cfg.InterruptOnSwitch
+	interrupt, reorder := cfg.InterruptOnSwitch, !req.NoReorder
 	return &PairPlan{
-		Policy:  policy,
-		CallA:   callA,
-		CallB:   callB,
-		Suffix:  true,
-		Reorder: spec,
+		Policy: policy,
+		CallA:  callA,
+		CallB:  callB,
+		Suffix: true,
 		Arm: func(ta, _ *kernel.Task) {
+			// Table 2: a store-barrier test delays the stores at the
+			// hint's sites, a load-barrier test versions the loads there.
+			if reorder {
+				dir := &ta.OEMU().Dir
+				for _, s := range hint.Reorder {
+					if hint.Test == hints.LoadBarrierTest {
+						dir.ReadOldValueAt(s)
+					} else {
+						dir.DelayStoreAt(s)
+					}
+				}
+			}
 			if interrupt {
 				bp.OnSwitch = ta.Interrupt
 			}

@@ -93,26 +93,3 @@ func TestCrossCheckAllModels(t *testing.T) {
 		})
 	}
 }
-
-// TestRunPlannedModelEquivalence proves the precompiled-plan path cannot
-// change litmus semantics under any model: RunModel and RunPlannedModel
-// must produce identical outcome sets over the whole suite.
-func TestRunPlannedModelEquivalence(t *testing.T) {
-	for _, mm := range memmodel.All() {
-		for _, e := range lkmm.Suite() {
-			a := lkmm.RunModel(e.Test, mm)
-			b := lkmm.RunPlannedModel(e.Test, mm)
-			as, bs := a.Sorted(), b.Sorted()
-			if len(as) != len(bs) {
-				t.Errorf("%s under %s: Run %v != RunPlanned %v", e.Test.Name, mm.Name(), as, bs)
-				continue
-			}
-			for i := range as {
-				if as[i] != bs[i] {
-					t.Errorf("%s under %s: Run %v != RunPlanned %v", e.Test.Name, mm.Name(), as, bs)
-					break
-				}
-			}
-		}
-	}
-}

@@ -4,7 +4,6 @@ import (
 	"ozz/internal/kmem"
 	"ozz/internal/memmodel"
 	"ozz/internal/oemu"
-	"ozz/internal/trace"
 )
 
 // RunModelFresh is RunModel with every interleaving executed on a freshly
@@ -26,35 +25,6 @@ func RunModelFresh(test *Test, mm *memmodel.Table) *Result {
 						th.Dir.ReadOldValueAt(s.Instr)
 					}
 				}
-			})
-			res.Outcomes[MakeOutcome(regs)] = true
-			res.Runs++
-		})
-	}
-	return res
-}
-
-// RunPlannedModelFresh is RunPlannedModel with every interleaving executed
-// by executeFresh.
-func RunPlannedModelFresh(test *Test, mm *memmodel.Table) *Result {
-	sites := enumerableSites(test)
-	res := &Result{Outcomes: make(map[Outcome]bool)}
-	for mask := 0; mask < 1<<len(sites); mask++ {
-		var delay, read []trace.InstrID
-		for bi, s := range sites {
-			if mask&(1<<bi) == 0 {
-				continue
-			}
-			if s.Store {
-				delay = append(delay, s.Instr)
-			} else {
-				read = append(read, s.Instr)
-			}
-		}
-		plan := oemu.CompilePlanModel(delay, read, mm)
-		enumerateInterleavings(test, func(order []int) {
-			regs := executeFresh(test, order, mm, func(th *oemu.Thread) {
-				th.InstallPlan(plan)
 			})
 			res.Outcomes[MakeOutcome(regs)] = true
 			res.Runs++

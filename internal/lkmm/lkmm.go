@@ -155,9 +155,9 @@ func (r *Result) Sorted() []string {
 func instrID(t, i int) trace.InstrID { return trace.InstrID(t*100 + i + 1) }
 
 // MaxDirectiveSites bounds the directive sites — stores and loads — of a
-// test RunModel and RunPlannedModel enumerate: every subset of the sites
-// is one directive assignment, so the enumeration is exponential in them.
-// Both panic on a wider test.
+// test RunModel enumerates: every subset of the sites is one directive
+// assignment, so the enumeration is exponential in them. RunModel panics
+// on a wider test.
 const MaxDirectiveSites = 12
 
 // DirectiveSite is one op an OEMU directive can target: a store it may
@@ -229,42 +229,6 @@ func RunModel(test *Test, mm *memmodel.Table) *Result {
 	return &Result{Outcomes: out.Outcomes, Runs: runs}
 }
 
-// RunPlanned is Run with every directive assignment installed through the
-// precompiled-plan path (oemu.CompilePlan + Thread.InstallPlan) instead of
-// incremental DelayStoreAt/ReadOldValueAt calls. Each mask's plan is
-// compiled once and shared by all interleavings of that mask — exactly how
-// the engine's plan cache shares one immutable plan across runs — so
-// equality of Run and RunPlanned over a test proves the plan path cannot
-// change litmus semantics.
-func RunPlanned(test *Test) *Result { return RunPlannedModel(test, memmodel.LKMM) }
-
-// RunPlannedModel is RunPlanned under an arbitrary memory model.
-func RunPlannedModel(test *Test, mm *memmodel.Table) *Result {
-	sites := enumerableSites(test)
-	out, runs := NewOutcomeSet(), 0
-	x := newExecutor(test, mm)
-	for mask := 0; mask < 1<<len(sites); mask++ {
-		var delay, read []trace.InstrID
-		for bi, s := range sites {
-			if mask&(1<<bi) == 0 {
-				continue
-			}
-			if s.Store {
-				delay = append(delay, s.Instr)
-			} else {
-				read = append(read, s.Instr)
-			}
-		}
-		plan := oemu.CompilePlanModel(delay, read, mm)
-		install := func(th *oemu.Thread) { th.InstallPlan(plan) }
-		enumerateInterleavings(test, func(order []int) {
-			out.Add(x.execute(order, install))
-			runs++
-		})
-	}
-	return &Result{Outcomes: out.Outcomes, Runs: runs}
-}
-
 // enumerateInterleavings generates every merge of the threads' op
 // sequences; order entries are thread indexes.
 func enumerateInterleavings(test *Test, visit func(order []int)) {
@@ -320,10 +284,10 @@ func newExecutor(test *Test, mm *memmodel.Table) *executor {
 }
 
 // execute runs one interleaving under the executor's memory model with
-// install applied to every thread (incremental directives or a
-// precompiled plan) and returns the final registers, valid until the next
-// run. Store buffers drain at thread exit (like a syscall return);
-// registers are read after all threads finish.
+// install applied to every thread (its Table 2 directives) and returns
+// the final registers, valid until the next run. Store buffers drain at
+// thread exit (like a syscall return); registers are read after all
+// threads finish.
 func (x *executor) execute(order []int, install func(*oemu.Thread)) []uint64 {
 	// Reset turns sanitizing back on and the emulator back to LKMM.
 	x.mem.Reset()

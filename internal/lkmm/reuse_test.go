@@ -12,8 +12,8 @@ import (
 // TestReusedExecutorMatchesFresh checks the executor that recycles one
 // memory, emulator and thread slice across an enumeration's interleavings
 // against executions on freshly built ones: over the named suite plus 200
-// generated shapes, under every registered model, RunModel and
-// RunPlannedModel must return the oracle's outcomes from as many runs.
+// generated shapes, under every registered model, RunModel must return
+// the oracle's outcomes from as many runs.
 func TestReusedExecutorMatchesFresh(t *testing.T) {
 	var tests []*lkmm.Test
 	for _, e := range lkmm.Suite() {
@@ -28,19 +28,12 @@ func TestReusedExecutorMatchesFresh(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, test := range tests {
-			for _, c := range []struct {
-				path      string
-				got, want *lkmm.Result
-			}{
-				{"incremental", lkmm.RunModel(test, mm), lkmm.RunModelFresh(test, mm)},
-				{"planned", lkmm.RunPlannedModel(test, mm), lkmm.RunPlannedModelFresh(test, mm)},
-			} {
-				if c.got.Runs != c.want.Runs {
-					t.Errorf("%s/%s %s: Runs = %d, fresh oracle %d", name, test.Name, c.path, c.got.Runs, c.want.Runs)
-				}
-				if !reflect.DeepEqual(c.got.Outcomes, c.want.Outcomes) {
-					t.Errorf("%s/%s %s: outcomes = %v, fresh oracle %v", name, test.Name, c.path, c.got.Sorted(), c.want.Sorted())
-				}
+			got, want := lkmm.RunModel(test, mm), lkmm.RunModelFresh(test, mm)
+			if got.Runs != want.Runs {
+				t.Errorf("%s/%s: Runs = %d, fresh oracle %d", name, test.Name, got.Runs, want.Runs)
+			}
+			if !reflect.DeepEqual(got.Outcomes, want.Outcomes) {
+				t.Errorf("%s/%s: outcomes = %v, fresh oracle %v", name, test.Name, got.Sorted(), want.Sorted())
 			}
 		}
 	}

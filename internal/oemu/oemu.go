@@ -57,29 +57,23 @@ const internCap = 1 << 14
 // added via ReadOldValueAt have their load operations read an old value
 // from the store history (subject to the versioning window).
 //
-// Ownership: a Directives value is owned by its Thread (or, for standalone
-// use, by the single caller that built it with NewDirectives). The site
-// sets are sorted slices mutated through the pointer-receiver methods;
-// copying the struct by value shares the underlying arrays and must not be
-// combined with further mutation — use the owning Thread's Dir field (which
-// is addressable) or a *Directives, never a copy. Precompiled plans attach
-// by reference (InstallPlan) and are never mutated.
+// Ownership: a Directives value is owned by its Thread, which clears it
+// in place when the thread is recycled. The site sets are sorted slices
+// mutated through the pointer-receiver methods; copying the struct by
+// value shares the underlying arrays and must not be combined with
+// further mutation — use the owning Thread's Dir field (which is
+// addressable), never a copy.
 type Directives struct {
-	// plan is an immutable precompiled site set, shared across runs.
-	plan *Plan
-	// delayStore/readOld are the incrementally-added site sets, sorted
-	// ascending, deduplicated.
+	// delayStore/readOld are the site sets, sorted ascending,
+	// deduplicated.
 	delayStore []trace.InstrID
 	readOld    []trace.InstrID
 
 	// em, when the Directives belong to a Thread, lets ReadOldValueAt arm
-	// store-history tracking on the owning emulator (nil for standalone
-	// plans, whose emulator tracks history by default).
+	// store-history tracking on the owning emulator (nil for a standalone
+	// zero value).
 	em *OEMU
 }
-
-// NewDirectives returns an empty plan (in-order execution).
-func NewDirectives() Directives { return Directives{} }
 
 // insertSorted adds i to the sorted set s if absent.
 func insertSorted(s []trace.InstrID, i trace.InstrID) []trace.InstrID {
@@ -126,94 +120,15 @@ func (d *Directives) ReadOldValueAt(i trace.InstrID) {
 }
 
 // hasDelay reports whether stores at site i are directed to delay.
-func (d *Directives) hasDelay(i trace.InstrID) bool {
-	if d.plan != nil && containsSorted(d.plan.delayStore, i) {
-		return true
-	}
-	return containsSorted(d.delayStore, i)
-}
+func (d *Directives) hasDelay(i trace.InstrID) bool { return containsSorted(d.delayStore, i) }
 
 // hasReadOld reports whether loads at site i are directed to version.
-func (d *Directives) hasReadOld(i trace.InstrID) bool {
-	if d.plan != nil && containsSorted(d.plan.readOld, i) {
-		return true
-	}
-	return containsSorted(d.readOld, i)
-}
+func (d *Directives) hasReadOld(i trace.InstrID) bool { return containsSorted(d.readOld, i) }
 
-// Empty reports whether the plan requests no reordering.
-func (d *Directives) Empty() bool {
-	return (d.plan == nil || d.plan.Empty()) && len(d.delayStore) == 0 && len(d.readOld) == 0
-}
-
-// reset clears the directive sets in place, dropping any installed plan.
+// reset clears the directive sets in place.
 func (d *Directives) reset() {
-	d.plan = nil
 	d.delayStore = d.delayStore[:0]
 	d.readOld = d.readOld[:0]
-}
-
-// Plan is an immutable, precompiled reordering plan: the two Table 2 site
-// sets in canonical (sorted, deduplicated) form. A Plan is compiled once
-// per distinct directive set, cached by the caller, and shared by reference
-// across any number of threads and runs — it is never mutated after
-// CompilePlan returns.
-type Plan struct {
-	delayStore []trace.InstrID
-	readOld    []trace.InstrID
-}
-
-// CompilePlan canonicalizes the given site sets into an immutable Plan.
-// The inputs are copied; the caller keeps ownership of its slices.
-func CompilePlan(delayStore, readOld []trace.InstrID) *Plan {
-	return CompilePlanModel(delayStore, readOld, memmodel.LKMM)
-}
-
-// CompilePlanModel canonicalizes the site sets into an immutable Plan for
-// one memory model, dropping sites the model makes inert: versioned-load
-// sites under a model with no versionable loads (no invalidation-queue
-// effects, e.g. TSO), and delayed-store sites under a model with no
-// delayable stores. Dropping them at compile time keeps the plan's
-// HasReads/Empty answers — and therefore history-tracking arming and
-// in-order fast paths — accurate per model. Plans are model-specific; the
-// plan cache must key on the model name.
-func CompilePlanModel(delayStore, readOld []trace.InstrID, mm *memmodel.Table) *Plan {
-	p := &Plan{}
-	if mm.AnyDelayable() {
-		for _, s := range delayStore {
-			p.delayStore = insertSorted(p.delayStore, s)
-		}
-	}
-	if mm.AnyVersionable() {
-		for _, s := range readOld {
-			p.readOld = insertSorted(p.readOld, s)
-		}
-	}
-	return p
-}
-
-// DelaySites returns the canonical delayed-store site set (read-only).
-func (p *Plan) DelaySites() []trace.InstrID { return p.delayStore }
-
-// ReadSites returns the canonical versioned-load site set (read-only).
-func (p *Plan) ReadSites() []trace.InstrID { return p.readOld }
-
-// Empty reports whether the plan requests no reordering.
-func (p *Plan) Empty() bool { return len(p.delayStore) == 0 && len(p.readOld) == 0 }
-
-// HasReads reports whether the plan contains versioned-load directives
-// (which require store-history tracking).
-func (p *Plan) HasReads() bool { return len(p.readOld) > 0 }
-
-// InstallPlan attaches a precompiled plan to the thread's directives by
-// reference (no copying; the plan stays immutable and shared). Installing a
-// plan with versioned-load sites arms store-history tracking, exactly like
-// calling ReadOldValueAt for each site.
-func (t *Thread) InstallPlan(p *Plan) {
-	t.Dir.plan = p
-	if p != nil && p.HasReads() && t.em.mm.AnyVersionable() {
-		t.em.armHistory()
-	}
 }
 
 // histEntry records one committed store: the value it overwrote, the value
@@ -529,8 +444,7 @@ func (em *OEMU) Model() *memmodel.Table { return em.mm }
 // that execute no versioned loads (no ReadOldValueAt directive): without
 // such loads the history, and the per-thread coherence stamps it feeds,
 // are unobservable. Call it before the run executes accesses; a
-// ReadOldValueAt or InstallPlan with versioned-load sites re-enables
-// tracking conservatively (versioned loads then cannot reach past the
+// ReadOldValueAt directive re-enables tracking conservatively (versioned loads then cannot reach past the
 // re-enable point, because no earlier history exists).
 func (em *OEMU) SetHistoryTracking(on bool) {
 	if on {
@@ -895,9 +809,6 @@ func (t *Thread) PendingAt(addr trace.Addr) (uint64, bool) {
 	return 0, false
 }
 
-// WindowStart returns the current versioning-window start t_rmb.
-func (t *Thread) WindowStart() uint64 { return t.tRmb }
-
 // forwardedVal reports whether a delayed store to addr is in flight,
 // storing its held value through val.
 func (t *Thread) forwardedVal(addr trace.Addr, val *uint64) bool {
@@ -908,13 +819,6 @@ func (t *Thread) forwardedVal(addr trace.Addr, val *uint64) bool {
 		}
 	}
 	return false
-}
-
-// ResetDirectives clears the reordering plan and the log in place, keeping
-// buffered state (used between system calls of one input).
-func (t *Thread) ResetDirectives() {
-	t.Dir.reset()
-	t.Log = t.Log[:0]
 }
 
 // ReorderedCount returns how many genuine reorderings (delayed stores or
