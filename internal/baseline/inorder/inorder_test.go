@@ -28,8 +28,7 @@ func TestSyzkallerFindsNoOOOBugs(t *testing.T) {
 		t.Fatalf("execs = %d", s.Execs)
 	}
 	// The baseline shares the engine's kernel recycler, like core.Env
-	// campaigns do. The threshold is loose because sync.Pool sheds
-	// entries on GC and randomly drops ~25% of puts under -race.
+	// campaigns do.
 	recycled, built := s.KernelCounters()
 	if recycled == 0 {
 		t.Fatalf("kernel pool never recycled (recycled=%d built=%d)", recycled, built)
@@ -77,8 +76,7 @@ func TestInterleaverFindsPlainRace(t *testing.T) {
 	if !found {
 		t.Fatalf("interleaving baseline missed the plain UAF race: %v", titles)
 	}
-	// Pooled kernels for the pair executor too (loose threshold: see
-	// TestSyzkallerFindsNoOOOBugs).
+	// Recycled kernels for the pair executor too.
 	recycled, built := iv.KernelCounters()
 	if recycled == 0 {
 		t.Fatalf("kernel pool never recycled (recycled=%d built=%d)", recycled, built)

@@ -158,12 +158,10 @@ func (s *Strategy) Attach(k *kernel.Kernel, _ *engine.Request) {
 // Pair implements engine.Strategy: calls I and J run concurrently under
 // a random schedule salted by the round. No suffix stage — detection is
 // complete once the pair finishes.
-func (s *Strategy) Pair(_ *engine.Config, req *engine.Request) *engine.PairPlan {
-	return &engine.PairPlan{
-		Policy: &sched.Random{Seed: s.Detector.Seed ^ s.Round ^ 0x5eed, Period: 3},
-		CallA:  req.I,
-		CallB:  req.J,
-	}
+func (s *Strategy) Pair(_ *engine.Config, req *engine.Request, plan *engine.PairPlan) bool {
+	plan.Policy = &sched.Random{Seed: s.Detector.Seed ^ s.Round ^ 0x5eed, Period: 3}
+	plan.CallA, plan.CallB = req.I, req.J
+	return true
 }
 
 // RunPair executes calls i and j of the program concurrently (prefix first,

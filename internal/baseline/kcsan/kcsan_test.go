@@ -23,9 +23,7 @@ func TestKCSANFindsPlainRace(t *testing.T) {
 		t.Fatal("KCSAN found no race on plainly racing accesses")
 	}
 	// The detector runs on the shared engine, so the hunt's pair runs
-	// are served by the kernel recycler. The threshold is loose because
-	// sync.Pool sheds entries on GC and randomly drops ~25% of puts
-	// under -race.
+	// are served by the kernel recycler.
 	recycled, built := d.KernelCounters()
 	if recycled == 0 {
 		t.Fatalf("kernel pool never recycled (recycled=%d built=%d)", recycled, built)

@@ -106,14 +106,14 @@ func RunSbitmapPinned(budget int) BugRunResult {
 type pinned struct{ engine.OOO }
 
 // Pair implements engine.Strategy.
-func (pinned) Pair(cfg *engine.Config, req *engine.Request) *engine.PairPlan {
-	plan := engine.OOO{}.Pair(cfg, req)
-	if plan != nil {
-		if ma, ok := plan.Policy.(*sched.MigrateAt); ok {
-			plan.Policy = ma.Inner
-		}
+func (pinned) Pair(cfg *engine.Config, req *engine.Request, plan *engine.PairPlan) bool {
+	if !(engine.OOO{}).Pair(cfg, req, plan) {
+		return false
 	}
-	return plan
+	if ma, ok := plan.Policy.(*sched.MigrateAt); ok {
+		plan.Policy = ma.Inner
+	}
+	return true
 }
 
 // FormatTable4 renders the Table 4 text table.

@@ -83,9 +83,6 @@ func TestSTIArenaMatchesFresh(t *testing.T) {
 // more events the long one profiles; copying each call's profile out of
 // the buffer would add one allocation per call.
 func TestSTIArenaAllocsIndependentOfEvents(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops Puts under the race detector")
-	}
 	env := NewEnv([]string{"rds"}, nil)
 	target := modules.Target("rds")
 	measure := func(src string) (events int, allocs float64) {

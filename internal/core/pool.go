@@ -342,6 +342,11 @@ type worker struct {
 	// alias them: reports and memo records hold no events, and
 	// repair.InVivo copies the events it keeps.
 	prof trace.Buffer
+	// mti is the result every MTI of the step writes into. It is valid
+	// until the next MTI, so harvesting copies what it keeps (titles,
+	// edges); the nested runs harvesting starts (triage, cross-model
+	// probes, repair) return results of their own.
+	mti MTIResult
 }
 
 // runJob executes one campaign step: the STI profile (§4.2), then
@@ -414,7 +419,7 @@ func (p *Pool) runPair(w *worker, res *jobResult, jb job, sti *STIResult, i, j i
 	}
 	for rank, h := range hs {
 		mStart := time.Now()
-		mres := p.env.RunMTI(MTIOpts{Prog: jb.prog, I: i, J: j, Hint: h})
+		mres := p.env.RunMTI(MTIOpts{Prog: jb.prog, I: i, J: j, Hint: h, Out: &w.mti})
 		observe(p.co.stMTI, mStart)
 		res.mtis++
 		res.migrations += uint64(mres.Migrations)

@@ -10,6 +10,8 @@ import (
 	"testing"
 	"time"
 
+	"ozz/internal/hints"
+	"ozz/internal/memmodel"
 	"ozz/internal/modules"
 	"ozz/internal/obs"
 	"ozz/internal/report"
@@ -254,41 +256,89 @@ func TestPoolResumeKeepsWorkers(t *testing.T) {
 	compare("96 x Run(1)", fingerprintPool(newPool(2), ones...), want)
 }
 
-// TestRecycledKernelEquivalence verifies the sync.Pool recycler: executions
-// on a recycled kernel are indistinguishable from a fresh environment's.
+// TestRecycledKernelEquivalence verifies the kernel recycler and the
+// static module call tables: every module's seeds run on one Env, with
+// the module's switches off and on, each alone and behind a call of a
+// partner module (bpf registers a function, tls registers four and
+// allocates its proto tables at construction), so function-table slots
+// and kmem addresses shift between consecutive runs on a recycled
+// kernel. Each STI must deep-equal a fresh Env's, and each MTI of its
+// adjacent pairs, written into one reused result the way a pool worker's
+// are, must equal a fresh RunMTI result. With the switches off no seed
+// may crash: a module whose New skipped its kernel-side set-up would
+// call through a missing function pointer.
 func TestRecycledKernelEquivalence(t *testing.T) {
-	prog := "r0 = wq_create()\nwq_post_notification(r0, 0x4)\nwq_pipe_read(r0)\n"
-	run := func(e *Env) *STIResult {
-		p, err := modules.Target("watchqueue").Parse(prog)
-		if err != nil {
-			t.Fatal(err)
+	target := modules.Target()
+	env := NewEnv(nil, nil)
+	var mti MTIResult
+	runs := 0
+	for _, m := range modules.All() {
+		var switches []string
+		for _, b := range m.Bugs {
+			switches = append(switches, b.Switch)
 		}
-		return e.RunSTI(p)
-	}
-	env := NewEnv([]string{"watchqueue"}, modules.Bugs("watchqueue:pipe_wmb"))
-	first := run(env)
-	// Subsequent runs recycle the kernel released by the first.
-	for i := 0; i < 3; i++ {
-		again := run(env)
-		if !reflect.DeepEqual(again.Cov, first.Cov) {
-			t.Fatalf("run %d: coverage diverged on recycled kernel", i)
-		}
-		if !reflect.DeepEqual(again.Returns, first.Returns) {
-			t.Fatalf("run %d: returns diverged on recycled kernel", i)
-		}
-		if len(again.CallEvents) != len(first.CallEvents) {
-			t.Fatalf("run %d: call count diverged", i)
-		}
-		for c := range again.CallEvents {
-			if !reflect.DeepEqual(again.CallEvents[c], first.CallEvents[c]) {
-				t.Fatalf("run %d: call %d profile diverged on recycled kernel", i, c)
+		for si, seed := range m.Seeds {
+			for _, bugs := range []modules.BugSet{nil, modules.Bugs(switches...)} {
+				for _, prefix := range []string{"", "bpf_sockmap_create()\n", "tls_socket()\n"} {
+					p, err := target.Parse(prefix + seed)
+					if err != nil {
+						t.Fatalf("%s seed %d: %v", m.Name, si, err)
+					}
+					name := fmt.Sprintf("%s seed %d, %d switches, prefix %q", m.Name, si, len(bugs), prefix)
+					env.Bugs = bugs
+					fresh := NewEnv(nil, bugs)
+					got, want := env.RunSTI(p), fresh.RunSTI(p)
+					runs++
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("%s: recycled STI %+v, fresh %+v", name, got, want)
+						continue
+					}
+					if bugs == nil && got.Crash != nil {
+						t.Errorf("%s: crashed on the fixed kernel: %s", name, got.Crash.Title)
+					}
+					if got.Crash != nil {
+						continue
+					}
+					for i := 0; i+1 < len(p.Calls); i++ {
+						hs := hints.CalculateModel(got.CallEvents[i], got.CallEvents[i+1], memmodel.LKMM)
+						for _, h := range hs[:min(len(hs), 2)] {
+							o := MTIOpts{Prog: p, I: i, J: i + 1, Hint: h}
+							want := fresh.RunMTI(o)
+							o.Out = &mti
+							if got := env.RunMTI(o); !reflect.DeepEqual(normalized(got), normalized(want)) {
+								t.Errorf("%s, pair (%d, %d): reused MTI result %+v, fresh %+v", name, i, i+1, got, want)
+							}
+						}
+					}
+				}
 			}
 		}
 	}
-	recycled, built := env.KernelCounters()
-	if recycled == 0 {
-		t.Fatalf("kernel pool never recycled (recycled=%d built=%d)", recycled, built)
+	if recycled, built := env.KernelCounters(); recycled == 0 {
+		t.Fatalf("kernel pool never recycled over %d runs (built=%d)", runs, built)
 	}
+}
+
+// normalized returns a copy of r with empty slices nil: a reused result
+// keeps empty, non-nil slices where a fresh one has none.
+func normalized(r *MTIResult) MTIResult {
+	c := *r
+	if len(c.ReorderLog) == 0 {
+		c.ReorderLog = nil
+	}
+	if len(c.CallEvents) == 0 {
+		c.CallEvents = nil
+	}
+	if len(c.Returns) == 0 {
+		c.Returns = nil
+	}
+	if len(c.Cov) == 0 {
+		c.Cov = nil
+	}
+	if len(c.Soft) == 0 {
+		c.Soft = nil
+	}
+	return c
 }
 
 // TestMergeCoverageAttribution pins the order merge publishes coverage

@@ -8,7 +8,6 @@ import (
 	"ozz/internal/hints"
 	"ozz/internal/kernel"
 	"ozz/internal/memmodel"
-	"ozz/internal/modules"
 	"ozz/internal/oemu"
 	"ozz/internal/syzlang"
 	"ozz/internal/trace"
@@ -29,7 +28,7 @@ func TestHintDirectivesOnRecycledEngine(t *testing.T) {
 			base = tk.K.Mem.AllocZeroed(2)
 		}
 	}
-	impls := modules.Instance{
+	m := newSynth(map[string]impl{
 		"w": func(tk *kernel.Task, _ []uint64) uint64 {
 			alloc(tk)
 			tk.Store(101, base, 1)
@@ -42,11 +41,8 @@ func TestHintDirectivesOnRecycledEngine(t *testing.T) {
 			tk.Load(202, base)
 			return 0
 		},
-	}
-	pr := &syzlang.Program{Calls: []syzlang.Call{
-		{Def: &syzlang.SyscallDef{Name: "w"}},
-		{Def: &syzlang.SyscallDef{Name: "r"}},
-	}}
+	})
+	pr := &syzlang.Program{Calls: []syzlang.Call{{Def: m.def("w")}, {Def: m.def("r")}}}
 	// The store-barrier hint reorders "w" and switches after its store to
 	// y, so "r" sees y's new value and x's old one. The load-barrier hint
 	// reorders "r" and switches before its load of y, so "w" commits both
@@ -75,7 +71,7 @@ func TestHintDirectivesOnRecycledEngine(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/round%d", c.name, round), func(t *testing.T) {
 				base = 0
 				req := Request{Prog: pr, I: 0, J: 1, Hint: c.hint, NoReorder: c.noReorder}
-				res := e.run(Config{Instrumented: true, Model: c.model}, OOO{}, req, injected(impls))
+				res := e.run(Config{Instrumented: true, Model: c.model}, OOO{}, req, m.build)
 				if res.Crash != nil || res.Deadlock != nil {
 					t.Fatalf("run aborted: %+v", res)
 				}

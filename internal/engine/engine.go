@@ -1,5 +1,5 @@
 // Package engine owns the execution lifecycle every OZZ path shares:
-// kernel acquisition (with sync.Pool recycling via Reset), module
+// kernel acquisition (recycled via Reset), module
 // building, task spawning under the deterministic scheduler,
 // panic-to-crash recovery, and result publication (coverage, soft
 // reports, return values, profiles). The paper evaluates one runtime
@@ -10,6 +10,7 @@
 package engine
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -46,6 +47,11 @@ type Request struct {
 	// it once per run and records the calls back to back; the result's
 	// CallEvents are views into it, valid until Prof is next used.
 	Prof *trace.Buffer
+	// Out, when non-nil, receives the run's result in place of a fresh
+	// one: the engine resets it, reusing the storage of its slices, and
+	// returns it. The caller owns it; what it holds is valid until Out is
+	// next used.
+	Out *Result
 	// Seed feeds seeded schedule policies (the Interleave strategy's
 	// random schedule; KCSAN's sampling stream).
 	Seed int64
@@ -82,8 +88,8 @@ type Result struct {
 	// in sequential runs.
 	Returns []uint64
 	// Cov is the KCov edge set covered by the run, each edge once, in
-	// first-hit order. The result owns the slice: it is a copy of the
-	// kernel's edge set, which the kernel's next Reset clears.
+	// first-hit order: a copy of the kernel's edge set, which the
+	// kernel's next Reset clears.
 	Cov []uint64
 	// Soft holds non-crash oracle reports.
 	Soft []string
@@ -98,38 +104,55 @@ type buildFunc func(k *kernel.Kernel) modules.Instance
 // engine reuses alongside it.
 type runner struct {
 	k *kernel.Kernel
+	// cfg, req and plan are the current run's config, request and pair
+	// plan. Strategies receive pointers to them, which would move
+	// per-run copies to the heap if they lived on the stack.
+	cfg  Config
+	req  Request
+	plan PairPlan
+	// res is the current run's result.
+	res *Result
+	// tasks holds the run's kernel tasks: the sequential (or prefix and
+	// suffix) task, then the pair's tasks.
+	tasks [3]*kernel.Task
 	// args holds the resolved arguments of the call each task is in:
 	// slot 0 for the sequential task, 1 and 2 for the pair's tasks.
 	args [3][]uint64
 	// returns holds a pair run's call results.
 	returns []uint64
-	// mods and insts are the run's syscall table: insts[i] is the built
-	// instance of module mods[i] and serves the calls whose def names it.
-	mods  []string
-	insts []modules.Instance
+	// prof, ci and start track a sequential run's profiling: the buffer,
+	// the call in progress, and where its events begin.
+	prof      *trace.Buffer
+	ci, start int
+	// mods is the run's syscall table: its module subset and the
+	// instances built from it.
+	mods modules.Set
+	// The task bodies, bound to the runner once so that spawning them
+	// allocates nothing per run.
+	seqBody, prefixBody, suffixBody func(*sched.Task)
+	pairBody                        [2]func(*sched.Task)
 }
 
-// impl returns the implementation of call c, or nil when its module was
-// not built.
-func (r *runner) impl(c *syzlang.Call) modules.Impl {
-	for i, m := range r.mods {
-		if m == c.Def.Module {
-			return r.insts[i][c.Def.Name]
-		}
-	}
-	return nil
+// newRunner returns a runner over a fresh kernel with nrCPU CPUs.
+func newRunner(nrCPU int) *runner {
+	r := &runner{k: kernel.New(nrCPU)}
+	r.seqBody, r.prefixBody, r.suffixBody = r.sequential, r.prefix, r.suffix
+	r.pairBody = [2]func(*sched.Task){r.pairA, r.pairB}
+	return r
 }
 
 // Engine executes requests. It is safe for concurrent use: the kernel
 // recycler is internally synchronized, and every run works on its own
 // kernel. One Engine instance amortizes kernel construction across all
-// runs sharing it, whatever their Config.
+// runs sharing it: a run recycles an idle kernel with its Config's NrCPU.
 type Engine struct {
-	// kpool recycles runners across executions: Reset on a used kernel
-	// is much cheaper than rebuilding memory pages, emulator maps, and
-	// allocator state from scratch. sync.Pool is concurrency-safe, so
-	// parallel campaign workers share one recycler.
-	kpool sync.Pool
+	// idle holds the runners no run is using, for the next acquire to
+	// recycle: Reset on a used kernel is much cheaper than rebuilding
+	// memory pages, emulator maps, and allocator state from scratch. An
+	// engine keeps as many runners as it ever ran at once, for its whole
+	// life, so live heap does not depend on when the collector runs.
+	mu   sync.Mutex
+	idle []*runner
 
 	// m holds the engine's pre-resolved metric handles (see obs.go).
 	// Every lifecycle counter — kernel acquisitions, run outcomes,
@@ -166,6 +189,7 @@ func (e *Engine) run(cfg Config, s Strategy, req Request, build buildFunc) *Resu
 	cfg.normalize()
 	start := time.Now()
 	r := e.acquire(&cfg)
+	r.cfg, r.req = cfg, req
 	k := r.k
 	// The model must be installed before Attach (OOO's history-tracking
 	// decision reads it) and before any task executes an access. Reset
@@ -181,29 +205,54 @@ func (e *Engine) run(cfg Config, s Strategy, req Request, build buildFunc) *Resu
 	// read-old directive mid-run re-enables tracking with a window floored
 	// at the arm point.
 	k.Em.SetHistoryTracking(false)
-	r.insts = r.insts[:0]
 	if build != nil {
-		r.mods = append(r.mods[:0], "")
-		r.insts = append(r.insts, build(k))
+		r.mods.Names = append(r.mods.Names[:0], "")
+		r.mods.Insts = append(r.mods.Insts[:0], build(k))
 	} else {
-		r.mods = moduleSubset(r.mods[:0], &cfg, req.Prog)
-		for _, n := range r.mods {
-			r.insts = append(r.insts, modules.ByName(n).New(k, cfg.Bugs))
-		}
+		r.mods.Names = moduleSubset(r.mods.Names[:0], &cfg, req.Prog)
+		r.mods.Build(k, cfg.Bugs)
 	}
-	s.Attach(k, &req)
-	var res *Result
-	plan := s.Pair(&cfg, &req)
-	if plan != nil {
-		res = e.runPair(r, &req, plan)
+	s.Attach(k, &r.req)
+	r.res = newResult(req.Out)
+	pair := s.Pair(&r.cfg, &r.req, &r.plan)
+	if pair {
+		e.runPair(r)
 	} else {
-		res = e.runSequential(r, &cfg, &req)
+		e.runSequential(r)
 	}
+	res := r.res
 	// Publication is observation only: counters and wall-clock timings,
 	// never anything a deterministic execution depends on.
-	e.m.publishRun(s.Name(), plan != nil, cfg.Model.Name(), time.Since(start), res, k.Em.Counters())
+	e.m.publishRun(s.Name(), pair, cfg.Model.Name(), time.Since(start), res, k.Em.Counters())
 	e.release(r)
 	return res
+}
+
+// newResult returns the result a run fills: out reset for reuse, keeping
+// its slices' storage, or a fresh result when out is nil.
+func newResult(out *Result) *Result {
+	if out == nil {
+		return new(Result)
+	}
+	*out = Result{
+		ReorderLog: out.ReorderLog[:0],
+		CallEvents: out.CallEvents[:0],
+		Returns:    out.Returns[:0],
+		Cov:        out.Cov[:0],
+		Soft:       out.Soft[:0],
+	}
+	return out
+}
+
+// zeroed returns n zero elements in s's storage when it has room, or in a
+// new slice of exactly n.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // moduleSubset returns the modules to build for one run of prog, in sorted
@@ -247,7 +296,7 @@ func moduleSubset(names []string, cfg *Config, p *syzlang.Program) []string {
 }
 
 // KernelCounters reports how many kernel acquisitions were recycled from
-// the pool vs. built fresh.
+// the idle list vs. built fresh.
 func (e *Engine) KernelCounters() (recycled, built uint64) {
 	return e.m.kernelRecycled.Value(), e.m.kernelBuilt.Value()
 }
@@ -262,19 +311,18 @@ func (e *Engine) RecycleRate() float64 {
 	return float64(r) / float64(r+b)
 }
 
-// acquire returns a runner — recycled from the pool when possible — whose
+// acquire returns a runner — an idle one when possible — whose
 // kernel has the config's feature switches applied. The kernel is
 // identical to a freshly-constructed one: Reset restores every observable
 // property (memory content, sanitizer state, emulator clock, site tables).
 func (e *Engine) acquire(cfg *Config) *runner {
 	start := time.Now()
-	var r *runner
-	if v := e.kpool.Get(); v != nil {
-		r = v.(*runner)
+	r := e.idleRunner(cfg.NrCPU)
+	if r != nil {
 		r.k.Reset()
 		e.m.kernelRecycled.Inc()
 	} else {
-		r = &runner{k: kernel.New(cfg.NrCPU)}
+		r = newRunner(cfg.NrCPU)
 		e.m.kernelBuilt.Inc()
 	}
 	e.m.acquireDur.Observe(time.Since(start).Seconds())
@@ -284,19 +332,29 @@ func (e *Engine) acquire(cfg *Config) *runner {
 }
 
 // release returns a runner to the recycler once an execution has finished
-// with it. Results must not share kernel state that Reset mutates in
-// place: Cov is handed out as a copy (covEdges), and Soft survives because
-// Reset replaces the slice rather than truncating it.
+// with it, dropping its references to the run's request, result and
+// module instances. Results share no kernel state that Reset mutates in
+// place: Cov, Soft and ReorderLog are copies.
 func (e *Engine) release(r *runner) {
-	clear(r.insts)
-	e.kpool.Put(r)
+	r.req, r.plan, r.res, r.prof = Request{}, PairPlan{}, nil, nil
+	clear(r.mods.Insts)
+	e.mu.Lock()
+	e.idle = append(e.idle, r)
+	e.mu.Unlock()
 }
 
-// covEdges copies a run's coverage set into a slice of exactly its size.
-func covEdges(cov *kernel.EdgeSet) []uint64 {
-	out := make([]uint64, cov.Len())
-	copy(out, cov.Edges())
-	return out
+// idleRunner takes the most recently released idle runner whose kernel
+// has nrCPU CPUs, or returns nil.
+func (e *Engine) idleRunner(nrCPU int) *runner {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for i := len(e.idle) - 1; i >= 0; i-- {
+		if r := e.idle[i]; r.k.NrCPU() == nrCPU {
+			e.idle = slices.Delete(e.idle, i, i+1)
+			return r
+		}
+	}
+	return nil
 }
 
 // resolveArgs materializes a call's arguments, given earlier calls'
@@ -322,144 +380,156 @@ const enosys = ^uint64(37) // -38
 // execCall runs call ci of a pair run on a task, with its arguments in
 // args slot, and records its result. The store buffer drains at syscall
 // return.
-func execCall(t *kernel.Task, r *runner, slot int, c *syzlang.Call, ci int) {
+func execCall(t *kernel.Task, r *runner, slot int, ci int) {
+	c := &r.req.Prog.Calls[ci]
 	r.args[slot] = resolveArgs(r.args[slot], c, r.returns)
-	impl := r.impl(c)
-	if impl == nil {
+	in := r.mods.Lookup(c.Def)
+	if in == nil {
 		r.returns[ci] = enosys
 		return
 	}
-	r.returns[ci] = impl(t, r.args[slot])
+	r.returns[ci] = in.Call(c.Def.Nr, t, r.args[slot])
 	t.SyscallReturn()
 }
 
 // runSequential executes the whole program on one task — the STI
 // profiling path and the syzkaller baseline.
-func (e *Engine) runSequential(r *runner, cfg *Config, req *Request) *Result {
-	k, p := r.k, req.Prog
-	res := &Result{
-		CallEvents: make([][]trace.Event, len(p.Calls)),
-		Returns:    make([]uint64, len(p.Calls)),
-	}
-	var prof *trace.Buffer
-	if cfg.Instrumented && req.Prof != nil {
-		prof = req.Prof
-		prof.Reset()
+func (e *Engine) runSequential(r *runner) {
+	k, res, n := r.k, r.res, len(r.req.Prog.Calls)
+	res.CallEvents = zeroed(res.CallEvents, n)
+	res.Returns = zeroed(res.Returns, n)
+	if r.cfg.Instrumented && r.req.Prof != nil {
+		r.prof = r.req.Prof
+		r.prof.Reset()
 	}
 	task := k.NewTask(0)
-	// Every call records after the previous one in prof; call ci's
-	// profile is the view of what it recorded from start on.
-	var ci, start int
+	r.tasks[0] = task
 	session := sched.NewSession(sched.Sequential{})
-	session.Spawn(0, 0, func(st *sched.Task) {
-		task.Bind(st)
-		for ci = range p.Calls {
-			c := &p.Calls[ci]
-			r.args[0] = resolveArgs(r.args[0], c, res.Returns)
-			if impl := r.impl(c); impl != nil {
-				if prof != nil {
-					start = prof.Len()
-					task.Prof = prof
-				}
-				res.Returns[ci] = impl(task, r.args[0])
-				task.SyscallReturn()
-				if prof != nil {
-					res.CallEvents[ci] = prof.Since(start)
-					task.Prof = nil
-				}
-			} else {
-				res.Returns[ci] = enosys
-			}
-		}
-	})
+	session.Spawn(0, 0, r.seqBody)
 	aborted := session.Run()
 	e.m.observeSession(session)
 	session.Release()
 	// A crash leaves call ci's profile attached: keep what it recorded.
 	if task.Prof != nil {
-		res.CallEvents[ci] = prof.Since(start)
+		res.CallEvents[r.ci] = r.prof.Since(r.start)
 		task.Prof = nil
 	}
 	classifyAbort(aborted, res)
-	res.Cov = covEdges(&k.Cov)
-	res.Soft = k.Soft
-	return res
+	res.Cov = append(res.Cov, k.Cov.Edges()...)
+	res.Soft = append(res.Soft, k.Soft...)
+}
+
+// sequential is the sequential task's body: every call back to back, each
+// recording after the previous one in the profile buffer, so call ci's
+// profile is the view of what it recorded from start on.
+func (r *runner) sequential(st *sched.Task) {
+	task, p, res, prof := r.tasks[0], r.req.Prog, r.res, r.prof
+	task.Bind(st)
+	for r.ci = range p.Calls {
+		c := &p.Calls[r.ci]
+		r.args[0] = resolveArgs(r.args[0], c, res.Returns)
+		in := r.mods.Lookup(c.Def)
+		if in == nil {
+			res.Returns[r.ci] = enosys
+			continue
+		}
+		if prof != nil {
+			r.start = prof.Len()
+			task.Prof = prof
+		}
+		res.Returns[r.ci] = in.Call(c.Def.Nr, task, r.args[0])
+		task.SyscallReturn()
+		if prof != nil {
+			res.CallEvents[r.ci] = prof.Since(r.start)
+			task.Prof = nil
+		}
+	}
 }
 
 // runPair executes the prefix/pair(/suffix) shape: the program's calls
 // before J (except I) run sequentially to build kernel state; then the
 // plan's two calls run concurrently on CPUs 1 and 2 under its policy
 // (Fig. 5).
-func (e *Engine) runPair(r *runner, req *Request, plan *PairPlan) *Result {
-	k, p := r.k, req.Prog
-	res := &Result{}
+func (e *Engine) runPair(r *runner) {
+	k, res, plan := r.k, r.res, &r.plan
 	// Calls that have not run yet (call I during the prefix) read as 0.
-	r.returns = append(r.returns[:0], make([]uint64, len(p.Calls))...)
+	r.returns = zeroed(r.returns, len(r.req.Prog.Calls))
 
 	// Stage 1: sequential prefix.
-	prefixTask := k.NewTask(0)
+	r.tasks[0] = k.NewTask(0)
 	prefix := sched.NewSession(sched.Sequential{})
-	prefix.Spawn(0, 0, func(st *sched.Task) {
-		prefixTask.Bind(st)
-		for ci := 0; ci < req.J; ci++ {
-			if ci == req.I {
-				continue
-			}
-			execCall(prefixTask, r, 0, &p.Calls[ci], ci)
-		}
-	})
+	prefix.Spawn(0, 0, r.prefixBody)
 	aborted := prefix.Run()
 	e.m.observeSession(prefix)
 	prefix.Release()
 	if aborted != nil {
 		classifyAbort(aborted, res)
 		res.PrefixCrash = true
-		res.Cov = covEdges(&k.Cov)
-		return res
+		res.Cov = append(res.Cov, k.Cov.Edges()...)
+		return
 	}
 
 	// Stage 2: the concurrent pair under the plan's policy, with the
 	// plan's directives/observers armed on the fresh tasks.
-	taskA := k.NewTask(1)
-	taskB := k.NewTask(2)
+	r.tasks[1] = k.NewTask(1)
+	r.tasks[2] = k.NewTask(2)
 	if plan.Arm != nil {
-		plan.Arm(taskA, taskB)
+		plan.Arm(plan, &r.req, r.tasks[1], r.tasks[2])
 	}
 	session := sched.NewSession(plan.Policy)
-	runPair := func(task *kernel.Task, slot, ci int) func(*sched.Task) {
-		return func(st *sched.Task) {
-			task.Bind(st)
-			execCall(task, r, slot, &p.Calls[ci], ci)
-		}
-	}
-	session.Spawn(1, 1, runPair(taskA, 1, plan.CallA))
-	session.Spawn(2, 2, runPair(taskB, 2, plan.CallB))
+	session.Spawn(1, 1, r.pairBody[0])
+	session.Spawn(2, 2, r.pairBody[1])
 	pairAborted := session.Run()
 	e.m.observeSession(session)
 	classifyAbort(pairAborted, res)
 	if plan.Finish != nil {
-		plan.Finish(res, taskA, taskB)
+		plan.Finish(plan, res, r.tasks[1], r.tasks[2])
 	}
 	session.Release()
 
 	// Stage 3: sequential suffix (an MTI consists of the same call set as
 	// its STI; calls after the pair can carry bug-detecting assertions).
-	if plan.Suffix && res.Crash == nil && res.Deadlock == nil && req.J+1 < len(p.Calls) {
+	if plan.Suffix && res.Crash == nil && res.Deadlock == nil && r.req.J+1 < len(r.req.Prog.Calls) {
 		suffix := sched.NewSession(sched.Sequential{})
-		suffix.Spawn(3, 0, func(st *sched.Task) {
-			prefixTask.Bind(st)
-			for ci := req.J + 1; ci < len(p.Calls); ci++ {
-				execCall(prefixTask, r, 0, &p.Calls[ci], ci)
-			}
-		})
+		suffix.Spawn(3, 0, r.suffixBody)
 		suffixAborted := suffix.Run()
 		e.m.observeSession(suffix)
 		suffix.Release()
 		classifyAbort(suffixAborted, res)
 	}
-	res.Soft = k.Soft
-	res.Cov = covEdges(&k.Cov)
-	return res
+	res.Soft = append(res.Soft, k.Soft...)
+	res.Cov = append(res.Cov, k.Cov.Edges()...)
+}
+
+// prefix is the prefix task's body: the calls before J, except I.
+func (r *runner) prefix(st *sched.Task) {
+	r.tasks[0].Bind(st)
+	for ci := 0; ci < r.req.J; ci++ {
+		if ci != r.req.I {
+			execCall(r.tasks[0], r, 0, ci)
+		}
+	}
+}
+
+// pairA and pairB are the pair tasks' bodies: the plan's CallA on task 1
+// and CallB on task 2.
+func (r *runner) pairA(st *sched.Task) {
+	r.tasks[1].Bind(st)
+	execCall(r.tasks[1], r, 1, r.plan.CallA)
+}
+
+func (r *runner) pairB(st *sched.Task) {
+	r.tasks[2].Bind(st)
+	execCall(r.tasks[2], r, 2, r.plan.CallB)
+}
+
+// suffix is the suffix stage's body: the calls after J, on the prefix
+// task.
+func (r *runner) suffix(st *sched.Task) {
+	r.tasks[0].Bind(st)
+	for ci := r.req.J + 1; ci < len(r.req.Prog.Calls); ci++ {
+		execCall(r.tasks[0], r, 0, ci)
+	}
 }
 
 // classifyAbort sorts a session's recovered panic value into the result.

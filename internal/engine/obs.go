@@ -112,11 +112,11 @@ func newMetrics(reg *obs.Registry) *metrics {
 		"Real cross-CPU task migrations performed at the scheduling points of migration-sensitive hints (store buffers survive the move).")
 
 	acquires := reg.CounterVec("ozz_kernel_acquires_total",
-		"Kernel acquisitions by source: recycled from the sync.Pool (Reset) vs built fresh.", "source")
+		"Kernel acquisitions by source: an idle kernel recycled (Reset) vs built fresh.", "source")
 	m.kernelRecycled = acquires.With("recycled")
 	m.kernelBuilt = acquires.With("built")
 	m.acquireDur = reg.Histogram("ozz_kernel_acquire_duration_seconds",
-		"Wall-clock kernel acquire latency (pool Get + Reset, or fresh construction), seconds.",
+		"Wall-clock kernel acquire latency (idle-list take + Reset, or fresh construction), seconds.",
 		obs.DurationBuckets())
 
 	m.schedYields = reg.Counter("ozz_sched_yields_total",

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"ozz/internal/kernel"
-	"ozz/internal/modules"
 	"ozz/internal/obs"
 )
 
@@ -19,15 +18,15 @@ func (renamed) Name() string { return "out-of-tree" }
 // reach the exposition under its own label.
 func TestUnregisteredStrategyPublishes(t *testing.T) {
 	e := New()
-	impls := map[string]modules.Impl{
+	m := newSynth(map[string]impl{
 		"ok": func(*kernel.Task, []uint64) uint64 { return 0 },
 		"boom": func(*kernel.Task, []uint64) uint64 {
 			panic(&kernel.Crash{Title: "kernel BUG in boom", Oracle: "assert"})
 		},
-	}
+	})
 	cfg := Config{Instrumented: true}
-	e.run(cfg, renamed{}, Request{Prog: prog("ok")}, injected(impls))
-	e.run(cfg, renamed{}, Request{Prog: prog("boom")}, injected(impls))
+	e.run(cfg, renamed{}, Request{Prog: m.prog("ok")}, m.build)
+	e.run(cfg, renamed{}, Request{Prog: m.prog("boom")}, m.build)
 
 	var sb strings.Builder
 	if err := e.Obs().WriteText(&sb); err != nil {

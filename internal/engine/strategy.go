@@ -28,9 +28,12 @@ type Strategy interface {
 	// — after modules are built, before any call runs. Most strategies
 	// attach nothing; KCSAN installs its OnAccess watchpoint sampler.
 	Attach(k *kernel.Kernel, req *Request)
-	// Pair returns the concurrent-pair plan for the request, or nil to
-	// run the whole program sequentially on one task.
-	Pair(cfg *Config, req *Request) *PairPlan
+	// Pair fills plan for a concurrent-pair run of the request and
+	// reports true, or reports false to run the whole program
+	// sequentially on one task. The plan is engine-owned and zeroed
+	// before the call; it is recycled with the kernel, so a strategy
+	// that keeps its schedule and hooks in it allocates nothing per run.
+	Pair(cfg *Config, req *Request, plan *PairPlan) bool
 }
 
 // PairPlan describes one prefix/pair(/suffix) execution: the program's
@@ -50,11 +53,16 @@ type PairPlan struct {
 	// Arm, if non-nil, runs after the pair tasks are created and before
 	// they are spawned — the hook for OEMU directives and
 	// schedule-coupled state (ta is task 1, tb is task 2).
-	Arm func(ta, tb *kernel.Task)
+	Arm func(plan *PairPlan, req *Request, ta, tb *kernel.Task)
 	// Finish, if non-nil, runs after the concurrent stage completes
 	// (before the suffix) to harvest strategy-specific outcomes into the
 	// result (breakpoint fired, reorder counts, ...).
-	Finish func(res *Result, ta, tb *kernel.Task)
+	Finish func(plan *PairPlan, res *Result, ta, tb *kernel.Task)
+	// Breakpoint is storage for a breakpoint schedule, for Policy (or
+	// Migrate) to point at.
+	Breakpoint sched.Breakpoint
+	// Migrate is storage for a migration wrapper, for Policy to point at.
+	Migrate sched.MigrateAt
 }
 
 // OOO is OZZ's hypothetical-memory-barrier strategy (§4.4): the
@@ -95,65 +103,74 @@ func (OOO) Attach(k *kernel.Kernel, req *Request) {
 
 // Pair implements Strategy: the hint selects reorderer/observer roles,
 // the directive kind, the breakpoint position, and whether the observer
-// migrates at the switch. Nil without a hint (the sequential/STI path).
-func (OOO) Pair(cfg *Config, req *Request) *PairPlan {
-	if req.Hint == nil {
-		return nil
-	}
+// migrates at the switch. False without a hint (the sequential/STI path).
+func (OOO) Pair(cfg *Config, req *Request, plan *PairPlan) bool {
 	hint := req.Hint
-	callA, callB := req.I, req.J
+	if hint == nil {
+		return false
+	}
+	plan.CallA, plan.CallB = req.I, req.J
 	if hint.Reorderer == 1 {
-		callA, callB = req.J, req.I
+		plan.CallA, plan.CallB = req.J, req.I
 	}
 	pos := sched.PosAfter
 	if hint.Test == hints.LoadBarrierTest {
 		pos = sched.PosBefore
 	}
-	bp := &sched.Breakpoint{
+	plan.Breakpoint = sched.Breakpoint{
 		FromTask:   1,
 		Instr:      hint.Sched,
 		Occurrence: hint.SchedOcc,
 		Pos:        pos,
 		ToTask:     2,
 	}
-	var policy sched.Policy = bp
-	var ma *sched.MigrateAt
+	plan.Policy = &plan.Breakpoint
 	if len(hint.Migrate) > 0 {
-		ma = &sched.MigrateAt{Inner: bp, Task: bp.ToTask, ToCPU: 0}
-		policy = ma
+		plan.Migrate = sched.MigrateAt{Inner: &plan.Breakpoint, Task: plan.Breakpoint.ToTask, ToCPU: 0}
+		plan.Policy = &plan.Migrate
 	}
-	interrupt, reorder := cfg.InterruptOnSwitch, !req.NoReorder
-	return &PairPlan{
-		Policy: policy,
-		CallA:  callA,
-		CallB:  callB,
-		Suffix: true,
-		Arm: func(ta, _ *kernel.Task) {
-			// Table 2: a store-barrier test delays the stores at the
-			// hint's sites, a load-barrier test versions the loads there.
-			if reorder {
-				dir := &ta.OEMU().Dir
-				for _, s := range hint.Reorder {
-					if hint.Test == hints.LoadBarrierTest {
-						dir.ReadOldValueAt(s)
-					} else {
-						dir.DelayStoreAt(s)
-					}
-				}
-			}
-			if interrupt {
-				bp.OnSwitch = ta.Interrupt
-			}
-		},
-		Finish: func(res *Result, ta, _ *kernel.Task) {
-			res.Fired = bp.Fired
-			res.Reordered = ta.OEMU().ReorderedCount()
-			res.ReorderLog = append(res.ReorderLog, ta.OEMU().Log...)
-			if ma != nil {
-				res.Migrations = ma.Migrations
-			}
-		},
+	plan.Suffix = true
+	plan.Arm = armOOO
+	if cfg.InterruptOnSwitch {
+		plan.Arm = armOOOInterrupt
 	}
+	plan.Finish = finishOOO
+	return true
+}
+
+// armOOO installs the hint's directives on the reorderer (Table 2): a
+// store-barrier test delays the stores at the hint's sites, a
+// load-barrier test versions the loads there. NoReorder runs install
+// none.
+func armOOO(_ *PairPlan, req *Request, ta, _ *kernel.Task) {
+	if req.NoReorder {
+		return
+	}
+	hint := req.Hint
+	dir := &ta.OEMU().Dir
+	for _, s := range hint.Reorder {
+		if hint.Test == hints.LoadBarrierTest {
+			dir.ReadOldValueAt(s)
+		} else {
+			dir.DelayStoreAt(s)
+		}
+	}
+}
+
+// armOOOInterrupt is armOOO for the interrupt-on-switch ablation: the
+// breakpoint interrupts the reorderer's CPU when it fires.
+func armOOOInterrupt(plan *PairPlan, req *Request, ta, tb *kernel.Task) {
+	armOOO(plan, req, ta, tb)
+	plan.Breakpoint.OnSwitch = ta.Interrupt
+}
+
+// finishOOO records whether the breakpoint fired, the reorderer's
+// reorderings, and the observer's migrations.
+func finishOOO(plan *PairPlan, res *Result, ta, _ *kernel.Task) {
+	res.Fired = plan.Breakpoint.Fired
+	res.Reordered = ta.OEMU().ReorderedCount()
+	res.ReorderLog = append(res.ReorderLog, ta.OEMU().Log...)
+	res.Migrations = plan.Migrate.Migrations
 }
 
 // Sequential is the syzkaller-baseline strategy: every program runs
@@ -167,7 +184,7 @@ func (Sequential) Name() string { return "sequential" }
 func (Sequential) Attach(*kernel.Kernel, *Request) {}
 
 // Pair implements Strategy: never a concurrent stage.
-func (Sequential) Pair(*Config, *Request) *PairPlan { return nil }
+func (Sequential) Pair(*Config, *Request, *PairPlan) bool { return false }
 
 // Interleave is the interleaving-only baseline strategy
 // (Snowboard/Razzer-style): the pair runs under a seeded random schedule
@@ -186,12 +203,10 @@ func (Interleave) Attach(*kernel.Kernel, *Request) {}
 
 // Pair implements Strategy: calls I and J under a random schedule seeded
 // from the request.
-func (Interleave) Pair(_ *Config, req *Request) *PairPlan {
-	return &PairPlan{
-		Policy: &sched.Random{Seed: req.Seed, Period: interleavePeriod},
-		CallA:  req.I,
-		CallB:  req.J,
-	}
+func (Interleave) Pair(_ *Config, req *Request, plan *PairPlan) bool {
+	plan.Policy = &sched.Random{Seed: req.Seed, Period: interleavePeriod}
+	plan.CallA, plan.CallB = req.I, req.J
+	return true
 }
 
 // ParseStrategy resolves a campaign-facing strategy label to the built-in

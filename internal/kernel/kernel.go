@@ -77,7 +77,8 @@ type Kernel struct {
 	Cov EdgeSet
 
 	// Soft collects non-crash oracle reports (e.g. the wrong-return-value
-	// symptom of Table 4 bug #8) without aborting execution.
+	// symptom of Table 4 bug #8) without aborting execution. Reset keeps
+	// its storage, so a holder past the next Reset must copy it.
 	Soft []string
 
 	// OnAccess, when non-nil, observes every instrumented memory access
@@ -124,8 +125,8 @@ func (k *Kernel) NrCPU() int { return k.nrCPU }
 // emulator, oracles, coverage, and task/function tables — while retaining
 // the underlying storage, so an executor can recycle one Kernel across
 // independent test executions instead of rebuilding it. The coverage set
-// is cleared in place: a caller that hands a run's coverage out must copy
-// the edges before the next Reset.
+// and Soft are cleared in place: a caller that hands a run's coverage or
+// soft reports out must copy them before the next Reset.
 func (k *Kernel) Reset() {
 	k.Mem.Reset()
 	k.Em.Reset()
@@ -133,7 +134,7 @@ func (k *Kernel) Reset() {
 	k.Sanitizers = false
 	k.Lockdep.Reset()
 	k.Cov.Clear()
-	k.Soft = nil
+	k.Soft = k.Soft[:0]
 	k.OnAccess = nil
 	k.fns = k.fns[:1]
 	k.fnNames = k.fnNames[:1]

@@ -60,13 +60,21 @@ func init() {
 		New: func(k *kernel.Kernel, bugs BugSet) Instance {
 			in := &bpfInstance{k: k, bugs: bugs}
 			in.orig = k.RegisterFn("tcp_data_ready", func(t *kernel.Task, arg uint64) uint64 { return EOK })
-			return Instance{
-				"bpf_sockmap_create": in.create,
-				"bpf_psock_init":     in.psockInit,
-				"bpf_data_ready":     in.dataReady,
-			}
+			return in
 		},
 	})
+}
+
+// bpfCalls is the module's call table, in Defs order.
+var bpfCalls = [...]func(*bpfInstance, *kernel.Task, []uint64) uint64{
+	(*bpfInstance).create,    // bpf_sockmap_create
+	(*bpfInstance).psockInit, // bpf_psock_init
+	(*bpfInstance).dataReady, // bpf_data_ready
+}
+
+// Call implements Instance.
+func (in *bpfInstance) Call(nr int, t *kernel.Task, args []uint64) uint64 {
+	return bpfCalls[nr](in, t, args)
 }
 
 func (in *bpfInstance) create(t *kernel.Task, args []uint64) uint64 {

@@ -74,13 +74,21 @@ func init() {
 		},
 		New: func(k *kernel.Kernel, bugs BugSet) Instance {
 			in := &btrfsInstance{k: k, bugs: bugs}
-			return Instance{
-				"btrfs_txn_start":  in.start,
-				"btrfs_txn_wait":   in.wait,
-				"btrfs_txn_commit": in.commit,
-			}
+			return in
 		},
 	})
+}
+
+// btrfsCalls is the module's call table, in Defs order.
+var btrfsCalls = [...]func(*btrfsInstance, *kernel.Task, []uint64) uint64{
+	(*btrfsInstance).start,  // btrfs_txn_start
+	(*btrfsInstance).wait,   // btrfs_txn_wait
+	(*btrfsInstance).commit, // btrfs_txn_commit
+}
+
+// Call implements Instance.
+func (in *btrfsInstance) Call(nr int, t *kernel.Task, args []uint64) uint64 {
+	return btrfsCalls[nr](in, t, args)
 }
 
 func (in *btrfsInstance) start(t *kernel.Task, args []uint64) uint64 {

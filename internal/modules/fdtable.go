@@ -62,13 +62,21 @@ func init() {
 		New: func(k *kernel.Kernel, bugs BugSet) Instance {
 			in := &fdInstance{k: k, bugs: bugs}
 			in.fops = k.RegisterFn("generic_file_ops", func(t *kernel.Task, arg uint64) uint64 { return EOK })
-			return Instance{
-				"fd_files_create": in.filesCreate,
-				"fd_install":      in.install,
-				"fd_fget_light":   in.fgetLight,
-			}
+			return in
 		},
 	})
+}
+
+// fdCalls is the module's call table, in Defs order.
+var fdCalls = [...]func(*fdInstance, *kernel.Task, []uint64) uint64{
+	(*fdInstance).filesCreate, // fd_files_create
+	(*fdInstance).install,     // fd_install
+	(*fdInstance).fgetLight,   // fd_fget_light
+}
+
+// Call implements Instance.
+func (in *fdInstance) Call(nr int, t *kernel.Task, args []uint64) uint64 {
+	return fdCalls[nr](in, t, args)
 }
 
 func (in *fdInstance) filesCreate(t *kernel.Task, args []uint64) uint64 {

@@ -58,13 +58,21 @@ func init() {
 		},
 		New: func(k *kernel.Kernel, bugs BugSet) Instance {
 			in := &fmInstance{k: k, bugs: bugs}
-			return Instance{
-				"fm_open":  in.open,
-				"fm_write": in.write,
-				"fm_read":  in.read,
-			}
+			return in
 		},
 	})
+}
+
+// fmCalls is the module's call table, in Defs order.
+var fmCalls = [...]func(*fmInstance, *kernel.Task, []uint64) uint64{
+	(*fmInstance).open,  // fm_open
+	(*fmInstance).write, // fm_write
+	(*fmInstance).read,  // fm_read
+}
+
+// Call implements Instance.
+func (in *fmInstance) Call(nr int, t *kernel.Task, args []uint64) uint64 {
+	return fmCalls[nr](in, t, args)
 }
 
 func (in *fmInstance) open(t *kernel.Task, args []uint64) uint64 {

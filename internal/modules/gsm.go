@@ -62,13 +62,21 @@ func init() {
 		},
 		New: func(k *kernel.Kernel, bugs BugSet) Instance {
 			in := &gsmInstance{k: k, bugs: bugs}
-			return Instance{
-				"gsm_open":        in.open,
-				"gsm_activate":    in.activate,
-				"gsm_dlci_config": in.config,
-			}
+			return in
 		},
 	})
+}
+
+// gsmCalls is the module's call table, in Defs order.
+var gsmCalls = [...]func(*gsmInstance, *kernel.Task, []uint64) uint64{
+	(*gsmInstance).open,     // gsm_open
+	(*gsmInstance).activate, // gsm_activate
+	(*gsmInstance).config,   // gsm_dlci_config
+}
+
+// Call implements Instance.
+func (in *gsmInstance) Call(nr int, t *kernel.Task, args []uint64) uint64 {
+	return gsmCalls[nr](in, t, args)
 }
 
 func (in *gsmInstance) open(t *kernel.Task, args []uint64) uint64 {

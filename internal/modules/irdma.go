@@ -73,14 +73,22 @@ func init() {
 		},
 		New: func(k *kernel.Kernel, bugs BugSet) Instance {
 			in := &irdmaInstance{k: k, bugs: bugs}
-			return Instance{
-				"irdma_open":        in.open,
-				"irdma_post":        in.post,
-				"irdma_hw_complete": in.hwComplete,
-				"irdma_poll_cq":     in.pollCQ,
-			}
+			return in
 		},
 	})
+}
+
+// irdmaCalls is the module's call table, in Defs order.
+var irdmaCalls = [...]func(*irdmaInstance, *kernel.Task, []uint64) uint64{
+	(*irdmaInstance).open,       // irdma_open
+	(*irdmaInstance).post,       // irdma_post
+	(*irdmaInstance).hwComplete, // irdma_hw_complete
+	(*irdmaInstance).pollCQ,     // irdma_poll_cq
+}
+
+// Call implements Instance.
+func (in *irdmaInstance) Call(nr int, t *kernel.Task, args []uint64) uint64 {
+	return irdmaCalls[nr](in, t, args)
 }
 
 // open allocates the CQE ring slot and the work-request table. Slot 0 of

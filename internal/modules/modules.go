@@ -9,6 +9,19 @@
 // kernel; every access site carries a stable InstrID so scheduling hints
 // and bug reports can name the exact instruction (and thus the hypothetical
 // barrier location).
+//
+// Authoring a module: its state is one struct type, and its syscall
+// implementations are that type's methods, listed once in a package-level
+// call table in Defs order (method expressions, so the table is static
+// data, not heap), each named after its def without the module prefix
+// (tls_get_error is getError), which lets the tests check the order. The
+// type's Call method indexes the table with the def's Nr, which register
+// assigns. ModuleInfo.New builds the state struct
+// and does the module's kernel-side set-up (RegisterFn, boot-time kmem
+// allocations) and nothing else: no per-syscall value is built per
+// instance, so a run on a recycled kernel pays one allocation per module.
+// Functions handed to RegisterFn are package functions or non-capturing
+// literals for the same reason.
 package modules
 
 import (
@@ -36,12 +49,12 @@ func Bugs(names ...string) BugSet {
 // Has reports whether the switch is active.
 func (s BugSet) Has(name string) bool { return s[name] }
 
-// Impl executes one system call of a module on behalf of a task.
-type Impl func(t *kernel.Task, args []uint64) uint64
-
-// Instance is a constructed module: its syscall implementations, bound to
-// one kernel's state.
-type Instance map[string]Impl
+// Instance is a constructed module: its state, bound to one kernel.
+type Instance interface {
+	// Call executes the module's syscall number nr (the def's Nr) on
+	// behalf of task t.
+	Call(nr int, t *kernel.Task, args []uint64) uint64
+}
 
 // BugInfo documents one bug of the corpus and maps it to the paper's
 // evaluation rows.
@@ -96,7 +109,8 @@ type ModuleInfo struct {
 	// Seeds are serialized programs known to reach the module's barrier
 	// sites — the analogue of the syzkaller-corpus seeds of §6.1/§6.2.
 	Seeds []string
-	// New constructs a fresh instance over k with the given switches.
+	// New constructs a fresh instance over k with the given switches: the
+	// module's state and its kernel-side set-up, nothing per syscall.
 	New func(k *kernel.Kernel, bugs BugSet) Instance
 }
 
@@ -107,6 +121,9 @@ var registry = map[string]*ModuleInfo{}
 func register(m *ModuleInfo) {
 	if _, dup := registry[m.Name]; dup {
 		panic("duplicate module " + m.Name)
+	}
+	for i, d := range m.Defs {
+		d.Nr = i
 	}
 	registry[m.Name] = m
 }
@@ -183,29 +200,52 @@ func Seeds(names ...string) []string {
 	return out
 }
 
-// Build constructs fresh instances of the named modules over k and returns
-// the merged syscall-implementation table. An empty name list builds every
-// registered module.
-func Build(k *kernel.Kernel, bugs BugSet, names ...string) map[string]Impl {
+// Set is the modules built over one kernel: the syscall table a run
+// dispatches through. Names lists the modules and Insts holds their
+// instances, in the same order. Build reuses Insts' storage, so a
+// recycled Set builds a run's modules without allocating beyond their
+// state.
+type Set struct {
+	Names []string
+	Insts []Instance
+}
+
+// Build replaces s's instances with fresh ones, over k, of the modules
+// s.Names lists. It panics on an unknown name.
+func (s *Set) Build(k *kernel.Kernel, bugs BugSet) {
+	clear(s.Insts)
+	s.Insts = s.Insts[:0]
+	for _, n := range s.Names {
+		m := registry[n]
+		if m == nil {
+			panic("unknown module " + n)
+		}
+		s.Insts = append(s.Insts, m.New(k, bugs))
+	}
+}
+
+// Lookup returns the instance serving calls of def d — call it with
+// d.Nr — or nil when d's module is not in the set.
+func (s *Set) Lookup(d *syzlang.SyscallDef) Instance {
+	for i, n := range s.Names {
+		if n == d.Module {
+			return s.Insts[i]
+		}
+	}
+	return nil
+}
+
+// Build constructs fresh instances of the named modules over k into a new
+// Set. An empty name list builds every registered module.
+func Build(k *kernel.Kernel, bugs BugSet, names ...string) *Set {
 	if len(names) == 0 {
 		for _, m := range All() {
 			names = append(names, m.Name)
 		}
 	}
-	impls := make(map[string]Impl, 8*len(names))
-	for _, n := range names {
-		m := registry[n]
-		if m == nil {
-			panic("unknown module " + n)
-		}
-		for name, impl := range m.New(k, bugs) {
-			if _, dup := impls[name]; dup {
-				panic("duplicate syscall impl " + name)
-			}
-			impls[name] = impl
-		}
-	}
-	return impls
+	s := &Set{Names: names}
+	s.Build(k, bugs)
+	return s
 }
 
 // --- instruction-site registry ---------------------------------------------

@@ -1,11 +1,14 @@
 package modules
 
 import (
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
 	"ozz/internal/kernel"
 	"ozz/internal/sched"
+	"ozz/internal/trace"
 )
 
 // TestRegistryMetadata validates the corpus registry invariants the
@@ -55,7 +58,7 @@ func TestSeedsParseAndRunClean(t *testing.T) {
 					t.Fatalf("seed %d: %v", si, err)
 				}
 				k := kernel.New(4)
-				impls := Build(k, nil, m.Name)
+				mods := Build(k, nil, m.Name)
 				returns := make([]uint64, len(p.Calls))
 				task := k.NewTask(0)
 				s := sched.NewSession(sched.Sequential{})
@@ -71,12 +74,12 @@ func TestSeedsParseAndRunClean(t *testing.T) {
 								args[ai] = a.Val
 							}
 						}
-						impl := impls[c.Def.Name]
-						if impl == nil {
+						in := mods.Lookup(c.Def)
+						if in == nil {
 							t.Errorf("seed %d: no impl for %s", si, c.Def.Name)
 							return
 						}
-						returns[ci] = impl(task, args)
+						returns[ci] = in.Call(c.Def.Nr, task, args)
 						task.SyscallReturn()
 					}
 				})
@@ -88,17 +91,16 @@ func TestSeedsParseAndRunClean(t *testing.T) {
 	}
 }
 
-// TestEveryTemplateImplemented: Build provides an implementation for every
-// registered template, and every implementation tolerates an invalid
-// handle (EBADF, no crash).
+// TestEveryTemplateImplemented: every registered template dispatches to
+// its module, and every implementation tolerates an invalid handle
+// (EBADF, no crash).
 func TestEveryTemplateImplemented(t *testing.T) {
 	for _, m := range All() {
 		k := kernel.New(4)
-		impls := Build(k, nil, m.Name)
-		for _, d := range m.Defs {
-			impl := impls[d.Name]
-			if impl == nil {
-				t.Errorf("%s: template %s lacks an implementation", m.Name, d.Name)
+		mods := Build(k, nil, m.Name)
+		for i, d := range m.Defs {
+			if d.Nr != i || d.Module != m.Name {
+				t.Errorf("%s: template %s has Nr %d, module %q; want %d, %q", m.Name, d.Name, d.Nr, d.Module, i, m.Name)
 				continue
 			}
 			if len(d.Args) == 0 || d.Ret != "" {
@@ -111,7 +113,7 @@ func TestEveryTemplateImplemented(t *testing.T) {
 			args[0] = 999 // invalid resource
 			s.Spawn(task.ID+100, 0, func(st *sched.Task) {
 				task.Bind(st)
-				if ret := impl(task, args); ret != EBADF && int64(ret) >= 0 {
+				if ret := mods.Lookup(d).Call(d.Nr, task, args); ret != EBADF && int64(ret) >= 0 {
 					// Non-error success on a bogus handle would be
 					// a module bug.
 					t.Errorf("%s(bogus) returned %d, want an errno", d.Name, int64(ret))
@@ -121,6 +123,81 @@ func TestEveryTemplateImplemented(t *testing.T) {
 			if aborted := s.Run(); aborted != nil {
 				t.Errorf("%s(bogus handle) crashed: %v", d.Name, aborted)
 			}
+		}
+	}
+}
+
+// callTables maps each module to its call table.
+var callTables = map[string]any{
+	"bpf": bpfCalls, "btrfs": btrfsCalls, "fdtable": fdCalls, "filemap": fmCalls,
+	"gsm": gsmCalls, "irdma": irdmaCalls, "nbd": nbdCalls, "percpu": pcCalls,
+	"rcudev": rcuCalls, "rculist": rclCalls, "rds": rdsCalls, "rustsync": rustCalls,
+	"sbitmap": sbCalls, "seqtime": seqCalls, "smc": smcCalls, "sqring": sqCalls,
+	"tls": tlsCalls, "unixsock": unixCalls, "vfs": vfsCalls, "vlan": vlanCalls,
+	"vmci": vmciCalls, "watchqueue": wqCalls, "xsk": xskCalls,
+}
+
+// TestCallTablesMatchDefs: each module's call table has one entry per
+// template, in Defs order. An entry's method is named after its def: the
+// def name without underscores ends with the method name, ignoring case
+// (tls_get_error is getError), so swapping two entries fails.
+func TestCallTablesMatchDefs(t *testing.T) {
+	if len(callTables) != len(All()) {
+		t.Errorf("%d call tables for %d modules", len(callTables), len(All()))
+	}
+	for _, m := range All() {
+		tbl, ok := callTables[m.Name]
+		if !ok {
+			t.Errorf("%s: no call table", m.Name)
+			continue
+		}
+		v := reflect.ValueOf(tbl)
+		if v.Len() != len(m.Defs) {
+			t.Errorf("%s: call table has %d entries for %d templates", m.Name, v.Len(), len(m.Defs))
+			continue
+		}
+		for i, d := range m.Defs {
+			fn := runtime.FuncForPC(v.Index(i).Pointer()).Name()
+			method := fn[strings.LastIndex(fn, ".")+1:]
+			if !strings.HasSuffix(strings.ReplaceAll(d.Name, "_", ""), strings.ToLower(method)) {
+				t.Errorf("%s: entry %d is %s, not the method for %s", m.Name, i, fn, d.Name)
+			}
+		}
+	}
+}
+
+// TestSetLookup: a def resolves to its module's instance, and to nil
+// when the set lacks its module.
+func TestSetLookup(t *testing.T) {
+	k := kernel.New(4)
+	mods := Build(k, nil, "tls", "watchqueue")
+	if in := mods.Lookup(Target("watchqueue").Lookup("wq_create")); in == nil {
+		t.Fatal("a watchqueue def found no instance")
+	} else if _, ok := in.(*wqInstance); !ok {
+		t.Fatalf("a watchqueue def resolved to %T", in)
+	}
+	if in := mods.Lookup(Target("vfs").Lookup("vfs_open")); in != nil {
+		t.Fatalf("a vfs def resolved to %T on a set without vfs", in)
+	}
+}
+
+// TestResTableInlineAndOverflow: handles past the inline array resolve
+// like the ones inside it, and bad handles fail.
+func TestResTableInlineAndOverflow(t *testing.T) {
+	var r resTable
+	for i := 1; i <= 3*resInline; i++ {
+		if h := r.add(trace.Addr(100 * i)); h != uint64(i) {
+			t.Fatalf("add %d returned handle %d", i, h)
+		}
+	}
+	for i := 1; i <= 3*resInline; i++ {
+		if a, ok := r.get(uint64(i)); !ok || a != trace.Addr(100*i) {
+			t.Errorf("get(%d) = %d, %v; want %d", i, a, ok, 100*i)
+		}
+	}
+	for _, h := range []uint64{0, 3*resInline + 1, ^uint64(0)} {
+		if _, ok := r.get(h); ok {
+			t.Errorf("get(%d) resolved a bad handle", h)
 		}
 	}
 }
@@ -209,14 +286,16 @@ func runModuleCalls(t *testing.T, mod string, bugs BugSet, calls []struct {
 }) []uint64 {
 	t.Helper()
 	k := kernel.New(4)
-	impls := Build(k, bugs, mod)
+	mods := Build(k, bugs, mod)
+	target := Target(mod)
 	rets := make([]uint64, len(calls))
 	task := k.NewTask(0)
 	s := sched.NewSession(sched.Sequential{})
 	s.Spawn(0, 0, func(st *sched.Task) {
 		task.Bind(st)
 		for i, c := range calls {
-			rets[i] = impls[c.name](task, c.args)
+			d := target.Lookup(c.name)
+			rets[i] = mods.Lookup(d).Call(d.Nr, task, c.args)
 			task.SyscallReturn()
 		}
 	})
@@ -324,15 +403,17 @@ func TestSbitmapSemantics(t *testing.T) {
 // lost wakeup).
 func TestBtrfsWaitCommitSemantics(t *testing.T) {
 	k := kernel.New(4)
-	impls := Build(k, nil, "btrfs")
+	target := Target("btrfs")
+	start, commit, wait := target.Lookup("btrfs_txn_start"), target.Lookup("btrfs_txn_commit"), target.Lookup("btrfs_txn_wait")
+	mods := Build(k, nil, "btrfs")
 	var rets []uint64
 	task := k.NewTask(0)
 	s := sched.NewSession(sched.Sequential{})
 	s.Spawn(0, 0, func(st *sched.Task) {
 		task.Bind(st)
-		h := impls["btrfs_txn_start"](task, nil)
-		rets = append(rets, impls["btrfs_txn_commit"](task, []uint64{h}))
-		rets = append(rets, impls["btrfs_txn_wait"](task, []uint64{h}))
+		h := mods.Lookup(start).Call(start.Nr, task, nil)
+		rets = append(rets, mods.Lookup(commit).Call(commit.Nr, task, []uint64{h}))
+		rets = append(rets, mods.Lookup(wait).Call(wait.Nr, task, []uint64{h}))
 		task.SyscallReturn()
 	})
 	if aborted := s.Run(); aborted != nil {
@@ -346,14 +427,14 @@ func TestBtrfsWaitCommitSemantics(t *testing.T) {
 	}
 	// Wait with no commit: plain timeout, no hang report.
 	k2 := kernel.New(4)
-	impls2 := Build(k2, nil, "btrfs")
+	mods2 := Build(k2, nil, "btrfs")
 	task2 := k2.NewTask(0)
 	s2 := sched.NewSession(sched.Sequential{})
 	var ret uint64
 	s2.Spawn(0, 0, func(st *sched.Task) {
 		task2.Bind(st)
-		h := impls2["btrfs_txn_start"](task2, nil)
-		ret = impls2["btrfs_txn_wait"](task2, []uint64{h})
+		h := mods2.Lookup(start).Call(start.Nr, task2, nil)
+		ret = mods2.Lookup(wait).Call(wait.Nr, task2, []uint64{h})
 		task2.SyscallReturn()
 	})
 	if aborted := s2.Run(); aborted != nil {

@@ -58,13 +58,21 @@ func init() {
 		},
 		New: func(k *kernel.Kernel, bugs BugSet) Instance {
 			in := &nbdInstance{k: k, bugs: bugs}
-			return Instance{
-				"nbd_device":       in.device,
-				"nbd_genl_connect": in.connect,
-				"nbd_open":         in.open,
-			}
+			return in
 		},
 	})
+}
+
+// nbdCalls is the module's call table, in Defs order.
+var nbdCalls = [...]func(*nbdInstance, *kernel.Task, []uint64) uint64{
+	(*nbdInstance).device,  // nbd_device
+	(*nbdInstance).connect, // nbd_genl_connect
+	(*nbdInstance).open,    // nbd_open
+}
+
+// Call implements Instance.
+func (in *nbdInstance) Call(nr int, t *kernel.Task, args []uint64) uint64 {
+	return nbdCalls[nr](in, t, args)
 }
 
 func (in *nbdInstance) device(t *kernel.Task, args []uint64) uint64 {

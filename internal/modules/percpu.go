@@ -74,14 +74,22 @@ func init() {
 		},
 		New: func(k *kernel.Kernel, bugs BugSet) Instance {
 			in := &pcInstance{k: k, bugs: bugs}
-			return Instance{
-				"pc_open": in.pcOpen,
-				"pc_mark": in.pcMark,
-				"pc_trim": in.pcTrim,
-				"pc_sum":  in.pcSum,
-			}
+			return in
 		},
 	})
+}
+
+// pcCalls is the module's call table, in Defs order.
+var pcCalls = [...]func(*pcInstance, *kernel.Task, []uint64) uint64{
+	(*pcInstance).pcOpen, // pc_open
+	(*pcInstance).pcMark, // pc_mark
+	(*pcInstance).pcTrim, // pc_trim
+	(*pcInstance).pcSum,  // pc_sum
+}
+
+// Call implements Instance.
+func (in *pcInstance) Call(nr int, t *kernel.Task, args []uint64) uint64 {
+	return pcCalls[nr](in, t, args)
 }
 
 func (in *pcInstance) pcOpen(t *kernel.Task, args []uint64) uint64 {

@@ -70,14 +70,22 @@ func init() {
 			in.handler = k.RegisterFn("rcu_dev_handler", func(t *kernel.Task, arg uint64) uint64 {
 				return arg
 			})
-			return Instance{
-				"rcu_dev_create":     in.create,
-				"rcu_dev_register":   in.register,
-				"rcu_dev_read":       in.read,
-				"rcu_dev_unregister": in.unregister,
-			}
+			return in
 		},
 	})
+}
+
+// rcuCalls is the module's call table, in Defs order.
+var rcuCalls = [...]func(*rcuInstance, *kernel.Task, []uint64) uint64{
+	(*rcuInstance).create,     // rcu_dev_create
+	(*rcuInstance).register,   // rcu_dev_register
+	(*rcuInstance).read,       // rcu_dev_read
+	(*rcuInstance).unregister, // rcu_dev_unregister
+}
+
+// Call implements Instance.
+func (in *rcuInstance) Call(nr int, t *kernel.Task, args []uint64) uint64 {
+	return rcuCalls[nr](in, t, args)
 }
 
 func (in *rcuInstance) create(t *kernel.Task, args []uint64) uint64 {

@@ -74,14 +74,22 @@ func init() {
 		},
 		New: func(k *kernel.Kernel, bugs BugSet) Instance {
 			in := &rclInstance{k: k, bugs: bugs}
-			return Instance{
-				"rcl_open": in.rclOpen,
-				"rcl_add":  in.rclAdd,
-				"rcl_scan": in.rclScan,
-				"rcl_pop":  in.rclPop,
-			}
+			return in
 		},
 	})
+}
+
+// rclCalls is the module's call table, in Defs order.
+var rclCalls = [...]func(*rclInstance, *kernel.Task, []uint64) uint64{
+	(*rclInstance).rclOpen, // rcl_open
+	(*rclInstance).rclAdd,  // rcl_add
+	(*rclInstance).rclScan, // rcl_scan
+	(*rclInstance).rclPop,  // rcl_pop
+}
+
+// Call implements Instance.
+func (in *rclInstance) Call(nr int, t *kernel.Task, args []uint64) uint64 {
+	return rclCalls[nr](in, t, args)
 }
 
 func (in *rclInstance) rclOpen(t *kernel.Task, args []uint64) uint64 {

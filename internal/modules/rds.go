@@ -73,13 +73,21 @@ func init() {
 		},
 		New: func(k *kernel.Kernel, bugs BugSet) Instance {
 			in := &rdsInstance{k: k, bugs: bugs}
-			return Instance{
-				"rds_socket":    in.socket,
-				"rds_sendmsg":   in.sendmsg,
-				"rds_loop_xmit": in.loopXmit,
-			}
+			return in
 		},
 	})
+}
+
+// rdsCalls is the module's call table, in Defs order.
+var rdsCalls = [...]func(*rdsInstance, *kernel.Task, []uint64) uint64{
+	(*rdsInstance).socket,   // rds_socket
+	(*rdsInstance).sendmsg,  // rds_sendmsg
+	(*rdsInstance).loopXmit, // rds_loop_xmit
+}
+
+// Call implements Instance.
+func (in *rdsInstance) Call(nr int, t *kernel.Task, args []uint64) uint64 {
+	return rdsCalls[nr](in, t, args)
 }
 
 func (in *rdsInstance) socket(t *kernel.Task, args []uint64) uint64 {

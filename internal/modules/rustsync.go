@@ -61,14 +61,22 @@ func init() {
 		},
 		New: func(k *kernel.Kernel, bugs BugSet) Instance {
 			in := &rustInstance{k: k, bugs: bugs}
-			return Instance{
-				"rust_pair":    in.pair,
-				"rust_thread1": in.thread1,
-				"rust_thread2": in.thread2,
-				"rust_check":   in.check,
-			}
+			return in
 		},
 	})
+}
+
+// rustCalls is the module's call table, in Defs order.
+var rustCalls = [...]func(*rustInstance, *kernel.Task, []uint64) uint64{
+	(*rustInstance).pair,    // rust_pair
+	(*rustInstance).thread1, // rust_thread1
+	(*rustInstance).thread2, // rust_thread2
+	(*rustInstance).check,   // rust_check
+}
+
+// Call implements Instance.
+func (in *rustInstance) Call(nr int, t *kernel.Task, args []uint64) uint64 {
+	return rustCalls[nr](in, t, args)
 }
 
 func (in *rustInstance) pair(t *kernel.Task, args []uint64) uint64 {

@@ -79,13 +79,21 @@ func init() {
 		},
 		New: func(k *kernel.Kernel, bugs BugSet) Instance {
 			in := &sbInstance{k: k, bugs: bugs}
-			return Instance{
-				"sb_init":   in.sbInit,
-				"sb_get":    in.sbGet,
-				"sb_resize": in.sbResize,
-			}
+			return in
 		},
 	})
+}
+
+// sbCalls is the module's call table, in Defs order.
+var sbCalls = [...]func(*sbInstance, *kernel.Task, []uint64) uint64{
+	(*sbInstance).sbInit,   // sb_init
+	(*sbInstance).sbGet,    // sb_get
+	(*sbInstance).sbResize, // sb_resize
+}
+
+// Call implements Instance.
+func (in *sbInstance) Call(nr int, t *kernel.Task, args []uint64) uint64 {
+	return sbCalls[nr](in, t, args)
 }
 
 func (in *sbInstance) sbInit(t *kernel.Task, args []uint64) uint64 {

@@ -64,13 +64,21 @@ func init() {
 		},
 		New: func(k *kernel.Kernel, bugs BugSet) Instance {
 			in := &seqInstance{k: k, bugs: bugs}
-			return Instance{
-				"time_create": in.create,
-				"time_update": in.update,
-				"time_read":   in.read,
-			}
+			return in
 		},
 	})
+}
+
+// seqCalls is the module's call table, in Defs order.
+var seqCalls = [...]func(*seqInstance, *kernel.Task, []uint64) uint64{
+	(*seqInstance).create, // time_create
+	(*seqInstance).update, // time_update
+	(*seqInstance).read,   // time_read
+}
+
+// Call implements Instance.
+func (in *seqInstance) Call(nr int, t *kernel.Task, args []uint64) uint64 {
+	return seqCalls[nr](in, t, args)
 }
 
 func (in *seqInstance) create(t *kernel.Task, args []uint64) uint64 {

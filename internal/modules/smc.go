@@ -88,15 +88,23 @@ func init() {
 		},
 		New: func(k *kernel.Kernel, bugs BugSet) Instance {
 			in := &smcInstance{k: k, bugs: bugs}
-			return Instance{
-				"smc_socket":  in.socket,
-				"smc_listen":  in.listen,
-				"smc_connect": in.connect,
-				"smc_accept":  in.accept,
-				"smc_close":   in.close,
-			}
+			return in
 		},
 	})
+}
+
+// smcCalls is the module's call table, in Defs order.
+var smcCalls = [...]func(*smcInstance, *kernel.Task, []uint64) uint64{
+	(*smcInstance).socket,  // smc_socket
+	(*smcInstance).listen,  // smc_listen
+	(*smcInstance).connect, // smc_connect
+	(*smcInstance).accept,  // smc_accept
+	(*smcInstance).close,   // smc_close
+}
+
+// Call implements Instance.
+func (in *smcInstance) Call(nr int, t *kernel.Task, args []uint64) uint64 {
+	return smcCalls[nr](in, t, args)
 }
 
 func (in *smcInstance) socket(t *kernel.Task, args []uint64) uint64 {

@@ -63,13 +63,21 @@ func init() {
 		},
 		New: func(k *kernel.Kernel, bugs BugSet) Instance {
 			in := &sqInstance{k: k, bugs: bugs}
-			return Instance{
-				"sq_setup":  in.sqSetup,
-				"sq_submit": in.sqSubmit,
-				"cq_reap":   in.cqReap,
-			}
+			return in
 		},
 	})
+}
+
+// sqCalls is the module's call table, in Defs order.
+var sqCalls = [...]func(*sqInstance, *kernel.Task, []uint64) uint64{
+	(*sqInstance).sqSetup,  // sq_setup
+	(*sqInstance).sqSubmit, // sq_submit
+	(*sqInstance).cqReap,   // cq_reap
+}
+
+// Call implements Instance.
+func (in *sqInstance) Call(nr int, t *kernel.Task, args []uint64) uint64 {
+	return sqCalls[nr](in, t, args)
 }
 
 func (in *sqInstance) sqSetup(t *kernel.Task, args []uint64) uint64 {

@@ -132,17 +132,25 @@ func init() {
 		New: func(k *kernel.Kernel, bugs BugSet) Instance {
 			in := &tlsInstance{k: k, bugs: bugs}
 			in.install(k)
-			return Instance{
-				"tls_socket":      in.socket,
-				"tls_init":        in.tlsInit,
-				"sock_setsockopt": in.setsockopt,
-				"sock_getsockopt": in.getsockopt,
-				"tls_sw_enable":   in.swEnable,
-				"tls_err_abort":   in.errAbort,
-				"tls_get_error":   in.getError,
-			}
+			return in
 		},
 	})
+}
+
+// tlsCalls is the module's call table, in Defs order.
+var tlsCalls = [...]func(*tlsInstance, *kernel.Task, []uint64) uint64{
+	(*tlsInstance).socket,     // tls_socket
+	(*tlsInstance).tlsInit,    // tls_init
+	(*tlsInstance).setsockopt, // sock_setsockopt
+	(*tlsInstance).getsockopt, // sock_getsockopt
+	(*tlsInstance).swEnable,   // tls_sw_enable
+	(*tlsInstance).errAbort,   // tls_err_abort
+	(*tlsInstance).getError,   // tls_get_error
+}
+
+// Call implements Instance.
+func (in *tlsInstance) Call(nr int, t *kernel.Task, args []uint64) uint64 {
+	return tlsCalls[nr](in, t, args)
 }
 
 // install builds the two static proto-ops tables and registers the
@@ -150,8 +158,8 @@ func init() {
 func (in *tlsInstance) install(k *kernel.Kernel) {
 	baseSet := k.RegisterFn("base_setsockopt", func(t *kernel.Task, arg uint64) uint64 { return EOK })
 	baseGet := k.RegisterFn("base_getsockopt", func(t *kernel.Task, arg uint64) uint64 { return EOK })
-	tlsSet := k.RegisterFn("tls_setsockopt", in.tlsSetsockopt)
-	tlsGet := k.RegisterFn("tls_getsockopt", in.tlsGetsockopt)
+	tlsSet := k.RegisterFn("tls_setsockopt", tlsSetsockopt)
+	tlsGet := k.RegisterFn("tls_getsockopt", tlsGetsockopt)
 
 	bp := k.Mem.AllocZeroed(2)
 	k.Mem.Write(kernel.Field(bp, 0), baseSet)
@@ -205,7 +213,7 @@ func (in *tlsInstance) setsockopt(t *kernel.Task, args []uint64) uint64 {
 
 // tlsSetsockopt is Fig. 7's tls_setsockopt() (reached via the tls proto
 // table).
-func (in *tlsInstance) tlsSetsockopt(t *kernel.Task, skArg uint64) uint64 {
+func tlsSetsockopt(t *kernel.Task, skArg uint64) uint64 {
 	sk := trace.Addr(skArg)
 	defer t.Enter("tls_setsockopt")()
 	ctx := t.ReadOnce(tlsSiteCtxLoad, kernel.Field(sk, 1))               // #27: ctx = sk->data (rcu_dereference-style annotated)
@@ -226,7 +234,7 @@ func (in *tlsInstance) getsockopt(t *kernel.Task, args []uint64) uint64 {
 }
 
 // tlsGetsockopt reads the software RX configuration (T3#5 reader).
-func (in *tlsInstance) tlsGetsockopt(t *kernel.Task, skArg uint64) uint64 {
+func tlsGetsockopt(t *kernel.Task, skArg uint64) uint64 {
 	sk := trace.Addr(skArg)
 	defer t.Enter("tls_getsockopt")()
 	ctx := trace.Addr(t.ReadOnce(tlsSiteGCtx, kernel.Field(sk, 1)))

@@ -62,13 +62,21 @@ func init() {
 		},
 		New: func(k *kernel.Kernel, bugs BugSet) Instance {
 			in := &unixInstance{k: k, bugs: bugs}
-			return Instance{
-				"unix_socket":  in.socket,
-				"unix_bind":    in.bind,
-				"unix_getname": in.getname,
-			}
+			return in
 		},
 	})
+}
+
+// unixCalls is the module's call table, in Defs order.
+var unixCalls = [...]func(*unixInstance, *kernel.Task, []uint64) uint64{
+	(*unixInstance).socket,  // unix_socket
+	(*unixInstance).bind,    // unix_bind
+	(*unixInstance).getname, // unix_getname
+}
+
+// Call implements Instance.
+func (in *unixInstance) Call(nr int, t *kernel.Task, args []uint64) uint64 {
+	return unixCalls[nr](in, t, args)
 }
 
 func (in *unixInstance) socket(t *kernel.Task, args []uint64) uint64 {

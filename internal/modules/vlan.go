@@ -63,20 +63,28 @@ func init() {
 		New: func(k *kernel.Kernel, bugs BugSet) Instance {
 			in := &vlanInstance{k: k, bugs: bugs}
 			in.ops = k.RegisterFn("vlan_dev_ops", func(t *kernel.Task, arg uint64) uint64 { return EOK })
-			return Instance{
-				"vlan_netdev":   in.netdev,
-				"vlan_register": in.registerVlan,
-				"vlan_find_dev": in.findDev,
-			}
+			return in
 		},
 	})
+}
+
+// vlanCalls is the module's call table, in Defs order.
+var vlanCalls = [...]func(*vlanInstance, *kernel.Task, []uint64) uint64{
+	(*vlanInstance).netdev,   // vlan_netdev
+	(*vlanInstance).register, // vlan_register
+	(*vlanInstance).findDev,  // vlan_find_dev
+}
+
+// Call implements Instance.
+func (in *vlanInstance) Call(nr int, t *kernel.Task, args []uint64) uint64 {
+	return vlanCalls[nr](in, t, args)
 }
 
 func (in *vlanInstance) netdev(t *kernel.Task, args []uint64) uint64 {
 	return in.res.add(t.Kzalloc(1))
 }
 
-func (in *vlanInstance) registerVlan(t *kernel.Task, args []uint64) uint64 {
+func (in *vlanInstance) register(t *kernel.Task, args []uint64) uint64 {
 	dev, ok := in.res.get(args[0])
 	if !ok {
 		return EBADF

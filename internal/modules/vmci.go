@@ -72,14 +72,22 @@ func init() {
 		},
 		New: func(k *kernel.Kernel, bugs BugSet) Instance {
 			in := &vmciInstance{k: k, bugs: bugs}
-			return Instance{
-				"vmci_create":     in.create,
-				"vmci_qp_alloc":   in.qpAlloc,
-				"vmci_qp_wait":    in.qpWait,
-				"vmci_qp_destroy": in.qpDestroy,
-			}
+			return in
 		},
 	})
+}
+
+// vmciCalls is the module's call table, in Defs order.
+var vmciCalls = [...]func(*vmciInstance, *kernel.Task, []uint64) uint64{
+	(*vmciInstance).create,    // vmci_create
+	(*vmciInstance).qpAlloc,   // vmci_qp_alloc
+	(*vmciInstance).qpWait,    // vmci_qp_wait
+	(*vmciInstance).qpDestroy, // vmci_qp_destroy
+}
+
+// Call implements Instance.
+func (in *vmciInstance) Call(nr int, t *kernel.Task, args []uint64) uint64 {
+	return vmciCalls[nr](in, t, args)
 }
 
 func (in *vmciInstance) create(t *kernel.Task, args []uint64) uint64 {

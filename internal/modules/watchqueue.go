@@ -106,14 +106,22 @@ func init() {
 			in.ops = k.RegisterFn("wq_pipe_buf_confirm", func(t *kernel.Task, arg uint64) uint64 {
 				return 0
 			})
-			return Instance{
-				"wq_create":            in.create,
-				"wq_post_notification": in.post,
-				"wq_pipe_read":         in.read,
-				"wq_set_filter":        in.setFilter,
-			}
+			return in
 		},
 	})
+}
+
+// wqCalls is the module's call table, in Defs order.
+var wqCalls = [...]func(*wqInstance, *kernel.Task, []uint64) uint64{
+	(*wqInstance).create,           // wq_create
+	(*wqInstance).postNotification, // wq_post_notification
+	(*wqInstance).pipeRead,         // wq_pipe_read
+	(*wqInstance).setFilter,        // wq_set_filter
+}
+
+// Call implements Instance.
+func (in *wqInstance) Call(nr int, t *kernel.Task, args []uint64) uint64 {
+	return wqCalls[nr](in, t, args)
 }
 
 func (in *wqInstance) create(t *kernel.Task, args []uint64) uint64 {
@@ -125,7 +133,7 @@ func (in *wqInstance) create(t *kernel.Task, args []uint64) uint64 {
 
 // post is post_one_notification(): the left column of Fig. 1 plus the
 // filter check of the T3#2 bug.
-func (in *wqInstance) post(t *kernel.Task, args []uint64) uint64 {
+func (in *wqInstance) postNotification(t *kernel.Task, args []uint64) uint64 {
 	pipe, ok := in.res.get(args[0])
 	if !ok {
 		return EBADF
@@ -172,7 +180,7 @@ func (in *wqInstance) post(t *kernel.Task, args []uint64) uint64 {
 }
 
 // read is pipe_read(): the right column of Fig. 1.
-func (in *wqInstance) read(t *kernel.Task, args []uint64) uint64 {
+func (in *wqInstance) pipeRead(t *kernel.Task, args []uint64) uint64 {
 	pipe, ok := in.res.get(args[0])
 	if !ok {
 		return EBADF

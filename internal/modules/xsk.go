@@ -124,18 +124,26 @@ func init() {
 		},
 		New: func(k *kernel.Kernel, bugs BugSet) Instance {
 			in := &xskInstance{k: k, bugs: bugs}
-			return Instance{
-				"xsk_socket":     in.socket,
-				"xsk_umem_reg":   in.umemReg,
-				"xsk_bind":       in.bind,
-				"xsk_recvmsg":    in.recvmsg,
-				"xsk_setup_pool": in.setupPool,
-				"xsk_poll":       in.poll,
-				"xsk_tx_enable":  in.txEnable,
-				"xsk_sendmsg":    in.sendmsg,
-			}
+			return in
 		},
 	})
+}
+
+// xskCalls is the module's call table, in Defs order.
+var xskCalls = [...]func(*xskInstance, *kernel.Task, []uint64) uint64{
+	(*xskInstance).socket,    // xsk_socket
+	(*xskInstance).umemReg,   // xsk_umem_reg
+	(*xskInstance).bind,      // xsk_bind
+	(*xskInstance).recvmsg,   // xsk_recvmsg
+	(*xskInstance).setupPool, // xsk_setup_pool
+	(*xskInstance).poll,      // xsk_poll
+	(*xskInstance).txEnable,  // xsk_tx_enable
+	(*xskInstance).sendmsg,   // xsk_sendmsg
+}
+
+// Call implements Instance.
+func (in *xskInstance) Call(nr int, t *kernel.Task, args []uint64) uint64 {
+	return xskCalls[nr](in, t, args)
 }
 
 func (in *xskInstance) socket(t *kernel.Task, args []uint64) uint64 {

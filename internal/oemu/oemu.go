@@ -265,7 +265,8 @@ type Thread struct {
 	// regime as lastCommit.
 	seen stamps
 
-	// Log accumulates reorderings that actually occurred.
+	// Log accumulates reorderings that actually occurred. A reset keeps
+	// its storage, so a holder past the next Reset must copy it.
 	Log []ReorderRecord
 
 	em *OEMU
@@ -553,7 +554,7 @@ func (t *Thread) reset() {
 	t.tRmb = 0
 	clear(t.lastCommit)
 	clear(t.seen)
-	t.Log = nil // logs may be retained by reports; do not reuse the array
+	t.Log = t.Log[:0] // the engine hands out copies of the log
 }
 
 // Now returns the current logical time. The clock advances on every commit.

@@ -74,6 +74,9 @@ type SyscallDef struct {
 	Name string
 	// Module is the subsystem providing the call.
 	Module string
+	// Nr is the call's number within its module: its index in the
+	// module's call table, which dispatch uses in place of Name.
+	Nr int
 	// Args are the argument slots.
 	Args []ArgType
 	// Ret, when non-empty, is the resource kind the call produces.
