@@ -280,34 +280,6 @@ func BenchmarkLitmusMP(b *testing.B) {
 
 // --- Ablations (design choices DESIGN.md calls out) ---------------------------
 
-// BenchmarkAblationHintOrder compares the §4.3 search heuristic against its
-// inversions on the Fig. 1 bug: MTI executions until the bug fires under
-// heuristic / reverse / random hint ordering.
-func BenchmarkAblationHintOrder(b *testing.B) {
-	const title = "BUG: unable to handle kernel NULL pointer dereference in pipe_read"
-	measure := func(order string) float64 {
-		p := core.NewPool(core.Config{
-			Modules:   []string{"watchqueue"},
-			Bugs:      modules.Bugs("watchqueue:pipe_wmb"),
-			Seed:      5,
-			UseSeeds:  true,
-			HintOrder: order,
-		}, 1)
-		r := p.RunUntil(title, 100)
-		if r == nil {
-			return -1
-		}
-		return float64(r.Tests)
-	}
-	var h, r, rnd float64
-	for i := 0; i < b.N; i++ {
-		h, r, rnd = measure("heuristic"), measure("reverse"), measure("random")
-	}
-	b.ReportMetric(h, "MTIs-heuristic")
-	b.ReportMetric(r, "MTIs-reverse")
-	b.ReportMetric(rnd, "MTIs-random")
-}
-
 // BenchmarkAblationInterrupts shows why the custom scheduler must suspend
 // vCPUs without delivering interrupts (§3.1): with an interrupt injected at
 // every scheduling point, store-barrier tests stop finding S-S bugs.

@@ -8,9 +8,13 @@
 //
 // Usage:
 //
-//	ozz-repair -bug watchqueue:pipe_wmb [-budget 200] [-seed 42] [-json]
-//	ozz-repair -litmus "MP+wmb only" [-model lkmm] [-json]
+//	ozz-repair -bug watchqueue:pipe_wmb [-budget 200] [-seed 42] [-model lkmm] [-json]
+//	ozz-repair -litmus "MP+wmb only" [-model lkmm] [-max-fences 2] [-workers 1] [-json]
 //	ozz-repair -list
+//
+// In -bug mode the campaign runs the repair search with its defaults, so
+// -max-fences and -workers, which tune the litmus search, are rejected
+// there.
 package main
 
 import (
@@ -55,9 +59,8 @@ func run(args []string, stdout io.Writer) int {
 		budget    = fs.Int("budget", 200, "max fuzzer steps to reproduce the bug")
 		seed      = fs.Int64("seed", 42, "campaign seed")
 		modelName = fs.String("model", "lkmm", "primary memory model to validate against")
-		maxFences = fs.Int("max-fences", 2, "largest candidate size searched")
-		closure   = fs.Int("closure-seeds", 3, "engine seeds per in-vivo closure probe")
-		workers   = fs.Int("workers", 1, "parallel candidate validations")
+		maxFences = fs.Int("max-fences", 2, "largest candidate size searched (-litmus only)")
+		workers   = fs.Int("workers", 1, "parallel candidate validations (-litmus only)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -78,16 +81,20 @@ func run(args []string, stdout io.Writer) int {
 		fmt.Fprintln(stdout, "exactly one of -bug or -litmus is required (try -list)")
 		return 2
 	}
+	if *bug != "" {
+		litmusOnly := false
+		fs.Visit(func(f *flag.Flag) {
+			litmusOnly = litmusOnly || f.Name == "max-fences" || f.Name == "workers"
+		})
+		if litmusOnly {
+			fmt.Fprintln(stdout, "-max-fences and -workers apply to -litmus only")
+			return 2
+		}
+	}
 	mm, err := memmodel.ByName(*modelName)
 	if err != nil {
 		fmt.Fprintf(stdout, "unknown model %q (have %v)\n", *modelName, memmodel.Names())
 		return 2
-	}
-	opts := repair.Options{
-		Model:     mm,
-		MaxFences: *maxFences,
-		Workers:   *workers,
-		Seeds:     *closure,
 	}
 
 	doc := reportDoc{}
@@ -105,7 +112,7 @@ func run(args []string, stdout io.Writer) int {
 			return 2
 		}
 		doc.Reproduced = true
-		doc.Repair = repair.Litmus(test, opts)
+		doc.Repair = repair.Litmus(test, repair.Options{Model: mm, MaxFences: *maxFences, Workers: *workers})
 	} else {
 		doc.Mode, doc.Target = "bug", *bug
 		b, ok := modules.FindBug(*bug)

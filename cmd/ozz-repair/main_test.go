@@ -103,6 +103,12 @@ func TestUsageErrors(t *testing.T) {
 		{"-litmus", "no such shape"},
 		{"-model", "power", "-bug", "watchqueue:pipe_wmb"},
 		{"-no-such-flag"},
+		// -bug runs the campaign's repair search, which takes neither
+		// litmus flag, even at its default value; -closure-seeds is gone.
+		{"-bug", "watchqueue:pipe_wmb", "-max-fences", "1"},
+		{"-bug", "watchqueue:pipe_wmb", "-max-fences", "2"},
+		{"-bug", "watchqueue:pipe_wmb", "-workers", "2"},
+		{"-closure-seeds", "3", "-bug", "watchqueue:pipe_wmb"},
 	}
 	for _, args := range cases {
 		var buf bytes.Buffer

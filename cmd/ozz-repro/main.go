@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"os"
 
-	"ozz/internal/bench"
 	"ozz/internal/core"
 	"ozz/internal/modules"
 )
@@ -75,5 +74,4 @@ func main() {
 			fmt.Println("no fence repair found for this finding")
 		}
 	}
-	_ = bench.BugRunResult{} // keep the bench harness linked for -h docs
 }

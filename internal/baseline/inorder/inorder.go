@@ -20,6 +20,7 @@ package inorder
 import (
 	"math/rand"
 
+	"ozz/internal/core"
 	"ozz/internal/engine"
 	"ozz/internal/kernel"
 	"ozz/internal/modules"
@@ -33,7 +34,6 @@ type Syzkaller struct {
 	Modules []string
 	Bugs    modules.BugSet
 	Seed    int64
-	ProgLen int
 
 	target *syzlang.Target
 	rng    *rand.Rand
@@ -58,7 +58,6 @@ func NewSyzkallerObs(mods []string, bugs modules.BugSet, seed int64, reg *obs.Re
 		Modules: mods,
 		Bugs:    bugs,
 		Seed:    seed,
-		ProgLen: 4,
 		target:  modules.Target(mods...),
 		rng:     rand.New(rand.NewSource(seed)),
 		eng:     engine.NewObs(reg),
@@ -70,9 +69,11 @@ func NewSyzkallerObs(mods []string, bugs modules.BugSet, seed int64, reg *obs.Re
 func (s *Syzkaller) Obs() *obs.Registry { return s.eng.Obs() }
 
 // Step generates and executes one program sequentially on an
-// uninstrumented kernel (no OEMU, no profiling — syzkaller's kernel).
+// uninstrumented kernel (no OEMU, no profiling — syzkaller's kernel). The
+// program has the campaign's length, core.ProgLen, so both sides of the
+// §6.3.2 throughput comparison run programs of one length.
 func (s *Syzkaller) Step() {
-	p := s.target.Generate(s.rng, s.ProgLen)
+	p := s.target.Generate(s.rng, core.ProgLen)
 	s.Exec(p)
 }
 

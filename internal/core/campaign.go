@@ -15,6 +15,16 @@ import (
 	"ozz/internal/trace"
 )
 
+// The campaign's fixed search bounds (§4.3): a generated program has
+// ProgLen calls, a step tests its first maxPairs call pairs, and each pair
+// runs its maxHintsPerPair top-ranked scheduling hints, most-reordered
+// first. The syzkaller baseline generates programs of the same length.
+const (
+	ProgLen         = 4
+	maxPairs        = 8
+	maxHintsPerPair = 8
+)
+
 // Config parameterizes a fuzzing campaign.
 type Config struct {
 	// Modules to load (empty = all).
@@ -23,23 +33,9 @@ type Config struct {
 	Bugs modules.BugSet
 	// Seed makes the campaign reproducible.
 	Seed int64
-	// ProgLen is the target call count of generated programs.
-	ProgLen int
-	// MaxHintsPerPair bounds how many top-ranked scheduling hints are
-	// executed per call pair per step (the heuristic of §4.3 sorts them).
-	MaxHintsPerPair int
-	// MaxPairs bounds how many call pairs are tested per program.
-	MaxPairs int
 	// UseSeeds feeds the modules' seed corpus before random generation
 	// (§6.1: "we use seeds provided by Syzkaller").
 	UseSeeds bool
-	// NrCPU overrides the simulated CPU count (default 4).
-	NrCPU int
-	// HintOrder selects the order in which a pair's scheduling hints are
-	// executed — the §4.3 search-heuristic ablation knob:
-	// "heuristic" (default: most-reordered first), "reverse"
-	// (fewest-reordered first), or "random".
-	HintOrder string
 	// InterruptOnSwitch forwards to Env (the interrupt-injection
 	// ablation).
 	InterruptOnSwitch bool
@@ -76,19 +72,8 @@ type Config struct {
 	Events *obs.EventLog
 }
 
-// normalize resolves the campaign-level defaults. Kernel-level defaults
-// (NrCPU) resolve in engine.Config.normalize — zero passes through
-// untouched here.
+// normalize resolves the campaign's memory-model default.
 func (c *Config) normalize() {
-	if c.ProgLen == 0 {
-		c.ProgLen = 4
-	}
-	if c.MaxHintsPerPair == 0 {
-		c.MaxHintsPerPair = 8
-	}
-	if c.MaxPairs == 0 {
-		c.MaxPairs = 8
-	}
 	if c.Model == nil {
 		c.Model = memmodel.LKMM
 	}
@@ -98,7 +83,6 @@ func (c *Config) normalize() {
 // forwarding the config's kernel knobs and registry.
 func newEnvFromConfig(cfg Config) *Env {
 	env := NewEnvObs(cfg.Modules, cfg.Bugs, cfg.Obs)
-	env.NrCPU = cfg.NrCPU
 	env.InterruptOnSwitch = cfg.InterruptOnSwitch
 	env.Model = cfg.Model
 	st, err := engine.ParseStrategy(cfg.Strategy)

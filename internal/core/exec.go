@@ -22,6 +22,8 @@ import (
 
 // Env is the execution environment: which modules are loaded and which bug
 // switches are active, driving the shared engine with OZZ's OOO strategy.
+// Every run is instrumented (OEMU on every access); the uninstrumented
+// kernel is the syzkaller baseline's (internal/baseline/inorder).
 // Every execution builds a fresh (or pool-recycled) kernel, so runs are
 // independent and deterministic. An Env is safe for concurrent use by
 // multiple executor goroutines once configured: the configuration fields
@@ -32,12 +34,6 @@ type Env struct {
 	Modules []string
 	// Bugs holds the active bug switches (missing barriers).
 	Bugs modules.BugSet
-	// NrCPU is the simulated CPU count; 0 selects the engine default (4,
-	// like the paper's VMs).
-	NrCPU int
-	// Instrumented selects the OEMU path (default true). The throughput
-	// baseline (§6.3.2) runs uninstrumented.
-	Instrumented bool
 	// InterruptOnSwitch injects an interrupt on the reorderer's CPU at
 	// the scheduling point of every MTI — the ablation demonstrating why
 	// OZZ's custom scheduler must suspend vCPUs WITHOUT delivering
@@ -67,7 +63,7 @@ func NewEnv(mods []string, bugs modules.BugSet) *Env {
 // NewEnvObs returns an instrumented environment whose engine publishes
 // lifecycle metrics into reg (nil = a fresh private registry).
 func NewEnvObs(mods []string, bugs modules.BugSet, reg *obs.Registry) *Env {
-	return &Env{Modules: mods, Bugs: bugs, Instrumented: true, eng: engine.NewObs(reg)}
+	return &Env{Modules: mods, Bugs: bugs, eng: engine.NewObs(reg)}
 }
 
 // Engine exposes the underlying execution engine (kernel recycler and
@@ -85,8 +81,7 @@ func (e *Env) config() engine.Config {
 	return engine.Config{
 		Modules:           e.Modules,
 		Bugs:              e.Bugs,
-		NrCPU:             e.NrCPU,
-		Instrumented:      e.Instrumented,
+		Instrumented:      true,
 		InterruptOnSwitch: e.InterruptOnSwitch,
 		Model:             e.Model,
 	}

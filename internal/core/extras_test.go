@@ -117,34 +117,6 @@ func TestMinimize(t *testing.T) {
 	}
 }
 
-// TestHintOrderAblation: on the Fig. 1 bug the heuristic order finds the
-// bug with no more MTI executions than the reversed order (§4.3's rationale:
-// maximum-reordering hints first).
-func TestHintOrderAblation(t *testing.T) {
-	const title = "BUG: unable to handle kernel NULL pointer dereference in pipe_read"
-	// r.Tests, not Stats.MTIs: RunUntil stops at a batch boundary, so the
-	// counters include the rest of the finding batch.
-	mtisToFind := func(order string) int {
-		p := NewPool(Config{
-			Modules:   []string{"watchqueue"},
-			Bugs:      modules.Bugs("watchqueue:pipe_wmb"),
-			Seed:      5,
-			UseSeeds:  true,
-			HintOrder: order,
-		}, 1)
-		r := p.RunUntil(title, 80)
-		if r == nil {
-			t.Fatalf("order %q never found the bug", order)
-		}
-		return r.Tests
-	}
-	heuristic := mtisToFind("heuristic")
-	reverse := mtisToFind("reverse")
-	if heuristic > reverse {
-		t.Fatalf("heuristic order (%d MTIs) slower than reverse (%d MTIs)", heuristic, reverse)
-	}
-}
-
 // TestDeterministicCampaign: identical configs yield identical findings and
 // statistics — the determinism claim of §7's comparison with KCSAN.
 func TestDeterministicCampaign(t *testing.T) {

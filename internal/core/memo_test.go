@@ -148,24 +148,3 @@ func TestStepMemoHits(t *testing.T) {
 		t.Errorf("replayed steps at widths 1, 2, 4 = %v, want equal", hits)
 	}
 }
-
-// TestStepMemoRandomHintOrder: under HintOrder "random" a step's hint
-// order comes from its own random stream, so with one hint per pair the
-// shuffle picks which hint runs and a step is not a function of its
-// program. Such campaigns bypass the memo: nothing replays, and the
-// counters are the ones the campaign had before the memo existed.
-func TestStepMemoRandomHintOrder(t *testing.T) {
-	want := Stats{Steps: 512, STIs: 512, MTIs: 340, Hints: 971, Vacuous: 26, NewCov: 56, CorpusLen: 56, Migrations: 27}
-	for _, w := range []int{1, 2} {
-		p := NewPool(Config{Seed: 5, UseSeeds: true, Bugs: table34Switches(), HintOrder: "random", MaxHintsPerPair: 1}, w)
-		p.Run(512)
-		s := p.Stats()
-		if s.Perf.STICacheHits != 0 {
-			t.Errorf("width %d: %d steps replayed under random hint order, want 0", w, s.Perf.STICacheHits)
-		}
-		s.Perf = PerfStats{}
-		if s != want {
-			t.Errorf("width %d: stats = %+v, want %+v", w, s, want)
-		}
-	}
-}

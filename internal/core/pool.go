@@ -101,8 +101,8 @@ func (s *SafeReportSet) Titles() []string {
 // parallel; only planning and merging are serialized, and both are cheap.
 //
 // Step memo: a step's outcome is a pure function of its program (the
-// engine is deterministic and the step's random stream only orders hints
-// under HintOrder "random"), so a step whose program an earlier batch
+// engine is deterministic, and the step's random stream is spent on
+// picking the program), so a step whose program an earlier batch
 // already merged replays the recorded outcome instead of executing. merge
 // records executed steps while the workers are parked and workers only
 // read the memo during a batch, so which steps replay does not depend on
@@ -131,8 +131,8 @@ type Pool struct {
 
 	// memo maps Program.Key to the recorded outcome of an executed step
 	// (see record). It is written only by merge and read lock-free by
-	// workers during a batch. Nil disables replay: under HintOrder
-	// "random" a step is not a function of its program.
+	// workers during a batch. Only the test seam withoutStepMemo sets it
+	// to nil, which disables replay.
 	memo map[string]*jobResult
 
 	// ws holds each worker's step scratch across Run calls; run grows it
@@ -156,9 +156,7 @@ func NewPool(cfg Config, workers int) *Pool {
 		co:      newCampaignObs(env.Obs(), cfg.Events),
 		Reports: NewSafeReportSet(),
 		repairs: make(map[string]*repair.Result),
-	}
-	if cfg.HintOrder != "random" {
-		p.memo = make(map[string]*jobResult)
+		memo:    make(map[string]*jobResult),
 	}
 	p.co.workers.Set(float64(workers))
 	if cfg.UseSeeds {
@@ -259,12 +257,10 @@ func jobSeed(seed int64, idx uint64) int64 {
 	return int64(z)
 }
 
-// job is one planned campaign step: the program to test and the step's
-// private random stream (already advanced past program selection).
+// job is one planned campaign step: the program to test.
 type job struct {
 	idx  uint64
 	prog *syzlang.Program
-	rng  *rand.Rand
 }
 
 // jobReport is one finding produced inside a job. rebaseTests marks
@@ -283,8 +279,8 @@ type jobReport struct {
 type jobResult struct {
 	idx  uint64
 	prog *syzlang.Program
-	// key is prog's Program.Key, set on executed steps when the pool
-	// memoizes steps: record files the outcome under it.
+	// key is prog's Program.Key, set on executed steps when the memo is
+	// on: record files the outcome under it.
 	key string
 	// replayed marks a step served from the memo: it executed nothing
 	// and carries no coverage.
@@ -320,9 +316,9 @@ func (p *Pool) planStep(idx uint64) job {
 		// on shared state, which is what the hypothetical barrier test
 		// needs.
 		mods := p.target.Modules()
-		prog = p.target.GenerateFocused(rng, p.cfg.ProgLen, mods[rng.Intn(len(mods))])
+		prog = p.target.GenerateFocused(rng, ProgLen, mods[rng.Intn(len(mods))])
 	}
-	return job{idx: idx, prog: prog, rng: rng}
+	return job{idx: idx, prog: prog}
 }
 
 // worker is one pool worker's identity and the step scratch it reuses
@@ -385,8 +381,8 @@ func (p *Pool) runJob(w *worker, jb job) jobResult {
 	w.mtiCov.Clear()
 	// Call pairs (i, i+d), adjacent pairs first — concurrency bugs
 	// overwhelmingly involve calls operating on the same just-created
-	// resource. Only the first MaxPairs pairs are tested.
-	n, left := len(jb.prog.Calls), p.cfg.MaxPairs
+	// resource. Only the first maxPairs pairs are tested.
+	n, left := len(jb.prog.Calls), maxPairs
 pairs:
 	for d := 1; d < n; d++ {
 		for i := 0; i+d < n; i++ {
@@ -413,9 +409,9 @@ func (p *Pool) runPair(w *worker, res *jobResult, jb job, sti *STIResult, i, j i
 	hs := w.hints.CalculateModel(sti.CallEvents[i], sti.CallEvents[j], p.cfg.Model)
 	observe(p.co.stHints, hStart)
 	res.hints += uint64(len(hs))
-	orderHints(hs, p.cfg.HintOrder, jb.rng)
-	if len(hs) > p.cfg.MaxHintsPerPair {
-		hs = hs[:p.cfg.MaxHintsPerPair]
+	// CalculateModel sorts the hints most-reordered first (§4.3).
+	if len(hs) > maxHintsPerPair {
+		hs = hs[:maxHintsPerPair]
 	}
 	for rank, h := range hs {
 		mStart := time.Now()
@@ -727,19 +723,4 @@ func (p *Pool) run(steps int, deadline time.Time, until string) []*report.Report
 	}
 	exited.Wait()
 	return found
-}
-
-// orderHints applies the HintOrder configuration knob to a freshly
-// calculated hint list.
-func orderHints(hs []*hints.Hint, order string, rng *rand.Rand) {
-	switch order {
-	case "", "heuristic":
-		// Calculate already sorted by the search heuristic.
-	case "reverse":
-		for a, b := 0, len(hs)-1; a < b; a, b = a+1, b-1 {
-			hs[a], hs[b] = hs[b], hs[a]
-		}
-	case "random":
-		rng.Shuffle(len(hs), func(a, b int) { hs[a], hs[b] = hs[b], hs[a] })
-	}
 }

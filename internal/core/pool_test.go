@@ -460,32 +460,6 @@ func TestPoolMetricsLine(t *testing.T) {
 	}
 }
 
-// TestNewPoolSizeIndependentOfProgLen: building a pool allocates the same
-// whatever the program length, since call pairs are walked per step, not
-// tabulated up front. A pool with a huge ProgLen still runs its steps.
-func TestNewPoolSizeIndependentOfProgLen(t *testing.T) {
-	allocated := func(progLen int) uint64 {
-		best := ^uint64(0)
-		for r := 0; r < 3; r++ {
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			NewPool(Config{Seed: 1, ProgLen: progLen}, 1)
-			runtime.ReadMemStats(&after)
-			best = min(best, after.TotalAlloc-before.TotalAlloc)
-		}
-		return best
-	}
-	small, large := allocated(8), allocated(200)
-	if large > small+16<<10 {
-		t.Errorf("NewPool allocated %d B at ProgLen 200, %d B at ProgLen 8", large, small)
-	}
-	p := NewPool(Config{Seed: 1, ProgLen: 200, MaxPairs: 2}, 1)
-	p.Run(2)
-	if st := p.Stats(); st.Steps != 2 {
-		t.Errorf("ran %d steps, want 2", st.Steps)
-	}
-}
-
 // TestBatchSpreadsWorkers: in one 16-step batch at width 4, worker k runs
 // step k-1 before it claims any other step, so every worker runs at least
 // one step however the goroutines are scheduled, and every step runs

@@ -2,9 +2,13 @@ package dist
 
 import (
 	"context"
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -275,6 +279,33 @@ func TestProtocolVersionMismatch(t *testing.T) {
 		}
 		if err != nil && !strings.Contains(err.Error(), "HTTP 400") {
 			t.Errorf("%s rejection status: %v, want HTTP 400", path, err)
+		}
+	}
+}
+
+// TestCampaignSpecRetiredFields: a register response or snapshot that
+// still carries the retired spec fields (prog_len, max_hints_per_pair,
+// max_pairs, hint_order) decodes, and the fields are ignored. That is why
+// dropping them kept ProtocolVersion 3 and SnapshotFormat 1.
+func TestCampaignSpecRetiredFields(t *testing.T) {
+	const spec = `{"modules":["watchqueue"],"bugs":["watchqueue:pipe_wmb"],"prog_len":3,` +
+		`"max_hints_per_pair":1,"max_pairs":2,"use_seeds":true,"hint_order":"random","model":"armv8"}`
+	want := CampaignSpec{Modules: []string{"watchqueue"}, Bugs: []string{"watchqueue:pipe_wmb"}, UseSeeds: true, Model: "armv8"}
+	var reg RegisterResponse
+	if err := json.Unmarshal([]byte(`{"v":3,"worker_id":1,"campaign":`+spec+`}`), &reg); err != nil {
+		t.Fatalf("register response: %v", err)
+	}
+	path := filepath.Join(t.TempDir(), "snapshot.json")
+	if err := os.WriteFile(path, []byte(`{"format":1,"name":"default","epoch":1,"spec":`+spec+`}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := readSnapshotFile(path)
+	if err != nil {
+		t.Fatalf("snapshot: %v", err)
+	}
+	for _, got := range []CampaignSpec{reg.Campaign, snap.Spec} {
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("decoded spec = %+v, want %+v", got, want)
 		}
 	}
 }

@@ -37,7 +37,7 @@ func FuzzProtocol(f *testing.F) {
 		PollRequest{V: ProtocolVersion, WorkerID: 2, Token: "t0k", Epoch: 3},
 		PollResponse{V: ProtocolVersion, Lease: &Lease{ID: 1<<32 | 1, Shard: 0, Seed: 9, Steps: 10, TTLMS: 3000}},
 		RegisterResponse{V: ProtocolVersion, WorkerID: 1, HeartbeatMS: 500,
-			Campaign: CampaignSpec{Modules: []string{"wq"}, Bugs: []string{"wq_missing_barrier"}, ProgLen: 3, UseSeeds: true}},
+			Campaign: CampaignSpec{Modules: []string{"wq"}, Bugs: []string{"wq_missing_barrier"}, UseSeeds: true}},
 		PollRequest{V: ProtocolVersion, WorkerID: 1, Completed: 1<<32 | 2},
 		PollResponse{V: ProtocolVersion, Lease: &Lease{ID: 7, Shard: 3, Seed: -1, Steps: 40, TTLMS: 3000}},
 		PollResponse{V: ProtocolVersion, Done: true},

@@ -77,17 +77,13 @@ func coreConfig(spec CampaignSpec, seed int64, reg *obs.Registry, ev *obs.EventL
 		mm = memmodel.LKMM
 	}
 	return core.Config{
-		Modules:         spec.Modules,
-		Bugs:            modules.Bugs(spec.Bugs...),
-		Seed:            seed,
-		ProgLen:         spec.ProgLen,
-		MaxHintsPerPair: spec.MaxHintsPerPair,
-		MaxPairs:        spec.MaxPairs,
-		UseSeeds:        spec.UseSeeds,
-		HintOrder:       spec.HintOrder,
-		Model:           mm,
-		Obs:             reg,
-		Events:          ev,
+		Modules:  spec.Modules,
+		Bugs:     modules.Bugs(spec.Bugs...),
+		Seed:     seed,
+		UseSeeds: spec.UseSeeds,
+		Model:    mm,
+		Obs:      reg,
+		Events:   ev,
 	}
 }
 

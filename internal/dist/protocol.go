@@ -74,16 +74,8 @@ type CampaignSpec struct {
 	Modules []string `json:"modules,omitempty"`
 	// Bugs lists the active bug switches, sorted.
 	Bugs []string `json:"bugs,omitempty"`
-	// ProgLen is the target call count of generated programs.
-	ProgLen int `json:"prog_len,omitempty"`
-	// MaxHintsPerPair bounds executed hints per call pair per step.
-	MaxHintsPerPair int `json:"max_hints_per_pair,omitempty"`
-	// MaxPairs bounds tested call pairs per program.
-	MaxPairs int `json:"max_pairs,omitempty"`
 	// UseSeeds feeds the modules' seed corpus before random generation.
 	UseSeeds bool `json:"use_seeds,omitempty"`
-	// HintOrder selects the hint execution order ("heuristic" default).
-	HintOrder string `json:"hint_order,omitempty"`
 	// Model names the memory model OEMU emulates on every worker
 	// ("lkmm", "tso", "armv8"; empty = lkmm). Shipping the name rather
 	// than the table keeps the protocol dependency-free; workers resolve

@@ -5,8 +5,8 @@ import (
 	"ozz/internal/modules"
 )
 
-// DefaultNrCPU is the simulated CPU count every path defaults to — the
-// paper's 4-vCPU test VMs.
+// DefaultNrCPU is the simulated CPU count of every kernel the engine
+// builds — the paper's 4-vCPU test VMs.
 const DefaultNrCPU = 4
 
 // Config describes the execution environment of one run: which modules
@@ -19,8 +19,6 @@ type Config struct {
 	Modules []string
 	// Bugs holds the active bug switches (missing barriers).
 	Bugs modules.BugSet
-	// NrCPU is the simulated CPU count; 0 selects DefaultNrCPU.
-	NrCPU int
 	// Instrumented selects the OEMU path: every access is a callback
 	// (profiling, reordering directives, scheduling points). False is a
 	// plain kernel — the syzkaller baseline's configuration.
@@ -42,13 +40,8 @@ type Config struct {
 	Model *memmodel.Table
 }
 
-// normalize resolves defaulted fields. It is the single home of the
-// "NrCPU == 0 means 4" rule that used to be duplicated across every
-// execution path.
+// normalize resolves defaulted fields.
 func (c *Config) normalize() {
-	if c.NrCPU == 0 {
-		c.NrCPU = DefaultNrCPU
-	}
 	if c.Model == nil {
 		c.Model = memmodel.LKMM
 	}

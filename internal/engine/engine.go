@@ -10,7 +10,6 @@
 package engine
 
 import (
-	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -133,9 +132,9 @@ type runner struct {
 	pairBody                        [2]func(*sched.Task)
 }
 
-// newRunner returns a runner over a fresh kernel with nrCPU CPUs.
-func newRunner(nrCPU int) *runner {
-	r := &runner{k: kernel.New(nrCPU)}
+// newRunner returns a runner over a fresh kernel with DefaultNrCPU CPUs.
+func newRunner() *runner {
+	r := &runner{k: kernel.New(DefaultNrCPU)}
 	r.seqBody, r.prefixBody, r.suffixBody = r.sequential, r.prefix, r.suffix
 	r.pairBody = [2]func(*sched.Task){r.pairA, r.pairB}
 	return r
@@ -144,7 +143,8 @@ func newRunner(nrCPU int) *runner {
 // Engine executes requests. It is safe for concurrent use: the kernel
 // recycler is internally synchronized, and every run works on its own
 // kernel. One Engine instance amortizes kernel construction across all
-// runs sharing it: a run recycles an idle kernel with its Config's NrCPU.
+// runs sharing it: every kernel has DefaultNrCPU CPUs, so any idle one
+// serves any run.
 type Engine struct {
 	// idle holds the runners no run is using, for the next acquire to
 	// recycle: Reset on a used kernel is much cheaper than rebuilding
@@ -317,12 +317,12 @@ func (e *Engine) RecycleRate() float64 {
 // property (memory content, sanitizer state, emulator clock, site tables).
 func (e *Engine) acquire(cfg *Config) *runner {
 	start := time.Now()
-	r := e.idleRunner(cfg.NrCPU)
+	r := e.idleRunner()
 	if r != nil {
 		r.k.Reset()
 		e.m.kernelRecycled.Inc()
 	} else {
-		r = newRunner(cfg.NrCPU)
+		r = newRunner()
 		e.m.kernelBuilt.Inc()
 	}
 	e.m.acquireDur.Observe(time.Since(start).Seconds())
@@ -343,18 +343,19 @@ func (e *Engine) release(r *runner) {
 	e.mu.Unlock()
 }
 
-// idleRunner takes the most recently released idle runner whose kernel
-// has nrCPU CPUs, or returns nil.
-func (e *Engine) idleRunner(nrCPU int) *runner {
+// idleRunner takes the most recently released idle runner, or returns
+// nil.
+func (e *Engine) idleRunner() *runner {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	for i := len(e.idle) - 1; i >= 0; i-- {
-		if r := e.idle[i]; r.k.NrCPU() == nrCPU {
-			e.idle = slices.Delete(e.idle, i, i+1)
-			return r
-		}
+	n := len(e.idle)
+	if n == 0 {
+		return nil
 	}
-	return nil
+	r := e.idle[n-1]
+	e.idle[n-1] = nil
+	e.idle = e.idle[:n-1]
+	return r
 }
 
 // resolveArgs materializes a call's arguments, given earlier calls'

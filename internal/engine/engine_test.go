@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ozz/internal/kernel"
+	"ozz/internal/memmodel"
 	"ozz/internal/modules"
 	"ozz/internal/syzlang"
 	"ozz/internal/trace"
@@ -90,17 +91,12 @@ func TestNonCrashPanicSurfaces(t *testing.T) {
 	t.Fatal("run returned instead of panicking")
 }
 
-// TestConfigNormalize: the NrCPU default is resolved in exactly one place.
+// TestConfigNormalize: a zero Config runs under LKMM, the paper's model.
 func TestConfigNormalize(t *testing.T) {
 	c := Config{}
 	c.normalize()
-	if c.NrCPU != DefaultNrCPU {
-		t.Fatalf("NrCPU = %d, want %d", c.NrCPU, DefaultNrCPU)
-	}
-	c = Config{NrCPU: 2}
-	c.normalize()
-	if c.NrCPU != 2 {
-		t.Fatalf("explicit NrCPU overridden: %d", c.NrCPU)
+	if c.Model != memmodel.LKMM {
+		t.Fatal("a zero Config does not run under LKMM")
 	}
 }
 
@@ -123,25 +119,6 @@ func TestKernelRecycling(t *testing.T) {
 	}
 	if rate := e.RecycleRate(); rate != 0.8 {
 		t.Fatalf("recycle rate = %v, want 0.8", rate)
-	}
-}
-
-// TestRecycledKernelKeepsNrCPU: a run gets a kernel with its config's CPU
-// count, whatever the engine's earlier runs used, and recycles one that
-// matches.
-func TestRecycledKernelKeepsNrCPU(t *testing.T) {
-	e := New()
-	m := newSynth(map[string]impl{
-		"cpus": func(tk *kernel.Task, _ []uint64) uint64 { return uint64(tk.K.NrCPU()) },
-	})
-	for i, n := range []int{2, 8, 2, 8} {
-		res := e.run(Config{NrCPU: n, Instrumented: true}, OOO{}, Request{Prog: m.prog("cpus")}, m.build)
-		if len(res.Returns) != 1 || res.Returns[0] != uint64(n) {
-			t.Fatalf("run %d with NrCPU %d: returns %v", i, n, res.Returns)
-		}
-	}
-	if recycled, built := e.KernelCounters(); built != 2 || recycled != 2 {
-		t.Fatalf("counters = (recycled %d, built %d), want (2, 2)", recycled, built)
 	}
 }
 

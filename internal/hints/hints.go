@@ -42,30 +42,19 @@ func (k TestKind) String() string {
 	return "hypothetical-load-barrier"
 }
 
-// ClosedBy reports whether a barrier of kind b closes a group for this
-// hypothetical-barrier test under the default LKMM model (Algorithm 1
-// step 2). It is the preserved-program-order predicate of §10.1 shared
-// with OEMU and the reference model (internal/lkmm/model): store-barrier
-// tests group between the barriers that drain the virtual store buffer
-// (smp_wmb/smp_mb/release — LKMM Cases 1, 2, 5), load-barrier tests
-// between the barriers that pin the versioning window (smp_rmb/smp_mb/
-// acquire and the implicit barrier of an annotated load — Cases 1, 3, 4,
-// 6). Model-relative callers use closedByModel, which also resolves the
-// implicit barrier of an annotated load through the model's per-atomicity
-// table.
-func (k TestKind) ClosedBy(b trace.BarrierKind) bool {
-	if k == StoreBarrierTest {
-		return b.OrdersStores()
-	}
-	return b.OrdersLoads()
-}
-
-// closedByModel is ClosedBy made model-relative, deciding on the full
-// barrier event. The implicit barrier recorded for an annotated load
-// (kernel access path) is re-derived from the model's per-atomicity load
-// semantics: under armv8 a relaxed READ_ONCE does not pin the versioning
-// window, so it must not close load-test groups either — otherwise the
-// hint layer would under-approximate what OEMU can reorder.
+// closedByModel reports whether barrier event e closes a group for
+// hypothetical-barrier test k under model mm (Algorithm 1 step 2). It is
+// the preserved-program-order predicate of §10.1 shared with OEMU and the
+// reference model (internal/lkmm/model): under LKMM, store-barrier tests
+// group between the barriers that drain the virtual store buffer
+// (smp_wmb/smp_mb/release — Cases 1, 2, 5), load-barrier tests between
+// the barriers that pin the versioning window (smp_rmb/smp_mb/acquire and
+// the implicit barrier of an annotated load — Cases 1, 3, 4, 6). The
+// implicit barrier recorded for an annotated load (kernel access path) is
+// re-derived from the model's per-atomicity load semantics: under armv8 a
+// relaxed READ_ONCE does not pin the versioning window, so it must not
+// close load-test groups either — otherwise the hint layer would
+// under-approximate what OEMU can reorder.
 func closedByModel(k TestKind, e *trace.BarrierEvent, mm *memmodel.Table) bool {
 	if k == StoreBarrierTest {
 		return mm.OrdersStores(e.Kind)

@@ -30,11 +30,6 @@ func (t *Task) AtomicRead(i trace.InstrID, addr trace.Addr) uint64 {
 	return t.load(i, addr, trace.Atomic)
 }
 
-// AtomicSet is atomic_set(): a WRITE_ONCE-strength store (unordered).
-func (t *Task) AtomicSet(i trace.InstrID, addr trace.Addr, v uint64) {
-	t.store(i, addr, v, trace.Once)
-}
-
 // AtomicIncReturn is atomic_inc_return(): fully ordered.
 func (t *Task) AtomicIncReturn(i trace.InstrID, addr trace.Addr) uint64 {
 	t.mbImplicit(i)
@@ -49,16 +44,6 @@ func (t *Task) AtomicDecReturn(i trace.InstrID, addr trace.Addr) uint64 {
 	old := t.rmw(i, addr, trace.Atomic, trace.Once, func(v uint64) uint64 { return v - 1 })
 	t.mbImplicit(i)
 	return old - 1
-}
-
-// AtomicInc is atomic_inc(): non-value-returning, unordered.
-func (t *Task) AtomicInc(i trace.InstrID, addr trace.Addr) {
-	t.rmw(i, addr, trace.Atomic, trace.Once, func(v uint64) uint64 { return v + 1 })
-}
-
-// AtomicDec is atomic_dec(): non-value-returning, unordered.
-func (t *Task) AtomicDec(i trace.InstrID, addr trace.Addr) {
-	t.rmw(i, addr, trace.Atomic, trace.Once, func(v uint64) uint64 { return v - 1 })
 }
 
 // Xchg is xchg(): fully ordered swap, returns the old value.

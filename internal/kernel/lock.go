@@ -31,15 +31,6 @@ func (t *Task) SpinLock(i trace.InstrID, addr trace.Addr, class string) {
 	t.K.Lockdep.Acquired(t, addr, class)
 }
 
-// SpinTrylock attempts to acquire the lock without waiting.
-func (t *Task) SpinTrylock(i trace.InstrID, addr trace.Addr, class string) bool {
-	if t.TestAndSetBitLock(i, lockBit, addr) {
-		return false
-	}
-	t.K.Lockdep.Acquired(t, addr, class)
-	return true
-}
-
 // SpinUnlock releases the spinlock (release semantics: clear_bit_unlock).
 func (t *Task) SpinUnlock(i trace.InstrID, addr trace.Addr) {
 	t.K.Lockdep.Released(t, addr)
@@ -138,6 +129,3 @@ func (l *Lockdep) Released(t *Task, addr trace.Addr) {
 	// under test — surface loudly.
 	t.Crashf("lockdep", "WARNING: bad unlock balance detected at 0x%x", uint64(addr))
 }
-
-// HeldCount returns how many locks the task currently holds (tests).
-func (l *Lockdep) HeldCount(taskID int) int { return len(l.held[taskID]) }

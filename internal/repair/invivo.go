@@ -365,12 +365,17 @@ func siteSubsets(sites []trace.InstrID) [][]trace.InstrID {
 	return out
 }
 
+// closureSeeds is the number of engine seeds each in-vivo closure probe
+// re-executes the reproducer under.
+const closureSeeds = 3
+
 // closes is the in-vivo closure oracle: re-execute the reproducer with
-// the candidate's surviving reorder directives installed, across seeds
-// and directive subsets; the crash must never reproduce.
-func (a *abstraction) closes(in InVivoInput, ex Executor, primary *memmodel.Table, seeds int, fences []Fence, mm *memmodel.Table) bool {
+// the candidate's surviving reorder directives installed, across
+// closureSeeds seeds and every directive subset; the crash must never
+// reproduce.
+func (a *abstraction) closes(in InVivoInput, ex Executor, primary *memmodel.Table, fences []Fence, mm *memmodel.Table) bool {
 	remaining := a.remainingSites(in.Hint, fences, mm)
-	for seed := 0; seed < seeds; seed++ {
+	for seed := 0; seed < closureSeeds; seed++ {
 		for _, sub := range siteSubsets(remaining) {
 			req := engine.Request{
 				Prog: in.Prog,
@@ -432,7 +437,7 @@ func InVivo(in InVivoInput, ex Executor, opts Options) *Result {
 	}
 	p := newProblem(a.test, a.labels, opts, 0)
 	p.closure = func(fences []Fence, mm *memmodel.Table) bool {
-		return a.closes(in, ex, p.primary, opts.seeds(), fences, mm)
+		return a.closes(in, ex, p.primary, fences, mm)
 	}
 	return p.run(in.Title, kind)
 }

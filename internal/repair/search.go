@@ -26,9 +26,6 @@ type Options struct {
 	// count: verdicts are collected by candidate index and folded into
 	// stats in enumeration order.
 	Workers int
-	// Seeds is the number of engine seeds each in-vivo closure probe
-	// re-executes the reproducer under (default 3).
-	Seeds int
 	// Metrics, when non-nil, receives ozz_repair_* counter increments.
 	Metrics *Metrics
 }
@@ -45,13 +42,6 @@ func (o Options) maxFences() int {
 		return 2
 	}
 	return o.MaxFences
-}
-
-func (o Options) seeds() int {
-	if o.Seeds <= 0 {
-		return 3
-	}
-	return o.Seeds
 }
 
 // problem is one repair search over a litmus abstraction of the racing

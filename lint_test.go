@@ -136,3 +136,70 @@ func checkFields(dir, file, typeName string, st *ast.StructType, missing *[]stri
 		}
 	}
 }
+
+// TestConfigSurface pins the settable fields of the campaign, engine,
+// fabric and repair configuration types. The rule for adding one: at
+// least two non-test callers (a CLI, an example, a bench harness, a
+// perfbench workload) need different values. A choice that every caller
+// makes the same way is a constant, not a field; a field no caller sets
+// is deleted.
+func TestConfigSurface(t *testing.T) {
+	want := map[string][]string{
+		"internal/core.Config": {"Modules", "Bugs", "Seed", "UseSeeds", "InterruptOnSwitch",
+			"Model", "Strategy", "Repair", "Obs", "Events"},
+		"internal/core.Env":          {"Modules", "Bugs", "InterruptOnSwitch", "Model", "Strategy"},
+		"internal/engine.Config":     {"Modules", "Bugs", "Instrumented", "Sanitizers", "InterruptOnSwitch", "Model"},
+		"internal/dist.CampaignSpec": {"Modules", "Bugs", "UseSeeds", "Model"},
+		"internal/repair.Options":    {"Model", "MaxFences", "Workers", "Metrics"},
+	}
+	for key, fields := range want {
+		dir, typeName, _ := strings.Cut(key, ".")
+		got := exportedFields(t, dir, typeName)
+		if strings.Join(got, " ") != strings.Join(fields, " ") {
+			t.Errorf("%s fields = %v, want %v", key, got, fields)
+		}
+	}
+}
+
+// exportedFields returns the exported field names of struct type
+// typeName, declared in a non-test file of dir, in declaration order.
+func exportedFields(t *testing.T, dir, typeName string) []string {
+	t.Helper()
+	pkgs, err := parser.ParseDir(token.NewFileSet(), dir, func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		t.Fatalf("parsing %s: %v", dir, err)
+	}
+	for _, pkg := range pkgs {
+		for _, file := range pkg.Files {
+			for _, decl := range file.Decls {
+				gd, ok := decl.(*ast.GenDecl)
+				if !ok {
+					continue
+				}
+				for _, spec := range gd.Specs {
+					ts, ok := spec.(*ast.TypeSpec)
+					if !ok || ts.Name.Name != typeName {
+						continue
+					}
+					st, ok := ts.Type.(*ast.StructType)
+					if !ok {
+						t.Fatalf("%s.%s is not a struct", dir, typeName)
+					}
+					var names []string
+					for _, f := range st.Fields.List {
+						for _, name := range f.Names {
+							if name.IsExported() {
+								names = append(names, name.Name)
+							}
+						}
+					}
+					return names
+				}
+			}
+		}
+	}
+	t.Fatalf("type %s not found in %s", typeName, dir)
+	return nil
+}
