@@ -17,6 +17,7 @@ import (
 	"ozz/internal/core"
 	"ozz/internal/hints"
 	"ozz/internal/lkmm"
+	"ozz/internal/memmodel"
 	"ozz/internal/modules"
 	"ozz/internal/syzlang"
 )
@@ -106,7 +107,7 @@ func BenchmarkTable5LMBenchMmap(b *testing.B)      { benchLM(b, "mmap") }
 // BenchmarkThroughputSyzkaller measures the syzkaller-style baseline: one
 // sequential program execution on the plain kernel per iteration.
 func BenchmarkThroughputSyzkaller(b *testing.B) {
-	s := inorder.NewSyzkaller(nil, nil, 1)
+	s := inorder.NewSyzkallerObs(nil, nil, 1, nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Step()
@@ -132,7 +133,7 @@ func BenchmarkThroughputOzz(b *testing.B) {
 func BenchmarkThroughputComparison(b *testing.B) {
 	var res bench.ThroughputResult
 	for i := 0; i < b.N; i++ {
-		res = bench.MeasureThroughput(300*time.Millisecond, nil, nil)
+		res = bench.MeasureThroughputWorkers(300*time.Millisecond, nil, nil, nil)
 	}
 	b.ReportMetric(res.Slowdown, "slowdown-x")
 	b.ReportMetric(res.OzzTestsPerSec, "ozz-tests/s")
@@ -274,7 +275,7 @@ func BenchmarkLitmusMP(b *testing.B) {
 		NumLocs: 2, NumRegs: 2,
 	}
 	for i := 0; i < b.N; i++ {
-		lkmm.Run(test)
+		lkmm.RunModel(test, memmodel.LKMM)
 	}
 }
 

@@ -185,7 +185,7 @@ func capture(t *testing.T) golden {
 	g.OOOLoad = captureOOO(t, "watchqueue:pipe_rmb", wqProg, 1, 2)
 
 	// --- Sequential: syzkaller over the whole buggy corpus.
-	sz := inorder.NewSyzkaller(nil, modules.Bugs(allOOOSwitches()...), 1)
+	sz := inorder.NewSyzkallerObs(nil, modules.Bugs(allOOOSwitches()...), 1, nil)
 	for i := 0; i < 120; i++ {
 		sz.Step()
 	}
@@ -213,7 +213,7 @@ func capture(t *testing.T) golden {
 
 	// --- KCSAN: the §7 scenarios (plain race / annotated race / bit lock).
 	kcsanTitles := func(mod, sw, src string, seed int64) []string {
-		d := kcsan.New([]string{mod}, modules.Bugs(sw), seed)
+		d := kcsan.NewObs([]string{mod}, modules.Bugs(sw), seed, nil)
 		target := modules.Target(mod)
 		p, err := target.Parse(src)
 		if err != nil {
@@ -234,13 +234,14 @@ func capture(t *testing.T) golden {
 	ps := pl.Stats()
 	ps.Perf = core.PerfStats{} // timing block is nondeterministic
 	pooo := 0
+	poolTitles := []string{}
 	for _, r := range pl.Reports.All() {
 		if r.OOO {
 			pooo++
 		}
+		poolTitles = append(poolTitles, r.Title)
 	}
-	g.Pool = captureCampaignStats(ps,
-		append([]string{}, pl.Reports.Titles()...), pooo, pl.Reports.Len(), pl.CoverageEdges())
+	g.Pool = captureCampaignStats(ps, poolTitles, pooo, pl.Reports.Len(), pl.CoverageEdges())
 
 	// --- Migration: Table 4 #6 via a real cross-CPU move (no assist).
 	const sbProg = "r0 = sb_init()\nsb_get(r0)\nsb_get(r0)\nsb_get(r0)\nsb_resize(r0, 0x3)\nsb_get(r0)\n"
@@ -306,7 +307,7 @@ func TestCrossStrategyProperties(t *testing.T) {
 	// baseline. Both Pair plans collapse to nil, so crash, returns, and
 	// coverage must be identical program by program.
 	t.Run("ooo-without-hint-is-sequential", func(t *testing.T) {
-		eng := engine.New()
+		eng := engine.NewObs(nil)
 		cfg := engine.Config{Bugs: modules.Bugs(allOOOSwitches()...), Instrumented: true}
 		target := modules.Target()
 		for i, src := range modules.Seeds() {

@@ -163,7 +163,7 @@ func sortedKeys(m map[string]bool) []string {
 // TestDistributedDocComplete diffs docs/DISTRIBUTED.md against the fabric's
 // actual surface, both ways, mirroring TestObservabilityDocComplete:
 //
-//   - every ozz_dist_* metric family dist.RegisterMetrics registers is
+//   - every ozz_dist_* metric family a fabric node registers is
 //     documented, and every documented ozz_dist_* token is registered;
 //   - every endpoint path constant of protocol.go (plus /metrics) is
 //     documented, and every documented backticked /path is real;
@@ -178,9 +178,10 @@ func TestDistributedDocComplete(t *testing.T) {
 	text := string(doc)
 	surface := parseProtocol(t)
 
-	// Metric families, both directions.
+	// Metric families, both directions. Manager and worker register the
+	// same families, so building a worker registers all of them.
 	reg := obs.NewRegistry()
-	dist.RegisterMetrics(reg)
+	dist.NewWorker(dist.WorkerConfig{Obs: reg})
 	registered := map[string]bool{}
 	for _, n := range reg.Names() {
 		if strings.HasPrefix(n, "ozz_dist_") {

@@ -33,7 +33,6 @@ import (
 type Syzkaller struct {
 	Modules []string
 	Bugs    modules.BugSet
-	Seed    int64
 
 	target *syzlang.Target
 	rng    *rand.Rand
@@ -44,12 +43,6 @@ type Syzkaller struct {
 	Execs uint64
 }
 
-// NewSyzkaller builds the baseline fuzzer with a private metrics
-// registry. Equivalent to NewSyzkallerObs(mods, bugs, seed, nil).
-func NewSyzkaller(mods []string, bugs modules.BugSet, seed int64) *Syzkaller {
-	return NewSyzkallerObs(mods, bugs, seed, nil)
-}
-
 // NewSyzkallerObs builds the baseline fuzzer publishing engine lifecycle
 // metrics into reg (nil = a fresh private registry), so a campaign can
 // scrape OZZ and the baseline from one endpoint.
@@ -57,16 +50,12 @@ func NewSyzkallerObs(mods []string, bugs modules.BugSet, seed int64, reg *obs.Re
 	return &Syzkaller{
 		Modules: mods,
 		Bugs:    bugs,
-		Seed:    seed,
 		target:  modules.Target(mods...),
 		rng:     rand.New(rand.NewSource(seed)),
 		eng:     engine.NewObs(reg),
 		Reports: report.NewSet(),
 	}
 }
-
-// Obs returns the registry the baseline's engine publishes into.
-func (s *Syzkaller) Obs() *obs.Registry { return s.eng.Obs() }
 
 // Step generates and executes one program sequentially on an
 // uninstrumented kernel (no OEMU, no profiling — syzkaller's kernel). The
@@ -79,22 +68,12 @@ func (s *Syzkaller) Step() {
 
 // Exec runs one program and records crashes.
 func (s *Syzkaller) Exec(p *syzlang.Program) {
-	cfg := engine.Config{
-		Modules:    s.Modules,
-		Bugs:       s.Bugs,
-		Sanitizers: true, // a syzkaller kernel still has KASAN + KCov
-	}
+	cfg := engine.Config{Modules: s.Modules, Bugs: s.Bugs}
 	res := s.eng.Run(cfg, engine.Sequential{}, engine.Request{Prog: p})
 	if res.Crash != nil {
 		s.Reports.Add(&report.Report{Title: res.Crash.Title, Oracle: res.Crash.Oracle, Program: p.String()})
 	}
 	s.Execs++
-}
-
-// KernelCounters reports pooled-kernel reuse: acquisitions recycled from
-// the engine's pool vs. built fresh.
-func (s *Syzkaller) KernelCounters() (recycled, built uint64) {
-	return s.eng.KernelCounters()
 }
 
 // RecycleRate is the fraction of executions that reused a pooled kernel —
@@ -105,7 +84,6 @@ func (s *Syzkaller) RecycleRate() float64 { return s.eng.RecycleRate() }
 type Interleaver struct {
 	Modules []string
 	Bugs    modules.BugSet
-	Seed    int64
 
 	target *syzlang.Target
 	rng    *rand.Rand
@@ -115,28 +93,18 @@ type Interleaver struct {
 	Execs   uint64
 }
 
-// NewInterleaver builds the interleaving-only baseline with a private
-// metrics registry. Equivalent to NewInterleaverObs(mods, bugs, seed, nil).
+// NewInterleaver builds the interleaving-only baseline; its engine keeps
+// a private metrics registry.
 func NewInterleaver(mods []string, bugs modules.BugSet, seed int64) *Interleaver {
-	return NewInterleaverObs(mods, bugs, seed, nil)
-}
-
-// NewInterleaverObs builds the interleaving-only baseline publishing
-// engine lifecycle metrics into reg (nil = a fresh private registry).
-func NewInterleaverObs(mods []string, bugs modules.BugSet, seed int64, reg *obs.Registry) *Interleaver {
 	return &Interleaver{
 		Modules: mods,
 		Bugs:    bugs,
-		Seed:    seed,
 		target:  modules.Target(mods...),
 		rng:     rand.New(rand.NewSource(seed)),
-		eng:     engine.NewObs(reg),
+		eng:     engine.NewObs(nil),
 		Reports: report.NewSet(),
 	}
 }
-
-// Obs returns the registry the baseline's engine publishes into.
-func (iv *Interleaver) Obs() *obs.Registry { return iv.eng.Obs() }
 
 // ExecPair runs the program with calls i and j concurrent under a random
 // (seeded) schedule — thread interleaving control WITHOUT any memory
@@ -172,12 +140,3 @@ func (iv *Interleaver) Hunt(p *syzlang.Program, rounds int) []string {
 	}
 	return iv.Reports.Titles()
 }
-
-// KernelCounters reports pooled-kernel reuse: acquisitions recycled from
-// the engine's pool vs. built fresh.
-func (iv *Interleaver) KernelCounters() (recycled, built uint64) {
-	return iv.eng.KernelCounters()
-}
-
-// RecycleRate is the fraction of executions that reused a pooled kernel.
-func (iv *Interleaver) RecycleRate() float64 { return iv.eng.RecycleRate() }

@@ -17,7 +17,7 @@ func TestSyzkallerFindsNoOOOBugs(t *testing.T) {
 			switches = append(switches, b.Switch)
 		}
 	}
-	s := NewSyzkaller(nil, modules.Bugs(switches...), 1)
+	s := NewSyzkallerObs(nil, modules.Bugs(switches...), 1, nil)
 	for i := 0; i < 300; i++ {
 		s.Step()
 	}
@@ -29,11 +29,11 @@ func TestSyzkallerFindsNoOOOBugs(t *testing.T) {
 	}
 	// The baseline shares the engine's kernel recycler, like core.Env
 	// campaigns do.
-	recycled, built := s.KernelCounters()
+	recycled, built := s.eng.KernelCounters()
 	if recycled == 0 {
 		t.Fatalf("kernel pool never recycled (recycled=%d built=%d)", recycled, built)
 	}
-	if rate := s.RecycleRate(); rate < 0.5 {
+	if rate := s.eng.RecycleRate(); rate < 0.5 {
 		t.Fatalf("recycle rate = %v, want > 0.5", rate)
 	}
 }
@@ -77,18 +77,18 @@ func TestInterleaverFindsPlainRace(t *testing.T) {
 		t.Fatalf("interleaving baseline missed the plain UAF race: %v", titles)
 	}
 	// Recycled kernels for the pair executor too.
-	recycled, built := iv.KernelCounters()
+	recycled, built := iv.eng.KernelCounters()
 	if recycled == 0 {
 		t.Fatalf("kernel pool never recycled (recycled=%d built=%d)", recycled, built)
 	}
-	if rate := iv.RecycleRate(); rate < 0.5 {
+	if rate := iv.eng.RecycleRate(); rate < 0.5 {
 		t.Fatalf("recycle rate = %v, want > 0.5", rate)
 	}
 }
 
 // TestSyzkallerBaselineClean: on the fixed corpus, nothing crashes.
 func TestSyzkallerBaselineClean(t *testing.T) {
-	s := NewSyzkaller(nil, nil, 3)
+	s := NewSyzkallerObs(nil, nil, 3, nil)
 	for i := 0; i < 200; i++ {
 		s.Step()
 	}

@@ -58,20 +58,11 @@ type Detector struct {
 	Races []*Race
 }
 
-// New builds a detector with a private metrics registry. Equivalent to
-// NewObs(mods, bugs, seed, nil).
-func New(mods []string, bugs modules.BugSet, seed int64) *Detector {
-	return NewObs(mods, bugs, seed, nil)
-}
-
 // NewObs builds a detector publishing engine lifecycle metrics into reg
 // (nil = a fresh private registry).
 func NewObs(mods []string, bugs modules.BugSet, seed int64, reg *obs.Registry) *Detector {
 	return &Detector{Modules: mods, Bugs: bugs, SampleEvery: 3, Seed: seed, eng: engine.NewObs(reg)}
 }
-
-// Obs returns the registry the detector's engine publishes into.
-func (d *Detector) Obs() *obs.Registry { return d.eng.Obs() }
 
 // watchpoint is the active watch, if any.
 type watchpoint struct {
@@ -199,12 +190,3 @@ func (d *Detector) Hunt(p *syzlang.Program, rounds int) []string {
 	}
 	return titles
 }
-
-// KernelCounters reports pooled-kernel reuse: acquisitions recycled from
-// the engine's pool vs. built fresh.
-func (d *Detector) KernelCounters() (recycled, built uint64) {
-	return d.eng.KernelCounters()
-}
-
-// RecycleRate is the fraction of executions that reused a pooled kernel.
-func (d *Detector) RecycleRate() float64 { return d.eng.RecycleRate() }

@@ -12,7 +12,7 @@ import (
 func TestKCSANFindsPlainRace(t *testing.T) {
 	// gsm's buggy reader uses plain loads of gsm->dlci_count, racing with
 	// gsm_activate's plain store.
-	d := New([]string{"gsm"}, modules.Bugs("gsm:dlci_config_rmb"), 1)
+	d := NewObs([]string{"gsm"}, modules.Bugs("gsm:dlci_config_rmb"), 1, nil)
 	target := modules.Target("gsm")
 	p, err := target.Parse("r0 = gsm_open()\ngsm_activate(r0, 0x0)\ngsm_dlci_config(r0, 0x0, 0x200)\n")
 	if err != nil {
@@ -24,11 +24,11 @@ func TestKCSANFindsPlainRace(t *testing.T) {
 	}
 	// The detector runs on the shared engine, so the hunt's pair runs
 	// are served by the kernel recycler.
-	recycled, built := d.KernelCounters()
+	recycled, built := d.eng.KernelCounters()
 	if recycled == 0 {
 		t.Fatalf("kernel pool never recycled (recycled=%d built=%d)", recycled, built)
 	}
-	if rate := d.RecycleRate(); rate < 0.5 {
+	if rate := d.eng.RecycleRate(); rate < 0.5 {
 		t.Fatalf("recycle rate = %v, want > 0.5", rate)
 	}
 }
@@ -38,7 +38,7 @@ func TestKCSANFindsPlainRace(t *testing.T) {
 // which silences KCSAN — but adds no ordering, so the OOO bug remains
 // (OZZ's corpus test finds it; KCSAN reports nothing).
 func TestKCSANSilencedByAnnotation(t *testing.T) {
-	d := New([]string{"tls"}, modules.Bugs("tls:sk_prot_wmb"), 2)
+	d := NewObs([]string{"tls"}, modules.Bugs("tls:sk_prot_wmb"), 2, nil)
 	target := modules.Target("tls")
 	p, err := target.Parse("r0 = tls_socket()\ntls_init(r0)\nsock_setsockopt(r0, 0x1)\n")
 	if err != nil {
@@ -58,7 +58,7 @@ func TestKCSANSilencedByAnnotation(t *testing.T) {
 // under in-order execution) — so a race detector has nothing to report,
 // while OZZ triggers the bug by actually reordering.
 func TestKCSANBlindToBitLockBug(t *testing.T) {
-	d := New([]string{"rds"}, modules.Bugs("rds:clear_bit_unlock"), 3)
+	d := NewObs([]string{"rds"}, modules.Bugs("rds:clear_bit_unlock"), 3, nil)
 	target := modules.Target("rds")
 	p, err := target.Parse("r0 = rds_socket()\nrds_sendmsg(r0, 0x4)\nrds_sendmsg(r0, 0x3)\nrds_loop_xmit(r0)\n")
 	if err != nil {
@@ -74,7 +74,7 @@ func TestKCSANBlindToBitLockBug(t *testing.T) {
 // comparison points in OZZ's favour is determinism).
 func TestKCSANDeterministicWithSeed(t *testing.T) {
 	run := func() int {
-		d := New([]string{"gsm"}, modules.Bugs("gsm:dlci_config_rmb"), 7)
+		d := NewObs([]string{"gsm"}, modules.Bugs("gsm:dlci_config_rmb"), 7, nil)
 		target := modules.Target("gsm")
 		p, _ := target.Parse("r0 = gsm_open()\ngsm_activate(r0, 0x0)\ngsm_dlci_config(r0, 0x0, 0x200)\n")
 		return len(d.Hunt(p, 60))

@@ -48,7 +48,7 @@ func TestInstrumentationCostsSomething(t *testing.T) {
 // TestThroughputComparisonShape: the baseline outpaces OZZ and the slowdown
 // is reported consistently.
 func TestThroughputComparisonShape(t *testing.T) {
-	res := MeasureThroughput(150*time.Millisecond, nil, nil)
+	res := MeasureThroughputWorkers(150*time.Millisecond, nil, nil, nil)
 	if res.SyzkallerTestsPerSec <= 0 || res.OzzTestsPerSec <= 0 {
 		t.Fatalf("non-positive rates: %+v", res)
 	}

@@ -227,7 +227,7 @@ func RunLMBench(iters int) []LMBenchRow {
 	var rows []LMBenchRow
 	for _, w := range workloads() {
 		measure := func(instrumented bool) float64 {
-			k := kernel.New(4)
+			k := kernel.New()
 			k.Instrumented = instrumented
 			if !instrumented {
 				k.Mem.Sanitize = false // the plain kernel has no KASAN either

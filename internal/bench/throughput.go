@@ -45,16 +45,11 @@ type ParallelRow struct {
 	Speedup float64
 }
 
-// MeasureThroughput runs both fuzzers for (at least) the given wall-clock
-// budget per side and reports programs/second (serial comparison only).
-func MeasureThroughput(budget time.Duration, mods []string, bugs modules.BugSet) ThroughputResult {
-	return MeasureThroughputWorkers(budget, mods, bugs, nil)
-}
-
-// MeasureThroughputWorkers is MeasureThroughput plus a worker-scaling
-// sweep: for each entry of workers it runs a Pool campaign for the budget
-// and records tests/s, so the §6.3.2 table can report throughput at 1, 2,
-// 4, … N workers.
+// MeasureThroughputWorkers runs both fuzzers for (at least) the given
+// wall-clock budget per side and reports programs/second. For each entry
+// of workers it then runs a Pool campaign for the budget and records
+// tests/s, so the §6.3.2 table can report throughput at 1, 2, 4, … N
+// workers; nil workers gives the serial comparison only.
 func MeasureThroughputWorkers(budget time.Duration, mods []string, bugs modules.BugSet, workers []int) ThroughputResult {
 	// Baseline: syzkaller-style sequential fuzzing on the plain kernel.
 	reg, _ := instrumented()

@@ -136,7 +136,7 @@ func TestReadCorpusIdempotent(t *testing.T) {
 func TestReadCorpusSkipsCorpusDuplicates(t *testing.T) {
 	p := NewPool(Config{Modules: []string{"watchqueue"}, Seed: 21, UseSeeds: true}, 1)
 	p.Run(30)
-	if p.CorpusLen() == 0 {
+	if p.Stats().CorpusLen == 0 {
 		t.Fatal("campaign built no corpus")
 	}
 	var exported strings.Builder

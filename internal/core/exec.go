@@ -66,10 +66,6 @@ func NewEnvObs(mods []string, bugs modules.BugSet, reg *obs.Registry) *Env {
 	return &Env{Modules: mods, Bugs: bugs, eng: engine.NewObs(reg)}
 }
 
-// Engine exposes the underlying execution engine (kernel recycler and
-// metrics registry).
-func (e *Env) Engine() *engine.Engine { return e.eng }
-
 // Obs returns the metrics registry the environment's engine publishes
 // into.
 func (e *Env) Obs() *obs.Registry { return e.eng.Obs() }

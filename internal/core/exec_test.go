@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ozz/internal/hints"
+	"ozz/internal/memmodel"
 	"ozz/internal/modules"
 	"ozz/internal/syzlang"
 )
@@ -38,7 +39,7 @@ func TestSTIProfilesAccesses(t *testing.T) {
 	// The post call must record its smp_wmb (bug switch off).
 	foundWmb := false
 	for _, e := range res.CallEvents[1] {
-		if e.Barrier && e.Bar.Kind.OrdersStores() {
+		if e.Barrier && memmodel.LKMM.OrdersStores(e.Bar.Kind) {
 			foundWmb = true
 		}
 	}

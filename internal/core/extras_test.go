@@ -129,7 +129,7 @@ func TestDeterministicCampaign(t *testing.T) {
 		p.Run(40)
 		s := p.Stats()
 		s.Perf = PerfStats{} // scheduling-dependent; excluded from comparison
-		return s, p.Reports.Titles()
+		return s, p.Reports.set.Titles()
 	}
 	s1, t1 := run()
 	s2, t2 := run()
@@ -155,7 +155,7 @@ func TestCorpusExportImport(t *testing.T) {
 		UseSeeds: true,
 	}, 1)
 	p1.Run(30)
-	if p1.CorpusLen() == 0 {
+	if p1.Stats().CorpusLen == 0 {
 		t.Fatal("campaign built no corpus")
 	}
 	var exported strings.Builder
@@ -165,8 +165,8 @@ func TestCorpusExportImport(t *testing.T) {
 
 	p2 := NewPool(Config{Modules: []string{"watchqueue"}, Seed: 22}, 1)
 	n, err := p2.ReadCorpus(strings.NewReader(exported.String()))
-	if err != nil || n != p1.CorpusLen() {
-		t.Fatalf("imported %d of %d programs (err %v)", n, p1.CorpusLen(), err)
+	if err != nil || n != p1.Stats().CorpusLen {
+		t.Fatalf("imported %d of %d programs (err %v)", n, p1.Stats().CorpusLen, err)
 	}
 	// The primed campaign replays the imported programs first.
 	p2.Run(1)

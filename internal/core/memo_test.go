@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"ozz/internal/modules"
-	"ozz/internal/syzlang"
 )
 
 // table34Switches returns the bug switches of every Table 3 and Table 4
@@ -130,7 +129,7 @@ func TestStepMemoHits(t *testing.T) {
 		// One batch of copies executes every step; the 8 copies in the
 		// next batch replay.
 		for k := 0; k < batchSize+8; k++ {
-			p.AddSeeds([]*syzlang.Program{prog})
+			p.seeds = append(p.seeds, prog)
 		}
 		p.Run(4 * batchSize)
 		s := p.Stats()
@@ -138,7 +137,7 @@ func TestStepMemoHits(t *testing.T) {
 			t.Errorf("width %d: %d hits, %d misses over %d steps; want >= 8 hits, one lookup per step",
 				w, s.Perf.STICacheHits, s.Perf.STICacheMisses, s.Steps)
 		}
-		lookups := p.Obs().CounterVec("ozz_sti_cache_lookups_total", "", "outcome")
+		lookups := p.co.reg.CounterVec("ozz_sti_cache_lookups_total", "", "outcome")
 		if got := lookups.With("hit").Value(); got != s.Perf.STICacheHits {
 			t.Errorf("width %d: ozz_sti_cache_lookups_total{outcome=hit} = %d, Stats say %d", w, got, s.Perf.STICacheHits)
 		}

@@ -14,7 +14,6 @@ import (
 	"ozz/internal/lazyrand"
 	"ozz/internal/memmodel"
 	"ozz/internal/modules"
-	"ozz/internal/obs"
 	"ozz/internal/repair"
 	"ozz/internal/report"
 	"ozz/internal/syzlang"
@@ -75,13 +74,6 @@ func (s *SafeReportSet) All() []*report.Report {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.set.All()
-}
-
-// Titles returns the sorted unique titles.
-func (s *SafeReportSet) Titles() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.set.Titles()
 }
 
 // Pool is OZZ's fuzzing loop (Fig. 6: generate STI -> profile ->
@@ -183,17 +175,6 @@ func (p *Pool) RepairResult(title string) *repair.Result {
 	return p.repairs[title]
 }
 
-// Obs returns the metrics registry the campaign publishes into.
-func (p *Pool) Obs() *obs.Registry { return p.co.reg }
-
-// AddSeeds enqueues programs to run ahead of random generation (corpus
-// resume). Call before Run.
-func (p *Pool) AddSeeds(ps []*syzlang.Program) {
-	p.mu.Lock()
-	p.seeds = append(p.seeds, ps...)
-	p.mu.Unlock()
-}
-
 // Stats returns a copy of the campaign counters (concurrently callable; the
 // Perf block is refreshed on every call).
 func (p *Pool) Stats() Stats {
@@ -203,13 +184,6 @@ func (p *Pool) Stats() Stats {
 	s.CorpusLen = len(p.corpus)
 	p.fillPerf(&s)
 	return s
-}
-
-// CorpusLen returns the current coverage-corpus size.
-func (p *Pool) CorpusLen() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.corpus)
 }
 
 // CorpusPrograms returns copies of the corpus programs.

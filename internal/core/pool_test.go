@@ -95,7 +95,7 @@ func snapshot(p *Pool, found []string) campaignFingerprint {
 		stats:   s,
 		cov:     covSet(p),
 		corpus:  corpus,
-		titles:  p.Reports.Titles(),
+		titles:  p.Reports.set.Titles(),
 		reports: reports,
 		found:   found,
 	}
@@ -425,7 +425,7 @@ func TestSafeReportSetDedup(t *testing.T) {
 func TestPoolCorpusRoundTrip(t *testing.T) {
 	p := NewPool(Config{Seed: 11, UseSeeds: true}, 2)
 	p.Run(64)
-	if p.CorpusLen() == 0 {
+	if p.Stats().CorpusLen == 0 {
 		t.Skip("campaign grew no corpus")
 	}
 	var sb strings.Builder
@@ -440,8 +440,8 @@ func TestPoolCorpusRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != p.CorpusLen() {
-		t.Errorf("round trip imported %d of %d programs", n, p.CorpusLen())
+	if n != p.Stats().CorpusLen {
+		t.Errorf("round trip imported %d of %d programs", n, p.Stats().CorpusLen)
 	}
 	if n2, _ := q.ReadCorpus(strings.NewReader(sb.String())); n2 != 0 {
 		t.Errorf("re-import enqueued %d duplicates, want 0", n2)

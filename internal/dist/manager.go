@@ -46,8 +46,8 @@ func shardSeed(seed int64, i int) int64 {
 
 // Shards builds the deterministic shard plan covering totalSteps in
 // shardSteps-sized units (the last shard takes the remainder). The plan is
-// a pure function of its arguments — the manager and RunShardsLocal
-// compute identical plans.
+// a pure function of its arguments — the manager and the tests'
+// standalone reference (RunShardsLocal) compute identical plans.
 func Shards(seed int64, totalSteps, shardSteps int) []Shard {
 	if totalSteps <= 0 {
 		return nil
@@ -225,22 +225,11 @@ func (m *Manager) Close() error {
 	return err
 }
 
-// Obs returns the registry the manager publishes fabric metrics into.
-func (m *Manager) Obs() *obs.Registry { return m.do.reg }
-
 // Done reports whether every shard has completed.
 func (m *Manager) Done() bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.doneLocked()
-}
-
-// Epoch returns the campaign's registration epoch (1 on a fresh campaign,
-// +1 per restore).
-func (m *Manager) Epoch() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.epoch
 }
 
 // WorkersConnected returns the number of currently registered workers.
@@ -279,26 +268,11 @@ func (m *Manager) Reports() []*report.Report {
 	return m.reports.All()
 }
 
-// ReportTitles returns the sorted unique crash titles.
-func (m *Manager) ReportTitles() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.reports.Titles()
-}
-
 // CorpusLen returns the merged global corpus size.
 func (m *Manager) CorpusLen() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return len(m.corpusOrder)
-}
-
-// CorpusKeyHashes returns the merged corpus key hashes in first-seen
-// order (testing and tooling).
-func (m *Manager) CorpusKeyHashes() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return append([]string(nil), m.corpusOrder...)
 }
 
 // WriteCorpus streams the merged global corpus to w in the corpus
@@ -658,36 +632,4 @@ func (m *Manager) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	}
 	m.mu.Unlock()
 	writeJSON(w, http.StatusOK, HeartbeatResponse{V: ProtocolVersion, OK: ok})
-}
-
-// RunShardsLocal executes the manager configuration's whole shard plan
-// sequentially in-process — the standalone-equivalent campaign the
-// distributed fabric must match title-for-title. It returns the merged
-// deduplicated report set and the merged corpus (first-seen order,
-// deduplicated by program key).
-func RunShardsLocal(cfg ManagerConfig, poolWorkers int) (*report.Set, []*syzlang.Program) {
-	cfg.normalize()
-	merged := report.NewSet()
-	var (
-		corpus []*syzlang.Program
-		seen   = make(map[string]struct{})
-	)
-	for _, sh := range Shards(cfg.Seed, cfg.TotalSteps, cfg.ShardSteps) {
-		p := core.NewPool(coreConfig(cfg.Campaign, sh.Seed, nil, nil), poolWorkers)
-		p.Run(sh.Steps)
-		shardSet := report.NewSet()
-		for _, r := range p.Reports.All() {
-			shardSet.Add(r)
-		}
-		merged.Merge(shardSet)
-		for _, prog := range p.CorpusPrograms() {
-			h := progHash(prog)
-			if _, dup := seen[h]; dup {
-				continue
-			}
-			seen[h] = struct{}{}
-			corpus = append(corpus, prog)
-		}
-	}
-	return merged, corpus
 }

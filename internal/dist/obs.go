@@ -122,11 +122,3 @@ func newDistObs(reg *obs.Registry, ev *obs.EventLog) *distObs {
 func observe(h *obs.Histogram, start time.Time) {
 	h.Observe(time.Since(start).Seconds())
 }
-
-// RegisterMetrics pre-registers every ozz_dist_* metric family (and their
-// labeled children) on reg without constructing a manager or worker — the
-// documentation-completeness test and dashboards use it to enumerate the
-// fabric's metric surface.
-func RegisterMetrics(reg *obs.Registry) {
-	newDistObs(reg, nil)
-}

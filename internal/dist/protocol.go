@@ -19,9 +19,9 @@
 //     derived seed alone, so the union of shard results is independent of
 //     which worker runs which shard, and a 1-manager/N-worker campaign
 //     finds exactly the deduplicated report titles of a standalone run
-//     over the same shard plan (see RunShardsLocal). Determinism also
-//     makes duplicate execution harmless, which is what lease
-//     reassignment and crash-restart resume both lean on.
+//     over the same shard plan (see the tests' RunShardsLocal).
+//     Determinism also makes duplicate execution harmless, which is what
+//     lease reassignment and crash-restart resume both lean on.
 //   - State is durable when asked: with a state directory configured the
 //     manager journals every admission (corpus program, report, shard
 //     completion, registration) to a CRC-checked write-ahead log and

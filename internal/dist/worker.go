@@ -104,9 +104,6 @@ func NewWorker(cfg WorkerConfig) *Worker {
 	}
 }
 
-// Obs returns the registry the worker publishes into.
-func (w *Worker) Obs() *obs.Registry { return w.do.reg }
-
 // CorpusLen returns the worker's merged local corpus size (its own shard
 // results plus everything synced from the manager).
 func (w *Worker) CorpusLen() int {

@@ -34,7 +34,7 @@ func TestRecycledRunAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := New()
+	e := NewObs(nil)
 	cfg := Config{Modules: []string{"watchqueue"}, Instrumented: true}
 	var prof trace.Buffer
 	sti := Request{Prog: p, Prof: &prof}

@@ -5,10 +5,6 @@ import (
 	"ozz/internal/modules"
 )
 
-// DefaultNrCPU is the simulated CPU count of every kernel the engine
-// builds — the paper's 4-vCPU test VMs.
-const DefaultNrCPU = 4
-
 // Config describes the execution environment of one run: which modules
 // are built over the kernel, which bug switches (missing barriers) are
 // active, and which kernel features are enabled. A Config is passed by
@@ -21,11 +17,10 @@ type Config struct {
 	Bugs modules.BugSet
 	// Instrumented selects the OEMU path: every access is a callback
 	// (profiling, reordering directives, scheduling points). False is a
-	// plain kernel — the syzkaller baseline's configuration.
+	// kernel without OEMU — the syzkaller baseline's configuration. An
+	// engine kernel always keeps KASAN/KCov (a syzkaller kernel still has
+	// sanitizers).
 	Instrumented bool
-	// Sanitizers keeps KASAN/KCov active when Instrumented is false (a
-	// syzkaller kernel still has sanitizers). Ignored when Instrumented.
-	Sanitizers bool
 	// InterruptOnSwitch injects an interrupt on the reorderer's CPU at
 	// the scheduling point of every pair run. Interrupts drain the
 	// virtual store buffer (§3.1), so store-barrier tests become vacuous

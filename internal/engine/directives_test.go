@@ -65,7 +65,7 @@ func TestHintDirectivesOnRecycledEngine(t *testing.T) {
 			[]oemu.ReorderRecord{{Kind: oemu.ReorderVersionedLoad, Instr: 202}}},
 		{"load barrier under TSO", loadHint, false, memmodel.TSO, nil},
 	}
-	e := New()
+	e := NewObs(nil)
 	for round := 0; round < 3; round++ {
 		for _, c := range cases {
 			t.Run(fmt.Sprintf("%s/round%d", c.name, round), func(t *testing.T) {

@@ -132,9 +132,9 @@ type runner struct {
 	pairBody                        [2]func(*sched.Task)
 }
 
-// newRunner returns a runner over a fresh kernel with DefaultNrCPU CPUs.
+// newRunner returns a runner over a fresh kernel.
 func newRunner() *runner {
-	r := &runner{k: kernel.New(DefaultNrCPU)}
+	r := &runner{k: kernel.New()}
 	r.seqBody, r.prefixBody, r.suffixBody = r.sequential, r.prefix, r.suffix
 	r.pairBody = [2]func(*sched.Task){r.pairA, r.pairB}
 	return r
@@ -143,7 +143,7 @@ func newRunner() *runner {
 // Engine executes requests. It is safe for concurrent use: the kernel
 // recycler is internally synchronized, and every run works on its own
 // kernel. One Engine instance amortizes kernel construction across all
-// runs sharing it: every kernel has DefaultNrCPU CPUs, so any idle one
+// runs sharing it: every kernel has kernel.NrCPU CPUs, so any idle one
 // serves any run.
 type Engine struct {
 	// idle holds the runners no run is using, for the next acquire to
@@ -159,10 +159,6 @@ type Engine struct {
 	// OEMU/scheduler activity — is registry-backed.
 	m *metrics
 }
-
-// New returns an engine with its own private metrics registry (retrieve
-// it with Obs). Equivalent to NewObs(nil).
-func New() *Engine { return NewObs(nil) }
 
 // NewObs returns an engine publishing its lifecycle metrics into reg
 // (nil = a fresh private registry). Sharing one registry across engines
@@ -327,7 +323,7 @@ func (e *Engine) acquire(cfg *Config) *runner {
 	}
 	e.m.acquireDur.Observe(time.Since(start).Seconds())
 	r.k.Instrumented = cfg.Instrumented
-	r.k.Sanitizers = cfg.Sanitizers
+	r.k.Sanitizers = true
 	return r
 }
 

@@ -54,7 +54,7 @@ func (s *synth) prog(name string) *syzlang.Program {
 // TestCrashPanicRecovered: a syscall panicking with *kernel.Crash is the
 // kernel's crash channel — the engine must recover it into the result.
 func TestCrashPanicRecovered(t *testing.T) {
-	e := New()
+	e := NewObs(nil)
 	m := newSynth(map[string]impl{
 		"boom": func(tk *kernel.Task, _ []uint64) uint64 {
 			panic(&kernel.Crash{Title: "kernel BUG in boom", Oracle: "assert"})
@@ -72,7 +72,7 @@ func TestCrashPanicRecovered(t *testing.T) {
 // silently-dropped (or worse, recorded) report. The baselines used to
 // swallow these; the engine boundary forbids it for every strategy.
 func TestNonCrashPanicSurfaces(t *testing.T) {
-	e := New()
+	e := NewObs(nil)
 	m := newSynth(map[string]impl{
 		"oops": func(tk *kernel.Task, _ []uint64) uint64 {
 			panic("plain string panic: simulator bug")
@@ -103,7 +103,7 @@ func TestConfigNormalize(t *testing.T) {
 // TestKernelRecycling: sequential runs reuse the idle kernel, and the
 // counters expose the recycle rate.
 func TestKernelRecycling(t *testing.T) {
-	e := New()
+	e := NewObs(nil)
 	m := newSynth(map[string]impl{
 		"nop": func(tk *kernel.Task, _ []uint64) uint64 { return 0 },
 	})
@@ -125,7 +125,7 @@ func TestKernelRecycling(t *testing.T) {
 // TestMissingImplReturnsENOSYS: a call with no implementation fails with
 // -ENOSYS instead of silently succeeding.
 func TestMissingImplReturnsENOSYS(t *testing.T) {
-	e := New()
+	e := NewObs(nil)
 	m := newSynth(nil)
 	p := &syzlang.Program{Calls: []syzlang.Call{{Def: &syzlang.SyscallDef{Name: "nosuchcall", Module: "nosuchmodule"}}}}
 	res := e.run(Config{Instrumented: true}, OOO{}, Request{Prog: p}, m.build)
@@ -138,7 +138,7 @@ func TestMissingImplReturnsENOSYS(t *testing.T) {
 // later run on the recycled kernel clears and refills the kernel's edge
 // set, and must leave the earlier result's edges as they were.
 func TestResultCovSurvivesRecycling(t *testing.T) {
-	e := New()
+	e := NewObs(nil)
 	touch := func(sites ...trace.InstrID) impl {
 		return func(tk *kernel.Task, _ []uint64) uint64 {
 			a := tk.Kzalloc(1)
@@ -175,7 +175,7 @@ func TestResultCovSurvivesRecycling(t *testing.T) {
 // 0's resource; the first run executes call 0 in its prefix, the second
 // holds it back as call I, so call 1's prefix execution must see 0.
 func TestPairRunReturnsStartZeroed(t *testing.T) {
-	e := New()
+	e := NewObs(nil)
 	var seen []uint64
 	m := newSynth(map[string]impl{
 		"mk":  func(*kernel.Task, []uint64) uint64 { return 7 },
@@ -198,7 +198,7 @@ func TestPairRunReturnsStartZeroed(t *testing.T) {
 // each must read its arguments from its own recycled slice; a shared one
 // would hand a task the other call's arguments after a switch.
 func TestPairTasksOwnTheirArgs(t *testing.T) {
-	e := New()
+	e := NewObs(nil)
 	got := map[uint64][]uint64{}
 	echo := func(tk *kernel.Task, args []uint64) uint64 {
 		a := tk.Kzalloc(1)

@@ -17,7 +17,7 @@ func (renamed) Name() string { return "out-of-tree" }
 // no pre-resolved handles, yet its runs, durations and crashes still
 // reach the exposition under its own label.
 func TestUnregisteredStrategyPublishes(t *testing.T) {
-	e := New()
+	e := NewObs(nil)
 	m := newSynth(map[string]impl{
 		"ok": func(*kernel.Task, []uint64) uint64 { return 0 },
 		"boom": func(*kernel.Task, []uint64) uint64 {

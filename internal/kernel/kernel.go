@@ -38,8 +38,6 @@ type Crash struct {
 	Instr trace.InstrID
 	// Addr is the faulting address, if any.
 	Addr trace.Addr
-	// Detail carries free-form context for the report.
-	Detail string
 }
 
 // Error implements error.
@@ -96,20 +94,22 @@ type Kernel struct {
 
 	percpuStride trace.Addr
 	percpuRanges []percpuRange
-	nrCPU        int
 
 	rcu *RCU
 }
 
-// New creates a fresh instrumented kernel with nrCPU simulated CPUs.
-func New(nrCPU int) *Kernel {
+// NrCPU is the simulated CPU count of every kernel: the paper's 4-vCPU
+// test VMs (§6).
+const NrCPU = 4
+
+// New creates a fresh instrumented kernel with NrCPU simulated CPUs.
+func New() *Kernel {
 	mem := kmem.New()
 	k := &Kernel{
 		Mem:          mem,
 		Em:           oemu.New(mem),
 		Instrumented: true,
 		Lockdep:      NewLockdep(),
-		nrCPU:        nrCPU,
 	}
 	// Slot 0 of the fn table is never handed out: FnBase|0 is reserved so
 	// that a zeroed function pointer is NULL, not a callable entry.
@@ -117,9 +117,6 @@ func New(nrCPU int) *Kernel {
 	k.fnNames = append(k.fnNames, "<null>")
 	return k
 }
-
-// NrCPU returns the number of simulated CPUs.
-func (k *Kernel) NrCPU() int { return k.nrCPU }
 
 // Reset returns the kernel to the state New left it in — empty memory,
 // emulator, oracles, coverage, and task/function tables — while retaining
@@ -176,21 +173,6 @@ func (k *Kernel) RegisterFn(name string, fn Fn) uint64 {
 	k.fns = append(k.fns, fn)
 	k.fnNames = append(k.fnNames, name)
 	return FnBase | uint64(len(k.fns)-1)
-}
-
-// FnName returns the registered name for a function-pointer value, for
-// reports ("<null>" for 0, "<wild>" otherwise).
-func (k *Kernel) FnName(val uint64) string {
-	if val == 0 {
-		return "<null>"
-	}
-	if val&FnBase == FnBase {
-		idx := int(val &^ FnBase)
-		if idx > 0 && idx < len(k.fnNames) {
-			return k.fnNames[idx]
-		}
-	}
-	return "<wild>"
 }
 
 // Task is one simulated kernel task: the execution context module code runs
@@ -379,11 +361,11 @@ func Field(base trace.Addr, i int) trace.Addr {
 // running CPU's copy — and note that resolving it early and migrating is
 // exactly the behaviour behind Table 4 bug #6.
 func (k *Kernel) PerCPUAlloc(n int) trace.Addr {
-	base := k.Mem.AllocZeroed(n * k.nrCPU)
+	base := k.Mem.AllocZeroed(n * NrCPU)
 	k.percpuStride = trace.Addr(n * kmem.WordSize)
 	k.percpuRanges = append(k.percpuRanges, percpuRange{
 		base: base,
-		end:  base + trace.Addr(n*k.nrCPU*kmem.WordSize),
+		end:  base + trace.Addr(n*NrCPU*kmem.WordSize),
 	})
 	return base
 }

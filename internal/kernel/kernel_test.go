@@ -28,7 +28,7 @@ func runTask(k *Kernel, body func(t *Task)) *Crash {
 }
 
 func TestLoadStoreRoundTrip(t *testing.T) {
-	k := New(2)
+	k := New()
 	crash := runTask(k, func(t2 *Task) {
 		a := t2.Kzalloc(2)
 		t2.Store(1, a, 42)
@@ -42,7 +42,7 @@ func TestLoadStoreRoundTrip(t *testing.T) {
 }
 
 func TestNullDerefTitle(t *testing.T) {
-	k := New(2)
+	k := New()
 	crash := runTask(k, func(t2 *Task) {
 		defer t2.Enter("some_reader")()
 		t2.Load(1, 0x8)
@@ -53,7 +53,7 @@ func TestNullDerefTitle(t *testing.T) {
 }
 
 func TestNullWriteTitle(t *testing.T) {
-	k := New(2)
+	k := New()
 	crash := runTask(k, func(t2 *Task) {
 		defer t2.Enter("fput")()
 		t2.Store(1, 0x8, 0)
@@ -64,7 +64,7 @@ func TestNullWriteTitle(t *testing.T) {
 }
 
 func TestOOBTitle(t *testing.T) {
-	k := New(2)
+	k := New()
 	crash := runTask(k, func(t2 *Task) {
 		defer t2.Enter("reader_fn")()
 		a := t2.Kzalloc(2)
@@ -76,7 +76,7 @@ func TestOOBTitle(t *testing.T) {
 }
 
 func TestUAFTitle(t *testing.T) {
-	k := New(2)
+	k := New()
 	crash := runTask(k, func(t2 *Task) {
 		defer t2.Enter("worker")()
 		a := t2.Kzalloc(1)
@@ -89,7 +89,7 @@ func TestUAFTitle(t *testing.T) {
 }
 
 func TestWildFnPointerGPF(t *testing.T) {
-	k := New(2)
+	k := New()
 	crash := runTask(k, func(t2 *Task) {
 		defer t2.Enter("add_wait_queue")()
 		t2.CallFn(1, 0xdead4ead_deadbeef, 0)
@@ -100,7 +100,7 @@ func TestWildFnPointerGPF(t *testing.T) {
 }
 
 func TestNullFnPointer(t *testing.T) {
-	k := New(2)
+	k := New()
 	crash := runTask(k, func(t2 *Task) {
 		defer t2.Enter("caller")()
 		t2.CallFn(1, 0, 0)
@@ -111,7 +111,7 @@ func TestNullFnPointer(t *testing.T) {
 }
 
 func TestRegisteredFnCall(t *testing.T) {
-	k := New(2)
+	k := New()
 	fn := k.RegisterFn("double", func(t2 *Task, arg uint64) uint64 { return arg * 2 })
 	crash := runTask(k, func(t2 *Task) {
 		if got := t2.CallFn(1, fn, 21); got != 42 {
@@ -127,7 +127,7 @@ func TestRegisteredFnCall(t *testing.T) {
 }
 
 func TestUninstrumentedBypassesOEMU(t *testing.T) {
-	k := New(2)
+	k := New()
 	k.Instrumented = false
 	crash := runTask(k, func(t2 *Task) {
 		t2.OEMU().Dir.DelayStoreAt(1)
@@ -135,7 +135,7 @@ func TestUninstrumentedBypassesOEMU(t *testing.T) {
 		t2.Store(1, a, 7)
 		// Uninstrumented: the store committed directly; OEMU never saw
 		// it.
-		if t2.OEMU().PendingStores() != 0 || t2.K.Mem.Read(a) != 7 {
+		if _, pending := t2.OEMU().PendingAt(a); pending || t2.K.Mem.Read(a) != 7 {
 			t2.Crashf("test", "uninstrumented path leaked into OEMU")
 		}
 	})
@@ -144,8 +144,21 @@ func TestUninstrumentedBypassesOEMU(t *testing.T) {
 	}
 }
 
+// splitEvents returns a profile's access and barrier events, each in
+// recording order.
+func splitEvents(b *trace.Buffer) (accs []trace.AccessEvent, bars []trace.BarrierEvent) {
+	for _, e := range b.Events {
+		if e.Barrier {
+			bars = append(bars, e.Bar)
+		} else {
+			accs = append(accs, e.Acc)
+		}
+	}
+	return accs, bars
+}
+
 func TestProfilingRecordsFiveTuples(t *testing.T) {
-	k := New(2)
+	k := New()
 	var events int
 	crash := runTask(k, func(t2 *Task) {
 		t2.Prof = &trace.Buffer{}
@@ -154,11 +167,10 @@ func TestProfilingRecordsFiveTuples(t *testing.T) {
 		t2.Load(2, a)
 		t2.Wmb(3)
 		events = t2.Prof.Len()
-		accs := t2.Prof.Accesses()
+		accs, bars := splitEvents(t2.Prof)
 		if len(accs) != 2 || accs[0].Kind != trace.Store || accs[1].Kind != trace.Load {
 			t2.Crashf("test", "bad accesses: %v", accs)
 		}
-		bars := t2.Prof.Barriers()
 		if len(bars) != 1 || bars[0].Kind != trace.BarrierStore {
 			t2.Crashf("test", "bad barriers: %v", bars)
 		}
@@ -172,12 +184,12 @@ func TestProfilingRecordsFiveTuples(t *testing.T) {
 }
 
 func TestAnnotatedLoadRecordsImplicitBarrier(t *testing.T) {
-	k := New(2)
+	k := New()
 	crash := runTask(k, func(t2 *Task) {
 		t2.Prof = &trace.Buffer{}
 		a := t2.Kzalloc(1)
 		t2.ReadOnce(1, a)
-		bars := t2.Prof.Barriers()
+		_, bars := splitEvents(t2.Prof)
 		if len(bars) != 1 || bars[0].Kind != trace.BarrierLoad {
 			t2.Crashf("test", "READ_ONCE must profile an implicit load barrier: %v", bars)
 		}
@@ -188,7 +200,7 @@ func TestAnnotatedLoadRecordsImplicitBarrier(t *testing.T) {
 }
 
 func TestSpinLockMutualExclusion(t *testing.T) {
-	k := New(2)
+	k := New()
 	lockWord := k.Mem.AllocZeroed(1)
 	shared := k.Mem.AllocZeroed(1)
 	taskA, taskB := k.NewTask(0), k.NewTask(1)
@@ -216,7 +228,7 @@ func TestSpinLockMutualExclusion(t *testing.T) {
 }
 
 func TestLockdepABBA(t *testing.T) {
-	k := New(2)
+	k := New()
 	l1 := k.Mem.AllocZeroed(1)
 	l2 := k.Mem.AllocZeroed(1)
 	// Task 1 learns A->B; task 2 then attempts B->A.
@@ -236,7 +248,7 @@ func TestLockdepABBA(t *testing.T) {
 }
 
 func TestLockdepRecursion(t *testing.T) {
-	k := New(2)
+	k := New()
 	l := k.Mem.AllocZeroed(1)
 	crash := runTask(k, func(t2 *Task) {
 		t2.SpinLock(1, l, "A")
@@ -248,7 +260,7 @@ func TestLockdepRecursion(t *testing.T) {
 }
 
 func TestLockdepBadUnlock(t *testing.T) {
-	k := New(2)
+	k := New()
 	l := k.Mem.AllocZeroed(1)
 	crash := runTask(k, func(t2 *Task) {
 		t2.SpinUnlock(1, l)
@@ -259,23 +271,14 @@ func TestLockdepBadUnlock(t *testing.T) {
 }
 
 func TestAtomicOps(t *testing.T) {
-	k := New(2)
+	k := New()
 	crash := runTask(k, func(t2 *Task) {
 		a := t2.Kzalloc(1)
 		if t2.AtomicIncReturn(1, a) != 1 || t2.AtomicIncReturn(1, a) != 2 {
 			t2.Crashf("test", "inc_return broken")
 		}
-		if t2.AtomicDecReturn(2, a) != 1 {
-			t2.Crashf("test", "dec_return broken")
-		}
-		if t2.Xchg(3, a, 10) != 1 || t2.AtomicRead(4, a) != 10 {
-			t2.Crashf("test", "xchg broken")
-		}
-		if t2.Cmpxchg(5, a, 10, 20) != 10 || t2.AtomicRead(4, a) != 20 {
-			t2.Crashf("test", "cmpxchg success broken")
-		}
-		if t2.Cmpxchg(5, a, 99, 30) != 20 || t2.AtomicRead(4, a) != 20 {
-			t2.Crashf("test", "cmpxchg failure broken")
+		if t2.Load(2, a) != 2 {
+			t2.Crashf("test", "inc_return did not store")
 		}
 	})
 	if crash != nil {
@@ -284,25 +287,57 @@ func TestAtomicOps(t *testing.T) {
 }
 
 func TestBitOps(t *testing.T) {
-	k := New(2)
+	k := New()
 	crash := runTask(k, func(t2 *Task) {
 		a := t2.Kzalloc(1)
 		if t2.TestAndSetBit(1, 3, a) {
 			t2.Crashf("test", "bit 3 must start clear")
 		}
-		if !t2.TestBit(2, 3, a) || t2.TestBit(2, 4, a) {
-			t2.Crashf("test", "test_bit broken")
+		if t2.Load(2, a) != 1<<3 {
+			t2.Crashf("test", "test_and_set_bit set the wrong bits")
 		}
 		if !t2.TestAndSetBit(1, 3, a) {
 			t2.Crashf("test", "bit 3 must now be set")
 		}
+		t2.Store(4, a, 1<<3|1<<5)
 		t2.ClearBit(3, 3, a)
-		if t2.TestBit(2, 3, a) {
+		if t2.Load(2, a) != 1<<5 {
 			t2.Crashf("test", "clear_bit broken")
 		}
-		t2.SetBit(4, 5, a)
-		if !t2.TestAndClearBit(5, 5, a) || t2.TestBit(2, 5, a) {
-			t2.Crashf("test", "test_and_clear broken")
+		t2.ClearBitUnlock(5, 5, a)
+		if t2.Load(2, a) != 0 {
+			t2.Crashf("test", "clear_bit_unlock broken")
+		}
+	})
+	if crash != nil {
+		t.Fatalf("crash: %v", crash)
+	}
+}
+
+// TestTestAndSetBitLock: test_and_set_bit_lock returns the old bit and has
+// acquire semantics only, so unlike the fully ordered test_and_set_bit it
+// leaves an earlier delayed store in the store buffer.
+func TestTestAndSetBitLock(t *testing.T) {
+	k := New()
+	crash := runTask(k, func(t2 *Task) {
+		a := t2.Kzalloc(2)
+		t2.OEMU().Dir.DelayStoreAt(1)
+		t2.Store(1, Field(a, 1), 7)
+		if t2.TestAndSetBitLock(2, 0, a) {
+			t2.Crashf("test", "bit 0 must start clear")
+		}
+		if t2.K.Mem.Read(a) != 1 {
+			t2.Crashf("test", "test_and_set_bit_lock did not set the bit")
+		}
+		if t2.K.Mem.Read(Field(a, 1)) != 0 {
+			t2.Crashf("test", "test_and_set_bit_lock must not flush an earlier store")
+		}
+		if !t2.TestAndSetBitLock(2, 0, a) {
+			t2.Crashf("test", "bit 0 must now be set")
+		}
+		t2.TestAndSetBit(3, 1, a)
+		if t2.K.Mem.Read(Field(a, 1)) != 7 {
+			t2.Crashf("test", "test_and_set_bit must flush an earlier store")
 		}
 	})
 	if crash != nil {
@@ -311,10 +346,10 @@ func TestBitOps(t *testing.T) {
 }
 
 func TestUnorderedClearBitIsDelayable(t *testing.T) {
-	k := New(2)
+	k := New()
 	crash := runTask(k, func(t2 *Task) {
 		a := t2.Kzalloc(1)
-		t2.SetBit(1, 0, a) // committed
+		t2.Store(1, a, 1) // committed
 		t2.OEMU().Dir.DelayStoreAt(2)
 		t2.ClearBit(2, 0, a) // unordered: delayed
 		if t2.K.Mem.Read(a) != 1 {
@@ -331,7 +366,7 @@ func TestUnorderedClearBitIsDelayable(t *testing.T) {
 }
 
 func TestPerCPU(t *testing.T) {
-	k := New(4)
+	k := New()
 	h := k.PerCPUAlloc(1)
 	crash := runTask(k, func(t2 *Task) {
 		a0 := t2.ThisCPUAddr(h, 1)
@@ -351,7 +386,7 @@ func TestPerCPU(t *testing.T) {
 }
 
 func TestCoverageEdges(t *testing.T) {
-	k := New(2)
+	k := New()
 	runTask(k, func(t2 *Task) {
 		a := t2.Kzalloc(1)
 		t2.Store(1, a, 1)
@@ -364,7 +399,7 @@ func TestCoverageEdges(t *testing.T) {
 }
 
 func TestAssertAndSoftReport(t *testing.T) {
-	k := New(2)
+	k := New()
 	crash := runTask(k, func(t2 *Task) {
 		defer t2.Enter("checker")()
 		t2.SoftReport("soft finding")
@@ -380,7 +415,7 @@ func TestAssertAndSoftReport(t *testing.T) {
 }
 
 func TestSyscallReturnFlushes(t *testing.T) {
-	k := New(2)
+	k := New()
 	crash := runTask(k, func(t2 *Task) {
 		a := t2.Kzalloc(1)
 		t2.OEMU().Dir.DelayStoreAt(1)
@@ -391,36 +426,6 @@ func TestSyscallReturnFlushes(t *testing.T) {
 		t2.SyscallReturn()
 		if t2.K.Mem.Read(a) != 5 {
 			t2.Crashf("test", "syscall return must drain the store buffer")
-		}
-	})
-	if crash != nil {
-		t.Fatalf("crash: %v", crash)
-	}
-}
-
-func TestSmpMbAtomicHelpers(t *testing.T) {
-	k := New(2)
-	crash := runTask(k, func(t2 *Task) {
-		a := t2.Kzalloc(2)
-		// A delayed store must not survive smp_store_mb or the
-		// before/after-atomic fences.
-		t2.OEMU().Dir.DelayStoreAt(1)
-		t2.Store(1, Field(a, 0), 1)
-		t2.SmpMbBeforeAtomic(2)
-		if t2.K.Mem.Read(Field(a, 0)) != 1 {
-			t2.Crashf("test", "smp_mb__before_atomic did not flush")
-		}
-		t2.OEMU().Dir.DelayStoreAt(3)
-		t2.Store(3, Field(a, 0), 2)
-		t2.SmpStoreMb(4, Field(a, 1), 9)
-		if t2.K.Mem.Read(Field(a, 0)) != 2 || t2.K.Mem.Read(Field(a, 1)) != 9 {
-			t2.Crashf("test", "smp_store_mb did not flush/commit")
-		}
-		t2.OEMU().Dir.DelayStoreAt(5)
-		t2.ClearBit(5, 0, Field(a, 0))
-		t2.SmpMbAfterAtomic(6)
-		if t2.K.Mem.Read(Field(a, 0))&1 != 0 {
-			t2.Crashf("test", "smp_mb__after_atomic did not flush the clear_bit")
 		}
 	})
 	if crash != nil {

@@ -8,7 +8,7 @@ import (
 // introduction motivates. Readers mark read-side critical sections;
 // updaters publish with release semantics (rcu_assign_pointer), readers
 // consume with an annotated load (rcu_dereference), and reclamation waits
-// for a grace period (synchronize_rcu) or defers callbacks (call_rcu).
+// for a grace period (synchronize_rcu).
 //
 // The ordering content is exactly the paper's subject: rcu_assign_pointer
 // IS a release store — replace it with a plain store and the publication
@@ -19,8 +19,6 @@ type RCU struct {
 	k *Kernel
 	// nesting tracks read-side critical-section depth per task.
 	nesting map[int]int
-	// pending holds call_rcu callbacks awaiting a grace period.
-	pending []func(*Task)
 }
 
 // RCU returns the kernel's RCU instance (created on first use).
@@ -59,9 +57,9 @@ func (r *RCU) readersActive(t *Task) bool {
 }
 
 // Synchronize waits for a grace period: every read-side critical section
-// that started before the call has ended. It then runs pending call_rcu
-// callbacks. Calling it from inside a read-side section is a deadlock by
-// definition and crashes immediately (like lockdep-RCU).
+// that started before the call has ended. Calling it from inside a
+// read-side section is a deadlock by definition and crashes immediately
+// (like lockdep-RCU).
 func (r *RCU) Synchronize(t *Task) {
 	if r.InReader(t) {
 		t.Crashf("rcu", "WARNING: synchronize_rcu inside a read-side critical section")
@@ -76,16 +74,6 @@ func (r *RCU) Synchronize(t *Task) {
 		t.Sched().ClearSpin()
 	}
 	t.Mb(rcuSyncSite)
-	cbs := r.pending
-	r.pending = nil
-	for _, cb := range cbs {
-		cb(t)
-	}
-}
-
-// CallRCU defers fn to run after the next grace period (call_rcu).
-func (r *RCU) CallRCU(fn func(*Task)) {
-	r.pending = append(r.pending, fn)
 }
 
 // rcuSyncSite is the instruction site of synchronize_rcu's fences.

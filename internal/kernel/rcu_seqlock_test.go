@@ -9,7 +9,7 @@ import (
 
 // TestRCUReadSideNesting: nesting balances; unbalanced unlock crashes.
 func TestRCUReadSideNesting(t *testing.T) {
-	k := New(2)
+	k := New()
 	crash := runTask(k, func(t2 *Task) {
 		r := k.RCU()
 		r.ReadLock(t2)
@@ -37,7 +37,7 @@ func TestRCUReadSideNesting(t *testing.T) {
 // TestRCUSynchronizeWaitsForReader: an updater's synchronize_rcu does not
 // return while another task is mid-read-side-section.
 func TestRCUSynchronizeWaitsForReader(t *testing.T) {
-	k := New(2)
+	k := New()
 	r := k.RCU()
 	reader, updater := k.NewTask(0), k.NewTask(1)
 	var order []string
@@ -66,7 +66,7 @@ func TestRCUSynchronizeWaitsForReader(t *testing.T) {
 
 // TestRCUSynchronizeInsideReaderCrashes: lockdep-RCU semantics.
 func TestRCUSynchronizeInsideReaderCrashes(t *testing.T) {
-	k := New(2)
+	k := New()
 	crash := runTask(k, func(t2 *Task) {
 		r := k.RCU()
 		r.ReadLock(t2)
@@ -77,32 +77,10 @@ func TestRCUSynchronizeInsideReaderCrashes(t *testing.T) {
 	}
 }
 
-// TestRCUCallbacksRunAfterGracePeriod: call_rcu callbacks run at the next
-// synchronize.
-func TestRCUCallbacksRunAfterGracePeriod(t *testing.T) {
-	k := New(2)
-	ran := 0
-	crash := runTask(k, func(t2 *Task) {
-		r := k.RCU()
-		r.CallRCU(func(*Task) { ran++ })
-		r.CallRCU(func(*Task) { ran++ })
-		if ran != 0 {
-			t2.Crashf("test", "callbacks ran early")
-		}
-		r.Synchronize(t2)
-		if ran != 2 {
-			t2.Crashf("test", "callbacks did not run: %d", ran)
-		}
-	})
-	if crash != nil {
-		t.Fatalf("crash: %v", crash)
-	}
-}
-
 // TestSeqlockWriterReaderRoundTrip: a sequential write/read cycle yields a
 // consistent snapshot and even sequence numbers.
 func TestSeqlockWriterReaderRoundTrip(t *testing.T) {
-	k := New(2)
+	k := New()
 	crash := runTask(k, func(t2 *Task) {
 		clk := t2.Kzalloc(3)
 		seq := Field(clk, 0)
@@ -131,7 +109,7 @@ func TestSeqlockWriterReaderRoundTrip(t *testing.T) {
 // TestSeqlockRetryDetectsConcurrentWrite: a reader that raced an in-flight
 // write sees a retry with the correct barrier.
 func TestSeqlockRetryDetectsConcurrentWrite(t *testing.T) {
-	k := New(2)
+	k := New()
 	clk := k.Mem.AllocZeroed(3)
 	seq := Field(clk, 0)
 	reader, writer := k.NewTask(0), k.NewTask(1)

@@ -143,8 +143,6 @@ type Memory struct {
 	// Sanitize toggles access checking. It is on by default; Table 5's
 	// uninstrumented baseline turns it off together with OEMU.
 	Sanitize bool
-
-	allocs, frees uint64
 }
 
 // New returns an empty memory with sanitizing enabled.
@@ -173,7 +171,6 @@ func (m *Memory) Reset() {
 	clear(m.objects)
 	m.quarantine = m.quarantine[:0]
 	m.Sanitize = true
-	m.allocs, m.frees = 0, 0
 }
 
 // pageFor returns the page containing addr, allocating it if needed.
@@ -191,9 +188,6 @@ func (m *Memory) pageFor(addr trace.Addr) (*page, int) {
 	m.lastIdx, m.lastPage = idx, p
 	return p, off
 }
-
-// Stats reports allocation counters (used by examples and tests).
-func (m *Memory) Stats() (allocs, frees uint64) { return m.allocs, m.frees }
 
 // Alloc allocates n words surrounded by one redzone word on each side and
 // returns the address of the first data word. Memory content is NOT zeroed:
@@ -215,7 +209,6 @@ func (m *Memory) Alloc(n int) trace.Addr {
 	m.setState(m.next, Redzone) // trailing redzone
 	m.next += WordSize
 	m.objects[base] = object{base: base, words: n}
-	m.allocs++
 	return base
 }
 
@@ -250,7 +243,6 @@ func (m *Memory) Free(base trace.Addr) error {
 		m.Write(a, 0xdeadbeef_deadbeef) // poison freed memory
 	}
 	m.quarantine = append(m.quarantine, obj)
-	m.frees++
 	if len(m.quarantine) > m.quarantineCap {
 		old := m.quarantine[0]
 		// Shift in place so the quarantine keeps one backing array.
@@ -260,14 +252,6 @@ func (m *Memory) Free(base trace.Addr) error {
 		}
 	}
 	return nil
-}
-
-// ObjectWords returns the size in words of the live object at base, or 0.
-func (m *Memory) ObjectWords(base trace.Addr) int {
-	if obj, ok := m.objects[base]; ok {
-		return obj.words
-	}
-	return 0
 }
 
 // Check validates an access against the sanitizer state. It returns nil if
@@ -303,10 +287,4 @@ func (m *Memory) Read(addr trace.Addr) uint64 {
 func (m *Memory) Write(addr trace.Addr, v uint64) {
 	p, off := m.pageFor(addr)
 	p.vals[off] = v
-}
-
-// State exposes the sanitizer state of a slot (for tests and reports).
-func (m *Memory) State(addr trace.Addr) SlotState {
-	p, off := m.pageFor(addr)
-	return p.state[off]
 }

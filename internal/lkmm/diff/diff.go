@@ -48,14 +48,6 @@ type Divergence struct {
 	ModelStates int
 }
 
-// Sound reports whether the soundness direction held (no OEMU-only
-// outcomes).
-func (d *Divergence) Sound() bool { return d == nil || len(d.OEMUOnly) == 0 }
-
-// Complete reports whether the completeness direction held (no
-// model-only outcomes).
-func (d *Divergence) Complete() bool { return d == nil || len(d.ModelOnly) == 0 }
-
 // String renders the divergence with its direction labels.
 func (d *Divergence) String() string {
 	if d == nil {
@@ -73,11 +65,8 @@ func (d *Divergence) String() string {
 	return b.String()
 }
 
-// Compare runs the shape through both engines under the LKMM and returns
-// the divergence, or nil when the outcome sets are identical.
-func Compare(t *lkmm.Test) *Divergence { return CompareModel(t, memmodel.LKMM) }
-
-// CompareModel cross-checks the shape under an arbitrary memory model:
+// CompareModel runs the shape through both engines under a memory model
+// and returns the divergence, or nil when the outcome sets are identical:
 // the emulator runs with the model's semantics table active and is
 // checked against its OWN reference enumeration under the same table, so
 // soundness and completeness are per-model properties.
@@ -130,14 +119,10 @@ type SuiteResult struct {
 // verdict holds.
 func (r *SuiteResult) OK() bool { return r.Div == nil && len(r.VerdictErrs) == 0 }
 
-// CheckSuite replays every named suite shape through both engines under
-// the LKMM, asserting outcome-set equality and the per-entry LKMM
-// verdicts.
-func CheckSuite() []SuiteResult { return CheckSuiteModel(memmodel.LKMM) }
-
-// CheckSuiteModel is CheckSuite under an arbitrary memory model: both
-// engines run the model's semantics and the verdicts come from each
-// entry's per-model resolution (SuiteEntry.VerdictsFor).
+// CheckSuiteModel replays every named suite shape through both engines
+// under a memory model, asserting outcome-set equality and the entry's
+// verdicts: both engines run the model's semantics and the verdicts come
+// from each entry's per-model resolution (SuiteEntry.VerdictsFor).
 func CheckSuiteModel(mm *memmodel.Table) []SuiteResult {
 	var out []SuiteResult
 	for _, e := range lkmm.Suite() {

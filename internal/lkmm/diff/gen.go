@@ -108,7 +108,7 @@ func genOp(r *rng, nLocs int, reg *int) lkmm.Op {
 	}
 }
 
-// GenFailure is one divergence found by CrossCheck, with the shrunk
+// GenFailure is one divergence found by CrossCheckModel, with the shrunk
 // minimal counterexample.
 type GenFailure struct {
 	// Index is the shape's index within the run; Shape(Seed, Index)
@@ -128,18 +128,13 @@ func (f *GenFailure) String() string {
 		f.Index, f.Seed, f.Div, f.ShrunkDiv)
 }
 
-// CrossCheck generates n shapes from the seed and cross-checks each
-// through Compare under the LKMM, shrinking every divergence to a minimal
-// counterexample. It returns all failures (empty means OEMU and the
-// model agreed on every shape).
-func CrossCheck(seed uint64, n int) []GenFailure {
-	return CrossCheckModel(seed, n, memmodel.LKMM)
-}
-
-// CrossCheckModel is CrossCheck under an arbitrary memory model: the same
-// deterministic shape stream, each shape compared against the model's own
-// reference enumeration. Running the identical (seed, n) stream once per
-// registered model is how CI covers every model with the same shapes.
+// CrossCheckModel generates n shapes from the seed and cross-checks each
+// through CompareModel against the model's own reference enumeration,
+// shrinking every divergence to a minimal counterexample. It returns all
+// failures (empty means OEMU and the model agreed on every shape). The
+// shape stream is deterministic: running the identical (seed, n) stream
+// once per registered model is how CI covers every model with the same
+// shapes.
 func CrossCheckModel(seed uint64, n int, mm *memmodel.Table) []GenFailure {
 	var fails []GenFailure
 	for i := 0; i < n; i++ {

@@ -26,7 +26,7 @@ func RunModelFresh(test *Test, mm *memmodel.Table) *Result {
 					}
 				}
 			})
-			res.Outcomes[MakeOutcome(regs)] = true
+			res.Outcomes[Outcome(appendOutcome(nil, regs))] = true
 			res.Runs++
 		})
 	}

@@ -88,12 +88,6 @@ type Test struct {
 // "r0=x;r1=y;...".
 type Outcome string
 
-// MakeOutcome renders register values canonically.
-func MakeOutcome(regs []uint64) Outcome {
-	var buf [64]byte
-	return Outcome(appendOutcome(buf[:0], regs))
-}
-
 // appendOutcome appends the canonical rendering of regs to b.
 func appendOutcome(b []byte, regs []uint64) []byte {
 	for i, v := range regs {
@@ -194,14 +188,11 @@ func enumerableSites(test *Test) []DirectiveSite {
 	return sites
 }
 
-// Run enumerates all interleavings x directive assignments under the LKMM
-// and returns the observable outcomes. The search is exhaustive
-// (exponential in program size — litmus tests are tiny by design).
-func Run(test *Test) *Result { return RunModel(test, memmodel.LKMM) }
-
-// RunModel is Run under an arbitrary memory model: the emulator executes
-// every interleaving x directive assignment with the given semantics
-// table active.
+// RunModel enumerates all interleavings x directive assignments under
+// the given memory model and returns the observable outcomes: the
+// emulator executes each with the model's semantics table active. The
+// search is exhaustive (exponential in program size — litmus tests are
+// tiny by design).
 func RunModel(test *Test, mm *memmodel.Table) *Result {
 	// Enumerate directive assignments: a bit per delayable store and per
 	// versionable load.

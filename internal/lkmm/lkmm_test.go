@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"ozz/internal/memmodel"
 )
 
 // The classic litmus shapes, named as in the memory-model literature and
@@ -25,7 +27,7 @@ func mp(b0, b1 []Op) *Test {
 // outcome r0=1 (flag seen) & r1=0 (data stale) IS observable — OEMU can
 // emulate the weak behaviour (the capability direction).
 func TestMPRelaxedAllowsStale(t *testing.T) {
-	res := Run(mp(nil, nil))
+	res := RunModel(mp(nil, nil), memmodel.LKMM)
 	if !res.Has("r0=1;r1=0") {
 		t.Fatalf("relaxed MP must allow the stale observation; got %v", res.Sorted())
 	}
@@ -40,7 +42,7 @@ func TestMPRelaxedAllowsStale(t *testing.T) {
 // TestMPFullyBarriered: smp_wmb + smp_rmb forbid the stale observation
 // (LKMM Cases 2 and 3).
 func TestMPFullyBarriered(t *testing.T) {
-	res := Run(mp([]Op{Wmb()}, []Op{Rmb()}))
+	res := RunModel(mp([]Op{Wmb()}, []Op{Rmb()}), memmodel.LKMM)
 	if res.Has("r0=1;r1=0") {
 		t.Fatalf("barriered MP must forbid the stale observation; got %v", res.Sorted())
 	}
@@ -50,7 +52,7 @@ func TestMPFullyBarriered(t *testing.T) {
 // without rmb — the reader's loads may still be reordered. This is exactly
 // why Fig. 1 needs BOTH barriers.
 func TestMPWmbOnlyStillWeak(t *testing.T) {
-	res := Run(mp([]Op{Wmb()}, nil))
+	res := RunModel(mp([]Op{Wmb()}, nil), memmodel.LKMM)
 	if !res.Has("r0=1;r1=0") {
 		t.Fatalf("MP with wmb only must still allow the stale read; got %v", res.Sorted())
 	}
@@ -59,7 +61,7 @@ func TestMPWmbOnlyStillWeak(t *testing.T) {
 // TestMPRmbOnlyStillWeak: symmetric — the reader's rmb alone cannot order
 // the writer's stores.
 func TestMPRmbOnlyStillWeak(t *testing.T) {
-	res := Run(mp(nil, []Op{Rmb()}))
+	res := RunModel(mp(nil, []Op{Rmb()}), memmodel.LKMM)
 	if !res.Has("r0=1;r1=0") {
 		t.Fatalf("MP with rmb only must still allow the stale observation; got %v", res.Sorted())
 	}
@@ -68,7 +70,7 @@ func TestMPRmbOnlyStillWeak(t *testing.T) {
 // TestMPFullBarriers: smp_mb on both sides forbids the stale observation
 // (LKMM Case 1).
 func TestMPFullBarriers(t *testing.T) {
-	res := Run(mp([]Op{Mb()}, []Op{Mb()}))
+	res := RunModel(mp([]Op{Mb()}, []Op{Mb()}), memmodel.LKMM)
 	if res.Has("r0=1;r1=0") {
 		t.Fatalf("mb-barriered MP must forbid the stale observation; got %v", res.Sorted())
 	}
@@ -85,7 +87,7 @@ func TestMPReleaseAcquire(t *testing.T) {
 		},
 		NumLocs: 2, NumRegs: 2,
 	}
-	res := Run(test)
+	res := RunModel(test, memmodel.LKMM)
 	if res.Has("r0=1;r1=0") {
 		t.Fatalf("release/acquire MP must forbid the stale observation; got %v", res.Sorted())
 	}
@@ -103,7 +105,7 @@ func TestMPReadOnceConsumer(t *testing.T) {
 		},
 		NumLocs: 2, NumRegs: 2,
 	}
-	res := Run(test)
+	res := RunModel(test, memmodel.LKMM)
 	if res.Has("r0=1;r1=0") {
 		t.Fatalf("READ_ONCE consumer must forbid the stale read; got %v", res.Sorted())
 	}
@@ -121,7 +123,7 @@ func TestSBRelaxedAllowsBothZero(t *testing.T) {
 		},
 		NumLocs: 2, NumRegs: 2,
 	}
-	res := Run(test)
+	res := RunModel(test, memmodel.LKMM)
 	if !res.Has("r0=0;r1=0") {
 		t.Fatalf("relaxed SB must allow r0=r1=0; got %v", res.Sorted())
 	}
@@ -139,7 +141,7 @@ func TestSBFullBarriersForbidBothZero(t *testing.T) {
 		},
 		NumLocs: 2, NumRegs: 2,
 	}
-	res := Run(test)
+	res := RunModel(test, memmodel.LKMM)
 	if res.Has("r0=0;r1=0") {
 		t.Fatalf("SB+mb must forbid r0=r1=0; got %v", res.Sorted())
 	}
@@ -158,7 +160,7 @@ func TestLBForbidden(t *testing.T) {
 		},
 		NumLocs: 2, NumRegs: 2,
 	}
-	res := Run(test)
+	res := RunModel(test, memmodel.LKMM)
 	if res.Has("r0=1;r1=1") {
 		t.Fatalf("LB outcome requires load-store reordering, which OEMU must not emulate; got %v", res.Sorted())
 	}
@@ -175,7 +177,7 @@ func TestCoRR(t *testing.T) {
 		},
 		NumLocs: 1, NumRegs: 2,
 	}
-	res := Run(test)
+	res := RunModel(test, memmodel.LKMM)
 	if res.Has("r0=1;r1=0") {
 		t.Fatalf("CoRR violated: new-then-old observed; got %v", res.Sorted())
 	}
@@ -194,7 +196,7 @@ func TestCoWW(t *testing.T) {
 		},
 		NumLocs: 1, NumRegs: 2,
 	}
-	res := Run(test)
+	res := RunModel(test, memmodel.LKMM)
 	// Forbidden: observing 2 then 1 (commit order inverted).
 	if res.Has("r0=2;r1=1") {
 		t.Fatalf("CoWW violated: got %v", res.Sorted())
@@ -211,7 +213,7 @@ func TestCoWR(t *testing.T) {
 		},
 		NumLocs: 1, NumRegs: 1,
 	}
-	res := Run(test)
+	res := RunModel(test, memmodel.LKMM)
 	if res.Has("r0=0") {
 		t.Fatalf("CoWR violated: own store invisible; got %v", res.Sorted())
 	}
@@ -234,7 +236,7 @@ func TestWmbBoundsDelayExactly(t *testing.T) {
 		},
 		NumLocs: 3, NumRegs: 2,
 	}
-	res := Run(test)
+	res := RunModel(test, memmodel.LKMM)
 	if res.Has("r0=1;r1=0") {
 		t.Fatalf("store crossed smp_wmb; got %v", res.Sorted())
 	}
@@ -242,8 +244,8 @@ func TestWmbBoundsDelayExactly(t *testing.T) {
 
 // TestRunCountsAndDeterminism: the exhaustive engine is deterministic.
 func TestRunCountsAndDeterminism(t *testing.T) {
-	a := Run(mp(nil, nil))
-	b := Run(mp(nil, nil))
+	a := RunModel(mp(nil, nil), memmodel.LKMM)
+	b := RunModel(mp(nil, nil), memmodel.LKMM)
 	if a.Runs == 0 || a.Runs != b.Runs {
 		t.Fatalf("runs %d vs %d", a.Runs, b.Runs)
 	}
@@ -267,7 +269,7 @@ func TestRShape(t *testing.T) {
 		},
 		NumLocs: 2, NumRegs: 1,
 	}
-	res := Run(relaxed)
+	res := RunModel(relaxed, memmodel.LKMM)
 	if !res.Has("r0=0") || !res.Has("r0=1") {
 		t.Fatalf("R shape should reach both reads; got %v", res.Sorted())
 	}
@@ -288,7 +290,7 @@ func TestSShape(t *testing.T) {
 		},
 		NumLocs: 2, NumRegs: 1,
 	}
-	res := Run(test)
+	res := RunModel(test, memmodel.LKMM)
 	for _, o := range res.Sorted() {
 		if o != "r0=0" && o != "r0=1" {
 			t.Fatalf("invented outcome %s", o)
@@ -309,7 +311,7 @@ func Test2Plus2W(t *testing.T) {
 		},
 		NumLocs: 2, NumRegs: 0,
 	}
-	res := Run(test)
+	res := RunModel(test, memmodel.LKMM)
 	if res.Runs == 0 {
 		t.Fatal("no runs")
 	}
@@ -329,7 +331,7 @@ func TestMPThreeReaders(t *testing.T) {
 		},
 		NumLocs: 2, NumRegs: 4,
 	}
-	res := Run(test)
+	res := RunModel(test, memmodel.LKMM)
 	orderedStale, unorderedStale := false, false
 	for o := range res.Outcomes {
 		s := string(o)
@@ -378,7 +380,7 @@ func TestPropertyNoInventedValues(t *testing.T) {
 			Threads: [][]Op{mkThread(0), mkThread(1)},
 			NumLocs: 2, NumRegs: 2,
 		}
-		res := Run(test)
+		res := RunModel(test, memmodel.LKMM)
 		for o := range res.Outcomes {
 			for _, part := range strings.Split(string(o), ";") {
 				var reg int

@@ -63,7 +63,7 @@ func (s *state) clone() *state {
 // It shares only the transition rules with RunModel.
 func RunModelFmtKey(t *lkmm.Test, mm *memmodel.Table) *Result {
 	m := &machine{test: t, mm: mm, slots: newStates(t, 2)}
-	res := &Result{Outcomes: make(map[lkmm.Outcome]bool)}
+	out := lkmm.NewOutcomeSet()
 	visited := map[string]bool{}
 	var explore func(s *state)
 	explore = func(s *state) {
@@ -92,10 +92,9 @@ func RunModelFmtKey(t *lkmm.Test, mm *memmodel.Table) *Result {
 			for ti := range t.Threads {
 				ns.drain(ti)
 			}
-			res.Outcomes[lkmm.MakeOutcome(ns.regs)] = true
+			out.Add(ns.regs)
 		}
 	}
 	explore(&newStates(t, 1)[0])
-	res.States = len(visited)
-	return res
+	return &Result{Outcomes: out.Outcomes, States: len(visited)}
 }

@@ -282,14 +282,12 @@ type machine struct {
 	outcomes *lkmm.OutcomeSet
 }
 
-// Run explores every interleaving of the test's threads across every
-// store-buffer/versioning choice under the LKMM and returns the permitted
-// outcome set. The search is exhaustive and deterministic; litmus tests
-// are tiny by design, so the deduplicated state space is small.
-func Run(t *lkmm.Test) *Result { return RunModel(t, memmodel.LKMM) }
-
-// RunModel is Run under an arbitrary memory model: every transition rule
-// reads its barrier/atomicity semantics from the given table.
+// RunModel explores every interleaving of the test's threads across every
+// store-buffer/versioning choice under the given memory model and returns
+// the permitted outcome set; every transition rule reads its
+// barrier/atomicity semantics from the model's table. The search is
+// exhaustive and deterministic; litmus tests are tiny by design, so the
+// deduplicated state space is small.
 func RunModel(t *lkmm.Test, mm *memmodel.Table) *Result {
 	// Every step retires one op, so the search is at most ops deep; the
 	// extra state is the root.

@@ -19,7 +19,7 @@ func mp(b0, b1 []lkmm.Op) *lkmm.Test {
 // TestMPRelaxed: with no barriers the model permits every combination,
 // including the stale observation an in-order machine cannot produce.
 func TestMPRelaxed(t *testing.T) {
-	res := Run(mp(nil, nil))
+	res := RunModel(mp(nil, nil), memmodel.LKMM)
 	want := []string{"r0=0;r1=0", "r0=0;r1=1", "r0=1;r1=0", "r0=1;r1=1"}
 	if got := res.Sorted(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("relaxed MP outcomes = %v, want %v", got, want)
@@ -88,7 +88,7 @@ func TestBarrierPPOCases(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			res := Run(tc.test)
+			res := RunModel(tc.test, memmodel.LKMM)
 			if tc.forbidden != "" && res.Has(tc.forbidden) {
 				t.Errorf("forbidden outcome %s permitted; got %v", tc.forbidden, res.Sorted())
 			}
@@ -108,7 +108,7 @@ func TestCoherence(t *testing.T) {
 		{lkmm.W(0, 1)},
 		{lkmm.R(0, 0), lkmm.R(0, 1)},
 	}, NumLocs: 1, NumRegs: 2}
-	if res := Run(corr); res.Has("r0=1;r1=0") {
+	if res := RunModel(corr, memmodel.LKMM); res.Has("r0=1;r1=0") {
 		t.Errorf("CoRR violated: %v", res.Sorted())
 	}
 	// CoWW: a reader can never observe the second store before the first.
@@ -116,14 +116,14 @@ func TestCoherence(t *testing.T) {
 		{lkmm.W(0, 1), lkmm.W(0, 2)},
 		{lkmm.R(0, 0), lkmm.R(0, 1)},
 	}, NumLocs: 1, NumRegs: 2}
-	if res := Run(coww); res.Has("r0=2;r1=1") {
+	if res := RunModel(coww, memmodel.LKMM); res.Has("r0=2;r1=1") {
 		t.Errorf("CoWW violated: %v", res.Sorted())
 	}
 	// CoWR: a thread always sees its own store.
 	cowr := &lkmm.Test{Name: "CoWR", Threads: [][]lkmm.Op{
 		{lkmm.W(0, 5), lkmm.R(0, 0)},
 	}, NumLocs: 1, NumRegs: 1}
-	res := Run(cowr)
+	res := RunModel(cowr, memmodel.LKMM)
 	if res.Has("r0=0") || !res.Has("r0=5") {
 		t.Errorf("CoWR violated: %v", res.Sorted())
 	}
@@ -131,7 +131,7 @@ func TestCoherence(t *testing.T) {
 
 // TestDeterminism: two explorations of one shape agree exactly.
 func TestDeterminism(t *testing.T) {
-	a, b := Run(mp(nil, nil)), Run(mp(nil, nil))
+	a, b := RunModel(mp(nil, nil), memmodel.LKMM), RunModel(mp(nil, nil), memmodel.LKMM)
 	if a.States != b.States || !reflect.DeepEqual(a.Sorted(), b.Sorted()) {
 		t.Fatalf("nondeterministic exploration: %d/%v vs %d/%v",
 			a.States, a.Sorted(), b.States, b.Sorted())
@@ -142,7 +142,7 @@ func TestDeterminism(t *testing.T) {
 // alone: the LKMM verdicts must hold before OEMU is even consulted.
 func TestSuiteVerdicts(t *testing.T) {
 	for _, e := range lkmm.Suite() {
-		res := Run(e.Test)
+		res := RunModel(e.Test, memmodel.LKMM)
 		for _, o := range e.Allowed {
 			if !res.Has(o) {
 				t.Errorf("%s: allowed outcome %s unreachable in model; got %v",
@@ -161,7 +161,12 @@ func TestSuiteVerdicts(t *testing.T) {
 // TestSuiteCoversAllPPOCases: the named suite must pin all 7 preserved-
 // program-order cases of §10.1.
 func TestSuiteCoversAllPPOCases(t *testing.T) {
-	cov := lkmm.SuiteCases()
+	cov := make(map[int]bool)
+	for _, e := range lkmm.Suite() {
+		for _, c := range e.Cases {
+			cov[c] = true
+		}
+	}
 	for c := 1; c <= 7; c++ {
 		if !cov[c] {
 			t.Errorf("suite covers no shape for PPO case %d", c)

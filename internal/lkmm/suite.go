@@ -164,15 +164,3 @@ func Suite() []SuiteEntry {
 		},
 	}
 }
-
-// SuiteCases returns the set of §10.1 PPO cases the suite covers; the
-// compliance tests assert it equals {1..7}.
-func SuiteCases() map[int]bool {
-	cov := make(map[int]bool)
-	for _, e := range Suite() {
-		for _, c := range e.Cases {
-			cov[c] = true
-		}
-	}
-	return cov
-}

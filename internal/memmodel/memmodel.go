@@ -80,8 +80,6 @@ type PPO struct {
 type Def struct {
 	// Name is the registry key and -model flag value (e.g. "lkmm").
 	Name string
-	// Doc is a one-line description for docs and -list output.
-	Doc string
 	// Barriers maps every trace.BarrierKind to its ordering effect.
 	Barriers map[trace.BarrierKind]BarrierSem
 	// Stores maps every trace.Atomicity to its store-side semantics.
@@ -97,7 +95,6 @@ type Def struct {
 // allocations and no interface dispatch.
 type Table struct {
 	name string
-	doc  string
 
 	ordersStores [trace.NumBarrierKinds]bool
 	ordersLoads  [trace.NumBarrierKinds]bool
@@ -118,7 +115,7 @@ func Compile(d Def) (*Table, error) {
 	if d.Name == "" {
 		return nil, fmt.Errorf("memmodel: Def has no name")
 	}
-	t := &Table{name: d.Name, doc: d.Doc, storeStore: d.PPO.StoreStore}
+	t := &Table{name: d.Name, storeStore: d.PPO.StoreStore}
 	for _, k := range trace.AllBarrierKinds() {
 		sem, ok := d.Barriers[k]
 		if !ok {
@@ -167,9 +164,6 @@ func MustCompile(d Def) *Table {
 
 // Name returns the registry key of the model.
 func (t *Table) Name() string { return t.name }
-
-// Doc returns the one-line model description.
-func (t *Table) Doc() string { return t.doc }
 
 // OrdersStores reports whether barrier k is a store-buffer flush point.
 func (t *Table) OrdersStores(k trace.BarrierKind) bool { return t.ordersStores[k] }

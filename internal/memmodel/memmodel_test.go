@@ -45,27 +45,52 @@ func TestModelsExhaustive(t *testing.T) {
 	}
 }
 
+// The LKMM predicates of the paper (§3.3, §10.1), stated directly so the
+// compiled table can be pinned against them.
+//
+//   - ordersStores: store buffer flush points (store, full and release
+//     barriers) forbid delaying precedent stores past them;
+//   - ordersLoads: versioning-window reset points (load, full and acquire
+//     barriers) forbid subsequent loads from reading older values;
+//   - isRelease: a release store (Case 5: smp_store_release,
+//     clear_bit_unlock) drains the store buffer and is never delayed;
+//   - actsAsLoadBarrier: an acquire load (Case 4) or an annotated load
+//     (READ_ONCE / atomic RMW, Case 6) pins the versioning window.
+func ordersStores(k trace.BarrierKind) bool {
+	return k == trace.BarrierFull || k == trace.BarrierStore || k == trace.BarrierRelease
+}
+
+func ordersLoads(k trace.BarrierKind) bool {
+	return k == trace.BarrierFull || k == trace.BarrierLoad || k == trace.BarrierAcquire
+}
+
+func isRelease(a trace.Atomicity) bool { return a == trace.AtomicRelease }
+
+func actsAsLoadBarrier(a trace.Atomicity) bool {
+	return a == trace.Once || a == trace.Atomic || a == trace.AtomicAcquire
+}
+
 // TestLKMMMatchesTracePredicates pins the compiled LKMM table bit-identical
-// to the hard-coded trace predicates it replaced. If this fails, the
-// refactor changed default semantics.
+// to the LKMM predicates above. If this fails, a change altered the
+// default semantics.
 func TestLKMMMatchesTracePredicates(t *testing.T) {
 	for _, k := range trace.AllBarrierKinds() {
-		if got, want := LKMM.OrdersStores(k), k.OrdersStores(); got != want {
-			t.Errorf("LKMM.OrdersStores(%s)=%v, trace predicate says %v", k, got, want)
+		if got, want := LKMM.OrdersStores(k), ordersStores(k); got != want {
+			t.Errorf("LKMM.OrdersStores(%s)=%v, LKMM predicate says %v", k, got, want)
 		}
-		if got, want := LKMM.OrdersLoads(k), k.OrdersLoads(); got != want {
-			t.Errorf("LKMM.OrdersLoads(%s)=%v, trace predicate says %v", k, got, want)
+		if got, want := LKMM.OrdersLoads(k), ordersLoads(k); got != want {
+			t.Errorf("LKMM.OrdersLoads(%s)=%v, LKMM predicate says %v", k, got, want)
 		}
 	}
 	for _, a := range trace.AllAtomicities() {
-		if got, want := LKMM.Release(a), a.IsRelease(); got != want {
-			t.Errorf("LKMM.Release(%s)=%v, trace predicate says %v", a, got, want)
+		if got, want := LKMM.Release(a), isRelease(a); got != want {
+			t.Errorf("LKMM.Release(%s)=%v, LKMM predicate says %v", a, got, want)
 		}
-		if got, want := LKMM.Delayable(a), !a.IsRelease(); got != want {
+		if got, want := LKMM.Delayable(a), !isRelease(a); got != want {
 			t.Errorf("LKMM.Delayable(%s)=%v, want %v (every non-release store delays)", a, got, want)
 		}
-		if got, want := LKMM.LoadBarrier(a), a.ActsAsLoadBarrier(); got != want {
-			t.Errorf("LKMM.LoadBarrier(%s)=%v, trace predicate says %v", a, got, want)
+		if got, want := LKMM.LoadBarrier(a), actsAsLoadBarrier(a); got != want {
+			t.Errorf("LKMM.LoadBarrier(%s)=%v, LKMM predicate says %v", a, got, want)
 		}
 		// The pre-refactor versioned-load path had no atomicity gate:
 		// every load annotation may read stale values under LKMM.
@@ -194,9 +219,6 @@ func TestRegistry(t *testing.T) {
 		}
 		if m.Name() != name {
 			t.Errorf("ByName(%q).Name()=%q", name, m.Name())
-		}
-		if m.Doc() == "" {
-			t.Errorf("%s has no doc line", name)
 		}
 	}
 	if _, err := ByName("power"); err == nil {

@@ -1,7 +1,7 @@
 // The three built-in memory models. Each is a declarative Def compiled at
-// init; the LKMM table is pinned bit-identical to the trace predicates it
-// replaced (memmodel_test.go cross-checks every enum value), so the
-// refactor cannot drift the default semantics.
+// init; the LKMM table is pinned bit-identical to the paper's LKMM
+// predicates (memmodel_test.go cross-checks every enum value), so a change
+// cannot drift the default semantics.
 package memmodel
 
 import "ozz/internal/trace"
@@ -13,7 +13,6 @@ import "ozz/internal/trace"
 // smp_rmb/smp_mb/acquire order loads.
 var LKMM = MustCompile(Def{
 	Name: "lkmm",
-	Doc:  "Linux Kernel Memory Model (paper §3.3/§10.1); the default",
 	Barriers: map[trace.BarrierKind]BarrierSem{
 		trace.BarrierFull:    {OrdersStores: true, OrdersLoads: true},
 		trace.BarrierLoad:    {OrdersStores: false, OrdersLoads: true},
@@ -48,7 +47,6 @@ var LKMM = MustCompile(Def{
 // program order, which is exactly what makes release stores free on x86.
 var TSO = MustCompile(Def{
 	Name: "tso",
-	Doc:  "x86 total store order: store->load reordering only, FIFO store buffer",
 	Barriers: map[trace.BarrierKind]BarrierSem{
 		trace.BarrierFull:    {OrdersStores: true, OrdersLoads: true},
 		trace.BarrierLoad:    {OrdersStores: false, OrdersLoads: false}, // smp_rmb: no-op on x86
@@ -87,7 +85,6 @@ var TSO = MustCompile(Def{
 // reorderings rather than missing any.
 var ARMv8 = MustCompile(Def{
 	Name: "armv8",
-	Doc:  "simplified ARMv8: weaker load ordering, acquire/release the only one-way fences",
 	Barriers: map[trace.BarrierKind]BarrierSem{
 		trace.BarrierFull:    {OrdersStores: true, OrdersLoads: true},  // dmb ish
 		trace.BarrierLoad:    {OrdersStores: false, OrdersLoads: true}, // dmb ishld

@@ -235,19 +235,6 @@ func (s *Set) Lookup(d *syzlang.SyscallDef) Instance {
 	return nil
 }
 
-// Build constructs fresh instances of the named modules over k into a new
-// Set. An empty name list builds every registered module.
-func Build(k *kernel.Kernel, bugs BugSet, names ...string) *Set {
-	if len(names) == 0 {
-		for _, m := range All() {
-			names = append(names, m.Name)
-		}
-	}
-	s := &Set{Names: names}
-	s.Build(k, bugs)
-	return s
-}
-
 // --- instruction-site registry ---------------------------------------------
 
 var siteNames = map[trace.InstrID]string{}

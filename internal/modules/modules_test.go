@@ -57,7 +57,7 @@ func TestSeedsParseAndRunClean(t *testing.T) {
 				if err != nil {
 					t.Fatalf("seed %d: %v", si, err)
 				}
-				k := kernel.New(4)
+				k := kernel.New()
 				mods := Build(k, nil, m.Name)
 				returns := make([]uint64, len(p.Calls))
 				task := k.NewTask(0)
@@ -96,7 +96,7 @@ func TestSeedsParseAndRunClean(t *testing.T) {
 // (EBADF, no crash).
 func TestEveryTemplateImplemented(t *testing.T) {
 	for _, m := range All() {
-		k := kernel.New(4)
+		k := kernel.New()
 		mods := Build(k, nil, m.Name)
 		for i, d := range m.Defs {
 			if d.Nr != i || d.Module != m.Name {
@@ -169,7 +169,7 @@ func TestCallTablesMatchDefs(t *testing.T) {
 // TestSetLookup: a def resolves to its module's instance, and to nil
 // when the set lacks its module.
 func TestSetLookup(t *testing.T) {
-	k := kernel.New(4)
+	k := kernel.New()
 	mods := Build(k, nil, "tls", "watchqueue")
 	if in := mods.Lookup(Target("watchqueue").Lookup("wq_create")); in == nil {
 		t.Fatal("a watchqueue def found no instance")
@@ -264,7 +264,7 @@ func TestBuildUnknownModulePanics(t *testing.T) {
 			t.Fatal("Build(unknown) did not panic")
 		}
 	}()
-	k := kernel.New(2)
+	k := kernel.New()
 	Build(k, nil, "no_such_module")
 }
 
@@ -285,7 +285,7 @@ func runModuleCalls(t *testing.T, mod string, bugs BugSet, calls []struct {
 	args []uint64
 }) []uint64 {
 	t.Helper()
-	k := kernel.New(4)
+	k := kernel.New()
 	mods := Build(k, bugs, mod)
 	target := Target(mod)
 	rets := make([]uint64, len(calls))
@@ -402,7 +402,7 @@ func TestSbitmapSemantics(t *testing.T) {
 // wait with no commit times out without reporting a hang (no commit = no
 // lost wakeup).
 func TestBtrfsWaitCommitSemantics(t *testing.T) {
-	k := kernel.New(4)
+	k := kernel.New()
 	target := Target("btrfs")
 	start, commit, wait := target.Lookup("btrfs_txn_start"), target.Lookup("btrfs_txn_commit"), target.Lookup("btrfs_txn_wait")
 	mods := Build(k, nil, "btrfs")
@@ -426,7 +426,7 @@ func TestBtrfsWaitCommitSemantics(t *testing.T) {
 		t.Fatalf("spurious hang report: %v", k.Soft)
 	}
 	// Wait with no commit: plain timeout, no hang report.
-	k2 := kernel.New(4)
+	k2 := kernel.New()
 	mods2 := Build(k2, nil, "btrfs")
 	task2 := k2.NewTask(0)
 	s2 := sched.NewSession(sched.Sequential{})

@@ -140,7 +140,7 @@ func (in *pcInstance) pcTrim(t *kernel.Task, args []uint64) uint64 {
 	defer t.Enter("pc_trim")()
 	buf := t.Kzalloc(int(n))
 	base := in.pos[int(args[0]-1)]
-	for cpu := 0; cpu < t.K.NrCPU(); cpu++ {
+	for cpu := 0; cpu < kernel.NrCPU; cpu++ {
 		t.Store(pcSitePosReset, base+trace.Addr(cpu*8), 0)
 	}
 	if !in.bugs.Has("percpu:trim_order") {
@@ -164,7 +164,7 @@ func (in *pcInstance) pcSum(t *kernel.Task, args []uint64) uint64 {
 	defer t.Enter("pc_sum")()
 	base := in.pos[int(args[0]-1)]
 	var sum uint64
-	for cpu := 0; cpu < t.K.NrCPU(); cpu++ {
+	for cpu := 0; cpu < kernel.NrCPU; cpu++ {
 		sum += t.ReadOnce(pcSiteSumLd, base+trace.Addr(cpu*8))
 	}
 	return sum

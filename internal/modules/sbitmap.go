@@ -144,7 +144,7 @@ func (in *sbInstance) sbResize(t *kernel.Task, args []uint64) uint64 {
 	// and the reader therefore touch DIFFERENT addresses here, and only
 	// the same address after a migration.
 	base := in.hints[int(args[0]-1)]
-	for cpu := 0; cpu < t.K.NrCPU(); cpu++ {
+	for cpu := 0; cpu < kernel.NrCPU; cpu++ {
 		t.Store(sbSiteHintReset, base+trace.Addr(cpu*8), 0)
 	}
 	if !in.bugs.Has("sbitmap:freed_order") {

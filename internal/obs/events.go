@@ -115,11 +115,6 @@ func (l *EventLog) Emit(worker int, level Level, kind string, fields map[string]
 	}
 }
 
-// Debug emits a LevelDebug event (nil-safe).
-func (l *EventLog) Debug(worker int, kind string, fields map[string]any) {
-	l.Emit(worker, LevelDebug, kind, fields)
-}
-
 // Info emits a LevelInfo event (nil-safe).
 func (l *EventLog) Info(worker int, kind string, fields map[string]any) {
 	l.Emit(worker, LevelInfo, kind, fields)
@@ -128,11 +123,6 @@ func (l *EventLog) Info(worker int, kind string, fields map[string]any) {
 // Warn emits a LevelWarn event (nil-safe).
 func (l *EventLog) Warn(worker int, kind string, fields map[string]any) {
 	l.Emit(worker, LevelWarn, kind, fields)
-}
-
-// Error emits a LevelError event (nil-safe).
-func (l *EventLog) Error(worker int, kind string, fields map[string]any) {
-	l.Emit(worker, LevelError, kind, fields)
 }
 
 // Err returns the first write error encountered, if any. After a write

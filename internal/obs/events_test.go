@@ -66,10 +66,10 @@ func TestEventOrdering(t *testing.T) {
 func TestEventLevelFilter(t *testing.T) {
 	var sb strings.Builder
 	l := NewEventLog(&sb, LevelWarn)
-	l.Debug(0, "d", nil)
+	l.Emit(0, LevelDebug, "d", nil)
 	l.Info(0, "i", nil)
 	l.Warn(1, "w", nil)
-	l.Error(1, "e", nil)
+	l.Emit(1, LevelError, "e", nil)
 	evs := decodeEvents(t, sb.String())
 	if len(evs) != 2 {
 		t.Fatalf("got %d events, want 2 (debug+info dropped)", len(evs))
@@ -85,9 +85,9 @@ func TestEventLevelFilter(t *testing.T) {
 func TestEventNilSafety(t *testing.T) {
 	var l *EventLog
 	l.Info(0, "ignored", nil) // must not panic
-	l.Debug(0, "ignored", nil)
+	l.Emit(0, LevelDebug, "ignored", nil)
 	l.Warn(0, "ignored", nil)
-	l.Error(0, "ignored", nil)
+	l.Emit(0, LevelError, "ignored", nil)
 	if err := l.Err(); err != nil {
 		t.Errorf("nil log Err = %v", err)
 	}

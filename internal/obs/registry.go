@@ -83,17 +83,6 @@ type Gauge struct {
 // Set replaces the gauge value.
 func (g *Gauge) Set(v float64) { g.bits.Store(mathFloat64bits(v)) }
 
-// Add adds delta to the gauge value (CAS loop; safe concurrently).
-func (g *Gauge) Add(delta float64) {
-	for {
-		old := g.bits.Load()
-		next := mathFloat64bits(mathFloat64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
 // Value returns the current gauge value.
 func (g *Gauge) Value() float64 { return mathFloat64frombits(g.bits.Load()) }
 
@@ -101,7 +90,7 @@ func (g *Gauge) Value() float64 { return mathFloat64frombits(g.bits.Load()) }
 // use. A bucket with upper bound `le` counts observations v <= le
 // (inclusive, Prometheus semantics); observations beyond the last bound
 // land in the implicit +Inf bucket. Bounds are set at registration and
-// never change, so merging histograms is bucket-wise addition.
+// never change.
 type Histogram struct {
 	// upper holds the finite bucket upper bounds, strictly increasing.
 	upper []float64
@@ -143,41 +132,6 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return mathFloat64frombits(h.sumBits.Load()) }
-
-// Buckets returns the finite upper bounds (a copy).
-func (h *Histogram) Buckets() []float64 {
-	out := make([]float64, len(h.upper))
-	copy(out, h.upper)
-	return out
-}
-
-// BucketCount returns the non-cumulative count of bucket i, where
-// i == len(Buckets()) addresses the +Inf bucket.
-func (h *Histogram) BucketCount(i int) uint64 { return h.counts[i].Load() }
-
-// Merge adds other's observations into h. The bucket bounds must be
-// identical; Merge returns an error (and changes nothing) otherwise.
-func (h *Histogram) Merge(other *Histogram) error {
-	if len(h.upper) != len(other.upper) {
-		return fmt.Errorf("obs: merge of histograms with %d vs %d buckets", len(h.upper), len(other.upper))
-	}
-	for i := range h.upper {
-		if h.upper[i] != other.upper[i] {
-			return fmt.Errorf("obs: merge of histograms with mismatched bound %d: %v vs %v", i, h.upper[i], other.upper[i])
-		}
-	}
-	for i := range other.counts {
-		h.counts[i].Add(other.counts[i].Load())
-	}
-	h.count.Add(other.count.Load())
-	for {
-		old := h.sumBits.Load()
-		next := mathFloat64bits(mathFloat64frombits(old) + other.Sum())
-		if h.sumBits.CompareAndSwap(old, next) {
-			return nil
-		}
-	}
-}
 
 // DurationBuckets is the default latency histogram layout: exponential
 // bounds from 1µs to 4s, in seconds — wide enough for both a single
@@ -234,12 +188,6 @@ type CounterVec struct{ f *family }
 // With returns the counter for the given label values (created on first
 // use). The result can be cached by callers on hot paths.
 func (v *CounterVec) With(values ...string) *Counter { return v.f.child(values).(*Counter) }
-
-// GaugeVec is a family of gauges distinguished by label values.
-type GaugeVec struct{ f *family }
-
-// With returns the gauge for the given label values (created on first use).
-func (v *GaugeVec) With(values ...string) *Gauge { return v.f.child(values).(*Gauge) }
 
 // HistogramVec is a family of histograms distinguished by label values.
 type HistogramVec struct{ f *family }
@@ -300,11 +248,6 @@ func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
 // Gauge returns (registering on first use) the label-less gauge name.
 func (r *Registry) Gauge(name, help string) *Gauge {
 	return r.lookup(name, help, kindGauge, nil, nil).child(nil).(*Gauge)
-}
-
-// GaugeVec returns (registering on first use) the labeled gauge family.
-func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
-	return &GaugeVec{f: r.lookup(name, help, kindGauge, labels, nil)}
 }
 
 // Histogram returns (registering on first use) the label-less histogram

@@ -61,7 +61,7 @@ func TestRecycledRunAllocationFreeTracked(t *testing.T) {
 		mem.Reset()
 		em.Reset()
 	}
-	if !em.HistoryTracking() {
+	if !em.trackHistory {
 		t.Fatal("tracking should be on by default after Reset")
 	}
 	allocs := testing.AllocsPerRun(50, func() {
@@ -89,7 +89,7 @@ func TestHistoryTrackingGate(t *testing.T) {
 	// Re-arm mid-run: the directive path comes back, but the pre-arm
 	// history was never recorded, so the load cannot observe X=1 or X=0.
 	a.Dir.ReadOldValueAt(2)
-	if !em.HistoryTracking() {
+	if !em.trackHistory {
 		t.Fatal("ReadOldValueAt must re-arm history tracking")
 	}
 	if got := a.Load(2, addrX, trace.Plain); got != 2 {
@@ -102,7 +102,7 @@ func TestHistoryTrackingGate(t *testing.T) {
 		t.Fatalf("versioned load after re-arm: got %d, want old value 2", got)
 	}
 	em.Reset()
-	if !em.HistoryTracking() {
+	if !em.trackHistory {
 		t.Fatal("Reset must restore tracking to the default (on)")
 	}
 }

@@ -466,9 +466,6 @@ func (em *OEMU) armHistory() {
 	em.armFloor = em.clock
 }
 
-// HistoryTracking reports whether commits are being recorded.
-func (em *OEMU) HistoryTracking() bool { return em.trackHistory }
-
 // addrOf interns an address into its dense index, growing the per-address
 // tables on first sight.
 func (em *OEMU) addrOf(addr trace.Addr) int32 {
@@ -795,9 +792,6 @@ func (t *Thread) Flush() {
 	}
 	t.sb = t.sb[:0]
 }
-
-// PendingStores returns the number of in-flight delayed stores.
-func (t *Thread) PendingStores() int { return len(t.sb) }
 
 // PendingAt reports whether a delayed store to addr is in flight and, if so,
 // its held value.

@@ -40,8 +40,8 @@ func TestInOrderByDefault(t *testing.T) {
 	if got := b.Load(2, addrX, trace.Plain); got != 1 {
 		t.Fatalf("other thread sees %d, want 1", got)
 	}
-	if a.PendingStores() != 0 {
-		t.Fatalf("unexpected pending stores: %d", a.PendingStores())
+	if len(a.sb) != 0 {
+		t.Fatalf("unexpected pending stores: %d", len(a.sb))
 	}
 }
 
@@ -546,7 +546,7 @@ func TestPerThreadBuffersIndependent(t *testing.T) {
 	a, b := ths[0], ths[1]
 	a.Dir.DelayStoreAt(1)
 	a.Store(1, addrX, 7, trace.Plain)
-	if b.PendingStores() != 0 {
+	if len(b.sb) != 0 {
 		t.Fatal("buffer leaked across threads")
 	}
 	if got := b.Load(2, addrX, trace.Plain); got != 0 {

@@ -278,7 +278,6 @@ var scBaseline = memmodel.MustCompile(scDef())
 func scDef() memmodel.Def {
 	d := memmodel.Def{
 		Name:     "sc-baseline",
-		Doc:      "sequential consistency: the no-reordering baseline repair validates against",
 		Barriers: map[trace.BarrierKind]memmodel.BarrierSem{},
 		Stores:   map[trace.Atomicity]memmodel.StoreSem{},
 		Loads:    map[trace.Atomicity]memmodel.LoadSem{},

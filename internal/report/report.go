@@ -111,24 +111,6 @@ func (s *Set) Add(r *Report) bool {
 	return true
 }
 
-// Merge inserts every report of other whose title s does not yet know,
-// walking other in its first-seen order so the merged set's discovery
-// order is s's order followed by other's genuinely new titles. It returns
-// the number of reports added. Merging is how a manager folds worker
-// report sets into the global deduplicated view; Merge(s) is a no-op and
-// merging the same set twice adds nothing.
-func (s *Set) Merge(other *Set) (added int) {
-	if other == nil || other == s {
-		return 0
-	}
-	for _, t := range other.order {
-		if s.Add(other.byTitle[t]) {
-			added++
-		}
-	}
-	return added
-}
-
 // Get returns the report with the given title, or nil.
 func (s *Set) Get(title string) *Report { return s.byTitle[title] }
 

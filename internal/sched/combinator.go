@@ -35,15 +35,6 @@ func OnNthOccurrence(instr trace.InstrID, n int) Predicate {
 	}
 }
 
-// OnTaskCPU returns a predicate that holds while task id is on simulated
-// CPU cpu. A task that was never spawned never satisfies it.
-func OnTaskCPU(id, cpu int) Predicate {
-	return func(cur *Task, _ trace.InstrID) bool {
-		t := cur.session.byID(id)
-		return t != nil && t.CPU == cpu
-	}
-}
-
 // OnTask returns a predicate that holds when the task at the scheduling
 // point is task id.
 func OnTask(id int) Predicate {
@@ -60,19 +51,6 @@ func And(ps ...Predicate) Predicate {
 			}
 		}
 		return true
-	}
-}
-
-// Or returns the disjunction of the given predicates. With no operands it
-// never holds.
-func Or(ps ...Predicate) Predicate {
-	return func(cur *Task, instr trace.InstrID) bool {
-		for _, p := range ps {
-			if p(cur, instr) {
-				return true
-			}
-		}
-		return false
 	}
 }
 

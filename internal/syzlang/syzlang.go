@@ -220,16 +220,6 @@ func NewTarget(defs []*SyscallDef) *Target {
 // Lookup returns the template by name, or nil.
 func (t *Target) Lookup(name string) *SyscallDef { return t.byName[name] }
 
-// Names returns all template names, sorted.
-func (t *Target) Names() []string {
-	names := make([]string, 0, len(t.byName))
-	for n := range t.byName {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // appendCall appends a concrete instance of def, first recursively appending
 // producer calls for any resource argument that has no in-scope producer.
 // depth bounds producer recursion.
@@ -380,7 +370,7 @@ func (t *Target) Parse(src string) (*Program, error) {
 			return nil, fmt.Errorf("line %d: malformed call %q", ln+1, line)
 		}
 		name := strings.TrimSpace(rest[:open])
-		def := t.byName[name]
+		def := t.Lookup(name)
 		if def == nil {
 			return nil, fmt.Errorf("line %d: unknown syscall %q", ln+1, name)
 		}

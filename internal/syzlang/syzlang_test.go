@@ -232,12 +232,20 @@ func TestPropertyGenerateMutateParse(t *testing.T) {
 	}
 }
 
-// TestNames lists templates deterministically.
+// TestNames: every template is found by its name, and an unknown name
+// finds nothing.
 func TestNames(t *testing.T) {
 	tg := testTarget()
-	names := tg.Names()
-	if len(names) != 5 || names[0] != "queue_make" {
-		t.Fatalf("names = %v", names)
+	if len(tg.byName) != 5 {
+		t.Fatalf("indexed %d names, want 5", len(tg.byName))
+	}
+	for name, d := range tg.byName {
+		if d.Name != name || tg.Lookup(name) != d {
+			t.Errorf("Lookup(%q) = %v", name, tg.Lookup(name))
+		}
+	}
+	if tg.Lookup("queue_nope") != nil {
+		t.Error("unknown name found a template")
 	}
 }
 

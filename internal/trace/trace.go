@@ -10,7 +10,6 @@ package trace
 
 import (
 	"fmt"
-	"strings"
 )
 
 // InstrID identifies a static instruction site carrying a memory access or a
@@ -99,25 +98,6 @@ func (a Atomicity) String() string {
 	return fmt.Sprintf("atomicity(%d)", uint8(a))
 }
 
-// ActsAsLoadBarrier reports whether a LOAD with this annotation orders
-// subsequent loads after itself — the two dependency cases of the LKMM's
-// preserved program order (§10.1): an acquire load (Case 4) and an
-// annotated load (READ_ONCE / atomic RMW, Case 6, the conservative
-// address-dependency rule). OEMU advances the versioning window after such
-// loads; the reference model (internal/lkmm/model) and the
-// hypothetical-barrier test (internal/hints) share this predicate so all
-// three agree on which loads pin the window. This is the LKMM reading;
-// other memory models override it via internal/memmodel tables.
-func (a Atomicity) ActsAsLoadBarrier() bool {
-	return a == Once || a == Atomic || a == AtomicAcquire
-}
-
-// IsRelease reports whether a STORE with this annotation orders all
-// precedent accesses before itself (LKMM Case 5: smp_store_release,
-// clear_bit_unlock). A release store drains the virtual store buffer and
-// is never itself delayed.
-func (a Atomicity) IsRelease() bool { return a == AtomicRelease }
-
 // BarrierKind enumerates the memory barriers of Table 1.
 type BarrierKind uint8
 
@@ -170,19 +150,6 @@ func (b BarrierKind) String() string {
 	return fmt.Sprintf("barrier(%d)", uint8(b))
 }
 
-// OrdersStores reports whether the barrier forbids delaying precedent stores
-// past it (store buffer flush points: store, full, and release barriers).
-func (b BarrierKind) OrdersStores() bool {
-	return b == BarrierFull || b == BarrierStore || b == BarrierRelease
-}
-
-// OrdersLoads reports whether the barrier forbids subsequent loads from
-// reading values older than the barrier point (versioning-window reset
-// points: load, full, and acquire barriers).
-func (b BarrierKind) OrdersLoads() bool {
-	return b == BarrierFull || b == BarrierLoad || b == BarrierAcquire
-}
-
 // AccessEvent is the five-tuple recorded for a memory access (§4.2).
 type AccessEvent struct {
 	Instr  InstrID
@@ -231,22 +198,6 @@ type Event struct {
 	Bar     BarrierEvent
 }
 
-// Instr returns the instruction site of the event regardless of its kind.
-func (e Event) Instr() InstrID {
-	if e.Barrier {
-		return e.Bar.Instr
-	}
-	return e.Acc.Instr
-}
-
-// Time returns the logical timestamp of the event regardless of its kind.
-func (e Event) Time() uint64 {
-	if e.Barrier {
-		return e.Bar.Time
-	}
-	return e.Acc.Time
-}
-
 // String renders the event compactly, e.g. "store@12 0x40=…" or "smp_wmb@7".
 func (e Event) String() string {
 	if e.Barrier {
@@ -280,28 +231,6 @@ func (b *Buffer) Reset() {
 // Len returns the number of recorded events.
 func (b *Buffer) Len() int { return len(b.Events) }
 
-// Accesses returns only the access events, in order.
-func (b *Buffer) Accesses() []AccessEvent {
-	out := make([]AccessEvent, 0, len(b.Events))
-	for _, e := range b.Events {
-		if !e.Barrier {
-			out = append(out, e.Acc)
-		}
-	}
-	return out
-}
-
-// Barriers returns only the barrier events, in order.
-func (b *Buffer) Barriers() []BarrierEvent {
-	var out []BarrierEvent
-	for _, e := range b.Events {
-		if e.Barrier {
-			out = append(out, e.Bar)
-		}
-	}
-	return out
-}
-
 // Since returns the events recorded after the first start, or nil when
 // there are none. The view's capacity ends at its length, so appending to
 // it copies instead of overwriting events recorded later. It aliases the
@@ -312,13 +241,4 @@ func (b *Buffer) Since(start int) []Event {
 		return nil
 	}
 	return b.Events[start:n:n]
-}
-
-// Dump renders all events one per line, for debugging and reports.
-func (b *Buffer) Dump() string {
-	var sb strings.Builder
-	for i, e := range b.Events {
-		fmt.Fprintf(&sb, "%3d: %s\n", i, e)
-	}
-	return sb.String()
 }

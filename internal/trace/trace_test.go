@@ -7,23 +7,16 @@ import (
 
 func TestBarrierKindProperties(t *testing.T) {
 	cases := []struct {
-		kind          BarrierKind
-		stores, loads bool
-		name          string
+		kind BarrierKind
+		name string
 	}{
-		{BarrierFull, true, true, "smp_mb"},
-		{BarrierStore, true, false, "smp_wmb"},
-		{BarrierLoad, false, true, "smp_rmb"},
-		{BarrierRelease, true, false, "smp_store_release"},
-		{BarrierAcquire, false, true, "smp_load_acquire"},
+		{BarrierFull, "smp_mb"},
+		{BarrierStore, "smp_wmb"},
+		{BarrierLoad, "smp_rmb"},
+		{BarrierRelease, "smp_store_release"},
+		{BarrierAcquire, "smp_load_acquire"},
 	}
 	for _, c := range cases {
-		if c.kind.OrdersStores() != c.stores {
-			t.Errorf("%s.OrdersStores() = %v", c.name, !c.stores)
-		}
-		if c.kind.OrdersLoads() != c.loads {
-			t.Errorf("%s.OrdersLoads() = %v", c.name, !c.loads)
-		}
 		if c.kind.String() != c.name {
 			t.Errorf("String() = %q, want %q", c.kind.String(), c.name)
 		}
@@ -53,11 +46,8 @@ func TestBufferRoundTrip(t *testing.T) {
 	if b.Len() != 3 {
 		t.Fatalf("Len = %d", b.Len())
 	}
-	if accs := b.Accesses(); len(accs) != 2 || accs[0].Instr != 1 || accs[1].Kind != Load {
-		t.Fatalf("Accesses = %v", accs)
-	}
-	if bars := b.Barriers(); len(bars) != 1 || bars[0].Kind != BarrierStore {
-		t.Fatalf("Barriers = %v", bars)
+	if e := b.Events; e[0].Barrier || e[0].Acc.Instr != 1 || !e[1].Barrier || e[1].Bar.Kind != BarrierStore || e[2].Acc.Kind != Load {
+		t.Fatalf("Events:\n%s", b.Dump())
 	}
 	tail := b.Since(1)
 	if len(tail) != 2 || cap(tail) != 2 || tail[0].Bar.Kind != BarrierStore {
@@ -83,12 +73,6 @@ func TestBufferRoundTrip(t *testing.T) {
 func TestEventAccessors(t *testing.T) {
 	acc := Event{Acc: AccessEvent{Instr: 7, Addr: 0x20, Kind: Store, Time: 11}}
 	bar := Event{Barrier: true, Bar: BarrierEvent{Instr: 8, Kind: BarrierLoad, Time: 12}}
-	if acc.Instr() != 7 || acc.Time() != 11 {
-		t.Error("access accessors broken")
-	}
-	if bar.Instr() != 8 || bar.Time() != 12 {
-		t.Error("barrier accessors broken")
-	}
 	if !strings.Contains(acc.String(), "store") || !strings.Contains(bar.String(), "smp_rmb") {
 		t.Errorf("String: %q / %q", acc, bar)
 	}

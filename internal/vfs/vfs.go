@@ -39,10 +39,8 @@ const (
 const (
 	dirSlots  = 64
 	blockSize = 8 // words per data block
-	// Mode bits.
+	// ModeFile is the mode word of a regular-file inode.
 	ModeFile = 1
-	ModePipe = 2
-	ModeSock = 3
 )
 
 // FS is one mounted filesystem instance plus its open-file machinery.

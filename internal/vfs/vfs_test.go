@@ -4,13 +4,15 @@ import (
 	"testing"
 
 	"ozz/internal/kernel"
+	"ozz/internal/kmem"
 	"ozz/internal/sched"
+	"ozz/internal/trace"
 )
 
 // run executes body on a fresh kernel+fs inside a sequential session.
 func run(t *testing.T, body func(fs *FS, task *kernel.Task)) {
 	t.Helper()
-	k := kernel.New(2)
+	k := kernel.New()
 	fs := New(k)
 	task := k.NewTask(0)
 	s := sched.NewSession(sched.Sequential{})
@@ -21,6 +23,13 @@ func run(t *testing.T, body func(fs *FS, task *kernel.Task)) {
 	if aborted := s.Run(); aborted != nil {
 		t.Fatalf("aborted: %v", aborted)
 	}
+}
+
+// freed reports whether addr lies in a freed object: the sanitizer
+// reports a use-after-free for any access to it.
+func freed(task *kernel.Task, addr trace.Addr) bool {
+	f := task.K.Mem.Check(0, addr, trace.Load)
+	return f != nil && f.Kind == kmem.FaultUAF
 }
 
 func TestCreatWriteReadStat(t *testing.T) {
@@ -67,14 +76,16 @@ func TestOpenMissing(t *testing.T) {
 func TestUnlinkFreesInode(t *testing.T) {
 	run(t, func(fs *FS, task *kernel.Task) {
 		fd := fs.Creat(task, 0xaa)
+		fs.Write(task, fd, 1)
 		fs.Close(task, fd)
-		before, _ := task.K.Mem.Stats()
+		_, ino := fs.lookup(task, 0xaa)
+		inode := trace.Addr(ino)
+		data := trace.Addr(task.Load(siteInoData, kernel.Field(inode, 3)))
 		if fs.Unlink(task, 0xaa) != 0 {
 			t.Errorf("unlink failed")
 		}
-		_, frees := task.K.Mem.Stats()
-		if frees < 2 { // inode + data block
-			t.Errorf("unlink freed %d objects (allocs=%d)", frees, before)
+		if !freed(task, inode) || !freed(task, data) {
+			t.Errorf("unlink must free the inode and its data block")
 		}
 		if fs.Open(task, 0xaa) >= 0 {
 			t.Errorf("open after unlink succeeded")
@@ -144,7 +155,7 @@ func TestForkBumpsRefcounts(t *testing.T) {
 		// Close once: the description must survive (child's reference).
 		f := fs.files[fd]
 		fs.Close(task, fd)
-		if task.K.Mem.State(f) != 1 /* Valid */ {
+		if freed(task, f) {
 			t.Errorf("file description freed despite child reference")
 		}
 	})

@@ -1,11 +1,16 @@
 package ozz
 
 import (
+	"errors"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -148,7 +153,7 @@ func TestConfigSurface(t *testing.T) {
 		"internal/core.Config": {"Modules", "Bugs", "Seed", "UseSeeds", "InterruptOnSwitch",
 			"Model", "Strategy", "Repair", "Obs", "Events"},
 		"internal/core.Env":          {"Modules", "Bugs", "InterruptOnSwitch", "Model", "Strategy"},
-		"internal/engine.Config":     {"Modules", "Bugs", "Instrumented", "Sanitizers", "InterruptOnSwitch", "Model"},
+		"internal/engine.Config":     {"Modules", "Bugs", "Instrumented", "InterruptOnSwitch", "Model"},
 		"internal/dist.CampaignSpec": {"Modules", "Bugs", "UseSeeds", "Model"},
 		"internal/repair.Options":    {"Model", "MaxFences", "Workers", "Metrics"},
 	}
@@ -202,4 +207,206 @@ func exportedFields(t *testing.T, dir, typeName string) []string {
 	}
 	t.Fatalf("type %s not found in %s", typeName, dir)
 	return nil
+}
+
+// testOnlyAllowlist names the exported identifiers that only tests use
+// but that stay exported, because a test in another package needs them.
+// Each entry names that test. Keys are "dir.Name" or "dir.Type.Method",
+// with dir relative to the repository root ("ozz" for the root package).
+// An entry that non-test code comes to use is stale and fails the lint.
+var testOnlyAllowlist = map[string]string{
+	// The §2.3 interleaving-only baseline (EXPERIMENTS.md): no harness
+	// runs it, but TestEngineConformance (conformance_test.go) pins its
+	// blindness to OOO bugs in testdata/engine_golden.json.
+	"internal/baseline/inorder.NewInterleaver":   "TestEngineConformance",
+	"internal/baseline/inorder.Interleaver.Hunt": "TestEngineConformance",
+	// The exposition parser and its label lookup:
+	// TestObservabilityRegistryCoverage (observability_test.go) and
+	// TestUnregisteredStrategyPublishes (internal/engine) read scraped
+	// metrics back through them.
+	"internal/obs.ParseText":  "TestObservabilityRegistryCoverage, TestUnregisteredStrategyPublishes",
+	"internal/obs.Sample.Get": "TestObservabilityRegistryCoverage, TestUnregisteredStrategyPublishes",
+}
+
+// TestNoTestOnlyExports fails on an exported identifier that no non-test
+// code uses: every exported package-level func, type, const and var, and
+// every exported method, needs a use in a non-test file of this module or
+// of perfbench (a separate module that imports ozz/internal/...).
+// Otherwise it is deleted, or moved into an export_test.go when a test in
+// its own package needs it. Struct fields are not checked; a method with
+// the name and signature of an interface method the checker saw (String,
+// Error, a Strategy's Pair, ...) and package main are exempt.
+func TestNoTestOnlyExports(t *testing.T) {
+	l := &treeLoader{
+		fset: token.NewFileSet(),
+		pkgs: map[string]*types.Package{},
+		info: &types.Info{
+			Uses:       map[*ast.Ident]types.Object{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
+			Types:      map[ast.Expr]types.TypeAndValue{},
+		},
+	}
+	l.std = importer.ForCompiler(l.fset, "source", nil)
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		name := d.Name()
+		if path != "." && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+			return filepath.SkipDir
+		}
+		_, err = l.Import(importPathOf(path))
+		var noGo *build.NoGoError
+		if errors.As(err, &noGo) {
+			return nil
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	used := map[types.Object]bool{}
+	for _, obj := range l.info.Uses {
+		used[originOf(obj)] = true
+	}
+	for _, sel := range l.info.Selections {
+		used[originOf(sel.Obj())] = true
+	}
+	// ifaceMethods holds the signatures of every interface method the
+	// checker saw, by name: a method matching one may be called through
+	// the interface, which the Uses and Selections maps do not show.
+	ifaceMethods := map[string][]types.Type{}
+	addIface := func(typ types.Type) {
+		if it, ok := typ.Underlying().(*types.Interface); ok {
+			for i := 0; i < it.NumMethods(); i++ {
+				m := it.Method(i)
+				ifaceMethods[m.Name()] = append(ifaceMethods[m.Name()], m.Type())
+			}
+		}
+	}
+	addIface(types.Universe.Lookup("error").Type())
+	for _, tv := range l.info.Types {
+		addIface(tv.Type)
+	}
+	for _, pkg := range l.pkgs {
+		for _, dep := range append(pkg.Imports(), pkg) {
+			for _, name := range dep.Scope().Names() {
+				if tn, ok := dep.Scope().Lookup(name).(*types.TypeName); ok {
+					addIface(tn.Type())
+				}
+			}
+		}
+	}
+
+	var hits []string
+	allowed := map[string]bool{}
+	for path, pkg := range l.pkgs {
+		if pkg.Name() == "main" {
+			continue
+		}
+		dir := strings.TrimPrefix(path, "ozz/")
+		flag := func(name string, obj types.Object) {
+			if !used[obj] && obj.Exported() {
+				key := dir + "." + name
+				if _, ok := testOnlyAllowlist[key]; ok {
+					allowed[key] = true
+				} else {
+					hits = append(hits, key)
+				}
+			}
+		}
+		scope := pkg.Scope()
+		for _, name := range scope.Names() {
+			obj := scope.Lookup(name)
+			flag(name, obj)
+			tn, ok := obj.(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			named, ok := tn.Type().(*types.Named)
+			if !ok || types.IsInterface(named) {
+				continue
+			}
+			for i := 0; i < named.NumMethods(); i++ {
+				m := named.Method(i)
+				if !slices.ContainsFunc(ifaceMethods[m.Name()], func(sig types.Type) bool {
+					return types.Identical(sig, m.Type()) // receivers are ignored
+				}) {
+					flag(name+"."+m.Name(), m)
+				}
+			}
+		}
+	}
+	sort.Strings(hits)
+	for _, h := range hits {
+		t.Errorf("exported but used only by tests (delete it, move it into export_test.go, or allowlist it): %s", h)
+	}
+	for key := range testOnlyAllowlist {
+		if !allowed[key] {
+			t.Errorf("stale allowlist entry (no such identifier, or non-test code uses it): %s", key)
+		}
+	}
+}
+
+// treeLoader type-checks this repository's packages from their non-test
+// files, sharing one types.Info, and the standard library from source.
+type treeLoader struct {
+	fset *token.FileSet
+	std  types.Importer
+	pkgs map[string]*types.Package
+	info *types.Info
+}
+
+// importPathOf maps a directory relative to the repository root to its
+// import path; perfbench's module path is ozz/perfbench.
+func importPathOf(dir string) string {
+	if dir == "." {
+		return "ozz"
+	}
+	return "ozz/" + filepath.ToSlash(dir)
+}
+
+func (l *treeLoader) Import(path string) (*types.Package, error) {
+	if pkg, ok := l.pkgs[path]; ok {
+		return pkg, nil
+	}
+	dir, ok := strings.CutPrefix(path, "ozz/")
+	if path == "ozz" {
+		dir, ok = ".", true
+	}
+	if !ok {
+		return l.std.Import(path)
+	}
+	bp, err := build.Default.ImportDir(dir, 0)
+	if err == nil && len(bp.GoFiles) == 0 {
+		err = &build.NoGoError{Dir: dir}
+	}
+	if err != nil {
+		return nil, err
+	}
+	var files []*ast.File
+	for _, name := range bp.GoFiles {
+		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, 0)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+	}
+	conf := types.Config{Importer: l}
+	pkg, err := conf.Check(path, l.fset, files, l.info)
+	if err != nil {
+		return nil, err
+	}
+	l.pkgs[path] = pkg
+	return pkg, nil
+}
+
+// originOf maps a use of an instantiated generic function or method to
+// its declaration.
+func originOf(obj types.Object) types.Object {
+	if fn, ok := obj.(*types.Func); ok {
+		return fn.Origin()
+	}
+	return obj
 }

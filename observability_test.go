@@ -106,10 +106,11 @@ func TestObservabilityRegistryCoverage(t *testing.T) {
 func TestObservabilityDocComplete(t *testing.T) {
 	// Registration happens at construction; no steps needed. The dist
 	// families join the same registry so the doc covers the whole ozz_*
-	// surface, fabric included.
+	// surface, fabric included; building a worker registers every
+	// ozz_dist_* family.
 	reg := obs.NewRegistry()
 	core.NewPool(core.Config{Seed: 1, Obs: reg}, 2)
-	dist.RegisterMetrics(reg)
+	dist.NewWorker(dist.WorkerConfig{Obs: reg})
 	registered := map[string]bool{}
 	for _, n := range reg.Names() {
 		if strings.HasPrefix(n, "ozz_") {

@@ -17,18 +17,17 @@
 //     (a thin facade over internal/engine, the pluggable Strategy layer
 //     every execution path — OZZ and all baselines — runs through);
 //   - Bugs / AllBugs: the bug corpus switches (Table 3's 11 new bugs,
-//     Table 4's 9 known bugs, the Fig. 10 Rust example);
-//   - the benchmark harnesses regenerating every evaluation table.
+//     Table 4's 9 known bugs, the Fig. 10 Rust example).
 //
-// See the examples/ directory for runnable walkthroughs, DESIGN.md for the
-// system inventory, and EXPERIMENTS.md for paper-vs-measured results.
+// The harnesses regenerating every evaluation table live in internal/bench
+// and run through cmd/ozz-bench. See the examples/ directory for runnable
+// walkthroughs, DESIGN.md for the system inventory, and EXPERIMENTS.md for
+// paper-vs-measured results.
 package ozz
 
 import (
-	"ozz/internal/bench"
 	"ozz/internal/core"
 	"ozz/internal/modules"
-	"ozz/internal/report"
 )
 
 // Config parameterizes a fuzzing campaign (see core.Config).
@@ -38,18 +37,12 @@ type Config = core.Config
 // deterministic in the campaign seed at any worker count.
 type Pool = core.Pool
 
-// Stats counts campaign work (with the Perf throughput/reuse block).
-type Stats = core.Stats
-
 // Env is an execution environment over the simulated kernel.
 type Env = core.Env
 
 // MTIOpts selects a concurrent pair and scheduling hint for one
 // hypothetical-memory-barrier test.
 type MTIOpts = core.MTIOpts
-
-// Report is a deduplicated finding.
-type Report = report.Report
 
 // BugInfo documents one corpus bug and its paper row.
 type BugInfo = modules.BugInfo
@@ -71,34 +64,3 @@ func Bugs(names ...string) BugSet { return modules.Bugs(names...) }
 
 // AllBugs lists the whole corpus with its Table 3 / Table 4 metadata.
 func AllBugs() []BugInfo { return modules.AllBugs() }
-
-// Benchmark harness re-exports (each regenerates one evaluation artifact).
-var (
-	// RunLMBench regenerates Table 5 (instrumentation overhead).
-	RunLMBench = bench.RunLMBench
-	// FormatLMBench renders Table 5.
-	FormatLMBench = bench.FormatLMBench
-	// RunTable3 regenerates Table 3 (the 11 new bugs).
-	RunTable3 = bench.RunTable3
-	// FormatTable3 renders Table 3.
-	FormatTable3 = bench.FormatTable3
-	// RunTable4 regenerates Table 4 (known-bug reproduction).
-	RunTable4 = bench.RunTable4
-	// RunSbitmapPinned runs the §6.2 pinned-thread negative control.
-	RunSbitmapPinned = bench.RunSbitmapPinned
-	// FormatTable4 renders Table 4.
-	FormatTable4 = bench.FormatTable4
-	// MeasureThroughput regenerates the §6.3.2 comparison.
-	MeasureThroughput = bench.MeasureThroughput
-	// MeasureThroughputWorkers adds the worker-scaling rows (tests/s at
-	// each requested Pool width) to the §6.3.2 comparison.
-	MeasureThroughputWorkers = bench.MeasureThroughputWorkers
-	// RunHeuristic regenerates the §4.3 hint-rank validation.
-	RunHeuristic = bench.RunHeuristic
-	// FormatHeuristic renders it.
-	FormatHeuristic = bench.FormatHeuristic
-	// RunOFence regenerates the §6.4 static-analysis comparison.
-	RunOFence = bench.RunOFence
-	// FormatOFence renders it.
-	FormatOFence = bench.FormatOFence
-)

@@ -40,18 +40,3 @@ func TestFacadeCorpusMetadata(t *testing.T) {
 		t.Fatalf("corpus rows %d/%d, want 11/9", t3, t4)
 	}
 }
-
-// TestFacadeHarnessExports: the re-exported harnesses run.
-func TestFacadeHarnessExports(t *testing.T) {
-	rows := RunLMBench(200)
-	if len(rows) != 10 {
-		t.Fatalf("LMBench rows = %d", len(rows))
-	}
-	if out := FormatLMBench(rows); !strings.Contains(out, "Overhead") {
-		t.Fatalf("FormatLMBench: %q", out)
-	}
-	ofRows, misses := RunOFence()
-	if len(ofRows) != 11 || misses != 8 {
-		t.Fatalf("OFence: %d rows, %d misses", len(ofRows), misses)
-	}
-}
