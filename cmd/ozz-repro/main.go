@@ -12,6 +12,8 @@
 // Every bug reproduces under the migration-aware OOO executor, so
 // `ozz-repro -bug sbitmap:freed_order` reproduces Table 4 #6 through a
 // real cross-CPU migration with no extra flags (docs/SCHEDULING.md).
+// `ozz-repair -bug` reproduces a bug the same way and adds the fence
+// repair suggestion (docs/REPAIR.md).
 package main
 
 import (
@@ -29,7 +31,6 @@ func main() {
 		budget = flag.Int("budget", 200, "max fuzzer steps")
 		seed   = flag.Int64("seed", 42, "campaign seed")
 		list   = flag.Bool("list", false, "list bug switches and exit")
-		fix    = flag.Bool("repair", false, "search for a fence repair and print the suggestion (docs/REPAIR.md)")
 	)
 	flag.Parse()
 
@@ -50,7 +51,6 @@ func main() {
 		Bugs:     modules.Bugs(b.Switch),
 		Seed:     *seed,
 		UseSeeds: true,
-		Repair:   *fix,
 	}, 1)
 	want := b.Title
 	if want == "" {
@@ -67,11 +67,4 @@ func main() {
 	}
 	fmt.Println("reproduced:")
 	fmt.Print(r.String())
-	if *fix {
-		if rr := p.RepairResult(want); rr != nil {
-			fmt.Print(rr.Render())
-		} else {
-			fmt.Println("no fence repair found for this finding")
-		}
-	}
 }

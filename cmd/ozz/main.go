@@ -28,15 +28,17 @@
 // API (plus /metrics) on -listen; it runs no programs itself. With
 // -state-dir it journals the campaign and resumes it after a restart;
 // with -token every request must carry that token. "worker" leases one
-// shard at a time from -manager, runs it locally, and syncs corpus deltas
-// and findings back. Shards are deterministic in the campaign seed, so a
-// 1-manager/N-worker campaign finds the same deduplicated crash titles as
-// a standalone campaign over the same shard plan.
+// shard at a time from -manager, runs it locally, and ships the shard's
+// corpus and findings on the poll that completes it; it keeps no corpus
+// of its own, so -corpus-out applies to standalone and manager modes only.
+// Shards are deterministic in the campaign seed, so a 1-manager/N-worker
+// campaign finds the same deduplicated crash titles as a standalone
+// campaign over the same shard plan.
 //
 // On SIGINT/SIGTERM every mode shuts down gracefully: standalone finishes
 // its current step slice, prints the summary, and persists -corpus-out; a
-// worker flushes findings and corpus to the manager with a final
-// deregistering sync; the manager persists its merged global state. The
+// worker ships the interrupted shard's partial results on its final
+// deregistering poll; the manager persists its merged global state. The
 // event log is flushed and closed on every exit path.
 //
 // Observability (see docs/OBSERVABILITY.md): -metrics-addr serves the
@@ -96,6 +98,10 @@ func main() {
 		token    = flag.String("token", "", "auth token (manager: required on every request; worker: sent with every request)")
 	)
 	flag.Parse()
+	if *mode == "worker" && *corpusOut != "" {
+		fmt.Fprintln(os.Stderr, "-corpus-out applies to standalone and manager modes")
+		os.Exit(2)
+	}
 
 	if *list {
 		fmt.Println("modules:")
@@ -185,7 +191,7 @@ func main() {
 		runWorker(ctx, dist.WorkerConfig{
 			ManagerURL: *managerURL, Name: workerName(*name), Token: *token,
 			PoolWorkers: *workers, Obs: reg, Events: events,
-		}, *corpusOut, events)
+		}, events)
 	default:
 		fatal(events, "unknown -mode %q (want standalone, manager, or worker)", *mode)
 	}
@@ -340,8 +346,8 @@ wait:
 		case <-tick.C:
 		}
 	}
-	// Let workers observe Done (or the shutdown) and flush their final
-	// syncs before the listener goes away.
+	// Let workers observe Done (or the shutdown) and send their
+	// deregistering polls before the listener goes away.
 	linger := time.Now().Add(10 * time.Second)
 	for m.WorkersConnected() > 0 && time.Now().Before(linger) {
 		time.Sleep(100 * time.Millisecond)
@@ -362,9 +368,9 @@ wait:
 }
 
 // runWorker runs the worker loop against the manager; a shutdown signal
-// triggers the final deregistering sync inside Worker.Run before this
+// triggers the final deregistering poll inside Worker.Run before this
 // returns.
-func runWorker(ctx context.Context, cfg dist.WorkerConfig, corpusOut string, events *obs.EventLog) {
+func runWorker(ctx context.Context, cfg dist.WorkerConfig, events *obs.EventLog) {
 	w := dist.NewWorker(cfg)
 	err := w.Run(ctx)
 	if err != nil && err != context.Canceled {
@@ -373,10 +379,7 @@ func runWorker(ctx context.Context, cfg dist.WorkerConfig, corpusOut string, eve
 	if err == context.Canceled {
 		fmt.Fprintln(os.Stderr, "interrupted: deregistered from manager")
 	}
-	fmt.Printf("worker done: %d corpus programs in local aggregate\n", w.CorpusLen())
-	if corpusOut != "" {
-		writeCorpusFile(corpusOut, w.WriteCorpus, events)
-	}
+	fmt.Printf("worker done: %d leases run\n", w.Leases())
 }
 
 func printFindings(rs []*report.Report) {

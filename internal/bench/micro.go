@@ -164,13 +164,12 @@ func MicroSchedSwitch(b *testing.B) {
 }
 
 // MicroCombinatorDispatch measures a scheduling point dispatched through
-// a migration-aware predicate-combinator stack
-// (MigrateAt → Guarded → Breakpoint) on its non-matching fast path — the
-// cost every yield pays when a migration-aware policy is armed but idle.
+// the migration-aware stack engine.OOO builds (MigrateAt → Breakpoint) on
+// its non-matching fast path — the cost every yield pays when a
+// migration-aware policy is armed but idle.
 func MicroCombinatorDispatch(b *testing.B) {
 	bp := &sched.Breakpoint{FromTask: 0, Instr: 1 << 30, Pos: sched.PosBefore, ToTask: 1}
-	g := &sched.Guarded{Inner: bp, When: sched.And(sched.OnTask(0), sched.Not(sched.OnNthOccurrence(1<<30, 1)))}
-	m := &sched.MigrateAt{Inner: g, Task: 1, ToCPU: 0}
+	m := &sched.MigrateAt{Inner: bp, Task: 1, ToCPU: 0}
 	s := sched.NewSession(m)
 	s.Spawn(0, 0, func(h *sched.Task) {
 		b.ReportAllocs()

@@ -16,13 +16,13 @@ import (
 // as one string — programs are written through a bufio.Writer and parsed
 // block-by-block from a bufio.Scanner — so corpus size is bounded by the
 // largest single program, not the file. The same encoding is the wire
-// format of the distributed fabric's /sync payloads (internal/dist), which
-// is why the encode/decode pair is exported.
+// format of the distributed fabric's poll payloads and snapshots
+// (internal/dist), which is why the encode/decode pair is exported.
 
 // ErrEmptyCorpus reports a corpus stream that contained no program blocks
 // at all (e.g. an empty or whitespace-only file). Callers resuming a
 // campaign may treat it as "nothing to import"; callers expecting data
-// (a sync payload that claimed programs) should treat it as corruption.
+// (a poll payload that claimed programs) should treat it as corruption.
 var ErrEmptyCorpus = errors.New("core: corpus stream contains no programs")
 
 // CorpusError describes a malformed block or a failed read inside a corpus
@@ -175,7 +175,7 @@ func (p *Pool) WriteCorpus(w io.Writer) error {
 // ReadCorpus parses a previously written corpus from r and enqueues its
 // programs ahead of random generation (like seed programs), skipping any
 // program whose Key is already queued or in the corpus — so re-reading an
-// appended corpus file (or repeated /sync rounds) can't bloat the corpus.
+// appended corpus file can't bloat the corpus.
 // Call before Run for deterministic replay. It returns the number of newly
 // enqueued programs; on malformed input the parseable programs are still
 // imported and a typed error (ErrEmptyCorpus or *CorpusError) describes

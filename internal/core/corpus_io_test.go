@@ -116,7 +116,7 @@ func TestDecodeProgramsDedupsByKey(t *testing.T) {
 	}
 }
 
-// TestReadCorpusIdempotent pins the /sync-round invariant: re-reading the
+// TestReadCorpusIdempotent pins the re-import invariant: re-reading the
 // same corpus (or an appended file repeating earlier programs) enqueues
 // nothing new.
 func TestReadCorpusIdempotent(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ozz/internal/modules"
+	"ozz/internal/obs"
 )
 
 // table34Switches returns the bug switches of every Table 3 and Table 4
@@ -125,7 +126,8 @@ func TestStepMemoHits(t *testing.T) {
 	}
 	var hits []uint64
 	for _, w := range []int{1, 2, 4} {
-		p := NewPool(Config{Modules: []string{"watchqueue"}, Seed: 1}, w)
+		reg := obs.NewRegistry()
+		p := NewPool(Config{Modules: []string{"watchqueue"}, Seed: 1, Obs: reg}, w)
 		// One batch of copies executes every step; the 8 copies in the
 		// next batch replay.
 		for k := 0; k < batchSize+8; k++ {
@@ -137,7 +139,7 @@ func TestStepMemoHits(t *testing.T) {
 			t.Errorf("width %d: %d hits, %d misses over %d steps; want >= 8 hits, one lookup per step",
 				w, s.Perf.STICacheHits, s.Perf.STICacheMisses, s.Steps)
 		}
-		lookups := p.co.reg.CounterVec("ozz_sti_cache_lookups_total", "", "outcome")
+		lookups := reg.CounterVec("ozz_sti_cache_lookups_total", "", "outcome")
 		if got := lookups.With("hit").Value(); got != s.Perf.STICacheHits {
 			t.Errorf("width %d: ozz_sti_cache_lookups_total{outcome=hit} = %d, Stats say %d", w, got, s.Perf.STICacheHits)
 		}

@@ -24,8 +24,7 @@ var stageNames = []string{"generate", "profile", "hints", "mti", "triage", "merg
 // the registry adds wall-clock timings and process-wide visibility.
 // Incrementing these never influences execution.
 type campaignObs struct {
-	reg *obs.Registry
-	ev  *obs.EventLog
+	ev *obs.EventLog
 
 	steps, stis, mtis, hintsTotal, vacuous, newCov *obs.Counter
 	covEdges, corpusLen, workers                   *obs.Gauge
@@ -45,7 +44,7 @@ type campaignObs struct {
 // every stage child up front so a scrape is complete before any step) and
 // attaches the optional event log.
 func newCampaignObs(reg *obs.Registry, ev *obs.EventLog) *campaignObs {
-	c := &campaignObs{reg: reg, ev: ev}
+	c := &campaignObs{ev: ev}
 	c.steps = reg.Counter("ozz_campaign_steps_total",
 		"Campaign steps completed (one STI plus its hint-driven MTIs).")
 	c.stis = reg.Counter("ozz_campaign_stis_total",

@@ -3,9 +3,12 @@ package dist
 import (
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -208,6 +211,14 @@ func (m *Manager) completeLocked(ws *workerState, leaseID uint64) {
 	m.do.ev.Info(ws.id, "dist.lease_complete", map[string]any{
 		"lease": leaseID, "shard": idx, "done": m.completed, "total": len(m.shards),
 	})
+}
+
+// progHash keys the manager's corpus: the 16-hex-digit FNV-1a hash of a
+// Program.Key(), a fixed 16 bytes per program instead of its key text.
+func progHash(p *syzlang.Program) string {
+	h := fnv.New64a()
+	_, _ = io.WriteString(h, p.Key())
+	return strconv.FormatUint(h.Sum64(), 16)
 }
 
 // admitProgramLocked merges one program into the campaign corpus,

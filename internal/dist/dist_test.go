@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
@@ -17,8 +18,8 @@ import (
 	"time"
 
 	"ozz/internal/core"
-	"ozz/internal/modules"
-	"ozz/internal/syzlang"
+	"ozz/internal/obs"
+	"ozz/internal/report"
 )
 
 // testCampaign is the campaign every fabric test runs: the buggy
@@ -199,80 +200,11 @@ func TestWorkerKillLeaseReassignment(t *testing.T) {
 	}
 }
 
-// TestSyncDeltaConvergence drives the Want handshake by hand: the manager
-// learns what a worker holds, asks for it, receives the bodies, and then
-// serves them to a second worker that advertises nothing.
-func TestSyncDeltaConvergence(t *testing.T) {
-	cfg := fastManagerConfig(10, 10)
-	m, srv := startManager(t, cfg)
-	client := srv.Client()
-
-	var reg RegisterResponse
-	if err := postJSON(client, srv.URL+PathRegister, RegisterRequest{V: ProtocolVersion, Name: "a"}, &reg); err != nil {
-		t.Fatal(err)
-	}
-
-	target := modules.Target("watchqueue")
-	prog, err := target.Parse("r0 = wq_create()\nwq_pipe_read(r0)\n")
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := progHash(prog)
-
-	// Round 1: advertise the key; the manager lacks it and must ask.
-	var s1 SyncResponse
-	if err := postJSON(client, srv.URL+PathSync, SyncRequest{
-		V: ProtocolVersion, WorkerID: reg.WorkerID, Epoch: reg.Epoch, Keys: []string{h},
-	}, &s1); err != nil {
-		t.Fatal(err)
-	}
-	if len(s1.Want) != 1 || s1.Want[0] != h {
-		t.Fatalf("manager Want = %v, want [%s]", s1.Want, h)
-	}
-	if m.CorpusLen() != 0 {
-		t.Fatal("manager grew a corpus from key hashes alone")
-	}
-
-	// Round 2: ship the body; the delta converges.
-	var payload strings.Builder
-	if err := core.EncodePrograms(&payload, []*syzlang.Program{prog}); err != nil {
-		t.Fatal(err)
-	}
-	var s2 SyncResponse
-	if err := postJSON(client, srv.URL+PathSync, SyncRequest{
-		V: ProtocolVersion, WorkerID: reg.WorkerID, Epoch: reg.Epoch, Keys: []string{h}, Programs: payload.String(),
-	}, &s2); err != nil {
-		t.Fatal(err)
-	}
-	if len(s2.Want) != 0 {
-		t.Fatalf("manager still wants %v after the body arrived", s2.Want)
-	}
-	if m.CorpusLen() != 1 {
-		t.Fatalf("manager corpus has %d programs, want 1", m.CorpusLen())
-	}
-
-	// A second worker advertising nothing receives exactly the delta.
-	var regB RegisterResponse
-	if err := postJSON(client, srv.URL+PathRegister, RegisterRequest{V: ProtocolVersion, Name: "b"}, &regB); err != nil {
-		t.Fatal(err)
-	}
-	var s3 SyncResponse
-	if err := postJSON(client, srv.URL+PathSync, SyncRequest{
-		V: ProtocolVersion, WorkerID: regB.WorkerID, Epoch: regB.Epoch,
-	}, &s3); err != nil {
-		t.Fatal(err)
-	}
-	got, err := core.DecodePrograms(strings.NewReader(s3.Programs), target)
-	if err != nil || len(got) != 1 || got[0].Key() != prog.Key() {
-		t.Fatalf("second worker received %d programs (err %v), want the 1 synced program", len(got), err)
-	}
-}
-
 // TestProtocolVersionMismatch: a wrong-version client is rejected with
 // HTTP 400 and a JSON error body on every endpoint.
 func TestProtocolVersionMismatch(t *testing.T) {
 	_, srv := startManager(t, fastManagerConfig(10, 10))
-	for _, path := range []string{PathRegister, PathPoll, PathSync, PathReport, PathHeartbeat} {
+	for _, path := range []string{PathRegister, PathPoll, PathHeartbeat} {
 		err := postJSON(srv.Client(), srv.URL+path, RegisterRequest{V: ProtocolVersion + 1}, nil)
 		if err == nil || !strings.Contains(err.Error(), "protocol version") {
 			t.Errorf("%s with bad version: err = %v, want protocol rejection", path, err)
@@ -353,8 +285,6 @@ func TestManagerToken(t *testing.T) {
 		return map[string]any{
 			PathRegister:  RegisterRequest{V: ProtocolVersion, Name: "w", Token: token},
 			PathPoll:      PollRequest{V: ProtocolVersion, WorkerID: reg.WorkerID, Epoch: reg.Epoch, Token: token},
-			PathSync:      SyncRequest{V: ProtocolVersion, WorkerID: reg.WorkerID, Epoch: reg.Epoch, Token: token},
-			PathReport:    ReportRequest{V: ProtocolVersion, WorkerID: reg.WorkerID, Epoch: reg.Epoch, Token: token},
 			PathHeartbeat: HeartbeatRequest{V: ProtocolVersion, WorkerID: reg.WorkerID, Epoch: reg.Epoch, Token: token},
 		}
 	}
@@ -390,19 +320,18 @@ func TestManagerToken(t *testing.T) {
 	}
 }
 
-// TestWorkerHoldsLeaseUntilAcked drives a worker against a fake manager.
-// The worker must keep holding (and so heartbeating) its lease while it
-// syncs the finished shard's results, and drop it only once a poll
-// carrying the completion succeeds: a lease dropped before its ack stops
-// being renewed and expires whenever the sync outlasts the TTL.
+// TestWorkerHoldsLeaseUntilAcked drives a worker against a fake manager
+// that fails the first poll completing the lease with a transient 503.
+// The worker must keep holding (and so heartbeating) the lease while it
+// retries, resend the same results with the completion, and drop the
+// lease only once a poll carrying them succeeds.
 func TestWorkerHoldsLeaseUntilAcked(t *testing.T) {
 	const leaseID = 1<<32 | 1
 	var (
-		w          *Worker
-		mu         sync.Mutex
-		polls      int
-		acked      uint64
-		heldAtSync []uint64
+		w     *Worker
+		mu    sync.Mutex
+		polls []PollRequest
+		held  []uint64 // the worker's held lease as each poll arrived
 	)
 	mux := http.NewServeMux()
 	mux.HandleFunc(PathRegister, func(rw http.ResponseWriter, r *http.Request) {
@@ -418,28 +347,19 @@ func TestWorkerHoldsLeaseUntilAcked(t *testing.T) {
 			return
 		}
 		mu.Lock()
-		polls++
-		first := polls == 1
-		if !first {
-			acked = req.Completed
-		}
-		mu.Unlock()
-		resp := PollResponse{V: ProtocolVersion, Done: true}
-		if first {
-			resp = PollResponse{V: ProtocolVersion, Lease: &Lease{ID: leaseID, Seed: 1, Steps: 2, TTLMS: 1000}}
-		}
-		writeJSON(rw, http.StatusOK, resp)
-	})
-	mux.HandleFunc(PathSync, func(rw http.ResponseWriter, r *http.Request) {
-		mu.Lock()
 		defer mu.Unlock()
+		polls = append(polls, req)
 		w.mu.Lock()
-		heldAtSync = append(heldAtSync, w.held)
+		held = append(held, w.held)
 		w.mu.Unlock()
-		writeJSON(rw, http.StatusOK, SyncResponse{V: ProtocolVersion})
-	})
-	mux.HandleFunc(PathReport, func(rw http.ResponseWriter, r *http.Request) {
-		writeJSON(rw, http.StatusOK, ReportResponse{V: ProtocolVersion})
+		switch len(polls) {
+		case 1:
+			writeJSON(rw, http.StatusOK, PollResponse{V: ProtocolVersion, Lease: &Lease{ID: leaseID, Seed: 1, Steps: 2, TTLMS: 1000}})
+		case 2:
+			writeError(rw, http.StatusServiceUnavailable, "transient")
+		default:
+			writeJSON(rw, http.StatusOK, PollResponse{V: ProtocolVersion, Done: true})
+		}
 	})
 	mux.HandleFunc(PathHeartbeat, func(rw http.ResponseWriter, r *http.Request) {
 		writeJSON(rw, http.StatusOK, HeartbeatResponse{V: ProtocolVersion, OK: true})
@@ -457,17 +377,143 @@ func TestWorkerHoldsLeaseUntilAcked(t *testing.T) {
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	if len(heldAtSync) != 2 {
-		t.Fatalf("worker synced %d times, want 2 (after the lease, then deregistering)", len(heldAtSync))
+	if len(polls) != 4 {
+		t.Fatalf("worker polled %d times, want 4 (lease, failed ack, retried ack, deregister)", len(polls))
 	}
-	if heldAtSync[0] != leaseID {
-		t.Errorf("lease held while syncing the finished shard = %#x, want %#x", heldAtSync[0], uint64(leaseID))
+	failed, retried, last := polls[1], polls[2], polls[3]
+	for i, p := range []PollRequest{failed, retried} {
+		if p.Completed != leaseID || held[i+1] != leaseID {
+			t.Errorf("ack poll %d: completed %#x with lease %#x held, want %#x for both", i+1, p.Completed, held[i+1], uint64(leaseID))
+		}
 	}
-	if acked != leaseID {
-		t.Errorf("second poll acknowledged lease %#x, want %#x", acked, uint64(leaseID))
+	if failed.Programs == "" {
+		t.Error("the completing poll carries no corpus")
 	}
-	if heldAtSync[1] != 0 {
-		t.Errorf("lease still held after its acknowledgement: %#x", heldAtSync[1])
+	a, _ := json.Marshal(failed)
+	b, _ := json.Marshal(retried)
+	if string(a) != string(b) {
+		t.Errorf("retried poll differs from the failed one:\n%s\n%s", a, b)
+	}
+	if !last.Deregister || last.Completed != 0 || last.Programs != "" || len(last.Reports) != 0 {
+		t.Errorf("last poll = %+v, want a bare deregistering poll", last)
+	}
+	if held[3] != 0 {
+		t.Errorf("lease still held after its acknowledgement: %#x", held[3])
+	}
+}
+
+// TestLostResultsRegression: one transient 503 hits the poll that ships
+// shard 1's results, then the worker dies on its next lease and a second
+// worker finishes the campaign. The retried poll must have delivered the
+// results before the completion, so the campaign still equals the
+// standalone run.
+func TestLostResultsRegression(t *testing.T) {
+	cfg := fastManagerConfig(40, 10)
+	wantReports, wantCorpus := RunShardsLocal(cfg, 2)
+	m, err := NewManager(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := m.Handler()
+	var injected atomic.Bool
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == PathPoll {
+			body, _ := io.ReadAll(r.Body)
+			r.Body = io.NopCloser(bytes.NewReader(body))
+			var req PollRequest
+			if json.Unmarshal(body, &req) == nil && req.Completed != 0 && injected.CompareAndSwap(false, true) {
+				writeError(w, http.StatusServiceUnavailable, "injected")
+				return
+			}
+		}
+		h.ServeHTTP(w, r)
+	}))
+	t.Cleanup(srv.Close)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+
+	victim := testWorker(srv, "victim")
+	victim.dieAfterLeases = 2
+	if err := victim.Run(ctx); err == nil {
+		t.Fatal("victim should have died by test hook")
+	}
+	if !injected.Load() {
+		t.Fatal("no completing poll was failed")
+	}
+	if err := testWorker(srv, "survivor").Run(ctx); err != nil {
+		t.Fatalf("survivor: %v", err)
+	}
+	if got, want := strings.Join(m.ReportTitles(), "|"), strings.Join(wantReports.Titles(), "|"); got != want {
+		t.Errorf("titles %q != standalone %q", got, want)
+	}
+	wantHashes := make([]string, 0, len(wantCorpus))
+	for _, p := range wantCorpus {
+		wantHashes = append(wantHashes, progHash(p))
+	}
+	if got, want := sortedCopy(m.CorpusKeyHashes()), sortedCopy(wantHashes); strings.Join(got, "|") != strings.Join(want, "|") {
+		t.Errorf("corpus has %d programs, standalone %d", len(got), len(want))
+	}
+}
+
+// completingPoll runs lease's shard through a worker's runLease and
+// returns the poll that ships its results and completion under reg.
+func completingPoll(reg RegisterResponse, lease *Lease) PollRequest {
+	w := NewWorker(WorkerConfig{PoolWorkers: 2})
+	w.campaign = reg.Campaign
+	req := w.runLease(context.Background(), lease)
+	req.V, req.WorkerID, req.Epoch = ProtocolVersion, reg.WorkerID, reg.Epoch
+	return req
+}
+
+// registerAndLease registers a hand-driven worker on srv and takes one
+// lease.
+func registerAndLease(t *testing.T, srv *httptest.Server) (RegisterResponse, *Lease) {
+	t.Helper()
+	var reg RegisterResponse
+	if err := postJSON(srv.Client(), srv.URL+PathRegister, RegisterRequest{V: ProtocolVersion, Name: "w"}, &reg); err != nil {
+		t.Fatal(err)
+	}
+	var poll PollResponse
+	if err := postJSON(srv.Client(), srv.URL+PathPoll, PollRequest{
+		V: ProtocolVersion, WorkerID: reg.WorkerID, Epoch: reg.Epoch,
+	}, &poll); err != nil {
+		t.Fatal(err)
+	}
+	if poll.Lease == nil {
+		t.Fatal("no lease granted")
+	}
+	return reg, poll.Lease
+}
+
+// TestCompletingPollIdempotent: replaying a completing poll, as a worker
+// does when the reply to the first one was lost, leaves the corpus, the
+// reports and the completed-shard count unchanged.
+func TestCompletingPollIdempotent(t *testing.T) {
+	cfg := fastManagerConfig(40, 10)
+	cfg.HeartbeatEvery = time.Hour // keep the hand-driven worker alive
+	m, srv := startManager(t, cfg)
+	reg, lease := registerAndLease(t, srv)
+	req := completingPoll(reg, lease)
+	req.Reports = append(req.Reports, &report.Report{Title: "KCSAN: data-race in retry_test"})
+
+	if err := postJSON(srv.Client(), srv.URL+PathPoll, req, nil); err != nil {
+		t.Fatal(err)
+	}
+	corpus, titles, done := m.CorpusKeyHashes(), m.ReportTitles(), m.ShardsCompleted()
+	if len(corpus) == 0 || done != 1 {
+		t.Fatalf("first completing poll: %d programs, %d shards completed; want some and 1", len(corpus), done)
+	}
+	if err := postJSON(srv.Client(), srv.URL+PathPoll, req, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.CorpusKeyHashes(); strings.Join(got, "|") != strings.Join(corpus, "|") {
+		t.Errorf("replayed poll changed the corpus: %d -> %d programs", len(corpus), len(got))
+	}
+	if got := m.ReportTitles(); strings.Join(got, "|") != strings.Join(titles, "|") {
+		t.Errorf("replayed poll changed the reports: %v -> %v", titles, got)
+	}
+	if got := m.ShardsCompleted(); got != done {
+		t.Errorf("replayed poll changed the completed shards: %d -> %d", done, got)
 	}
 }
 
@@ -494,28 +540,34 @@ func TestManagerMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// TestGracefulShutdownFlushes: cancelling a worker mid-campaign flushes
-// its findings and corpus to the manager via the final deregistering
-// sync; the manager requeues its leases and drops it from the connected
-// gauge — nothing is lost. The campaign is far longer than the worker
-// runs before the cancel, so the cancel always lands mid-campaign.
+// TestGracefulShutdownFlushes: cancelling a worker mid-shard ships the
+// shard's partial run to the manager on the deregistering poll; the
+// manager admits it without completing the shard, requeues the lease and
+// drops the worker from the connected gauge. The single shard is far
+// longer than the worker runs before the cancel, so the cancel always
+// lands mid-shard.
 func TestGracefulShutdownFlushes(t *testing.T) {
-	cfg := fastManagerConfig(4000, 10)
+	cfg := fastManagerConfig(100000, 100000)
 	m, srv := startManager(t, cfg)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
-	w := testWorker(srv, "w")
+	reg := obs.NewRegistry()
+	steps := reg.Counter("ozz_campaign_steps_total", "")
+	w := NewWorker(WorkerConfig{
+		ManagerURL: srv.URL, Name: "w", PoolWorkers: 2, Obs: reg,
+		HTTPClient: srv.Client(), MaxBackoff: 200 * time.Millisecond,
+	})
 	done := make(chan error, 1)
 	go func() { done <- w.Run(ctx) }()
 
 	// Wait until the worker has produced something worth losing.
 	deadline := time.Now().Add(20 * time.Second)
-	for m.CorpusLen() == 0 && time.Now().Before(deadline) {
+	for steps.Value() == 0 && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
 	}
-	if m.CorpusLen() == 0 {
-		t.Fatal("campaign produced no corpus to test the flush with")
+	if steps.Value() == 0 {
+		t.Fatal("the worker ran no step to test the flush with")
 	}
 	cancel()
 	if err := <-done; err != context.Canceled {
@@ -525,36 +577,36 @@ func TestGracefulShutdownFlushes(t *testing.T) {
 	if got := m.WorkersConnected(); got != 0 {
 		t.Errorf("workers_connected = %d after graceful shutdown, want 0", got)
 	}
-	// Every program and finding the worker held must be at the manager.
-	managerHas := make(map[string]struct{})
-	for _, h := range m.CorpusKeyHashes() {
-		managerHas[h] = struct{}{}
+	if got := m.ShardsCompleted(); got != 0 {
+		t.Errorf("shards completed = %d, want 0: the cancel interrupted the only shard", got)
 	}
-	w.mu.Lock()
-	workerHashes := append([]string(nil), w.corpusOrder...)
-	workerTitles := w.reports.Titles()
-	w.mu.Unlock()
-	for _, h := range workerHashes {
-		if _, ok := managerHas[h]; !ok {
-			t.Errorf("worker corpus program %s lost in shutdown", h)
-		}
+	// The manager holds exactly the partial run: the first steps of the
+	// shard, which a local pool reproduces.
+	ran := int(steps.Value())
+	pool := core.NewPool(coreConfig(cfg.Campaign, Shards(cfg.Seed, cfg.TotalSteps, cfg.ShardSteps)[0].Seed, nil, nil), 2)
+	pool.Run(ran)
+	var want []string
+	for _, p := range pool.CorpusPrograms() {
+		want = append(want, progHash(p))
 	}
-	globalTitles := make(map[string]struct{})
-	for _, title := range m.ReportTitles() {
-		globalTitles[title] = struct{}{}
+	if len(want) == 0 {
+		t.Fatalf("the %d-step partial run has no corpus to test the flush with", ran)
 	}
-	for _, title := range workerTitles {
-		if _, ok := globalTitles[title]; !ok {
-			t.Errorf("worker finding %q lost in shutdown", title)
-		}
+	if got := m.CorpusKeyHashes(); strings.Join(got, "|") != strings.Join(want, "|") {
+		t.Errorf("manager corpus has %d programs, the %d-step partial run %d", len(got), ran, len(want))
+	}
+	var titles []string
+	for _, r := range pool.Reports.All() {
+		titles = append(titles, r.Title)
+	}
+	if got, want := strings.Join(m.ReportTitles(), "|"), sortedJoin(titles); got != want {
+		t.Errorf("manager reports %q, the partial run %q", got, want)
 	}
 	// The worker's in-flight shard went back on the queue.
 	m.mu.Lock()
-	pendingPlusDone := len(m.pending) + m.completed + len(m.inflight)
-	total := len(m.shards)
+	pending, inflight := len(m.pending), len(m.inflight)
 	m.mu.Unlock()
-	if pendingPlusDone != total {
-		t.Errorf("shard accounting broken after shutdown: pending+completed+inflight = %d, shards = %d",
-			pendingPlusDone, total)
+	if pending != 1 || inflight != 0 {
+		t.Errorf("after shutdown: %d pending, %d in flight; want the one shard pending", pending, inflight)
 	}
 }

@@ -65,10 +65,10 @@ func TestManagerRestartResume(t *testing.T) {
 	if poll.Lease == nil {
 		t.Fatal("no lease granted")
 	}
-	// Run the first leased shard for real (as a worker would), then sync
-	// its corpus plus one injected marker program, push its findings plus
-	// one injected marker report, and only then ack the completion — the
-	// same order a real worker uses, so nothing acked is ever unsynced.
+	// Run the first leased shard for real (as a worker would) and ship its
+	// corpus plus one injected marker program and its findings plus one
+	// injected marker report on the poll that acks the completion — the
+	// same message a real worker sends, so nothing acked is ever missing.
 	lease := poll.Lease
 	pool := core.NewPool(coreConfig(testCampaign(), lease.Seed, nil, nil), 2)
 	pool.Run(lease.Steps)
@@ -82,22 +82,11 @@ func TestManagerRestartResume(t *testing.T) {
 	if err := core.EncodePrograms(&payload, shipped); err != nil {
 		t.Fatal(err)
 	}
-	if err := postJSON(client, srv1.URL+PathSync, SyncRequest{
-		V: ProtocolVersion, WorkerID: reg.WorkerID, Epoch: reg.Epoch,
-		Keys: keys, Programs: payload.String(),
-	}, nil); err != nil {
-		t.Fatal(err)
-	}
 	marker := &report.Report{Title: "KCSAN: data-race in restart_test"}
-	if err := postJSON(client, srv1.URL+PathReport, ReportRequest{
-		V: ProtocolVersion, WorkerID: reg.WorkerID, Epoch: reg.Epoch,
-		Reports: append(pool.Reports.All(), marker),
-	}, nil); err != nil {
-		t.Fatal(err)
-	}
 	if err := postJSON(client, srv1.URL+PathPoll, PollRequest{
 		V: ProtocolVersion, WorkerID: reg.WorkerID, Epoch: reg.Epoch,
-		Completed: lease.ID,
+		Completed: lease.ID, Programs: payload.String(),
+		Reports: append(pool.Reports.All(), marker),
 	}, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -172,6 +161,42 @@ func TestManagerRestartResume(t *testing.T) {
 
 // sortedJoin joins a sorted copy for order-insensitive comparison.
 func sortedJoin(in []string) string { return strings.Join(sortedCopy(in), "|") }
+
+// TestCompletingPollJournalsResultsFirst: a completing poll against a
+// durable manager journals the shard's program and report records before
+// its complete record, so a crash between them can lose the completion
+// (the shard re-runs) but never the results of a completed shard.
+func TestCompletingPollJournalsResultsFirst(t *testing.T) {
+	cfg := durableConfig(t, 40, 10)
+	cfg.HeartbeatEvery = time.Hour // keep the hand-driven worker alive
+	_, srv := startManager(t, cfg)
+	reg, lease := registerAndLease(t, srv)
+	req := completingPoll(reg, lease)
+	req.Reports = append(req.Reports, &report.Report{Title: "KCSAN: data-race in wal_order_test"})
+	if err := postJSON(srv.Client(), srv.URL+PathPoll, req, nil); err != nil {
+		t.Fatal(err)
+	}
+
+	var types []string
+	if _, _, err := replayWAL(walPath(cfg.StateDir), func(typ string, _ json.RawMessage) {
+		types = append(types, typ)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]int{}
+	for _, typ := range types {
+		if typ == walComplete && (seen[walProgram] == 0 || seen[walReport] == 0) {
+			t.Fatalf("complete record before the shard's results: %v", types)
+		}
+		seen[typ]++
+	}
+	if seen[walComplete] != 1 {
+		t.Errorf("WAL holds %d complete records, want 1: %v", seen[walComplete], types)
+	}
+	if types[len(types)-1] != walComplete {
+		t.Errorf("WAL does not end with the completion: %v", types)
+	}
+}
 
 // TestWALTornRecord: a crash mid-append leaves a torn final record; the
 // restarted manager truncates it and resumes from the last intact state
@@ -512,8 +537,8 @@ func TestEpochReregisterReleasesStaleLease(t *testing.T) {
 }
 
 // TestProtocolNegotiation: the manager answers at ProtocolVersion and
-// rejects every other version — the retired versions 1 and 2 included —
-// with HTTP 400 on register and poll.
+// rejects every other version — the retired versions 1, 2 and 3
+// included — with HTTP 400 on register and poll.
 func TestProtocolNegotiation(t *testing.T) {
 	_, srv := startManager(t, fastManagerConfig(40, 10))
 	client := srv.Client()
@@ -525,7 +550,7 @@ func TestProtocolNegotiation(t *testing.T) {
 	if reg.V != ProtocolVersion {
 		t.Errorf("register answered at version %d, want %d", reg.V, ProtocolVersion)
 	}
-	for _, v := range []int{0, 1, 2, ProtocolVersion + 1} {
+	for _, v := range []int{0, 1, 2, 3, ProtocolVersion + 1} {
 		err := postJSON(client, srv.URL+PathRegister, RegisterRequest{V: v, Name: "old"}, nil)
 		if errStatus(err) != 400 {
 			t.Errorf("version-%d register: %v, want HTTP 400", v, err)

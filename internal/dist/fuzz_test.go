@@ -14,8 +14,6 @@ func protoMessages() []any {
 	return []any{
 		&RegisterRequest{}, &RegisterResponse{},
 		&PollRequest{}, &PollResponse{},
-		&SyncRequest{}, &SyncResponse{},
-		&ReportRequest{}, &ReportResponse{},
 		&HeartbeatRequest{}, &HeartbeatResponse{},
 		&ErrorResponse{},
 	}
@@ -41,13 +39,15 @@ func FuzzProtocol(f *testing.F) {
 		PollRequest{V: ProtocolVersion, WorkerID: 1, Completed: 1<<32 | 2},
 		PollResponse{V: ProtocolVersion, Lease: &Lease{ID: 7, Shard: 3, Seed: -1, Steps: 40, TTLMS: 3000}},
 		PollResponse{V: ProtocolVersion, Done: true},
-		SyncRequest{V: ProtocolVersion, WorkerID: 1, Keys: []string{"abc123"}, Programs: "r0 = wq_create()\n"},
-		SyncResponse{V: ProtocolVersion, Want: []string{"def456"}},
-		ReportRequest{V: ProtocolVersion, WorkerID: 1, Reports: []*report.Report{{
-			Title: "KCSAN: data-race in wq_post", Oracle: "kcsan", OOO: true, Type: "S-S",
-			ReorderedSites: []string{"42"}, Pair: [2]string{"wq_post_notification", "wq_pipe_read"},
-		}}},
-		ReportResponse{V: ProtocolVersion, Added: 1},
+		PollRequest{V: ProtocolVersion, WorkerID: 1, Completed: 1<<32 | 3,
+			Programs: "r0 = wq_create()\n\nr0 = wq_create()\nwq_pipe_read(r0)\n",
+			Reports: []*report.Report{{
+				Title: "KCSAN: data-race in wq_post", Oracle: "kcsan", OOO: true, Type: "S-S",
+				ReorderedSites: []string{"42"}, Pair: [2]string{"wq_post_notification", "wq_pipe_read"},
+			}}},
+		PollRequest{V: ProtocolVersion, WorkerID: 1, Programs: "r0 = wq_create()\n", Deregister: true},
+		PollResponse{V: ProtocolVersion, RetryMS: 250},
+		HeartbeatRequest{V: ProtocolVersion, WorkerID: 2, Token: "t0k", Epoch: 3, Lease: 1<<32 | 1},
 		HeartbeatRequest{V: ProtocolVersion, WorkerID: 1, Lease: 7},
 		HeartbeatResponse{V: ProtocolVersion, OK: true},
 		ErrorResponse{Error: "protocol version mismatch"},

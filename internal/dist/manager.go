@@ -4,7 +4,6 @@ import (
 	"crypto/subtle"
 	"io"
 	"net/http"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -284,15 +283,13 @@ func (m *Manager) WriteCorpus(w io.Writer) error {
 	return core.EncodePrograms(w, progs)
 }
 
-// Handler returns the manager's HTTP API: the five fabric endpoints plus
+// Handler returns the manager's HTTP API: the three fabric endpoints plus
 // /metrics serving the manager's registry (so one listener covers both
 // the fleet and scrapers).
 func (m *Manager) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc(PathRegister, m.timed(m.do.httpRegister, m.handleRegister))
 	mux.HandleFunc(PathPoll, m.timed(m.do.httpPoll, m.handlePoll))
-	mux.HandleFunc(PathSync, m.timed(m.do.httpSync, m.handleSync))
-	mux.HandleFunc(PathReport, m.timed(m.do.httpReport, m.handleReport))
 	mux.HandleFunc(PathHeartbeat, m.timed(m.do.httpHeartbeat, m.handleHeartbeat))
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -346,10 +343,11 @@ func (m *Manager) currentEpochLocked(w http.ResponseWriter, epoch uint64) bool {
 	return true
 }
 
-// setGaugesLocked refreshes the worker and pending-shard gauges.
+// setGaugesLocked refreshes the worker, pending-shard and corpus gauges.
 func (m *Manager) setGaugesLocked() {
 	m.do.workers.Set(float64(m.connectedLocked()))
 	m.do.leasesPending.Set(float64(len(m.pending)))
+	m.do.corpusProgs.Set(float64(len(m.corpusOrder)))
 }
 
 // handleRegister admits a worker and ships the campaign spec. A
@@ -389,8 +387,14 @@ func (m *Manager) handleRegister(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handlePoll sweeps expired state, acknowledges a completion, and grants
-// one lease when a shard is pending.
+// handlePoll sweeps expired state, admits the shard results the poll
+// carries, acknowledges its completion, and then either deregisters the
+// worker or grants it one lease when a shard is pending. Results are
+// journaled before the completion, so a crash between the records leaves
+// results without their completion (the shard re-runs harmlessly), never
+// a completed shard without its results. A retried poll is idempotent:
+// programs dedup by key hash, reports by title, and a repeated completion
+// is a no-op.
 func (m *Manager) handlePoll(w http.ResponseWriter, r *http.Request) {
 	var req PollRequest
 	if err := readJSON(r, &req); err != nil {
@@ -412,15 +416,38 @@ func (m *Manager) handlePoll(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusGone, "unknown worker %d: re-register", req.WorkerID)
 		return
 	}
+	if req.Programs != "" {
+		progs, _ := core.DecodePrograms(strings.NewReader(req.Programs), m.target)
+		for _, p := range progs {
+			m.admitProgramLocked(p, true)
+		}
+	}
+	added := 0
+	for _, rep := range req.Reports {
+		if rep != nil && rep.Title != "" && m.admitReportLocked(rep, true) {
+			added++
+		}
+	}
+	m.do.reportsNew.Add(uint64(added))
+	m.do.reportsDup.Add(uint64(len(req.Reports) - added))
 	m.completeLocked(ws, req.Completed)
 	resp := PollResponse{V: ProtocolVersion}
-	if m.doneLocked() {
+	switch {
+	case req.Deregister:
+		ws.connected = false
+		m.releaseLocked(ws.id)
+	case m.doneLocked():
 		resp.Done = true
-	} else if resp.Lease = m.grantLocked(ws); resp.Lease == nil {
-		resp.RetryMS = (m.cfg.HeartbeatEvery / 2).Milliseconds()
+	default:
+		if resp.Lease = m.grantLocked(ws); resp.Lease == nil {
+			resp.RetryMS = (m.cfg.HeartbeatEvery / 2).Milliseconds()
+		}
 	}
 	m.setGaugesLocked()
 	m.mu.Unlock()
+	if req.Deregister {
+		m.do.ev.Info(req.WorkerID, "dist.deregister", nil)
+	}
 	if l := resp.Lease; l != nil {
 		m.do.ev.Info(req.WorkerID, "dist.lease_grant", map[string]any{
 			"lease": l.ID, "shard": l.Shard, "seed": l.Seed, "steps": l.Steps,
@@ -431,7 +458,7 @@ func (m *Manager) handlePoll(w http.ResponseWriter, r *http.Request) {
 }
 
 // sweep requeues expired leases and declares silent workers dead. It runs
-// lazily at the top of every poll/sync/heartbeat, so liveness advances as
+// lazily at the top of every poll and heartbeat, so liveness advances as
 // long as any worker keeps talking; tests may call it directly.
 func (m *Manager) sweep() {
 	var (
@@ -489,124 +516,6 @@ func (m *Manager) maybeEmitDone() {
 			"shards": shards, "reports": reports, "corpus": corpus,
 		})
 	}
-}
-
-// handleSync performs one delta round of corpus exchange and handles
-// deregistration.
-func (m *Manager) handleSync(w http.ResponseWriter, r *http.Request) {
-	var req SyncRequest
-	if err := readJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad sync body: %v", err)
-		return
-	}
-	if !checkVersion(w, req.V) || !m.authorized(w, req.Token) {
-		return
-	}
-	m.sweep()
-	m.mu.Lock()
-	if !m.currentEpochLocked(w, req.Epoch) {
-		m.mu.Unlock()
-		return
-	}
-	ws := m.touchLocked(req.WorkerID)
-	if ws == nil && !req.Deregister {
-		m.mu.Unlock()
-		writeError(w, http.StatusGone, "unknown worker %d: re-register", req.WorkerID)
-		return
-	}
-	// Merge the program bodies the worker shipped (ones we asked for, but
-	// validate and dedup regardless of what arrived).
-	recvProgs := 0
-	if req.Programs != "" {
-		progs, _ := core.DecodePrograms(strings.NewReader(req.Programs), m.target)
-		for _, p := range progs {
-			if m.admitProgramLocked(p, true) {
-				recvProgs++
-			}
-		}
-		m.do.syncBytesIn.Add(uint64(len(req.Programs)))
-		m.do.syncProgsIn.Add(uint64(recvProgs))
-		m.do.corpusProgs.Set(float64(len(m.corpusOrder)))
-	}
-	// Diff the worker's advertisement against the global corpus.
-	workerHas := make(map[string]struct{}, len(req.Keys))
-	for _, k := range req.Keys {
-		workerHas[k] = struct{}{}
-	}
-	var want []string
-	for _, k := range req.Keys {
-		if _, ok := m.corpus[k]; !ok {
-			want = append(want, k)
-		}
-	}
-	sort.Strings(want)
-	var toSend []*syzlang.Program
-	for _, h := range m.corpusOrder {
-		if _, ok := workerHas[h]; !ok {
-			toSend = append(toSend, m.corpus[h])
-		}
-	}
-	var payload strings.Builder
-	if len(toSend) > 0 {
-		_ = core.EncodePrograms(&payload, toSend)
-		m.do.syncBytesOut.Add(uint64(payload.Len()))
-		m.do.syncProgsOut.Add(uint64(len(toSend)))
-	}
-	if req.Deregister && ws != nil {
-		ws.connected = false
-		m.releaseLocked(ws.id)
-	}
-	m.setGaugesLocked()
-	m.mu.Unlock()
-	m.do.ev.Info(req.WorkerID, "dist.sync", map[string]any{
-		"recv_programs": recvProgs, "sent_programs": len(toSend),
-		"recv_bytes": len(req.Programs), "sent_bytes": payload.Len(),
-		"want": len(want), "deregister": req.Deregister,
-	})
-	if req.Deregister {
-		m.do.ev.Info(req.WorkerID, "dist.deregister", nil)
-	}
-	writeJSON(w, http.StatusOK, SyncResponse{
-		V: ProtocolVersion, Programs: payload.String(), Want: want,
-	})
-}
-
-// handleReport merges worker findings into the global deduplicated set.
-func (m *Manager) handleReport(w http.ResponseWriter, r *http.Request) {
-	var req ReportRequest
-	if err := readJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad report body: %v", err)
-		return
-	}
-	if !checkVersion(w, req.V) || !m.authorized(w, req.Token) {
-		return
-	}
-	m.mu.Lock()
-	if !m.currentEpochLocked(w, req.Epoch) {
-		m.mu.Unlock()
-		return
-	}
-	if ws := m.touchLocked(req.WorkerID); ws == nil {
-		m.mu.Unlock()
-		writeError(w, http.StatusGone, "unknown worker %d: re-register", req.WorkerID)
-		return
-	}
-	added := 0
-	for _, rep := range req.Reports {
-		if rep != nil && rep.Title != "" && m.admitReportLocked(rep, true) {
-			added++
-		}
-	}
-	dup := len(req.Reports) - added
-	m.do.reportsNew.Add(uint64(added))
-	if dup > 0 {
-		m.do.reportsDup.Add(uint64(dup))
-	}
-	m.mu.Unlock()
-	m.do.ev.Info(req.WorkerID, "dist.report", map[string]any{
-		"received": len(req.Reports), "added": added,
-	})
-	writeJSON(w, http.StatusOK, ReportResponse{V: ProtocolVersion, Added: added})
 }
 
 // handleHeartbeat renews worker liveness and its lease.

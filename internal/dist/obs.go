@@ -6,10 +6,6 @@ import (
 	"ozz/internal/obs"
 )
 
-// endpointNames are the fabric's HTTP endpoints in the order their
-// ozz_dist_http_duration_seconds children are pre-registered.
-var endpointNames = []string{"register", "poll", "sync", "report", "heartbeat"}
-
 // distObs bundles the fabric's metric handles. The same families serve
 // both sides: on the manager they count the whole fleet, on a worker they
 // count that worker's client-side traffic (registration is get-or-create,
@@ -23,11 +19,8 @@ type distObs struct {
 	workers       *obs.Gauge
 	registrations *obs.Counter
 
-	syncBytesIn, syncBytesOut *obs.Counter
-	syncProgsIn, syncProgsOut *obs.Counter
-
-	// httpDur children, indexed like endpointNames.
-	httpRegister, httpPoll, httpSync, httpReport, httpHeartbeat *obs.Histogram
+	// ozz_dist_http_duration_seconds children, one per endpoint.
+	httpRegister, httpPoll, httpHeartbeat *obs.Histogram
 
 	leasesGranted, leasesCompleted, leaseReassigns *obs.Counter
 	heartbeatMisses                                *obs.Counter
@@ -60,24 +53,10 @@ func newDistObs(reg *obs.Registry, ev *obs.EventLog) *distObs {
 	d.registrations = reg.Counter("ozz_dist_registrations_total",
 		"Worker registrations accepted (re-registrations count again).")
 
-	bytes := reg.CounterVec("ozz_dist_sync_bytes_total",
-		"Corpus-encoded program payload bytes moved by /sync, by direction relative to this process.", "direction")
-	d.syncBytesIn = bytes.With("in")
-	d.syncBytesOut = bytes.With("out")
-	progs := reg.CounterVec("ozz_dist_sync_programs_total",
-		"Programs merged from /sync payloads, by direction relative to this process.", "direction")
-	d.syncProgsIn = progs.With("in")
-	d.syncProgsOut = progs.With("out")
-
 	durs := reg.HistogramVec("ozz_dist_http_duration_seconds",
 		"Wall-clock duration of one fabric HTTP exchange, seconds (handler-side on the manager, round-trip on workers).",
 		obs.DurationBuckets(), "endpoint")
-	children := make([]*obs.Histogram, len(endpointNames))
-	for i, e := range endpointNames {
-		children[i] = durs.With(e)
-	}
-	d.httpRegister, d.httpPoll, d.httpSync, d.httpReport, d.httpHeartbeat =
-		children[0], children[1], children[2], children[3], children[4]
+	d.httpRegister, d.httpPoll, d.httpHeartbeat = durs.With("register"), durs.With("poll"), durs.With("heartbeat")
 
 	d.leasesGranted = reg.Counter("ozz_dist_leases_granted_total",
 		"Work leases granted to workers (a reassigned shard grants a fresh lease).")
@@ -91,7 +70,7 @@ func newDistObs(reg *obs.Registry, ev *obs.EventLog) *distObs {
 		"Shards waiting in the manager's queue for a worker.")
 
 	d.corpusProgs = reg.Gauge("ozz_dist_corpus_programs",
-		"Programs in this process's merged fabric corpus (global on the manager, local aggregate on a worker).")
+		"Programs in the manager's merged campaign corpus.")
 	outcomes := reg.CounterVec("ozz_dist_reports_merged_total",
 		"Report-set merge attempts at the manager's global dedup, by outcome.", "outcome")
 	d.reportsNew = outcomes.With("new")

@@ -11,10 +11,12 @@
 //     on each shard it runs, and the manager reassigns leases whose
 //     worker stopped heartbeating — a killed worker loses nothing but
 //     in-flight shards.
-//   - Corpus exchange is delta-based: workers send Program.Key() hashes,
-//     the manager replies only with programs the worker lacks (and asks
-//     for the ones it lacks itself), reusing the streaming corpus
-//     encoding of internal/core for the program payloads.
+//   - Results travel one way, once: the poll that completes a shard
+//     carries that shard's corpus (in the streaming corpus encoding of
+//     internal/core) and findings, and the manager admits them before it
+//     marks the shard complete. Workers keep nothing across leases; the
+//     manager never sends programs down, because no worker executes a
+//     corpus it did not generate from its shard seed.
 //   - Shards are deterministic: a shard's campaign is a function of its
 //     derived seed alone, so the union of shard results is independent of
 //     which worker runs which shard, and a 1-manager/N-worker campaign
@@ -38,30 +40,26 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"net/http"
-	"strconv"
 
 	"ozz/internal/report"
-	"ozz/internal/syzlang"
 )
 
 // ProtocolVersion is the fabric's wire protocol version. Every request
-// and response carries it in the V field. Version 3 has one campaign per
-// manager, one lease per poll, an optional auth token, and the
-// epoch-stamped re-register handshake. The manager accepts exactly this
-// version: any other is rejected with HTTP 400 and an ErrorResponse, so
-// incompatible fleets fail fast instead of corrupting each other's state
-// (a version-2 worker naming a campaign never joins the wrong one).
-const ProtocolVersion = 3
+// and response carries it in the V field. Version 4 has one campaign per
+// manager, one lease per poll, an optional auth token, the epoch-stamped
+// re-register handshake, and ships each shard's results on the poll that
+// completes it. The manager accepts exactly this version: any other is
+// rejected with HTTP 400 and an ErrorResponse, so incompatible fleets
+// fail fast instead of corrupting each other's state (a version-3 worker,
+// which completes shards before shipping their results, never joins).
+const ProtocolVersion = 4
 
 // Endpoint paths of the manager's HTTP API.
 const (
 	PathRegister  = "/register"
 	PathPoll      = "/poll"
-	PathSync      = "/sync"
-	PathReport    = "/report"
 	PathHeartbeat = "/heartbeat"
 )
 
@@ -139,7 +137,8 @@ type RegisterResponse struct {
 	HeartbeatMS int64 `json:"heartbeat_ms"`
 }
 
-// PollRequest asks for work and acknowledges completed leases.
+// PollRequest asks for work, acknowledges a completed lease together with
+// its shard's results, or deregisters the worker.
 type PollRequest struct {
 	// V is the sender's protocol version.
 	V int `json:"v"`
@@ -153,6 +152,16 @@ type PollRequest struct {
 	// poll, 0 for none (lease IDs are epoch<<32|seq with epoch >= 1, so 0
 	// never names a lease).
 	Completed uint64 `json:"completed,omitempty"`
+	// Programs is the finished shard's corpus in the streaming corpus
+	// encoding; on a deregistering poll, the interrupted shard's partial
+	// corpus.
+	Programs string `json:"programs,omitempty"`
+	// Reports are the same shard's findings, first-seen order.
+	Reports []*report.Report `json:"reports,omitempty"`
+	// Deregister marks the worker's last message: after admitting the
+	// results, the manager releases the worker's lease and drops it from
+	// the connected set instead of granting another.
+	Deregister bool `json:"deregister,omitempty"`
 }
 
 // PollResponse grants a lease, asks the worker to retry later, or
@@ -163,70 +172,11 @@ type PollResponse struct {
 	// Lease is the granted lease, nil when no shard is pending.
 	Lease *Lease `json:"lease,omitempty"`
 	// Done reports that every shard has completed; the worker should
-	// perform a final sync and deregister.
+	// deregister.
 	Done bool `json:"done"`
 	// RetryMS is the manager's suggested wait before the next poll when
 	// no lease was granted (the client adds backoff and jitter on top).
 	RetryMS int64 `json:"retry_ms,omitempty"`
-}
-
-// SyncRequest is one round of delta-based corpus exchange: the worker
-// advertises everything it has by key hash and ships the program bodies
-// the manager asked for in the previous round.
-type SyncRequest struct {
-	// V is the sender's protocol version.
-	V int `json:"v"`
-	// WorkerID is the registered worker identity.
-	WorkerID int `json:"worker_id"`
-	// Token authenticates against the manager's auth token.
-	Token string `json:"token,omitempty"`
-	// Epoch echoes the registration epoch; a stale value gets HTTP 410.
-	Epoch uint64 `json:"epoch,omitempty"`
-	// Keys lists the key hashes of every program the worker holds.
-	Keys []string `json:"keys,omitempty"`
-	// Programs carries, in the streaming corpus encoding, the program
-	// bodies whose hashes the manager requested in its previous
-	// SyncResponse.Want (empty on the first round).
-	Programs string `json:"programs,omitempty"`
-	// Deregister marks this as the worker's final sync: after merging,
-	// the manager releases the worker's leases and drops it from the
-	// connected set.
-	Deregister bool `json:"deregister,omitempty"`
-}
-
-// SyncResponse completes one delta round.
-type SyncResponse struct {
-	// V is the manager's protocol version.
-	V int `json:"v"`
-	// Programs carries, in the streaming corpus encoding, the manager's
-	// programs whose hashes were absent from the request's Keys.
-	Programs string `json:"programs,omitempty"`
-	// Want lists key hashes the manager lacks; the worker ships their
-	// bodies in its next SyncRequest. An empty Want means the two sides
-	// have converged.
-	Want []string `json:"want,omitempty"`
-}
-
-// ReportRequest ships worker findings for global deduplication.
-type ReportRequest struct {
-	// V is the sender's protocol version.
-	V int `json:"v"`
-	// WorkerID is the registered worker identity.
-	WorkerID int `json:"worker_id"`
-	// Token authenticates against the manager's auth token.
-	Token string `json:"token,omitempty"`
-	// Epoch echoes the registration epoch; a stale value gets HTTP 410.
-	Epoch uint64 `json:"epoch,omitempty"`
-	// Reports are the findings, first-seen order preserved.
-	Reports []*report.Report `json:"reports"`
-}
-
-// ReportResponse acknowledges a report batch.
-type ReportResponse struct {
-	// V is the manager's protocol version.
-	V int `json:"v"`
-	// Added is how many reports were new titles globally.
-	Added int `json:"added"`
 }
 
 // HeartbeatRequest renews the worker's liveness and its leases.
@@ -258,18 +208,6 @@ type ErrorResponse struct {
 	// Error is the human-readable failure description.
 	Error string `json:"error"`
 }
-
-// keyHash condenses a Program.Key() to the 16-hex-digit FNV-1a hash the
-// sync protocol exchanges instead of full keys — the delta advertisement
-// for a 10k-program corpus is ~170 KB instead of megabytes of key text.
-func keyHash(key string) string {
-	h := fnv.New64a()
-	_, _ = io.WriteString(h, key)
-	return strconv.FormatUint(h.Sum64(), 16)
-}
-
-// progHash is keyHash over a program.
-func progHash(p *syzlang.Program) string { return keyHash(p.Key()) }
 
 // writeJSON marshals v with the given HTTP status.
 func writeJSON(w http.ResponseWriter, status int, v any) {

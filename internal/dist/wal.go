@@ -93,7 +93,6 @@ type walProgramD struct {
 // wal is the campaign's open write-ahead log.
 type wal struct {
 	f       *os.File
-	path    string
 	records int // records appended since the last snapshot
 	do      *distObs
 }
@@ -104,7 +103,7 @@ func openWAL(path string, do *distObs) (*wal, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dist: open wal: %w", err)
 	}
-	return &wal{f: f, path: path, do: do}, nil
+	return &wal{f: f, do: do}, nil
 }
 
 // append journals one record and fsyncs it, so an acknowledged admission

@@ -3,7 +3,6 @@ package dist
 import (
 	"context"
 	"fmt"
-	"io"
 	"math/rand"
 	"net/http"
 	"strings"
@@ -11,21 +10,13 @@ import (
 	"time"
 
 	"ozz/internal/core"
-	"ozz/internal/modules"
 	"ozz/internal/obs"
-	"ozz/internal/report"
-	"ozz/internal/syzlang"
 )
 
 // leaseChunk is how many steps a worker runs between context checks while
 // executing a lease — small enough that a shutdown signal interrupts a
 // shard promptly, large enough that the check is free.
 const leaseChunk = 32
-
-// syncRounds bounds the delta-exchange iterations of one sync
-// conversation; two rounds converge (advertise, learn Want, ship), the
-// rest is slack for corpus growth between rounds.
-const syncRounds = 4
 
 // WorkerConfig parameterizes a fabric worker.
 type WorkerConfig struct {
@@ -52,35 +43,30 @@ type WorkerConfig struct {
 }
 
 // Worker runs campaign shards leased from a manager on the local
-// execution stack (core.Pool over internal/engine), exchanging corpus
-// deltas and findings after every shard. Construct with NewWorker, drive
-// with Run.
+// execution stack (core.Pool over internal/engine), shipping each
+// shard's corpus and findings on the poll that completes it. It keeps no
+// campaign state across leases. Construct with NewWorker, drive with Run.
 type Worker struct {
 	cfg    WorkerConfig
 	do     *distObs
 	client *http.Client
 
 	campaign       CampaignSpec
-	target         *syzlang.Target
 	heartbeatEvery time.Duration
+	leases         int // leases granted; written by Run only
 
-	mu          sync.Mutex
-	id          int    // assigned worker identity (rewritten on re-register)
-	epoch       uint64 // campaign epoch from the last (re-)register
-	rng         *rand.Rand
-	corpus      map[string]*syzlang.Program // key hash -> program
-	corpusOrder []string                    // key hashes in first-seen order
-	reports     *report.Set
-	reported    map[string]struct{} // titles already acked by the manager
-	want        []string            // key hashes the manager asked for
+	mu    sync.Mutex
+	id    int    // assigned worker identity (rewritten on re-register)
+	epoch uint64 // campaign epoch from the last (re-)register
+	rng   *rand.Rand
 	// held is the lease the worker holds, 0 for none. Heartbeats renew it
-	// from grant until a poll acknowledging its completion succeeds, so
-	// the lease cannot expire while the shard's results are being synced.
+	// from grant until a poll carrying its results succeeds, so the lease
+	// cannot expire while that poll is being retried.
 	held uint64
 
 	// dieAfterLeases is a test hook: when > 0, Run returns abruptly (no
-	// completion ack, no final sync, no deregister — a simulated kill)
-	// after acquiring that many leases.
+	// results, no completion ack, no deregister — a simulated kill) after
+	// acquiring that many leases.
 	dieAfterLeases int
 }
 
@@ -94,34 +80,11 @@ func NewWorker(cfg WorkerConfig) *Worker {
 		client = &http.Client{Timeout: 30 * time.Second}
 	}
 	return &Worker{
-		cfg:      cfg,
-		do:       newDistObs(cfg.Obs, cfg.Events),
-		client:   client,
-		rng:      rand.New(rand.NewSource(time.Now().UnixNano())),
-		corpus:   make(map[string]*syzlang.Program),
-		reports:  report.NewSet(),
-		reported: make(map[string]struct{}),
+		cfg:    cfg,
+		do:     newDistObs(cfg.Obs, cfg.Events),
+		client: client,
+		rng:    rand.New(rand.NewSource(time.Now().UnixNano())),
 	}
-}
-
-// CorpusLen returns the worker's merged local corpus size (its own shard
-// results plus everything synced from the manager).
-func (w *Worker) CorpusLen() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return len(w.corpusOrder)
-}
-
-// WriteCorpus streams the worker's merged local corpus to out in the
-// corpus encoding, first-seen order.
-func (w *Worker) WriteCorpus(out io.Writer) error {
-	w.mu.Lock()
-	progs := make([]*syzlang.Program, 0, len(w.corpusOrder))
-	for _, h := range w.corpusOrder {
-		progs = append(progs, w.corpus[h])
-	}
-	w.mu.Unlock()
-	return core.EncodePrograms(out, progs)
 }
 
 // backoff returns the exponential client-side retry delay for the given
@@ -186,7 +149,6 @@ func (w *Worker) register(ctx context.Context) error {
 			w.held = 0
 			w.mu.Unlock()
 			w.campaign = resp.Campaign
-			w.target = modules.Target(resp.Campaign.Modules...)
 			if resp.HeartbeatMS <= 0 {
 				resp.HeartbeatMS = 1000
 			}
@@ -234,11 +196,13 @@ func (w *Worker) heartbeatLoop(ctx context.Context, stop <-chan struct{}) {
 	}
 }
 
-// Run executes the worker loop: register, then poll/run/report/sync until
-// the manager declares the campaign done or ctx is cancelled. On
-// cancellation it performs a final deregistering sync (flushing any
-// unreported findings and unsynced corpus programs) before returning, so
-// a gracefully stopped worker loses nothing.
+// Run executes the worker loop: register, then poll and run leased
+// shards until the manager declares the campaign done or ctx is
+// cancelled. Each shard's corpus and findings ride on the poll that
+// completes it, resent on every retry until a poll succeeds. On
+// cancellation the deregistering poll carries the results still held
+// (an interrupted shard's partial run, or a finished shard awaiting its
+// acknowledgement), so a gracefully stopped worker loses nothing.
 func (w *Worker) Run(ctx context.Context) error {
 	if err := w.register(ctx); err != nil {
 		return err
@@ -248,33 +212,26 @@ func (w *Worker) Run(ctx context.Context) error {
 	go w.heartbeatLoop(ctx, stop)
 
 	var (
-		completed uint64 // finished lease awaiting its poll acknowledgement
-		failures  int
-		leases    int
+		out      PollRequest // the held lease's results, resent until a poll succeeds
+		failures int
 	)
 	for {
 		if ctx.Err() != nil {
-			w.deregister()
+			w.deregister(out)
 			return ctx.Err()
 		}
-		id, epoch := w.ident()
-		start := time.Now()
-		var resp PollResponse
-		err := postJSON(w.client, w.url(PathPoll), PollRequest{
-			V: ProtocolVersion, WorkerID: id, Completed: completed,
-			Token: w.cfg.Token, Epoch: epoch,
-		}, &resp)
-		observe(w.do.httpPoll, start)
+		id, _ := w.ident()
+		resp, err := w.poll(out)
 		switch {
 		case err == nil:
 			failures = 0
 		case errStatus(err) == http.StatusGone:
 			// The manager restarted under a new epoch (or forgot us):
-			// transparently rejoin, which voids the held lease. A
-			// completion for a pre-restart lease ID is dropped — recovery
-			// requeued that shard anyway.
+			// transparently rejoin, which voids the held lease. Its
+			// results go with it — recovery or the sweep requeued that
+			// shard anyway.
 			w.do.ev.Warn(id, "dist.reregister", map[string]any{"cause": err.Error()})
-			completed = 0
+			out = PollRequest{}
 			if err := w.register(ctx); err != nil {
 				return err
 			}
@@ -287,14 +244,12 @@ func (w *Worker) Run(ctx context.Context) error {
 			sleep(ctx, w.backoff(failures))
 			continue
 		}
-		// The poll acknowledged the completion: stop renewing the lease.
-		completed = 0
+		// The poll admitted the results: stop renewing the lease.
+		out = PollRequest{}
 		w.setHeld(0)
 		if resp.Done {
-			w.deregister()
-			w.do.ev.Info(id, "dist.done", map[string]any{
-				"leases": leases, "corpus": w.CorpusLen(),
-			})
+			w.deregister(out)
+			w.do.ev.Info(id, "dist.done", map[string]any{"leases": w.leases})
 			return nil
 		}
 		lease := resp.Lease
@@ -306,21 +261,29 @@ func (w *Worker) Run(ctx context.Context) error {
 			sleep(ctx, retry)
 			continue
 		}
-		leases++
+		w.leases++
 		w.setHeld(lease.ID)
-		if w.dieAfterLeases > 0 && leases >= w.dieAfterLeases {
+		if w.dieAfterLeases > 0 && w.leases >= w.dieAfterLeases {
 			return fmt.Errorf("dist: worker killed by test hook holding lease %d", lease.ID)
 		}
-		if w.runLease(ctx, lease) {
-			completed = lease.ID
-		}
-		// Push findings and exchange corpus deltas after every lease —
-		// cheap (delta-based), and it keeps the global view fresh enough
-		// that a later crash loses at most one shard's discoveries. The
-		// next poll acknowledges the completion only after both landed.
-		w.pushReports()
-		w.syncConverse(false)
+		out = w.runLease(ctx, lease)
 	}
+}
+
+// Leases returns how many leases the worker was granted; call it after
+// Run returns.
+func (w *Worker) Leases() int { return w.leases }
+
+// poll sends req stamped with the worker's protocol version, token and
+// current identity.
+func (w *Worker) poll(req PollRequest) (PollResponse, error) {
+	req.V, req.Token = ProtocolVersion, w.cfg.Token
+	req.WorkerID, req.Epoch = w.ident()
+	start := time.Now()
+	var resp PollResponse
+	err := postJSON(w.client, w.url(PathPoll), req, &resp)
+	observe(w.do.httpPoll, start)
+	return resp, err
 }
 
 // setHeld records the lease heartbeats renew (0 for none).
@@ -330,180 +293,44 @@ func (w *Worker) setHeld(id uint64) {
 	w.mu.Unlock()
 }
 
-// runLease executes one shard on a fresh local pool, folding its corpus
-// and findings into the worker's aggregate state. It reports whether the
-// shard ran to completion (false when ctx was cancelled mid-shard — the
-// manager will reassign the lease, and because shard execution is
-// deterministic, the partial results are a prefix of the rerun's and
-// merge harmlessly).
-func (w *Worker) runLease(ctx context.Context, lease *Lease) bool {
+// runLease executes one shard on a fresh local pool and returns the poll
+// that ships its results: the pool's corpus and findings, with Completed
+// naming the lease when the shard ran to completion. When ctx is
+// cancelled mid-shard, Completed stays 0 and the results are a partial
+// run — a prefix of the rerun the manager reassigns, because shard
+// execution is deterministic — for the deregistering poll to ship.
+func (w *Worker) runLease(ctx context.Context, lease *Lease) PollRequest {
 	pool := core.NewPool(coreConfig(w.campaign, lease.Seed, w.cfg.Obs, w.cfg.Events), w.cfg.PoolWorkers)
-	ran := 0
-	for ran < lease.Steps {
+	out := PollRequest{Completed: lease.ID}
+	for ran := 0; ran < lease.Steps; ran += leaseChunk {
 		if ctx.Err() != nil {
-			w.absorb(pool)
-			return false
+			out.Completed = 0
+			break
 		}
-		n := leaseChunk
-		if lease.Steps-ran < n {
-			n = lease.Steps - ran
-		}
-		pool.Run(n)
-		ran += n
+		pool.Run(min(leaseChunk, lease.Steps-ran))
 	}
-	w.absorb(pool)
+	var progs strings.Builder
+	_ = core.EncodePrograms(&progs, pool.CorpusPrograms()) // a strings.Builder never fails a write
+	out.Programs = progs.String()
+	out.Reports = pool.Reports.All()
+	if out.Completed != 0 {
+		id, _ := w.ident()
+		w.do.ev.Info(id, "dist.lease_complete", map[string]any{
+			"lease": lease.ID, "shard": lease.Shard,
+		})
+	}
+	return out
+}
+
+// deregister sends the worker's last poll with the results it still
+// holds. It makes one attempt: a lost deregistering poll leaves its shard
+// unacknowledged, and the manager re-runs it.
+func (w *Worker) deregister(out PollRequest) {
+	out.Deregister = true
 	id, _ := w.ident()
-	w.do.ev.Info(id, "dist.lease_complete", map[string]any{
-		"lease": lease.ID, "shard": lease.Shard,
-	})
-	return true
-}
-
-// absorb merges one pool campaign's corpus and findings into the worker's
-// aggregate state, deduplicating by program key and crash title.
-func (w *Worker) absorb(pool *core.Pool) {
-	progs := pool.CorpusPrograms()
-	reps := pool.Reports.All()
-	w.mu.Lock()
-	for _, p := range progs {
-		h := progHash(p)
-		if _, dup := w.corpus[h]; dup {
-			continue
-		}
-		w.corpus[h] = p
-		w.corpusOrder = append(w.corpusOrder, h)
-	}
-	for _, r := range reps {
-		w.reports.Add(r)
-	}
-	w.do.corpusProgs.Set(float64(len(w.corpusOrder)))
-	w.mu.Unlock()
-}
-
-// pushReports ships findings the manager has not acked yet.
-func (w *Worker) pushReports() {
-	w.mu.Lock()
-	var fresh []*report.Report
-	for _, r := range w.reports.All() {
-		if _, acked := w.reported[r.Title]; !acked {
-			fresh = append(fresh, r)
-		}
-	}
-	w.mu.Unlock()
-	if len(fresh) == 0 {
+	if _, err := w.poll(out); err != nil {
+		w.do.ev.Warn(id, "dist.retry", map[string]any{"op": "deregister", "err": err.Error()})
 		return
 	}
-	id, epoch := w.ident()
-	start := time.Now()
-	var resp ReportResponse
-	err := postJSON(w.client, w.url(PathReport), ReportRequest{
-		V: ProtocolVersion, WorkerID: id, Reports: fresh,
-		Token: w.cfg.Token, Epoch: epoch,
-	}, &resp)
-	observe(w.do.httpReport, start)
-	if err != nil {
-		w.do.ev.Warn(id, "dist.retry", map[string]any{"op": "report", "err": err.Error()})
-		return // unacked titles stay queued for the next push
-	}
-	w.mu.Lock()
-	for _, r := range fresh {
-		w.reported[r.Title] = struct{}{}
-	}
-	w.mu.Unlock()
-	w.do.ev.Info(id, "dist.report", map[string]any{
-		"sent": len(fresh), "added": resp.Added,
-	})
-}
-
-// syncConverse runs one delta conversation with the manager: advertise
-// key hashes, ship the bodies the previous round's Want asked for, merge
-// what the manager sends back, and repeat until the Want list drains
-// (bounded by syncRounds). With deregister set, every request carries the
-// Deregister flag, so the manager releases this worker's leases on the
-// first round and keeps merging shipped programs on the rest.
-func (w *Worker) syncConverse(deregister bool) {
-	rejoined := false
-	for round := 0; round < syncRounds; round++ {
-		w.mu.Lock()
-		keys := append([]string(nil), w.corpusOrder...)
-		var shipped []*syzlang.Program
-		for _, h := range w.want {
-			if p, ok := w.corpus[h]; ok {
-				shipped = append(shipped, p)
-			}
-		}
-		w.want = nil
-		w.mu.Unlock()
-		var payload strings.Builder
-		if len(shipped) > 0 {
-			_ = core.EncodePrograms(&payload, shipped)
-			w.do.syncBytesOut.Add(uint64(payload.Len()))
-			w.do.syncProgsOut.Add(uint64(len(shipped)))
-		}
-		id, epoch := w.ident()
-		start := time.Now()
-		var resp SyncResponse
-		err := postJSON(w.client, w.url(PathSync), SyncRequest{
-			V: ProtocolVersion, WorkerID: id,
-			Keys: keys, Programs: payload.String(),
-			Deregister: deregister, Token: w.cfg.Token, Epoch: epoch,
-		}, &resp)
-		observe(w.do.httpSync, start)
-		if errStatus(err) == http.StatusGone && !rejoined {
-			// Manager restarted mid-conversation: rejoin once (bounded —
-			// the 410 proves the manager is answering) so a final flush
-			// still lands rather than losing this worker's discoveries.
-			rejoined = true
-			rctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			rerr := w.register(rctx)
-			cancel()
-			if rerr == nil {
-				round--
-				continue
-			}
-			return
-		}
-		if err != nil {
-			w.do.ev.Warn(id, "dist.retry", map[string]any{"op": "sync", "err": err.Error()})
-			return
-		}
-		merged := 0
-		if resp.Programs != "" {
-			progs, _ := core.DecodePrograms(strings.NewReader(resp.Programs), w.target)
-			w.mu.Lock()
-			for _, p := range progs {
-				h := progHash(p)
-				if _, dup := w.corpus[h]; dup {
-					continue
-				}
-				w.corpus[h] = p
-				w.corpusOrder = append(w.corpusOrder, h)
-				merged++
-			}
-			w.do.corpusProgs.Set(float64(len(w.corpusOrder)))
-			w.mu.Unlock()
-			w.do.syncBytesIn.Add(uint64(len(resp.Programs)))
-			w.do.syncProgsIn.Add(uint64(merged))
-		}
-		w.do.ev.Info(id, "dist.sync", map[string]any{
-			"round": round, "sent_programs": len(shipped), "recv_programs": merged,
-			"want": len(resp.Want), "deregister": deregister,
-		})
-		w.mu.Lock()
-		w.want = resp.Want
-		w.mu.Unlock()
-		if len(resp.Want) == 0 {
-			return
-		}
-	}
-}
-
-// deregister performs the worker's final flush: remaining reports, then a
-// deregistering sync conversation that ships everything the manager still
-// wants.
-func (w *Worker) deregister() {
-	w.pushReports()
-	w.syncConverse(true)
-	id, _ := w.ident()
 	w.do.ev.Info(id, "dist.deregister", nil)
 }

@@ -11,10 +11,10 @@ import (
 
 // ev helpers build profiled event streams.
 func st(instr trace.InstrID, addr trace.Addr) trace.Event {
-	return trace.Event{Acc: trace.AccessEvent{Instr: instr, Addr: addr, Kind: trace.Store, Size: 8}}
+	return trace.Event{Acc: trace.AccessEvent{Instr: instr, Addr: addr, Kind: trace.Store}}
 }
 func ld(instr trace.InstrID, addr trace.Addr) trace.Event {
-	return trace.Event{Acc: trace.AccessEvent{Instr: instr, Addr: addr, Kind: trace.Load, Size: 8}}
+	return trace.Event{Acc: trace.AccessEvent{Instr: instr, Addr: addr, Kind: trace.Load}}
 }
 func bar(instr trace.InstrID, kind trace.BarrierKind) trace.Event {
 	return trace.Event{Barrier: true, Bar: trace.BarrierEvent{Instr: instr, Kind: kind}}

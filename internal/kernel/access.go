@@ -1,9 +1,6 @@
 package kernel
 
-import (
-	"ozz/internal/kmem"
-	"ozz/internal/trace"
-)
+import "ozz/internal/trace"
 
 // This file is the instrumented memory-access API — the Go equivalent of the
 // callbacks the paper's LLVM pass inserts in place of loads, stores, and
@@ -37,7 +34,7 @@ func (t *Task) load(i trace.InstrID, addr trace.Addr, atom trace.Atomicity) uint
 	v := t.oe.Load(i, addr, atom)
 	if t.Prof != nil {
 		t.Prof.RecordAccess(trace.AccessEvent{
-			Instr: i, Addr: addr, Size: kmem.WordSize,
+			Instr: i, Addr: addr,
 			Kind: trace.Load, Atomic: atom, Time: t.K.Em.Now(),
 			PerCPU: t.K.IsPerCPU(addr),
 		})
@@ -93,7 +90,7 @@ func (t *Task) storeOpt(i trace.InstrID, addr trace.Addr, v uint64, atom trace.A
 	t.oe.Store(i, addr, v, atom)
 	if t.Prof != nil {
 		t.Prof.RecordAccess(trace.AccessEvent{
-			Instr: i, Addr: addr, Size: kmem.WordSize,
+			Instr: i, Addr: addr,
 			Kind: trace.Store, Atomic: atom, Time: t.K.Em.Now(),
 			NoYield: !yield, PerCPU: t.K.IsPerCPU(addr),
 		})

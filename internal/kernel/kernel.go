@@ -86,13 +86,11 @@ type Kernel struct {
 	// its scheduler handle.
 	OnAccess func(t *Task, ev trace.AccessEvent)
 
-	fns     []Fn
-	fnNames []string
+	fns []Fn
 
 	tasks  []*Task
 	nextID int
 
-	percpuStride trace.Addr
 	percpuRanges []percpuRange
 
 	rcu *RCU
@@ -114,7 +112,6 @@ func New() *Kernel {
 	// Slot 0 of the fn table is never handed out: FnBase|0 is reserved so
 	// that a zeroed function pointer is NULL, not a callable entry.
 	k.fns = append(k.fns, nil)
-	k.fnNames = append(k.fnNames, "<null>")
 	return k
 }
 
@@ -134,10 +131,8 @@ func (k *Kernel) Reset() {
 	k.Soft = k.Soft[:0]
 	k.OnAccess = nil
 	k.fns = k.fns[:1]
-	k.fnNames = k.fnNames[:1]
 	k.tasks = k.tasks[:0]
 	k.nextID = 0
-	k.percpuStride = 0
 	k.percpuRanges = k.percpuRanges[:0]
 	k.rcu = nil
 }
@@ -169,9 +164,8 @@ func (k *Kernel) NewTask(cpu int) *Task {
 
 // RegisterFn installs a function in the kernel's function table and returns
 // its pointer value (suitable for storing in simulated memory).
-func (k *Kernel) RegisterFn(name string, fn Fn) uint64 {
+func (k *Kernel) RegisterFn(fn Fn) uint64 {
 	k.fns = append(k.fns, fn)
-	k.fnNames = append(k.fnNames, name)
 	return FnBase | uint64(len(k.fns)-1)
 }
 
@@ -362,7 +356,6 @@ func Field(base trace.Addr, i int) trace.Addr {
 // exactly the behaviour behind Table 4 bug #6.
 func (k *Kernel) PerCPUAlloc(n int) trace.Addr {
 	base := k.Mem.AllocZeroed(n * NrCPU)
-	k.percpuStride = trace.Addr(n * kmem.WordSize)
 	k.percpuRanges = append(k.percpuRanges, percpuRange{
 		base: base,
 		end:  base + trace.Addr(n*NrCPU*kmem.WordSize),

@@ -16,7 +16,6 @@ import (
 
 // RCU is the per-kernel RCU state.
 type RCU struct {
-	k *Kernel
 	// nesting tracks read-side critical-section depth per task.
 	nesting map[int]int
 }
@@ -24,7 +23,7 @@ type RCU struct {
 // RCU returns the kernel's RCU instance (created on first use).
 func (k *Kernel) RCU() *RCU {
 	if k.rcu == nil {
-		k.rcu = &RCU{k: k, nesting: make(map[int]int)}
+		k.rcu = &RCU{nesting: make(map[int]int)}
 	}
 	return k.rcu
 }

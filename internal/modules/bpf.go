@@ -30,7 +30,6 @@ var (
 )
 
 type bpfInstance struct {
-	k    *kernel.Kernel
 	bugs BugSet
 	res  resTable
 	orig uint64 // the original data_ready callback value
@@ -58,8 +57,8 @@ func init() {
 			"r0 = bpf_sockmap_create()\nbpf_psock_init(r0)\nbpf_data_ready(r0)\n",
 		},
 		New: func(k *kernel.Kernel, bugs BugSet) Instance {
-			in := &bpfInstance{k: k, bugs: bugs}
-			in.orig = k.RegisterFn("tcp_data_ready", func(t *kernel.Task, arg uint64) uint64 { return EOK })
+			in := &bpfInstance{bugs: bugs}
+			in.orig = k.RegisterFn(func(t *kernel.Task, arg uint64) uint64 { return EOK })
 			return in
 		},
 	})

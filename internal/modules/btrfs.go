@@ -44,7 +44,6 @@ var (
 const btrfsSleepSpins = 40
 
 type btrfsInstance struct {
-	k    *kernel.Kernel
 	bugs BugSet
 	res  resTable
 }
@@ -73,7 +72,7 @@ func init() {
 			"r0 = btrfs_txn_start()\nbtrfs_txn_wait(r0)\nbtrfs_txn_commit(r0)\n",
 		},
 		New: func(k *kernel.Kernel, bugs BugSet) Instance {
-			in := &btrfsInstance{k: k, bugs: bugs}
+			in := &btrfsInstance{bugs: bugs}
 			return in
 		},
 	})

@@ -32,7 +32,6 @@ var (
 )
 
 type fdInstance struct {
-	k    *kernel.Kernel
 	bugs BugSet
 	res  resTable
 	fops uint64
@@ -60,8 +59,8 @@ func init() {
 			"r0 = fd_files_create()\nfd_install(r0, 0x1)\nfd_fget_light(r0, 0x1)\n",
 		},
 		New: func(k *kernel.Kernel, bugs BugSet) Instance {
-			in := &fdInstance{k: k, bugs: bugs}
-			in.fops = k.RegisterFn("generic_file_ops", func(t *kernel.Task, arg uint64) uint64 { return EOK })
+			in := &fdInstance{bugs: bugs}
+			in.fops = k.RegisterFn(func(t *kernel.Task, arg uint64) uint64 { return EOK })
 			return in
 		},
 	})

@@ -29,7 +29,6 @@ var (
 )
 
 type fmInstance struct {
-	k    *kernel.Kernel
 	bugs BugSet
 	res  resTable
 }
@@ -57,7 +56,7 @@ func init() {
 			"r0 = fm_open()\nfm_write(r0, 0x11)\nfm_read(r0)\n",
 		},
 		New: func(k *kernel.Kernel, bugs BugSet) Instance {
-			in := &fmInstance{k: k, bugs: bugs}
+			in := &fmInstance{bugs: bugs}
 			return in
 		},
 	})

@@ -34,7 +34,6 @@ var (
 )
 
 type gsmInstance struct {
-	k    *kernel.Kernel
 	bugs BugSet
 	res  resTable
 }
@@ -61,7 +60,7 @@ func init() {
 			"r0 = gsm_open()\ngsm_activate(r0, 0x0)\ngsm_dlci_config(r0, 0x0, 0x200)\n",
 		},
 		New: func(k *kernel.Kernel, bugs BugSet) Instance {
-			in := &gsmInstance{k: k, bugs: bugs}
+			in := &gsmInstance{bugs: bugs}
 			return in
 		},
 	})

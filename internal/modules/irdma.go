@@ -42,7 +42,6 @@ var (
 const irdmaTableSlots = 4
 
 type irdmaInstance struct {
-	k    *kernel.Kernel
 	bugs BugSet
 	res  resTable
 }
@@ -72,7 +71,7 @@ func init() {
 			"r0 = irdma_open()\nirdma_post(r0, 0x2)\nirdma_hw_complete(r0, 0x2)\nirdma_poll_cq(r0)\n",
 		},
 		New: func(k *kernel.Kernel, bugs BugSet) Instance {
-			in := &irdmaInstance{k: k, bugs: bugs}
+			in := &irdmaInstance{bugs: bugs}
 			return in
 		},
 	})

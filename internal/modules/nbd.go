@@ -30,7 +30,6 @@ var (
 )
 
 type nbdInstance struct {
-	k    *kernel.Kernel
 	bugs BugSet
 	res  resTable
 }
@@ -57,7 +56,7 @@ func init() {
 			"r0 = nbd_device()\nnbd_genl_connect(r0)\nnbd_open(r0)\n",
 		},
 		New: func(k *kernel.Kernel, bugs BugSet) Instance {
-			in := &nbdInstance{k: k, bugs: bugs}
+			in := &nbdInstance{bugs: bugs}
 			return in
 		},
 	})

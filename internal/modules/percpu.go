@@ -40,7 +40,6 @@ var (
 )
 
 type pcInstance struct {
-	k    *kernel.Kernel
 	bugs BugSet
 	res  resTable
 	// pos holds the per-CPU write-position handle per counter (parallel
@@ -73,7 +72,7 @@ func init() {
 			"r0 = pc_open()\npc_mark(r0, 0x5)\npc_mark(r0, 0x6)\npc_mark(r0, 0x7)\npc_trim(r0, 0x2)\npc_mark(r0, 0x4)\npc_sum(r0)\n",
 		},
 		New: func(k *kernel.Kernel, bugs BugSet) Instance {
-			in := &pcInstance{k: k, bugs: bugs}
+			in := &pcInstance{bugs: bugs}
 			return in
 		},
 	})
@@ -97,7 +96,7 @@ func (in *pcInstance) pcOpen(t *kernel.Task, args []uint64) uint64 {
 	buf := t.Kzalloc(4)
 	t.K.Mem.Write(kernel.Field(ctr, 0), uint64(buf))
 	t.K.Mem.Write(kernel.Field(ctr, 1), 4)
-	in.pos = append(in.pos, in.k.PerCPUAlloc(1))
+	in.pos = append(in.pos, t.K.PerCPUAlloc(1))
 	return in.res.add(ctr)
 }
 

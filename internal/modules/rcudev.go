@@ -34,7 +34,6 @@ var (
 )
 
 type rcuInstance struct {
-	k       *kernel.Kernel
 	bugs    BugSet
 	res     resTable
 	handler uint64
@@ -66,8 +65,8 @@ func init() {
 			"r0 = rcu_dev_create()\nrcu_dev_register(r0, 0x7)\nrcu_dev_read(r0)\nrcu_dev_unregister(r0)\nrcu_dev_read(r0)\n",
 		},
 		New: func(k *kernel.Kernel, bugs BugSet) Instance {
-			in := &rcuInstance{k: k, bugs: bugs}
-			in.handler = k.RegisterFn("rcu_dev_handler", func(t *kernel.Task, arg uint64) uint64 {
+			in := &rcuInstance{bugs: bugs}
+			in.handler = k.RegisterFn(func(t *kernel.Task, arg uint64) uint64 {
 				return arg
 			})
 			return in

@@ -43,7 +43,6 @@ var (
 )
 
 type rclInstance struct {
-	k    *kernel.Kernel
 	bugs BugSet
 	res  resTable
 }
@@ -73,7 +72,7 @@ func init() {
 			"r0 = rcl_open()\nrcl_add(r0, 0x3)\nrcl_add(r0, 0x4)\nrcl_scan(r0)\nrcl_pop(r0)\n",
 		},
 		New: func(k *kernel.Kernel, bugs BugSet) Instance {
-			in := &rclInstance{k: k, bugs: bugs}
+			in := &rclInstance{bugs: bugs}
 			return in
 		},
 	})

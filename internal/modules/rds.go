@@ -44,7 +44,6 @@ var (
 )
 
 type rdsInstance struct {
-	k    *kernel.Kernel
 	bugs BugSet
 	res  resTable
 }
@@ -72,7 +71,7 @@ func init() {
 			"r0 = rds_socket()\nrds_sendmsg(r0, 0x4)\nrds_sendmsg(r0, 0x3)\nrds_loop_xmit(r0)\n",
 		},
 		New: func(k *kernel.Kernel, bugs BugSet) Instance {
-			in := &rdsInstance{k: k, bugs: bugs}
+			in := &rdsInstance{bugs: bugs}
 			return in
 		},
 	})

@@ -30,7 +30,6 @@ var (
 )
 
 type rustInstance struct {
-	k    *kernel.Kernel
 	bugs BugSet
 	res  resTable
 }
@@ -60,7 +59,7 @@ func init() {
 			"r0 = rust_pair()\nrust_thread1(r0)\nrust_thread2(r0)\nrust_check(r0)\n",
 		},
 		New: func(k *kernel.Kernel, bugs BugSet) Instance {
-			in := &rustInstance{k: k, bugs: bugs}
+			in := &rustInstance{bugs: bugs}
 			return in
 		},
 	})

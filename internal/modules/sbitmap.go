@@ -47,7 +47,6 @@ var (
 )
 
 type sbInstance struct {
-	k    *kernel.Kernel
 	bugs BugSet
 	res  resTable
 	// hints is the per-CPU alloc-hint handle per sbitmap (parallel to
@@ -78,7 +77,7 @@ func init() {
 			"r0 = sb_init()\nsb_get(r0)\nsb_get(r0)\nsb_get(r0)\nsb_resize(r0, 0x3)\nsb_get(r0)\n",
 		},
 		New: func(k *kernel.Kernel, bugs BugSet) Instance {
-			in := &sbInstance{k: k, bugs: bugs}
+			in := &sbInstance{bugs: bugs}
 			return in
 		},
 	})
@@ -101,7 +100,7 @@ func (in *sbInstance) sbInit(t *kernel.Task, args []uint64) uint64 {
 	m := t.Kzalloc(4)
 	t.K.Mem.Write(kernel.Field(sb, 0), uint64(m))
 	t.K.Mem.Write(kernel.Field(sb, 1), 4)
-	in.hints = append(in.hints, in.k.PerCPUAlloc(1))
+	in.hints = append(in.hints, t.K.PerCPUAlloc(1))
 	return in.res.add(sb)
 }
 

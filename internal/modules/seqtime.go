@@ -35,7 +35,6 @@ var (
 const seqReadRetries = 8
 
 type seqInstance struct {
-	k    *kernel.Kernel
 	bugs BugSet
 	res  resTable
 }
@@ -63,7 +62,7 @@ func init() {
 			"r0 = time_create()\ntime_update(r0)\ntime_update(r0)\ntime_read(r0)\n",
 		},
 		New: func(k *kernel.Kernel, bugs BugSet) Instance {
-			in := &seqInstance{k: k, bugs: bugs}
+			in := &seqInstance{bugs: bugs}
 			return in
 		},
 	})

@@ -49,7 +49,6 @@ var (
 )
 
 type smcInstance struct {
-	k    *kernel.Kernel
 	bugs BugSet
 	res  resTable
 }
@@ -87,7 +86,7 @@ func init() {
 			"r0 = smc_socket()\nsmc_accept(r0)\nsmc_close(r0)\n",
 		},
 		New: func(k *kernel.Kernel, bugs BugSet) Instance {
-			in := &smcInstance{k: k, bugs: bugs}
+			in := &smcInstance{bugs: bugs}
 			return in
 		},
 	})

@@ -34,7 +34,6 @@ var (
 )
 
 type sqInstance struct {
-	k    *kernel.Kernel
 	bugs BugSet
 	res  resTable
 }
@@ -62,7 +61,7 @@ func init() {
 			"r0 = sq_setup()\nsq_submit(r0, 0x7)\ncq_reap(r0)\n",
 		},
 		New: func(k *kernel.Kernel, bugs BugSet) Instance {
-			in := &sqInstance{k: k, bugs: bugs}
+			in := &sqInstance{bugs: bugs}
 			return in
 		},
 	})

@@ -76,7 +76,6 @@ var (
 const tlsSW = 2 // TLS_SW rx_conf value
 
 type tlsInstance struct {
-	k    *kernel.Kernel
 	bugs BugSet
 	res  resTable
 
@@ -130,7 +129,7 @@ func init() {
 			"r0 = tls_socket()\ntls_init(r0)\ntls_err_abort(r0, 0x8)\ntls_get_error(r0)\n",
 		},
 		New: func(k *kernel.Kernel, bugs BugSet) Instance {
-			in := &tlsInstance{k: k, bugs: bugs}
+			in := &tlsInstance{bugs: bugs}
 			in.install(k)
 			return in
 		},
@@ -156,10 +155,10 @@ func (in *tlsInstance) Call(nr int, t *kernel.Task, args []uint64) uint64 {
 // install builds the two static proto-ops tables and registers the
 // functions they point to.
 func (in *tlsInstance) install(k *kernel.Kernel) {
-	baseSet := k.RegisterFn("base_setsockopt", func(t *kernel.Task, arg uint64) uint64 { return EOK })
-	baseGet := k.RegisterFn("base_getsockopt", func(t *kernel.Task, arg uint64) uint64 { return EOK })
-	tlsSet := k.RegisterFn("tls_setsockopt", tlsSetsockopt)
-	tlsGet := k.RegisterFn("tls_getsockopt", tlsGetsockopt)
+	baseSet := k.RegisterFn(func(t *kernel.Task, arg uint64) uint64 { return EOK })
+	baseGet := k.RegisterFn(func(t *kernel.Task, arg uint64) uint64 { return EOK })
+	tlsSet := k.RegisterFn(tlsSetsockopt)
+	tlsGet := k.RegisterFn(tlsGetsockopt)
 
 	bp := k.Mem.AllocZeroed(2)
 	k.Mem.Write(kernel.Field(bp, 0), baseSet)

@@ -34,7 +34,6 @@ var (
 )
 
 type unixInstance struct {
-	k    *kernel.Kernel
 	bugs BugSet
 	res  resTable
 }
@@ -61,7 +60,7 @@ func init() {
 			"r0 = unix_socket()\nunix_bind(r0, 0x10)\nunix_getname(r0)\n",
 		},
 		New: func(k *kernel.Kernel, bugs BugSet) Instance {
-			in := &unixInstance{k: k, bugs: bugs}
+			in := &unixInstance{bugs: bugs}
 			return in
 		},
 	})

@@ -33,7 +33,6 @@ var (
 )
 
 type vlanInstance struct {
-	k    *kernel.Kernel
 	bugs BugSet
 	res  resTable
 	ops  uint64
@@ -61,8 +60,8 @@ func init() {
 			"r0 = vlan_netdev()\nvlan_register(r0, 0x2)\nvlan_find_dev(r0, 0x2)\n",
 		},
 		New: func(k *kernel.Kernel, bugs BugSet) Instance {
-			in := &vlanInstance{k: k, bugs: bugs}
-			in.ops = k.RegisterFn("vlan_dev_ops", func(t *kernel.Task, arg uint64) uint64 { return EOK })
+			in := &vlanInstance{bugs: bugs}
+			in.ops = k.RegisterFn(func(t *kernel.Task, arg uint64) uint64 { return EOK })
 			return in
 		},
 	})

@@ -33,7 +33,6 @@ var (
 )
 
 type vmciInstance struct {
-	k    *kernel.Kernel
 	bugs BugSet
 	res  resTable
 }
@@ -71,7 +70,7 @@ func init() {
 			"r0 = vmci_create()\nvmci_qp_alloc(r0, 0x10)\nvmci_qp_wait(r0)\nvmci_qp_destroy(r0)\n",
 		},
 		New: func(k *kernel.Kernel, bugs BugSet) Instance {
-			in := &vmciInstance{k: k, bugs: bugs}
+			in := &vmciInstance{bugs: bugs}
 			return in
 		},
 	})

@@ -57,7 +57,6 @@ var (
 )
 
 type wqInstance struct {
-	k    *kernel.Kernel
 	bugs BugSet
 	res  resTable
 	ops  uint64 // wq_pipe_buf_confirm function-pointer value
@@ -102,8 +101,8 @@ func init() {
 			"r0 = wq_create()\nwq_set_filter(r0, 0x20)\nwq_post_notification(r0, 0x2)\n",
 		},
 		New: func(k *kernel.Kernel, bugs BugSet) Instance {
-			in := &wqInstance{k: k, bugs: bugs}
-			in.ops = k.RegisterFn("wq_pipe_buf_confirm", func(t *kernel.Task, arg uint64) uint64 {
+			in := &wqInstance{bugs: bugs}
+			in.ops = k.RegisterFn(func(t *kernel.Task, arg uint64) uint64 {
 				return 0
 			})
 			return in

@@ -65,7 +65,6 @@ var (
 )
 
 type xskInstance struct {
-	k    *kernel.Kernel
 	bugs BugSet
 	res  resTable
 }
@@ -123,7 +122,7 @@ func init() {
 			"r0 = xsk_socket()\nxsk_tx_enable(r0)\nxsk_sendmsg(r0)\n",
 		},
 		New: func(k *kernel.Kernel, bugs BugSet) Instance {
-			in := &xskInstance{k: k, bugs: bugs}
+			in := &xskInstance{bugs: bugs}
 			return in
 		},
 	})

@@ -131,12 +131,10 @@ func (d *Directives) reset() {
 	d.readOld = d.readOld[:0]
 }
 
-// histEntry records one committed store: the value it overwrote, the value
-// it wrote, the commit timestamp, and the committing thread.
+// histEntry records one committed store: the value it overwrote and the
+// commit timestamp.
 type histEntry struct {
-	old, new uint64
-	time     uint64
-	thread   int
+	old, time uint64
 }
 
 // histRing is the per-location store history: a ring of the most recent
@@ -184,9 +182,8 @@ func (r *histRing) at(k int) histEntry {
 
 // pendingStore is one in-flight entry of a virtual store buffer.
 type pendingStore struct {
-	addr  trace.Addr
-	val   uint64
-	instr trace.InstrID
+	addr trace.Addr
+	val  uint64
 }
 
 // ReorderKind classifies an observed reordering for reports.
@@ -581,7 +578,7 @@ func (em *OEMU) commit(t *Thread, addr trace.Addr, val uint64) {
 		}
 		em.histTouched = append(em.histTouched, idx)
 	}
-	r.push(histEntry{old: old, new: val, time: em.clock, thread: t.ID})
+	r.push(histEntry{old: old, time: em.clock})
 	t.lastCommit = t.lastCommit.set(idx, em.clock)
 	em.n.StoresCommitted++
 }
@@ -640,7 +637,7 @@ func (t *Thread) Store(instr trace.InstrID, addr trace.Addr, val uint64, atom tr
 			t.flush(&em.n.FlushPPO)
 		}
 		if t.Dir.hasDelay(instr) && mm.Delayable(atom) {
-			t.sb = append(t.sb, pendingStore{addr: addr, val: val, instr: instr})
+			t.sb = append(t.sb, pendingStore{addr: addr, val: val})
 			t.Log = append(t.Log, ReorderRecord{Kind: ReorderDelayedStore, Instr: instr, Addr: addr, Val: val})
 			em.n.StoresDelayed++
 			return
@@ -660,12 +657,11 @@ func (t *Thread) Store(instr trace.InstrID, addr trace.Addr, val uint64, atom tr
 			// value never becomes visible, which a real store buffer
 			// also permits.
 			t.sb[i].val = val
-			t.sb[i].instr = instr
 			return
 		}
 	}
 	if t.Dir.hasDelay(instr) && mm.Delayable(atom) {
-		t.sb = append(t.sb, pendingStore{addr: addr, val: val, instr: instr})
+		t.sb = append(t.sb, pendingStore{addr: addr, val: val})
 		t.Log = append(t.Log, ReorderRecord{Kind: ReorderDelayedStore, Instr: instr, Addr: addr, Val: val})
 		em.n.StoresDelayed++
 		return

@@ -518,7 +518,7 @@ func TestHistRingGrowth(t *testing.T) {
 		var r histRing
 		r.entries = make([]histEntry, historyMinPerAddr)
 		for i := 1; i <= n; i++ {
-			r.push(histEntry{new: uint64(i)})
+			r.push(histEntry{time: uint64(i)})
 		}
 		size := historyMinPerAddr
 		for size < n && size < historyCapPerAddr {
@@ -532,7 +532,7 @@ func TestHistRingGrowth(t *testing.T) {
 			t.Fatalf("%d commits: %d entries kept, want %d", n, r.n, kept)
 		}
 		for k := 0; k < kept; k++ {
-			if got, want := r.at(k).new, uint64(n-kept+k+1); got != want {
+			if got, want := r.at(k).time, uint64(n-kept+k+1); got != want {
 				t.Fatalf("%d commits: entry %d = %d, want %d", n, k, got, want)
 			}
 		}

@@ -540,21 +540,24 @@ func TestByID(t *testing.T) {
 
 // TestMidSessionSpawnScheduled: a task spawned from a breakpoint's fire
 // hook — an interrupt handler modelled as its own task, say — is found by
-// id — by the breakpoint's switch, by a CPU predicate — and runs.
+// id — by the breakpoint's switch, by a lookup of its CPU — and runs.
 func TestMidSessionSpawnScheduled(t *testing.T) {
 	const handler = 3
 	var log []string
-	onHandlerCPU := OnTaskCPU(handler, 1)
 	bp := &Breakpoint{FromTask: 1, Instr: 5, Pos: PosBefore, ToTask: handler}
 	s := NewSession(bp)
+	onHandlerCPU := func() bool {
+		h := s.byID(handler)
+		return h != nil && h.CPU == 1
+	}
 	var before, after bool
 	bp.OnSwitch = func() {
-		before = onHandlerCPU(s.tasks[0], 0)
+		before = onHandlerCPU()
 		s.Spawn(handler, 1, func(h *Task) {
 			h.Yield(9)
 			log = append(log, "handler")
 		})
-		after = onHandlerCPU(s.tasks[0], 0)
+		after = onHandlerCPU()
 	}
 	s.Spawn(1, 0, func(h *Task) {
 		h.Yield(5)
@@ -568,7 +571,7 @@ func TestMidSessionSpawnScheduled(t *testing.T) {
 		t.Fatalf("aborted: %v", aborted)
 	}
 	if before || !after {
-		t.Fatalf("OnTaskCPU(%d, 1) before/after spawn = %v/%v, want false/true", handler, before, after)
+		t.Fatalf("handler %d on CPU 1 before/after spawn = %v/%v, want false/true", handler, before, after)
 	}
 	// The breakpoint switches straight to the new task; spawn order then
 	// resumes the reorderer, then the observer.

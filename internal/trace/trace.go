@@ -154,7 +154,6 @@ func (b BarrierKind) String() string {
 type AccessEvent struct {
 	Instr  InstrID
 	Addr   Addr
-	Size   uint8 // bytes; the simulated memory is word-addressed so this is 8
 	Kind   AccessKind
 	Atomic Atomicity
 	Time   uint64 // logical timestamp at which the access executed

@@ -39,10 +39,10 @@ func TestAccessKindAndAtomicityStrings(t *testing.T) {
 
 func TestBufferRoundTrip(t *testing.T) {
 	b := Buffer{Events: make([]Event, 0, 8)} // room to append in place
-	b.RecordAccess(AccessEvent{Instr: 1, Addr: 0x10, Kind: Store, Size: 8, Time: 5})
+	b.RecordAccess(AccessEvent{Instr: 1, Addr: 0x10, Kind: Store, Time: 5})
 	head := b.Since(0)
 	b.RecordBarrier(BarrierEvent{Instr: 2, Kind: BarrierStore, Time: 6})
-	b.RecordAccess(AccessEvent{Instr: 3, Addr: 0x18, Kind: Load, Size: 8, Time: 7})
+	b.RecordAccess(AccessEvent{Instr: 3, Addr: 0x18, Kind: Load, Time: 7})
 	if b.Len() != 3 {
 		t.Fatalf("Len = %d", b.Len())
 	}

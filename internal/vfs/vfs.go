@@ -245,7 +245,6 @@ func (fs *FS) Read(t *kernel.Task, fd int) (uint64, bool) {
 // with both barriers present) and returns its object address. The ring has
 // blockSize slots.
 type Pipe struct {
-	fs  *FS
 	obj trace.Addr // [0]=head [1]=tail [2]=buf
 }
 
@@ -255,7 +254,7 @@ func (fs *FS) NewPipe(t *kernel.Task) *Pipe {
 	obj := t.Kzalloc(3)
 	buf := t.Kzalloc(blockSize)
 	t.Store(sitePipeBuf, kernel.Field(obj, 2), uint64(buf))
-	return &Pipe{fs: fs, obj: obj}
+	return &Pipe{obj: obj}
 }
 
 // Write posts one word; returns false when full. Publisher-side barrier

@@ -95,7 +95,7 @@ func schedulingSurface(t *testing.T) (required, allowed map[string]bool) {
 // surface of internal/sched and internal/engine, both ways: every exported
 // top-level identifier must be named in the doc (inside backticks), and
 // every capitalized identifier the doc claims (a backtick token like
-// `MigrateAt` or `sched.Guarded`) must still exist in those packages. The
+// `MigrateAt` or `sched.Breakpoint`) must still exist in those packages. The
 // doc therefore cannot silently rot when the scheduling layer changes, and
 // the layer cannot grow API the doc ignores.
 func TestSchedulingDocComplete(t *testing.T) {
