@@ -155,9 +155,13 @@ func BenchmarkParallelThroughput(b *testing.B) {
 			b.ResetTimer()
 			p.Run(b.N)
 			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "tests/s")
-			s := p.Stats()
-			b.ReportMetric(100*s.Perf.STICacheHitRate(), "sti-cache-hit-%")
-			b.ReportMetric(100*s.Perf.RecycleRate(), "kernel-recycle-%")
+			reg := p.Env().Obs()
+			lookups := reg.CounterVec("ozz_sti_cache_lookups_total", "", "outcome")
+			hits, misses := lookups.With("hit").Value(), lookups.With("miss").Value()
+			b.ReportMetric(100*float64(hits)/float64(hits+misses), "sti-cache-hit-%")
+			acquires := reg.CounterVec("ozz_kernel_acquires_total", "", "source")
+			recycled, built := acquires.With("recycled").Value(), acquires.With("built").Value()
+			b.ReportMetric(100*float64(recycled)/float64(recycled+built), "kernel-recycle-%")
 		})
 	}
 }

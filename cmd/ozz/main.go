@@ -271,6 +271,7 @@ func runStandalone(ctx context.Context, cfg standaloneConfig) {
 	cfg.events.Info(0, "campaign_start", map[string]any{
 		"seed": cfg.seed, "workers": p.Workers, "steps": cfg.steps, "duration": cfg.duration.String(),
 	})
+	start := time.Now()
 	progress := func(done int) {
 		s := p.Stats()
 		fmt.Fprintf(os.Stderr, "step %d: %d STIs, %d MTIs, %d hints, cov %d edges, %d crash titles\n",
@@ -312,7 +313,10 @@ func runStandalone(ctx context.Context, cfg standaloneConfig) {
 		"steps": stats.Steps, "stis": stats.STIs, "mtis": stats.MTIs,
 		"hints": stats.Hints, "cov_edges": p.CoverageEdges(), "reports": p.Reports.Len(),
 	})
-	printSummary(stats, p.CoverageEdges(), p.Reports.All(), cfg.verbose)
+	printSummary(stats, p.CoverageEdges(), p.Reports.All())
+	if cfg.verbose {
+		fmt.Println(metricsLine(cfg.reg, stats.Steps, p.Workers, time.Since(start)))
+	}
 	if cfg.corpusOut != "" {
 		writeCorpusFile(cfg.corpusOut, p.WriteCorpus, cfg.events)
 	}
@@ -389,7 +393,7 @@ func printFindings(rs []*report.Report) {
 	}
 }
 
-func printSummary(stats core.Stats, covEdges int, all []*report.Report, v bool) {
+func printSummary(stats core.Stats, covEdges int, all []*report.Report) {
 	fmt.Printf("\ncampaign done: %d steps, %d STIs, %d MTIs (%d vacuous), %d hints, %d coverage edges\n",
 		stats.Steps, stats.STIs, stats.MTIs, stats.Vacuous, stats.Hints, covEdges)
 	ooo := 0
@@ -399,9 +403,33 @@ func printSummary(stats core.Stats, covEdges int, all []*report.Report, v bool) 
 		}
 	}
 	fmt.Printf("findings: %d unique crash titles, %d classified as OOO bugs\n", len(all), ooo)
-	if v {
-		fmt.Println(stats.MetricsLine())
+}
+
+// metricsLine formats the -v closing line. The rates come from the
+// registry's ozz_kernel_acquires_total and ozz_sti_cache_lookups_total,
+// the series /metrics serves; the process runs one campaign, so they
+// count that campaign's kernels and steps only.
+func metricsLine(reg *obs.Registry, steps uint64, workers int, elapsed time.Duration) string {
+	acquires := reg.CounterVec("ozz_kernel_acquires_total", "", "source")
+	recycled, built := acquires.With("recycled").Value(), acquires.With("built").Value()
+	lookups := reg.CounterVec("ozz_sti_cache_lookups_total", "", "outcome")
+	hits, misses := lookups.With("hit").Value(), lookups.With("miss").Value()
+	var testsPerSec, execsPerWorker float64
+	if sec := elapsed.Seconds(); sec > 0 {
+		testsPerSec = float64(steps) / sec
+		execsPerWorker = float64(recycled+built) / sec / float64(workers)
 	}
+	return fmt.Sprintf(
+		"metrics: %.1f tests/s, %.1f exec/s/worker (%d workers), sti-cache %.0f%% hit, kernel-pool %.0f%% recycled",
+		testsPerSec, execsPerWorker, workers, 100*share(hits, misses), 100*share(recycled, built))
+}
+
+// share returns a/(a+b), or 0 when both are 0.
+func share(a, b uint64) float64 {
+	if a+b == 0 {
+		return 0
+	}
+	return float64(a) / float64(a+b)
 }
 
 func writeCorpusFile(path string, write func(w io.Writer) error, events *obs.EventLog) {

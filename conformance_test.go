@@ -232,7 +232,6 @@ func capture(t *testing.T) golden {
 	pl := core.NewPool(campaignConfig(), 4)
 	pl.Run(64)
 	ps := pl.Stats()
-	ps.Perf = core.PerfStats{} // timing block is nondeterministic
 	pooo := 0
 	poolTitles := []string{}
 	for _, r := range pl.Reports.All() {

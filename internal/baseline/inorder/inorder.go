@@ -76,18 +76,13 @@ func (s *Syzkaller) Exec(p *syzlang.Program) {
 	s.Execs++
 }
 
-// RecycleRate is the fraction of executions that reused a pooled kernel —
-// the same reuse metric core.Env campaigns report.
-func (s *Syzkaller) RecycleRate() float64 { return s.eng.RecycleRate() }
-
 // Interleaver is the interleaving-only concurrency fuzzer baseline.
 type Interleaver struct {
 	Modules []string
 	Bugs    modules.BugSet
 
-	target *syzlang.Target
-	rng    *rand.Rand
-	eng    *engine.Engine
+	rng *rand.Rand
+	eng *engine.Engine
 
 	Reports *report.Set
 	Execs   uint64
@@ -99,7 +94,6 @@ func NewInterleaver(mods []string, bugs modules.BugSet, seed int64) *Interleaver
 	return &Interleaver{
 		Modules: mods,
 		Bugs:    bugs,
-		target:  modules.Target(mods...),
 		rng:     rand.New(rand.NewSource(seed)),
 		eng:     engine.NewObs(nil),
 		Reports: report.NewSet(),

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"ozz/internal/engine"
 	"ozz/internal/modules"
 )
 
@@ -29,13 +30,7 @@ func TestSyzkallerFindsNoOOOBugs(t *testing.T) {
 	}
 	// The baseline shares the engine's kernel recycler, like core.Env
 	// campaigns do.
-	recycled, built := s.eng.KernelCounters()
-	if recycled == 0 {
-		t.Fatalf("kernel pool never recycled (recycled=%d built=%d)", recycled, built)
-	}
-	if rate := s.eng.RecycleRate(); rate < 0.5 {
-		t.Fatalf("recycle rate = %v, want > 0.5", rate)
-	}
+	checkRecycled(t, s.eng)
 }
 
 // TestInterleaverBlindToOOOBugs is §2.3's central claim: controlling thread
@@ -77,12 +72,16 @@ func TestInterleaverFindsPlainRace(t *testing.T) {
 		t.Fatalf("interleaving baseline missed the plain UAF race: %v", titles)
 	}
 	// Recycled kernels for the pair executor too.
-	recycled, built := iv.eng.KernelCounters()
-	if recycled == 0 {
-		t.Fatalf("kernel pool never recycled (recycled=%d built=%d)", recycled, built)
-	}
-	if rate := iv.eng.RecycleRate(); rate < 0.5 {
-		t.Fatalf("recycle rate = %v, want > 0.5", rate)
+	checkRecycled(t, iv.eng)
+}
+
+// checkRecycled fails t unless ozz_kernel_acquires_total in eng's registry
+// shows at least half of its kernel acquisitions recycled.
+func checkRecycled(t *testing.T, eng *engine.Engine) {
+	t.Helper()
+	acquires := eng.Obs().CounterVec("ozz_kernel_acquires_total", "", "source")
+	if recycled, built := acquires.With("recycled").Value(), acquires.With("built").Value(); recycled == 0 || recycled < built {
+		t.Fatalf("kernel pool recycled %d of %d acquisitions, want at least half", recycled, recycled+built)
 	}
 }
 

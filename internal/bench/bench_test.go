@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"ozz/internal/modules"
+	"ozz/internal/obs"
 )
 
 // TestLMBenchRowsComplete: every Table 5 workload runs on both kernel
@@ -57,6 +58,21 @@ func TestThroughputComparisonShape(t *testing.T) {
 	}
 	if !strings.Contains(res.Format(), "tests/s") {
 		t.Errorf("Format output malformed: %q", res.Format())
+	}
+}
+
+// TestThroughputRecyclingPerSide: on a shared registry that already
+// counts an earlier campaign's kernels, each side's recycle rate covers
+// the kernels of its own measurement window only.
+func TestThroughputRecyclingPerSide(t *testing.T) {
+	reg := obs.NewRegistry()
+	Instrument(reg, nil)
+	t.Cleanup(func() { Instrument(nil, nil) })
+	reg.CounterVec("ozz_kernel_acquires_total", "", "source").With("built").Add(1_000_000)
+	res := MeasureThroughputWorkers(100*time.Millisecond, nil, nil, nil)
+	if res.SyzkallerRecycleRate < 0.5 || res.OzzRecycleRate < 0.5 {
+		t.Fatalf("recycle rates syzkaller %.3f, OZZ %.3f: want each side's own kernels, mostly recycled",
+			res.SyzkallerRecycleRate, res.OzzRecycleRate)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"ozz/internal/baseline/inorder"
 	"ozz/internal/core"
 	"ozz/internal/modules"
+	"ozz/internal/obs"
 )
 
 // ThroughputResult is the §6.3.2 comparison: executed test programs per
@@ -50,29 +51,51 @@ type ParallelRow struct {
 // of workers it then runs a Pool campaign for the budget and records
 // tests/s, so the §6.3.2 table can report throughput at 1, 2, 4, … N
 // workers; nil workers gives the serial comparison only.
+//
+// Both sides of the comparison publish into one registry: the
+// instrumented one (see Instrument), or a fresh one. Each side's recycle
+// rate is the change in ozz_kernel_acquires_total over its own
+// measurement window, so it counts that side's kernels only.
 func MeasureThroughputWorkers(budget time.Duration, mods []string, bugs modules.BugSet, workers []int) ThroughputResult {
-	// Baseline: syzkaller-style sequential fuzzing on the plain kernel.
-	reg, _ := instrumented()
-	sz := inorder.NewSyzkallerObs(mods, bugs, 1, reg)
-	start := time.Now()
-	for time.Since(start) < budget {
-		for i := 0; i < 8; i++ {
-			sz.Step()
-		}
+	reg, ev := instrumented()
+	if reg == nil {
+		reg = obs.NewRegistry()
 	}
-	szRate := float64(sz.Execs) / time.Since(start).Seconds()
+
+	// Baseline: syzkaller-style sequential fuzzing on the plain kernel.
+	sz := inorder.NewSyzkallerObs(mods, bugs, 1, reg)
+	acquires := reg.CounterVec("ozz_kernel_acquires_total", "", "source")
+	recycled, built := acquires.With("recycled"), acquires.With("built")
+	window := func(run func()) (elapsed time.Duration, recycleRate float64) {
+		r0, b0 := recycled.Value(), built.Value()
+		start := time.Now()
+		run()
+		elapsed = time.Since(start)
+		if r, b := recycled.Value()-r0, built.Value()-b0; r+b > 0 {
+			recycleRate = float64(r) / float64(r+b)
+		}
+		return elapsed, recycleRate
+	}
+	szTime, szRecycle := window(func() {
+		for start := time.Now(); time.Since(start) < budget; {
+			for i := 0; i < 8; i++ {
+				sz.Step()
+			}
+		}
+	})
+	szRate := float64(sz.Execs) / szTime.Seconds()
 
 	// OZZ: the full pipeline (STI + profile + hints + MTIs) on one worker.
-	ozz := core.NewPool(campaignConfig(core.Config{Modules: mods, Bugs: bugs, Seed: 1, UseSeeds: true}), 1)
-	ozz.RunFor(budget)
+	ozz := core.NewPool(core.Config{Modules: mods, Bugs: bugs, Seed: 1, UseSeeds: true, Obs: reg, Events: ev}, 1)
+	ozzTime, ozzRecycle := window(func() { ozz.RunFor(budget) })
 	st := ozz.Stats()
-	ozzRate := st.Perf.TestsPerSec
+	ozzRate := float64(st.Steps) / ozzTime.Seconds()
 
 	res := ThroughputResult{
 		SyzkallerTestsPerSec: szRate,
 		OzzTestsPerSec:       ozzRate,
-		SyzkallerRecycleRate: sz.RecycleRate(),
-		OzzRecycleRate:       st.Perf.RecycleRate(),
+		SyzkallerRecycleRate: szRecycle,
+		OzzRecycleRate:       ozzRecycle,
 	}
 	if ozzRate > 0 {
 		res.Slowdown = szRate / ozzRate
@@ -85,9 +108,9 @@ func MeasureThroughputWorkers(budget time.Duration, mods []string, bugs modules.
 	var base float64
 	for _, w := range workers {
 		p := core.NewPool(campaignConfig(core.Config{Modules: mods, Bugs: bugs, Seed: 1, UseSeeds: true}), w)
+		start := time.Now()
 		p.RunFor(budget)
-		s := p.Stats()
-		row := ParallelRow{Workers: p.Workers, TestsPerSec: s.Perf.TestsPerSec}
+		row := ParallelRow{Workers: p.Workers, TestsPerSec: float64(p.Stats().Steps) / time.Since(start).Seconds()}
 		if base == 0 {
 			base = row.TestsPerSec
 		}

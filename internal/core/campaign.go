@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sort"
 	"time"
 
@@ -96,9 +95,10 @@ func newEnvFromConfig(cfg Config) *Env {
 	return env
 }
 
-// Stats counts campaign work, mirroring the paper's execution metrics. All
-// fields except Perf are deterministic functions of the campaign Config —
-// identical across worker counts and runs.
+// Stats counts campaign work, mirroring the paper's execution metrics. Every
+// field is a deterministic function of the campaign Config — identical
+// across worker counts and runs. Runtime rates (tests/s, step-memo hits,
+// kernel recycling) live in the metrics registry (Config.Obs).
 //
 // A step replayed from the pool's step memo counts as if it had run:
 // MTIs, Hints, Vacuous and Migrations add the recorded step's values, so
@@ -118,57 +118,6 @@ type Stats struct {
 	// re-runs and cross-model probes are observation-only — so it is
 	// identical across worker counts.
 	Migrations uint64
-
-	// Perf holds throughput and reuse metrics. Unlike the counters above
-	// these depend on wall-clock time and goroutine scheduling, so they
-	// vary run to run; determinism comparisons must zero this block.
-	Perf PerfStats
-}
-
-// PerfStats are the scheduling-dependent campaign metrics (§6.3.2
-// throughput and the executor's state-reuse rates).
-type PerfStats struct {
-	Workers         int           // campaign executor width (the pool's worker count)
-	Elapsed         time.Duration // wall-clock time covered by the counters below
-	TestsPerSec     float64       // campaign steps per second
-	ExecsPerSec     float64       // kernel executions per second (all workers)
-	STICacheHits    uint64        // steps replayed from the step memo (no execution)
-	STICacheMisses  uint64        // steps executed (STI profile, hints, MTIs)
-	KernelsRecycled uint64        // kernel acquisitions reusing a pooled instance (Reset)
-	KernelsBuilt    uint64        // kernel acquisitions that constructed a fresh instance
-}
-
-// STICacheHitRate returns the fraction of steps replayed from the step
-// memo (0 when no step ran).
-func (p PerfStats) STICacheHitRate() float64 {
-	total := p.STICacheHits + p.STICacheMisses
-	if total == 0 {
-		return 0
-	}
-	return float64(p.STICacheHits) / float64(total)
-}
-
-// RecycleRate returns the fraction of kernel executions that reused a
-// pooled kernel instead of constructing one.
-func (p PerfStats) RecycleRate() float64 {
-	total := p.KernelsRecycled + p.KernelsBuilt
-	if total == 0 {
-		return 0
-	}
-	return float64(p.KernelsRecycled) / float64(total)
-}
-
-// MetricsLine formats the campaign metrics as a single log line
-// (cmd/ozz -v prints it at the end of a campaign).
-func (s Stats) MetricsLine() string {
-	perWorker := s.Perf.ExecsPerSec
-	if s.Perf.Workers > 1 {
-		perWorker /= float64(s.Perf.Workers)
-	}
-	return fmt.Sprintf(
-		"metrics: %.1f tests/s, %.1f exec/s/worker (%d workers), sti-cache %.0f%% hit, kernel-pool %.0f%% recycled",
-		s.Perf.TestsPerSec, perWorker, s.Perf.Workers,
-		100*s.Perf.STICacheHitRate(), 100*s.Perf.RecycleRate())
 }
 
 // repairFinding runs the fence-repair search for a newly-discovered OOO

@@ -83,12 +83,6 @@ func (e *Env) config() engine.Config {
 	}
 }
 
-// KernelCounters reports how many kernel acquisitions were recycled from
-// the engine's pool vs. built fresh.
-func (e *Env) KernelCounters() (recycled, built uint64) {
-	return e.eng.KernelCounters()
-}
-
 // STIResult is the outcome of a single-threaded (profiling) execution.
 type STIResult = engine.Result
 

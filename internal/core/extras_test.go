@@ -127,9 +127,7 @@ func TestDeterministicCampaign(t *testing.T) {
 			UseSeeds: true,
 		}, 1)
 		p.Run(40)
-		s := p.Stats()
-		s.Perf = PerfStats{} // scheduling-dependent; excluded from comparison
-		return s, p.Reports.set.Titles()
+		return p.Stats(), p.Reports.set.Titles()
 	}
 	s1, t1 := run()
 	s2, t2 := run()

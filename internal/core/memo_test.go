@@ -21,14 +21,17 @@ func table34Switches() modules.BugSet {
 	return modules.Bugs(names...)
 }
 
-// replayed returns how many of p's steps replayed from the step memo.
-func replayed(p *Pool) uint64 { return p.Stats().Perf.STICacheHits }
+// replayed returns how many of p's steps replayed from the step memo,
+// read from ozz_sti_cache_lookups_total in p's own registry.
+func replayed(p *Pool) uint64 {
+	return p.Env().Obs().CounterVec("ozz_sti_cache_lookups_total", "", "outcome").With("hit").Value()
+}
 
 // TestStepMemoEquivalence: replaying steps from the memo changes nothing
-// a campaign reports. Memo and no-memo campaigns match on Stats (minus
-// Perf), coverage, corpus, discovery order and every rendered report,
-// Tests and HintRank included — on the fixed kernel, with every Table 3/4
-// switch on (triage and cross-model probes), and with fence repair on.
+// a campaign reports. Memo and no-memo campaigns match on Stats, coverage,
+// corpus, discovery order and every rendered report, Tests and HintRank
+// included — on the fixed kernel, with every Table 3/4 switch on (triage
+// and cross-model probes), and with fence repair on.
 func TestStepMemoEquivalence(t *testing.T) {
 	const steps = 512
 	cases := []struct {
@@ -134,16 +137,13 @@ func TestStepMemoHits(t *testing.T) {
 			p.seeds = append(p.seeds, prog)
 		}
 		p.Run(4 * batchSize)
-		s := p.Stats()
-		if s.Perf.STICacheHits < 8 || s.Perf.STICacheHits+s.Perf.STICacheMisses != s.Steps {
-			t.Errorf("width %d: %d hits, %d misses over %d steps; want >= 8 hits, one lookup per step",
-				w, s.Perf.STICacheHits, s.Perf.STICacheMisses, s.Steps)
-		}
 		lookups := reg.CounterVec("ozz_sti_cache_lookups_total", "", "outcome")
-		if got := lookups.With("hit").Value(); got != s.Perf.STICacheHits {
-			t.Errorf("width %d: ozz_sti_cache_lookups_total{outcome=hit} = %d, Stats say %d", w, got, s.Perf.STICacheHits)
+		hit, miss := lookups.With("hit").Value(), lookups.With("miss").Value()
+		if steps := p.Stats().Steps; hit < 8 || hit+miss != steps {
+			t.Errorf("width %d: ozz_sti_cache_lookups_total = %d hits, %d misses over %d steps; want >= 8 hits, one lookup per step",
+				w, hit, miss, steps)
 		}
-		hits = append(hits, s.Perf.STICacheHits)
+		hits = append(hits, hit)
 	}
 	if hits[1] != hits[0] || hits[2] != hits[0] {
 		t.Errorf("replayed steps at widths 1, 2, 4 = %v, want equal", hits)

@@ -25,7 +25,7 @@ func (e *Env) Minimize(p *syzlang.Program, i, j int, h *hints.Hint, title string
 				continue
 			}
 			cand := cur.Clone()
-			deleteCall(cand, victim)
+			cand.DeleteCall(victim)
 			ni, nj := ci, cj
 			if victim < ni {
 				ni--
@@ -43,25 +43,4 @@ func (e *Env) Minimize(p *syzlang.Program, i, j int, h *hints.Hint, title string
 			return cur, ci, cj
 		}
 	}
-}
-
-// deleteCall removes call di, rewriting resource references like
-// syzlang.Target.deleteCall (kept local: Target is not in scope here).
-func deleteCall(p *syzlang.Program, di int) {
-	calls := append(p.Calls[:di:di], p.Calls[di+1:]...)
-	for ci := range calls {
-		for ai := range calls[ci].Args {
-			a := &calls[ci].Args[ai]
-			if !a.Res {
-				continue
-			}
-			switch {
-			case a.Ref == di:
-				*a = syzlang.Arg{Val: 0}
-			case a.Ref > di:
-				a.Ref--
-			}
-		}
-	}
-	p.Calls = calls
 }

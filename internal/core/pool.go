@@ -87,10 +87,10 @@ func (s *SafeReportSet) All() []*report.Report {
 // Determinism: each step's random stream is derived from (campaign seed,
 // step index) — not from a shared sequential generator — and results are
 // merged in step-index order at fixed batch boundaries. A campaign with a
-// given Config therefore produces byte-identical Stats (modulo the Perf
-// timing block), coverage, corpus, and reports at ANY worker count,
-// regardless of completion order. Heavy work (kernel executions) runs in
-// parallel; only planning and merging are serialized, and both are cheap.
+// given Config therefore produces byte-identical Stats, coverage, corpus,
+// and reports at ANY worker count, regardless of completion order. Heavy
+// work (kernel executions) runs in parallel; only planning and merging
+// are serialized, and both are cheap.
 //
 // Step memo: a step's outcome is a pure function of its program (the
 // engine is deterministic, and the step's random stream is spent on
@@ -118,7 +118,6 @@ type Pool struct {
 	cov     kernel.EdgeSet // campaign coverage; written only by merge
 	stats   Stats
 	steps   uint64 // next global step index
-	start   time.Time
 	repairs map[string]*repair.Result
 
 	// memo maps Program.Key to the recorded outcome of an executed step
@@ -175,14 +174,12 @@ func (p *Pool) RepairResult(title string) *repair.Result {
 	return p.repairs[title]
 }
 
-// Stats returns a copy of the campaign counters (concurrently callable; the
-// Perf block is refreshed on every call).
+// Stats returns a copy of the campaign counters (concurrently callable).
 func (p *Pool) Stats() Stats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	s := p.stats
 	s.CorpusLen = len(p.corpus)
-	p.fillPerf(&s)
 	return s
 }
 
@@ -202,20 +199,6 @@ func (p *Pool) CoverageEdges() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.cov.Len()
-}
-
-// fillPerf refreshes the scheduling-dependent Perf block. Caller holds
-// p.mu (it reads p.start).
-func (p *Pool) fillPerf(s *Stats) {
-	s.Perf.Workers = p.Workers
-	if !p.start.IsZero() {
-		s.Perf.Elapsed = time.Since(p.start)
-	}
-	s.Perf.KernelsRecycled, s.Perf.KernelsBuilt = p.env.KernelCounters()
-	if sec := s.Perf.Elapsed.Seconds(); sec > 0 {
-		s.Perf.TestsPerSec = float64(s.Steps) / sec
-		s.Perf.ExecsPerSec = float64(s.Perf.KernelsRecycled+s.Perf.KernelsBuilt) / sec
-	}
 }
 
 // jobSeed derives the random seed of one campaign step from the campaign
@@ -510,10 +493,8 @@ func (m *jobResult) replay(res *jobResult) {
 // only STI novelty admits the program to the corpus. Caller holds p.mu.
 func (p *Pool) merge(res *jobResult, found *[]*report.Report) {
 	if res.replayed {
-		p.stats.Perf.STICacheHits++
 		p.co.memoHits.Inc()
 	} else {
-		p.stats.Perf.STICacheMisses++
 		p.co.memoMisses.Inc()
 		if p.memo != nil {
 			p.record(res)
@@ -614,12 +595,6 @@ func (p *Pool) run(steps int, deadline time.Time, until string) []*report.Report
 	if steps == 0 {
 		return nil
 	}
-	p.mu.Lock()
-	if p.start.IsZero() {
-		p.start = time.Now()
-	}
-	p.mu.Unlock()
-
 	var (
 		batch   = make([]job, batchSize)
 		results = make([]jobResult, batchSize)
@@ -682,7 +657,6 @@ func (p *Pool) run(steps int, deadline time.Time, until string) []*report.Report
 			p.merge(&results[bi], &found)
 		}
 		observe(p.co.stMerge, mStart)
-		p.fillPerf(&p.stats)
 		p.mu.Unlock()
 		clear(results[:n])
 		if remaining > 0 {

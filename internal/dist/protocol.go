@@ -77,7 +77,7 @@ type CampaignSpec struct {
 	// Model names the memory model OEMU emulates on every worker
 	// ("lkmm", "tso", "armv8"; empty = lkmm). Shipping the name rather
 	// than the table keeps the protocol dependency-free; workers resolve
-	// it against their local memmodel registry.
+	// it with memmodel.ByName.
 	Model string `json:"model,omitempty"`
 }
 

@@ -291,22 +291,6 @@ func moduleSubset(names []string, cfg *Config, p *syzlang.Program) []string {
 	return names
 }
 
-// KernelCounters reports how many kernel acquisitions were recycled from
-// the idle list vs. built fresh.
-func (e *Engine) KernelCounters() (recycled, built uint64) {
-	return e.m.kernelRecycled.Value(), e.m.kernelBuilt.Value()
-}
-
-// RecycleRate returns the fraction of kernel acquisitions served by the
-// recycler (0 before the first run).
-func (e *Engine) RecycleRate() float64 {
-	r, b := e.KernelCounters()
-	if r+b == 0 {
-		return 0
-	}
-	return float64(r) / float64(r+b)
-}
-
 // acquire returns a runner — an idle one when possible — whose
 // kernel has the config's feature switches applied. The kernel is
 // identical to a freshly-constructed one: Reset restores every observable

@@ -100,8 +100,8 @@ func TestConfigNormalize(t *testing.T) {
 	}
 }
 
-// TestKernelRecycling: sequential runs reuse the idle kernel, and the
-// counters expose the recycle rate.
+// TestKernelRecycling: sequential runs reuse the idle kernel, and
+// ozz_kernel_acquires_total counts each acquisition by source.
 func TestKernelRecycling(t *testing.T) {
 	e := NewObs(nil)
 	m := newSynth(map[string]impl{
@@ -113,12 +113,9 @@ func TestKernelRecycling(t *testing.T) {
 			t.Fatalf("run %d aborted: %+v", i, res)
 		}
 	}
-	recycled, built := e.KernelCounters()
-	if built != 1 || recycled != 4 {
-		t.Fatalf("counters = (recycled %d, built %d), want (4, 1)", recycled, built)
-	}
-	if rate := e.RecycleRate(); rate != 0.8 {
-		t.Fatalf("recycle rate = %v, want 0.8", rate)
+	acquires := e.Obs().CounterVec("ozz_kernel_acquires_total", "", "source")
+	if recycled, built := acquires.With("recycled").Value(), acquires.With("built").Value(); built != 1 || recycled != 4 {
+		t.Fatalf("ozz_kernel_acquires_total = (recycled %d, built %d), want (4, 1)", recycled, built)
 	}
 }
 
@@ -158,7 +155,7 @@ func TestResultCovSurvivesRecycling(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		later = e.run(Config{Instrumented: true}, OOO{}, Request{Prog: m.prog("b")}, m.build)
 	}
-	if recycled, _ := e.KernelCounters(); recycled == 0 {
+	if e.Obs().CounterVec("ozz_kernel_acquires_total", "", "source").With("recycled").Value() == 0 {
 		t.Fatal("no run recycled a kernel")
 	}
 	if slices.Equal(later.Cov, want) {

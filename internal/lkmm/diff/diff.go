@@ -43,9 +43,6 @@ type Divergence struct {
 	// ModelOnly lists outcomes the model permits that OEMU cannot reach
 	// under any directive assignment — a COMPLETENESS violation (sorted).
 	ModelOnly []string
-	// OEMURuns and ModelStates report the search sizes, for reports.
-	OEMURuns    int
-	ModelStates int
 }
 
 // String renders the divergence with its direction labels.
@@ -89,13 +86,7 @@ func CompareModel(t *lkmm.Test, mm *memmodel.Table) *Divergence {
 	}
 	sort.Strings(onlyEmu)
 	sort.Strings(onlyRef)
-	return &Divergence{
-		Test:        t,
-		OEMUOnly:    onlyEmu,
-		ModelOnly:   onlyRef,
-		OEMURuns:    emu.Runs,
-		ModelStates: ref.States,
-	}
+	return &Divergence{Test: t, OEMUOnly: onlyEmu, ModelOnly: onlyRef}
 }
 
 // SuiteResult is the differential verdict on one named suite entry.
@@ -111,8 +102,6 @@ type SuiteResult struct {
 	VerdictErrs []string
 	// Runs and States are the engines' search sizes, for reports.
 	Runs, States int
-	// ModelName is the memory model the entry was checked under.
-	ModelName string
 }
 
 // OK reports whether the entry passed: engines agree and every LKMM
@@ -131,7 +120,6 @@ func CheckSuiteModel(mm *memmodel.Table) []SuiteResult {
 		r := SuiteResult{
 			Entry: e, OEMU: emu.Sorted(), Model: ref.Sorted(),
 			Runs: emu.Runs, States: ref.States, Div: CompareModel(e.Test, mm),
-			ModelName: mm.Name(),
 		}
 		allowed, forbidden := e.VerdictsFor(mm.Name())
 		for _, o := range allowed {

@@ -17,14 +17,13 @@
 // Three models ship (see models.go): "lkmm" (bit-identical to the
 // hard-coded semantics this package replaced), "tso" (x86: store→load
 // reordering only), and "armv8" (weaker load ordering; acquire/release are
-// the only one-way fences). Registry lookups (ByName) serve the -model
+// the only one-way fences). Lookups by name (ByName) serve the -model
 // flags on cmd/ozz and cmd/litmus.
 package memmodel
 
 import (
 	"fmt"
-	"sort"
-	"sync"
+	"slices"
 
 	"ozz/internal/trace"
 )
@@ -78,7 +77,7 @@ type PPO struct {
 // the trace enums; Compile rejects partial definitions so adding a new
 // BarrierKind or Atomicity forces every model to take a position.
 type Def struct {
-	// Name is the registry key and -model flag value (e.g. "lkmm").
+	// Name is the model's lookup key and -model flag value (e.g. "lkmm").
 	Name string
 	// Barriers maps every trace.BarrierKind to its ordering effect.
 	Barriers map[trace.BarrierKind]BarrierSem
@@ -162,7 +161,7 @@ func MustCompile(d Def) *Table {
 	return t
 }
 
-// Name returns the registry key of the model.
+// Name returns the model's lookup key.
 func (t *Table) Name() string { return t.name }
 
 // OrdersStores reports whether barrier k is a store-buffer flush point.
@@ -198,56 +197,27 @@ func (t *Table) AnyDelayable() bool { return t.anyDelayable }
 // directives are inert, and load-barrier hint tests are skipped.
 func (t *Table) AnyVersionable() bool { return t.anyVersionable }
 
-var (
-	regMu    sync.RWMutex
-	registry = map[string]*Table{}
-)
+// models lists the built-in models (see models.go), sorted by name.
+var models = []*Table{ARMv8, LKMM, TSO}
 
-// Register adds a compiled model to the registry; the name must be new.
-func Register(t *Table) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := registry[t.name]; dup {
-		panic(fmt.Sprintf("memmodel: duplicate registration of %q", t.name))
-	}
-	registry[t.name] = t
-}
-
-// ByName returns the registered model with the given name.
+// ByName returns the model with the given name.
 func ByName(name string) (*Table, error) {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	t, ok := registry[name]
-	if !ok {
-		return nil, fmt.Errorf("memmodel: unknown model %q (have %v)", name, namesLocked())
+	for _, t := range models {
+		if t.name == name {
+			return t, nil
+		}
 	}
-	return t, nil
+	return nil, fmt.Errorf("memmodel: unknown model %q (have %v)", name, Names())
 }
 
-// Names lists the registered model names sorted alphabetically.
+// Names lists the model names sorted alphabetically.
 func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	return namesLocked()
-}
-
-func namesLocked() []string {
-	out := make([]string, 0, len(registry))
-	for n := range registry {
-		out = append(out, n)
+	out := make([]string, len(models))
+	for i, t := range models {
+		out[i] = t.name
 	}
-	sort.Strings(out)
 	return out
 }
 
-// All returns every registered model, sorted by name.
-func All() []*Table {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]*Table, 0, len(registry))
-	for _, t := range registry {
-		out = append(out, t)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
-	return out
-}
+// All returns every model, sorted by name.
+func All() []*Table { return slices.Clone(models) }

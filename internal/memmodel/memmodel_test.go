@@ -233,4 +233,9 @@ func TestRegistry(t *testing.T) {
 			t.Errorf("Names() not sorted: %v", names)
 		}
 	}
+	for i, m := range All() {
+		if m.Name() != names[i] {
+			t.Errorf("All()[%d] = %s, Names()[%d] = %s", i, m.Name(), i, names[i])
+		}
+	}
 }

@@ -108,9 +108,3 @@ var ARMv8 = MustCompile(Def{
 	},
 	PPO: PPO{StoreStore: false},
 })
-
-func init() {
-	Register(LKMM)
-	Register(TSO)
-	Register(ARMv8)
-}

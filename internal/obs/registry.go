@@ -10,9 +10,10 @@
 //     emitting an event never influences execution, RNG streams, or any
 //     deterministic campaign counter — the engine conformance goldens hold
 //     with observability on or off.
-//   - Metric values are wall-clock- and scheduling-dependent (like
-//     core.PerfStats); they vary run to run and must never be asserted
-//     byte-identical across worker counts.
+//   - Metric values are wall-clock- and scheduling-dependent; they vary
+//     run to run and must never be asserted byte-identical across worker
+//     counts. The registry is the one home of runtime rates: core.Stats
+//     holds only deterministic counts.
 //   - Registration is get-or-create: asking twice for the same name
 //     returns the same metric, so independent subsystems (engine, fuzzer,
 //     pool) can share one registry without coordination. Re-registering a

@@ -313,7 +313,7 @@ func (t *Target) Mutate(r *rand.Rand, p *Program) *Program {
 		def := t.Defs[r.Intn(len(t.Defs))]
 		t.appendCall(q, def, r, 2)
 	case op == 1 && len(q.Calls) > 1:
-		t.deleteCall(q, r.Intn(len(q.Calls)))
+		q.DeleteCall(r.Intn(len(q.Calls)))
 	default:
 		ci := r.Intn(len(q.Calls))
 		c := &q.Calls[ci]
@@ -327,9 +327,9 @@ func (t *Target) Mutate(r *rand.Rand, p *Program) *Program {
 	return q
 }
 
-// deleteCall removes call di, dropping dependent references (they become
-// constant 0, mirroring syzkaller's arg fixup).
-func (t *Target) deleteCall(p *Program, di int) {
+// DeleteCall removes call di, dropping dependent references (they become
+// constant 0, mirroring syzkaller's arg fixup) and shifting later ones.
+func (p *Program) DeleteCall(di int) {
 	calls := append(p.Calls[:di:di], p.Calls[di+1:]...)
 	for ci := range calls {
 		for ai := range calls[ci].Args {

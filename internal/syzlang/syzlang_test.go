@@ -170,14 +170,14 @@ func TestDeleteCallFixesRefs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tg.deleteCall(p, 0)
+	p.DeleteCall(0)
 	if !valid(tg, p) {
 		t.Fatalf("delete broke validity:\n%s", p)
 	}
 	if len(p.Calls) != 2 || !p.Calls[1].Args[0].Res || p.Calls[1].Args[0].Ref != 0 {
 		t.Fatalf("refs not shifted:\n%s", p)
 	}
-	tg.deleteCall(p, 0)
+	p.DeleteCall(0)
 	if p.Calls[0].Args[0].Res {
 		t.Fatalf("dangling ref not cleared:\n%s", p)
 	}
