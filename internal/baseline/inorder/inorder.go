@@ -37,6 +37,8 @@ type Syzkaller struct {
 	target *syzlang.Target
 	rng    *rand.Rand
 	eng    *engine.Engine
+	// prog is the buffer each Step generates its program into.
+	prog syzlang.Program
 
 	Reports *report.Set
 	// Execs counts executed programs (the throughput unit).
@@ -62,8 +64,8 @@ func NewSyzkallerObs(mods []string, bugs modules.BugSet, seed int64, reg *obs.Re
 // program has the campaign's length, core.ProgLen, so both sides of the
 // §6.3.2 throughput comparison run programs of one length.
 func (s *Syzkaller) Step() {
-	p := s.target.Generate(s.rng, core.ProgLen)
-	s.Exec(p)
+	s.target.Generate(&s.prog, s.rng, core.ProgLen, "")
+	s.Exec(&s.prog)
 }
 
 // Exec runs one program and records crashes.

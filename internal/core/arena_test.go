@@ -35,7 +35,7 @@ func TestSTIArenaMatchesFresh(t *testing.T) {
 		var arena trace.Buffer
 		crashed := 0
 		for _, p := range progs {
-			got := env.runSTI(p, &arena)
+			got := env.runSTI(p, &arena, nil)
 			want := env.RunSTI(p)
 			name := strings.ReplaceAll(p.String(), "\n", "; ")
 			if !reflect.DeepEqual(got, want) {
@@ -63,9 +63,9 @@ func TestSTIArenaMatchesFresh(t *testing.T) {
 	// The crash: call 2 keeps what it recorded, calls 3 and 4 never ran.
 	env := NewEnv(nil, nil)
 	var arena trace.Buffer
-	env.runSTI(progs[0], &arena) // leave a longer profile behind
+	env.runSTI(progs[0], &arena, nil) // leave a longer profile behind
 	p := progs[len(progs)-1]
-	res := env.runSTI(p, &arena)
+	res := env.runSTI(p, &arena, nil)
 	if res.Crash == nil {
 		t.Fatalf("%q did not crash", crashingSTI)
 	}
@@ -92,9 +92,9 @@ func TestSTIArenaAllocsIndependentOfEvents(t *testing.T) {
 		}
 		var arena trace.Buffer
 		for i := 0; i < 3; i++ {
-			env.runSTI(p, &arena)
+			env.runSTI(p, &arena, nil)
 		}
-		allocs = testing.AllocsPerRun(50, func() { env.runSTI(p, &arena) })
+		allocs = testing.AllocsPerRun(50, func() { env.runSTI(p, &arena, nil) })
 		return arena.Len(), allocs
 	}
 	smallEvents, smallAllocs := measure("r0 = rds_socket()\nrds_sendmsg(r0, 0x4)\n")

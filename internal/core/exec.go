@@ -97,13 +97,14 @@ type MTIOpts = engine.Request
 // call's memory accesses and barriers — OZZ's first workflow step. The
 // result owns its profile.
 func (e *Env) RunSTI(p *syzlang.Program) *STIResult {
-	return e.runSTI(p, new(trace.Buffer))
+	return e.runSTI(p, new(trace.Buffer), nil)
 }
 
-// runSTI is RunSTI profiling into prof: the result's CallEvents are views
-// into prof, valid until prof is next used.
-func (e *Env) runSTI(p *syzlang.Program, prof *trace.Buffer) *STIResult {
-	return e.eng.Run(e.config(), engine.OOO{}, engine.Request{Prog: p, Prof: prof})
+// runSTI is RunSTI profiling into prof and writing into out (nil: a
+// fresh result): the result's CallEvents are views into prof, valid
+// until prof is next used, and out is valid until it is next used.
+func (e *Env) runSTI(p *syzlang.Program, prof *trace.Buffer, out *STIResult) *STIResult {
+	return e.eng.Run(e.config(), engine.OOO{}, engine.Request{Prog: p, Prof: prof, Out: out})
 }
 
 // mtiStrategy resolves the strategy MTI runs execute under.

@@ -120,15 +120,25 @@ type Pool struct {
 	steps   uint64 // next global step index
 	repairs map[string]*repair.Result
 
-	// memo maps Program.Key to the recorded outcome of an executed step
-	// (see record). It is written only by merge and read lock-free by
-	// workers during a batch. Only the test seam withoutStepMemo sets it
-	// to nil, which disables replay.
-	memo map[string]*jobResult
+	// memo maps Program.Key to the record of an executed step (see
+	// record). It is written only by merge and read lock-free by workers
+	// during a batch. Only the test seam withoutStepMemo sets it to nil,
+	// which disables replay.
+	memo map[string]stepRecord
 
 	// ws holds each worker's step scratch across Run calls; run grows it
 	// to Workers. Only run and its worker goroutines touch it.
 	ws []*worker
+
+	// The batch state run keeps across calls, built by the first run
+	// rather than NewPool, so building a campaign stays cheap: each
+	// batch slot's step result, the program buffer its generated or
+	// mutated program is written into, and the coordinator's random
+	// source, reseeded for every step it plans.
+	results []jobResult
+	progs   []syzlang.Program
+	src     lazyrand.Source
+	rng     *rand.Rand
 }
 
 // NewPool builds a campaign executor of the given width. workers <= 0
@@ -147,7 +157,7 @@ func NewPool(cfg Config, workers int) *Pool {
 		co:      newCampaignObs(env.Obs(), cfg.Events),
 		Reports: NewSafeReportSet(),
 		repairs: make(map[string]*repair.Result),
-		memo:    make(map[string]*jobResult),
+		memo:    make(map[string]stepRecord),
 	}
 	p.co.workers.Set(float64(workers))
 	if cfg.UseSeeds {
@@ -214,16 +224,13 @@ func jobSeed(seed int64, idx uint64) int64 {
 	return int64(z)
 }
 
-// job is one planned campaign step: the program to test.
-type job struct {
-	idx  uint64
-	prog *syzlang.Program
-}
-
-// jobReport is one finding produced inside a job. rebaseTests marks
+// jobReport is one finding produced inside a job. The report is final
+// once the job ends: merge publishes a copy, completed with the step's
+// program text, and the step memo keeps the original. rebaseTests marks
 // reports whose Tests field counts job-local MTIs at discovery time; the
-// merger rebases it onto the campaign-cumulative count in index order, so
-// the final value is the campaign's MTI count at discovery, at any width.
+// merger rebases the copy onto the campaign-cumulative count in index
+// order, so the final value is the campaign's MTI count at discovery, at
+// any width.
 type jobReport struct {
 	r           *report.Report
 	rebaseTests bool
@@ -232,13 +239,28 @@ type jobReport struct {
 	repair *repair.Result
 }
 
-// jobResult is the outcome of one step, merged in index order.
+// stepCounts are a step's work counters, summed into Stats at merge. A
+// step tests at most maxPairs pairs and runs at most maxHintsPerPair MTIs
+// per pair, so 32 bits hold every count, and a memo record stays small.
+type stepCounts struct {
+	mtis    uint32
+	hints   uint32
+	vacuous uint32
+	// migrations mirrors Stats.Migrations for this step's primary MTI
+	// loop (a commutative sum, merged in index order).
+	migrations uint32
+}
+
+// jobResult is the outcome of one step, merged in index order. Its batch
+// slot keeps the slices' storage from batch to batch.
 type jobResult struct {
-	idx  uint64
+	idx uint64
+	// prog is the step's program: a pending seed or the slot's program
+	// buffer, valid until the slot's next step is planned.
 	prog *syzlang.Program
-	// key is prog's Program.Key, set on executed steps when the memo is
-	// on: record files the outcome under it.
-	key string
+	// key is prog's Program.Key when the memo is on: the memo lookup,
+	// and the key record files an executed step under.
+	key []byte
 	// replayed marks a step served from the memo: it executed nothing
 	// and carries no coverage.
 	replayed bool
@@ -246,36 +268,45 @@ type jobResult struct {
 	// mtiCov is the union of the step's MTI coverage, each edge once.
 	mtiCov  []uint64
 	reports []jobReport
-	mtis    uint64
-	hints   uint64
-	vacuous uint64
-	// migrations mirrors Stats.Migrations for this step's primary MTI
-	// loop (a commutative sum, merged in index order).
-	migrations uint64
+	stepCounts
 }
 
-// planStep picks step idx's single-threaded input — pending seeds first,
-// then mutations of the coverage corpus as of the current batch boundary,
-// then fresh generations — using the step's private rng. Caller holds
-// p.mu.
-func (p *Pool) planStep(idx uint64) job {
-	rng := rand.New(lazyrand.New(jobSeed(p.cfg.Seed, idx)))
-	var prog *syzlang.Program
+// reset empties res for step idx, keeping its slices' storage.
+func (res *jobResult) reset(idx uint64) {
+	clear(res.reports) // the last step's reports: merged, or dropped
+	*res = jobResult{
+		idx:     idx,
+		key:     res.key[:0],
+		stiCov:  res.stiCov[:0],
+		mtiCov:  res.mtiCov[:0],
+		reports: res.reports[:0],
+	}
+}
+
+// planStep readies res for step idx: it picks the step's single-threaded
+// input — pending seeds first, then mutations of the coverage corpus as
+// of the current batch boundary, then fresh generations, written into
+// buf — drawing from the step's own random stream. Caller holds p.mu.
+func (p *Pool) planStep(idx uint64, res *jobResult, buf *syzlang.Program) {
+	res.reset(idx)
+	rng := p.rng
+	rng.Seed(jobSeed(p.cfg.Seed, idx))
 	switch {
 	case len(p.seeds) > 0:
-		prog = p.seeds[0]
+		res.prog = p.seeds[0]
 		p.seeds = p.seeds[1:]
 	case len(p.corpus) > 0 && rng.Intn(3) != 0:
-		prog = p.target.Mutate(rng, p.corpus[rng.Intn(len(p.corpus))])
+		p.target.Mutate(buf, rng, p.corpus[rng.Intn(len(p.corpus))])
+		res.prog = buf
 	default:
 		// Focus each generated program on one module (syzkaller's call
 		// priorities have the same effect): concurrent pairs then operate
 		// on shared state, which is what the hypothetical barrier test
 		// needs.
 		mods := p.target.Modules()
-		prog = p.target.GenerateFocused(rng, ProgLen, mods[rng.Intn(len(mods))])
+		p.target.Generate(buf, rng, ProgLen, mods[rng.Intn(len(mods))])
+		res.prog = buf
 	}
-	return job{idx: idx, prog: prog}
 }
 
 // worker is one pool worker's identity and the step scratch it reuses
@@ -285,53 +316,51 @@ type worker struct {
 	id int
 	// mtiCov collects the current step's MTI edges.
 	mtiCov kernel.EdgeSet
-	// hints is the worker's hint-calculation memory.
+	// hints is the worker's hint-calculation memory. It owns the hints
+	// of the pair in progress, so nothing that outlives the pair may
+	// hold them.
 	hints hints.Scratch
-	// key holds the current step's Program.Key, the step memo's lookup
-	// key.
-	key []byte
 	// prof is the arena the step's STI profiles into. The step's
 	// CallEvents are views into it, so nothing that outlives the step may
 	// alias them: reports and memo records hold no events, and
 	// repair.InVivo copies the events it keeps.
 	prof trace.Buffer
-	// mti is the result every MTI of the step writes into. It is valid
-	// until the next MTI, so harvesting copies what it keeps (titles,
-	// edges); the nested runs harvesting starts (triage, cross-model
-	// probes, repair) return results of their own.
-	mti MTIResult
+	// sti is the result the step's STI writes into, valid for the step.
+	sti STIResult
+	// mti is the result every MTI of the step writes into, and triage
+	// the result of every triage re-run. Each is valid until the next run
+	// into it, so harvesting copies what it keeps (titles, edges); the
+	// cross-model probes and repair return results of their own.
+	mti, triage MTIResult
 }
 
 // runJob executes one campaign step: the STI profile (§4.2), then
 // scheduling hints and the pair's MTI runs (§4.3, §4.4), writing only to
-// the job-local result. A program an earlier batch already merged
-// replays its recorded outcome instead.
-func (p *Pool) runJob(w *worker, jb job) jobResult {
-	res := jobResult{idx: jb.idx, prog: jb.prog}
+// the step's result. A program an earlier batch already merged replays
+// its recorded outcome instead.
+func (p *Pool) runJob(w *worker, res *jobResult) {
 	if p.memo != nil {
-		w.key = jb.prog.AppendKey(w.key[:0])
-		if m := p.memo[string(w.key)]; m != nil {
-			m.replay(&res)
-			return res
+		res.key = res.prog.AppendKey(res.key[:0])
+		if rec, ok := p.memo[string(res.key)]; ok {
+			rec.replay(res)
+			return
 		}
-		res.key = string(w.key)
 	}
 	pStart := time.Now()
-	sti := p.env.runSTI(jb.prog, &w.prof)
+	sti := p.env.runSTI(res.prog, &w.prof, &w.sti)
 	observe(p.co.stProfile, pStart)
-	res.stiCov = sti.Cov
+	res.stiCov = append(res.stiCov, sti.Cov...)
 	if sti.Crash != nil {
 		res.reports = append(res.reports, jobReport{r: &report.Report{
-			Title:   sti.Crash.Title,
-			Oracle:  sti.Crash.Oracle,
-			OOO:     false,
-			Program: jb.prog.String(),
+			Title:  sti.Crash.Title,
+			Oracle: sti.Crash.Oracle,
+			OOO:    false,
 		}})
-		return res // crashing input: nothing to pair
+		return // crashing input: nothing to pair
 	}
 	for _, s := range sti.Soft {
 		res.reports = append(res.reports, jobReport{r: &report.Report{
-			Title: s, Oracle: "semantic", OOO: false, Program: jb.prog.String(),
+			Title: s, Oracle: "semantic", OOO: false,
 		}})
 	}
 
@@ -339,7 +368,7 @@ func (p *Pool) runJob(w *worker, jb job) jobResult {
 	// Call pairs (i, i+d), adjacent pairs first — concurrency bugs
 	// overwhelmingly involve calls operating on the same just-created
 	// resource. Only the first maxPairs pairs are tested.
-	n, left := len(jb.prog.Calls), maxPairs
+	n, left := len(res.prog.Calls), maxPairs
 pairs:
 	for d := 1; d < n; d++ {
 		for i := 0; i+d < n; i++ {
@@ -347,54 +376,51 @@ pairs:
 				break pairs
 			}
 			left--
-			p.runPair(w, &res, jb, sti, i, i+d)
+			p.runPair(w, res, sti, i, i+d)
 		}
 	}
-	if w.mtiCov.Len() > 0 {
-		res.mtiCov = slices.Clone(w.mtiCov.Edges())
-	}
-	return res
+	res.mtiCov = append(res.mtiCov, w.mtiCov.Edges()...)
 }
 
 // runPair tests call pair (i, j) of a step: scheduling hints from the
 // pair's STI events, then one MTI run per kept hint.
-func (p *Pool) runPair(w *worker, res *jobResult, jb job, sti *STIResult, i, j int) {
+func (p *Pool) runPair(w *worker, res *jobResult, sti *STIResult, i, j int) {
 	if len(sti.CallEvents[i]) == 0 || len(sti.CallEvents[j]) == 0 {
 		return
 	}
 	hStart := time.Now()
 	hs := w.hints.CalculateModel(sti.CallEvents[i], sti.CallEvents[j], p.cfg.Model)
 	observe(p.co.stHints, hStart)
-	res.hints += uint64(len(hs))
+	res.hints += uint32(len(hs))
 	// CalculateModel sorts the hints most-reordered first (§4.3).
 	if len(hs) > maxHintsPerPair {
 		hs = hs[:maxHintsPerPair]
 	}
 	for rank, h := range hs {
 		mStart := time.Now()
-		mres := p.env.RunMTI(MTIOpts{Prog: jb.prog, I: i, J: j, Hint: h, Out: &w.mti})
+		mres := p.env.RunMTI(MTIOpts{Prog: res.prog, I: i, J: j, Hint: h, Out: &w.mti})
 		observe(p.co.stMTI, mStart)
 		res.mtis++
-		res.migrations += uint64(mres.Migrations)
+		res.migrations += uint32(mres.Migrations)
 		if !mres.Fired {
 			res.vacuous++
 		}
 		for _, e := range mres.Cov {
 			w.mtiCov.Add(e)
 		}
-		p.harvestJob(res, jb.prog, sti.CallEvents, i, j, h, rank, mres)
+		p.harvestJob(w, res, sti.CallEvents, i, j, h, rank, mres)
 	}
 }
 
 // harvestJob converts an MTI result into job-local reports, with Tests
 // counted job-locally (rebased at merge). events is the step's STI
 // profile, for the fence-repair search.
-func (p *Pool) harvestJob(res *jobResult, prog *syzlang.Program, events [][]trace.Event, i, j int, h *hints.Hint, rank int, mres *MTIResult) {
+func (p *Pool) harvestJob(w *worker, res *jobResult, events [][]trace.Event, i, j int, h *hints.Hint, rank int, mres *MTIResult) {
+	prog := res.prog
 	if mres.Crash != nil {
 		r := &report.Report{
-			Title:   mres.Crash.Title,
-			Oracle:  mres.Crash.Oracle,
-			Program: prog.String(),
+			Title:  mres.Crash.Title,
+			Oracle: mres.Crash.Oracle,
 		}
 		// Triage: re-run the same schedule without reordering directives.
 		// If the crash still reproduces in order, it is a plain
@@ -402,7 +428,7 @@ func (p *Pool) harvestJob(res *jobResult, prog *syzlang.Program, events [][]trac
 		ooo := !mres.PrefixCrash
 		if ooo {
 			tStart := time.Now()
-			rerun := p.env.RunMTI(MTIOpts{Prog: prog, I: i, J: j, Hint: h, NoReorder: true})
+			rerun := p.env.RunMTI(MTIOpts{Prog: prog, I: i, J: j, Hint: h, NoReorder: true, Out: &w.triage})
 			observe(p.co.stTriage, tStart)
 			ooo = rerun.Crash == nil || rerun.Crash.Title != r.Title
 		}
@@ -418,7 +444,7 @@ func (p *Pool) harvestJob(res *jobResult, prog *syzlang.Program, events [][]trac
 		}
 	}
 	for _, s := range mres.Soft {
-		r := &report.Report{Title: s, Oracle: "semantic", Program: prog.String()}
+		r := &report.Report{Title: s, Oracle: "semantic"}
 		p.addOOOReport(res, r, prog, events, i, j, h, rank, true, func(pr *MTIResult) bool {
 			return slices.Contains(pr.Soft, s)
 		})
@@ -450,39 +476,45 @@ func (p *Pool) addOOOReport(res *jobResult, r *report.Report, prog *syzlang.Prog
 	res.reports = append(res.reports, jr)
 }
 
-// record memoizes an executed step's outcome under its program key: its
-// counts and shallow copies of its reports, taken before merge rebases
-// Tests. Coverage is not kept: the campaign EdgeSet only grows, so a
-// replay's edges are already merged. Models, SuggestedFix and repair are
-// dropped: they are filled only for titles not yet merged, and every
-// title the step reported is merged by the time a later batch replays
-// it. Caller holds p.mu and the workers are parked.
+// stepRecord is the step memo's record of an executed step: its counts
+// and its reports. Coverage is not kept: the campaign EdgeSet only grows,
+// so a replay's edges are already merged. The repair results are
+// dropped: merge publishes them only with a title not yet merged, and
+// every title the step reported is merged by the time a later batch
+// replays it.
+type stepRecord struct {
+	stepCounts
+	// reports is nil for a step that reported nothing. Behind a pointer,
+	// the list keeps the memo's map entries small: a full memo's tables
+	// are a large part of a campaign's live heap.
+	reports *[]jobReport
+}
+
+// record memoizes an executed step's outcome under its program key. The
+// record shares the step's reports, which nothing changes once the job
+// has ended. Caller holds p.mu and the workers are parked.
 func (p *Pool) record(res *jobResult) {
 	if len(p.memo) >= memoCap {
 		clear(p.memo)
 	}
-	m := &jobResult{
-		reports: make([]jobReport, len(res.reports)),
-		mtis:    res.mtis, hints: res.hints, vacuous: res.vacuous, migrations: res.migrations,
+	rec := stepRecord{stepCounts: res.stepCounts}
+	if len(res.reports) > 0 {
+		reports := make([]jobReport, len(res.reports))
+		for k, jr := range res.reports {
+			reports[k] = jobReport{r: jr.r, rebaseTests: jr.rebaseTests}
+		}
+		rec.reports = &reports
 	}
-	for k, jr := range res.reports {
-		r := *jr.r
-		r.Models, r.SuggestedFix = nil, nil
-		m.reports[k] = jobReport{r: &r, rebaseTests: jr.rebaseTests}
-	}
-	p.memo[res.key] = m
+	p.memo[string(res.key)] = rec
 }
 
-// replay fills res, a step testing the program m was recorded for, with
-// m's outcome. Each report is a fresh copy, since merge rebases Tests in
-// place.
-func (m *jobResult) replay(res *jobResult) {
+// replay fills res, a step testing the program rec was recorded for,
+// with rec's outcome.
+func (rec *stepRecord) replay(res *jobResult) {
 	res.replayed = true
-	res.mtis, res.hints, res.vacuous, res.migrations = m.mtis, m.hints, m.vacuous, m.migrations
-	res.reports = make([]jobReport, len(m.reports))
-	for k, jr := range m.reports {
-		r := *jr.r
-		res.reports[k] = jobReport{r: &r, rebaseTests: jr.rebaseTests}
+	res.stepCounts = rec.stepCounts
+	if rec.reports != nil {
+		res.reports = append(res.reports, *rec.reports...)
 	}
 }
 
@@ -512,39 +544,47 @@ func (p *Pool) merge(res *jobResult, found *[]*report.Report) {
 	base := p.stats.MTIs
 	p.stats.Steps++
 	p.stats.STIs++
-	p.stats.MTIs += res.mtis
-	p.stats.Hints += res.hints
-	p.stats.Vacuous += res.vacuous
-	p.stats.Migrations += res.migrations
+	p.stats.MTIs += uint64(res.mtis)
+	p.stats.Hints += uint64(res.hints)
+	p.stats.Vacuous += uint64(res.vacuous)
+	p.stats.Migrations += uint64(res.migrations)
 	p.co.steps.Inc()
 	p.co.stis.Inc()
-	p.co.mtis.Add(res.mtis)
-	p.co.hintsTotal.Add(res.hints)
-	p.co.vacuous.Add(res.vacuous)
+	p.co.mtis.Add(uint64(res.mtis))
+	p.co.hintsTotal.Add(uint64(res.hints))
+	p.co.vacuous.Add(uint64(res.vacuous))
 	if stiNew {
 		p.stats.NewCov++
 		p.co.newCov.Inc()
-		p.corpus = append(p.corpus, res.prog)
+		// The step's program may be a batch slot's buffer, which the
+		// next batch rewrites: the corpus keeps a copy.
+		p.corpus = append(p.corpus, res.prog.Clone())
 		p.stats.CorpusLen = len(p.corpus)
 	}
 	for _, jr := range res.reports {
+		// Merge alone adds titles, so one that is known now is a
+		// duplicate: it costs no copy and no program text.
+		if p.Reports.Get(jr.r.Title) != nil {
+			p.co.reportOutcome(false, jr.r.OOO)
+			continue
+		}
+		r := *jr.r
+		r.Program = res.prog.String()
 		if jr.rebaseTests {
-			jr.r.Tests += int(base)
+			r.Tests += int(base)
 		}
-		added := p.Reports.Add(jr.r)
-		p.co.reportOutcome(added, jr.r.OOO)
-		if added {
-			if jr.repair != nil {
-				p.repairs[jr.r.Title] = jr.repair
-			}
-			// Counting divergences here, not at probe time, keeps the
-			// counter exact: a title probed redundantly by racing in-batch
-			// duplicates still increments once, for the merged instance.
-			if len(jr.r.Models) > 0 && len(jr.r.Models) < len(memmodel.All()) {
-				p.co.modelDivergences.Inc()
-			}
-			*found = append(*found, jr.r)
+		p.Reports.Add(&r)
+		p.co.reportOutcome(true, r.OOO)
+		if jr.repair != nil {
+			p.repairs[r.Title] = jr.repair
 		}
+		// Counting divergences here, not at probe time, keeps the
+		// counter exact: a title probed redundantly by racing in-batch
+		// duplicates still increments once, for the merged instance.
+		if len(r.Models) > 0 && len(r.Models) < len(memmodel.All()) {
+			p.co.modelDivergences.Inc()
+		}
+		*found = append(*found, &r)
 	}
 	p.co.corpusLen.Set(float64(len(p.corpus)))
 	p.co.covEdges.Set(float64(p.cov.Len()))
@@ -595,9 +635,13 @@ func (p *Pool) run(steps int, deadline time.Time, until string) []*report.Report
 	if steps == 0 {
 		return nil
 	}
+	if p.results == nil {
+		p.results = make([]jobResult, batchSize)
+		p.progs = make([]syzlang.Program, batchSize)
+		p.rng = rand.New(&p.src)
+	}
 	var (
-		batch   = make([]job, batchSize)
-		results = make([]jobResult, batchSize)
+		results = p.results
 		n       int          // steps in the current batch
 		claimed atomic.Int64 // next unclaimed step of the batch
 		pending sync.WaitGroup
@@ -614,7 +658,7 @@ func (p *Pool) run(steps int, deadline time.Time, until string) []*report.Report
 			defer exited.Done()
 			for range wake[k] {
 				for i := k; i < n; i = int(claimed.Add(1)) - 1 {
-					results[i] = p.runJob(w, batch[i])
+					p.runJob(w, &results[i])
 					p.co.stepEvent(w.id, &results[i])
 				}
 				pending.Done()
@@ -636,7 +680,7 @@ func (p *Pool) run(steps int, deadline time.Time, until string) []*report.Report
 		p.mu.Lock()
 		for bi := 0; bi < n; bi++ {
 			gStart := time.Now()
-			batch[bi] = p.planStep(p.steps)
+			p.planStep(p.steps, &results[bi], &p.progs[bi])
 			observe(p.co.stGenerate, gStart)
 			p.steps++
 		}
@@ -658,7 +702,6 @@ func (p *Pool) run(steps int, deadline time.Time, until string) []*report.Report
 		}
 		observe(p.co.stMerge, mStart)
 		p.mu.Unlock()
-		clear(results[:n])
 		if remaining > 0 {
 			remaining -= n
 		}

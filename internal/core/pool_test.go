@@ -15,7 +15,6 @@ import (
 	"ozz/internal/modules"
 	"ozz/internal/obs"
 	"ozz/internal/report"
-	"ozz/internal/syzlang"
 )
 
 func allBugSwitches() modules.BugSet {
@@ -341,9 +340,11 @@ func normalized(r *MTIResult) MTIResult {
 
 // TestMergeCoverageAttribution pins the order merge publishes coverage
 // in: steps in index order, and within a step the STI edges before the
-// MTI edges. Only STI novelty admits a program to the corpus.
+// MTI edges. Only STI novelty admits a program to the corpus, as a copy
+// of the step's program.
 func TestMergeCoverageAttribution(t *testing.T) {
 	p := NewPool(Config{Seed: 1}, 1)
+	target := modules.Target("watchqueue")
 	steps := []jobResult{
 		{stiCov: []uint64{1, 2}, mtiCov: []uint64{3, 1}},
 		// Edge 3 came from step 0's MTI: this STI is not new.
@@ -355,12 +356,16 @@ func TestMergeCoverageAttribution(t *testing.T) {
 	var found []*report.Report
 	p.mu.Lock()
 	for i := range steps {
+		prog, err := target.Parse(fmt.Sprintf("r0 = wq_create()\nwq_post_notification(r0, 0x%x)\n", i))
+		if err != nil {
+			t.Fatal(err)
+		}
 		steps[i].idx = uint64(i)
-		steps[i].prog = &syzlang.Program{}
+		steps[i].prog = prog
 		p.merge(&steps[i], &found)
 	}
 	p.mu.Unlock()
-	if len(p.corpus) != 2 || p.corpus[0] != steps[0].prog || p.corpus[1] != steps[2].prog {
+	if len(p.corpus) != 2 || p.corpus[0].Key() != steps[0].prog.Key() || p.corpus[1].Key() != steps[2].prog.Key() {
 		t.Errorf("corpus admitted %d programs, want steps 0 and 2", len(p.corpus))
 	}
 	if s := p.Stats(); s.NewCov != 2 || s.Steps != 4 {

@@ -143,10 +143,11 @@ func FilterOut(si, sj []trace.Event) (fi, fj []trace.Event) {
 	return keepShared(nil, si, sc.shared), keepShared(nil, sj, sc.shared)
 }
 
-// Scratch is reusable working memory for hint calculation: a caller that
-// keeps one per goroutine, as each campaign worker does, allocates only
-// the hints it gets back. The zero value is ready to use. A Scratch must
-// not be used by two goroutines at once.
+// Scratch is reusable working memory for hint calculation, and it owns
+// the hints it returns: a caller that keeps one per goroutine, as each
+// campaign worker does, allocates nothing once the scratch has grown to
+// its largest pair. The zero value is ready to use. A Scratch must not be
+// used by two goroutines at once.
 type Scratch struct {
 	idx    map[trace.Addr]uint8 // sharedLocations' location index
 	shared map[trace.Addr]bool  // Algorithm 2's shared_mem
@@ -155,6 +156,12 @@ type Scratch struct {
 	occ    map[trace.InstrID]int
 	seen   map[trace.InstrID]bool // collectKinds' dedup set
 	sites  []trace.InstrID        // collectKinds' result
+	// The returned hints: their structs, the sites their Reorder and
+	// Migrate fields view, and the sorted pointer list.
+	hs      []Hint
+	reorder []trace.InstrID
+	migrate []trace.InstrID
+	out     []*Hint
 }
 
 // Access bits of a location in sharedLocations' index.
@@ -244,7 +251,8 @@ func CalculateModel(si, sj []trace.Event, mm *memmodel.Table) []*Hint {
 }
 
 // CalculateModel is the package's CalculateModel, worked out in sc's
-// memory.
+// memory. The hints, their slices included, live in sc: they are valid
+// until sc's next CalculateModel call.
 func (sc *Scratch) CalculateModel(si, sj []trace.Event, mm *memmodel.Table) []*Hint {
 	// Most pairs share no location. Their filtered sequences would hold
 	// only barriers, which form no groups, so they yield no hints.
@@ -255,8 +263,12 @@ func (sc *Scratch) CalculateModel(si, sj []trace.Event, mm *memmodel.Table) []*H
 	sc.fi = keepShared(sc.fi, si, sc.shared)
 	sc.fj = keepShared(sc.fj, sj, sc.shared)
 	fi, fj := sc.fi, sc.fj
-	migrate := perCPUSites(fi, fj)
-	var hints []*Hint
+	sc.migrate = perCPUSites(sc.migrate, fi, fj)
+	migrate := sc.migrate
+	if len(migrate) == 0 {
+		migrate = nil
+	}
+	sc.hs, sc.reorder = sc.hs[:0], sc.reorder[:0]
 	for k, events := range [2][]trace.Event{fi, fj} {
 		accs := sc.accessesOf(events)
 		for _, test := range [2]TestKind{StoreBarrierTest, LoadBarrierTest} {
@@ -267,10 +279,21 @@ func (sc *Scratch) CalculateModel(si, sj []trace.Event, mm *memmodel.Table) []*H
 				continue
 			}
 			groupByBarrier(events, accs, test, mm, func(g []groupAccess) {
-				hints = sc.hintsForGroup(hints, k, test, g, mm)
+				sc.hintsForGroup(k, test, g, mm)
 			})
 		}
 	}
+	if len(sc.hs) == 0 {
+		return nil
+	}
+	// The pointers are taken once sc.hs has stopped growing. A hint's
+	// Reorder may still view an earlier, outgrown sc.reorder array, whose
+	// sites nothing rewrites before the next call.
+	hints := sc.out[:0]
+	for i := range sc.hs {
+		hints = append(hints, &sc.hs[i])
+	}
+	sc.out = hints
 	// Step 4: sort by the search heuristic — most reordered accesses
 	// first; ties broken deterministically.
 	slices.SortStableFunc(hints, func(a, b *Hint) int {
@@ -291,12 +314,12 @@ func (sc *Scratch) CalculateModel(si, sj []trace.Event, mm *memmodel.Table) []*H
 	return hints
 }
 
-// perCPUSites returns the sorted, deduplicated instruction sites among both
-// filtered sequences whose accesses touched per-CPU memory, or nil when the
-// pair shares no per-CPU location.
-func perCPUSites(fi, fj []trace.Event) []trace.InstrID {
-	var sites []trace.InstrID
-	for _, evs := range [][]trace.Event{fi, fj} {
+// perCPUSites appends to dst[:0] the sorted, deduplicated instruction
+// sites among both filtered sequences whose accesses touched per-CPU
+// memory; it stays empty when the pair shares no per-CPU location.
+func perCPUSites(dst []trace.InstrID, fi, fj []trace.Event) []trace.InstrID {
+	sites := dst[:0]
+	for _, evs := range [2][]trace.Event{fi, fj} {
 		for _, e := range evs {
 			if !e.Barrier && e.Acc.PerCPU {
 				sites = append(sites, e.Acc.Instr)
@@ -304,7 +327,7 @@ func perCPUSites(fi, fj []trace.Event) []trace.InstrID {
 		}
 	}
 	if len(sites) == 0 {
-		return nil
+		return sites
 	}
 	slices.Sort(sites)
 	out := sites[:1]
@@ -374,51 +397,53 @@ func groupByBarrier(events []trace.Event, accs []groupAccess, test TestKind, mm 
 // and moves upward, shrinking the delayed prefix. For a load test the
 // scheduling point is the group's first load (it reads the updated value,
 // Fig. 5b) and the barrier moves downward, shrinking the versioned suffix.
-// The group's hints are appended to dst.
-func (sc *Scratch) hintsForGroup(dst []*Hint, reorderer int, test TestKind, g []groupAccess, mm *memmodel.Table) []*Hint {
-	first := len(dst)
+// The group's hints are appended to sc.hs, their sites to sc.reorder.
+func (sc *Scratch) hintsForGroup(reorderer int, test TestKind, g []groupAccess, mm *memmodel.Table) {
+	first := len(sc.hs)
 	emit := func(test TestKind, sched groupAccess, reorder []trace.InstrID) {
 		if len(reorder) == 0 {
 			return
 		}
 		// Skip duplicates of the group's previous emission (site dedup
 		// can make consecutive prefixes identical).
-		if n := len(dst); n > first && sameSites(dst[n-1].Reorder, reorder) &&
-			dst[n-1].Sched == sched.instr && dst[n-1].Test == test {
+		if n := len(sc.hs); n > first && sameSites(sc.hs[n-1].Reorder, reorder) &&
+			sc.hs[n-1].Sched == sched.instr && sc.hs[n-1].Test == test {
 			return
 		}
-		dst = append(dst, &Hint{
+		start := len(sc.reorder)
+		sc.reorder = append(sc.reorder, reorder...)
+		sc.hs = append(sc.hs, Hint{
 			Reorderer: reorderer,
 			Test:      test,
 			Sched:     sched.instr,
 			SchedOcc:  sched.occ,
 			SchedKind: sched.kind,
-			Reorder:   slices.Clone(reorder),
+			Reorder:   sc.reorder[start:len(sc.reorder):len(sc.reorder)],
 		})
 	}
 	if test == StoreBarrierTest {
 		if len(g) < 2 {
-			return dst
+			return
 		}
 		sched := g[len(g)-1]
 		if mm.StoreStoreOrdered() && sched.kind != trace.Load {
 			// FIFO store buffer: earlier stores cannot become visible
 			// after a later store, so an S-S hint can never fire.
-			return dst
+			return
 		}
 		// Hypothetical barrier positions: between g[end-1] and the
 		// scheduling access, moving upward.
 		for end := len(g) - 1; end > 0; end-- {
 			emit(StoreBarrierTest, sched, sc.collectKinds(g[:end], trace.Store, sched.instr))
 		}
-		return dst
+		return
 	}
 	if len(g) < 2 || g[0].kind != trace.Load {
 		// The access reading the "new" side of a load-load reordering
 		// must be a load; groups led by a store contribute no
 		// load-test hints (their loads are covered by neighbouring
 		// groups' iterations).
-		return dst
+		return
 	}
 	sched := g[0]
 	// Hypothetical barrier positions: just after the scheduling load,
@@ -426,7 +451,6 @@ func (sc *Scratch) hintsForGroup(dst []*Hint, reorderer int, test TestKind, g []
 	for start := 1; start < len(g); start++ {
 		emit(LoadBarrierTest, sched, sc.collectKinds(g[start:], trace.Load, sched.instr))
 	}
-	return dst
 }
 
 // sameSites reports whether two site slices are identical.

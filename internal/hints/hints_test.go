@@ -309,7 +309,9 @@ func TestPropertySortedByHeuristic(t *testing.T) {
 
 // TestDisjointPairAllocs: with a reused Scratch, a pair sharing no
 // location allocates nothing and yields nil. Both calls load b, which
-// shares nothing without a write.
+// shares nothing without a write. A pair sharing written locations, one
+// of them per-CPU, yields hints, and a warm Scratch, which owns them,
+// computes those without allocating too.
 func TestDisjointPairAllocs(t *testing.T) {
 	si := []trace.Event{st(1, a), ld(2, b), bar(3, trace.BarrierFull), st(4, a)}
 	sj := []trace.Event{ld(10, b), ld(11, c), st(12, d), bar(13, trace.BarrierStore)}
@@ -323,6 +325,64 @@ func TestDisjointPairAllocs(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Fatalf("%v allocs, want 0", allocs)
+	}
+
+	pc := ld(5, d)
+	pc.Acc.PerCPU = true
+	si = []trace.Event{st(1, a), st(2, b), st(3, c), pc, ld(6, a)}
+	sj = []trace.Event{ld(10, c), ld(11, b), ld(12, a), st(13, d)}
+	want := CalculateModel(si, sj, memmodel.LKMM)
+	if len(want) < 2 || len(want[0].Migrate) == 0 {
+		t.Fatalf("shared pair: %d hints, Migrate %v; want several, migration-sensitive", len(want), want)
+	}
+	allocs = testing.AllocsPerRun(100, func() {
+		hs = sc.CalculateModel(si, sj, memmodel.LKMM)
+	})
+	if !reflect.DeepEqual(hs, want) {
+		t.Fatalf("warm scratch hints\n%v\nwant\n%v", hs, want)
+	}
+	if allocs != 0 {
+		t.Fatalf("shared pair: %v allocs, want 0", allocs)
+	}
+}
+
+// TestPropertyScratchReuse: one Scratch reused over a stream of random
+// pairs gives every pair the hints a fresh calculation gives it, however
+// much larger or smaller the previous pair's hint set was.
+func TestPropertyScratchReuse(t *testing.T) {
+	var sc Scratch
+	f := func(ops []uint16) bool {
+		var si, sj []trace.Event
+		for n, op := range ops {
+			if n > 40 {
+				break
+			}
+			ev := st(trace.InstrID(op%9+1), trace.Addr(0x100+uint64(op%5)*8))
+			switch op % 5 {
+			case 1:
+				ev.Acc.Kind = trace.Load
+			case 2:
+				ev.Acc.PerCPU = true
+			case 3:
+				ev = bar(trace.InstrID(op%9+1), trace.BarrierStore)
+			case 4:
+				ev = bar(trace.InstrID(op%9+1), trace.BarrierLoad)
+			}
+			if op%2 == 0 {
+				si = append(si, ev)
+			} else {
+				sj = append(sj, ev)
+			}
+		}
+		for _, mm := range memmodel.All() {
+			if !reflect.DeepEqual(sc.CalculateModel(si, sj, mm), CalculateModel(si, sj, mm)) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -222,55 +222,101 @@ func (t *Target) Lookup(name string) *SyscallDef { return t.byName[name] }
 
 // appendCall appends a concrete instance of def, first recursively appending
 // producer calls for any resource argument that has no in-scope producer.
-// depth bounds producer recursion.
+// depth bounds producer recursion. The call reuses the Args storage of the
+// slot it lands in (see grow).
 func (t *Target) appendCall(p *Program, def *SyscallDef, r *rand.Rand, depth int) {
-	args := make([]Arg, len(def.Args))
-	for i, at := range def.Args {
+	// The arguments are drawn before the call's slot is known: producers
+	// the draws insert land first. They collect on the stack; append moves
+	// a template's longer list to the heap.
+	var inline [8]Arg
+	args := inline[:0]
+	for _, at := range def.Args {
 		ra, ok := at.(ResourceArg)
 		if !ok {
-			args[i] = Arg{Val: at.generate(r)}
+			args = append(args, Arg{Val: at.generate(r)})
 			continue
 		}
-		// Find an existing producer result, or create one.
-		var cands []int
-		for ci, c := range p.Calls {
-			if c.Def.Ret == ra.Kind {
-				cands = append(cands, ci)
+		// Pick an existing producer result, or create one: the new
+		// producer, the last call, is then the only candidate.
+		n, last := countProducers(p, ra.Kind), -1
+		if n == 0 && depth > 0 {
+			if prods := t.producers[ra.Kind]; len(prods) > 0 {
+				t.appendCall(p, prods[r.Intn(len(prods))], r, depth-1)
+				n, last = 1, len(p.Calls)-1
 			}
 		}
-		if len(cands) == 0 && depth > 0 {
-			prods := t.producers[ra.Kind]
-			if len(prods) > 0 {
-				prod := prods[r.Intn(len(prods))]
-				t.appendCall(p, prod, r, depth-1)
-				cands = append(cands, len(p.Calls)-1)
-			}
-		}
-		if len(cands) == 0 {
-			args[i] = Arg{Val: 0} // no producer available: pass 0
+		if n == 0 {
+			args = append(args, Arg{Val: 0}) // no producer available: pass 0
 			continue
 		}
-		args[i] = Arg{Res: true, Ref: cands[r.Intn(len(cands))]}
+		// The pick draws from r even when the new producer is the only
+		// candidate: campaign digests and goldens pin that stream.
+		k := r.Intn(n)
+		if last < 0 {
+			last = nthProducer(p, ra.Kind, k)
+		}
+		args = append(args, Arg{Res: true, Ref: last})
 	}
-	p.Calls = append(p.Calls, Call{Def: def, Args: args})
+	c := p.grow()
+	c.Def = def
+	c.Args = append(c.Args[:0], args...)
 }
 
-// Generate draws a random program of roughly n calls (producer insertion
-// may add a few more).
-func (t *Target) Generate(r *rand.Rand, n int) *Program {
-	return t.generateFrom(r, n, t.Defs)
+// countProducers returns how many of p's calls produce kind.
+func countProducers(p *Program, kind ResourceKind) int {
+	n := 0
+	for i := range p.Calls {
+		if p.Calls[i].Def.Ret == kind {
+			n++
+		}
+	}
+	return n
 }
 
-// GenerateFocused draws a program from a single module's templates —
-// syzkaller's call-selection priorities similarly bias programs toward
-// related calls, which is what makes concurrent pairs share state.
-func (t *Target) GenerateFocused(r *rand.Rand, n int, module string) *Program {
-	t.index()
-	defs := t.byModule[module]
-	if len(defs) == 0 {
-		defs = t.Defs
+// nthProducer returns the index of p's k-th call (0-based) producing kind.
+func nthProducer(p *Program, kind ResourceKind, k int) int {
+	for i := range p.Calls {
+		if p.Calls[i].Def.Ret == kind {
+			if k == 0 {
+				return i
+			}
+			k--
+		}
 	}
-	return t.generateFrom(r, n, defs)
+	panic("syzlang: producer index out of range")
+}
+
+// grow extends p by one call and returns it. The new slot keeps the Args
+// storage an earlier, longer program left past p's length, so rewriting a
+// program in place allocates only when it outgrows every earlier one.
+func (p *Program) grow() *Call {
+	n := len(p.Calls)
+	if n < cap(p.Calls) {
+		p.Calls = p.Calls[:n+1]
+	} else {
+		p.Calls = append(p.Calls, Call{})
+	}
+	return &p.Calls[n]
+}
+
+// Generate rewrites dst as a random program of roughly n calls (producer
+// insertion may add a few more), reusing dst's storage. The calls come
+// from module's templates — syzkaller's call-selection priorities
+// similarly bias programs toward related calls, which is what makes
+// concurrent pairs share state — or from every template when module is
+// empty or names no template.
+func (t *Target) Generate(dst *Program, r *rand.Rand, n int, module string) {
+	defs := t.Defs
+	if module != "" {
+		t.index()
+		if md := t.byModule[module]; len(md) > 0 {
+			defs = md
+		}
+	}
+	dst.Calls = dst.Calls[:0]
+	for len(dst.Calls) < n {
+		t.appendCall(dst, defs[r.Intn(len(defs))], r, 2)
+	}
 }
 
 // Modules lists the distinct module names of the target's templates,
@@ -295,28 +341,23 @@ func (t *Target) index() {
 	})
 }
 
-func (t *Target) generateFrom(r *rand.Rand, n int, defs []*SyscallDef) *Program {
-	p := &Program{}
-	for len(p.Calls) < n {
-		def := defs[r.Intn(len(defs))]
-		t.appendCall(p, def, r, 2)
+// Mutate rewrites dst as a mutated copy of src, reusing dst's storage:
+// one of inserting a call, deleting a call (fixing up references), or
+// mutating a constant argument. dst may be src, which mutates it in
+// place; otherwise the two must share no storage.
+func (t *Target) Mutate(dst *Program, r *rand.Rand, src *Program) {
+	if dst != src {
+		dst.copyFrom(src)
 	}
-	return p
-}
-
-// Mutate returns a mutated copy of p: one of inserting a call, deleting a
-// call (fixing up references), or mutating a constant argument.
-func (t *Target) Mutate(r *rand.Rand, p *Program) *Program {
-	q := p.Clone()
 	switch op := r.Intn(3); {
-	case op == 0 || len(q.Calls) == 0:
+	case op == 0 || len(dst.Calls) == 0:
 		def := t.Defs[r.Intn(len(t.Defs))]
-		t.appendCall(q, def, r, 2)
-	case op == 1 && len(q.Calls) > 1:
-		q.DeleteCall(r.Intn(len(q.Calls)))
+		t.appendCall(dst, def, r, 2)
+	case op == 1 && len(dst.Calls) > 1:
+		dst.DeleteCall(r.Intn(len(dst.Calls)))
 	default:
-		ci := r.Intn(len(q.Calls))
-		c := &q.Calls[ci]
+		ci := r.Intn(len(dst.Calls))
+		c := &dst.Calls[ci]
 		if len(c.Args) > 0 {
 			ai := r.Intn(len(c.Args))
 			if !c.Args[ai].Res {
@@ -324,16 +365,31 @@ func (t *Target) Mutate(r *rand.Rand, p *Program) *Program {
 			}
 		}
 	}
-	return q
 }
 
-// DeleteCall removes call di, dropping dependent references (they become
-// constant 0, mirroring syzkaller's arg fixup) and shifting later ones.
+// copyFrom overwrites p with src's calls, reusing p's storage.
+func (p *Program) copyFrom(src *Program) {
+	p.Calls = p.Calls[:0]
+	for i := range src.Calls {
+		c := p.grow()
+		c.Def = src.Calls[i].Def
+		c.Args = append(c.Args[:0], src.Calls[i].Args...)
+	}
+}
+
+// DeleteCall removes call di in place, dropping dependent references
+// (they become constant 0, mirroring syzkaller's arg fixup) and shifting
+// later ones. The removed call's Args storage moves to the slot just past
+// the new length, so no two slots share storage.
 func (p *Program) DeleteCall(di int) {
-	calls := append(p.Calls[:di:di], p.Calls[di+1:]...)
-	for ci := range calls {
-		for ai := range calls[ci].Args {
-			a := &calls[ci].Args[ai]
+	removed := p.Calls[di].Args
+	copy(p.Calls[di:], p.Calls[di+1:])
+	last := len(p.Calls) - 1
+	p.Calls[last] = Call{Args: removed[:0]}
+	p.Calls = p.Calls[:last]
+	for ci := range p.Calls {
+		for ai := range p.Calls[ci].Args {
+			a := &p.Calls[ci].Args[ai]
 			if !a.Res {
 				continue
 			}
@@ -345,7 +401,6 @@ func (p *Program) DeleteCall(di int) {
 			}
 		}
 	}
-	p.Calls = calls
 }
 
 // Parse deserializes the text form produced by Program.String. It is used

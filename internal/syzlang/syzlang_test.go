@@ -49,7 +49,8 @@ func TestGenerateValid(t *testing.T) {
 	tg := testTarget()
 	r := rand.New(rand.NewSource(1))
 	for i := 0; i < 200; i++ {
-		p := tg.Generate(r, 5)
+		p := &Program{}
+		tg.Generate(p, r, 5, "")
 		if !valid(tg, p) {
 			t.Fatalf("invalid program:\n%s", p)
 		}
@@ -85,9 +86,11 @@ func TestGenerateInsertsProducers(t *testing.T) {
 func TestMutatePreservesValidity(t *testing.T) {
 	tg := testTarget()
 	r := rand.New(rand.NewSource(3))
-	p := tg.Generate(r, 4)
+	p, q := &Program{}, &Program{}
+	tg.Generate(p, r, 4, "")
 	for i := 0; i < 300; i++ {
-		p = tg.Mutate(r, p)
+		tg.Mutate(q, r, p)
+		p, q = q, p
 		if !valid(tg, p) {
 			t.Fatalf("mutation %d broke validity:\n%s", i, p)
 		}
@@ -99,7 +102,8 @@ func TestSerializeRoundTrip(t *testing.T) {
 	tg := testTarget()
 	r := rand.New(rand.NewSource(4))
 	for i := 0; i < 100; i++ {
-		p := tg.Generate(r, 4)
+		p := &Program{}
+		tg.Generate(p, r, 4, "")
 		q, err := tg.Parse(p.String())
 		if err != nil {
 			t.Fatalf("parse failed: %v\n%s", err, p)
@@ -217,9 +221,10 @@ func TestPropertyGenerateMutateParse(t *testing.T) {
 	tg := testTarget()
 	f := func(seed int64, muts uint8) bool {
 		r := rand.New(rand.NewSource(seed))
-		p := tg.Generate(r, 3)
+		p := &Program{}
+		tg.Generate(p, r, 3, "")
 		for i := 0; i < int(muts%10); i++ {
-			p = tg.Mutate(r, p)
+			tg.Mutate(p, r, p)
 		}
 		if !valid(tg, p) {
 			return false
@@ -249,7 +254,7 @@ func TestNames(t *testing.T) {
 	}
 }
 
-// TestModuleIndex: Modules and GenerateFocused build their index once,
+// TestModuleIndex: Modules and module-focused Generate build their index once,
 // from any number of goroutines at a time, and draw exactly what a serial
 // first use of another target over the same templates draws.
 func TestModuleIndex(t *testing.T) {
@@ -263,7 +268,8 @@ func TestModuleIndex(t *testing.T) {
 	ref := NewTarget(defs)
 	want := make([]string, len(focus))
 	for i, m := range focus {
-		p := ref.GenerateFocused(rand.New(rand.NewSource(int64(i))), 6, m)
+		p := &Program{}
+		ref.Generate(p, rand.New(rand.NewSource(int64(i))), 6, m)
 		for _, c := range p.Calls {
 			if m != "missing" && c.Def.Module != m {
 				t.Fatalf("focused on %q drew %s from module %q", m, c.Def.Name, c.Def.Module)
@@ -285,7 +291,8 @@ func TestModuleIndex(t *testing.T) {
 				t.Errorf("goroutine %d: Modules() = %s", g, got)
 			}
 			i := g % len(focus)
-			p := tg.GenerateFocused(rand.New(rand.NewSource(int64(i))), 6, focus[i])
+			p := &Program{}
+			tg.Generate(p, rand.New(rand.NewSource(int64(i))), 6, focus[i])
 			if p.String() != want[i] {
 				t.Errorf("goroutine %d: focused on %q drew\n%s\nwant\n%s", g, focus[i], p, want[i])
 			}
@@ -293,5 +300,71 @@ func TestModuleIndex(t *testing.T) {
 	}
 	for g := 0; g < 8; g++ {
 		<-done
+	}
+}
+
+// TestRewriteIntoDirtyBuffer: Generate and Mutate into a reused Program
+// give the same Key and String as into a fresh one. The reused buffers
+// are dirty in both ways a campaign leaves them: one last held a longer
+// program, the other went through DeleteCall, which moves a call's Args
+// storage past the end. Mutate also leaves its source untouched.
+func TestRewriteIntoDirtyBuffer(t *testing.T) {
+	defs := testTarget().Defs
+	wide := &SyscallDef{Name: "wide_op", Module: "w"}
+	for i := 0; i < 8; i++ {
+		wide.Args = append(wide.Args, IntRange{Min: 0, Max: 99})
+	}
+	wide.Args = append(wide.Args, ResourceArg{Kind: "sock"})
+	tg := NewTarget(append(defs, wide))
+	rng := func(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
+	long, deleted, src := &Program{}, &Program{}, &Program{}
+	for seed := int64(0); seed < 1000; seed++ {
+		fresh := &Program{}
+		tg.Generate(fresh, rng(seed), 4, "")
+		tg.Generate(long, rng(-seed), 12, "")
+		tg.Generate(deleted, rng(-seed), 6, "")
+		deleted.DeleteCall(int(seed) % 3)
+		deleted.DeleteCall(0)
+		for _, dirty := range []*Program{long, deleted} {
+			tg.Generate(dirty, rng(seed), 4, "")
+			if dirty.Key() != fresh.Key() || dirty.String() != fresh.String() {
+				t.Fatalf("seed %d: Generate into a dirty buffer drew\n%s\nwant\n%s", seed, dirty, fresh)
+			}
+		}
+
+		tg.Generate(src, rng(seed+1000), 5, "")
+		before := src.Key()
+		fresh = &Program{}
+		tg.Mutate(fresh, rng(seed), src)
+		tg.Generate(long, rng(-seed), 12, "")
+		tg.Generate(deleted, rng(-seed), 6, "")
+		deleted.DeleteCall(int(seed) % 3)
+		for _, dirty := range []*Program{long, deleted} {
+			tg.Mutate(dirty, rng(seed), src)
+			if dirty.Key() != fresh.Key() || dirty.String() != fresh.String() {
+				t.Fatalf("seed %d: Mutate into a dirty buffer gave\n%s\nwant\n%s", seed, dirty, fresh)
+			}
+		}
+		if src.Key() != before {
+			t.Fatalf("seed %d: Mutate changed its source", seed)
+		}
+	}
+}
+
+// TestDeleteCallMovesArgs: DeleteCall keeps every slot's Args storage
+// distinct, so a call appended after a deletion cannot write into a live
+// call's arguments.
+func TestDeleteCallMovesArgs(t *testing.T) {
+	tg := testTarget()
+	p, err := tg.Parse("r0 = sock_open()\nsock_bind(r0, 0x1)\nsock_send(r0, 0x2)\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.DeleteCall(1)
+	want := p.String()
+	tg.appendCall(p, tg.Lookup("sock_bind"), rand.New(rand.NewSource(1)), 0)
+	p.Calls = p.Calls[:2]
+	if got := p.String(); got != want {
+		t.Fatalf("appending after DeleteCall rewrote a live call:\n%s\nwant\n%s", got, want)
 	}
 }
