@@ -3,6 +3,7 @@ package core
 import (
 	"time"
 
+	"ozz/internal/engine"
 	"ozz/internal/obs"
 	"ozz/internal/repair"
 )
@@ -94,6 +95,12 @@ func newCampaignObs(reg *obs.Registry, ev *obs.EventLog) *campaignObs {
 // observe records one stage execution's duration.
 func observe(h *obs.Histogram, start time.Time) {
 	h.Observe(time.Since(start).Seconds())
+}
+
+// observeRun records the duration of a stage that is one engine run, as
+// the engine measured it.
+func observeRun(h *obs.Histogram, res *engine.Result) {
+	h.Observe(res.Dur.Seconds())
 }
 
 // reportOutcome tallies one report-set insertion attempt: added says

@@ -346,9 +346,8 @@ func (p *Pool) runJob(w *worker, res *jobResult) {
 			return
 		}
 	}
-	pStart := time.Now()
 	sti := p.env.runSTI(res.prog, &w.prof, &w.sti)
-	observe(p.co.stProfile, pStart)
+	observeRun(p.co.stProfile, sti)
 	res.stiCov = append(res.stiCov, sti.Cov...)
 	if sti.Crash != nil {
 		res.reports = append(res.reports, jobReport{r: &report.Report{
@@ -397,9 +396,8 @@ func (p *Pool) runPair(w *worker, res *jobResult, sti *STIResult, i, j int) {
 		hs = hs[:maxHintsPerPair]
 	}
 	for rank, h := range hs {
-		mStart := time.Now()
 		mres := p.env.RunMTI(MTIOpts{Prog: res.prog, I: i, J: j, Hint: h, Out: &w.mti})
-		observe(p.co.stMTI, mStart)
+		observeRun(p.co.stMTI, mres)
 		res.mtis++
 		res.migrations += uint32(mres.Migrations)
 		if !mres.Fired {
@@ -417,61 +415,65 @@ func (p *Pool) runPair(w *worker, res *jobResult, sti *STIResult, i, j int) {
 // profile, for the fence-repair search.
 func (p *Pool) harvestJob(w *worker, res *jobResult, events [][]trace.Event, i, j int, h *hints.Hint, rank int, mres *MTIResult) {
 	prog := res.prog
-	if mres.Crash != nil {
-		r := &report.Report{
-			Title:  mres.Crash.Title,
-			Oracle: mres.Crash.Oracle,
-		}
+	if c := mres.Crash; c != nil {
 		// Triage: re-run the same schedule without reordering directives.
 		// If the crash still reproduces in order, it is a plain
 		// interleaving race, not an OOO bug.
 		ooo := !mres.PrefixCrash
 		if ooo {
-			tStart := time.Now()
 			rerun := p.env.RunMTI(MTIOpts{Prog: prog, I: i, J: j, Hint: h, NoReorder: true, Out: &w.triage})
-			observe(p.co.stTriage, tStart)
-			ooo = rerun.Crash == nil || rerun.Crash.Title != r.Title
+			observeRun(p.co.stTriage, rerun)
+			ooo = rerun.Crash == nil || rerun.Crash.Title != c.Title
 		}
 		if ooo {
-			for _, s := range h.Reorder {
-				r.ReorderedSites = append(r.ReorderedSites, modules.SiteName(s))
-			}
-			p.addOOOReport(res, r, prog, events, i, j, h, rank, false, func(pr *MTIResult) bool {
-				return pr.Crash != nil && pr.Crash.Title == r.Title
+			title := c.Title
+			p.addOOOReport(res, title, c.Oracle, prog, events, i, j, h, rank, false, func(pr *MTIResult) bool {
+				return pr.Crash != nil && pr.Crash.Title == title
 			})
 		} else {
-			res.reports = append(res.reports, jobReport{r: r})
+			res.reports = append(res.reports, jobReport{r: &report.Report{Title: c.Title, Oracle: c.Oracle}})
 		}
 	}
 	for _, s := range mres.Soft {
-		r := &report.Report{Title: s, Oracle: "semantic"}
-		p.addOOOReport(res, r, prog, events, i, j, h, rank, true, func(pr *MTIResult) bool {
+		p.addOOOReport(res, s, "semantic", prog, events, i, j, h, rank, true, func(pr *MTIResult) bool {
 			return slices.Contains(pr.Soft, s)
 		})
 	}
 }
 
-// addOOOReport completes r as an OOO finding of hint h on pair (i, j) and
-// appends it to the step's reports. For a title no earlier batch merged,
-// it also probes the other memory models (reproduced tells whether a
-// probe run hit the finding) and searches a fence repair. The probe runs
-// job-side so it parallelizes with the rest of the batch and Models is
-// set before the report is published. The Get only filters titles
-// already merged: in-batch duplicates probe and search redundantly but
+// addOOOReport appends to the step's reports the OOO finding titled
+// title of hint h on pair (i, j). A title an earlier batch merged is a
+// duplicate merge drops after reading its Title and OOO, so the report
+// holds only those. For any other title, it also probes the other memory
+// models (reproduced tells whether a probe run hit the finding) and
+// searches a fence repair. The probe runs job-side so it parallelizes
+// with the rest of the batch and Models is set before the report is
+// published. In-batch duplicates probe and search redundantly but
 // deterministically, and only the merge-ordered first instance survives.
-func (p *Pool) addOOOReport(res *jobResult, r *report.Report, prog *syzlang.Program, events [][]trace.Event, i, j int, h *hints.Hint, rank int, soft bool, reproduced func(*MTIResult) bool) {
-	r.OOO = true
-	r.Type = h.Type()
-	r.HypBarrier = fmt.Sprintf("before %s (%s)", modules.SiteName(h.Sched), h.Test)
-	r.Pair = PairName(prog, i, j)
-	r.HintRank = rank + 1
-	r.Tests = int(res.mtis)
-	jr := jobReport{r: r, rebaseTests: true}
-	if p.Reports.Get(r.Title) == nil {
-		r.Models = probeModels(p.env, p.cfg.Model, prog, i, j, h, reproduced)
-		if jr.repair = repairFinding(p.env, &p.cfg, p.co, prog, events, i, j, h, r.Title, soft); jr.repair != nil {
-			r.SuggestedFix = jr.repair.Lines()
+func (p *Pool) addOOOReport(res *jobResult, title, oracle string, prog *syzlang.Program, events [][]trace.Event, i, j int, h *hints.Hint, rank int, soft bool, reproduced func(*MTIResult) bool) {
+	if p.Reports.Get(title) != nil {
+		res.reports = append(res.reports, jobReport{r: &report.Report{Title: title, OOO: true}, rebaseTests: true})
+		return
+	}
+	r := &report.Report{
+		Title:      title,
+		Oracle:     oracle,
+		OOO:        true,
+		Type:       h.Type(),
+		HypBarrier: fmt.Sprintf("before %s (%s)", modules.SiteName(h.Sched), h.Test),
+		Pair:       PairName(prog, i, j),
+		HintRank:   rank + 1,
+		Tests:      int(res.mtis),
+	}
+	if !soft {
+		for _, s := range h.Reorder {
+			r.ReorderedSites = append(r.ReorderedSites, modules.SiteName(s))
 		}
+	}
+	jr := jobReport{r: r, rebaseTests: true}
+	r.Models = probeModels(p.env, p.cfg.Model, prog, i, j, h, reproduced)
+	if jr.repair = repairFinding(p.env, &p.cfg, p.co, prog, events, i, j, h, title, soft); jr.repair != nil {
+		r.SuggestedFix = jr.repair.Lines()
 	}
 	res.reports = append(res.reports, jr)
 }

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -285,7 +286,7 @@ func TestRecycledKernelEquivalence(t *testing.T) {
 					fresh := NewEnv(nil, bugs)
 					got, want := env.RunSTI(p), fresh.RunSTI(p)
 					runs++
-					if !reflect.DeepEqual(got, want) {
+					if !reflect.DeepEqual(outcome(got), outcome(want)) {
 						t.Errorf("%s: recycled STI %+v, fresh %+v", name, got, want)
 						continue
 					}
@@ -316,10 +317,45 @@ func TestRecycledKernelEquivalence(t *testing.T) {
 	}
 }
 
-// normalized returns a copy of r with empty slices nil: a reused result
-// keeps empty, non-nil slices where a fresh one has none.
-func normalized(r *MTIResult) MTIResult {
+// TestPoolsShareTarget: pools over the same module list share one
+// syzlang target, and two width-2 pools running at once on it (run this
+// under -race) each walk the campaign a lone pool walks.
+func TestPoolsShareTarget(t *testing.T) {
+	cfg := Config{Seed: 5, UseSeeds: true, Bugs: table34Switches()}
+	want := fingerprintPool(NewPool(cfg, 2), 256)
+	pools := [2]*Pool{NewPool(cfg, 2), NewPool(cfg, 2)}
+	if pools[0].target != pools[1].target || pools[0].target != modules.Target() {
+		t.Fatal("pools over the same module list built their own targets")
+	}
+	var got [2]campaignFingerprint
+	var wg sync.WaitGroup
+	for k, p := range pools {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[k] = fingerprintPool(p, 256)
+		}()
+	}
+	wg.Wait()
+	for k := range got {
+		if !reflect.DeepEqual(got[k], want) {
+			t.Errorf("pool %d, run beside another: %+v\nwant %+v", k, got[k].stats, want.stats)
+		}
+	}
+}
+
+// outcome returns a copy of r without its wall-clock duration: what a
+// deterministic run must reproduce.
+func outcome(r *STIResult) STIResult {
 	c := *r
+	c.Dur = 0
+	return c
+}
+
+// normalized returns the outcome of r with empty slices nil: a reused
+// result keeps empty, non-nil slices where a fresh one has none.
+func normalized(r *MTIResult) MTIResult {
+	c := outcome(r)
 	if len(c.ReorderLog) == 0 {
 		c.ReorderLog = nil
 	}

@@ -115,7 +115,9 @@ func TestReportProgramParsesToStep(t *testing.T) {
 // step allocates: steps 1,024 to 3,071 of a width-1 campaign at seed 3,
 // after the slots, worker scratch and kernels have warmed up. What is
 // left per step is mostly what the campaign keeps (memo keys and
-// records, corpus copies, reports) and the modules' per-run state.
+// records, corpus copies, reports) and the modules' per-run state. The
+// counts were 4.04 (fixed) and 5.12 (table34) when the bounds were last
+// set; an OOO report for a title already merged holds only its title.
 func TestCampaignStepAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -123,7 +125,7 @@ func TestCampaignStepAllocs(t *testing.T) {
 		max  float64
 	}{
 		{"fixed", nil, 6},
-		{"table34", table34Switches(), 8},
+		{"table34", table34Switches(), 7},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p := NewPool(Config{Seed: 3, Bugs: tc.bugs}, 1)

@@ -18,6 +18,25 @@ func recycledAllocs(e *Engine, cfg Config, req Request) float64 {
 	return testing.AllocsPerRun(100, func() { e.Run(cfg, OOO{}, req) })
 }
 
+// stepRuns returns an engine and a campaign step's runs on a watchqueue
+// seed: the STI, profiling into a reused buffer, and the MTI of its
+// set_filter/post_notification pair's first hint, into a reused result.
+func stepRuns(tb testing.TB) (e *Engine, cfg Config, sti, mti Request) {
+	p, err := modules.Target("watchqueue").Parse("r0 = wq_create()\nwq_set_filter(r0, 0x20)\nwq_post_notification(r0, 0x2)\n")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	e = NewObs(nil)
+	cfg = Config{Modules: []string{"watchqueue"}, Instrumented: true}
+	sti = Request{Prog: p, Prof: new(trace.Buffer)}
+	res := e.Run(cfg, OOO{}, sti)
+	hs := hints.CalculateModel(res.CallEvents[1], res.CallEvents[2], memmodel.LKMM)
+	if len(hs) == 0 {
+		tb.Fatal("no hints for the seed's set_filter/post_notification pair")
+	}
+	return e, cfg, sti, Request{Prog: p, I: 1, J: 2, Hint: hs[0], Out: new(Result)}
+}
+
 // TestRecycledRunAllocs pins the allocations of a recycled engine run on a
 // watchqueue seed, shaped like a campaign step's: the STI profile, into a
 // reused buffer, and one MTI of its racing pair, into a reused result. A
@@ -30,20 +49,7 @@ func recycledAllocs(e *Engine, cfg Config, req Request) float64 {
 // leave room for two more. Per-module rows then pin that constructing a
 // module allocates nothing per syscall.
 func TestRecycledRunAllocs(t *testing.T) {
-	p, err := modules.Target("watchqueue").Parse("r0 = wq_create()\nwq_set_filter(r0, 0x20)\nwq_post_notification(r0, 0x2)\n")
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := NewObs(nil)
-	cfg := Config{Modules: []string{"watchqueue"}, Instrumented: true}
-	var prof trace.Buffer
-	sti := Request{Prog: p, Prof: &prof}
-	res := e.Run(cfg, OOO{}, sti)
-	hs := hints.CalculateModel(res.CallEvents[1], res.CallEvents[2], memmodel.LKMM)
-	if len(hs) == 0 {
-		t.Fatal("no hints for the seed's set_filter/post_notification pair")
-	}
-	mti := Request{Prog: p, I: 1, J: 2, Hint: hs[0], Out: new(Result)}
+	e, cfg, sti, mti := stepRuns(t)
 	for _, c := range []struct {
 		name string
 		req  Request
@@ -76,7 +82,7 @@ func TestRecycledRunAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg := Config{Modules: []string{row.name}, Instrumented: true}
-		allocs := recycledAllocs(e, cfg, Request{Prog: p, Prof: &prof})
+		allocs := recycledAllocs(e, cfg, Request{Prog: p, Prof: sti.Prof})
 		t.Logf("%s seed (%d syscalls): %v allocs per run", row.name, len(m.Defs), allocs)
 		if allocs > 7+row.extra {
 			t.Errorf("recycled %s STI: %v allocs, want at most %v", row.name, allocs, 7+row.extra)
@@ -86,5 +92,19 @@ func TestRecycledRunAllocs(t *testing.T) {
 		} else if allocs != bpf+row.extra {
 			t.Errorf("recycled %s STI: %v allocs, want bpf's %v plus %v", row.name, allocs, bpf, row.extra)
 		}
+	}
+}
+
+// BenchmarkRecycledRun measures a recycled engine run shaped like a
+// campaign step's: one op is the STI of TestRecycledRunAllocs's
+// watchqueue seed, into a reused profile buffer, and one MTI of its
+// racing pair, into a reused result.
+func BenchmarkRecycledRun(b *testing.B) {
+	e, cfg, sti, mti := stepRuns(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Run(cfg, OOO{}, sti)
+		e.Run(cfg, OOO{}, mti)
 	}
 }

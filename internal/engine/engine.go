@@ -10,7 +10,8 @@
 package engine
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 	"time"
 
@@ -92,6 +93,10 @@ type Result struct {
 	Cov []uint64
 	// Soft holds non-crash oracle reports.
 	Soft []string
+	// Dur is the run's wall-clock duration, kernel acquisition through
+	// execution, as ozz_engine_run_duration_seconds observed it. Callers
+	// timing a run read it instead of reading the clock again.
+	Dur time.Duration
 }
 
 // buildFunc stands in for module building in white-box tests: the
@@ -183,8 +188,10 @@ func (e *Engine) Run(cfg Config, s Strategy, req Request) *Result {
 // run is Run with an injectable module builder (white-box tests).
 func (e *Engine) run(cfg Config, s Strategy, req Request, build buildFunc) *Result {
 	cfg.normalize()
+	// A run reads the clock three times: here, once acquire has a kernel,
+	// and after execution.
 	start := time.Now()
-	r := e.acquire(&cfg)
+	r := e.acquire(&cfg, start)
 	r.cfg, r.req = cfg, req
 	k := r.k
 	// The model must be installed before Attach (OOO's history-tracking
@@ -202,10 +209,10 @@ func (e *Engine) run(cfg Config, s Strategy, req Request, build buildFunc) *Resu
 	// at the arm point.
 	k.Em.SetHistoryTracking(false)
 	if build != nil {
-		r.mods.Names = append(r.mods.Names[:0], "")
+		r.mods.Mods = append(r.mods.Mods[:0], &synthetic)
 		r.mods.Insts = append(r.mods.Insts[:0], build(k))
 	} else {
-		r.mods.Names = moduleSubset(r.mods.Names[:0], &cfg, req.Prog)
+		r.mods.Mods = moduleSubset(r.mods.Mods[:0], &cfg, req.Prog)
 		r.mods.Build(k, cfg.Bugs)
 	}
 	s.Attach(k, &r.req)
@@ -217,12 +224,16 @@ func (e *Engine) run(cfg Config, s Strategy, req Request, build buildFunc) *Resu
 		e.runSequential(r)
 	}
 	res := r.res
+	res.Dur = time.Since(start)
 	// Publication is observation only: counters and wall-clock timings,
 	// never anything a deterministic execution depends on.
-	e.m.publishRun(s.Name(), pair, cfg.Model.Name(), time.Since(start), res, k.Em.Counters())
+	e.m.publishRun(s.Name(), pair, cfg.Model.Name(), res, k.Em.Counters())
 	e.release(r)
 	return res
 }
+
+// synthetic names the module-less calls a white-box buildFunc serves.
+var synthetic modules.ModuleInfo
 
 // newResult returns the result a run fills: out reset for reuse, keeping
 // its slices' storage, or a fresh result when out is nil.
@@ -251,52 +262,41 @@ func zeroed[T any](s []T, n int) []T {
 	return s
 }
 
-// moduleSubset returns the modules to build for one run of prog, in sorted
-// order and in names' storage: the registered modules the program's calls
+// moduleSubset returns the modules to build for one run of prog, in name
+// order and in dst's storage: the registered modules the program's calls
 // belong to, intersected with the configured universe. Building every registered
 // module dominated the run profile (~40% CPU, ~2/3 of allocations) while a
-// typical program touches one or two. The subset is a pure function of
-// (program, config), so runs stay deterministic, and a call whose module
-// is outside cfg.Modules gets no implementation: -ENOSYS.
-func moduleSubset(names []string, cfg *Config, p *syzlang.Program) []string {
+// typical program touches one or two. Each distinct module is looked up
+// once, and Set.Build builds from the result without looking it up again.
+// The subset is a pure function of (program, config), so runs stay
+// deterministic, and a call whose module is outside cfg.Modules gets no
+// implementation: -ENOSYS.
+func moduleSubset(dst []*modules.ModuleInfo, cfg *Config, p *syzlang.Program) []*modules.ModuleInfo {
+calls:
 	for i := range p.Calls {
-		m := p.Calls[i].Def.Module
-		if modules.ByName(m) == nil {
+		name := p.Calls[i].Def.Module
+		for _, m := range dst {
+			if m.Name == name {
+				continue calls
+			}
+		}
+		if len(cfg.Modules) > 0 && !slices.Contains(cfg.Modules, name) {
 			continue
 		}
-		dup := false
-		for _, n := range names {
-			if n == m {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			names = append(names, m)
+		if m := modules.ByName(name); m != nil {
+			dst = append(dst, m)
 		}
 	}
-	sort.Strings(names)
-	if len(cfg.Modules) > 0 {
-		kept := names[:0]
-		for _, n := range names {
-			for _, allowed := range cfg.Modules {
-				if n == allowed {
-					kept = append(kept, n)
-					break
-				}
-			}
-		}
-		names = kept
-	}
-	return names
+	slices.SortFunc(dst, func(a, b *modules.ModuleInfo) int { return cmp.Compare(a.Name, b.Name) })
+	return dst
 }
 
 // acquire returns a runner — an idle one when possible — whose
 // kernel has the config's feature switches applied. The kernel is
 // identical to a freshly-constructed one: Reset restores every observable
 // property (memory content, sanitizer state, emulator clock, site tables).
-func (e *Engine) acquire(cfg *Config) *runner {
-	start := time.Now()
+// start is when the run began, which the acquisition latency counts from.
+func (e *Engine) acquire(cfg *Config, start time.Time) *runner {
 	r := e.idleRunner()
 	if r != nil {
 		r.k.Reset()

@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"time"
-
 	"ozz/internal/memmodel"
 	"ozz/internal/obs"
 	"ozz/internal/oemu"
@@ -204,21 +202,21 @@ func (m *metrics) modelRun(name string) *obs.Counter {
 // observeSession harvests a finished scheduler session's yield/preemption
 // tallies into the registry.
 func (m *metrics) observeSession(s *sched.Session) {
-	m.schedYields.Add(s.Yields())
-	m.schedSwitches.Add(s.Switches())
+	add(m.schedYields, s.Yields())
+	add(m.schedSwitches, s.Switches())
 }
 
 // publishRun records one finished execution: run/crash counters by
 // strategy and shape, MTI outcome counters, and the kernel's OEMU
 // activity tally for the run.
-func (m *metrics) publishRun(strategy string, pair bool, model string, d time.Duration, res *Result, oc oemu.Counters) {
+func (m *metrics) publishRun(strategy string, pair bool, model string, res *Result, oc oemu.Counters) {
 	sm := m.strategy(strategy)
 	shape := 0
 	if pair {
 		shape = 1
 	}
 	sm.runs[shape].Inc()
-	sm.dur.Observe(d.Seconds())
+	sm.dur.Observe(res.Dur.Seconds())
 	m.modelRun(model).Inc()
 	if res.Crash != nil {
 		sm.crashes.Inc()
@@ -234,19 +232,27 @@ func (m *metrics) publishRun(strategy string, pair bool, model string, d time.Du
 		if res.Fired {
 			m.mtiFired.Inc()
 		}
-		m.mtiReorders.Add(uint64(res.Reordered))
-		m.schedMigrations.Add(uint64(res.Migrations))
+		add(m.mtiReorders, uint64(res.Reordered))
+		add(m.schedMigrations, uint64(res.Migrations))
 	}
-	m.oemuDelayed.Add(oc.StoresDelayed)
-	m.oemuForwarded.Add(oc.ForwardedLoads)
-	m.oemuVersioned.Add(oc.VersionedLoads)
-	m.oemuCommitted.Add(oc.StoresCommitted)
-	m.oemuWindow.Add(oc.LoadWindowAdvances)
+	add(m.oemuDelayed, oc.StoresDelayed)
+	add(m.oemuForwarded, oc.ForwardedLoads)
+	add(m.oemuVersioned, oc.VersionedLoads)
+	add(m.oemuCommitted, oc.StoresCommitted)
+	add(m.oemuWindow, oc.LoadWindowAdvances)
 	for i, v := range [5]uint64{oc.FlushSmpWmb, oc.FlushSmpMb, oc.FlushRelease, oc.FlushInterrupt, oc.FlushSyscall} {
-		m.oemuFlush[i].Add(v)
+		add(m.oemuFlush[i], v)
 	}
-	m.oemuThreadRecycled.Add(oc.ThreadsRecycled)
-	m.oemuThreadBuilt.Add(oc.ThreadsBuilt)
-	m.oemuRingRecycled.Add(oc.HistRingsRecycled)
-	m.oemuRingBuilt.Add(oc.HistRingsBuilt)
+	add(m.oemuThreadRecycled, oc.ThreadsRecycled)
+	add(m.oemuThreadBuilt, oc.ThreadsBuilt)
+	add(m.oemuRingRecycled, oc.HistRingsRecycled)
+	add(m.oemuRingBuilt, oc.HistRingsBuilt)
+}
+
+// add adds v to c, skipping the shared atomic write when v is 0, as most
+// of a run's tallies are.
+func add(c *obs.Counter, v uint64) {
+	if v != 0 {
+		c.Add(v)
+	}
 }

@@ -140,7 +140,7 @@ func (h *Hint) String() string {
 func FilterOut(si, sj []trace.Event) (fi, fj []trace.Event) {
 	var sc Scratch
 	sc.sharedLocations(si, sj)
-	return keepShared(nil, si, sc.shared), keepShared(nil, sj, sc.shared)
+	return sc.keepShared(si), sc.keepShared(sj)
 }
 
 // Scratch is reusable working memory for hint calculation, and it owns
@@ -149,13 +149,12 @@ func FilterOut(si, sj []trace.Event) (fi, fj []trace.Event) {
 // its largest pair. The zero value is ready to use. A Scratch must not be
 // used by two goroutines at once.
 type Scratch struct {
-	idx    map[trace.Addr]uint8 // sharedLocations' location index
-	shared map[trace.Addr]bool  // Algorithm 2's shared_mem
-	fi, fj []trace.Event        // the filtered call sequences
-	accs   []groupAccess        // accessesOf's result
-	occ    map[trace.InstrID]int
-	seen   map[trace.InstrID]bool // collectKinds' dedup set
-	sites  []trace.InstrID        // collectKinds' result
+	locs  table           // Algorithm 2's location index: access bits per address
+	occ   table           // filter's scheduling-point count per site
+	seen  table           // collectKinds' dedup set
+	accs  []groupAccess   // the filtered call's accesses
+	bars  []barrier       // the filtered call's group-closing barriers
+	sites []trace.InstrID // collectKinds' result
 	// The returned hints: their structs, the sites their Reorder and
 	// Migrate fields view, and the sorted pointer list.
 	hs      []Hint
@@ -164,63 +163,79 @@ type Scratch struct {
 	out     []*Hint
 }
 
-// Access bits of a location in sharedLocations' index.
+// Access bits of a location in sc.locs: how the first call touched it,
+// and whether it is in Algorithm 2's shared_mem.
 const (
-	loaded uint8 = 1 << iota
+	loaded uint32 = 1 << iota
 	stored
+	shared
 )
 
-// sharedLocations computes Algorithm 2's shared_mem set into sc.shared:
+// sharedLocations computes Algorithm 2's shared_mem set into sc.locs —
 // locations accessed by both calls where at least one of the overlapping
-// pair writes.
-func (sc *Scratch) sharedLocations(si, sj []trace.Event) {
-	if sc.idx == nil {
-		sc.idx = make(map[trace.Addr]uint8)
-		sc.shared = make(map[trace.Addr]bool)
-	}
-	idx, shared := sc.idx, sc.shared
-	clear(idx)
-	clear(shared)
-	for _, e := range si {
-		if e.Barrier {
+// pair writes — and reports whether it is non-empty.
+func (sc *Scratch) sharedLocations(si, sj []trace.Event) bool {
+	locs := &sc.locs
+	locs.reset()
+	for i := range si {
+		if si[i].Barrier {
 			continue
 		}
-		if e.Acc.Kind == trace.Load {
-			idx[e.Acc.Addr] |= loaded
+		e := &si[i].Acc
+		if e.Kind == trace.Load {
+			*locs.at(uint64(e.Addr)) |= loaded
 		} else {
-			idx[e.Acc.Addr] |= stored
+			*locs.at(uint64(e.Addr)) |= stored
 		}
 	}
-	for _, e := range sj {
-		if e.Barrier {
+	found := false
+	for i := range sj {
+		if sj[i].Barrier {
 			continue
 		}
 		// The pair (a_i, a_j) shares the location; require a write on
 		// at least one side.
-		if acc := idx[e.Acc.Addr]; acc&stored != 0 || acc != 0 && e.Acc.Kind == trace.Store {
-			shared[e.Acc.Addr] = true
+		e := &sj[i].Acc
+		if acc := locs.find(uint64(e.Addr)); acc != nil && (*acc&stored != 0 || e.Kind == trace.Store) {
+			*acc |= shared
+			found = true
 		}
 	}
+	return found
 }
 
-// keepShared appends the barriers of s and its accesses to shared
-// locations, in order, to dst[:0].
-func keepShared(dst, s []trace.Event, shared map[trace.Addr]bool) []trace.Event {
-	dst = dst[:0]
+// isShared reports whether addr is in shared_mem.
+func (sc *Scratch) isShared(addr trace.Addr) bool {
+	acc := sc.locs.find(uint64(addr))
+	return acc != nil && *acc&shared != 0
+}
+
+// keepShared returns the barriers of s and its accesses to shared
+// locations, in order, in a new slice (nil when nothing is kept).
+func (sc *Scratch) keepShared(s []trace.Event) []trace.Event {
+	var dst []trace.Event
 	for i := range s {
-		if s[i].Barrier || shared[s[i].Acc.Addr] {
+		if s[i].Barrier || sc.isShared(s[i].Acc.Addr) {
 			dst = append(dst, s[i])
 		}
 	}
 	return dst
 }
 
-// group is one barrier-delimited run of accesses (g in Algorithm 1), with
-// the dynamic occurrence index of each access's instruction site.
+// groupAccess is one access of a filtered call, with the dynamic
+// occurrence index of its instruction site.
 type groupAccess struct {
 	instr trace.InstrID
 	kind  trace.AccessKind
-	occ   int // 1-based occurrence of instr within the whole call
+	occ   int // 1-based occurrence of instr within the filtered call
+}
+
+// barrier is one barrier of a filtered call that closes a group: at is
+// the number of the call's filtered accesses before it, and closes says,
+// indexed by TestKind, which test's groups it closes under the model.
+type barrier struct {
+	at     int
+	closes [2]bool
 }
 
 // Calculate is Algorithm 1: it computes the scheduling hints H_ij for the
@@ -256,21 +271,12 @@ func CalculateModel(si, sj []trace.Event, mm *memmodel.Table) []*Hint {
 func (sc *Scratch) CalculateModel(si, sj []trace.Event, mm *memmodel.Table) []*Hint {
 	// Most pairs share no location. Their filtered sequences would hold
 	// only barriers, which form no groups, so they yield no hints.
-	sc.sharedLocations(si, sj)
-	if len(sc.shared) == 0 {
+	if !sc.sharedLocations(si, sj) {
 		return nil
 	}
-	sc.fi = keepShared(sc.fi, si, sc.shared)
-	sc.fj = keepShared(sc.fj, sj, sc.shared)
-	fi, fj := sc.fi, sc.fj
-	sc.migrate = perCPUSites(sc.migrate, fi, fj)
-	migrate := sc.migrate
-	if len(migrate) == 0 {
-		migrate = nil
-	}
-	sc.hs, sc.reorder = sc.hs[:0], sc.reorder[:0]
-	for k, events := range [2][]trace.Event{fi, fj} {
-		accs := sc.accessesOf(events)
+	sc.hs, sc.reorder, sc.migrate = sc.hs[:0], sc.reorder[:0], sc.migrate[:0]
+	for k, events := range [2][]trace.Event{si, sj} {
+		sc.filter(events, mm)
 		for _, test := range [2]TestKind{StoreBarrierTest, LoadBarrierTest} {
 			if test == StoreBarrierTest && !mm.AnyDelayable() {
 				continue
@@ -278,9 +284,7 @@ func (sc *Scratch) CalculateModel(si, sj []trace.Event, mm *memmodel.Table) []*H
 			if test == LoadBarrierTest && !mm.AnyVersionable() {
 				continue
 			}
-			groupByBarrier(events, accs, test, mm, func(g []groupAccess) {
-				sc.hintsForGroup(k, test, g, mm)
-			})
+			sc.groupByBarrier(k, test, mm)
 		}
 	}
 	if len(sc.hs) == 0 {
@@ -308,26 +312,18 @@ func (sc *Scratch) CalculateModel(si, sj []trace.Event, mm *memmodel.Table) []*H
 	// Pair-level migration annotation: every hint of a migration-sensitive
 	// pair carries the (shared) per-CPU site list. Computed from the
 	// filtered sequences, so pre-filtering the inputs is idempotent.
+	migrate := dedupSorted(sc.migrate)
 	for _, h := range hints {
 		h.Migrate = migrate
 	}
 	return hints
 }
 
-// perCPUSites appends to dst[:0] the sorted, deduplicated instruction
-// sites among both filtered sequences whose accesses touched per-CPU
-// memory; it stays empty when the pair shares no per-CPU location.
-func perCPUSites(dst []trace.InstrID, fi, fj []trace.Event) []trace.InstrID {
-	sites := dst[:0]
-	for _, evs := range [2][]trace.Event{fi, fj} {
-		for _, e := range evs {
-			if !e.Barrier && e.Acc.PerCPU {
-				sites = append(sites, e.Acc.Instr)
-			}
-		}
-	}
+// dedupSorted sorts sites and drops repeats in place; it returns nil for
+// an empty list.
+func dedupSorted(sites []trace.InstrID) []trace.InstrID {
 	if len(sites) == 0 {
-		return sites
+		return nil
 	}
 	slices.Sort(sites)
 	out := sites[:1]
@@ -339,53 +335,62 @@ func perCPUSites(dst []trace.InstrID, fi, fj []trace.Event) []trace.InstrID {
 	return out
 }
 
-// accessesOf returns the call's accesses in order, each with its
-// occurrence index, in sc.accs. occ counts SCHEDULING POINTS per site, not
-// events: the store half of an RMW shares its scheduling point with the
-// load half (NoYield), so the breakpoint occurrence for it is the load
-// half's.
-func (sc *Scratch) accessesOf(events []trace.Event) []groupAccess {
-	if sc.occ == nil {
-		sc.occ = make(map[trace.InstrID]int)
-	}
-	accs, occ := sc.accs[:0], sc.occ
-	clear(occ)
+// filter is Algorithm 2 applied to one call, read the way Algorithm 1
+// consumes it, in one pass over the events: the call's accesses to
+// shared locations, in order, each with its occurrence index, go to
+// sc.accs; the barriers that close a group of either test kind under the
+// model go to sc.bars; and the sites of its per-CPU shared accesses are
+// appended to sc.migrate. occ counts SCHEDULING POINTS per site within
+// the filtered sequence, not events: the store half of an RMW shares its
+// scheduling point with the load half (NoYield), so the breakpoint
+// occurrence for it is the load half's.
+func (sc *Scratch) filter(events []trace.Event, mm *memmodel.Table) {
+	accs, bars := sc.accs[:0], sc.bars[:0]
+	sc.occ.reset()
 	for i := range events {
 		if events[i].Barrier {
+			b := &events[i].Bar
+			st, ld := closedByModel(StoreBarrierTest, b, mm), closedByModel(LoadBarrierTest, b, mm)
+			if st || ld {
+				bars = append(bars, barrier{at: len(accs), closes: [2]bool{st, ld}})
+			}
 			continue
 		}
 		e := &events[i].Acc
-		if !e.NoYield {
-			occ[e.Instr]++
-		}
-		accs = append(accs, groupAccess{instr: e.Instr, kind: e.Kind, occ: occ[e.Instr]})
-	}
-	sc.accs = accs
-	return accs
-}
-
-// groupByBarrier is Step 2 of Algorithm 1: split the call's accesses into
-// groups delimited by the barriers that close groups for the given test
-// kind under the model (closedByModel — store barriers close store-test
-// groups; load barriers close load-test groups; full barriers close both).
-// accs is accessesOf(events); each group, passed to fn in order, is a
-// subslice of it.
-func groupByBarrier(events []trace.Event, accs []groupAccess, test TestKind, mm *memmodel.Table, fn func(g []groupAccess)) {
-	start, n := 0, 0 // the open group is accs[start:n]
-	for i := range events {
-		if !events[i].Barrier {
-			n++
+		if !sc.isShared(e.Addr) {
 			continue
 		}
-		if closedByModel(test, &events[i].Bar, mm) {
-			if n > start {
-				fn(accs[start:n:n])
-			}
-			start = n
+		occ := sc.occ.at(uint64(e.Instr))
+		if !e.NoYield {
+			*occ++
+		}
+		accs = append(accs, groupAccess{instr: e.Instr, kind: e.Kind, occ: int(*occ)})
+		if e.PerCPU {
+			sc.migrate = append(sc.migrate, e.Instr)
 		}
 	}
-	if n > start {
-		fn(accs[start:n:n])
+	sc.accs, sc.bars = accs, bars
+}
+
+// groupByBarrier is Step 2 of Algorithm 1 over the call filter last read:
+// split its accesses into groups delimited by the barriers that close
+// groups for the given test kind under the model (closedByModel — store
+// barriers close store-test groups; load barriers close load-test groups;
+// full barriers close both), and hand each group, in order, to Step 3
+// with reorderer as the reordering call.
+func (sc *Scratch) groupByBarrier(reorderer int, test TestKind, mm *memmodel.Table) {
+	accs, start := sc.accs, 0 // the open group is accs[start:b.at]
+	for _, b := range sc.bars {
+		if !b.closes[test] {
+			continue
+		}
+		if b.at > start {
+			sc.hintsForGroup(reorderer, test, accs[start:b.at:b.at], mm)
+		}
+		start = b.at
+	}
+	if n := len(accs); n > start {
+		sc.hintsForGroup(reorderer, test, accs[start:n:n], mm)
 	}
 }
 
@@ -471,17 +476,17 @@ func sameSites(a, b []trace.InstrID) bool {
 // reorder the scheduling access, defeating the test). The result is scratch
 // that the next call overwrites.
 func (sc *Scratch) collectKinds(g []groupAccess, kind trace.AccessKind, exclude trace.InstrID) []trace.InstrID {
-	if sc.seen == nil {
-		sc.seen = make(map[trace.InstrID]bool)
-	}
-	seen, out := sc.seen, sc.sites[:0]
-	clear(seen)
-	for _, a := range g {
-		if a.kind != kind || a.instr == exclude || seen[a.instr] {
+	out := sc.sites[:0]
+	sc.seen.reset()
+	for i := range g {
+		a := &g[i]
+		if a.kind != kind || a.instr == exclude {
 			continue
 		}
-		seen[a.instr] = true
-		out = append(out, a.instr)
+		if seen := sc.seen.at(uint64(a.instr)); *seen == 0 {
+			*seen = 1
+			out = append(out, a.instr)
+		}
 	}
 	sc.sites = out
 	return out

@@ -1,7 +1,11 @@
 package hints
 
 import (
+	"cmp"
+	"math"
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -432,5 +436,295 @@ func TestRMWStoreHalfOccurrence(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("reorderer-0 hints:\n got %v\nwant %v", got, want)
+	}
+}
+
+// The reference filter: Algorithm 2 and the occurrence and site
+// bookkeeping of Algorithm 1 as map-based passes over copied event
+// sequences, the way the hint layer first computed them. The equivalence
+// tests below check the one-pass, map-free filter against it.
+
+// refSharedLocations is Algorithm 2's shared_mem set.
+func refSharedLocations(si, sj []trace.Event) map[trace.Addr]bool {
+	idx, shared := map[trace.Addr]uint8{}, map[trace.Addr]bool{}
+	for _, e := range si {
+		if e.Barrier {
+			continue
+		}
+		if e.Acc.Kind == trace.Load {
+			idx[e.Acc.Addr] |= 1
+		} else {
+			idx[e.Acc.Addr] |= 2
+		}
+	}
+	for _, e := range sj {
+		if e.Barrier {
+			continue
+		}
+		if acc := idx[e.Acc.Addr]; acc&2 != 0 || acc != 0 && e.Acc.Kind == trace.Store {
+			shared[e.Acc.Addr] = true
+		}
+	}
+	return shared
+}
+
+// refKeepShared is the filtered sequence: barriers and shared accesses.
+func refKeepShared(s []trace.Event, shared map[trace.Addr]bool) []trace.Event {
+	var out []trace.Event
+	for _, e := range s {
+		if e.Barrier || shared[e.Acc.Addr] {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// refAccessesOf is the filtered call's accesses with their occurrence
+// indexes, NoYield store halves counted with their load halves.
+func refAccessesOf(events []trace.Event) []groupAccess {
+	occ := map[trace.InstrID]int{}
+	var accs []groupAccess
+	for _, e := range events {
+		if e.Barrier {
+			continue
+		}
+		if !e.Acc.NoYield {
+			occ[e.Acc.Instr]++
+		}
+		accs = append(accs, groupAccess{instr: e.Acc.Instr, kind: e.Acc.Kind, occ: occ[e.Acc.Instr]})
+	}
+	return accs
+}
+
+// refCollectKinds is a group's deduplicated sites of one kind, without
+// the scheduling-point site.
+func refCollectKinds(g []groupAccess, kind trace.AccessKind, exclude trace.InstrID) []trace.InstrID {
+	seen := map[trace.InstrID]bool{}
+	var out []trace.InstrID
+	for _, a := range g {
+		if a.kind != kind || a.instr == exclude || seen[a.instr] {
+			continue
+		}
+		seen[a.instr] = true
+		out = append(out, a.instr)
+	}
+	return out
+}
+
+// refCalculateModel is CalculateModel over the reference filter.
+func refCalculateModel(si, sj []trace.Event, mm *memmodel.Table) []*Hint {
+	shared := refSharedLocations(si, sj)
+	if len(shared) == 0 {
+		return nil
+	}
+	fi, fj := refKeepShared(si, shared), refKeepShared(sj, shared)
+	var migrate []trace.InstrID
+	for _, e := range append(slices.Clone(fi), fj...) {
+		if !e.Barrier && e.Acc.PerCPU && !slices.Contains(migrate, e.Acc.Instr) {
+			migrate = append(migrate, e.Acc.Instr)
+		}
+	}
+	slices.Sort(migrate)
+	var hs []*Hint
+	for k, events := range [2][]trace.Event{fi, fj} {
+		accs := refAccessesOf(events)
+		for _, test := range [2]TestKind{StoreBarrierTest, LoadBarrierTest} {
+			if test == StoreBarrierTest && !mm.AnyDelayable() || test == LoadBarrierTest && !mm.AnyVersionable() {
+				continue
+			}
+			var groups [][]groupAccess
+			start, n := 0, 0
+			for _, e := range events {
+				if !e.Barrier {
+					n++
+				} else if closedByModel(test, &e.Bar, mm) {
+					if n > start {
+						groups = append(groups, accs[start:n])
+					}
+					start = n
+				}
+			}
+			if n > start {
+				groups = append(groups, accs[start:n])
+			}
+			for _, g := range groups {
+				hs = append(hs, refHintsForGroup(k, test, g, mm)...)
+			}
+		}
+	}
+	if len(hs) == 0 {
+		return nil
+	}
+	slices.SortStableFunc(hs, func(a, b *Hint) int {
+		if d := b.ReorderCount() - a.ReorderCount(); d != 0 {
+			return d
+		}
+		if c := cmp.Compare(a.Sched, b.Sched); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Reorderer, b.Reorderer)
+	})
+	for _, h := range hs {
+		h.Migrate = migrate
+	}
+	return hs
+}
+
+// refHintsForGroup is Step 3 of Algorithm 1 over refCollectKinds.
+func refHintsForGroup(reorderer int, test TestKind, g []groupAccess, mm *memmodel.Table) []*Hint {
+	var hs []*Hint
+	emit := func(sched groupAccess, reorder []trace.InstrID) {
+		if len(reorder) == 0 {
+			return
+		}
+		if n := len(hs); n > 0 && slices.Equal(hs[n-1].Reorder, reorder) {
+			return
+		}
+		hs = append(hs, &Hint{Reorderer: reorderer, Test: test, Sched: sched.instr,
+			SchedOcc: sched.occ, SchedKind: sched.kind, Reorder: reorder})
+	}
+	if len(g) < 2 {
+		return nil
+	}
+	if test == StoreBarrierTest {
+		sched := g[len(g)-1]
+		if mm.StoreStoreOrdered() && sched.kind != trace.Load {
+			return nil
+		}
+		for end := len(g) - 1; end > 0; end-- {
+			emit(sched, refCollectKinds(g[:end], trace.Store, sched.instr))
+		}
+		return hs
+	}
+	if g[0].kind != trace.Load {
+		return nil
+	}
+	for start := 1; start < len(g); start++ {
+		emit(g[0], refCollectKinds(g[start:], trace.Load, g[0].instr))
+	}
+	return hs
+}
+
+// randomPair draws a call pair for the equivalence tests. Its events
+// cover what the filter distinguishes: loads and stores of both
+// annotations over a location range that is sometimes wider than a
+// table's first 64 slots, NoYield RMW halves, per-CPU accesses, every
+// barrier kind, implicit barriers of annotated loads, and sites that
+// touch a private location before a shared one.
+func randomPair(r *rand.Rand) (si, sj []trace.Event) {
+	nAddr := 1 + r.Intn(8)
+	if r.Intn(4) == 0 {
+		nAddr = 65 + r.Intn(100)
+	}
+	nInstr := 1 + r.Intn(12)
+	call := func(private trace.Addr) []trace.Event {
+		var evs []trace.Event
+		for n := r.Intn(40); len(evs) < n; {
+			instr := trace.InstrID(1 + r.Intn(nInstr))
+			addr := trace.Addr(0x1000 + 8*uint64(r.Intn(nAddr)))
+			switch r.Intn(10) {
+			case 0:
+				evs = append(evs, bar(instr, trace.BarrierKind(r.Intn(trace.NumBarrierKinds))))
+			case 1:
+				b := bar(instr, trace.BarrierLoad)
+				b.Bar.Implicit, b.Bar.Atomic = true, trace.Atomicity(r.Intn(trace.NumAtomicities))
+				evs = append(evs, b)
+			case 2:
+				evs = append(evs, rmw(instr, addr)...)
+			case 3:
+				// A site that first touches the call's private
+				// location, then a possibly shared one.
+				evs = append(evs, st(instr, private), ld(instr, addr))
+			default:
+				ev := ld(instr, addr)
+				if r.Intn(2) == 0 {
+					ev = st(instr, addr)
+				}
+				ev.Acc.Atomic = trace.Atomicity(r.Intn(trace.NumAtomicities))
+				ev.Acc.PerCPU = r.Intn(6) == 0
+				evs = append(evs, ev)
+			}
+		}
+		return evs
+	}
+	return call(0x100000), call(0x200000)
+}
+
+// TestFilterMatchesReference: over 10,000 random pairs, a reused Scratch
+// returns the reference filter's hints, in the same order, under every
+// model, and FilterOut keeps the reference's events.
+func TestFilterMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	var sc Scratch
+	hinted := 0
+	for n := 0; n < 10000; n++ {
+		si, sj := randomPair(r)
+		for _, mm := range memmodel.All() {
+			got, want := sc.CalculateModel(si, sj, mm), refCalculateModel(si, sj, mm)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("pair %d under %s:\nsi %v\nsj %v\n got %v\nwant %v", n, mm.Name(), si, sj, got, want)
+			}
+			if len(got) > 0 {
+				hinted++
+			}
+		}
+		shared := refSharedLocations(si, sj)
+		fi, fj := FilterOut(si, sj)
+		if !reflect.DeepEqual(fi, refKeepShared(si, shared)) || !reflect.DeepEqual(fj, refKeepShared(sj, shared)) {
+			t.Fatalf("pair %d: FilterOut differs from the reference", n)
+		}
+	}
+	if hinted < 10000 {
+		t.Fatalf("only %d of 30000 pair calculations yielded hints", hinted)
+	}
+}
+
+// TestTableGrowth: a pair over more than a table's first slots keeps
+// every location, and a table holds every key it was given.
+func TestTableGrowth(t *testing.T) {
+	var si, sj []trace.Event
+	for i := 0; i < 3*minSlots; i++ {
+		si = append(si, st(trace.InstrID(i+1), trace.Addr(0x1000+8*i)))
+		sj = append(sj, ld(trace.InstrID(1000+i), trace.Addr(0x1000+8*i)))
+	}
+	var sc Scratch
+	if got, want := sc.CalculateModel(si, sj, memmodel.LKMM), refCalculateModel(si, sj, memmodel.LKMM); !reflect.DeepEqual(got, want) {
+		t.Fatalf("wide pair: %d hints, want %d", len(got), len(want))
+	}
+	var tb table
+	tb.reset()
+	for k := uint64(0); k < 1000; k++ {
+		*tb.at(k * 8) = uint32(k) + 1
+	}
+	for k := uint64(0); k < 1000; k++ {
+		if v := tb.find(k * 8); v == nil || *v != uint32(k)+1 {
+			t.Fatalf("key %d lost after growth", k*8)
+		}
+	}
+	if tb.find(8001) != nil {
+		t.Fatal("absent key found")
+	}
+}
+
+// TestGenerationWrap: when a table's generation counter wraps, the
+// entries it stamped in its first generation do not come back to life.
+// The first pair marks a location shared; in the second, only one call
+// touches it, so a stale entry would make it shared again.
+func TestGenerationWrap(t *testing.T) {
+	var sc Scratch
+	if hs := sc.CalculateModel([]trace.Event{st(1, a), st(2, b)}, []trace.Event{ld(10, a), ld(11, b)}, memmodel.LKMM); len(hs) == 0 {
+		t.Fatal("no hints for the first pair")
+	}
+	for _, tb := range []*table{&sc.locs, &sc.occ, &sc.seen} {
+		tb.gen = math.MaxUint32
+	}
+	si := []trace.Event{st(1, a), st(2, b), st(3, c)}
+	sj := []trace.Event{ld(12, c)}
+	got, want := sc.CalculateModel(si, sj, memmodel.LKMM), refCalculateModel(si, sj, memmodel.LKMM)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("after the wrap: %v, want %v", got, want)
+	}
+	if sc.locs.gen != 1 {
+		t.Fatalf("generation after the wrap: %d, want 1", sc.locs.gen)
 	}
 }

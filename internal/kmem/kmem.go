@@ -9,7 +9,9 @@
 package kmem
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"ozz/internal/trace"
 )
@@ -129,13 +131,17 @@ type page struct {
 // a single running task.
 type Memory struct {
 	pages map[uint64]*page
+	// list holds the pages in creation order, for Reset to walk.
+	list []*page
 	// lastIdx/lastPage cache the most recently touched page (locality is
 	// near-perfect: objects are contiguous).
 	lastIdx  uint64
 	lastPage *page
 
-	next    trace.Addr // allocator bump pointer
-	objects map[trace.Addr]object
+	next trace.Addr // allocator bump pointer
+	// objects are the live allocations in base order: the allocator
+	// bumps, so each new object goes last.
+	objects []object
 
 	quarantine    []object
 	quarantineCap int
@@ -150,7 +156,6 @@ func New() *Memory {
 	return &Memory{
 		pages:         make(map[uint64]*page),
 		next:          heapBase,
-		objects:       make(map[trace.Addr]object),
 		quarantineCap: 64,
 		Sanitize:      true,
 	}
@@ -163,12 +168,12 @@ func New() *Memory {
 // identical to New(): every slot reads 0 and is Unmapped, the bump pointer
 // restarts at heapBase, and the quarantine is empty.
 func (m *Memory) Reset() {
-	for _, p := range m.pages {
+	for _, p := range m.list {
 		*p = page{}
 	}
 	m.lastIdx, m.lastPage = 0, nil
 	m.next = heapBase
-	clear(m.objects)
+	m.objects = m.objects[:0]
 	m.quarantine = m.quarantine[:0]
 	m.Sanitize = true
 }
@@ -184,47 +189,77 @@ func (m *Memory) pageFor(addr trace.Addr) (*page, int) {
 	if p == nil {
 		p = &page{}
 		m.pages[idx] = p
+		m.list = append(m.list, p)
 	}
 	m.lastIdx, m.lastPage = idx, p
 	return p, off
 }
 
+// Poison patterns: what kmalloc leaves in a new object, and what kfree
+// writes over a freed one.
+const (
+	allocPoison uint64 = 0xdead4ead_deadbeef
+	freePoison  uint64 = 0xdeadbeef_deadbeef
+)
+
 // Alloc allocates n words surrounded by one redzone word on each side and
 // returns the address of the first data word. Memory content is NOT zeroed:
 // it holds whatever garbage pattern Poison writes, mirroring kmalloc.
 func (m *Memory) Alloc(n int) trace.Addr {
+	return m.alloc(n, allocPoison)
+}
+
+// AllocZeroed is kzalloc: Alloc plus zeroing. A request for no words
+// gets Alloc's rounded-up word as Alloc leaves it, poisoned.
+func (m *Memory) AllocZeroed(n int) trace.Addr {
+	if n <= 0 {
+		return m.Alloc(n)
+	}
+	return m.alloc(n, 0)
+}
+
+// alloc is Alloc with the data words set to v.
+func (m *Memory) alloc(n int, v uint64) trace.Addr {
 	if n <= 0 {
 		n = 1
 	}
-	m.setState(m.next, Redzone) // leading redzone
+	m.fill(m.next, 1, Redzone, false, 0) // leading redzone
+	base := m.next + WordSize
+	m.fill(base, n, Valid, true, v)
+	m.next = base + trace.Addr(n*WordSize)
+	m.fill(m.next, 1, Redzone, false, 0) // trailing redzone
 	m.next += WordSize
-	base := m.next
-	for i := 0; i < n; i++ {
-		a := base + trace.Addr(i*WordSize)
-		m.setState(a, Valid)
-		// kmalloc does not zero: poison with a recognizable pattern.
-		m.Write(a, 0xdead4ead_deadbeef)
-	}
-	m.next += trace.Addr(n * WordSize)
-	m.setState(m.next, Redzone) // trailing redzone
-	m.next += WordSize
-	m.objects[base] = object{base: base, words: n}
+	m.objects = append(m.objects, object{base: base, words: n})
 	return base
 }
 
-// setState updates one slot's sanitizer state.
-func (m *Memory) setState(addr trace.Addr, st SlotState) {
-	p, off := m.pageFor(addr)
-	p.state[off] = st
+// fill sets the sanitizer state of the n words from addr on to st and,
+// when write is set, their values to v: one page lookup per page, not
+// per word.
+func (m *Memory) fill(addr trace.Addr, n int, st SlotState, write bool, v uint64) {
+	for n > 0 {
+		p, off := m.pageFor(addr)
+		k := min(n, pageWords-off)
+		states := p.state[off : off+k]
+		for i := range states {
+			states[i] = st
+		}
+		if write {
+			vals := p.vals[off : off+k]
+			for i := range vals {
+				vals[i] = v
+			}
+		}
+		addr += trace.Addr(k * WordSize)
+		n -= k
+	}
 }
 
-// AllocZeroed is kzalloc: Alloc plus zeroing.
-func (m *Memory) AllocZeroed(n int) trace.Addr {
-	a := m.Alloc(n)
-	for i := 0; i < n; i++ {
-		m.Write(a+trace.Addr(i*WordSize), 0)
-	}
-	return a
+// find returns the index in m.objects of the live object at base.
+func (m *Memory) find(base trace.Addr) (int, bool) {
+	return slices.BinarySearchFunc(m.objects, base, func(o object, base trace.Addr) int {
+		return cmp.Compare(o.base, base)
+	})
 }
 
 // Free releases the object at base. The object enters the quarantine:
@@ -232,24 +267,19 @@ func (m *Memory) AllocZeroed(n int) trace.Addr {
 // the quarantine overflows, at which point the slots become reusable.
 // Freeing an address that is not a live object base is an invalid free.
 func (m *Memory) Free(base trace.Addr) error {
-	obj, ok := m.objects[base]
+	i, ok := m.find(base)
 	if !ok {
 		return fmt.Errorf("invalid-free at 0x%x", uint64(base))
 	}
-	delete(m.objects, base)
-	for i := 0; i < obj.words; i++ {
-		a := base + trace.Addr(i*WordSize)
-		m.setState(a, Freed)
-		m.Write(a, 0xdeadbeef_deadbeef) // poison freed memory
-	}
+	obj := m.objects[i]
+	m.objects = slices.Delete(m.objects, i, i+1)
+	m.fill(base, obj.words, Freed, true, freePoison)
 	m.quarantine = append(m.quarantine, obj)
 	if len(m.quarantine) > m.quarantineCap {
 		old := m.quarantine[0]
 		// Shift in place so the quarantine keeps one backing array.
 		m.quarantine = m.quarantine[:copy(m.quarantine, m.quarantine[1:])]
-		for i := 0; i < old.words; i++ {
-			m.setState(old.base+trace.Addr(i*WordSize), Unmapped)
-		}
+		m.fill(old.base, old.words, Unmapped, false, 0)
 	}
 	return nil
 }

@@ -219,3 +219,84 @@ func TestZeroSizeAllocRoundsUp(t *testing.T) {
 		t.Fatal("zero-size alloc larger than one word")
 	}
 }
+
+// TestFreeFindsObjectByBase: Free looks objects up by base among many
+// live ones. Freeing a middle object leaves its neighbours live; an
+// interior, redzone or never-allocated address, a second free, and a
+// free of an object from before a Reset are all invalid frees.
+func TestFreeFindsObjectByBase(t *testing.T) {
+	m := New()
+	var objs []trace.Addr
+	for n := 1; n <= 9; n++ {
+		objs = append(objs, m.Alloc(n))
+	}
+	mid := objs[4]
+	if err := m.Free(mid); err != nil {
+		t.Fatal(err)
+	}
+	for i, a := range objs {
+		if want := i + 1; i != 4 && m.ObjectWords(a) != want {
+			t.Fatalf("object %d: %d words, want %d", i, m.ObjectWords(a), want)
+		}
+	}
+	for _, bad := range []trace.Addr{mid, objs[2] + WordSize, objs[2] - WordSize, heapBase - WordSize, m.next + 64*WordSize} {
+		if err := m.Free(bad); err == nil {
+			t.Fatalf("Free(%#x) succeeded", uint64(bad))
+		}
+	}
+	if live, freed := len(m.objects), len(m.quarantine); live != 8 || freed != 1 {
+		t.Fatalf("live/quarantined = %d/%d, want 8/1", live, freed)
+	}
+
+	m.Reset()
+	if err := m.Free(objs[8]); err == nil {
+		t.Fatal("freeing an object allocated before Reset succeeded")
+	}
+	// The reset allocator hands out the first base again: that is a new,
+	// live object.
+	if a := m.Alloc(2); a != objs[0] {
+		t.Fatalf("first base after Reset = %#x, want %#x", uint64(a), uint64(objs[0]))
+	}
+	if err := m.Free(objs[0]); err != nil {
+		t.Fatal(err)
+	}
+	if live, freed := len(m.objects), len(m.quarantine); live != 0 || freed != 1 {
+		t.Fatalf("after Reset: live/quarantined = %d/%d, want 0/1", live, freed)
+	}
+}
+
+// TestAllocAcrossPages: an object spanning a page boundary is valid,
+// poisoned or zeroed, and redzoned on every word, and its free poisons
+// every word; a zero-word kzalloc keeps kmalloc's poison.
+func TestAllocAcrossPages(t *testing.T) {
+	m := New()
+	m.Alloc(pageWords - 3) // leaves the next object two words before a page end
+	for _, zero := range []bool{false, true} {
+		n := pageWords + 5
+		a, want := m.Alloc(n), allocPoison
+		if zero {
+			a, want = m.AllocZeroed(n), 0
+		}
+		for i := 0; i < n; i++ {
+			w := a + trace.Addr(i*WordSize)
+			if m.Check(1, w, trace.Load) != nil || m.Read(w) != want {
+				t.Fatalf("zero=%v word %d: state %v value %#x", zero, i, m.Check(1, w, trace.Load), m.Read(w))
+			}
+		}
+		if f := m.Check(1, a+trace.Addr(n*WordSize), trace.Load); f == nil || f.Kind != FaultOOB {
+			t.Fatalf("zero=%v: trailing redzone gave %v", zero, f)
+		}
+		if err := m.Free(a); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			w := a + trace.Addr(i*WordSize)
+			if f := m.Check(1, w, trace.Load); f == nil || f.Kind != FaultUAF || m.Read(w) != freePoison {
+				t.Fatalf("zero=%v freed word %d: fault %v value %#x", zero, i, f, m.Read(w))
+			}
+		}
+	}
+	if z := m.AllocZeroed(0); m.Read(z) != allocPoison || m.Check(1, z, trace.Load) != nil {
+		t.Fatalf("AllocZeroed(0) word = %#x", m.Read(z))
+	}
+}

@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"ozz/internal/kernel"
 	"ozz/internal/syzlang"
@@ -163,9 +164,36 @@ func FindBug(sw string) (BugInfo, bool) {
 	return BugInfo{}, false
 }
 
-// Target assembles the syzlang target for the named modules (all modules if
-// names is empty).
+// targets holds the target Target built last and the module list it
+// serves.
+var targets struct {
+	sync.Mutex
+	key string
+	t   *syzlang.Target
+}
+
+// Target returns the syzlang target for the named modules (all modules if
+// names is empty). A target is read-only once built, so callers share
+// it: Target builds one and hands it to every caller of the same module
+// list until a call for another list replaces it. Campaigns that create
+// pool after pool over one list (a hunt, the fixed-kernel control) then
+// build one target and one module index. Holding every list's target
+// instead would keep a workload's live heap growing with the number of
+// module lists it ever touched, and building the index here would move
+// it into the set-up of every pool whose list differs from the last.
 func Target(names ...string) *syzlang.Target {
+	key := strings.Join(names, ",")
+	targets.Lock()
+	defer targets.Unlock()
+	if targets.t == nil || targets.key != key {
+		targets.t, targets.key = newTarget(names), key
+	}
+	return targets.t
+}
+
+// newTarget assembles a new target for the named modules (all if names
+// is empty).
+func newTarget(names []string) *syzlang.Target {
 	var defs []*syzlang.SyscallDef
 	if len(names) == 0 {
 		for _, m := range All() {
@@ -201,25 +229,21 @@ func Seeds(names ...string) []string {
 }
 
 // Set is the modules built over one kernel: the syscall table a run
-// dispatches through. Names lists the modules and Insts holds their
+// dispatches through. Mods lists the modules and Insts holds their
 // instances, in the same order. Build reuses Insts' storage, so a
 // recycled Set builds a run's modules without allocating beyond their
 // state.
 type Set struct {
-	Names []string
+	Mods  []*ModuleInfo
 	Insts []Instance
 }
 
 // Build replaces s's instances with fresh ones, over k, of the modules
-// s.Names lists. It panics on an unknown name.
+// s.Mods lists.
 func (s *Set) Build(k *kernel.Kernel, bugs BugSet) {
 	clear(s.Insts)
 	s.Insts = s.Insts[:0]
-	for _, n := range s.Names {
-		m := registry[n]
-		if m == nil {
-			panic("unknown module " + n)
-		}
+	for _, m := range s.Mods {
 		s.Insts = append(s.Insts, m.New(k, bugs))
 	}
 }
@@ -227,8 +251,8 @@ func (s *Set) Build(k *kernel.Kernel, bugs BugSet) {
 // Lookup returns the instance serving calls of def d — call it with
 // d.Nr — or nil when d's module is not in the set.
 func (s *Set) Lookup(d *syzlang.SyscallDef) Instance {
-	for i, n := range s.Names {
-		if n == d.Module {
+	for i, m := range s.Mods {
+		if m.Name == d.Module {
 			return s.Insts[i]
 		}
 	}

@@ -508,3 +508,24 @@ func TestSeqtimeConsistentReads(t *testing.T) {
 		t.Errorf("time_read = %d, want 2 seconds", rets[3])
 	}
 }
+
+// TestTargetShared: Target builds a target once for a run of calls over
+// one module list and hands every caller the same one; a call for another
+// list gets that list's target.
+func TestTargetShared(t *testing.T) {
+	for _, names := range [][]string{nil, {"watchqueue"}, {"xsk", "tls"}} {
+		a, b := Target(names...), Target(names...)
+		if a != b {
+			t.Errorf("Target(%v) built twice", names)
+		}
+		if len(a.Modules()) == 0 {
+			t.Errorf("Target(%v): empty module index", names)
+		}
+	}
+	if got := strings.Join(Target("xsk", "tls").Modules(), ","); got != "tls,xsk" {
+		t.Errorf("Target(xsk, tls).Modules() = %s, want tls,xsk", got)
+	}
+	if got := strings.Join(Target("tls").Modules(), ","); got != "tls" {
+		t.Errorf("Target(tls) after Target(xsk, tls): modules %s, want tls", got)
+	}
+}

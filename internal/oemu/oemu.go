@@ -27,6 +27,7 @@ package oemu
 
 import (
 	"fmt"
+	"slices"
 
 	"ozz/internal/kmem"
 	"ozz/internal/memmodel"
@@ -277,12 +278,15 @@ func (s stamps) at(idx int32) uint64 {
 	return 0
 }
 
-// setStamp writes a dense-indexed stamp, growing the slice to cover idx.
-// Growth only happens while the emulator's intern set is still expanding;
-// steady-state recycled runs write in place.
+// set writes a dense-indexed stamp, growing the slice with zero stamps to
+// cover idx. A thread's reset truncates its stamps, so a run pays only for
+// the locations it stamps, and the backing array is reallocated only while
+// the emulator's intern set is still expanding.
 func (s stamps) set(idx int32, v uint64) stamps {
-	for len(s) <= int(idx) {
-		s = append(s, 0)
+	if n := int(idx) + 1; n > len(s) {
+		old := len(s)
+		s = slices.Grow(s, n-old)[:n]
+		clear(s[old:])
 	}
 	s[idx] = v
 	return s
@@ -546,8 +550,7 @@ func (t *Thread) reset() {
 	t.Dir.reset()
 	t.sb = t.sb[:0]
 	t.tRmb = 0
-	clear(t.lastCommit)
-	clear(t.seen)
+	t.lastCommit, t.seen = t.lastCommit[:0], t.seen[:0]
 	t.Log = t.Log[:0] // the engine hands out copies of the log
 }
 
