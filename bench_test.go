@@ -283,42 +283,7 @@ func BenchmarkLitmusMP(b *testing.B) {
 	}
 }
 
-// --- Ablations (design choices DESIGN.md calls out) ---------------------------
-
-// BenchmarkAblationInterrupts shows why the custom scheduler must suspend
-// vCPUs without delivering interrupts (§3.1): with an interrupt injected at
-// every scheduling point, store-barrier tests stop finding S-S bugs.
-func BenchmarkAblationInterrupts(b *testing.B) {
-	count := func(interrupts bool) float64 {
-		found := 0
-		for _, bug := range modules.AllBugs() {
-			if bug.Type != "S-S" || bug.Switch == "sbitmap:freed_order" {
-				continue
-			}
-			p := core.NewPool(core.Config{
-				Modules:           []string{bug.Module},
-				Bugs:              modules.Bugs(bug.Switch),
-				Seed:              42,
-				UseSeeds:          true,
-				InterruptOnSwitch: interrupts,
-			}, 1)
-			want := bug.Title
-			if want == "" {
-				want = bug.SoftTitle
-			}
-			if p.RunUntil(want, 60) != nil {
-				found++
-			}
-		}
-		return float64(found)
-	}
-	var with, without float64
-	for i := 0; i < b.N; i++ {
-		without, with = count(false), count(true)
-	}
-	b.ReportMetric(without, "SS-bugs-no-interrupts")
-	b.ReportMetric(with, "SS-bugs-with-interrupts")
-}
+// --- Reproducer minimization ------------------------------------------------
 
 // BenchmarkMinimize times reproducer minimization on the rds crash.
 func BenchmarkMinimize(b *testing.B) {

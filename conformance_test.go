@@ -404,7 +404,7 @@ func TestCrossStrategyProperties(t *testing.T) {
 				for b := a + 1; b < len(sti.CallEvents); b++ {
 					for _, h := range hints.Calculate(sti.CallEvents[a], sti.CallEvents[b]) {
 						res := env.RunMTI(core.MTIOpts{Prog: p, I: a, J: b, Hint: h})
-						if len(h.Migrate) != 0 {
+						if h.Migrate {
 							migrated += res.Migrations
 							continue
 						}

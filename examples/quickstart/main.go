@@ -22,8 +22,8 @@ func fig3DelayedStore() {
 	mem := kmem.New()
 	mem.Sanitize = false
 	em := oemu.New(mem)
-	writer := em.NewThread(0)
-	observer := em.NewThread(1)
+	writer := em.NewThread()
+	observer := em.NewThread()
 
 	const X, Y = trace.Addr(0x1000_0000), trace.Addr(0x1000_0008)
 	// delay_store_at(I1): instruction site 1's store is held in the
@@ -46,8 +46,8 @@ func fig4VersionedLoad() {
 	mem := kmem.New()
 	mem.Sanitize = false
 	em := oemu.New(mem)
-	reader := em.NewThread(0)
-	writer := em.NewThread(1)
+	reader := em.NewThread()
+	writer := em.NewThread()
 
 	const W, Z = trace.Addr(0x1000_0000), trace.Addr(0x1000_0008)
 	writer.Store(10, W, 1, trace.Plain) // before the window

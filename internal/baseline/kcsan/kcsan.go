@@ -31,11 +31,9 @@ import (
 	"ozz/internal/trace"
 )
 
-// Race is one detected data race.
+// Race is one detected data race: the functions of its two accesses,
+// the watched one first.
 type Race struct {
-	Addr     trace.Addr
-	First    trace.InstrID
-	Second   trace.InstrID
 	FirstFn  string
 	SecondFn string
 }
@@ -69,7 +67,6 @@ type watchpoint struct {
 	addr   trace.Addr
 	kind   trace.AccessKind
 	atom   trace.Atomicity
-	instr  trace.InstrID
 	taskID int
 	fn     string
 	hit    *Race
@@ -108,10 +105,7 @@ func (s *Strategy) Attach(k *kernel.Kernel, _ *engine.Request) {
 		if wp != nil && wp.taskID != t.ID && wp.addr == ev.Addr {
 			if (wp.kind == trace.Store || ev.Kind == trace.Store) &&
 				(!marked(wp.atom) || !marked(ev.Atomic)) {
-				wp.hit = &Race{
-					Addr: ev.Addr, First: wp.instr, Second: ev.Instr,
-					FirstFn: wp.fn, SecondFn: t.CurrentFn(),
-				}
+				wp.hit = &Race{FirstFn: wp.fn, SecondFn: t.CurrentFn()}
 			}
 			return
 		}
@@ -133,7 +127,7 @@ func (s *Strategy) Attach(k *kernel.Kernel, _ *engine.Request) {
 		sampleCountdown = 1 + rng.Intn(d.SampleEvery)
 		w := &watchpoint{
 			addr: ev.Addr, kind: ev.Kind, atom: ev.Atomic,
-			instr: ev.Instr, taskID: t.ID, fn: t.CurrentFn(),
+			taskID: t.ID, fn: t.CurrentFn(),
 		}
 		wp = w
 		// Stall the watching thread: let the peer run into the window.
@@ -149,7 +143,7 @@ func (s *Strategy) Attach(k *kernel.Kernel, _ *engine.Request) {
 // Pair implements engine.Strategy: calls I and J run concurrently under
 // a random schedule salted by the round. No suffix stage — detection is
 // complete once the pair finishes.
-func (s *Strategy) Pair(_ *engine.Config, req *engine.Request, plan *engine.PairPlan) bool {
+func (s *Strategy) Pair(req *engine.Request, plan *engine.PairPlan) bool {
 	plan.Policy = &sched.Random{Seed: s.Detector.Seed ^ s.Round ^ 0x5eed, Period: 3}
 	plan.CallA, plan.CallB = req.I, req.J
 	return true

@@ -87,7 +87,7 @@ func TestRunOFenceCounts(t *testing.T) {
 		t.Fatalf("misses = %d, want 8", misses)
 	}
 	for _, r := range rows {
-		if !r.GroundOK {
+		if r.Detected != r.Bug.OFencePattern {
 			t.Errorf("bug %s: detection disagrees with ground truth", r.Bug.ID)
 		}
 	}

@@ -49,7 +49,7 @@ func microEnv(n int) (*oemu.OEMU, []*oemu.Thread, trace.Addr) {
 	base := mem.AllocZeroed(4)
 	ths := make([]*oemu.Thread, n)
 	for i := range ths {
-		ths[i] = em.NewThread(i)
+		ths[i] = em.NewThread()
 	}
 	return em, ths, base
 }
@@ -85,8 +85,7 @@ func MicroOEMUCommitTracked(b *testing.B) {
 
 // MicroOEMUDelayFlush measures one delayed-store round trip: a store held
 // in the virtual store buffer by a delay directive, then drained by an
-// explicit flush. The reorder log is truncated in place each round to keep
-// the loop steady-state.
+// explicit flush.
 func MicroOEMUDelayFlush(b *testing.B) {
 	_, ths, base := microEnv(1)
 	t := ths[0]
@@ -96,7 +95,6 @@ func MicroOEMUDelayFlush(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		t.Store(1, base, uint64(i), trace.Plain)
 		t.Flush()
-		t.Log = t.Log[:0]
 	}
 }
 
@@ -116,7 +114,6 @@ func MicroModelDispatch(b *testing.B) {
 		t.Store(1, base, uint64(i), trace.Plain)
 		t.Barrier(trace.BarrierFull)
 		_ = t.Load(2, base, trace.Plain)
-		t.Log = t.Log[:0]
 	}
 }
 

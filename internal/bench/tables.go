@@ -21,8 +21,6 @@ type BugRunResult struct {
 	// HintRank is the §4.3 search-heuristic rank of the triggering hint
 	// (1 = the hint reordering the most accesses).
 	HintRank int
-	// Type is the observed reordering type.
-	Type string
 }
 
 // runBug runs a seeded OZZ campaign against one bug and reports the
@@ -46,7 +44,7 @@ func runBug(b modules.BugInfo, budget int, strat engine.Strategy) BugRunResult {
 	if r == nil {
 		return BugRunResult{Bug: b}
 	}
-	return BugRunResult{Bug: b, Found: true, Tests: r.Tests, HintRank: r.HintRank, Type: r.Type}
+	return BugRunResult{Bug: b, Found: true, Tests: r.Tests, HintRank: r.HintRank}
 }
 
 // RunTable3 reproduces Table 3: OZZ finds each of the 11 new bugs.
@@ -106,8 +104,8 @@ func RunSbitmapPinned(budget int) BugRunResult {
 type pinned struct{ engine.OOO }
 
 // Pair implements engine.Strategy.
-func (pinned) Pair(cfg *engine.Config, req *engine.Request, plan *engine.PairPlan) bool {
-	if !(engine.OOO{}).Pair(cfg, req, plan) {
+func (pinned) Pair(req *engine.Request, plan *engine.PairPlan) bool {
+	if !(engine.OOO{}).Pair(req, plan) {
 		return false
 	}
 	if ma, ok := plan.Policy.(*sched.MigrateAt); ok {
@@ -191,7 +189,6 @@ func FormatHeuristic(rows []HeuristicRow, dist map[int]int) string {
 type OFenceRow struct {
 	Bug      modules.BugInfo
 	Detected bool
-	GroundOK bool
 }
 
 // RunOFence evaluates the static paired-barrier matcher on the 11 new bugs.
@@ -203,7 +200,7 @@ func RunOFence() ([]OFenceRow, int) {
 			continue
 		}
 		det := ofence.Detects(b)
-		rows = append(rows, OFenceRow{Bug: b, Detected: det, GroundOK: det == b.OFencePattern})
+		rows = append(rows, OFenceRow{Bug: b, Detected: det})
 		if !det {
 			misses++
 		}

@@ -35,9 +35,6 @@ type Config struct {
 	// UseSeeds feeds the modules' seed corpus before random generation
 	// (§6.1: "we use seeds provided by Syzkaller").
 	UseSeeds bool
-	// InterruptOnSwitch forwards to Env (the interrupt-injection
-	// ablation).
-	InterruptOnSwitch bool
 	// Model is the memory model the campaign emulates (nil = LKMM).
 	// Hints, MTI directives, and triage all run under it; new OOO
 	// findings are additionally probed under every other registered
@@ -82,7 +79,6 @@ func (c *Config) normalize() {
 // forwarding the config's kernel knobs and registry.
 func newEnvFromConfig(cfg Config) *Env {
 	env := NewEnvObs(cfg.Modules, cfg.Bugs, cfg.Obs)
-	env.InterruptOnSwitch = cfg.InterruptOnSwitch
 	env.Model = cfg.Model
 	st, err := engine.ParseStrategy(cfg.Strategy)
 	if err != nil {

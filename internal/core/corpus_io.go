@@ -39,12 +39,17 @@ type CorpusError struct {
 	Err error
 }
 
-// Error renders the block position and cause.
+// Error renders the block position, the quoted excerpt of the offending
+// text (when there is one) and the cause.
 func (e *CorpusError) Error() string {
+	where := "core: corpus stream"
 	if e.Block > 0 {
-		return fmt.Sprintf("core: corpus block %d: %v", e.Block, e.Err)
+		where = fmt.Sprintf("core: corpus block %d", e.Block)
 	}
-	return fmt.Sprintf("core: corpus stream: %v", e.Err)
+	if e.Src != "" {
+		return fmt.Sprintf("%s %q: %v", where, e.Src, e.Err)
+	}
+	return fmt.Sprintf("%s: %v", where, e.Err)
 }
 
 // Unwrap exposes the underlying cause to errors.Is/As.

@@ -67,6 +67,29 @@ func TestDecodeProgramsCorruptedRecord(t *testing.T) {
 	}
 }
 
+// TestCorpusErrorShowsSource: the message of a corpus error — what
+// `ozz -corpus-in` prints for a bad file, and what a manager's 400 reply
+// to a malformed poll carries — quotes the offending text.
+func TestCorpusErrorShowsSource(t *testing.T) {
+	target := modules.Target("watchqueue")
+	src := corpusProgA + "\n@@ definitely not syzlang @@\n"
+	_, err := DecodePrograms(strings.NewReader(src), target)
+	if err == nil {
+		t.Fatal("no error for a corrupted block")
+	}
+	const want = `core: corpus block 2 "@@ definitely not syzlang @@": `
+	if !strings.HasPrefix(err.Error(), want) {
+		t.Errorf("error = %q, want prefix %q", err, want)
+	}
+	long := &CorpusError{Src: truncateSrc(strings.Repeat("y", 200)), Err: errors.New("cut")}
+	if msg := long.Error(); !strings.Contains(msg, strings.Repeat("y", 120)+"…") || strings.Contains(msg, strings.Repeat("y", 121)) {
+		t.Errorf("error = %q, want the excerpt truncated to 120 bytes", msg)
+	}
+	if msg := (&CorpusError{Err: errors.New("cut")}).Error(); msg != "core: corpus stream: cut" {
+		t.Errorf("error without an excerpt = %q", msg)
+	}
+}
+
 func TestDecodeProgramsTruncatedStream(t *testing.T) {
 	target := modules.Target("watchqueue")
 	cause := errors.New("connection reset")

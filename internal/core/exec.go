@@ -34,11 +34,6 @@ type Env struct {
 	Modules []string
 	// Bugs holds the active bug switches (missing barriers).
 	Bugs modules.BugSet
-	// InterruptOnSwitch injects an interrupt on the reorderer's CPU at
-	// the scheduling point of every MTI — the ablation demonstrating why
-	// OZZ's custom scheduler must suspend vCPUs WITHOUT delivering
-	// interrupts (interrupts drain the virtual store buffer, §3.1).
-	InterruptOnSwitch bool
 	// Model is the memory model OEMU emulates (nil = memmodel.LKMM).
 	// STI profiles are model-independent (no directives, in-order
 	// execution), but hint generation and MTI directives are
@@ -72,14 +67,13 @@ func (e *Env) Obs() *obs.Registry { return e.eng.Obs() }
 
 // config snapshots the environment's mutable fields into an engine
 // config. Built per call so post-construction field writes (tests, the
-// fuzzer's ablation knobs) never race with in-flight executions.
+// campaign's model) never race with in-flight executions.
 func (e *Env) config() engine.Config {
 	return engine.Config{
-		Modules:           e.Modules,
-		Bugs:              e.Bugs,
-		Instrumented:      true,
-		InterruptOnSwitch: e.InterruptOnSwitch,
-		Model:             e.Model,
+		Modules:      e.Modules,
+		Bugs:         e.Bugs,
+		Instrumented: true,
+		Model:        e.Model,
 	}
 }
 

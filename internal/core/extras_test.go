@@ -4,8 +4,12 @@ import (
 	"strings"
 	"testing"
 
+	"ozz/internal/engine"
 	"ozz/internal/hints"
+	"ozz/internal/kernel"
 	"ozz/internal/modules"
+	"ozz/internal/oemu"
+	"ozz/internal/sched"
 	"ozz/internal/syzlang"
 	"ozz/internal/trace"
 )
@@ -33,10 +37,90 @@ func crashingHint(t *testing.T, env *Env, src, title string, i, j int) (*syzlang
 	return nil, nil
 }
 
-// TestInterruptInjectionDefeatsStoreTest is the interrupt ablation: an
-// interrupt at the scheduling point drains the virtual store buffer, so the
-// delayed-store reordering never becomes visible — which is why the custom
-// scheduler suspends vCPUs without delivering interrupts (§3.1, §10.3).
+// interruptOOO is the interrupt-injection ablation (§3.1): the OOO
+// strategy with an interrupt delivered on the reorderer's CPU when the
+// breakpoint fires. Interrupts drain the virtual store buffer, so
+// store-barrier tests become vacuous — the reason OZZ's scheduler
+// suspends vCPUs without delivering interrupts.
+type interruptOOO struct{ engine.OOO }
+
+// Pair implements engine.Strategy.
+func (interruptOOO) Pair(req *engine.Request, plan *engine.PairPlan) bool {
+	if !(engine.OOO{}).Pair(req, plan) {
+		return false
+	}
+	p := &interruptAtFire{Policy: plan.Policy, bp: &plan.Breakpoint}
+	plan.Policy = p
+	arm := plan.Arm
+	plan.Arm = func(req *engine.Request, ta, tb *kernel.Task) {
+		arm(req, ta, tb)
+		p.reorderer = ta.OEMU()
+	}
+	return true
+}
+
+// interruptAtFire wraps OOO's policy and interrupts the reorderer's CPU
+// once, when the breakpoint fires, before the switch takes effect.
+type interruptAtFire struct {
+	sched.Policy
+	bp        *sched.Breakpoint
+	reorderer *oemu.Thread
+}
+
+func (p *interruptAtFire) OnYield(cur *sched.Task, instr trace.InstrID) (int, bool) {
+	fired := p.bp.Fired
+	to, sw := p.Policy.OnYield(cur, instr)
+	if !fired && p.bp.Fired {
+		p.reorderer.Interrupt()
+	}
+	return to, sw
+}
+
+// TestAblationInterrupts is the campaign-level ablation of DESIGN.md row
+// 18: with an interrupt injected at every scheduling point, store-barrier
+// tests stop finding S-S bugs. Every S-S bug except sbitmap's runs a
+// 60-step seeded campaign under OOO and under interruptOOO.
+func TestAblationInterrupts(t *testing.T) {
+	var bugs, plain, interrupted int
+	for _, bug := range modules.AllBugs() {
+		if bug.Type != "S-S" || bug.Switch == "sbitmap:freed_order" {
+			continue
+		}
+		bugs++
+		want := bug.Title
+		if want == "" {
+			want = bug.SoftTitle
+		}
+		for _, strat := range []engine.Strategy{nil, interruptOOO{}} {
+			p := NewPool(Config{
+				Modules:  []string{bug.Module},
+				Bugs:     modules.Bugs(bug.Switch),
+				Seed:     42,
+				UseSeeds: true,
+			}, 1)
+			if strat != nil {
+				p.Env().Strategy = strat
+			}
+			if p.RunUntil(want, 60) == nil {
+				continue
+			}
+			if strat == nil {
+				plain++
+			} else {
+				interrupted++
+				t.Errorf("%s found despite interrupt injection", bug.Switch)
+			}
+		}
+	}
+	if bugs != 18 || plain != 18 || interrupted != 0 {
+		t.Fatalf("S-S bugs found: %d of %d under OOO, %d with interrupts; want 18 of 18 and 0",
+			plain, bugs, interrupted)
+	}
+}
+
+// TestInterruptInjectionDefeatsStoreTest is the interrupt ablation on one
+// MTI: an interrupt at the scheduling point drains the virtual store
+// buffer, so the delayed-store reordering never becomes visible.
 func TestInterruptInjectionDefeatsStoreTest(t *testing.T) {
 	const title = "BUG: unable to handle kernel NULL pointer dereference in pipe_read"
 	const prog = "r0 = wq_create()\nwq_post_notification(r0, 0x4)\nwq_pipe_read(r0)\n"
@@ -45,7 +129,7 @@ func TestInterruptInjectionDefeatsStoreTest(t *testing.T) {
 	p, h := crashingHint(t, env, prog, title, 1, 2)
 
 	envInt := NewEnv([]string{"watchqueue"}, modules.Bugs("watchqueue:pipe_wmb"))
-	envInt.InterruptOnSwitch = true
+	envInt.Strategy = interruptOOO{}
 	res := envInt.RunMTI(MTIOpts{Prog: p, I: 1, J: 2, Hint: h})
 	if res.Crash != nil {
 		t.Fatalf("bug reproduced despite the interrupt flushing the buffer: %v", res.Crash)
@@ -68,7 +152,7 @@ func TestInterruptDoesNotAffectLoadTest(t *testing.T) {
 		t.Skipf("triggering hint is %v, not a load test", h.Test)
 	}
 	envInt := NewEnv([]string{"watchqueue"}, modules.Bugs("watchqueue:pipe_rmb"))
-	envInt.InterruptOnSwitch = true
+	envInt.Strategy = interruptOOO{}
 	res := envInt.RunMTI(MTIOpts{Prog: p, I: 1, J: 2, Hint: h})
 	if res.Crash == nil {
 		t.Fatal("load-barrier test must survive interrupt injection")

@@ -356,9 +356,6 @@ func outcome(r *STIResult) STIResult {
 // result keeps empty, non-nil slices where a fresh one has none.
 func normalized(r *MTIResult) MTIResult {
 	c := outcome(r)
-	if len(c.ReorderLog) == 0 {
-		c.ReorderLog = nil
-	}
 	if len(c.CallEvents) == 0 {
 		c.CallEvents = nil
 	}

@@ -21,12 +21,6 @@ type Config struct {
 	// engine kernel always keeps KASAN/KCov (a syzkaller kernel still has
 	// sanitizers).
 	Instrumented bool
-	// InterruptOnSwitch injects an interrupt on the reorderer's CPU at
-	// the scheduling point of every pair run. Interrupts drain the
-	// virtual store buffer (§3.1), so store-barrier tests become vacuous
-	// — the ablation demonstrating why OZZ's custom scheduler must
-	// suspend vCPUs WITHOUT delivering interrupts.
-	InterruptOnSwitch bool
 	// Model is the memory model OEMU emulates for the run; nil selects
 	// memmodel.LKMM (the paper's default). Directives act per model (a
 	// model with no versionable loads makes ReadOldValueAt inert), and

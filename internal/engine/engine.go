@@ -19,7 +19,6 @@ import (
 	"ozz/internal/kernel"
 	"ozz/internal/modules"
 	"ozz/internal/obs"
-	"ozz/internal/oemu"
 	"ozz/internal/sched"
 	"ozz/internal/syzlang"
 	"ozz/internal/trace"
@@ -73,8 +72,6 @@ type Result struct {
 	// Reordered counts the OEMU reorderings that actually occurred in
 	// the reorderer (delayed stores + versioned loads).
 	Reordered int
-	// ReorderLog carries the reorder records for the bug report.
-	ReorderLog []oemu.ReorderRecord
 	// Migrations counts the real cross-CPU task moves the OOO strategy
 	// performed at the scheduling point (zero for other strategies and
 	// for migration-insensitive hints).
@@ -108,10 +105,9 @@ type buildFunc func(k *kernel.Kernel) modules.Instance
 // engine reuses alongside it.
 type runner struct {
 	k *kernel.Kernel
-	// cfg, req and plan are the current run's config, request and pair
-	// plan. Strategies receive pointers to them, which would move
-	// per-run copies to the heap if they lived on the stack.
-	cfg  Config
+	// req and plan are the current run's request and pair plan.
+	// Strategies receive pointers to them, which would move per-run
+	// copies to the heap if they lived on the stack.
 	req  Request
 	plan PairPlan
 	// res is the current run's result.
@@ -192,7 +188,7 @@ func (e *Engine) run(cfg Config, s Strategy, req Request, build buildFunc) *Resu
 	// and after execution.
 	start := time.Now()
 	r := e.acquire(&cfg, start)
-	r.cfg, r.req = cfg, req
+	r.req = req
 	k := r.k
 	// The model must be installed before Attach (OOO's history-tracking
 	// decision reads it) and before any task executes an access. Reset
@@ -217,7 +213,7 @@ func (e *Engine) run(cfg Config, s Strategy, req Request, build buildFunc) *Resu
 	}
 	s.Attach(k, &r.req)
 	r.res = newResult(req.Out)
-	pair := s.Pair(&r.cfg, &r.req, &r.plan)
+	pair := s.Pair(&r.req, &r.plan)
 	if pair {
 		e.runPair(r)
 	} else {
@@ -242,7 +238,6 @@ func newResult(out *Result) *Result {
 		return new(Result)
 	}
 	*out = Result{
-		ReorderLog: out.ReorderLog[:0],
 		CallEvents: out.CallEvents[:0],
 		Returns:    out.Returns[:0],
 		Cov:        out.Cov[:0],
@@ -314,7 +309,7 @@ func (e *Engine) acquire(cfg *Config, start time.Time) *runner {
 // release returns a runner to the recycler once an execution has finished
 // with it, dropping its references to the run's request, result and
 // module instances. Results share no kernel state that Reset mutates in
-// place: Cov, Soft and ReorderLog are copies.
+// place: Cov and Soft are copies.
 func (e *Engine) release(r *runner) {
 	r.req, r.plan, r.res, r.prof = Request{}, PairPlan{}, nil, nil
 	clear(r.mods.Insts)
@@ -379,7 +374,7 @@ func (e *Engine) runSequential(r *runner) {
 	k, res, n := r.k, r.res, len(r.req.Prog.Calls)
 	res.CallEvents = zeroed(res.CallEvents, n)
 	res.Returns = zeroed(res.Returns, n)
-	if r.cfg.Instrumented && r.req.Prof != nil {
+	if k.Instrumented && r.req.Prof != nil {
 		r.prof = r.req.Prof
 		r.prof.Reset()
 	}
@@ -455,7 +450,7 @@ func (e *Engine) runPair(r *runner) {
 	r.tasks[1] = k.NewTask(1)
 	r.tasks[2] = k.NewTask(2)
 	if plan.Arm != nil {
-		plan.Arm(plan, &r.req, r.tasks[1], r.tasks[2])
+		plan.Arm(&r.req, r.tasks[1], r.tasks[2])
 	}
 	session := sched.NewSession(plan.Policy)
 	session.Spawn(1, 1, r.pairBody[0])

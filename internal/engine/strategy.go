@@ -33,7 +33,7 @@ type Strategy interface {
 	// sequentially on one task. The plan is engine-owned and zeroed
 	// before the call; it is recycled with the kernel, so a strategy
 	// that keeps its schedule and hooks in it allocates nothing per run.
-	Pair(cfg *Config, req *Request, plan *PairPlan) bool
+	Pair(req *Request, plan *PairPlan) bool
 }
 
 // PairPlan describes one prefix/pair(/suffix) execution: the program's
@@ -53,7 +53,7 @@ type PairPlan struct {
 	// Arm, if non-nil, runs after the pair tasks are created and before
 	// they are spawned — the hook for OEMU directives and
 	// schedule-coupled state (ta is task 1, tb is task 2).
-	Arm func(plan *PairPlan, req *Request, ta, tb *kernel.Task)
+	Arm func(req *Request, ta, tb *kernel.Task)
 	// Finish, if non-nil, runs after the concurrent stage completes
 	// (before the suffix) to harvest strategy-specific outcomes into the
 	// result (breakpoint fired, reorder counts, ...).
@@ -72,7 +72,7 @@ type PairPlan struct {
 // sequentially — the STI profiling path.
 //
 // OOO is migration-aware (Table 4 #6, §6.2): when the hint is
-// migration-sensitive (Hint.Migrate non-empty — the racing pair shares a
+// migration-sensitive (Hint.Migrate set — the racing pair shares a
 // per-CPU location) the breakpoint is wrapped in a sched.MigrateAt
 // combinator that moves the observer task to CPU 0 — the CPU the
 // sequential prefix ran on, where the stale per-CPU state lives — at the
@@ -104,7 +104,7 @@ func (OOO) Attach(k *kernel.Kernel, req *Request) {
 // Pair implements Strategy: the hint selects reorderer/observer roles,
 // the directive kind, the breakpoint position, and whether the observer
 // migrates at the switch. False without a hint (the sequential/STI path).
-func (OOO) Pair(cfg *Config, req *Request, plan *PairPlan) bool {
+func (OOO) Pair(req *Request, plan *PairPlan) bool {
 	hint := req.Hint
 	if hint == nil {
 		return false
@@ -125,15 +125,12 @@ func (OOO) Pair(cfg *Config, req *Request, plan *PairPlan) bool {
 		ToTask:     2,
 	}
 	plan.Policy = &plan.Breakpoint
-	if len(hint.Migrate) > 0 {
+	if hint.Migrate {
 		plan.Migrate = sched.MigrateAt{Inner: &plan.Breakpoint, Task: plan.Breakpoint.ToTask, ToCPU: 0}
 		plan.Policy = &plan.Migrate
 	}
 	plan.Suffix = true
 	plan.Arm = armOOO
-	if cfg.InterruptOnSwitch {
-		plan.Arm = armOOOInterrupt
-	}
 	plan.Finish = finishOOO
 	return true
 }
@@ -142,7 +139,7 @@ func (OOO) Pair(cfg *Config, req *Request, plan *PairPlan) bool {
 // store-barrier test delays the stores at the hint's sites, a
 // load-barrier test versions the loads there. NoReorder runs install
 // none.
-func armOOO(_ *PairPlan, req *Request, ta, _ *kernel.Task) {
+func armOOO(req *Request, ta, _ *kernel.Task) {
 	if req.NoReorder {
 		return
 	}
@@ -157,19 +154,14 @@ func armOOO(_ *PairPlan, req *Request, ta, _ *kernel.Task) {
 	}
 }
 
-// armOOOInterrupt is armOOO for the interrupt-on-switch ablation: the
-// breakpoint interrupts the reorderer's CPU when it fires.
-func armOOOInterrupt(plan *PairPlan, req *Request, ta, tb *kernel.Task) {
-	armOOO(plan, req, ta, tb)
-	plan.Breakpoint.OnSwitch = ta.Interrupt
-}
-
 // finishOOO records whether the breakpoint fired, the reorderer's
-// reorderings, and the observer's migrations.
+// reorderings, and the observer's migrations. Only the reorderer carries
+// directives, so the emulator's delayed stores and versioned loads are
+// all its own.
 func finishOOO(plan *PairPlan, res *Result, ta, _ *kernel.Task) {
 	res.Fired = plan.Breakpoint.Fired
-	res.Reordered = ta.OEMU().ReorderedCount()
-	res.ReorderLog = append(res.ReorderLog, ta.OEMU().Log...)
+	n := ta.K.Em.Counters()
+	res.Reordered = int(n.StoresDelayed + n.VersionedLoads)
 	res.Migrations = plan.Migrate.Migrations
 }
 
@@ -184,7 +176,7 @@ func (Sequential) Name() string { return "sequential" }
 func (Sequential) Attach(*kernel.Kernel, *Request) {}
 
 // Pair implements Strategy: never a concurrent stage.
-func (Sequential) Pair(*Config, *Request, *PairPlan) bool { return false }
+func (Sequential) Pair(*Request, *PairPlan) bool { return false }
 
 // Interleave is the interleaving-only baseline strategy
 // (Snowboard/Razzer-style): the pair runs under a seeded random schedule
@@ -203,7 +195,7 @@ func (Interleave) Attach(*kernel.Kernel, *Request) {}
 
 // Pair implements Strategy: calls I and J under a random schedule seeded
 // from the request.
-func (Interleave) Pair(_ *Config, req *Request, plan *PairPlan) bool {
+func (Interleave) Pair(req *Request, plan *PairPlan) bool {
 	plan.Policy = &sched.Random{Seed: req.Seed, Period: interleavePeriod}
 	plan.CallA, plan.CallB = req.I, req.J
 	return true

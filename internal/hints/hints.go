@@ -87,15 +87,14 @@ type Hint struct {
 	// test, loads for a load test) are retained, since only those can be
 	// delayed/versioned.
 	Reorder []trace.InstrID
-	// Migrate lists the pair's per-CPU instruction sites (accesses tagged
-	// trace.AccessEvent.PerCPU that survived FilterOut), sorted and
-	// deduplicated. A non-empty set marks the pair migration-sensitive:
-	// the racing location is a per-CPU slot, so the race only manifests
-	// when one task moves CPUs between resolving the address and using it.
+	// Migrate marks the pair migration-sensitive: one of its accesses
+	// that survived FilterOut is tagged trace.AccessEvent.PerCPU, so the
+	// racing location is a per-CPU slot and the race only manifests when
+	// one task moves CPUs between resolving the address and using it.
 	// The OOO strategy performs a real cross-CPU move exactly for such
-	// hints; a hint with an empty set never migrates. It is an annotation:
-	// it does not participate in hint rendering or directives.
-	Migrate []trace.InstrID
+	// hints. It is an annotation: it does not participate in hint
+	// rendering or directives.
+	Migrate bool
 }
 
 // ReorderCount is the search-heuristic key: the number of accesses that
@@ -155,12 +154,13 @@ type Scratch struct {
 	accs  []groupAccess   // the filtered call's accesses
 	bars  []barrier       // the filtered call's group-closing barriers
 	sites []trace.InstrID // collectKinds' result
-	// The returned hints: their structs, the sites their Reorder and
-	// Migrate fields view, and the sorted pointer list.
+	// The returned hints: their structs, the sites their Reorder fields
+	// view, and the sorted pointer list.
 	hs      []Hint
 	reorder []trace.InstrID
-	migrate []trace.InstrID
 	out     []*Hint
+	// migrate records whether a filtered call made a per-CPU access.
+	migrate bool
 }
 
 // Access bits of a location in sc.locs: how the first call touched it,
@@ -274,7 +274,7 @@ func (sc *Scratch) CalculateModel(si, sj []trace.Event, mm *memmodel.Table) []*H
 	if !sc.sharedLocations(si, sj) {
 		return nil
 	}
-	sc.hs, sc.reorder, sc.migrate = sc.hs[:0], sc.reorder[:0], sc.migrate[:0]
+	sc.hs, sc.reorder, sc.migrate = sc.hs[:0], sc.reorder[:0], false
 	for k, events := range [2][]trace.Event{si, sj} {
 		sc.filter(events, mm)
 		for _, test := range [2]TestKind{StoreBarrierTest, LoadBarrierTest} {
@@ -310,37 +310,19 @@ func (sc *Scratch) CalculateModel(si, sj []trace.Event, mm *memmodel.Table) []*H
 		return cmp.Compare(a.Reorderer, b.Reorderer)
 	})
 	// Pair-level migration annotation: every hint of a migration-sensitive
-	// pair carries the (shared) per-CPU site list. Computed from the
-	// filtered sequences, so pre-filtering the inputs is idempotent.
-	migrate := dedupSorted(sc.migrate)
+	// pair carries it. Computed from the filtered sequences, so
+	// pre-filtering the inputs is idempotent.
 	for _, h := range hints {
-		h.Migrate = migrate
+		h.Migrate = sc.migrate
 	}
 	return hints
-}
-
-// dedupSorted sorts sites and drops repeats in place; it returns nil for
-// an empty list.
-func dedupSorted(sites []trace.InstrID) []trace.InstrID {
-	if len(sites) == 0 {
-		return nil
-	}
-	slices.Sort(sites)
-	out := sites[:1]
-	for _, s := range sites[1:] {
-		if s != out[len(out)-1] {
-			out = append(out, s)
-		}
-	}
-	return out
 }
 
 // filter is Algorithm 2 applied to one call, read the way Algorithm 1
 // consumes it, in one pass over the events: the call's accesses to
 // shared locations, in order, each with its occurrence index, go to
 // sc.accs; the barriers that close a group of either test kind under the
-// model go to sc.bars; and the sites of its per-CPU shared accesses are
-// appended to sc.migrate. occ counts SCHEDULING POINTS per site within
+// model go to sc.bars; and a per-CPU shared access sets sc.migrate. occ counts SCHEDULING POINTS per site within
 // the filtered sequence, not events: the store half of an RMW shares its
 // scheduling point with the load half (NoYield), so the breakpoint
 // occurrence for it is the load half's.
@@ -366,7 +348,7 @@ func (sc *Scratch) filter(events []trace.Event, mm *memmodel.Table) {
 		}
 		accs = append(accs, groupAccess{instr: e.Instr, kind: e.Kind, occ: int(*occ)})
 		if e.PerCPU {
-			sc.migrate = append(sc.migrate, e.Instr)
+			sc.migrate = true
 		}
 	}
 	sc.accs, sc.bars = accs, bars

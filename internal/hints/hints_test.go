@@ -336,7 +336,7 @@ func TestDisjointPairAllocs(t *testing.T) {
 	si = []trace.Event{st(1, a), st(2, b), st(3, c), pc, ld(6, a)}
 	sj = []trace.Event{ld(10, c), ld(11, b), ld(12, a), st(13, d)}
 	want := CalculateModel(si, sj, memmodel.LKMM)
-	if len(want) < 2 || len(want[0].Migrate) == 0 {
+	if len(want) < 2 || !want[0].Migrate {
 		t.Fatalf("shared pair: %d hints, Migrate %v; want several, migration-sensitive", len(want), want)
 	}
 	allocs = testing.AllocsPerRun(100, func() {
@@ -518,13 +518,9 @@ func refCalculateModel(si, sj []trace.Event, mm *memmodel.Table) []*Hint {
 		return nil
 	}
 	fi, fj := refKeepShared(si, shared), refKeepShared(sj, shared)
-	var migrate []trace.InstrID
-	for _, e := range append(slices.Clone(fi), fj...) {
-		if !e.Barrier && e.Acc.PerCPU && !slices.Contains(migrate, e.Acc.Instr) {
-			migrate = append(migrate, e.Acc.Instr)
-		}
-	}
-	slices.Sort(migrate)
+	migrate := slices.ContainsFunc(append(slices.Clone(fi), fj...), func(e trace.Event) bool {
+		return !e.Barrier && e.Acc.PerCPU
+	})
 	var hs []*Hint
 	for k, events := range [2][]trace.Event{fi, fj} {
 		accs := refAccessesOf(events)

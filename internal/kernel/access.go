@@ -166,14 +166,6 @@ func (t *Task) Rmb(i trace.InstrID) { t.barrier(i, trace.BarrierLoad) }
 // Wmb is smp_wmb().
 func (t *Task) Wmb(i trace.InstrID) { t.barrier(i, trace.BarrierStore) }
 
-// Interrupt models an interrupt arriving on the task's CPU, which drains the
-// virtual store buffer (§3.1).
-func (t *Task) Interrupt() {
-	if t.K.Instrumented {
-		t.oe.Interrupt()
-	}
-}
-
 // SyscallExitSite is the distinguished instruction site of the syscall
 // return path. It is a scheduling point: an interleaving can land between
 // the last instruction of a system call and the store-buffer drain at kernel

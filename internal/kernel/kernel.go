@@ -34,10 +34,6 @@ type Crash struct {
 	// Oracle names the detector: kasan, null-deref, gpf, lockdep,
 	// assert, deadlock.
 	Oracle string
-	// Instr is the faulting instruction site, if any.
-	Instr trace.InstrID
-	// Addr is the faulting address, if any.
-	Addr trace.Addr
 }
 
 // Error implements error.
@@ -151,7 +147,7 @@ func (k *Kernel) NewTask(cpu int) *Task {
 	*t = Task{
 		K:        k,
 		ID:       k.nextID,
-		oe:       k.Em.NewThread(k.nextID),
+		oe:       k.Em.NewThread(),
 		cpu:      cpu,
 		fnStack:  t.fnStack[:0],
 		leave:    t.leave,
@@ -304,7 +300,7 @@ func (t *Task) crashFault(f *kmem.Fault) {
 		title = fmt.Sprintf("unexpected fault in %s", fn)
 		oracle = "kasan"
 	}
-	t.Crash(&Crash{Title: title, Oracle: oracle, Instr: f.Instr, Addr: f.Addr})
+	t.Crash(&Crash{Title: title, Oracle: oracle})
 }
 
 // Kmalloc allocates n words of simulated kernel memory (uninitialized,
@@ -318,7 +314,7 @@ func (t *Task) Kzalloc(n int) trace.Addr { return t.K.Mem.AllocZeroed(n) }
 // invalid-free).
 func (t *Task) Kfree(a trace.Addr) {
 	if err := t.K.Mem.Free(a); err != nil {
-		t.Crash(&Crash{Title: "KASAN: invalid-free in " + t.CurrentFn(), Oracle: "kasan", Addr: a})
+		t.Crash(&Crash{Title: "KASAN: invalid-free in " + t.CurrentFn(), Oracle: "kasan"})
 	}
 }
 
@@ -331,15 +327,15 @@ func (t *Task) CallFn(i trace.InstrID, val uint64, arg uint64) uint64 {
 	if val == 0 {
 		t.Crash(&Crash{
 			Title:  "BUG: unable to handle kernel NULL pointer dereference in " + t.CurrentFn(),
-			Oracle: "null-deref", Instr: i,
+			Oracle: "null-deref",
 		})
 	}
 	if val&FnBase != FnBase {
-		t.Crash(&Crash{Title: "general protection fault in " + t.CurrentFn(), Oracle: "gpf", Instr: i})
+		t.Crash(&Crash{Title: "general protection fault in " + t.CurrentFn(), Oracle: "gpf"})
 	}
 	idx := int(val &^ FnBase)
 	if idx <= 0 || idx >= len(t.K.fns) {
-		t.Crash(&Crash{Title: "general protection fault in " + t.CurrentFn(), Oracle: "gpf", Instr: i})
+		t.Crash(&Crash{Title: "general protection fault in " + t.CurrentFn(), Oracle: "gpf"})
 	}
 	return t.K.fns[idx](t, arg)
 }

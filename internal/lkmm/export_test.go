@@ -42,7 +42,7 @@ func executeFresh(test *Test, order []int, mm *memmodel.Table, install func(*oem
 	em := oemu.NewModel(mem, mm)
 	threads := make([]*oemu.Thread, len(test.Threads))
 	for i := range threads {
-		threads[i] = em.NewThread(i)
+		threads[i] = em.NewThread()
 		install(threads[i])
 	}
 	regs := make([]uint64, test.NumRegs)

@@ -286,7 +286,7 @@ func (x *executor) execute(order []int, install func(*oemu.Thread)) []uint64 {
 	x.em.Reset()
 	x.em.SetModel(x.mm)
 	for i := range x.threads {
-		x.threads[i] = x.em.NewThread(i)
+		x.threads[i] = x.em.NewThread()
 		install(x.threads[i])
 	}
 	clear(x.idx)

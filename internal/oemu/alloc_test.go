@@ -11,8 +11,8 @@ import (
 // recycled emulator: two threads storing, loading (plain and annotated),
 // hitting barriers, and draining at the syscall boundary.
 func runWorkload(em *OEMU) {
-	a := em.NewThread(0)
-	b := em.NewThread(1)
+	a := em.NewThread()
+	b := em.NewThread()
 	for i := 0; i < 8; i++ {
 		site := trace.InstrID(i + 1)
 		a.Store(site, addrX+trace.Addr(i%4*8), uint64(i), trace.Plain)

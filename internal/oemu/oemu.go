@@ -26,7 +26,6 @@
 package oemu
 
 import (
-	"fmt"
 	"slices"
 
 	"ozz/internal/kmem"
@@ -187,51 +186,9 @@ type pendingStore struct {
 	val  uint64
 }
 
-// ReorderKind classifies an observed reordering for reports.
-type ReorderKind uint8
-
-const (
-	// ReorderDelayedStore: a store was held in the virtual store buffer.
-	ReorderDelayedStore ReorderKind = iota
-	// ReorderVersionedLoad: a load read an old value from the history.
-	ReorderVersionedLoad
-	// ReorderForwarded: a load was forwarded from the local store buffer
-	// (not a reordering per se, but part of the emulation trace).
-	ReorderForwarded
-)
-
-// String names the reorder kind.
-func (k ReorderKind) String() string {
-	switch k {
-	case ReorderDelayedStore:
-		return "delayed-store"
-	case ReorderVersionedLoad:
-		return "versioned-load"
-	case ReorderForwarded:
-		return "store-forward"
-	}
-	return fmt.Sprintf("reorder(%d)", uint8(k))
-}
-
-// ReorderRecord logs one reordering event that actually happened at runtime.
-// The fuzzer attaches these to bug reports so developers can see the exact
-// out-of-order execution that triggered the bug (§4.4).
-type ReorderRecord struct {
-	Kind  ReorderKind
-	Instr trace.InstrID
-	Addr  trace.Addr
-	Val   uint64 // the stale/held value involved
-}
-
-// String renders the record for reports.
-func (r ReorderRecord) String() string {
-	return fmt.Sprintf("%s instr=%d addr=0x%x val=0x%x", r.Kind, r.Instr, uint64(r.Addr), r.Val)
-}
-
 // Thread is the per-thread OEMU state: the virtual store buffer, the
-// versioning window, the directives, and the reorder log.
+// versioning window and the directives.
 type Thread struct {
-	ID  int
 	Dir Directives
 
 	// sb is the virtual store buffer. It holds at most one entry per
@@ -262,10 +219,6 @@ type Thread struct {
 	// versioned loads floor their window at it. Same indexing and tracking
 	// regime as lastCommit.
 	seen stamps
-
-	// Log accumulates reorderings that actually occurred. A reset keeps
-	// its storage, so a holder past the next Reset must copy it.
-	Log []ReorderRecord
 
 	em *OEMU
 }
@@ -503,17 +456,16 @@ func (em *OEMU) clearIntern() {
 
 // NewThread registers a new emulated hardware thread, reusing a retired
 // Thread (and its slice storage) when one is available.
-func (em *OEMU) NewThread(id int) *Thread {
+func (em *OEMU) NewThread() *Thread {
 	if n := len(em.free); n > 0 {
 		t := em.free[n-1]
 		em.free[n-1] = nil
 		em.free = em.free[:n-1]
-		t.ID = id
 		em.threads = append(em.threads, t)
 		em.n.ThreadsRecycled++
 		return t
 	}
-	t := &Thread{ID: id, em: em}
+	t := &Thread{em: em}
 	t.Dir.em = em
 	em.threads = append(em.threads, t)
 	em.n.ThreadsBuilt++
@@ -551,7 +503,6 @@ func (t *Thread) reset() {
 	t.sb = t.sb[:0]
 	t.tRmb = 0
 	t.lastCommit, t.seen = t.lastCommit[:0], t.seen[:0]
-	t.Log = t.Log[:0] // the engine hands out copies of the log
 }
 
 // Now returns the current logical time. The clock advances on every commit.
@@ -641,7 +592,6 @@ func (t *Thread) Store(instr trace.InstrID, addr trace.Addr, val uint64, atom tr
 		}
 		if t.Dir.hasDelay(instr) && mm.Delayable(atom) {
 			t.sb = append(t.sb, pendingStore{addr: addr, val: val})
-			t.Log = append(t.Log, ReorderRecord{Kind: ReorderDelayedStore, Instr: instr, Addr: addr, Val: val})
 			em.n.StoresDelayed++
 			return
 		}
@@ -665,7 +615,6 @@ func (t *Thread) Store(instr trace.InstrID, addr trace.Addr, val uint64, atom tr
 	}
 	if t.Dir.hasDelay(instr) && mm.Delayable(atom) {
 		t.sb = append(t.sb, pendingStore{addr: addr, val: val})
-		t.Log = append(t.Log, ReorderRecord{Kind: ReorderDelayedStore, Instr: instr, Addr: addr, Val: val})
 		em.n.StoresDelayed++
 		return
 	}
@@ -685,7 +634,6 @@ func (t *Thread) Load(instr trace.InstrID, addr trace.Addr, atom trace.Atomicity
 	var val uint64
 	switch {
 	case t.forwardedVal(addr, &val):
-		t.Log = append(t.Log, ReorderRecord{Kind: ReorderForwarded, Instr: instr, Addr: addr, Val: val})
 		em.n.ForwardedLoads++
 	case em.trackHistory && em.mm.Versionable(atom) && t.Dir.hasReadOld(instr):
 		idx := em.addrOf(addr)
@@ -707,7 +655,6 @@ func (t *Thread) Load(instr trace.InstrID, addr trace.Addr, atom trace.Atomicity
 		if old, vt, ok := em.oldValue(idx, floor); ok {
 			val = old
 			t.seen = t.seen.set(idx, vt)
-			t.Log = append(t.Log, ReorderRecord{Kind: ReorderVersionedLoad, Instr: instr, Addr: addr, Val: val})
 			em.n.VersionedLoads++
 		} else {
 			val = em.Mem.Read(addr)
@@ -813,17 +760,4 @@ func (t *Thread) forwardedVal(addr trace.Addr, val *uint64) bool {
 		}
 	}
 	return false
-}
-
-// ReorderedCount returns how many genuine reorderings (delayed stores or
-// versioned loads, excluding forwards) occurred — the fuzzer uses this to
-// confirm a scheduling hint actually fired.
-func (t *Thread) ReorderedCount() int {
-	n := 0
-	for _, r := range t.Log {
-		if r.Kind != ReorderForwarded {
-			n++
-		}
-	}
-	return n
 }

@@ -15,7 +15,7 @@ func env(n int) (*OEMU, []*Thread, *kmem.Memory) {
 	em := New(mem)
 	ths := make([]*Thread, n)
 	for i := range ths {
-		ths[i] = em.NewThread(i)
+		ths[i] = em.NewThread()
 	}
 	return em, ths, mem
 }
@@ -345,17 +345,24 @@ func TestDelayedStoresFlushInOrder(t *testing.T) {
 	}
 }
 
-// TestReorderLog records what actually reordered, for bug reports.
-func TestReorderLog(t *testing.T) {
-	_, ths, _ := env(2)
+// TestReorderCounters: the genuine reorderings of a run — delayed stores
+// and versioned loads — are tallied apart from store-to-load forwards; the
+// engine reports their sum as an MTI's Reordered count.
+func TestReorderCounters(t *testing.T) {
+	em, ths, _ := env(2)
 	a, b := ths[0], ths[1]
 	a.Dir.DelayStoreAt(1)
 	a.Store(1, addrX, 1, trace.Plain)
+	a.Load(3, addrX, trace.Plain) // forwarded from the store buffer
 	b.Store(9, addrZ, 1, trace.Plain)
 	a.Dir.ReadOldValueAt(2)
-	a.Load(2, addrZ, trace.Plain) // reads old 0? window floor 0, store at t2 -> old 0
-	if a.ReorderedCount() != 2 {
-		t.Fatalf("expected 2 reorder records, got %d (%v)", a.ReorderedCount(), a.Log)
+	if got := a.Load(2, addrZ, trace.Plain); got != 0 {
+		t.Fatalf("versioned load read %d, want the old value 0", got)
+	}
+	n := em.Counters()
+	if n.StoresDelayed != 1 || n.VersionedLoads != 1 || n.ForwardedLoads != 1 {
+		t.Fatalf("delayed=%d versioned=%d forwarded=%d, want 1 each",
+			n.StoresDelayed, n.VersionedLoads, n.ForwardedLoads)
 	}
 }
 

@@ -48,10 +48,6 @@ type Breakpoint struct {
 	// Fired reports whether the breakpoint matched during the run; the
 	// fuzzer discards runs whose scheduling point was never reached.
 	Fired bool
-	// OnSwitch, when non-nil, runs once when the breakpoint fires, just
-	// before control transfers — the hook the interrupt-injection
-	// ablation uses to drain the suspended task's store buffer.
-	OnSwitch func()
 }
 
 // First runs the task carrying the breakpoint first.
@@ -71,9 +67,6 @@ func (b *Breakpoint) OnYield(cur *Task, instr trace.InstrID) (int, bool) {
 		return 0, false
 	}
 	b.Fired = true
-	if b.OnSwitch != nil {
-		b.OnSwitch()
-	}
 	if b.Pos == PosAfter {
 		cur.ArmSwitchAfter(b.ToTask)
 		return 0, false

@@ -538,27 +538,46 @@ func TestByID(t *testing.T) {
 	}
 }
 
-// TestMidSessionSpawnScheduled: a task spawned from a breakpoint's fire
-// hook — an interrupt handler modelled as its own task, say — is found by
-// id — by the breakpoint's switch, by a lookup of its CPU — and runs.
+// onFire wraps a breakpoint and runs hook once, when the breakpoint fires,
+// before the switch it asks for takes effect.
+type onFire struct {
+	*Breakpoint
+	hook func()
+}
+
+func (p onFire) OnYield(cur *Task, instr trace.InstrID) (int, bool) {
+	fired := p.Fired
+	to, sw := p.Breakpoint.OnYield(cur, instr)
+	if !fired && p.Fired {
+		p.hook()
+	}
+	return to, sw
+}
+
+// TestMidSessionSpawnScheduled: a task spawned by a policy when its
+// breakpoint fires — an interrupt handler modelled as its own task, say —
+// is found by id — by the breakpoint's switch, by a lookup of its CPU —
+// and runs.
 func TestMidSessionSpawnScheduled(t *testing.T) {
 	const handler = 3
 	var log []string
-	bp := &Breakpoint{FromTask: 1, Instr: 5, Pos: PosBefore, ToTask: handler}
-	s := NewSession(bp)
+	var s *Session
 	onHandlerCPU := func() bool {
 		h := s.byID(handler)
 		return h != nil && h.CPU == 1
 	}
 	var before, after bool
-	bp.OnSwitch = func() {
-		before = onHandlerCPU()
-		s.Spawn(handler, 1, func(h *Task) {
-			h.Yield(9)
-			log = append(log, "handler")
-		})
-		after = onHandlerCPU()
-	}
+	s = NewSession(onFire{
+		Breakpoint: &Breakpoint{FromTask: 1, Instr: 5, Pos: PosBefore, ToTask: handler},
+		hook: func() {
+			before = onHandlerCPU()
+			s.Spawn(handler, 1, func(h *Task) {
+				h.Yield(9)
+				log = append(log, "handler")
+			})
+			after = onHandlerCPU()
+		},
+	})
 	s.Spawn(1, 0, func(h *Task) {
 		h.Yield(5)
 		log = append(log, "reorderer")

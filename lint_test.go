@@ -10,9 +10,11 @@ import (
 	"go/types"
 	"io/fs"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -150,10 +152,10 @@ func checkFields(dir, file, typeName string, st *ast.StructType, missing *[]stri
 // is deleted.
 func TestConfigSurface(t *testing.T) {
 	want := map[string][]string{
-		"internal/core.Config": {"Modules", "Bugs", "Seed", "UseSeeds", "InterruptOnSwitch",
+		"internal/core.Config": {"Modules", "Bugs", "Seed", "UseSeeds",
 			"Model", "Strategy", "Repair", "Obs", "Events"},
-		"internal/core.Env":          {"Modules", "Bugs", "InterruptOnSwitch", "Model", "Strategy"},
-		"internal/engine.Config":     {"Modules", "Bugs", "Instrumented", "InterruptOnSwitch", "Model"},
+		"internal/core.Env":          {"Modules", "Bugs", "Model", "Strategy"},
+		"internal/engine.Config":     {"Modules", "Bugs", "Instrumented", "Model"},
 		"internal/dist.CampaignSpec": {"Modules", "Bugs", "UseSeeds", "Model"},
 		"internal/repair.Options":    {"Model", "MaxFences", "Workers", "Metrics"},
 	}
@@ -226,6 +228,12 @@ var testOnlyAllowlist = map[string]string{
 	// metrics back through them.
 	"internal/obs.ParseText":  "TestObservabilityRegistryCoverage, TestUnregisteredStrategyPublishes",
 	"internal/obs.Sample.Get": "TestObservabilityRegistryCoverage, TestUnregisteredStrategyPublishes",
+	// The interrupt-injection ablation (§3.1, DESIGN.md row 18): no
+	// campaign delivers interrupts, but internal/core's interruptOOO
+	// test strategy does, for TestAblationInterrupts,
+	// TestInterruptInjectionDefeatsStoreTest and
+	// TestInterruptDoesNotAffectLoadTest.
+	"internal/oemu.Thread.Interrupt": "TestAblationInterrupts, TestInterruptInjectionDefeatsStoreTest, TestInterruptDoesNotAffectLoadTest",
 }
 
 // TestNoTestOnlyExports fails on an exported identifier that no non-test
@@ -237,35 +245,7 @@ var testOnlyAllowlist = map[string]string{
 // the name and signature of an interface method the checker saw (String,
 // Error, a Strategy's Pair, ...) and package main are exempt.
 func TestNoTestOnlyExports(t *testing.T) {
-	l := &treeLoader{
-		fset: token.NewFileSet(),
-		pkgs: map[string]*types.Package{},
-		info: &types.Info{
-			Uses:       map[*ast.Ident]types.Object{},
-			Selections: map[*ast.SelectorExpr]*types.Selection{},
-			Types:      map[ast.Expr]types.TypeAndValue{},
-		},
-	}
-	l.std = importer.ForCompiler(l.fset, "source", nil)
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil || !d.IsDir() {
-			return err
-		}
-		name := d.Name()
-		if path != "." && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
-			return filepath.SkipDir
-		}
-		_, err = l.Import(importPathOf(path))
-		var noGo *build.NoGoError
-		if errors.As(err, &noGo) {
-			return nil
-		}
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
+	l := loadTree(t)
 	used := map[types.Object]bool{}
 	for _, obj := range l.info.Uses {
 		used[originOf(obj)] = true
@@ -349,13 +329,152 @@ func TestNoTestOnlyExports(t *testing.T) {
 	}
 }
 
+// fieldAllowlist names the exported struct fields that only tests read
+// but that stay, because a test in another package needs them. Each
+// entry names that test. Keys are "dir.Type.Field", with dir as in
+// testOnlyAllowlist. An entry that non-test code comes to read is stale
+// and fails the lint.
+var fieldAllowlist = map[string]string{
+	// A scraped sample's name and value: ParseText's output, which
+	// TestObservabilityRegistryCoverage (observability_test.go) and
+	// TestUnregisteredStrategyPublishes (internal/engine) read back.
+	"internal/obs.Sample.Name":  "TestObservabilityRegistryCoverage, TestUnregisteredStrategyPublishes",
+	"internal/obs.Sample.Value": "TestObservabilityRegistryCoverage, TestUnregisteredStrategyPublishes",
+	// The paper's §6.4 ground truth for each bug: whether OFence's
+	// paired-barrier patterns cover it. TestTable3Coverage
+	// (internal/baseline/ofence) and TestRunOFenceCounts (internal/bench)
+	// check the static matcher against it.
+	"internal/modules.BugInfo.OFencePattern": "TestTable3Coverage, TestRunOFenceCounts",
+}
+
+// TestNoTestOnlyFields fails on an exported field of a package-level
+// struct type that no non-test code of this module or of perfbench
+// reads. A read is any selector use of the field other than the direct
+// left side of = or :=; a composite-literal key is a write. A field only
+// tests read is deleted, or allowlisted (fieldAllowlist) when a test in
+// another package needs it. Embedded fields, JSON-tagged fields
+// (encoding/json reads them) and package main are exempt.
+func TestNoTestOnlyFields(t *testing.T) {
+	l := loadTree(t)
+	read := map[*types.Var]bool{}
+	for _, f := range l.files {
+		assigned := map[*ast.SelectorExpr]bool{}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				if n.Tok == token.ASSIGN || n.Tok == token.DEFINE {
+					for _, lhs := range n.Lhs {
+						if sel, ok := lhs.(*ast.SelectorExpr); ok {
+							assigned[sel] = true
+						}
+					}
+				}
+			case *ast.SelectorExpr:
+				if sel := l.info.Selections[n]; sel != nil && sel.Kind() == types.FieldVal && !assigned[n] {
+					read[sel.Obj().(*types.Var).Origin()] = true
+				}
+			}
+			return true
+		})
+	}
+
+	var hits []string
+	allowed := map[string]bool{}
+	for path, pkg := range l.pkgs {
+		if pkg.Name() == "main" {
+			continue
+		}
+		dir := strings.TrimPrefix(path, "ozz/")
+		scope := pkg.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				f := st.Field(i)
+				if !f.Exported() || f.Embedded() || read[f] {
+					continue
+				}
+				if _, ok := reflect.StructTag(st.Tag(i)).Lookup("json"); ok {
+					continue
+				}
+				key := dir + "." + name + "." + f.Name()
+				if _, ok := fieldAllowlist[key]; ok {
+					allowed[key] = true
+				} else {
+					hits = append(hits, key)
+				}
+			}
+		}
+	}
+	sort.Strings(hits)
+	for _, h := range hits {
+		t.Errorf("exported field read only by tests (delete it or allowlist it): %s", h)
+	}
+	for key := range fieldAllowlist {
+		if !allowed[key] {
+			t.Errorf("stale allowlist entry (no such field, or non-test code reads it): %s", key)
+		}
+	}
+}
+
 // treeLoader type-checks this repository's packages from their non-test
 // files, sharing one types.Info, and the standard library from source.
 type treeLoader struct {
-	fset *token.FileSet
-	std  types.Importer
-	pkgs map[string]*types.Package
-	info *types.Info
+	fset  *token.FileSet
+	std   types.Importer
+	pkgs  map[string]*types.Package
+	files []*ast.File // every checked file of the repository's packages
+	info  *types.Info
+}
+
+var (
+	treeOnce sync.Once
+	tree     *treeLoader
+	treeErr  error
+)
+
+// loadTree type-checks every package of the repository once per test
+// binary; the lints that need the whole tree share the result.
+func loadTree(t *testing.T) *treeLoader {
+	t.Helper()
+	treeOnce.Do(func() {
+		l := &treeLoader{
+			fset: token.NewFileSet(),
+			pkgs: map[string]*types.Package{},
+			info: &types.Info{
+				Uses:       map[*ast.Ident]types.Object{},
+				Selections: map[*ast.SelectorExpr]*types.Selection{},
+				Types:      map[ast.Expr]types.TypeAndValue{},
+			},
+		}
+		l.std = importer.ForCompiler(l.fset, "source", nil)
+		treeErr = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+			if err != nil || !d.IsDir() {
+				return err
+			}
+			name := d.Name()
+			if path != "." && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+				return filepath.SkipDir
+			}
+			_, err = l.Import(importPathOf(path))
+			var noGo *build.NoGoError
+			if errors.As(err, &noGo) {
+				return nil
+			}
+			return err
+		})
+		tree = l
+	})
+	if treeErr != nil {
+		t.Fatal(treeErr)
+	}
+	return tree
 }
 
 // importPathOf maps a directory relative to the repository root to its
@@ -399,6 +518,7 @@ func (l *treeLoader) Import(path string) (*types.Package, error) {
 		return nil, err
 	}
 	l.pkgs[path] = pkg
+	l.files = append(l.files, files...)
 	return pkg, nil
 }
 
