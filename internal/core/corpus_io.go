@@ -37,16 +37,20 @@ type CorpusError struct {
 	// Err is the underlying cause (a parse error, bufio.ErrTooLong, or
 	// the reader's error for truncated streams).
 	Err error
+	// parseErr marks Err as a syzlang parse error, which names the bad
+	// line itself, so Error leaves the excerpt out.
+	parseErr bool
 }
 
 // Error renders the block position, the quoted excerpt of the offending
-// text (when there is one) and the cause.
+// text (when there is one and the cause does not already point into it)
+// and the cause.
 func (e *CorpusError) Error() string {
 	where := "core: corpus stream"
 	if e.Block > 0 {
 		where = fmt.Sprintf("core: corpus block %d", e.Block)
 	}
-	if e.Src != "" {
+	if e.Src != "" && !e.parseErr {
 		return fmt.Sprintf("%s %q: %v", where, e.Src, e.Err)
 	}
 	return fmt.Sprintf("%s: %v", where, e.Err)
@@ -106,10 +110,11 @@ func DecodePrograms(r io.Reader, target *syzlang.Target) ([]*syzlang.Program, er
 		p, err := target.Parse(src)
 		if err != nil || len(p.Calls) == 0 {
 			if firstErr == nil {
+				ce := &CorpusError{Block: blockIdx, Src: truncateSrc(src), Err: err, parseErr: err != nil}
 				if err == nil {
-					err = errors.New("program has no calls")
+					ce.Err = errors.New("program has no calls")
 				}
-				firstErr = &CorpusError{Block: blockIdx, Src: truncateSrc(src), Err: err}
+				firstErr = ce
 			}
 			return
 		}

@@ -69,17 +69,24 @@ func TestDecodeProgramsCorruptedRecord(t *testing.T) {
 
 // TestCorpusErrorShowsSource: the message of a corpus error — what
 // `ozz -corpus-in` prints for a bad file, and what a manager's 400 reply
-// to a malformed poll carries — quotes the offending text.
+// to a malformed poll carries — shows the offending text exactly once:
+// through the parse error, which quotes the bad line, or through the
+// excerpt, for causes that do not.
 func TestCorpusErrorShowsSource(t *testing.T) {
 	target := modules.Target("watchqueue")
-	src := corpusProgA + "\n@@ definitely not syzlang @@\n"
-	_, err := DecodePrograms(strings.NewReader(src), target)
-	if err == nil {
-		t.Fatal("no error for a corrupted block")
-	}
-	const want = `core: corpus block 2 "@@ definitely not syzlang @@": `
-	if !strings.HasPrefix(err.Error(), want) {
-		t.Errorf("error = %q, want prefix %q", err, want)
+	for _, c := range []struct {
+		bad, prefix string
+	}{
+		{"@@ definitely not syzlang @@", `core: corpus block 2: line 1: malformed call "@@ definitely not syzlang @@"`},
+		{"# no calls here", `core: corpus block 2 "# no calls here": program has no calls`},
+	} {
+		_, err := DecodePrograms(strings.NewReader(corpusProgA+"\n"+c.bad+"\n"), target)
+		if err == nil {
+			t.Fatalf("no error for block %q", c.bad)
+		}
+		if msg := err.Error(); !strings.HasPrefix(msg, c.prefix) || strings.Count(msg, c.bad) != 1 {
+			t.Errorf("error = %q, want prefix %q and the block once", msg, c.prefix)
+		}
 	}
 	long := &CorpusError{Src: truncateSrc(strings.Repeat("y", 200)), Err: errors.New("cut")}
 	if msg := long.Error(); !strings.Contains(msg, strings.Repeat("y", 120)+"…") || strings.Contains(msg, strings.Repeat("y", 121)) {

@@ -4,12 +4,15 @@ import (
 	"testing"
 
 	"ozz/internal/lkmm"
+	"ozz/internal/lkmm/model"
 	"ozz/internal/memmodel"
 )
 
 // FuzzDifferential lets the native fuzzer drive the generator's (seed,
 // index) space AND the memory-model choice: every reachable shape must
-// agree between OEMU and the reference enumerator under every model. The
+// agree between OEMU and the reference enumerator under every model, and
+// the reference model's goal-directed search must agree with its
+// enumerator. The
 // model is picked from the index's high bits so one fuzz target covers
 // lkmm, tso, and armv8, and the (shape, model) pair is fully determined
 // by the two integers — coverage-guided mutation explores generator
@@ -25,6 +28,7 @@ func FuzzDifferential(f *testing.F) {
 		models := memmodel.All()
 		mm := models[int(index/4096)%len(models)]
 		shape := Shape(seed, int(index%4096))
+		checkReaches(t, shape, mm)
 		d := CompareModel(shape, mm)
 		if d == nil {
 			return
@@ -32,4 +36,26 @@ func FuzzDifferential(f *testing.F) {
 		shrunk := Shrink(shape, func(c *lkmm.Test) bool { return CompareModel(c, mm) != nil })
 		t.Fatalf("model %s: %s\nshrunk: %s", mm.Name(), d, CompareModel(shrunk, mm))
 	})
+}
+
+// checkReaches checks model.Reacher.Reaches against model.RunModel on one
+// shape: each enumerated outcome is reachable on its own, and a register
+// vector of values no store writes is not.
+func checkReaches(t *testing.T, shape *lkmm.Test, mm *memmodel.Table) {
+	var r model.Reacher
+	for o := range model.RunModel(shape, mm).Outcomes {
+		if !r.Reaches(shape, mm, [][]uint64{o.Regs()}) {
+			t.Fatalf("model %s: %s reaches %s by enumeration but not by Reaches\n%s", mm.Name(), shape.Name, o, Format(shape))
+		}
+	}
+	if shape.NumRegs == 0 {
+		return
+	}
+	none := make([]uint64, shape.NumRegs)
+	for i := range none {
+		none[i] = 99
+	}
+	if r.Reaches(shape, mm, [][]uint64{none}) {
+		t.Fatalf("model %s: %s reaches the unwritten %v\n%s", mm.Name(), shape.Name, none, Format(shape))
+	}
 }

@@ -12,8 +12,10 @@
 package lkmm
 
 import (
+	"fmt"
 	"sort"
 	"strconv"
+	"strings"
 
 	"ozz/internal/kmem"
 	"ozz/internal/memmodel"
@@ -100,6 +102,25 @@ func appendOutcome(b []byte, regs []uint64) []byte {
 		b = strconv.AppendUint(b, v, 10)
 	}
 	return b
+}
+
+// Regs parses the outcome back into the register vector it renders. It
+// panics on text that is not such a rendering.
+func (o Outcome) Regs() []uint64 {
+	if o == "" {
+		return nil
+	}
+	fields := strings.Split(string(o), ";")
+	regs := make([]uint64, len(fields))
+	for i, f := range fields {
+		val, ok := strings.CutPrefix(f, "r"+strconv.Itoa(i)+"=")
+		v, err := strconv.ParseUint(val, 10, 64)
+		if !ok || err != nil {
+			panic(fmt.Sprintf("lkmm: malformed outcome %q", string(o)))
+		}
+		regs[i] = v
+	}
+	return regs
 }
 
 // OutcomeSet collects the outcomes of one enumeration. It renders each

@@ -399,3 +399,27 @@ func TestPropertyNoInventedValues(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestOutcomeRegsRoundTrip: Regs inverts the rendering OutcomeSet stores,
+// and rejects text that is not one.
+func TestOutcomeRegsRoundTrip(t *testing.T) {
+	for _, regs := range [][]uint64{nil, {0}, {1, 0}, {3, 12, 0, 1 << 63}} {
+		set := NewOutcomeSet()
+		set.Add(regs)
+		for o := range set.Outcomes {
+			if got := o.Regs(); fmt.Sprint(got) != fmt.Sprint(regs) {
+				t.Errorf("Outcome(%q).Regs() = %v, want %v", o, got, regs)
+			}
+		}
+	}
+	for _, bad := range []Outcome{"r1=0", "r0=x", "r0=1;r0=2", "r0=1;"} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Outcome(%q).Regs() did not panic", bad)
+				}
+			}()
+			bad.Regs()
+		}()
+	}
+}

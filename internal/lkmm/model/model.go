@@ -42,6 +42,12 @@
 // store-store-ordered model (x86-TSO) switches the buffer to FIFO
 // discipline — no coalescing, and in-place commits drain the buffer
 // first, exactly mirroring the emulator's rules.
+//
+// Reacher.Reaches searches the same machine for a goal instead: whether
+// any execution ends in one of a given set of register files. Fence
+// repair's legality check asks it with the buggy outcomes as goals, so
+// the search stops at the first buggy outcome and prunes states whose
+// already-final registers rule every goal out.
 package model
 
 import (
@@ -49,6 +55,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/maphash"
+	"slices"
 	"sort"
 
 	"ozz/internal/lkmm"
@@ -119,15 +126,15 @@ type state struct {
 	regs []uint64
 }
 
-// newStates allocates n states for test t, carving their storage from
-// one backing array per field. Each history and store buffer gets a window
-// as large as it can grow in this test — one entry per store to the
-// location, one per store of the thread — so neither copyFrom nor the
-// transition rules ever reallocate them.
-func newStates(t *lkmm.Test, n int) []state {
-	threads, locs := len(t.Threads), t.NumLocs
-	histCap := make([]int, locs)
-	sbCap := make([]int, threads)
+// storeCaps sets histCap to each location's store count and sbCap to each
+// thread's, reusing the arrays' storage, and returns them with the total
+// store count. These are the largest a history and a store buffer can
+// grow in the test.
+func storeCaps(t *lkmm.Test, histCap, sbCap []int) ([]int, []int, int) {
+	histCap = slices.Grow(histCap[:0], t.NumLocs)[:t.NumLocs]
+	sbCap = slices.Grow(sbCap[:0], len(t.Threads))[:len(t.Threads)]
+	clear(histCap)
+	clear(sbCap)
 	stores := 0
 	for ti, ops := range t.Threads {
 		for _, op := range ops {
@@ -138,6 +145,17 @@ func newStates(t *lkmm.Test, n int) []state {
 			}
 		}
 	}
+	return histCap, sbCap, stores
+}
+
+// newStates allocates n states for test t, carving their storage from
+// one backing array per field. Each history and store buffer gets a window
+// as large as it can grow in this test — one entry per store to the
+// location, one per store of the thread — so neither copyFrom nor the
+// transition rules ever reallocate them.
+func newStates(t *lkmm.Test, n int) []state {
+	threads, locs := len(t.Threads), t.NumLocs
+	histCap, sbCap, stores := storeCaps(t, nil, nil)
 	slabLen := threads + 2*threads*locs + t.NumRegs
 	states := make([]state, n)
 	hists := make([][]version, n*locs)
@@ -170,6 +188,20 @@ func (s *state) carve() {
 	s.lastCommit = s.slab[n : n+tl : n+tl]
 	s.seen = s.slab[n+tl : n+2*tl : n+2*tl]
 	s.regs = s.slab[n+2*tl:]
+}
+
+// reset makes s the initial state: clock 0, every pc, window, floor and
+// register 0, and every history and store buffer empty.
+func (s *state) reset() {
+	s.clock = 0
+	clear(s.pc)
+	clear(s.slab)
+	for i := range s.hist {
+		s.hist[i] = s.hist[i][:0]
+	}
+	for i := range s.sb {
+		s.sb[i] = s.sb[i][:0]
+	}
 }
 
 // at indexes thread t's entry for loc in lastCommit and seen.
@@ -270,7 +302,8 @@ func (s *state) pendingIndex(t, loc int) int {
 	return -1
 }
 
-// machine is one exhaustive exploration.
+// machine is one exploration: exhaustive when outcomes is set (RunModel),
+// goal-directed when targets is set (Reacher.Reaches).
 type machine struct {
 	test    *lkmm.Test
 	mm      *memmodel.Table
@@ -280,6 +313,19 @@ type machine struct {
 	// depth, which comes only after its own subtree is explored.
 	slots    []state
 	outcomes *lkmm.OutcomeSet
+	// targets are the register vectors a goal-directed search looks for;
+	// found is set once a finished state matches one, and ends the search.
+	targets [][]uint64
+	found   bool
+	// final lists the registers with exactly one writer. Such a register
+	// is final once its writer has retired, and a state whose final
+	// registers contradict every target is pruned.
+	final []finalReg
+}
+
+// finalReg is a register with a single writer: the load at pos of thread.
+type finalReg struct {
+	reg, thread, pos int
 }
 
 // RunModel explores every interleaving of the test's threads across every
@@ -289,13 +335,7 @@ type machine struct {
 // exhaustive and deterministic; litmus tests are tiny by design, so the
 // deduplicated state space is small.
 func RunModel(t *lkmm.Test, mm *memmodel.Table) *Result {
-	// Every step retires one op, so the search is at most ops deep; the
-	// extra state is the root.
-	ops := 0
-	for _, th := range t.Threads {
-		ops += len(th)
-	}
-	states := newStates(t, 2*ops+1)
+	states := newStates(t, 2*numOps(t)+1)
 	m := &machine{
 		test:     t,
 		mm:       mm,
@@ -307,9 +347,104 @@ func RunModel(t *lkmm.Test, mm *memmodel.Table) *Result {
 	return &Result{Outcomes: m.outcomes.Outcomes, States: m.visited.len()}
 }
 
+// numOps counts the test's operations. Every step retires one op, so the
+// search is at most this deep, and needs two successor slots per level
+// plus the root.
+func numOps(t *lkmm.Test) int {
+	ops := 0
+	for _, th := range t.Threads {
+		ops += len(th)
+	}
+	return ops
+}
+
+// Reacher answers reachability questions over the same machine RunModel
+// explores. It keeps its states, successor slots and visited set across
+// calls and re-carves them only when a test needs more depth or different
+// history, store-buffer or register capacities, so a caller asking about
+// many variants of one test (fence candidates add only barriers and
+// annotations) sizes them once. The zero value is ready to use; a Reacher
+// must not be used by two goroutines at once.
+type Reacher struct {
+	m      machine
+	states []state
+	// histCap, sbCap and regs are the capacities states was carved for.
+	histCap, sbCap []int
+	regs           int
+	// histNext and sbNext receive the capacities of the test asked about.
+	histNext, sbNext []int
+	// writes[r] counts the loads into register r.
+	writes []int
+}
+
+// Reaches reports whether some execution of t under mm ends with its
+// register file equal to one of targets (each of length t.NumRegs). It
+// stops at the first such execution, and never explores a state whose
+// single-writer registers already hold values no target has; the answer
+// equals asking whether RunModel's outcome set contains a target.
+func (r *Reacher) Reaches(t *lkmm.Test, mm *memmodel.Table, targets [][]uint64) bool {
+	if len(targets) == 0 {
+		return false
+	}
+	root := r.prepare(t)
+	m := &r.m
+	m.test, m.mm, m.targets, m.found = t, mm, targets, false
+	if m.visited.table == nil {
+		m.visited = newStateSet()
+	}
+	m.visited.reset()
+	r.buildFinal(t)
+	m.explore(root, 0)
+	return m.found
+}
+
+// prepare returns a zeroed root state for t, reusing the Reacher's
+// storage when it fits and re-carving it when it does not.
+func (r *Reacher) prepare(t *lkmm.Test) *state {
+	r.histNext, r.sbNext, _ = storeCaps(t, r.histNext, r.sbNext)
+	need := 2*numOps(t) + 1
+	if len(r.states) < need || t.NumRegs != r.regs ||
+		!slices.Equal(r.histNext, r.histCap) || !slices.Equal(r.sbNext, r.sbCap) {
+		r.states = newStates(t, need)
+		r.histCap = append(r.histCap[:0], r.histNext...)
+		r.sbCap = append(r.sbCap[:0], r.sbNext...)
+		r.regs = t.NumRegs
+	}
+	r.m.slots = r.states[1:]
+	root := &r.states[0]
+	root.reset()
+	return root
+}
+
+// buildFinal fills the machine's single-writer register list for t.
+func (r *Reacher) buildFinal(t *lkmm.Test) {
+	r.writes = slices.Grow(r.writes[:0], t.NumRegs)[:t.NumRegs]
+	clear(r.writes)
+	for _, ops := range t.Threads {
+		for _, op := range ops {
+			if op.Kind == lkmm.OpLoad {
+				r.writes[op.Reg]++
+			}
+		}
+	}
+	r.m.final = r.m.final[:0]
+	for ti, ops := range t.Threads {
+		for pos, op := range ops {
+			if op.Kind == lkmm.OpLoad && r.writes[op.Reg] == 1 {
+				r.m.final = append(r.m.final, finalReg{reg: op.Reg, thread: ti, pos: pos})
+			}
+		}
+	}
+}
+
 // explore recurses over all successor states of s, the state at search
-// depth d, recording the outcome when every thread has retired.
+// depth d, recording the outcome when every thread has retired. A
+// goal-directed search prunes s when it cannot reach a target and returns
+// as soon as one is found.
 func (m *machine) explore(s *state, d int) {
+	if m.targets != nil && m.contradicts(s) {
+		return
+	}
 	if !m.visited.insert(s) {
 		return
 	}
@@ -322,14 +457,43 @@ func (m *machine) explore(s *state, d int) {
 		succ, n := m.step(s, ti, d)
 		for _, ns := range succ[:n] {
 			m.explore(ns, d+1)
+			if m.found {
+				return
+			}
 		}
 	}
-	if done {
-		// Thread exit drains any remaining buffered stores (the syscall
-		// boundary, §3.1), but draining commits memory only: the registers
-		// are already final.
-		m.outcomes.Add(s.regs)
+	if !done {
+		return
 	}
+	// Thread exit drains any remaining buffered stores (the syscall
+	// boundary, §3.1), but draining commits memory only: the registers
+	// are already final.
+	if m.targets == nil {
+		m.outcomes.Add(s.regs)
+		return
+	}
+	for _, tg := range m.targets {
+		if slices.Equal(s.regs, tg) {
+			m.found = true
+			return
+		}
+	}
+}
+
+// contradicts reports whether every target disagrees with one of s's
+// final single-writer registers, so no execution through s ends on a
+// target.
+func (m *machine) contradicts(s *state) bool {
+next:
+	for _, tg := range m.targets {
+		for _, f := range m.final {
+			if s.pc[f.thread] > f.pos && s.regs[f.reg] != tg[f.reg] {
+				continue next
+			}
+		}
+		return false
+	}
+	return true
 }
 
 // succ returns successor slot k of depth d refilled with a copy of s.
@@ -498,6 +662,13 @@ func newStateSet() stateSet {
 }
 
 func (v *stateSet) len() int { return len(v.ends) }
+
+// reset empties the set, keeping its storage.
+func (v *stateSet) reset() {
+	v.arena = v.arena[:0]
+	v.ends = v.ends[:0]
+	clear(v.table)
+}
 
 // key returns key i's bytes.
 func (v *stateSet) key(i int) []byte {

@@ -423,7 +423,7 @@ func reproduced(res *engine.Result, in InVivoInput) bool {
 // InVivo searches for the minimal fence repair of a crashing campaign
 // finding. The racing pair is abstracted into a litmus test (thread 0 the
 // reorderer's window around the scheduling point, thread 1 the observer's
-// shared accesses); legality runs the reference enumerator over it, and
+// shared accesses); legality searches the reference model over it, and
 // closure re-executes the real reproducer through the engine with the
 // candidate's surviving directives installed. Fences are placed only on
 // the reorderer's side — the hypothetical-barrier location the hint

@@ -28,7 +28,7 @@ func litmusLabels(t *lkmm.Test) [][]string {
 
 // Litmus searches for the minimal fence repair of a raw litmus test: the
 // buggy outcomes are the test's weak-only behaviours under the primary
-// model, legality runs the reference enumerator, and closure re-checks
+// model, legality searches the reference model, and closure re-checks
 // each candidate through the OEMU-driven enumeration (lkmm.RunModel) —
 // the same emulator campaigns execute in vivo. Fences may be placed on
 // any thread. Repaired tests with more than lkmm.MaxDirectiveSites

@@ -59,7 +59,7 @@ const (
 // Per-model verdict values (ModelReport.Status).
 const (
 	// StatusFixes marks a model under which the candidate is both legal
-	// (reference enumerator) and closing (live engine / OEMU).
+	// (reference model) and closing (live engine / OEMU).
 	StatusFixes = "fixes"
 	// StatusUnnecessary marks a model that cannot reach any buggy outcome
 	// even without the fix (e.g. S-S reordering under TSO).
@@ -179,7 +179,7 @@ type SearchStats struct {
 	// Validated counts candidates that passed legality, closure, and
 	// minimality — the suggestions.
 	Validated int `json:"validated"`
-	// RejectedLegality counts candidates the reference enumerator
+	// RejectedLegality counts candidates the reference model
 	// rejected (a buggy outcome stayed reachable).
 	RejectedLegality int `json:"rejected_legality"`
 	// RejectedClosure counts legal candidates the live engine rejected

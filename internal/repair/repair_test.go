@@ -103,8 +103,9 @@ func TestMinimality(t *testing.T) {
 			continue
 		}
 		p := newProblem(e.Test, litmusLabels(e.Test), Options{}, -1)
+		var r model.Reacher
 		for _, sug := range res.Suggestions {
-			if !p.legal(sug.Fences, p.primary) {
+			if !p.legal(&r, sug.Fences, p.primary) {
 				t.Errorf("%s: suggestion %s is not legal", e.Test.Name, sug)
 			}
 			if len(sug.Fences) == 1 {
@@ -119,7 +120,7 @@ func TestMinimality(t *testing.T) {
 						sub = append(sub, f)
 					}
 				}
-				if p.legal(sub, p.primary) {
+				if p.legal(&r, sub, p.primary) {
 					t.Errorf("%s: suggestion %s is not minimal — dropping %s keeps it legal",
 						e.Test.Name, sug, sug.Fences[drop])
 				}
@@ -146,17 +147,19 @@ func TestEnumerationDeterminism(t *testing.T) {
 }
 
 // TestLegalityMemo runs the Litmus search over every suite shape with a
-// counting reference enumerator and a counting OEMU litmus enumerator:
-// with the legality and litmus closure memos, no (repaired test, model)
-// pair may be explored twice by either — across size classes, per-model
-// reports, or concurrent workers — and the result must deep-equal both
-// Litmus and the unmemoized search.
+// counting reference enumerator (buggy sets), a counting reachability
+// check (legality) and a counting OEMU litmus enumerator (closure): with
+// the legality and litmus closure memos, no (test, model) pair may be
+// explored twice by any of them — across size classes, per-model reports,
+// or concurrent workers — and the result must deep-equal both Litmus and
+// the unmemoized search.
 func TestLegalityMemo(t *testing.T) {
 	for _, e := range lkmm.Suite() {
 		for _, workers := range []int{1, 4} {
 			opts := Options{Workers: workers}
 			var mu sync.Mutex
 			explored := map[string]int{}
+			reached := map[string]int{}
 			closed := map[string]int{}
 			p := newProblem(e.Test, litmusLabels(e.Test), opts, -1)
 			p.enumerate = func(test *lkmm.Test, mm *memmodel.Table) *model.Result {
@@ -164,6 +167,12 @@ func TestLegalityMemo(t *testing.T) {
 				explored[fmt.Sprintf("%s %v", mm.Name(), test.Threads)]++
 				mu.Unlock()
 				return model.RunModel(test, mm)
+			}
+			p.reach = func(r *model.Reacher, test *lkmm.Test, mm *memmodel.Table, targets [][]uint64) bool {
+				mu.Lock()
+				reached[fmt.Sprintf("%s %v", mm.Name(), test.Threads)]++
+				mu.Unlock()
+				return r.Reaches(test, mm, targets)
 			}
 			p.litmusRun = func(test *lkmm.Test, mm *memmodel.Table) *lkmm.Result {
 				mu.Lock()
@@ -176,6 +185,14 @@ func TestLegalityMemo(t *testing.T) {
 				if n > 1 {
 					t.Errorf("%s (workers=%d): %d explorations of %s", e.Test.Name, workers, n, k)
 				}
+			}
+			for k, n := range reached {
+				if n > 1 {
+					t.Errorf("%s (workers=%d): %d legality checks of %s", e.Test.Name, workers, n, k)
+				}
+			}
+			if len(got.BuggyOutcomes) > 0 && len(reached) == 0 {
+				t.Errorf("%s (workers=%d): search with buggy outcomes made no legality check", e.Test.Name, workers)
 			}
 			for k, n := range closed {
 				if n > 1 {
@@ -219,7 +236,7 @@ func TestFenceSetKeyInjective(t *testing.T) {
 func TestBuggySetIsWeakOnly(t *testing.T) {
 	test := suiteTest(t, "MP (relaxed)")
 	p := newProblem(test, litmusLabels(test), Options{}, -1)
-	b := p.buggySet(p.primary)
+	b := p.buggySet(p.primary).outcomes
 	if len(b) == 0 {
 		t.Fatal("relaxed MP has no weak-only outcomes")
 	}
@@ -282,5 +299,38 @@ func BenchmarkLitmusRepair(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// legalitySink keeps benchmarked verdicts live.
+var legalitySink bool
+
+// BenchmarkLegality runs every size-1 and size-2 legality check of every
+// named suite shape once per iteration, with the legality memo off, so
+// each check searches the reference model. Each shape's problem and
+// Reacher persist across iterations, as they do across one search's
+// candidates.
+func BenchmarkLegality(b *testing.B) {
+	type shape struct {
+		p     *problem
+		r     model.Reacher
+		cands [][]Fence
+	}
+	var shapes []*shape
+	for _, e := range lkmm.Suite() {
+		p := newProblem(e.Test, litmusLabels(e.Test), Options{}, -1)
+		p.legality = nil
+		p.buggySet(p.primary)
+		singles := p.singleFences()
+		shapes = append(shapes, &shape{p: p, cands: append(combinations(singles, 1), combinations(singles, 2)...)})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, s := range shapes {
+			for _, c := range s.cands {
+				legalitySink = s.p.legal(&s.r, c, s.p.primary)
+			}
+		}
 	}
 }

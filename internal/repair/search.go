@@ -58,15 +58,24 @@ type problem struct {
 	// closure overrides the closure oracle; nil falls back to the
 	// OEMU-driven litmus enumeration (litmusRun).
 	closure func(fences []Fence, mm *memmodel.Table) bool
-	// enumerate is the reference enumerator behind buggy sets and
-	// legality (model.RunModel).
+	// enumerate is the reference enumerator behind buggy sets
+	// (model.RunModel).
 	enumerate func(t *lkmm.Test, mm *memmodel.Table) *model.Result
+	// reach is the reference reachability check behind legality
+	// (model.Reacher.Reaches), asked with a validation worker's Reacher.
+	reach func(r *model.Reacher, t *lkmm.Test, mm *memmodel.Table, targets [][]uint64) bool
 	// litmusRun is the OEMU litmus enumerator behind the litmus closure
 	// (lkmm.RunModel).
 	litmusRun func(t *lkmm.Test, mm *memmodel.Table) *lkmm.Result
 
+	// reachers holds one Reacher per validation worker, kept for the
+	// whole search: every candidate's repaired test has the unrepaired
+	// test's stores, loads, locations and registers, so a worker's
+	// storage fits them all.
+	reachers []model.Reacher
+
 	mu    sync.Mutex
-	buggy map[string][]lkmm.Outcome
+	buggy map[string]*buggyOutcomes
 	sc    map[lkmm.Outcome]bool
 	// legality memoizes legal verdicts for the whole search, so size-k
 	// minimality checks reuse the size-(k-1) verdicts and per-model
@@ -76,6 +85,13 @@ type problem struct {
 	// per-model reports reuse the closure validate just passed. The
 	// in-vivo closure is never memoized. nil disables the memo.
 	litmusClosed map[legalKey]*legalVerdict
+}
+
+// buggyOutcomes is the buggy set under one model, rendered and as the
+// register vectors legality searches for.
+type buggyOutcomes struct {
+	outcomes []lkmm.Outcome
+	regs     [][]uint64
 }
 
 // legalKey identifies one memoized verdict: a candidate's fence set (see
@@ -100,8 +116,9 @@ func newProblem(test *lkmm.Test, labels [][]string, opts Options, restrict int) 
 		opts:         opts,
 		restrict:     restrict,
 		enumerate:    model.RunModel,
+		reach:        (*model.Reacher).Reaches,
 		litmusRun:    lkmm.RunModel,
-		buggy:        map[string][]lkmm.Outcome{},
+		buggy:        map[string]*buggyOutcomes{},
 		legality:     map[legalKey]*legalVerdict{},
 		litmusClosed: map[legalKey]*legalVerdict{},
 	}
@@ -109,8 +126,9 @@ func newProblem(test *lkmm.Test, labels [][]string, opts Options, restrict int) 
 
 // buggySet returns the weak-only outcomes of the unrepaired test under mm:
 // reference-enumerator outcomes minus the SC baseline's. These are the
-// behaviours a repair must forbid.
-func (p *problem) buggySet(mm *memmodel.Table) []lkmm.Outcome {
+// behaviours a repair must forbid. Each model's set is derived once per
+// problem, and its outcomes are parsed into register vectors then.
+func (p *problem) buggySet(mm *memmodel.Table) *buggyOutcomes {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if b, ok := p.buggy[mm.Name()]; ok {
@@ -120,10 +138,11 @@ func (p *problem) buggySet(mm *memmodel.Table) []lkmm.Outcome {
 		p.sc = p.enumerate(p.test, scBaseline).Outcomes
 	}
 	weak := p.enumerate(p.test, mm)
-	var b []lkmm.Outcome
+	b := &buggyOutcomes{}
 	for _, s := range weak.Sorted() {
 		if o := lkmm.Outcome(s); !p.sc[o] {
-			b = append(b, o)
+			b.outcomes = append(b.outcomes, o)
+			b.regs = append(b.regs, o.Regs())
 		}
 	}
 	p.buggy[mm.Name()] = b
@@ -288,10 +307,12 @@ func fenceSetKey(fences []Fence) string {
 }
 
 // legal reports whether the repaired test forbids every buggy outcome
-// under mm, per the reference enumerator. Verdicts are memoized per
-// (fence set, model).
-func (p *problem) legal(fences []Fence, mm *memmodel.Table) bool {
-	return p.memo(p.legality, fences, mm, p.checkLegal)
+// under mm, per the reference model, searching with r. Verdicts are
+// memoized per (fence set, model).
+func (p *problem) legal(r *model.Reacher, fences []Fence, mm *memmodel.Table) bool {
+	return p.memo(p.legality, fences, mm, func(fences []Fence, mm *memmodel.Table) bool {
+		return p.checkLegal(r, fences, mm)
+	})
 }
 
 // memo returns check's verdict on (fences, mm), computing it at most once
@@ -312,15 +333,10 @@ func (p *problem) memo(verdicts map[legalKey]*legalVerdict, fences []Fence, mm *
 	return v.ok
 }
 
-// checkLegal runs the reference enumerator over the repaired test.
-func (p *problem) checkLegal(fences []Fence, mm *memmodel.Table) bool {
-	res := p.enumerate(applyFences(p.test, fences), mm)
-	for _, o := range p.buggySet(mm) {
-		if res.Has(o) {
-			return false
-		}
-	}
-	return true
+// checkLegal asks the reference model whether the repaired test can
+// still reach a buggy outcome; the search stops at the first one.
+func (p *problem) checkLegal(r *model.Reacher, fences []Fence, mm *memmodel.Table) bool {
+	return !p.reach(r, applyFences(p.test, fences), mm, p.buggySet(mm).regs)
 }
 
 // closes reports whether the candidate closes the bug under mm in the
@@ -344,7 +360,7 @@ func (p *problem) litmusCloses(fences []Fence, mm *memmodel.Table) bool {
 		return true
 	}
 	res := p.litmusRun(repaired, mm)
-	for _, o := range p.buggySet(mm) {
+	for _, o := range p.buggySet(mm).outcomes {
 		if res.Has(o) {
 			return false
 		}
@@ -367,8 +383,9 @@ type verdict struct {
 
 // validate runs the full check chain on one candidate: minimality (every
 // strict sub-candidate must be illegal under the primary model), legality,
-// closure, and finally the per-registered-model probe.
-func (p *problem) validate(fences []Fence) verdict {
+// closure, and finally the per-registered-model probe. r is the calling
+// worker's Reacher.
+func (p *problem) validate(r *model.Reacher, fences []Fence) verdict {
 	if len(fences) > 1 {
 		sub := make([]Fence, 0, len(fences)-1)
 		for drop := range fences {
@@ -378,30 +395,30 @@ func (p *problem) validate(fences []Fence) verdict {
 					sub = append(sub, f)
 				}
 			}
-			if p.legal(sub, p.primary) {
+			if p.legal(r, sub, p.primary) {
 				return verdict{status: vNonMinimal}
 			}
 		}
 	}
-	if !p.legal(fences, p.primary) {
+	if !p.legal(r, fences, p.primary) {
 		return verdict{status: vIllegal}
 	}
 	if !p.closes(fences, p.primary) {
 		return verdict{status: vUnclosed}
 	}
-	return verdict{status: vOK, models: p.modelReports(fences)}
+	return verdict{status: vOK, models: p.modelReports(r, fences)}
 }
 
 // modelReports probes the validated candidate under every registered
 // memory model.
-func (p *problem) modelReports(fences []Fence) []ModelReport {
+func (p *problem) modelReports(r *model.Reacher, fences []Fence) []ModelReport {
 	var out []ModelReport
 	for _, mm := range memmodel.All() {
 		status := StatusInsufficient
 		switch {
-		case len(p.buggySet(mm)) == 0:
+		case len(p.buggySet(mm).outcomes) == 0:
 			status = StatusUnnecessary
-		case p.legal(fences, mm) && p.closes(fences, mm):
+		case p.legal(r, fences, mm) && p.closes(fences, mm):
 			status = StatusFixes
 		}
 		out = append(out, ModelReport{Model: mm.Name(), Status: status})
@@ -414,13 +431,16 @@ func (p *problem) modelReports(fences []Fence) []ModelReport {
 // of scheduling.
 func (p *problem) validateAll(cands [][]Fence) []verdict {
 	out := make([]verdict, len(cands))
-	workers := p.opts.Workers
-	if workers > len(cands) {
-		workers = len(cands)
+	workers := min(p.opts.Workers, len(cands))
+	if workers < 1 {
+		workers = 1
 	}
-	if workers <= 1 {
+	if n := workers - len(p.reachers); n > 0 {
+		p.reachers = append(p.reachers, make([]model.Reacher, n)...)
+	}
+	if workers == 1 {
 		for i, c := range cands {
-			out[i] = p.validate(c)
+			out[i] = p.validate(&p.reachers[0], c)
 		}
 		return out
 	}
@@ -428,16 +448,16 @@ func (p *problem) validateAll(cands [][]Fence) []verdict {
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func() {
+		go func(r *model.Reacher) {
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= len(cands) {
 					return
 				}
-				out[i] = p.validate(cands[i])
+				out[i] = p.validate(r, cands[i])
 			}
-		}()
+		}(&p.reachers[w])
 	}
 	wg.Wait()
 	return out
@@ -448,7 +468,7 @@ func (p *problem) run(target, kind string) *Result {
 	m := p.opts.Metrics
 	m.search()
 	res := &Result{Target: target, Kind: kind, Model: p.primary.Name()}
-	for _, o := range p.buggySet(p.primary) {
+	for _, o := range p.buggySet(p.primary).outcomes {
 		res.BuggyOutcomes = append(res.BuggyOutcomes, string(o))
 	}
 	if len(res.BuggyOutcomes) == 0 {
