@@ -4,6 +4,10 @@
 // engine exhaustively enumerates every thread interleaving AND every OEMU
 // directive assignment (which stores to delay, which loads to version), and
 // collects the set of observable outcomes (final register values).
+// Reacher.Reaches searches the same runs for a goal instead — can any run
+// end with one of a given set of register files? — stopping at the first
+// and skipping every run whose prefix rules them all out; fence repair's
+// closure check asks it with the buggy outcomes as goals.
 //
 // Compliance then means: outcomes the LKMM forbids are unreachable no
 // matter the directives, and — the emulation-capability direction — weak
@@ -13,6 +17,7 @@ package lkmm
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -84,6 +89,15 @@ type Test struct {
 	Threads [][]Op
 	// NumLocs/NumRegs size the shared state and register file.
 	NumLocs, NumRegs int
+}
+
+// NumOps counts the test's operations over all threads.
+func (t *Test) NumOps() int {
+	n := 0
+	for _, th := range t.Threads {
+		n += len(th)
+	}
+	return n
 }
 
 // Outcome is a final register assignment, rendered canonically as
@@ -170,162 +184,303 @@ func (r *Result) Sorted() []string {
 func instrID(t, i int) trace.InstrID { return trace.InstrID(t*100 + i + 1) }
 
 // MaxDirectiveSites bounds the directive sites — stores and loads — of a
-// test RunModel enumerates: every subset of the sites is one directive
-// assignment, so the enumeration is exponential in them. RunModel panics
-// on a wider test.
+// test RunModel and Reacher.Reaches search: each site's directive is
+// chosen on or off, so the search is exponential in them. Both panic on a
+// wider test.
 const MaxDirectiveSites = 12
 
-// DirectiveSite is one op an OEMU directive can target: a store it may
-// delay or a load it may version.
-type DirectiveSite struct {
-	Instr trace.InstrID
-	Store bool
-}
-
-// DirectiveSites lists the test's directive sites in thread and program
-// order; bit i of a directive mask selects site i.
-func DirectiveSites(test *Test) []DirectiveSite {
-	var sites []DirectiveSite
-	for ti, th := range test.Threads {
-		for oi, op := range th {
-			switch op.Kind {
-			case OpStore:
-				sites = append(sites, DirectiveSite{instrID(ti, oi), true})
-			case OpLoad:
-				sites = append(sites, DirectiveSite{instrID(ti, oi), false})
+// NumDirectiveSites counts the ops an OEMU directive can target: the
+// stores it may delay and the loads it may version.
+func NumDirectiveSites(test *Test) int {
+	n := 0
+	for _, th := range test.Threads {
+		for _, op := range th {
+			if op.Kind != OpBarrier {
+				n++
 			}
 		}
 	}
-	return sites
-}
-
-// enumerableSites returns the test's directive sites, panicking when they
-// exceed MaxDirectiveSites.
-func enumerableSites(test *Test) []DirectiveSite {
-	sites := DirectiveSites(test)
-	if len(sites) > MaxDirectiveSites {
-		panic("litmus test too large for exhaustive directive enumeration")
-	}
-	return sites
+	return n
 }
 
 // RunModel enumerates all interleavings x directive assignments under
 // the given memory model and returns the observable outcomes: the
-// emulator executes each with the model's semantics table active. The
-// search is exhaustive (exponential in program size — litmus tests are
-// tiny by design).
+// emulator executes each with the model's semantics table active. It is
+// Reacher's search with no targets, so every run completes and is
+// collected. The search is exhaustive (exponential in program size —
+// litmus tests are tiny by design).
 func RunModel(test *Test, mm *memmodel.Table) *Result {
-	// Enumerate directive assignments: a bit per delayable store and per
-	// versionable load.
-	sites := enumerableSites(test)
-	out, runs := NewOutcomeSet(), 0
-	x := newExecutor(test, mm)
-	for mask := 0; mask < 1<<len(sites); mask++ {
-		install := func(th *oemu.Thread) {
-			for bi, s := range sites {
-				if mask&(1<<bi) == 0 {
-					continue
-				}
-				if s.Store {
-					th.Dir.DelayStoreAt(s.Instr)
-				} else {
-					th.Dir.ReadOldValueAt(s.Instr)
-				}
-			}
-		}
-		enumerateInterleavings(test, func(order []int) {
-			out.Add(x.execute(order, install))
-			runs++
-		})
-	}
-	return &Result{Outcomes: out.Outcomes, Runs: runs}
+	var r Reacher
+	out := NewOutcomeSet()
+	r.search(test, mm, nil, out)
+	return &Result{Outcomes: out.Outcomes, Runs: r.runs}
 }
 
-// enumerateInterleavings generates every merge of the threads' op
-// sequences; order entries are thread indexes.
-func enumerateInterleavings(test *Test, visit func(order []int)) {
-	total := 0
-	for _, th := range test.Threads {
-		total += len(th)
+// Reacher answers reachability questions over the OEMU litmus executor:
+// whether some interleaving and directive assignment of a test ends with
+// given final registers. It searches depth first over one choice per
+// executed op: which thread runs next and, when that op is a store or a
+// load, whether its site is directed to delay or to version. OEMU reads a
+// site's directive only when the site executes, and every run starts
+// from a reset emulator with history tracking on, so a run up to position
+// p depends only on its first p choices: the search replays each run from
+// the start on one reused executor, and when a prefix can reach no
+// target it skips every run that shares it.
+//
+// A Reacher keeps its executor, choice path and register tables across
+// calls, so a caller asking about many variants of one test allocates
+// nothing per run once warm. The zero value is ready to use; a Reacher
+// must not be used by two goroutines at once.
+type Reacher struct {
+	x executor
+	// path holds the current run's choices, one per executed op; the
+	// runs that share path[:p] are searched together.
+	path []choice
+	// pc[t] counts thread t's ops among the choices executed so far.
+	pc []int
+	// writes[r] counts the loads into register r.
+	writes []int
+	// final lists the registers with exactly one writer. Such a register
+	// is final once its writer has executed, and a prefix whose final
+	// registers contradict every target is abandoned.
+	final []finalReg
+	// targets are the register vectors a goal-directed search looks for;
+	// a search with none completes every run and adds it to out.
+	targets [][]uint64
+	out     *OutcomeSet
+	// runs counts the runs executed to completion.
+	runs int
+}
+
+// choice is one step of a run: the thread whose next op executes, and
+// whether that op's site is directed (a store delayed, a load versioned).
+type choice struct {
+	thread    int
+	directive bool
+}
+
+// finalReg is a register with a single writer: the load at pos of thread.
+type finalReg struct {
+	reg, thread, pos int
+}
+
+// Reaches reports whether some interleaving and directive assignment of
+// test under mm ends with its registers equal to one of targets (each of
+// length test.NumRegs). It stops at the first such run, and abandons a
+// prefix as soon as its single-writer registers hold values no target
+// has; the answer equals asking whether RunModel's outcome set contains a
+// target.
+func (r *Reacher) Reaches(test *Test, mm *memmodel.Table, targets [][]uint64) bool {
+	if len(targets) == 0 {
+		return false
 	}
-	counts := make([]int, len(test.Threads))
-	order := make([]int, 0, total)
-	var rec func()
-	rec = func() {
-		if len(order) == total {
-			visit(order)
-			return
+	return r.search(test, mm, targets, nil)
+}
+
+// search runs the depth-first search over test's runs under mm, looking
+// for targets or, with none, adding every run's outcome to out. It
+// reports whether a target was reached.
+func (r *Reacher) search(test *Test, mm *memmodel.Table, targets [][]uint64, out *OutcomeSet) bool {
+	if NumDirectiveSites(test) > MaxDirectiveSites {
+		panic("litmus test too large for exhaustive directive enumeration")
+	}
+	total := r.prepare(test, mm, targets, out)
+	for {
+		// Replay path, then extend it with each position's first choice
+		// until the run completes or its prefix is abandoned.
+		r.x.reset()
+		clear(r.pc)
+		pos, pruned := 0, false
+		for ; pos < total; pos++ {
+			if pos == len(r.path) {
+				r.path = append(r.path, choice{thread: r.firstThread()})
+			}
+			c := r.path[pos]
+			oi := r.pc[c.thread]
+			r.pc[c.thread]++
+			r.x.exec(c.thread, oi, c.directive)
+			if r.targets != nil && r.contradicts(test.Threads[c.thread][oi]) {
+				pruned = true
+				break
+			}
 		}
-		for ti := range test.Threads {
-			if counts[ti] < len(test.Threads[ti]) {
-				counts[ti]++
-				order = append(order, ti)
-				rec()
-				order = order[:len(order)-1]
-				counts[ti]--
+		if !pruned {
+			r.runs++
+			regs := r.x.finish()
+			if r.targets == nil {
+				r.out.Add(regs)
+			} else if r.matches(regs) {
+				return true
+			}
+			pos = total - 1
+		}
+		// Undo choices from pos back to the deepest one with an untried
+		// alternative; the runs below it are next.
+		for ; pos >= 0; pos-- {
+			c := &r.path[pos]
+			r.pc[c.thread]--
+			if r.advance(c) {
+				break
+			}
+		}
+		if pos < 0 {
+			return false
+		}
+		r.path = r.path[:pos+1]
+	}
+}
+
+// prepare loads test into the executor and sizes the search tables for
+// it, reusing their storage, and returns the test's op count.
+func (r *Reacher) prepare(test *Test, mm *memmodel.Table, targets [][]uint64, out *OutcomeSet) int {
+	r.x.load(test, mm)
+	r.targets, r.out, r.runs = targets, out, 0
+	r.path = r.path[:0]
+	r.pc = slices.Grow(r.pc[:0], len(test.Threads))[:len(test.Threads)]
+	r.writes = slices.Grow(r.writes[:0], test.NumRegs)[:test.NumRegs]
+	clear(r.writes)
+	for _, ops := range test.Threads {
+		for _, op := range ops {
+			if op.Kind == OpLoad {
+				r.writes[op.Reg]++
 			}
 		}
 	}
-	rec()
+	r.final = r.final[:0]
+	for ti, ops := range test.Threads {
+		for pos, op := range ops {
+			if op.Kind == OpLoad && r.writes[op.Reg] == 1 {
+				r.final = append(r.final, finalReg{reg: op.Reg, thread: ti, pos: pos})
+			}
+		}
+	}
+	return test.NumOps()
 }
 
-// executor runs the interleavings of one enumeration on one memory, one
-// emulator and one thread slice, resetting them between runs instead of
-// building them anew.
+// firstThread is the first choice at a new position: the lowest thread
+// with ops left, undirected.
+func (r *Reacher) firstThread() int {
+	for t, ops := range r.x.test.Threads {
+		if r.pc[t] < len(ops) {
+			return t
+		}
+	}
+	panic("lkmm: no thread has ops left")
+}
+
+// advance moves c, whose position's prefix pc describes, to its next
+// alternative: the same thread with its site directed, then each later
+// thread with ops left. It reports false when c was the last.
+func (r *Reacher) advance(c *choice) bool {
+	threads := r.x.test.Threads
+	if !c.directive && threads[c.thread][r.pc[c.thread]].Kind != OpBarrier {
+		c.directive = true
+		return true
+	}
+	for t := c.thread + 1; t < len(threads); t++ {
+		if r.pc[t] < len(threads[t]) {
+			*c = choice{thread: t}
+			return true
+		}
+	}
+	return false
+}
+
+// contradicts reports, after op executed, whether it was the writer of a
+// single-writer register and every target now disagrees with one of the
+// final registers, so no run through the current prefix ends on a
+// target.
+func (r *Reacher) contradicts(op Op) bool {
+	if op.Kind != OpLoad || r.writes[op.Reg] != 1 {
+		return false
+	}
+	regs := r.x.regs
+next:
+	for _, tg := range r.targets {
+		for _, f := range r.final {
+			if r.pc[f.thread] > f.pos && regs[f.reg] != tg[f.reg] {
+				continue next
+			}
+		}
+		return false
+	}
+	return true
+}
+
+// matches reports whether regs equals one of the targets.
+func (r *Reacher) matches(regs []uint64) bool {
+	for _, tg := range r.targets {
+		if slices.Equal(regs, tg) {
+			return true
+		}
+	}
+	return false
+}
+
+// executor runs litmus ops on one memory, one emulator and one thread
+// slice, resetting them between runs instead of building them anew.
 type executor struct {
 	test    *Test
 	mm      *memmodel.Table
 	mem     *kmem.Memory
 	em      *oemu.OEMU
 	threads []*oemu.Thread
-	idx     []int
 	regs    []uint64
 }
 
-func newExecutor(test *Test, mm *memmodel.Table) *executor {
-	mem := kmem.New()
-	return &executor{
-		test:    test,
-		mm:      mm,
-		mem:     mem,
-		em:      oemu.NewModel(mem, mm),
-		threads: make([]*oemu.Thread, len(test.Threads)),
-		idx:     make([]int, len(test.Threads)),
-		regs:    make([]uint64, test.NumRegs),
+// load points the executor at test under mm, building its memory and
+// emulator on first use.
+func (x *executor) load(test *Test, mm *memmodel.Table) {
+	if x.mem == nil {
+		x.mem = kmem.New()
+		x.em = oemu.NewModel(x.mem, mm)
 	}
+	x.test, x.mm = test, mm
+	x.threads = slices.Grow(x.threads[:0], len(test.Threads))[:len(test.Threads)]
+	x.regs = slices.Grow(x.regs[:0], test.NumRegs)[:test.NumRegs]
 }
 
-// execute runs one interleaving under the executor's memory model with
-// install applied to every thread (its Table 2 directives) and returns
-// the final registers, valid until the next run. Store buffers drain at
-// thread exit (like a syscall return); registers are read after all
-// threads finish.
-func (x *executor) execute(order []int, install func(*oemu.Thread)) []uint64 {
-	// Reset turns sanitizing back on and the emulator back to LKMM.
+// reset starts a run: fresh memory, emulator and threads under the
+// executor's memory model, every register zero, no directive installed.
+func (x *executor) reset() {
+	// Reset turns sanitizing back on, history tracking on and the
+	// emulator back to LKMM.
 	x.mem.Reset()
 	x.mem.Sanitize = false
 	x.em.Reset()
 	x.em.SetModel(x.mm)
 	for i := range x.threads {
 		x.threads[i] = x.em.NewThread()
-		install(x.threads[i])
 	}
-	clear(x.idx)
 	clear(x.regs)
-	for _, ti := range order {
-		op := x.test.Threads[ti][x.idx[ti]]
-		site := instrID(ti, x.idx[ti])
-		x.idx[ti]++
-		th := x.threads[ti]
-		switch op.Kind {
-		case OpStore:
-			th.Store(site, locAddr(op.Loc), op.Val, op.Atomic)
-		case OpLoad:
-			x.regs[op.Reg] = th.Load(site, locAddr(op.Loc), op.Atomic)
-		case OpBarrier:
-			th.Barrier(op.Bar)
+}
+
+// exec executes op oi of thread ti. With directive set, the op's site is
+// first directed (Table 2): a store is delayed, a load versioned.
+func (x *executor) exec(ti, oi int, directive bool) {
+	op := x.test.Threads[ti][oi]
+	site := instrID(ti, oi)
+	th := x.threads[ti]
+	switch op.Kind {
+	case OpStore:
+		if directive {
+			th.Dir.DelayStoreAt(site)
 		}
+		th.Store(site, locAddr(op.Loc), op.Val, op.Atomic)
+	case OpLoad:
+		if directive {
+			th.Dir.ReadOldValueAt(site)
+		}
+		x.regs[op.Reg] = th.Load(site, locAddr(op.Loc), op.Atomic)
+	case OpBarrier:
+		th.Barrier(op.Bar)
 	}
+}
+
+// finish ends the run and returns its final registers, valid until the
+// next run. Store buffers drain at thread exit (like a syscall return);
+// registers are read after all threads finish.
+func (x *executor) finish() []uint64 {
 	for _, th := range x.threads {
 		th.Flush()
 	}

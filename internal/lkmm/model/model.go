@@ -335,7 +335,9 @@ type finalReg struct {
 // exhaustive and deterministic; litmus tests are tiny by design, so the
 // deduplicated state space is small.
 func RunModel(t *lkmm.Test, mm *memmodel.Table) *Result {
-	states := newStates(t, 2*numOps(t)+1)
+	// Every step retires one op, so the search is at most NumOps deep,
+	// with two successor slots per level plus the root.
+	states := newStates(t, 2*t.NumOps()+1)
 	m := &machine{
 		test:     t,
 		mm:       mm,
@@ -345,17 +347,6 @@ func RunModel(t *lkmm.Test, mm *memmodel.Table) *Result {
 	}
 	m.explore(&states[0], 0)
 	return &Result{Outcomes: m.outcomes.Outcomes, States: m.visited.len()}
-}
-
-// numOps counts the test's operations. Every step retires one op, so the
-// search is at most this deep, and needs two successor slots per level
-// plus the root.
-func numOps(t *lkmm.Test) int {
-	ops := 0
-	for _, th := range t.Threads {
-		ops += len(th)
-	}
-	return ops
 }
 
 // Reacher answers reachability questions over the same machine RunModel
@@ -402,7 +393,7 @@ func (r *Reacher) Reaches(t *lkmm.Test, mm *memmodel.Table, targets [][]uint64) 
 // storage when it fits and re-carving it when it does not.
 func (r *Reacher) prepare(t *lkmm.Test) *state {
 	r.histNext, r.sbNext, _ = storeCaps(t, r.histNext, r.sbNext)
-	need := 2*numOps(t) + 1
+	need := 2*t.NumOps() + 1
 	if len(r.states) < need || t.NumRegs != r.regs ||
 		!slices.Equal(r.histNext, r.histCap) || !slices.Equal(r.sbNext, r.sbCap) {
 		r.states = newStates(t, need)

@@ -9,11 +9,13 @@ import (
 	"ozz/internal/memmodel"
 )
 
-// TestReusedExecutorMatchesFresh checks the executor that recycles one
-// memory, emulator and thread slice across an enumeration's interleavings
-// against executions on freshly built ones: over the named suite plus 200
-// generated shapes, under every registered model, RunModel must return
-// the oracle's outcomes from as many runs.
+// TestReusedExecutorMatchesFresh checks RunModel — the depth-first search
+// that picks each directive bit when its site executes and replays every
+// run on one recycled memory, emulator and thread slice — against the
+// mask-major oracle, which fixes the directive mask before each run and
+// executes it on freshly built ones: over the named suite plus 200
+// generated shapes, under every registered model, RunModel must return the
+// oracle's outcomes from as many runs.
 func TestReusedExecutorMatchesFresh(t *testing.T) {
 	var tests []*lkmm.Test
 	for _, e := range lkmm.Suite() {

@@ -93,6 +93,64 @@ func TestReachesMatchesRunModel(t *testing.T) {
 	t.Logf("%d checks", checks)
 }
 
+// TestLitmusReachesMatchesRunModel checks the goal-directed OEMU closure
+// search against the OEMU enumerator it replaced: under lkmm, tso and
+// armv8, each outcome lkmm.RunModel returns is reachable on its own and an
+// all-99 register vector is not, over every suite shape, the two
+// hand-written register-sharing shapes and 2,000 generated shapes; and for
+// the named shapes, Reaches with the problem's buggy set as targets answers
+// whether RunModel meets that set on every single-fence candidate, as the
+// repair closure asks it. One Reacher serves every question.
+func TestLitmusReachesMatchesRunModel(t *testing.T) {
+	var r lkmm.Reacher
+	checks := 0
+	for _, name := range []string{"lkmm", "tso", "armv8"} {
+		mm, err := memmodel.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shapes := reachShapes(2000)
+		named := len(shapes) - 2000
+		for i, test := range shapes {
+			for o := range lkmm.RunModel(test, mm).Outcomes {
+				checks++
+				if !r.Reaches(test, mm, [][]uint64{o.Regs()}) {
+					t.Errorf("%s under %s: RunModel reaches %s, Reaches says no\n%s", test.Name, name, o, diff.Format(test))
+				}
+			}
+			if test.NumRegs > 0 {
+				checks++
+				none := make([]uint64, test.NumRegs)
+				for i := range none {
+					none[i] = 99
+				}
+				if r.Reaches(test, mm, [][]uint64{none}) {
+					t.Errorf("%s under %s: Reaches found the unreachable %v", test.Name, name, none)
+				}
+			}
+			if i >= named {
+				continue
+			}
+			p := newProblem(test, litmusLabels(test), Options{Model: mm}, -1)
+			buggy := p.buggySet(mm)
+			for _, f := range p.singleFences() {
+				v := applyFences(test, []Fence{f})
+				checks++
+				want := false
+				vres := lkmm.RunModel(v, mm)
+				for _, o := range buggy.outcomes {
+					want = want || vres.Has(o)
+				}
+				if got := r.Reaches(v, mm, buggy.regs); got != want {
+					t.Errorf("%s under %s: Reaches(buggy set %v) = %v, RunModel says %v\n%s",
+						test.Name, name, buggy.outcomes, got, want, diff.Format(v))
+				}
+			}
+		}
+	}
+	t.Logf("%d checks", checks)
+}
+
 // TestLegalityAllocsIndependentOfStates checks that a problem's legality
 // checks reuse its search storage: once the problem has made its first
 // check, a check allocates only the repaired test it builds, whether its

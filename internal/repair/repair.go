@@ -29,8 +29,9 @@
 //     reproducer is re-executed under the OOO strategy with the
 //     candidate's surviving reorder directives installed, across several
 //     seeds and directive subsets; the crash must not reproduce. For
-//     litmus inputs the OEMU-driven enumeration (lkmm.RunModel) plays the
-//     same role.
+//     litmus inputs OEMU plays the same role: lkmm.Reacher.Reaches
+//     searches the repaired test's interleavings and directive
+//     assignments for a run that still ends in a buggy outcome.
 //
 // Every validated suggestion is additionally probed under every registered
 // memory model and annotated per model: "fixes" (legal and closing),

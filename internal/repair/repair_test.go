@@ -148,7 +148,7 @@ func TestEnumerationDeterminism(t *testing.T) {
 
 // TestLegalityMemo runs the Litmus search over every suite shape with a
 // counting reference enumerator (buggy sets), a counting reachability
-// check (legality) and a counting OEMU litmus enumerator (closure): with
+// check (legality) and a counting OEMU litmus search (closure): with
 // the legality and litmus closure memos, no (test, model) pair may be
 // explored twice by any of them — across size classes, per-model reports,
 // or concurrent workers — and the result must deep-equal both Litmus and
@@ -174,11 +174,11 @@ func TestLegalityMemo(t *testing.T) {
 				mu.Unlock()
 				return r.Reaches(test, mm, targets)
 			}
-			p.litmusRun = func(test *lkmm.Test, mm *memmodel.Table) *lkmm.Result {
+			p.litmusReach = func(r *lkmm.Reacher, test *lkmm.Test, mm *memmodel.Table, targets [][]uint64) bool {
 				mu.Lock()
 				closed[fmt.Sprintf("%s %v", mm.Name(), test.Threads)]++
 				mu.Unlock()
-				return lkmm.RunModel(test, mm)
+				return r.Reaches(test, mm, targets)
 			}
 			got := p.run(e.Test.Name, "litmus")
 			for k, n := range explored {
@@ -196,7 +196,7 @@ func TestLegalityMemo(t *testing.T) {
 			}
 			for k, n := range closed {
 				if n > 1 {
-					t.Errorf("%s (workers=%d): %d litmus closure enumerations of %s", e.Test.Name, workers, n, k)
+					t.Errorf("%s (workers=%d): %d litmus closure searches of %s", e.Test.Name, workers, n, k)
 				}
 			}
 			if want := Litmus(e.Test, opts); !reflect.DeepEqual(got, want) {

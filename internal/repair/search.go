@@ -1,7 +1,9 @@
 package repair
 
 import (
+	"cmp"
 	"encoding/binary"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -46,7 +48,7 @@ func (o Options) maxFences() int {
 
 // problem is one repair search over a litmus abstraction of the racing
 // pair: the test, per-op display labels, the primary model, and a closure
-// oracle (nil means OEMU litmus enumeration).
+// oracle (nil means the OEMU litmus search).
 type problem struct {
 	test    *lkmm.Test
 	labels  [][]string
@@ -56,7 +58,7 @@ type problem struct {
 	// abstraction, in vivo); -1 allows every thread (litmus mode).
 	restrict int
 	// closure overrides the closure oracle; nil falls back to the
-	// OEMU-driven litmus enumeration (litmusRun).
+	// OEMU-driven litmus search (litmusReach).
 	closure func(fences []Fence, mm *memmodel.Table) bool
 	// enumerate is the reference enumerator behind buggy sets
 	// (model.RunModel).
@@ -64,15 +66,16 @@ type problem struct {
 	// reach is the reference reachability check behind legality
 	// (model.Reacher.Reaches), asked with a validation worker's Reacher.
 	reach func(r *model.Reacher, t *lkmm.Test, mm *memmodel.Table, targets [][]uint64) bool
-	// litmusRun is the OEMU litmus enumerator behind the litmus closure
-	// (lkmm.RunModel).
-	litmusRun func(t *lkmm.Test, mm *memmodel.Table) *lkmm.Result
+	// litmusReach is the OEMU reachability check behind the litmus
+	// closure (lkmm.Reacher.Reaches), asked with a validation worker's
+	// Reacher.
+	litmusReach func(r *lkmm.Reacher, t *lkmm.Test, mm *memmodel.Table, targets [][]uint64) bool
 
-	// reachers holds one Reacher per validation worker, kept for the
-	// whole search: every candidate's repaired test has the unrepaired
-	// test's stores, loads, locations and registers, so a worker's
-	// storage fits them all.
-	reachers []model.Reacher
+	// searchers holds one validation worker's search storage each, kept
+	// for the whole search: every candidate's repaired test has the
+	// unrepaired test's stores, loads, locations and registers, so a
+	// worker's storage fits them all.
+	searchers []searchers
 
 	mu    sync.Mutex
 	buggy map[string]*buggyOutcomes
@@ -85,6 +88,13 @@ type problem struct {
 	// per-model reports reuse the closure validate just passed. The
 	// in-vivo closure is never memoized. nil disables the memo.
 	litmusClosed map[legalKey]*legalVerdict
+}
+
+// searchers is one validation worker's storage: the reference model's
+// Reacher for legality and the OEMU litmus Reacher for closure.
+type searchers struct {
+	legal   model.Reacher
+	closure lkmm.Reacher
 }
 
 // buggyOutcomes is the buggy set under one model, rendered and as the
@@ -102,7 +112,7 @@ type legalKey struct {
 }
 
 // legalVerdict is one memoized verdict. once makes concurrent validation
-// workers that need the same verdict share one enumeration.
+// workers that need the same verdict share one check.
 type legalVerdict struct {
 	once sync.Once
 	ok   bool
@@ -117,7 +127,7 @@ func newProblem(test *lkmm.Test, labels [][]string, opts Options, restrict int) 
 		restrict:     restrict,
 		enumerate:    model.RunModel,
 		reach:        (*model.Reacher).Reaches,
-		litmusRun:    lkmm.RunModel,
+		litmusReach:  (*lkmm.Reacher).Reaches,
 		buggy:        map[string]*buggyOutcomes{},
 		legality:     map[legalKey]*legalVerdict{},
 		litmusClosed: map[legalKey]*legalVerdict{},
@@ -245,43 +255,46 @@ func combinations(singles []Fence, k int) [][]Fence {
 }
 
 // applyFences builds the repaired litmus test: barriers spliced into their
-// gaps, strengthened ops re-annotated.
+// gaps (several in one gap in ascending kind order), strengthened ops
+// re-annotated. Candidates hold a handful of fences, so each gap and op
+// scans them all instead of indexing them; every thread's ops share one
+// array.
 func applyFences(t *lkmm.Test, fences []Fence) *lkmm.Test {
+	inserts := 0
+	for _, f := range fences {
+		if f.Action == ActionInsert {
+			inserts++
+		}
+	}
+	all := make([]lkmm.Op, 0, t.NumOps()+inserts)
 	nt := &lkmm.Test{
 		Name:    t.Name + "+fix",
+		Threads: make([][]lkmm.Op, len(t.Threads)),
 		NumLocs: t.NumLocs,
 		NumRegs: t.NumRegs,
 	}
 	for ti, ops := range t.Threads {
-		inserts := map[int][]trace.BarrierKind{}
-		strengthen := map[int]trace.Atomicity{}
-		for _, f := range fences {
-			if f.thread != ti {
-				continue
-			}
-			if f.Action == ActionInsert {
-				inserts[f.pos] = append(inserts[f.pos], f.bar)
-			} else {
-				strengthen[f.pos] = f.atom
-			}
-		}
-		for _, ks := range inserts {
-			sort.Slice(ks, func(a, b int) bool { return ks[a] < ks[b] })
-		}
-		nops := make([]lkmm.Op, 0, len(ops)+len(fences))
+		start := len(all)
 		for i := 0; i <= len(ops); i++ {
-			for _, bk := range inserts[i] {
-				nops = append(nops, lkmm.Op{Kind: lkmm.OpBarrier, Bar: bk})
-			}
-			if i < len(ops) {
-				op := ops[i]
-				if a, ok := strengthen[i]; ok {
-					op.Atomic = a
+			gap := len(all)
+			for _, f := range fences {
+				if f.Action == ActionInsert && f.thread == ti && f.pos == i {
+					all = append(all, lkmm.Op{Kind: lkmm.OpBarrier, Bar: f.bar})
 				}
-				nops = append(nops, op)
 			}
+			slices.SortFunc(all[gap:], func(a, b lkmm.Op) int { return cmp.Compare(a.Bar, b.Bar) })
+			if i == len(ops) {
+				break
+			}
+			op := ops[i]
+			for _, f := range fences {
+				if f.Action == ActionStrengthen && f.thread == ti && f.pos == i {
+					op.Atomic = f.atom
+				}
+			}
+			all = append(all, op)
 		}
-		nt.Threads = append(nt.Threads, nops)
+		nt.Threads[ti] = all[start:len(all):len(all)]
 	}
 	return nt
 }
@@ -341,31 +354,28 @@ func (p *problem) checkLegal(r *model.Reacher, fences []Fence, mm *memmodel.Tabl
 
 // closes reports whether the candidate closes the bug under mm in the
 // live layer: the injected in-vivo oracle when present, otherwise the
-// OEMU-driven litmus enumeration of the repaired test. Only the litmus
-// closure, a pure function of (fence set, model), is memoized: the
+// OEMU-driven litmus search of the repaired test, run with r. Only the
+// litmus closure, a pure function of (fence set, model), is memoized: the
 // in-vivo oracle runs the engine, and its runs are counted, so it
 // executes exactly the runs an unmemoized search would.
-func (p *problem) closes(fences []Fence, mm *memmodel.Table) bool {
+func (p *problem) closes(r *lkmm.Reacher, fences []Fence, mm *memmodel.Table) bool {
 	if p.closure != nil {
 		return p.closure(fences, mm)
 	}
-	return p.memo(p.litmusClosed, fences, mm, p.litmusCloses)
+	return p.memo(p.litmusClosed, fences, mm, func(fences []Fence, mm *memmodel.Table) bool {
+		return p.litmusCloses(r, fences, mm)
+	})
 }
 
-// litmusCloses runs the OEMU litmus enumeration over the repaired test.
-func (p *problem) litmusCloses(fences []Fence, mm *memmodel.Table) bool {
+// litmusCloses asks OEMU whether some run of the repaired test still ends
+// in a buggy outcome; the search stops at the first one.
+func (p *problem) litmusCloses(r *lkmm.Reacher, fences []Fence, mm *memmodel.Table) bool {
 	repaired := applyFences(p.test, fences)
-	if len(lkmm.DirectiveSites(repaired)) > lkmm.MaxDirectiveSites {
-		// Too wide for the OEMU enumeration: rely on legality alone.
+	if lkmm.NumDirectiveSites(repaired) > lkmm.MaxDirectiveSites {
+		// Too wide for the OEMU search: rely on legality alone.
 		return true
 	}
-	res := p.litmusRun(repaired, mm)
-	for _, o := range p.buggySet(mm).outcomes {
-		if res.Has(o) {
-			return false
-		}
-	}
-	return true
+	return !p.litmusReach(r, repaired, mm, p.buggySet(mm).regs)
 }
 
 // Candidate verdict codes.
@@ -383,9 +393,9 @@ type verdict struct {
 
 // validate runs the full check chain on one candidate: minimality (every
 // strict sub-candidate must be illegal under the primary model), legality,
-// closure, and finally the per-registered-model probe. r is the calling
-// worker's Reacher.
-func (p *problem) validate(r *model.Reacher, fences []Fence) verdict {
+// closure, and finally the per-registered-model probe. w is the calling
+// worker's search storage.
+func (p *problem) validate(w *searchers, fences []Fence) verdict {
 	if len(fences) > 1 {
 		sub := make([]Fence, 0, len(fences)-1)
 		for drop := range fences {
@@ -395,30 +405,30 @@ func (p *problem) validate(r *model.Reacher, fences []Fence) verdict {
 					sub = append(sub, f)
 				}
 			}
-			if p.legal(r, sub, p.primary) {
+			if p.legal(&w.legal, sub, p.primary) {
 				return verdict{status: vNonMinimal}
 			}
 		}
 	}
-	if !p.legal(r, fences, p.primary) {
+	if !p.legal(&w.legal, fences, p.primary) {
 		return verdict{status: vIllegal}
 	}
-	if !p.closes(fences, p.primary) {
+	if !p.closes(&w.closure, fences, p.primary) {
 		return verdict{status: vUnclosed}
 	}
-	return verdict{status: vOK, models: p.modelReports(r, fences)}
+	return verdict{status: vOK, models: p.modelReports(w, fences)}
 }
 
 // modelReports probes the validated candidate under every registered
 // memory model.
-func (p *problem) modelReports(r *model.Reacher, fences []Fence) []ModelReport {
+func (p *problem) modelReports(w *searchers, fences []Fence) []ModelReport {
 	var out []ModelReport
 	for _, mm := range memmodel.All() {
 		status := StatusInsufficient
 		switch {
 		case len(p.buggySet(mm).outcomes) == 0:
 			status = StatusUnnecessary
-		case p.legal(r, fences, mm) && p.closes(fences, mm):
+		case p.legal(&w.legal, fences, mm) && p.closes(&w.closure, fences, mm):
 			status = StatusFixes
 		}
 		out = append(out, ModelReport{Model: mm.Name(), Status: status})
@@ -435,12 +445,12 @@ func (p *problem) validateAll(cands [][]Fence) []verdict {
 	if workers < 1 {
 		workers = 1
 	}
-	if n := workers - len(p.reachers); n > 0 {
-		p.reachers = append(p.reachers, make([]model.Reacher, n)...)
+	if n := workers - len(p.searchers); n > 0 {
+		p.searchers = append(p.searchers, make([]searchers, n)...)
 	}
 	if workers == 1 {
 		for i, c := range cands {
-			out[i] = p.validate(&p.reachers[0], c)
+			out[i] = p.validate(&p.searchers[0], c)
 		}
 		return out
 	}
@@ -448,16 +458,16 @@ func (p *problem) validateAll(cands [][]Fence) []verdict {
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(r *model.Reacher) {
+		go func(w *searchers) {
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= len(cands) {
 					return
 				}
-				out[i] = p.validate(r, cands[i])
+				out[i] = p.validate(w, cands[i])
 			}
-		}(&p.reachers[w])
+		}(&p.searchers[w])
 	}
 	wg.Wait()
 	return out
