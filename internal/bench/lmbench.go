@@ -37,6 +37,7 @@ func runTimed(k *kernel.Kernel, fn func(t *kernel.Task) time.Duration) time.Dura
 	task := k.NewTask(0)
 	var d time.Duration
 	s := sched.NewSession(sched.Sequential{})
+	defer s.Close()
 	s.Spawn(0, 0, func(st *sched.Task) {
 		task.Bind(st)
 		d = fn(task)
@@ -139,6 +140,7 @@ func workloads() []workload {
 			word := k.Mem.AllocZeroed(2)
 			var d time.Duration
 			s := sched.NewSession(alternate{})
+			defer s.Close()
 			body := func(task *kernel.Task, site trace.InstrID) func(*sched.Task) {
 				return func(st *sched.Task) {
 					task.Bind(st)

@@ -124,6 +124,7 @@ func MicroSchedYield(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	s := sched.NewSession(sched.Sequential{})
+	defer s.Close()
 	s.Spawn(1, 0, func(t *sched.Task) {
 		for i := 0; i < b.N; i++ {
 			t.Yield(1)
@@ -150,6 +151,7 @@ func MicroSchedSwitch(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	s := sched.NewSession(switchEvery{})
+	defer s.Close()
 	body := func(t *sched.Task) {
 		for i := 0; i < b.N/2; i++ {
 			t.Yield(1)
@@ -168,6 +170,7 @@ func MicroCombinatorDispatch(b *testing.B) {
 	bp := &sched.Breakpoint{FromTask: 0, Instr: 1 << 30, Pos: sched.PosBefore, ToTask: 1}
 	m := &sched.MigrateAt{Inner: bp, Task: 1, ToCPU: 0}
 	s := sched.NewSession(m)
+	defer s.Close()
 	s.Spawn(0, 0, func(h *sched.Task) {
 		b.ReportAllocs()
 		b.ResetTimer()

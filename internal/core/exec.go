@@ -24,11 +24,13 @@ import (
 // switches are active, driving the shared engine with OZZ's OOO strategy.
 // Every run is instrumented (OEMU on every access); the uninstrumented
 // kernel is the syzkaller baseline's (internal/baseline/inorder).
-// Every execution builds a fresh (or pool-recycled) kernel, so runs are
+// Every execution runs on a fresh or Reset kernel, so runs are
 // independent and deterministic. An Env is safe for concurrent use by
 // multiple executor goroutines once configured: the configuration fields
-// are read-only during execution, and the engine's kernel recycler is
-// internally synchronized.
+// are read-only during execution, and every run takes a kernel of its
+// own from the engine. A pool worker runs on its own copy of the Env,
+// bound to an engine worker that holds one kernel across the worker's
+// runs.
 type Env struct {
 	// Modules lists the loaded modules (empty = all registered).
 	Modules []string
@@ -47,6 +49,9 @@ type Env struct {
 	Strategy engine.Strategy
 
 	eng *engine.Engine
+	// w, when non-nil, runs every execution of this Env: a pool worker's
+	// copy sets it to the worker's engine worker.
+	w *engine.Worker
 }
 
 // NewEnv returns an instrumented environment over a fresh engine with a
@@ -98,7 +103,15 @@ func (e *Env) RunSTI(p *syzlang.Program) *STIResult {
 // fresh result): the result's CallEvents are views into prof, valid
 // until prof is next used, and out is valid until it is next used.
 func (e *Env) runSTI(p *syzlang.Program, prof *trace.Buffer, out *STIResult) *STIResult {
-	return e.eng.Run(e.config(), engine.OOO{}, engine.Request{Prog: p, Prof: prof, Out: out})
+	return e.run(e.config(), engine.OOO{}, engine.Request{Prog: p, Prof: prof, Out: out})
+}
+
+// run executes one request on the Env's engine worker, or on the engine.
+func (e *Env) run(cfg engine.Config, s engine.Strategy, req engine.Request) *engine.Result {
+	if e.w != nil {
+		return e.w.Run(cfg, s, req)
+	}
+	return e.eng.Run(cfg, s, req)
 }
 
 // mtiStrategy resolves the strategy MTI runs execute under.
@@ -115,7 +128,7 @@ func (e *Env) mtiStrategy() engine.Strategy {
 // hint's OEMU directives installed (Fig. 5), all under the environment's
 // strategy (default OOO).
 func (e *Env) RunMTI(o MTIOpts) *MTIResult {
-	return e.eng.Run(e.config(), e.mtiStrategy(), o)
+	return e.run(e.config(), e.mtiStrategy(), o)
 }
 
 // RunMTIUnder is RunMTI with the environment's memory model overridden
@@ -125,7 +138,7 @@ func (e *Env) RunMTI(o MTIOpts) *MTIResult {
 func (e *Env) RunMTIUnder(o MTIOpts, mm *memmodel.Table) *MTIResult {
 	cfg := e.config()
 	cfg.Model = mm
-	return e.eng.Run(cfg, e.mtiStrategy(), o)
+	return e.run(cfg, e.mtiStrategy(), o)
 }
 
 // PairName renders a concurrent pair for reports.

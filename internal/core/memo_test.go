@@ -92,7 +92,9 @@ func TestStepMemoReplayMatchesExecution(t *testing.T) {
 	p := NewPool(cfg, 2)
 	p.Run(256)
 	ref := withoutStepMemo(NewPool(cfg, 1))
-	var w worker
+	w := ref.newWorker(1)
+	w.open(ref)
+	defer w.eng.Close()
 	compared, rebased, full := 0, 0, 0
 	for _, prog := range p.CorpusPrograms() {
 		rec, ok := p.memo[prog.Key()]
@@ -102,7 +104,7 @@ func TestStepMemoReplayMatchesExecution(t *testing.T) {
 		var got jobResult
 		rec.replay(&got)
 		want := jobResult{prog: prog}
-		ref.runJob(&w, &want)
+		ref.runJob(w, &want)
 		if got.mtis != want.mtis || got.hints != want.hints || got.vacuous != want.vacuous || got.migrations != want.migrations {
 			t.Errorf("%s: replayed counts %+v, executed %+v", prog, got, want)
 		}

@@ -97,10 +97,36 @@ func observe(h *obs.Histogram, start time.Time) {
 	h.Observe(time.Since(start).Seconds())
 }
 
+// stageTallies are a pool worker's unpublished observations of the
+// stages it runs per step, flushed into the campaign's stage histograms
+// at batch barriers.
+type stageTallies struct {
+	profile, hints, mti, triage obs.HistogramTally
+}
+
+// newStageTallies returns empty stage tallies.
+func newStageTallies() stageTallies {
+	b := obs.DurationBuckets()
+	return stageTallies{
+		profile: obs.NewHistogramTally(b),
+		hints:   obs.NewHistogramTally(b),
+		mti:     obs.NewHistogramTally(b),
+		triage:  obs.NewHistogramTally(b),
+	}
+}
+
+// flush publishes the tallies into c's stage histograms.
+func (s *stageTallies) flush(c *campaignObs) {
+	s.profile.FlushTo(c.stProfile)
+	s.hints.FlushTo(c.stHints)
+	s.mti.FlushTo(c.stMTI)
+	s.triage.FlushTo(c.stTriage)
+}
+
 // observeRun records the duration of a stage that is one engine run, as
 // the engine measured it.
-func observeRun(h *obs.Histogram, res *engine.Result) {
-	h.Observe(res.Dur.Seconds())
+func observeRun(t *obs.HistogramTally, res *engine.Result) {
+	t.Observe(res.Dur.Seconds())
 }
 
 // reportOutcome tallies one report-set insertion attempt: added says

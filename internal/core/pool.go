@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"ozz/internal/engine"
 	"ozz/internal/hints"
 	"ozz/internal/kernel"
 	"ozz/internal/lazyrand"
@@ -170,9 +171,9 @@ func NewPool(cfg Config, workers int) *Pool {
 	return p
 }
 
-// Env exposes the shared execution environment (kernel recycler
-// included). Its fields must not change after the first Run: the step
-// memo replays outcomes recorded under the Env as it was then.
+// Env exposes the shared execution environment. Its fields must not
+// change after the first Run: the step memo replays outcomes recorded
+// under the Env as it was then, and each Run's workers copy it.
 func (p *Pool) Env() *Env { return p.env }
 
 // RepairResult returns the structured fence-repair search result for a
@@ -314,6 +315,14 @@ func (p *Pool) planStep(idx uint64, res *jobResult, buf *syzlang.Program) {
 type worker struct {
 	// id tags the worker's event stream (1..Workers).
 	id int
+	// env is the pool's Env as of the current Run call, running every
+	// execution of the worker's steps on eng, which holds one engine
+	// runner from the worker's first run to the end of the call.
+	env Env
+	eng *engine.Worker
+	// stages tallies the worker's stage durations until the next batch
+	// barrier, where the coordinator flushes them with eng's metrics.
+	stages stageTallies
 	// mtiCov collects the current step's MTI edges.
 	mtiCov kernel.EdgeSet
 	// hints is the worker's hint-calculation memory. It owns the hints
@@ -346,8 +355,8 @@ func (p *Pool) runJob(w *worker, res *jobResult) {
 			return
 		}
 	}
-	sti := p.env.runSTI(res.prog, &w.prof, &w.sti)
-	observeRun(p.co.stProfile, sti)
+	sti := w.env.runSTI(res.prog, &w.prof, &w.sti)
+	observeRun(&w.stages.profile, sti)
 	res.stiCov = append(res.stiCov, sti.Cov...)
 	if sti.Crash != nil {
 		res.reports = append(res.reports, jobReport{r: &report.Report{
@@ -389,15 +398,15 @@ func (p *Pool) runPair(w *worker, res *jobResult, sti *STIResult, i, j int) {
 	}
 	hStart := time.Now()
 	hs := w.hints.CalculateModel(sti.CallEvents[i], sti.CallEvents[j], p.cfg.Model)
-	observe(p.co.stHints, hStart)
+	w.stages.hints.Observe(time.Since(hStart).Seconds())
 	res.hints += uint32(len(hs))
 	// CalculateModel sorts the hints most-reordered first (§4.3).
 	if len(hs) > maxHintsPerPair {
 		hs = hs[:maxHintsPerPair]
 	}
 	for rank, h := range hs {
-		mres := p.env.RunMTI(MTIOpts{Prog: res.prog, I: i, J: j, Hint: h, Out: &w.mti})
-		observeRun(p.co.stMTI, mres)
+		mres := w.env.RunMTI(MTIOpts{Prog: res.prog, I: i, J: j, Hint: h, Out: &w.mti})
+		observeRun(&w.stages.mti, mres)
 		res.mtis++
 		res.migrations += uint32(mres.Migrations)
 		if !mres.Fired {
@@ -421,13 +430,13 @@ func (p *Pool) harvestJob(w *worker, res *jobResult, events [][]trace.Event, i, 
 		// interleaving race, not an OOO bug.
 		ooo := !mres.PrefixCrash
 		if ooo {
-			rerun := p.env.RunMTI(MTIOpts{Prog: prog, I: i, J: j, Hint: h, NoReorder: true, Out: &w.triage})
-			observeRun(p.co.stTriage, rerun)
+			rerun := w.env.RunMTI(MTIOpts{Prog: prog, I: i, J: j, Hint: h, NoReorder: true, Out: &w.triage})
+			observeRun(&w.stages.triage, rerun)
 			ooo = rerun.Crash == nil || rerun.Crash.Title != c.Title
 		}
 		if ooo {
 			title := c.Title
-			p.addOOOReport(res, title, c.Oracle, prog, events, i, j, h, rank, false, func(pr *MTIResult) bool {
+			p.addOOOReport(w, res, title, c.Oracle, prog, events, i, j, h, rank, false, func(pr *MTIResult) bool {
 				return pr.Crash != nil && pr.Crash.Title == title
 			})
 		} else {
@@ -435,7 +444,7 @@ func (p *Pool) harvestJob(w *worker, res *jobResult, events [][]trace.Event, i, 
 		}
 	}
 	for _, s := range mres.Soft {
-		p.addOOOReport(res, s, "semantic", prog, events, i, j, h, rank, true, func(pr *MTIResult) bool {
+		p.addOOOReport(w, res, s, "semantic", prog, events, i, j, h, rank, true, func(pr *MTIResult) bool {
 			return slices.Contains(pr.Soft, s)
 		})
 	}
@@ -450,7 +459,7 @@ func (p *Pool) harvestJob(w *worker, res *jobResult, events [][]trace.Event, i, 
 // with the rest of the batch and Models is set before the report is
 // published. In-batch duplicates probe and search redundantly but
 // deterministically, and only the merge-ordered first instance survives.
-func (p *Pool) addOOOReport(res *jobResult, title, oracle string, prog *syzlang.Program, events [][]trace.Event, i, j int, h *hints.Hint, rank int, soft bool, reproduced func(*MTIResult) bool) {
+func (p *Pool) addOOOReport(w *worker, res *jobResult, title, oracle string, prog *syzlang.Program, events [][]trace.Event, i, j int, h *hints.Hint, rank int, soft bool, reproduced func(*MTIResult) bool) {
 	if p.Reports.Get(title) != nil {
 		res.reports = append(res.reports, jobReport{r: &report.Report{Title: title, OOO: true}, rebaseTests: true})
 		return
@@ -471,8 +480,8 @@ func (p *Pool) addOOOReport(res *jobResult, title, oracle string, prog *syzlang.
 		}
 	}
 	jr := jobReport{r: r, rebaseTests: true}
-	r.Models = probeModels(p.env, p.cfg.Model, prog, i, j, h, reproduced)
-	if jr.repair = repairFinding(p.env, &p.cfg, p.co, prog, events, i, j, h, title, soft); jr.repair != nil {
+	r.Models = probeModels(&w.env, p.cfg.Model, prog, i, j, h, reproduced)
+	if jr.repair = repairFinding(&w.env, &p.cfg, p.co, prog, events, i, j, h, title, soft); jr.repair != nil {
 		r.SuggestedFix = jr.repair.Lines()
 	}
 	res.reports = append(res.reports, jr)
@@ -632,7 +641,10 @@ func (p *Pool) RunUntil(title string, maxSteps int) *report.Report {
 // first, so every woken worker runs at least one step; after that,
 // workers claim the remaining steps through an atomic counter and write
 // each step's result into its slot of results. The coordinator waits for
-// the whole batch, then merges the results in step order.
+// the whole batch, flushes the workers' run metrics into the registry,
+// then merges the results in step order, so when run returns, the last
+// batch's metrics are published. Each worker's engine runner goes back
+// to the idle list then.
 func (p *Pool) run(steps int, deadline time.Time, until string) []*report.Report {
 	if steps == 0 {
 		return nil
@@ -650,7 +662,11 @@ func (p *Pool) run(steps int, deadline time.Time, until string) []*report.Report
 		exited  sync.WaitGroup
 	)
 	for len(p.ws) < p.Workers {
-		p.ws = append(p.ws, &worker{id: len(p.ws) + 1})
+		p.ws = append(p.ws, p.newWorker(len(p.ws)+1))
+	}
+	ws := p.ws[:p.Workers]
+	for _, w := range ws {
+		w.open(p)
 	}
 	wake := make([]chan struct{}, p.Workers)
 	for k := range wake {
@@ -665,7 +681,7 @@ func (p *Pool) run(steps int, deadline time.Time, until string) []*report.Report
 				}
 				pending.Done()
 			}
-		}(k, p.ws[k])
+		}(k, ws[k])
 	}
 
 	var found []*report.Report
@@ -696,6 +712,9 @@ func (p *Pool) run(steps int, deadline time.Time, until string) []*report.Report
 			wake[k] <- struct{}{}
 		}
 		pending.Wait()
+		for _, w := range ws {
+			w.flush(p.co)
+		}
 		// Merge in step-index order.
 		p.mu.Lock()
 		mStart := time.Now()
@@ -715,5 +734,27 @@ func (p *Pool) run(steps int, deadline time.Time, until string) []*report.Report
 		close(c)
 	}
 	exited.Wait()
+	for _, w := range ws {
+		w.eng.Close()
+	}
 	return found
+}
+
+// newWorker returns a worker with the given id, running on p's engine.
+func (p *Pool) newWorker(id int) *worker {
+	return &worker{id: id, eng: p.env.eng.Worker(), stages: newStageTallies()}
+}
+
+// open readies w for a run call on p: its Env is p's as it is now,
+// running on w's engine worker.
+func (w *worker) open(p *Pool) {
+	w.env = *p.env
+	w.env.w = w.eng
+}
+
+// flush publishes the worker's tallied run and stage metrics. The worker
+// must be parked.
+func (w *worker) flush(c *campaignObs) {
+	w.eng.Flush()
+	w.stages.flush(c)
 }

@@ -11,8 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"ozz/internal/hints"
-	"ozz/internal/memmodel"
 	"ozz/internal/modules"
 	"ozz/internal/obs"
 	"ozz/internal/report"
@@ -253,70 +251,6 @@ func TestPoolResumeKeepsWorkers(t *testing.T) {
 	compare("96 x Run(1)", fingerprintPool(newPool(2), ones...), want)
 }
 
-// TestRecycledKernelEquivalence verifies the kernel recycler and the
-// static module call tables: every module's seeds run on one Env, with
-// the module's switches off and on, each alone and behind a call of a
-// partner module (bpf registers a function, tls registers four and
-// allocates its proto tables at construction), so function-table slots
-// and kmem addresses shift between consecutive runs on a recycled
-// kernel. Each STI must deep-equal a fresh Env's, and each MTI of its
-// adjacent pairs, written into one reused result the way a pool worker's
-// are, must equal a fresh RunMTI result. With the switches off no seed
-// may crash: a module whose New skipped its kernel-side set-up would
-// call through a missing function pointer.
-func TestRecycledKernelEquivalence(t *testing.T) {
-	target := modules.Target()
-	env := NewEnv(nil, nil)
-	var mti MTIResult
-	runs := 0
-	for _, m := range modules.All() {
-		var switches []string
-		for _, b := range m.Bugs {
-			switches = append(switches, b.Switch)
-		}
-		for si, seed := range m.Seeds {
-			for _, bugs := range []modules.BugSet{nil, modules.Bugs(switches...)} {
-				for _, prefix := range []string{"", "bpf_sockmap_create()\n", "tls_socket()\n"} {
-					p, err := target.Parse(prefix + seed)
-					if err != nil {
-						t.Fatalf("%s seed %d: %v", m.Name, si, err)
-					}
-					name := fmt.Sprintf("%s seed %d, %d switches, prefix %q", m.Name, si, len(bugs), prefix)
-					env.Bugs = bugs
-					fresh := NewEnv(nil, bugs)
-					got, want := env.RunSTI(p), fresh.RunSTI(p)
-					runs++
-					if !reflect.DeepEqual(outcome(got), outcome(want)) {
-						t.Errorf("%s: recycled STI %+v, fresh %+v", name, got, want)
-						continue
-					}
-					if bugs == nil && got.Crash != nil {
-						t.Errorf("%s: crashed on the fixed kernel: %s", name, got.Crash.Title)
-					}
-					if got.Crash != nil {
-						continue
-					}
-					for i := 0; i+1 < len(p.Calls); i++ {
-						hs := hints.CalculateModel(got.CallEvents[i], got.CallEvents[i+1], memmodel.LKMM)
-						for _, h := range hs[:min(len(hs), 2)] {
-							o := MTIOpts{Prog: p, I: i, J: i + 1, Hint: h}
-							want := fresh.RunMTI(o)
-							o.Out = &mti
-							if got := env.RunMTI(o); !reflect.DeepEqual(normalized(got), normalized(want)) {
-								t.Errorf("%s, pair (%d, %d): reused MTI result %+v, fresh %+v", name, i, i+1, got, want)
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-	acquires := env.Obs().CounterVec("ozz_kernel_acquires_total", "", "source")
-	if recycled, built := acquires.With("recycled").Value(), acquires.With("built").Value(); recycled == 0 {
-		t.Fatalf("kernel pool never recycled over %d runs (built=%d)", runs, built)
-	}
-}
-
 // TestPoolsShareTarget: pools over the same module list share one
 // syzlang target, and two width-2 pools running at once on it (run this
 // under -race) each walk the campaign a lone pool walks.
@@ -349,25 +283,6 @@ func TestPoolsShareTarget(t *testing.T) {
 func outcome(r *STIResult) STIResult {
 	c := *r
 	c.Dur = 0
-	return c
-}
-
-// normalized returns the outcome of r with empty slices nil: a reused
-// result keeps empty, non-nil slices where a fresh one has none.
-func normalized(r *MTIResult) MTIResult {
-	c := outcome(r)
-	if len(c.CallEvents) == 0 {
-		c.CallEvents = nil
-	}
-	if len(c.Returns) == 0 {
-		c.Returns = nil
-	}
-	if len(c.Cov) == 0 {
-		c.Cov = nil
-	}
-	if len(c.Soft) == 0 {
-		c.Soft = nil
-	}
 	return c
 }
 
@@ -531,10 +446,19 @@ func TestBatchSpreadsWorkers(t *testing.T) {
 // repair bug ops and ozz-repro run one: two batches, each handed to the
 // single worker at once, on a fresh pool per op so every op runs the same
 // steps.
-func BenchmarkPoolRun(b *testing.B) {
+func BenchmarkPoolRun(b *testing.B) { benchPoolRun(b, 1) }
+
+// BenchmarkPoolRunWidth2 is BenchmarkPoolRun at width 2, the clean
+// workload's: two workers run steps at once, each on the engine runner it
+// holds, and the coordinator flushes their metric tallies at the batch
+// barriers.
+func BenchmarkPoolRunWidth2(b *testing.B) { benchPoolRun(b, 2) }
+
+// benchPoolRun runs a 64-step campaign per op at the given width.
+func benchPoolRun(b *testing.B, workers int) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		p := NewPool(Config{Seed: 1, UseSeeds: true}, 1)
+		p := NewPool(Config{Seed: 1, UseSeeds: true}, workers)
 		p.Run(64)
 		if st := p.Stats(); st.Steps != 64 {
 			b.Fatalf("ran %d steps, want 64", st.Steps)

@@ -1,12 +1,13 @@
 // Package engine owns the execution lifecycle every OZZ path shares:
-// kernel acquisition (recycled via Reset), module
-// building, task spawning under the deterministic scheduler,
-// panic-to-crash recovery, and result publication (coverage, soft
-// reports, return values, profiles). The paper evaluates one runtime
-// under four drivers — OZZ's OEMU executor (§4), the syzkaller and
-// interleaving baselines (§6.3.2), and KCSAN (§7) — and each driver is
-// expressed here as a Strategy plugged into the same engine, so the
-// build/run/recover/report loop exists exactly once.
+// kernel acquisition (recycled via Reset from one process-wide list of
+// idle runners), module building, task spawning under the deterministic
+// scheduler, panic-to-crash recovery, and result publication (coverage,
+// soft reports, return values, profiles, and per-run metrics tallied by
+// the runner and flushed into the registry in bulk). The paper
+// evaluates one runtime under four drivers — OZZ's OEMU executor (§4),
+// the syzkaller and interleaving baselines (§6.3.2), and KCSAN (§7) —
+// and each driver is expressed here as a Strategy plugged into the same
+// engine, so the build/run/recover/report loop exists exactly once.
 package engine
 
 import (
@@ -102,9 +103,13 @@ type Result struct {
 type buildFunc func(k *kernel.Kernel) modules.Instance
 
 // runner is one recyclable kernel together with the per-run state the
-// engine reuses alongside it.
+// engine reuses alongside it: the run's scratch, the scheduler sessions
+// and their carriers, and the tally of its runs' metrics.
 type runner struct {
 	k *kernel.Kernel
+	// ran reports whether the kernel has run before: a run then resets
+	// it first.
+	ran bool
 	// req and plan are the current run's request and pair plan.
 	// Strategies receive pointers to them, which would move per-run
 	// copies to the heap if they lived on the stack.
@@ -131,34 +136,141 @@ type runner struct {
 	// allocates nothing per run.
 	seqBody, prefixBody, suffixBody func(*sched.Task)
 	pairBody                        [2]func(*sched.Task)
+	// seq runs the sequential task (an STI, or a pair run's prefix and
+	// suffix) and pair the concurrent pair. The runner keeps both, with
+	// the carriers of their tasks, for its whole life.
+	seq, pair *sched.Session
+	// t tallies the metrics of the runner's runs until its holder
+	// flushes them into its engine's registry.
+	t tally
 }
 
 // newRunner returns a runner over a fresh kernel.
 func newRunner() *runner {
-	r := &runner{k: kernel.New()}
+	r := &runner{
+		k:    kernel.New(),
+		seq:  sched.NewSession(sched.Sequential{}),
+		pair: sched.NewSession(sched.Sequential{}),
+		t:    newTally(),
+	}
 	r.seqBody, r.prefixBody, r.suffixBody = r.sequential, r.prefix, r.suffix
 	r.pairBody = [2]func(*sched.Task){r.pairA, r.pairB}
 	return r
 }
 
-// Engine executes requests. It is safe for concurrent use: the kernel
-// recycler is internally synchronized, and every run works on its own
-// kernel. One Engine instance amortizes kernel construction across all
-// runs sharing it: every kernel has kernel.NrCPU CPUs, so any idle one
-// serves any run.
-type Engine struct {
-	// idle holds the runners no run is using, for the next acquire to
-	// recycle: Reset on a used kernel is much cheaper than rebuilding
-	// memory pages, emulator maps, and allocator state from scratch. An
-	// engine keeps as many runners as it ever ran at once, for its whole
-	// life, so live heap does not depend on when the collector runs.
-	mu   sync.Mutex
-	idle []*runner
+// idle holds the process's runners that no run is using, most recently
+// released last. Any engine recycles any of them: every kernel has
+// kernel.NrCPU CPUs, Reset restores every observable property, and a run
+// applies its own model, instrumentation, sanitizers and bug switches.
+// Reset on a used kernel is much cheaper than rebuilding memory pages,
+// emulator maps, and allocator state from scratch, and the runner's
+// sessions keep their carriers, so short-lived engines reuse what earlier
+// ones built. The list keeps as many runners as the process ever ran at
+// once, for its whole life, so live heap does not depend on when the
+// collector runs.
+var idle struct {
+	mu sync.Mutex
+	r  []*runner
+}
 
+// takeRunner returns the most recently released idle runner, or a new
+// one.
+func takeRunner() *runner {
+	idle.mu.Lock()
+	var r *runner
+	if n := len(idle.r); n > 0 {
+		r = idle.r[n-1]
+		idle.r[n-1] = nil
+		idle.r = idle.r[:n-1]
+	}
+	idle.mu.Unlock()
+	if r == nil {
+		r = newRunner()
+	}
+	return r
+}
+
+// putRunner returns a runner whose metrics are flushed to the idle list.
+func putRunner(r *runner) {
+	idle.mu.Lock()
+	idle.r = append(idle.r, r)
+	idle.mu.Unlock()
+}
+
+// Engine executes requests. It is safe for concurrent use: every run
+// works on a runner of its own. Engines amortize kernel construction
+// across every run in the process: they recycle runners from one
+// process-wide idle list, and every kernel has kernel.NrCPU CPUs, so any
+// idle one serves any run of any engine.
+type Engine struct {
 	// m holds the engine's pre-resolved metric handles (see obs.go).
 	// Every lifecycle counter — kernel acquisitions, run outcomes,
 	// OEMU/scheduler activity — is registry-backed.
 	m *metrics
+}
+
+// Worker runs requests, one at a time, on a runner it holds from its
+// first run to Close: a recycled kernel, the scheduler sessions with
+// their carriers, and the tally of the runs' metrics. Its runs take no
+// lock and write nothing another goroutine shares; Flush publishes the
+// tallied metrics into the engine's registry. A campaign worker holds one
+// for a whole campaign call and flushes it at batch barriers. Engine.Run
+// is one run on a Worker of its own, then Close. A Worker is for one
+// goroutine at a time.
+type Worker struct {
+	e *Engine
+	r *runner
+	// busy marks a run in progress: a run nested inside it takes a
+	// runner of its own.
+	busy bool
+}
+
+// Worker returns a worker running requests on e. It takes a runner at
+// its first run.
+func (e *Engine) Worker() *Worker { return &Worker{e: e} }
+
+// Run executes one request under the strategy on the worker's runner.
+// The config is normalized (defaults resolved) before use. Its metrics
+// reach the registry at the next Flush or Close.
+func (w *Worker) Run(cfg Config, s Strategy, req Request) *Result {
+	return w.run(cfg, s, req, nil)
+}
+
+// run is Run with an injectable module builder (white-box tests).
+func (w *Worker) run(cfg Config, s Strategy, req Request, build buildFunc) *Result {
+	if w.busy {
+		return w.e.run(cfg, s, req, build)
+	}
+	cfg.normalize()
+	// A run reads the clock three times: here, once acquire has a kernel,
+	// and after execution.
+	start := time.Now()
+	if w.r == nil {
+		w.r = takeRunner()
+	}
+	w.busy = true
+	res := w.r.run(&cfg, s, req, build, start)
+	w.busy = false
+	return res
+}
+
+// Flush publishes the metrics of the worker's runs since the last flush
+// into its engine's registry.
+func (w *Worker) Flush() {
+	if w.r != nil {
+		w.r.t.flush(w.e.m)
+	}
+}
+
+// Close flushes the worker's metrics and returns its runner to the
+// process's idle list. The worker may run again afterwards, on a runner
+// it takes then. A runner whose run panicked is dropped, not recycled.
+func (w *Worker) Close() {
+	w.Flush()
+	if w.r != nil && !w.busy {
+		putRunner(w.r)
+	}
+	w.r, w.busy = nil, false
 }
 
 // NewObs returns an engine publishing its lifecycle metrics into reg
@@ -175,19 +287,25 @@ func NewObs(reg *obs.Registry) *Engine {
 // Obs returns the registry this engine publishes into.
 func (e *Engine) Obs() *obs.Registry { return e.m.reg }
 
-// Run executes one request under the strategy. The config is normalized
-// (defaults resolved) before use.
+// Run executes one request under the strategy, on a runner it takes from
+// the idle list and puts back, and publishes the run's metrics before it
+// returns. The config is normalized (defaults resolved) before use.
 func (e *Engine) Run(cfg Config, s Strategy, req Request) *Result {
 	return e.run(cfg, s, req, nil)
 }
 
 // run is Run with an injectable module builder (white-box tests).
 func (e *Engine) run(cfg Config, s Strategy, req Request, build buildFunc) *Result {
-	cfg.normalize()
-	// A run reads the clock three times: here, once acquire has a kernel,
-	// and after execution.
-	start := time.Now()
-	r := e.acquire(&cfg, start)
+	w := Worker{e: e}
+	res := w.run(cfg, s, req, build)
+	w.Close()
+	return res
+}
+
+// run executes one request on the runner's kernel, from start on, and
+// tallies the run's metrics.
+func (r *runner) run(cfg *Config, s Strategy, req Request, build buildFunc, start time.Time) *Result {
+	r.acquire(cfg, start)
 	r.req = req
 	k := r.k
 	// The model must be installed before Attach (OOO's history-tracking
@@ -208,23 +326,23 @@ func (e *Engine) run(cfg Config, s Strategy, req Request, build buildFunc) *Resu
 		r.mods.Mods = append(r.mods.Mods[:0], &synthetic)
 		r.mods.Insts = append(r.mods.Insts[:0], build(k))
 	} else {
-		r.mods.Mods = moduleSubset(r.mods.Mods[:0], &cfg, req.Prog)
+		r.mods.Mods = moduleSubset(r.mods.Mods[:0], cfg, req.Prog)
 		r.mods.Build(k, cfg.Bugs)
 	}
 	s.Attach(k, &r.req)
 	r.res = newResult(req.Out)
 	pair := s.Pair(&r.req, &r.plan)
 	if pair {
-		e.runPair(r)
+		r.runPair()
 	} else {
-		e.runSequential(r)
+		r.runSequential()
 	}
 	res := r.res
 	res.Dur = time.Since(start)
-	// Publication is observation only: counters and wall-clock timings,
+	// Metrics are observation only: counters and wall-clock timings,
 	// never anything a deterministic execution depends on.
-	e.m.publishRun(s.Name(), pair, cfg.Model.Name(), res, k.Em.Counters())
-	e.release(r)
+	r.t.run(s.Name(), pair, cfg.Model.Name(), res, k.Em.Counters())
+	r.release()
 	return res
 }
 
@@ -286,51 +404,30 @@ calls:
 	return dst
 }
 
-// acquire returns a runner — an idle one when possible — whose
-// kernel has the config's feature switches applied. The kernel is
-// identical to a freshly-constructed one: Reset restores every observable
-// property (memory content, sanitizer state, emulator clock, site tables).
-// start is when the run began, which the acquisition latency counts from.
-func (e *Engine) acquire(cfg *Config, start time.Time) *runner {
-	r := e.idleRunner()
-	if r != nil {
+// acquire readies the runner's kernel for a run with the config's
+// feature switches applied: a kernel that ran before is Reset, which
+// makes it identical to a freshly-constructed one (memory content,
+// sanitizer state, emulator clock, site tables). start is when the run
+// began, which the acquisition latency counts from.
+func (r *runner) acquire(cfg *Config, start time.Time) {
+	if r.ran {
 		r.k.Reset()
-		e.m.kernelRecycled.Inc()
+		r.t.n.recycled++
 	} else {
-		r = newRunner()
-		e.m.kernelBuilt.Inc()
+		r.ran = true
+		r.t.n.built++
 	}
-	e.m.acquireDur.Observe(time.Since(start).Seconds())
+	r.t.acquireDur.Observe(time.Since(start).Seconds())
 	r.k.Instrumented = cfg.Instrumented
 	r.k.Sanitizers = true
-	return r
 }
 
-// release returns a runner to the recycler once an execution has finished
-// with it, dropping its references to the run's request, result and
-// module instances. Results share no kernel state that Reset mutates in
-// place: Cov and Soft are copies.
-func (e *Engine) release(r *runner) {
+// release drops the runner's references to a finished run's request,
+// result and module instances. Results share no kernel state that Reset
+// mutates in place: Cov and Soft are copies.
+func (r *runner) release() {
 	r.req, r.plan, r.res, r.prof = Request{}, PairPlan{}, nil, nil
 	clear(r.mods.Insts)
-	e.mu.Lock()
-	e.idle = append(e.idle, r)
-	e.mu.Unlock()
-}
-
-// idleRunner takes the most recently released idle runner, or returns
-// nil.
-func (e *Engine) idleRunner() *runner {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	n := len(e.idle)
-	if n == 0 {
-		return nil
-	}
-	r := e.idle[n-1]
-	e.idle[n-1] = nil
-	e.idle = e.idle[:n-1]
-	return r
 }
 
 // resolveArgs materializes a call's arguments, given earlier calls'
@@ -370,7 +467,7 @@ func execCall(t *kernel.Task, r *runner, slot int, ci int) {
 
 // runSequential executes the whole program on one task — the STI
 // profiling path and the syzkaller baseline.
-func (e *Engine) runSequential(r *runner) {
+func (r *runner) runSequential() {
 	k, res, n := r.k, r.res, len(r.req.Prog.Calls)
 	res.CallEvents = zeroed(res.CallEvents, n)
 	res.Returns = zeroed(res.Returns, n)
@@ -380,11 +477,11 @@ func (e *Engine) runSequential(r *runner) {
 	}
 	task := k.NewTask(0)
 	r.tasks[0] = task
-	session := sched.NewSession(sched.Sequential{})
+	session := r.seq
+	session.Reset(sched.Sequential{})
 	session.Spawn(0, 0, r.seqBody)
 	aborted := session.Run()
-	e.m.observeSession(session)
-	session.Release()
+	r.t.session(session)
 	// A crash leaves call ci's profile attached: keep what it recorded.
 	if task.Prof != nil {
 		res.CallEvents[r.ci] = r.prof.Since(r.start)
@@ -426,18 +523,18 @@ func (r *runner) sequential(st *sched.Task) {
 // before J (except I) run sequentially to build kernel state; then the
 // plan's two calls run concurrently on CPUs 1 and 2 under its policy
 // (Fig. 5).
-func (e *Engine) runPair(r *runner) {
+func (r *runner) runPair() {
 	k, res, plan := r.k, r.res, &r.plan
 	// Calls that have not run yet (call I during the prefix) read as 0.
 	r.returns = zeroed(r.returns, len(r.req.Prog.Calls))
 
 	// Stage 1: sequential prefix.
 	r.tasks[0] = k.NewTask(0)
-	prefix := sched.NewSession(sched.Sequential{})
+	prefix := r.seq
+	prefix.Reset(sched.Sequential{})
 	prefix.Spawn(0, 0, r.prefixBody)
 	aborted := prefix.Run()
-	e.m.observeSession(prefix)
-	prefix.Release()
+	r.t.session(prefix)
 	if aborted != nil {
 		classifyAbort(aborted, res)
 		res.PrefixCrash = true
@@ -452,25 +549,25 @@ func (e *Engine) runPair(r *runner) {
 	if plan.Arm != nil {
 		plan.Arm(&r.req, r.tasks[1], r.tasks[2])
 	}
-	session := sched.NewSession(plan.Policy)
+	session := r.pair
+	session.Reset(plan.Policy)
 	session.Spawn(1, 1, r.pairBody[0])
 	session.Spawn(2, 2, r.pairBody[1])
 	pairAborted := session.Run()
-	e.m.observeSession(session)
+	r.t.session(session)
 	classifyAbort(pairAborted, res)
 	if plan.Finish != nil {
 		plan.Finish(plan, res, r.tasks[1], r.tasks[2])
 	}
-	session.Release()
 
 	// Stage 3: sequential suffix (an MTI consists of the same call set as
 	// its STI; calls after the pair can carry bug-detecting assertions).
 	if plan.Suffix && res.Crash == nil && res.Deadlock == nil && r.req.J+1 < len(r.req.Prog.Calls) {
-		suffix := sched.NewSession(sched.Sequential{})
+		suffix := r.seq
+		suffix.Reset(sched.Sequential{})
 		suffix.Spawn(3, 0, r.suffixBody)
 		suffixAborted := suffix.Run()
-		e.m.observeSession(suffix)
-		suffix.Release()
+		r.t.session(suffix)
 		classifyAbort(suffixAborted, res)
 	}
 	res.Soft = append(res.Soft, k.Soft...)

@@ -101,7 +101,9 @@ func TestConfigNormalize(t *testing.T) {
 }
 
 // TestKernelRecycling: sequential runs reuse the idle kernel, and
-// ozz_kernel_acquires_total counts each acquisition by source.
+// ozz_kernel_acquires_total counts each acquisition by source. Engines
+// share the process's idle runners, so the first run may recycle a
+// kernel an earlier test's engine left idle: at most one is built.
 func TestKernelRecycling(t *testing.T) {
 	e := NewObs(nil)
 	m := newSynth(map[string]impl{
@@ -114,8 +116,8 @@ func TestKernelRecycling(t *testing.T) {
 		}
 	}
 	acquires := e.Obs().CounterVec("ozz_kernel_acquires_total", "", "source")
-	if recycled, built := acquires.With("recycled").Value(), acquires.With("built").Value(); built != 1 || recycled != 4 {
-		t.Fatalf("ozz_kernel_acquires_total = (recycled %d, built %d), want (4, 1)", recycled, built)
+	if recycled, built := acquires.With("recycled").Value(), acquires.With("built").Value(); recycled+built != 5 || built > 1 {
+		t.Fatalf("ozz_kernel_acquires_total = (recycled %d, built %d), want 5 acquisitions, at most 1 built", recycled, built)
 	}
 }
 

@@ -20,10 +20,10 @@ var shapeNames = []string{"sequential", "pair"}
 var flushCauses = []string{"smp_wmb", "smp_mb", "release", "interrupt", "syscall_exit"}
 
 // metrics is the engine's handle bundle into an obs.Registry: every
-// lifecycle metric, pre-resolved at construction so the run path does no
-// name lookups for built-in strategies and registered models. All handles
-// are per-engine unless the caller shares a registry across engines (then
-// counters are cumulative across them).
+// lifecycle metric, pre-resolved at construction so a tally's flush does
+// no name lookups for built-in strategies and registered models. All
+// handles are per-engine unless the caller shares a registry across
+// engines (then counters are cumulative across them).
 type metrics struct {
 	reg *obs.Registry
 
@@ -110,7 +110,7 @@ func newMetrics(reg *obs.Registry) *metrics {
 		"Real cross-CPU task migrations performed at the scheduling points of migration-sensitive hints (store buffers survive the move).")
 
 	acquires := reg.CounterVec("ozz_kernel_acquires_total",
-		"Kernel acquisitions by source: an idle kernel recycled (Reset) vs built fresh.", "source")
+		"Kernel acquisitions, one per run, by source: a kernel that ran before, idle in the process or held by the running worker, recycled (Reset) vs built fresh.", "source")
 	m.kernelRecycled = acquires.With("recycled")
 	m.kernelBuilt = acquires.With("built")
 	m.acquireDur = reg.Histogram("ozz_kernel_acquire_duration_seconds",
@@ -199,58 +199,180 @@ func (m *metrics) modelRun(name string) *obs.Counter {
 	return m.modelRuns.With(name)
 }
 
-// observeSession harvests a finished scheduler session's yield/preemption
-// tallies into the registry.
-func (m *metrics) observeSession(s *sched.Session) {
-	add(m.schedYields, s.Yields())
-	add(m.schedSwitches, s.Switches())
+// durationBuckets is the bucket layout of the engine's duration
+// histograms, which their tallies share.
+var durationBuckets = obs.DurationBuckets()
+
+// tally is a runner's unpublished run metrics: plain counts and local
+// histogram buckets, which flush adds into an engine's registry. A run
+// tallies with plain adds into memory its runner owns, so runs on
+// different cores share no cache line. All of a runner's runs between
+// two flushes belong to the engine it is flushed into: a Worker runs on
+// one engine, and a runner goes back to the idle list only once flushed.
+type tally struct {
+	// strategies and models hold one entry per strategy and memory
+	// model the runner ran, in first-run order.
+	strategies []strategyTally
+	models     []modelTally
+	acquireDur obs.HistogramTally
+	// n holds the scalar counts.
+	n runCounts
 }
 
-// publishRun records one finished execution: run/crash counters by
-// strategy and shape, MTI outcome counters, and the kernel's OEMU
-// activity tally for the run.
-func (m *metrics) publishRun(strategy string, pair bool, model string, res *Result, oc oemu.Counters) {
-	sm := m.strategy(strategy)
+// strategyTally is one strategy's share of a tally.
+type strategyTally struct {
+	name      string
+	runs      [2]uint64 // indexed like shapeNames
+	dur       obs.HistogramTally
+	crashes   uint64
+	deadlocks uint64
+}
+
+// modelTally counts the runs under one memory model.
+type modelTally struct {
+	name string
+	runs uint64
+}
+
+// runCounts are a tally's scalar counts.
+type runCounts struct {
+	prefixCrashes, mtiPairs, mtiFired, mtiReorders, migrations uint64
+	recycled, built                                            uint64
+	yields, switches                                           uint64
+	oemu                                                       oemu.Counters
+}
+
+// newTally returns an empty tally.
+func newTally() tally {
+	return tally{acquireDur: obs.NewHistogramTally(durationBuckets)}
+}
+
+// strategy returns the named strategy's tally, adding one for a name the
+// tally has not seen.
+func (t *tally) strategy(name string) *strategyTally {
+	for i := range t.strategies {
+		if t.strategies[i].name == name {
+			return &t.strategies[i]
+		}
+	}
+	t.strategies = append(t.strategies, strategyTally{name: name, dur: obs.NewHistogramTally(durationBuckets)})
+	return &t.strategies[len(t.strategies)-1]
+}
+
+// model returns the named model's run count, adding one for a name the
+// tally has not seen.
+func (t *tally) model(name string) *uint64 {
+	for i := range t.models {
+		if t.models[i].name == name {
+			return &t.models[i].runs
+		}
+	}
+	t.models = append(t.models, modelTally{name: name})
+	return &t.models[len(t.models)-1].runs
+}
+
+// session tallies a finished scheduler session's yields and preemptions.
+func (t *tally) session(s *sched.Session) {
+	t.n.yields += s.Yields()
+	t.n.switches += s.Switches()
+}
+
+// run tallies one finished execution: run/crash counters by strategy and
+// shape, MTI outcome counters, and the kernel's OEMU activity for the
+// run.
+func (t *tally) run(strategy string, pair bool, model string, res *Result, oc oemu.Counters) {
+	st := t.strategy(strategy)
 	shape := 0
 	if pair {
 		shape = 1
 	}
-	sm.runs[shape].Inc()
-	sm.dur.Observe(res.Dur.Seconds())
-	m.modelRun(model).Inc()
+	st.runs[shape]++
+	st.dur.Observe(res.Dur.Seconds())
+	*t.model(model)++
+	n := &t.n
 	if res.Crash != nil {
-		sm.crashes.Inc()
+		st.crashes++
 	}
 	if res.Deadlock != nil {
-		sm.deadlocks.Inc()
+		st.deadlocks++
 	}
 	if res.PrefixCrash {
-		m.prefixCrashes.Inc()
+		n.prefixCrashes++
 	}
 	if pair {
-		m.mtiPairs.Inc()
+		n.mtiPairs++
 		if res.Fired {
-			m.mtiFired.Inc()
+			n.mtiFired++
 		}
-		add(m.mtiReorders, uint64(res.Reordered))
-		add(m.schedMigrations, uint64(res.Migrations))
+		n.mtiReorders += uint64(res.Reordered)
+		n.migrations += uint64(res.Migrations)
 	}
-	add(m.oemuDelayed, oc.StoresDelayed)
-	add(m.oemuForwarded, oc.ForwardedLoads)
-	add(m.oemuVersioned, oc.VersionedLoads)
-	add(m.oemuCommitted, oc.StoresCommitted)
-	add(m.oemuWindow, oc.LoadWindowAdvances)
-	for i, v := range [5]uint64{oc.FlushSmpWmb, oc.FlushSmpMb, oc.FlushRelease, oc.FlushInterrupt, oc.FlushSyscall} {
-		add(m.oemuFlush[i], v)
-	}
-	add(m.oemuThreadRecycled, oc.ThreadsRecycled)
-	add(m.oemuThreadBuilt, oc.ThreadsBuilt)
-	add(m.oemuRingRecycled, oc.HistRingsRecycled)
-	add(m.oemuRingBuilt, oc.HistRingsBuilt)
+	o := &n.oemu
+	o.StoresDelayed += oc.StoresDelayed
+	o.ForwardedLoads += oc.ForwardedLoads
+	o.VersionedLoads += oc.VersionedLoads
+	o.StoresCommitted += oc.StoresCommitted
+	o.LoadWindowAdvances += oc.LoadWindowAdvances
+	o.FlushSmpWmb += oc.FlushSmpWmb
+	o.FlushSmpMb += oc.FlushSmpMb
+	o.FlushRelease += oc.FlushRelease
+	o.FlushInterrupt += oc.FlushInterrupt
+	o.FlushSyscall += oc.FlushSyscall
+	o.ThreadsRecycled += oc.ThreadsRecycled
+	o.ThreadsBuilt += oc.ThreadsBuilt
+	o.HistRingsRecycled += oc.HistRingsRecycled
+	o.HistRingsBuilt += oc.HistRingsBuilt
 }
 
-// add adds v to c, skipping the shared atomic write when v is 0, as most
-// of a run's tallies are.
+// flush adds the tally into m's registry and empties it. It is the only
+// way run metrics reach a registry.
+func (t *tally) flush(m *metrics) {
+	for i := range t.strategies {
+		st := &t.strategies[i]
+		if st.runs == [2]uint64{} {
+			continue
+		}
+		sm := m.strategy(st.name)
+		add(sm.runs[0], st.runs[0])
+		add(sm.runs[1], st.runs[1])
+		st.dur.FlushTo(sm.dur)
+		add(sm.crashes, st.crashes)
+		add(sm.deadlocks, st.deadlocks)
+		st.runs, st.crashes, st.deadlocks = [2]uint64{}, 0, 0
+	}
+	for i := range t.models {
+		mt := &t.models[i]
+		add(m.modelRun(mt.name), mt.runs)
+		mt.runs = 0
+	}
+	t.acquireDur.FlushTo(m.acquireDur)
+	n := &t.n
+	add(m.kernelRecycled, n.recycled)
+	add(m.kernelBuilt, n.built)
+	add(m.prefixCrashes, n.prefixCrashes)
+	add(m.mtiPairs, n.mtiPairs)
+	add(m.mtiFired, n.mtiFired)
+	add(m.mtiReorders, n.mtiReorders)
+	add(m.schedMigrations, n.migrations)
+	add(m.schedYields, n.yields)
+	add(m.schedSwitches, n.switches)
+	o := &n.oemu
+	add(m.oemuDelayed, o.StoresDelayed)
+	add(m.oemuForwarded, o.ForwardedLoads)
+	add(m.oemuVersioned, o.VersionedLoads)
+	add(m.oemuCommitted, o.StoresCommitted)
+	add(m.oemuWindow, o.LoadWindowAdvances)
+	for i, v := range [5]uint64{o.FlushSmpWmb, o.FlushSmpMb, o.FlushRelease, o.FlushInterrupt, o.FlushSyscall} {
+		add(m.oemuFlush[i], v)
+	}
+	add(m.oemuThreadRecycled, o.ThreadsRecycled)
+	add(m.oemuThreadBuilt, o.ThreadsBuilt)
+	add(m.oemuRingRecycled, o.HistRingsRecycled)
+	add(m.oemuRingBuilt, o.HistRingsBuilt)
+	*n = runCounts{}
+}
+
+// add adds v to c, skipping the shared atomic write when v is 0.
 func add(c *obs.Counter, v uint64) {
 	if v != 0 {
 		c.Add(v)

@@ -1,6 +1,7 @@
 // Package obs is the campaign observability layer: a dependency-free
 // metrics registry (atomic counters, gauges, and fixed-bucket latency
-// histograms with a Prometheus-style text exposition), a structured JSONL
+// histograms with a Prometheus-style text exposition, plus single-owner
+// histogram tallies that publish in bulk), a structured JSONL
 // campaign event log with per-worker ordering guarantees, and an HTTP
 // handler that serves the exposition next to net/http/pprof.
 //
@@ -119,6 +120,11 @@ func (h *Histogram) Observe(v float64) {
 	i := sort.SearchFloat64s(h.upper, v) // first bound >= v, i.e. v <= upper[i]
 	h.counts[i].Add(1)
 	h.count.Add(1)
+	h.addSum(v)
+}
+
+// addSum adds v to the sum of observed values.
+func (h *Histogram) addSum(v float64) {
 	for {
 		old := h.sumBits.Load()
 		next := mathFloat64bits(mathFloat64frombits(old) + v)
@@ -126,6 +132,54 @@ func (h *Histogram) Observe(v float64) {
 			return
 		}
 	}
+}
+
+// HistogramTally accumulates observations for a Histogram in plain
+// memory, for one goroutine to own: Observe costs no atomic operation,
+// and FlushTo publishes everything observed since the last flush at once.
+// Hot paths that observe per operation keep a tally and flush it at their
+// own boundaries; readers of the histogram see the observations from the
+// flush on.
+type HistogramTally struct {
+	// upper holds the bucket upper bounds, shared with the caller.
+	upper []float64
+	// counts has len(upper)+1 slots; the last is the +Inf bucket.
+	counts []uint64
+	sum    float64
+	count  uint64
+}
+
+// NewHistogramTally returns an empty tally for histograms with the given
+// bucket upper bounds. The tally keeps buckets, which must not change.
+func NewHistogramTally(buckets []float64) HistogramTally {
+	return HistogramTally{upper: buckets, counts: make([]uint64, len(buckets)+1)}
+}
+
+// Observe records one value.
+func (t *HistogramTally) Observe(v float64) {
+	t.counts[sort.SearchFloat64s(t.upper, v)]++
+	t.count++
+	t.sum += v
+}
+
+// FlushTo adds the tally's observations to h, which must have the
+// tally's bucket bounds, and empties the tally.
+func (t *HistogramTally) FlushTo(h *Histogram) {
+	if t.count == 0 {
+		return
+	}
+	if len(h.upper) != len(t.upper) {
+		panic(fmt.Sprintf("obs: flushing a %d-bucket tally into a %d-bucket histogram", len(t.upper), len(h.upper)))
+	}
+	for i, n := range t.counts {
+		if n != 0 {
+			h.counts[i].Add(n)
+			t.counts[i] = 0
+		}
+	}
+	h.count.Add(t.count)
+	h.addSum(t.sum)
+	t.count, t.sum = 0, 0
 }
 
 // Count returns the total number of observations.

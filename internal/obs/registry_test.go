@@ -182,6 +182,50 @@ func TestConcurrentIncrements(t *testing.T) {
 	}
 }
 
+// TestHistogramTallyFlush: observations tallied on several goroutines,
+// each into its own tally, and flushed in bulk leave the histogram with
+// the buckets and count that observing each value directly gives, and a
+// second flush adds nothing. A tally with other bucket bounds panics.
+func TestHistogramTallyFlush(t *testing.T) {
+	r := NewRegistry()
+	direct := r.Histogram("ozz_direct_seconds", "d", []float64{1, 2, 4})
+	bulk := r.Histogram("ozz_bulk_seconds", "b", []float64{1, 2, 4})
+	values := []float64{0.5, 1, 1.0001, 2, 3, 4, 4.5, math.Inf(1), -1}
+	for _, v := range values {
+		direct.Observe(v)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tally := NewHistogramTally([]float64{1, 2, 4})
+			for _, v := range values[g*3 : g*3+3] {
+				tally.Observe(v)
+			}
+			tally.FlushTo(bulk)
+			tally.FlushTo(bulk)
+		}()
+	}
+	wg.Wait()
+	for i := range direct.counts {
+		if got, want := bulk.counts[i].Load(), direct.counts[i].Load(); got != want {
+			t.Errorf("bucket %d = %d, want %d", i, got, want)
+		}
+	}
+	if bulk.Count() != direct.Count() {
+		t.Errorf("Count = %d, want %d", bulk.Count(), direct.Count())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("flushing into a histogram with other bounds did not panic")
+		}
+	}()
+	tally := NewHistogramTally([]float64{1, 2})
+	tally.Observe(1)
+	tally.FlushTo(bulk)
+}
+
 func TestNames(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("ozz_b_total", "b")

@@ -4,7 +4,6 @@ package sched
 
 import (
 	"iter"
-	"sync"
 	"sync/atomic"
 )
 
@@ -24,61 +23,23 @@ type carrier struct {
 	task *Task
 }
 
-// maxIdleCarriers bounds the idle carriers kept for reuse. A campaign needs
-// about as many as it runs tasks at once (a few per pool worker); carriers
-// released past the cap are stopped instead.
-const maxIdleCarriers = 64
+// carriersStarted counts carriers ever started; tests bound it to check
+// that sessions reuse their carriers.
+var carriersStarted atomic.Uint64
 
-var (
-	// freeCarriers holds idle carriers, most recent last. Any goroutine
-	// may resume a carrier it takes from here.
-	freeCarriers struct {
-		mu sync.Mutex
-		c  []*carrier
-	}
-	// carriersStarted counts carriers ever started; tests bound it to
-	// check that carriers are reused.
-	carriersStarted atomic.Uint64
-)
-
-// getCarrier returns an idle carrier, or a new one, set to run t.
-func getCarrier(t *Task) *carrier {
-	var c *carrier
-	freeCarriers.mu.Lock()
-	if n := len(freeCarriers.c); n > 0 {
-		c = freeCarriers.c[n-1]
-		freeCarriers.c = freeCarriers.c[:n-1]
-	}
-	freeCarriers.mu.Unlock()
-	if c == nil {
-		carriersStarted.Add(1)
-		c = new(carrier)
-		c.resume, c.stop = iter.Pull(func(yield func(struct{}) bool) {
-			c.yield = yield
-			for {
-				c.task.run()
-				if !yield(struct{}{}) {
-					return
-				}
+// newCarrier starts a carrier. It runs the task it is attached to each
+// time it is resumed at rest, until stopped.
+func newCarrier() *carrier {
+	carriersStarted.Add(1)
+	c := new(carrier)
+	c.resume, c.stop = iter.Pull(func(yield func(struct{}) bool) {
+		c.yield = yield
+		for {
+			c.task.run()
+			if !yield(struct{}{}) {
+				return
 			}
-		})
-	}
-	c.task = t
+		}
+	})
 	return c
-}
-
-// putCarrier returns a carrier whose task has finished to the idle list,
-// or stops it when the list is full. Only the driver that resumed it may
-// call this, after the resume returned.
-func putCarrier(c *carrier) {
-	c.task = nil
-	freeCarriers.mu.Lock()
-	if len(freeCarriers.c) < maxIdleCarriers {
-		freeCarriers.c = append(freeCarriers.c, c)
-		c = nil
-	}
-	freeCarriers.mu.Unlock()
-	if c != nil {
-		c.stop()
-	}
 }

@@ -8,18 +8,17 @@
 // memory-access reordering observable across an interleaving (§2.3).
 //
 // The scheduler is token-based: every task body runs on its own coroutine
-// (a carrier, reused across sessions), and Session.Run is a trampoline that
-// resumes the carrier of the task holding the run token. A task passes the
-// token by naming its successor and yielding back to Run, so all
-// simulated-kernel state is only ever touched by one goroutine at a time,
-// and a token pass is a direct coroutine switch rather than a trip through
-// the Go scheduler. Given the same policy and task bodies, execution is
-// fully deterministic.
+// (a carrier, which the session keeps for its later runs), and Session.Run
+// is a trampoline that resumes the carrier of the task holding the run
+// token. A task passes the token by naming its successor and yielding
+// back to Run, so all simulated-kernel state is only ever touched by one
+// goroutine at a time, and a token pass is a direct coroutine switch
+// rather than a trip through the Go scheduler. Given the same policy and
+// task bodies, execution is fully deterministic.
 package sched
 
 import (
 	"fmt"
-	"sync"
 
 	"ozz/internal/trace"
 )
@@ -68,6 +67,9 @@ type Task struct {
 	// carrier runs the body; attached when the task is first resumed and
 	// detached when it is done.
 	carrier *carrier
+	// slot is the index of the task's inline slot in its session, or -1
+	// for a task spawned past the slots.
+	slot int
 
 	// armed implements "switch after instruction X": when a breakpoint
 	// with PosAfter matches, the policy arms the task and the switch
@@ -75,11 +77,14 @@ type Task struct {
 	armedSwitch int // target task id, or -1
 }
 
-// Session runs one set of tasks to completion under a policy. A session
-// runs once; simulated-kernel state (memory, OEMU threads) persists outside
-// it, so an executor runs multiple sessions in sequence over the same
-// kernel (e.g. sequential prefix calls, then the concurrent pair). Release
-// hands a finished session back to NewSession's free list.
+// Session runs one set of tasks to completion under a policy.
+// Simulated-kernel state (memory, OEMU threads) persists outside it, so an
+// executor runs multiple sessions in sequence over the same kernel (e.g.
+// sequential prefix calls, then the concurrent pair). Reset readies a
+// finished session for another run, and the session keeps the carriers of
+// its task slots across runs until Close stops them. A session belongs to
+// one owner at a time (the engine's runners each keep theirs), so reusing
+// it takes no lock.
 type Session struct {
 	policy Policy
 	// seq and bp are the devirtualized fast paths for the two policies on
@@ -98,6 +103,9 @@ type Session struct {
 	tasks   []*Task
 	taskBuf [4]*Task
 	slots   [4]Task
+	// carriers holds the carriers of the task slots, started when a
+	// slot's task is first resumed and kept across Reset until Close.
+	carriers [4]*carrier
 
 	// cur holds the run token: the task Run resumes next.
 	cur      *Task
@@ -122,30 +130,20 @@ type Policy interface {
 	OnYield(cur *Task, instr trace.InstrID) (int, bool)
 }
 
-// maxFreeSessions bounds the free list: about the sessions a campaign has
-// in flight at once (one per pool worker), with room to spare.
-const maxFreeSessions = 64
-
-// freeSessions holds released sessions, most recent last.
-var freeSessions struct {
-	mu sync.Mutex
-	s  []*Session
+// NewSession returns a session with the given policy. Its owner closes it
+// once done with it, which stops the carriers it keeps.
+func NewSession(policy Policy) *Session {
+	s := new(Session)
+	s.Reset(policy)
+	return s
 }
 
-// NewSession returns a session with the given policy, reusing a released
-// one when the free list has any.
-func NewSession(policy Policy) *Session {
-	var s *Session
-	freeSessions.mu.Lock()
-	if n := len(freeSessions.s); n > 0 {
-		s = freeSessions.s[n-1]
-		freeSessions.s = freeSessions.s[:n-1]
-	}
-	freeSessions.mu.Unlock()
-	if s == nil {
-		s = new(Session)
-	}
-	s.policy = policy
+// Reset readies the session to run again under policy, with no tasks and
+// no trace of its previous run, keeping its slots' carriers. Call it only
+// once Run has returned (or when Run will never be called), after the
+// last read of the session or its tasks.
+func (s *Session) Reset(policy Policy) {
+	*s = Session{carriers: s.carriers, policy: policy}
 	s.tasks = s.taskBuf[:0]
 	switch p := policy.(type) {
 	case Sequential:
@@ -153,7 +151,18 @@ func NewSession(policy Policy) *Session {
 	case *Breakpoint:
 		s.bp = p
 	}
-	return s
+}
+
+// Close stops the carriers the session keeps. Call it only once Run has
+// returned (or when Run will never be called). A closed session may be
+// Reset and run again, which starts new carriers.
+func (s *Session) Close() {
+	for i, c := range s.carriers {
+		if c != nil {
+			c.stop()
+			s.carriers[i] = nil
+		}
+	}
 }
 
 // Spawn registers a task. Spawning is allowed both before Run and from a
@@ -164,12 +173,13 @@ func (s *Session) Spawn(id, cpu int, body func(*Task)) *Task {
 		panic(fmt.Sprintf("sched: duplicate task id %d", id))
 	}
 	var t *Task
-	if n := len(s.tasks); n < len(s.slots) {
-		t = &s.slots[n]
+	slot := len(s.tasks)
+	if slot < len(s.slots) {
+		t = &s.slots[slot]
 	} else {
-		t = new(Task)
+		t, slot = new(Task), -1
 	}
-	t.ID, t.CPU, t.session, t.body, t.armedSwitch = id, cpu, s, body, -1
+	t.ID, t.CPU, t.session, t.body, t.armedSwitch, t.slot = id, cpu, s, body, -1, slot
 	s.tasks = append(s.tasks, t)
 	return t
 }
@@ -223,28 +233,36 @@ func (s *Session) Run() any {
 		panic("sched: the policy's first task was never spawned")
 	}
 	for t := s.cur; t != nil; t = s.cur {
-		if t.carrier == nil {
-			t.carrier = getCarrier(t)
+		c := t.carrier
+		if c == nil {
+			c = s.attach(t)
 		}
-		t.carrier.resume()
+		c.resume()
 		if t.state == Done {
-			putCarrier(t.carrier)
 			t.carrier = nil
+			if t.slot < 0 {
+				c.stop()
+			}
 		}
 	}
 	return s.Aborted
 }
 
-// Release returns a session to NewSession's free list. Call it only once
-// Run has returned (or when Run will never be called), after the last read
-// of the session or its tasks; neither may be used afterwards.
-func (s *Session) Release() {
-	*s = Session{}
-	freeSessions.mu.Lock()
-	if len(freeSessions.s) < maxFreeSessions {
-		freeSessions.s = append(freeSessions.s, s)
+// attach gives t the carrier to run on: its slot's, started on first use
+// and kept for the session's later runs, or, for a task spawned past the
+// slots, one of its own, which Run stops once the task is done.
+func (s *Session) attach(t *Task) *carrier {
+	var c *carrier
+	if t.slot < 0 {
+		c = newCarrier()
+	} else {
+		if s.carriers[t.slot] == nil {
+			s.carriers[t.slot] = newCarrier()
+		}
+		c = s.carriers[t.slot]
 	}
-	freeSessions.mu.Unlock()
+	c.task, t.carrier = t, c
+	return c
 }
 
 // Yields returns the number of scheduling points hit (diagnostics).

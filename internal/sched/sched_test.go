@@ -289,33 +289,12 @@ func TestYieldCount(t *testing.T) {
 	}
 }
 
-// drainIdleCarriers stops every idle carrier, so goroutine counts see
-// only what sessions still own. Stopping a carrier ends its goroutine
-// before stop returns.
-func drainIdleCarriers() {
-	freeCarriers.mu.Lock()
-	idle := freeCarriers.c
-	freeCarriers.c = nil
-	freeCarriers.mu.Unlock()
-	for _, c := range idle {
-		c.stop()
-	}
-}
-
-// idleCarriers returns the number of carriers on the free list.
-func idleCarriers() int {
-	freeCarriers.mu.Lock()
-	defer freeCarriers.mu.Unlock()
-	return len(freeCarriers.c)
-}
-
 // TestNoGoroutineLeak: sessions must not leak goroutines — a fuzzer runs
 // millions of them. Both clean completions and aborted (crashing) sessions
-// must unwind every task's carrier. Idle carriers are reused rather than
-// leaked, so they are drained before each count.
+// must unwind every task's carrier, and closing a session stops the
+// carriers it keeps.
 func TestNoGoroutineLeak(t *testing.T) {
 	runtime.GC()
-	drainIdleCarriers()
 	before := runtime.NumGoroutine()
 	for i := 0; i < 200; i++ {
 		s := NewSession(Sequential{})
@@ -330,11 +309,11 @@ func TestNoGoroutineLeak(t *testing.T) {
 			})
 		}
 		s.Run()
+		s.Close()
 	}
 	// Let unwinding goroutines finish.
 	for try := 0; try < 100; try++ {
 		runtime.GC()
-		drainIdleCarriers()
 		if runtime.NumGoroutine() <= before+2 {
 			return
 		}
@@ -343,28 +322,31 @@ func TestNoGoroutineLeak(t *testing.T) {
 	t.Fatalf("goroutines leaked: %d before, %d after", before, runtime.NumGoroutine())
 }
 
-// TestCarriersBounded: over clean, crashing, deadlocking and oversized
-// sessions, the idle carrier list stays within its cap, carriers are reused
-// (carriers started stay within cap plus the tasks one session runs at
-// once), carriers released beyond the cap stop, and every session still
-// reports its own outcome.
+// TestCarriersBounded: one session, Reset for 200 clean, crashing,
+// deadlocking and oversized runs, reuses its slots' carriers (carriers
+// started stay within the slots plus the oversized runs' extra tasks),
+// stops the carriers of tasks past its slots once they are done, and
+// reports each run's own outcome; Close then stops the rest.
 func TestCarriersBounded(t *testing.T) {
-	drainIdleCarriers()
 	before := runtime.NumGoroutine()
 	started := carriersStarted.Load()
-	const wide = maxIdleCarriers + 16
+	s := new(Session)
+	const wide = 20
+	slots := uint64(len(s.slots))
+	extra := uint64(0)
 	for i := 0; i < 200; i++ {
-		s := NewSession(&Random{Seed: int64(i), Period: 2})
+		s.Reset(&Random{Seed: int64(i), Period: 2})
 		tasks, entered := 3, 0
 		if i%50 == 49 {
-			tasks = wide // more tasks than the idle set holds
+			tasks = wide // more tasks than the session has slots
+			extra += wide - slots
 		}
 		for id := 0; id < tasks; id++ {
 			id := id
 			s.Spawn(id, 0, func(h *Task) {
 				// A task takes a carrier when it first runs, so every task
 				// of the session waits here until all have one: the wide
-				// sessions then release more carriers than the list holds.
+				// runs then hold more carriers than the slots at once.
 				for entered++; entered < tasks; {
 					h.BlockSpin()
 				}
@@ -390,27 +372,28 @@ func TestCarriersBounded(t *testing.T) {
 		case i%3 == 0 && aborted != nil:
 			t.Fatalf("session %d: aborted = %v", i, aborted)
 		}
-		if n := idleCarriers(); n > maxIdleCarriers {
-			t.Fatalf("session %d: %d idle carriers, cap %d", i, n, maxIdleCarriers)
+		if n := runtime.NumGoroutine(); n > before+len(s.slots) {
+			t.Fatalf("session %d: %d goroutines, want at most the %d slot carriers over %d", i, n, len(s.slots), before)
 		}
 	}
-	if n := carriersStarted.Load() - started; n > maxIdleCarriers+wide {
-		t.Fatalf("started %d carriers for 200 sessions, want <= %d", n, maxIdleCarriers+wide)
+	if n := carriersStarted.Load() - started; n > slots+extra {
+		t.Fatalf("started %d carriers for 200 runs of one session, want <= %d", n, slots+extra)
 	}
-	for try := 0; runtime.NumGoroutine() > before+maxIdleCarriers+2; try++ {
+	s.Close()
+	for try := 0; runtime.NumGoroutine() > before; try++ {
 		if try == 100 {
-			t.Fatalf("%d goroutines left, want <= %d idle carriers over %d", runtime.NumGoroutine(), maxIdleCarriers, before)
+			t.Fatalf("%d goroutines left after Close, want %d", runtime.NumGoroutine(), before)
 		}
 		time.Sleep(time.Millisecond)
 	}
 }
 
-// switchingSession runs one two-task session that switches mid-body and,
-// in every fourth round, crashes; it returns an error describing any
-// wrong outcome, and the session, already released.
-func switchingSession(round int) (*Session, error) {
+// switchingSession resets s for one two-task run that switches mid-body
+// and, in every fourth round, crashes, runs it, and returns an error
+// describing any wrong outcome.
+func switchingSession(s *Session, round int) error {
 	var log []string
-	s := NewSession(&Breakpoint{FromTask: 0, Instr: 5, Pos: PosBefore, ToTask: 1})
+	s.Reset(&Breakpoint{FromTask: 0, Instr: 5, Pos: PosBefore, ToTask: 1})
 	s.Spawn(0, 0, func(h *Task) {
 		h.Yield(5) // switch to task 1
 		log = append(log, "a")
@@ -423,48 +406,40 @@ func switchingSession(round int) (*Session, error) {
 		}
 	})
 	aborted := s.Run()
-	s.Release()
 	want, wantAborted := "[b a]", any(nil)
 	if round%4 == 3 {
 		want, wantAborted = "[b]", "boom"
 	}
 	if aborted != wantAborted || fmt.Sprint(log) != want {
-		return s, fmt.Errorf("round %d: aborted %v, order %v; want %v, %s", round, aborted, log, wantAborted, want)
+		return fmt.Errorf("round %d: aborted %v, order %v; want %v, %s", round, aborted, log, wantAborted, want)
 	}
-	return s, nil
+	return nil
 }
 
-// TestSessionAcrossGoroutines: a session released on one goroutine comes
-// back from NewSession on another, and the carriers its tasks ran on are
-// resumed from there, mid-body switches and aborts included; then several
-// goroutines share the free lists at once. Run it under -race: the free
-// lists must order every access to a reused session, its tasks and their
-// carriers.
+// TestSessionAcrossGoroutines: a session run on one goroutine is reset
+// and run on another, and the carriers its tasks ran on are resumed from
+// there, mid-body switches and aborts included — an engine runner moves
+// between pool workers this way; then several goroutines run sessions of
+// their own at once. Run it under -race: handing a session over must
+// order every access to it, its tasks and their carriers.
 func TestSessionAcrossGoroutines(t *testing.T) {
-	drainIdleCarriers()
 	started := carriersStarted.Load()
-	var prev *Session
+	s := new(Session)
+	defer s.Close()
 	for i := 0; i < 20; i++ {
-		var (
-			s   *Session
-			err error
-		)
+		var err error
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
-			s, err = switchingSession(i)
+			err = switchingSession(s, i)
 		}()
 		<-done
 		if err != nil {
 			t.Fatal(err)
 		}
-		if prev != nil && s != prev {
-			t.Fatalf("round %d: NewSession did not reuse the session released on the previous goroutine", i)
-		}
-		prev = s
 	}
 	if n := carriersStarted.Load() - started; n > 2 {
-		t.Fatalf("started %d carriers for 20 two-task sessions on fresh goroutines, want <= 2", n)
+		t.Fatalf("started %d carriers for 20 two-task runs on fresh goroutines, want <= 2", n)
 	}
 
 	var wg sync.WaitGroup
@@ -472,8 +447,10 @@ func TestSessionAcrossGoroutines(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			s := new(Session)
+			defer s.Close()
 			for i := 0; i < 50; i++ {
-				if _, err := switchingSession(i); err != nil {
+				if err := switchingSession(s, i); err != nil {
 					t.Error(err)
 					return
 				}
@@ -600,30 +577,30 @@ func TestMidSessionSpawnScheduled(t *testing.T) {
 	}
 }
 
-// BenchmarkSessionRun measures one two-task sequential session, released
-// for reuse the way the engine releases it: the per-session cost every
-// STI profile and MTI prefix/suffix pays.
+// BenchmarkSessionRun measures one two-task sequential session, reset
+// for reuse the way an engine runner resets its own: the per-session cost
+// every STI profile and MTI prefix/suffix pays.
 func BenchmarkSessionRun(b *testing.B) {
 	body := func(h *Task) {
 		h.Yield(1)
 		h.Yield(2)
 	}
+	s := new(Session)
+	defer s.Close()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		s := NewSession(Sequential{})
+		s.Reset(Sequential{})
 		s.Spawn(0, 0, body)
 		s.Spawn(1, 1, body)
 		if aborted := s.Run(); aborted != nil {
 			b.Fatal(aborted)
 		}
-		s.Release()
 	}
 }
 
-// TestSessionReuseAfterAbort: a session released after a crashed or
-// deadlocked run comes back from NewSession with no trace of that run: no
-// Aborted value, no yields or switches, and tasks with no spin count or
-// armed switch.
+// TestSessionReuseAfterAbort: a session reset after a crashed or
+// deadlocked run keeps no trace of that run: no Aborted value, no yields
+// or switches, and tasks with no spin count or armed switch.
 func TestSessionReuseAfterAbort(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -663,12 +640,8 @@ func TestSessionReuseAfterAbort(t *testing.T) {
 			t.Fatalf("%s: run left yields %d, switches %d, spin %d, armed %d; want all set",
 				tc.name, s.Yields(), s.Switches(), a.spin, a.armedSwitch)
 		}
-		s.Release()
-
-		r := NewSession(Sequential{})
-		if r != s {
-			t.Fatalf("%s: NewSession did not reuse the released session", tc.name)
-		}
+		r := s
+		r.Reset(Sequential{})
 		if r.Aborted != nil || r.Yields() != 0 || r.Switches() != 0 || r.started || r.aborting {
 			t.Fatalf("%s: reused session starts with Aborted %v, yields %d, switches %d, started %v, aborting %v",
 				tc.name, r.Aborted, r.Yields(), r.Switches(), r.started, r.aborting)
@@ -688,6 +661,6 @@ func TestSessionReuseAfterAbort(t *testing.T) {
 		if r.Yields() != 2 || r.Switches() != 0 {
 			t.Fatalf("%s: reused session counted %d yields, %d switches; want 2, 0", tc.name, r.Yields(), r.Switches())
 		}
-		r.Release()
+		r.Close()
 	}
 }
