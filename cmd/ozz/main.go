@@ -405,23 +405,25 @@ func printSummary(stats core.Stats, covEdges int, all []*report.Report) {
 	fmt.Printf("findings: %d unique crash titles, %d classified as OOO bugs\n", len(all), ooo)
 }
 
-// metricsLine formats the -v closing line. The rates come from the
-// registry's ozz_kernel_acquires_total and ozz_sti_cache_lookups_total,
-// the series /metrics serves; the process runs one campaign, so they
-// count that campaign's kernels and steps only.
+// metricsLine formats the -v closing line. The rates and the migration
+// count come from the registry's ozz_kernel_acquires_total,
+// ozz_sti_cache_lookups_total and ozz_sched_migrations_total, the series
+// /metrics serves; the process runs one campaign, so they count that
+// campaign's kernels, steps and migrations only.
 func metricsLine(reg *obs.Registry, steps uint64, workers int, elapsed time.Duration) string {
 	acquires := reg.CounterVec("ozz_kernel_acquires_total", "", "source")
 	recycled, built := acquires.With("recycled").Value(), acquires.With("built").Value()
 	lookups := reg.CounterVec("ozz_sti_cache_lookups_total", "", "outcome")
 	hits, misses := lookups.With("hit").Value(), lookups.With("miss").Value()
+	migrations := reg.Counter("ozz_sched_migrations_total", "").Value()
 	var testsPerSec, execsPerWorker float64
 	if sec := elapsed.Seconds(); sec > 0 {
 		testsPerSec = float64(steps) / sec
 		execsPerWorker = float64(recycled+built) / sec / float64(workers)
 	}
 	return fmt.Sprintf(
-		"metrics: %.1f tests/s, %.1f exec/s/worker (%d workers), sti-cache %.0f%% hit, kernel-pool %.0f%% recycled",
-		testsPerSec, execsPerWorker, workers, 100*share(hits, misses), 100*share(recycled, built))
+		"metrics: %.1f tests/s, %.1f exec/s/worker (%d workers), sti-cache %.0f%% hit, kernel-pool %.0f%% recycled, migrations %d",
+		testsPerSec, execsPerWorker, workers, 100*share(hits, misses), 100*share(recycled, built), migrations)
 }
 
 // share returns a/(a+b), or 0 when both are 0.

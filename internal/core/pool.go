@@ -82,8 +82,9 @@ func (s *SafeReportSet) All() []*report.Report {
 // the only campaign executor. N workers execute pipeline steps
 // concurrently over a shared Env, each writing only its step's result;
 // the batch merger alone publishes into the coverage set and the
-// deduplicated, concurrency-guarded report set. Width 1 runs the same
-// campaign on a single worker.
+// deduplicated, concurrency-guarded report set. Worker 0 is the calling
+// goroutine and workers 1..N-1 run on goroutines of their own, so width
+// 1 runs the same campaign on the caller alone.
 //
 // Determinism: each step's random stream is derived from (campaign seed,
 // step index) — not from a shared sequential generator — and results are
@@ -128,7 +129,7 @@ type Pool struct {
 	memo map[string]stepRecord
 
 	// ws holds each worker's step scratch across Run calls; run grows it
-	// to Workers. Only run and its worker goroutines touch it.
+	// to Workers. Only run and its workers touch it.
 	ws []*worker
 
 	// The batch state run keeps across calls, built by the first run
@@ -636,15 +637,19 @@ func (p *Pool) RunUntil(title string, maxSteps int) *report.Report {
 // no limit), the deadline passes (zero: none), or a batch publishes the
 // until title ("": never).
 //
-// Each worker goroutine is woken once per batch, through its own channel,
-// so a step costs no goroutine wakeup. Worker k runs the batch's step k
-// first, so every woken worker runs at least one step; after that,
-// workers claim the remaining steps through an atomic counter and write
-// each step's result into its slot of results. The coordinator waits for
-// the whole batch, flushes the workers' run metrics into the registry,
-// then merges the results in step order, so when run returns, the last
-// batch's metrics are published. Each worker's engine runner goes back
-// to the idle list then.
+// The coordinator is worker 0: it wakes workers 1..W-1, each on a
+// goroutine of its own woken once per batch through its own channel, and
+// then runs worker 0's share of the batch itself, so a step costs no
+// goroutine wakeup and a width-1 pool starts no goroutine at all. Worker
+// k runs the batch's step k first, so every woken worker runs at least
+// one step; after that, workers claim the remaining steps through an
+// atomic counter and write each step's result into its slot of results.
+// The coordinator waits for the whole batch, flushes the workers' run
+// metrics into the registry, then merges the results in step order, so
+// when run returns, the last batch's metrics are published. Each
+// worker's engine runner goes back to the idle list then. A panic in
+// worker 0's step unwinds run itself; the other workers' goroutines
+// still exit.
 func (p *Pool) run(steps int, deadline time.Time, until string) []*report.Report {
 	if steps == 0 {
 		return nil
@@ -668,20 +673,36 @@ func (p *Pool) run(steps int, deadline time.Time, until string) []*report.Report
 	for _, w := range ws {
 		w.open(p)
 	}
-	wake := make([]chan struct{}, p.Workers)
+	// work runs worker k's share of the batch: step k, then the steps it
+	// claims.
+	work := func(k int) {
+		w := ws[k]
+		for i := k; i < n; i = int(claimed.Add(1)) - 1 {
+			p.runJob(w, &results[i])
+			p.co.stepEvent(w.id, &results[i])
+		}
+	}
+	// wake[k-1] wakes worker k.
+	wake := make([]chan struct{}, p.Workers-1)
+	defer func() {
+		for _, c := range wake {
+			close(c)
+		}
+		exited.Wait()
+		for _, w := range ws {
+			w.eng.Close()
+		}
+	}()
 	for k := range wake {
 		wake[k] = make(chan struct{}, 1)
 		exited.Add(1)
-		go func(k int, w *worker) {
+		go func(k int) {
 			defer exited.Done()
-			for range wake[k] {
-				for i := k; i < n; i = int(claimed.Add(1)) - 1 {
-					p.runJob(w, &results[i])
-					p.co.stepEvent(w.id, &results[i])
-				}
+			for range wake[k-1] {
+				work(k)
 				pending.Done()
 			}
-		}(k, ws[k])
+		}(k + 1)
 	}
 
 	var found []*report.Report
@@ -707,10 +728,11 @@ func (p *Pool) run(steps int, deadline time.Time, until string) []*report.Report
 		// claim the rest from m on.
 		m := min(p.Workers, n)
 		claimed.Store(int64(m))
-		pending.Add(m)
-		for k := 0; k < m; k++ {
-			wake[k] <- struct{}{}
+		pending.Add(m - 1)
+		for k := 1; k < m; k++ {
+			wake[k-1] <- struct{}{}
 		}
+		work(0)
 		pending.Wait()
 		for _, w := range ws {
 			w.flush(p.co)
@@ -729,13 +751,6 @@ func (p *Pool) run(steps int, deadline time.Time, until string) []*report.Report
 		if until != "" && p.Reports.Get(until) != nil {
 			break
 		}
-	}
-	for _, c := range wake {
-		close(c)
-	}
-	exited.Wait()
-	for _, w := range ws {
-		w.eng.Close()
 	}
 	return found
 }

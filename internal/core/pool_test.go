@@ -11,9 +11,13 @@ import (
 	"testing"
 	"time"
 
+	"ozz/internal/engine"
+	"ozz/internal/kernel"
 	"ozz/internal/modules"
 	"ozz/internal/obs"
 	"ozz/internal/report"
+	"ozz/internal/sched"
+	"ozz/internal/trace"
 )
 
 func allBugSwitches() modules.BugSet {
@@ -442,9 +446,115 @@ func TestBatchSpreadsWorkers(t *testing.T) {
 	}
 }
 
+// goroutineProbe is the OOO strategy sampling runtime.NumGoroutine each
+// time an MTI run attaches it, inside a campaign step.
+type goroutineProbe struct {
+	engine.OOO
+	mu      sync.Mutex
+	samples []int
+}
+
+func (g *goroutineProbe) Attach(k *kernel.Kernel, req *engine.Request) {
+	n := runtime.NumGoroutine()
+	g.mu.Lock()
+	g.samples = append(g.samples, n)
+	g.mu.Unlock()
+	g.OOO.Attach(k, req)
+}
+
+// settledGoroutines returns runtime.NumGoroutine once goroutines that are
+// exiting have gone: two reads a millisecond apart agree.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for try := 0; try < 100; try++ {
+		time.Sleep(time.Millisecond)
+		m := runtime.NumGoroutine()
+		if m == n {
+			break
+		}
+		n = m
+	}
+	return n
+}
+
+// TestPoolRunGoroutines: the coordinator runs worker 0's steps itself, so
+// a width-1 Run starts no goroutine and a width-2 Run exactly one. Steps
+// sample the goroutine count; a warm-up pool of the same width runs first,
+// so the engine runners the measured run takes already keep their pair
+// sessions' carriers.
+func TestPoolRunGoroutines(t *testing.T) {
+	cfg := Config{Seed: 1, UseSeeds: true}
+	for _, width := range []int{1, 2} {
+		NewPool(cfg, width).Run(64)
+		probe := new(goroutineProbe)
+		p := NewPool(cfg, width)
+		p.Env().Strategy = probe
+		before := settledGoroutines()
+		p.Run(64)
+		if len(probe.samples) == 0 {
+			t.Fatalf("width %d: no step ran an MTI", width)
+		}
+		for _, n := range probe.samples {
+			if n != before+width-1 {
+				t.Fatalf("width %d: %d goroutines inside a step, want %d started over the %d before Run",
+					width, n, width-1, before)
+			}
+		}
+	}
+}
+
+// errInjected is the non-crash panic value panicPolicy raises.
+var errInjected = fmt.Errorf("injected simulator fault")
+
+// panicPolicy panics with errInjected at the pair's first scheduling
+// point: a fault of the simulator itself, which the engine re-raises.
+type panicPolicy struct{ sched.Policy }
+
+func (panicPolicy) OnYield(*sched.Task, trace.InstrID) (int, bool) { panic(errInjected) }
+
+// panicOOO is OOO with its pair policy wrapped in panicPolicy.
+type panicOOO struct{ engine.OOO }
+
+func (panicOOO) Pair(req *engine.Request, plan *engine.PairPlan) bool {
+	if !(engine.OOO{}).Pair(req, plan) {
+		return false
+	}
+	plan.Policy = panicPolicy{plan.Policy}
+	return true
+}
+
+// TestPoolRunPanicUnwinds: a panic in worker 0's step unwinds Run on the
+// coordinator, and once it is recovered no worker goroutine is left
+// parked. A one-step Run at width 2 hands the step to worker 0 only, so
+// worker 1 waits on its wake channel the whole time; the step runs
+// watchqueue's seed, whose racing pair has hints.
+func TestPoolRunPanicUnwinds(t *testing.T) {
+	p := NewPool(Config{Seed: 1, UseSeeds: true, Modules: []string{"watchqueue"}}, 2)
+	p.Env().Strategy = panicOOO{}
+	func() {
+		defer func() {
+			if v := recover(); v != errInjected {
+				t.Fatalf("Run recovered %v, want the injected fault", v)
+			}
+		}()
+		p.Run(1)
+	}()
+	buf := make([]byte, 1<<20)
+	for try := 0; ; try++ {
+		stacks := string(buf[:runtime.Stack(buf, true)])
+		if !strings.Contains(stacks, "core.(*Pool).run.func") {
+			break
+		}
+		if try == 100 {
+			t.Fatalf("a pool worker goroutine is left after the panic:\n%s", stacks)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // BenchmarkPoolRun measures a 64-step campaign at width 1, the way hunts,
-// repair bug ops and ozz-repro run one: two batches, each handed to the
-// single worker at once, on a fresh pool per op so every op runs the same
+// repair bug ops and ozz-repro run one: two batches, each run by the
+// coordinator itself, on a fresh pool per op so every op runs the same
 // steps.
 func BenchmarkPoolRun(b *testing.B) { benchPoolRun(b, 1) }
 

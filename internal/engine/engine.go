@@ -137,8 +137,8 @@ type runner struct {
 	seqBody, prefixBody, suffixBody func(*sched.Task)
 	pairBody                        [2]func(*sched.Task)
 	// seq runs the sequential task (an STI, or a pair run's prefix and
-	// suffix) and pair the concurrent pair. The runner keeps both, with
-	// the carriers of their tasks, for its whole life.
+	// suffix) on the run's own goroutine, and pair the concurrent pair
+	// on the two carriers the runner keeps for its whole life.
 	seq, pair *sched.Session
 	// t tallies the metrics of the runner's runs until its holder
 	// flushes them into its engine's registry.
@@ -163,11 +163,11 @@ func newRunner() *runner {
 // kernel.NrCPU CPUs, Reset restores every observable property, and a run
 // applies its own model, instrumentation, sanitizers and bug switches.
 // Reset on a used kernel is much cheaper than rebuilding memory pages,
-// emulator maps, and allocator state from scratch, and the runner's
-// sessions keep their carriers, so short-lived engines reuse what earlier
-// ones built. The list keeps as many runners as the process ever ran at
-// once, for its whole life, so live heap does not depend on when the
-// collector runs.
+// emulator maps, and allocator state from scratch, and the runner's pair
+// session keeps its two carriers, so short-lived engines reuse what
+// earlier ones built. The list keeps as many runners as the process ever
+// ran at once, for its whole life, so live heap does not depend on when
+// the collector runs.
 var idle struct {
 	mu sync.Mutex
 	r  []*runner
@@ -264,10 +264,18 @@ func (w *Worker) Flush() {
 
 // Close flushes the worker's metrics and returns its runner to the
 // process's idle list. The worker may run again afterwards, on a runner
-// it takes then. A runner whose run panicked is dropped, not recycled.
+// it takes then. A runner whose run panicked is dropped, not recycled,
+// and the carriers its sessions keep are stopped: a panic leaves Run
+// only before any task ran or once every task is done, so they are at
+// rest.
 func (w *Worker) Close() {
 	w.Flush()
-	if w.r != nil && !w.busy {
+	switch {
+	case w.r == nil:
+	case w.busy:
+		w.r.seq.Close()
+		w.r.pair.Close()
+	default:
 		putRunner(w.r)
 	}
 	w.r, w.busy = nil, false

@@ -176,10 +176,10 @@ func TestShortLivedEnginesRecycle(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	// Two runners in flight at once, each with a sequential and a pair
-	// session holding one and two carriers.
-	if n := runtime.NumGoroutine(); n > before+2*3 {
-		t.Fatalf("200 short-lived engines left %d goroutines over the %d before, want at most %d", n-before, before, 2*3)
+	// Two runners in flight at once, each with a pair session holding
+	// two carriers; their sequential sessions run on the caller.
+	if n := runtime.NumGoroutine(); n > before+2*2 {
+		t.Fatalf("200 short-lived engines left %d goroutines over the %d before, want at most %d", n-before, before, 2*2)
 	}
 
 	base := runtime.NumGoroutine()
@@ -196,6 +196,58 @@ func TestShortLivedEnginesRecycle(t *testing.T) {
 	for try := 0; runtime.NumGoroutine() > base; try++ {
 		if try == 100 {
 			t.Fatalf("%d goroutines after closing 50 sessions, want the %d before", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// errInjected is the non-crash panic value panicPolicy raises.
+var errInjected = fmt.Errorf("injected simulator fault")
+
+// panicPolicy panics with errInjected at the pair's first scheduling
+// point: a fault of the simulator itself, not of the simulated kernel.
+type panicPolicy struct{ sched.Policy }
+
+func (panicPolicy) OnYield(*sched.Task, trace.InstrID) (int, bool) { panic(errInjected) }
+
+// panicOOO is OOO with its pair policy wrapped in panicPolicy.
+type panicOOO struct{ OOO }
+
+func (panicOOO) Pair(req *Request, plan *PairPlan) bool {
+	if !(OOO{}).Pair(req, plan) {
+		return false
+	}
+	plan.Policy = panicPolicy{plan.Policy}
+	return true
+}
+
+// TestPanickedRunStopsCarriers: a run whose session aborts with a value
+// that is neither a crash nor a deadlock re-raises it; closing the worker
+// then drops the runner, with its pair session's carriers stopped rather
+// than left parked.
+func TestPanickedRunStopsCarriers(t *testing.T) {
+	e, cfg, _, mti := stepRuns(t)
+	before := runtime.NumGoroutine()
+	r := newRunner()
+	w := Worker{e: e, r: r}
+	func() {
+		defer func() {
+			if v := recover(); v != errInjected {
+				t.Fatalf("run recovered %v, want the injected fault", v)
+			}
+		}()
+		w.Run(cfg, panicOOO{}, mti)
+	}()
+	if n := runtime.NumGoroutine(); n != before+2 {
+		t.Fatalf("%d goroutines after the panicked run, want the pair's 2 carriers over %d", n, before)
+	}
+	w.Close()
+	if idleTop() == r {
+		t.Fatal("the panicked runner was recycled")
+	}
+	for try := 0; runtime.NumGoroutine() > before; try++ {
+		if try == 100 {
+			t.Fatalf("%d goroutines after closing the panicked worker, want the %d before", runtime.NumGoroutine(), before)
 		}
 		time.Sleep(time.Millisecond)
 	}

@@ -7,14 +7,17 @@
 // does NOT flush its virtual store buffer, which is what lets OEMU keep
 // memory-access reordering observable across an interleaving (§2.3).
 //
-// The scheduler is token-based: every task body runs on its own coroutine
-// (a carrier, which the session keeps for its later runs), and Session.Run
-// is a trampoline that resumes the carrier of the task holding the run
-// token. A task passes the token by naming its successor and yielding
-// back to Run, so all simulated-kernel state is only ever touched by one
-// goroutine at a time, and a token pass is a direct coroutine switch
-// rather than a trip through the Go scheduler. Given the same policy and
-// task bodies, execution is fully deterministic.
+// The scheduler is token-based: every task body that may be suspended runs
+// on its own coroutine (a carrier, which the session keeps for its later
+// runs), and Session.Run is a trampoline that resumes the carrier of the
+// task holding the run token. A task passes the token by naming its
+// successor and yielding back to Run, so all simulated-kernel state is
+// only ever touched by one goroutine at a time, and a token pass is a
+// direct coroutine switch rather than a trip through the Go scheduler. A
+// Sequential session with a single task has nobody to pass the token to,
+// so Run calls that task's body on its own goroutine and starts no
+// carrier. Given the same policy and task bodies, execution is fully
+// deterministic.
 package sched
 
 import (
@@ -65,7 +68,7 @@ type Task struct {
 	session *Session
 	body    func(*Task)
 	// carrier runs the body; attached when the task is first resumed and
-	// detached when it is done.
+	// detached when it is done. A task Run calls inline has none.
 	carrier *carrier
 	// slot is the index of the task's inline slot in its session, or -1
 	// for a task spawned past the slots.
@@ -82,9 +85,9 @@ type Task struct {
 // executor runs multiple sessions in sequence over the same kernel (e.g.
 // sequential prefix calls, then the concurrent pair). Reset readies a
 // finished session for another run, and the session keeps the carriers of
-// its task slots across runs until Close stops them. A session belongs to
-// one owner at a time (the engine's runners each keep theirs), so reusing
-// it takes no lock.
+// its task slots across runs until Close stops them; a single-task
+// Sequential run starts none. A session belongs to one owner at a time
+// (the engine's runners each keep theirs), so reusing it takes no lock.
 type Session struct {
 	policy Policy
 	// seq and bp are the devirtualized fast paths for the two policies on
@@ -194,8 +197,8 @@ func (s *Session) byID(id int) *Task {
 	return nil
 }
 
-// run executes the task's body on its carrier, then passes the run token
-// to the next live task (nil when none remain).
+// run executes the task's body, on its carrier or inline, then passes the
+// run token to the next live task (nil when none remain).
 func (t *Task) run() {
 	s := t.session
 	defer func() {
@@ -219,6 +222,12 @@ func (t *Task) run() {
 
 // Run executes all spawned tasks to completion and returns the panic value
 // that aborted the session, or nil on clean completion.
+//
+// A Sequential session whose only task was spawned before Run runs that
+// task on the caller's goroutine: it never switches, so it needs no
+// carrier. Tasks it spawns run on carriers once it returns; a switch it
+// asks for meanwhile (a BlockSpin that finds such a task live, say)
+// cannot suspend it, and aborts the session with a "sched:" panic value.
 func (s *Session) Run() any {
 	if s.started {
 		panic("sched: session reused")
@@ -227,11 +236,14 @@ func (s *Session) Run() any {
 	if len(s.tasks) == 0 {
 		return nil
 	}
-	// Trampoline: resume the token holder's carrier until it yields back,
-	// having passed the token on (handoff) or finished (run).
 	if s.cur = s.byID(s.policy.First(s.tasks[0].ID)); s.cur == nil {
 		panic("sched: the policy's first task was never spawned")
 	}
+	if s.seq && len(s.tasks) == 1 {
+		s.cur.run()
+	}
+	// Trampoline: resume the token holder's carrier until it yields back,
+	// having passed the token on (handoff) or finished (run).
 	for t := s.cur; t != nil; t = s.cur {
 		c := t.carrier
 		if c == nil {
@@ -277,6 +289,9 @@ func (s *Session) Switches() uint64 { return s.switches }
 // suspends the caller until rescheduled (or unwinds it if the session
 // aborted).
 func (s *Session) handoff(from, to *Task) {
+	if from.carrier == nil {
+		panic(fmt.Sprintf("sched: task %d runs inline on Run's caller and cannot switch to task %d", from.ID, to.ID))
+	}
 	s.switches++
 	s.cur = to
 	from.carrier.yield(struct{}{})

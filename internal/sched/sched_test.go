@@ -579,7 +579,8 @@ func TestMidSessionSpawnScheduled(t *testing.T) {
 
 // BenchmarkSessionRun measures one two-task sequential session, reset
 // for reuse the way an engine runner resets its own: the per-session cost
-// every STI profile and MTI prefix/suffix pays.
+// of a session whose tasks run on carriers. A single-task one, such as an
+// STI profile or an MTI prefix or suffix, runs inline and pays less.
 func BenchmarkSessionRun(b *testing.B) {
 	body := func(h *Task) {
 		h.Yield(1)
@@ -662,5 +663,86 @@ func TestSessionReuseAfterAbort(t *testing.T) {
 			t.Fatalf("%s: reused session counted %d yields, %d switches; want 2, 0", tc.name, r.Yields(), r.Switches())
 		}
 		r.Close()
+	}
+}
+
+// TestSequentialRunsInline: a Sequential session's single task runs on
+// Run's caller and starts no carrier, across 100 clean, crashing and
+// deadlocking runs of fresh and reset sessions. A crash value still comes
+// back from Run, and a BlockSpin with no peer still aborts with a
+// *Deadlock.
+func TestSequentialRunsInline(t *testing.T) {
+	started := carriersStarted.Load()
+	reused := new(Session)
+	for i := 0; i < 100; i++ {
+		s := reused
+		if i%2 == 0 {
+			s = new(Session)
+		}
+		s.Reset(Sequential{})
+		ran := false
+		s.Spawn(0, 0, func(h *Task) {
+			ran = true
+			h.Yield(1)
+			switch i % 3 {
+			case 1:
+				panic("boom")
+			case 2:
+				for {
+					h.BlockSpin()
+				}
+			}
+			h.Yield(2)
+		})
+		aborted := s.Run()
+		switch _, deadlock := aborted.(*Deadlock); {
+		case !ran:
+			t.Fatalf("session %d: task never ran", i)
+		case i%3 == 0 && aborted != nil:
+			t.Fatalf("session %d: aborted = %v", i, aborted)
+		case i%3 == 1 && aborted != "boom":
+			t.Fatalf("session %d: aborted = %v, want boom", i, aborted)
+		case i%3 == 2 && !deadlock:
+			t.Fatalf("session %d: aborted = %v, want a deadlock", i, aborted)
+		}
+		if s.Yields() == 0 || s.Switches() != 0 {
+			t.Fatalf("session %d: %d yields, %d switches; want some, 0", i, s.Yields(), s.Switches())
+		}
+	}
+	if n := carriersStarted.Load() - started; n != 0 {
+		t.Fatalf("100 single-task sequential sessions started %d carriers, want 0", n)
+	}
+}
+
+// TestInlineTaskCannotSwitch: a task running inline that spawns a peer and
+// then asks to switch to it — by BlockSpin or by an armed switch — cannot
+// be suspended: the session aborts with a "sched:" value, and the peer
+// unwinds on its carrier without running its body.
+func TestInlineTaskCannotSwitch(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		ask  func(h *Task)
+	}{
+		{"BlockSpin", func(h *Task) { h.BlockSpin() }},
+		{"ArmSwitchAfter", func(h *Task) {
+			h.ArmSwitchAfter(1)
+			h.Yield(2)
+		}},
+	} {
+		s := NewSession(Sequential{})
+		peerRan, resumed := false, false
+		s.Spawn(0, 0, func(h *Task) {
+			h.session.Spawn(1, 1, func(*Task) { peerRan = true })
+			tc.ask(h)
+			resumed = true
+		})
+		aborted := s.Run()
+		if msg, ok := aborted.(string); !ok || !strings.HasPrefix(msg, "sched: task 0 runs inline") {
+			t.Fatalf("%s: aborted = %v, want a sched: panic value", tc.name, aborted)
+		}
+		if peerRan || resumed {
+			t.Fatalf("%s: peer ran %v, inline task resumed %v; want neither", tc.name, peerRan, resumed)
+		}
+		s.Close()
 	}
 }
