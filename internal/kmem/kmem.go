@@ -124,6 +124,9 @@ const pageWords = 512
 type page struct {
 	vals  [pageWords]uint64
 	state [pageWords]SlotState
+	// lo and hi bound the slots written since the last Reset; lo == hi
+	// while the page is clean, and off its memory's dirty list.
+	lo, hi uint16
 }
 
 // Memory is the simulated kernel address space plus its sanitizer state.
@@ -131,8 +134,11 @@ type page struct {
 // a single running task.
 type Memory struct {
 	pages map[uint64]*page
-	// list holds the pages in creation order, for Reset to walk.
-	list []*page
+	// dirty holds the pages written since the last Reset (by fill or
+	// Write), in first-write order: the only pages Reset must zero, and
+	// only between their lo and hi. A page only read or checked is still
+	// all zero.
+	dirty []*page
 	// lastIdx/lastPage cache the most recently touched page (locality is
 	// near-perfect: objects are contiguous).
 	lastIdx  uint64
@@ -166,11 +172,15 @@ func New() *Memory {
 // page storage already allocated, so a recycled Memory serves its next
 // execution without rebuilding pages. A reset Memory is observationally
 // identical to New(): every slot reads 0 and is Unmapped, the bump pointer
-// restarts at heapBase, and the quarantine is empty.
+// restarts at heapBase, and the quarantine is empty. It zeroes only the
+// slots written since the last Reset.
 func (m *Memory) Reset() {
-	for _, p := range m.list {
-		*p = page{}
+	for _, p := range m.dirty {
+		clear(p.vals[p.lo:p.hi])
+		clear(p.state[p.lo:p.hi])
+		p.lo, p.hi = 0, 0
 	}
+	m.dirty = m.dirty[:0]
 	m.lastIdx, m.lastPage = 0, nil
 	m.next = heapBase
 	m.objects = m.objects[:0]
@@ -179,6 +189,7 @@ func (m *Memory) Reset() {
 }
 
 // pageFor returns the page containing addr, allocating it if needed.
+// Callers that write the page mark it with markDirty.
 func (m *Memory) pageFor(addr trace.Addr) (*page, int) {
 	word := uint64(addr) / WordSize
 	idx, off := word/pageWords, int(word%pageWords)
@@ -189,10 +200,25 @@ func (m *Memory) pageFor(addr trace.Addr) (*page, int) {
 	if p == nil {
 		p = &page{}
 		m.pages[idx] = p
-		m.list = append(m.list, p)
 	}
 	m.lastIdx, m.lastPage = idx, p
 	return p, off
+}
+
+// markDirty records a write to slots [off, end) of p, putting p on the
+// dirty list at its first write since the last Reset.
+func (m *Memory) markDirty(p *page, off, end int) {
+	lo, hi := uint16(off), uint16(end)
+	switch {
+	case p.lo == p.hi:
+		m.dirty = append(m.dirty, p)
+		p.lo, p.hi = lo, hi
+	case lo < p.lo:
+		p.lo = lo
+		p.hi = max(p.hi, hi)
+	case hi > p.hi:
+		p.hi = hi
+	}
 }
 
 // Poison patterns: what kmalloc leaves in a new object, and what kfree
@@ -240,6 +266,7 @@ func (m *Memory) fill(addr trace.Addr, n int, st SlotState, write bool, v uint64
 	for n > 0 {
 		p, off := m.pageFor(addr)
 		k := min(n, pageWords-off)
+		m.markDirty(p, off, off+k)
 		states := p.state[off : off+k]
 		for i := range states {
 			states[i] = st
@@ -316,5 +343,6 @@ func (m *Memory) Read(addr trace.Addr) uint64 {
 // Write commits a value at addr. No sanitizer check (see Read).
 func (m *Memory) Write(addr trace.Addr, v uint64) {
 	p, off := m.pageFor(addr)
+	m.markDirty(p, off, off+1)
 	p.vals[off] = v
 }

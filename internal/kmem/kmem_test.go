@@ -1,6 +1,10 @@
 package kmem
 
 import (
+	"maps"
+	"math/rand/v2"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -298,5 +302,129 @@ func TestAllocAcrossPages(t *testing.T) {
 	}
 	if z := m.AllocZeroed(0); m.Read(z) != allocPoison || m.Check(1, z, trace.Load) != nil {
 		t.Fatalf("AllocZeroed(0) word = %#x", m.Read(z))
+	}
+}
+
+// TestResetZeroesDirtyPages runs random alloc, free, write, read and check
+// sequences over several pages (writes also past the allocations),
+// Resetting between rounds. Before each Reset, the dirty list must hold
+// exactly the pages the round wrote (its allocations with their
+// redzones, and its Writes), not the pages it only read or checked, and
+// no page may hold a non-zero slot outside its dirty span. Reset must
+// leave a clean page and the slots outside a dirty span alone; after it,
+// every page must be zero, every address the test touched must Check as
+// on New(), and the allocator must hand out New()'s bases.
+func TestResetZeroesDirtyPages(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	m, fresh := New(), New()
+	pageOf := func(a trace.Addr) uint64 { return uint64(a) / WordSize / pageWords }
+	var touched []trace.Addr
+	// cleanRounds and spanRounds count the rounds whose Reset had a clean
+	// page, and a dirty page with slots outside its span, to skip.
+	cleanRounds, spanRounds := 0, 0
+	for round := 0; round < 50; round++ {
+		written := map[uint64]bool{}
+		var live []trace.Addr
+		for op := 0; op < 40; op++ {
+			switch k := rng.IntN(6); {
+			case k == 0 || len(live) == 0:
+				n := 1 + rng.IntN(2*pageWords/3)
+				a := m.Alloc(n)
+				for w := a - WordSize; w <= a+trace.Addr(n*WordSize); w += WordSize {
+					written[pageOf(w)] = true
+				}
+				live = append(live, a)
+				touched = append(touched, a-WordSize, a, a+trace.Addr((n-1)*WordSize), a+trace.Addr(n*WordSize))
+			case k == 1:
+				i := rng.IntN(len(live))
+				if err := m.Free(live[i]); err != nil {
+					t.Fatal(err)
+				}
+				live = slices.Delete(live, i, i+1)
+			case k == 2:
+				a := live[rng.IntN(len(live))]
+				m.Write(a, rng.Uint64())
+				touched = append(touched, a)
+			case k == 3:
+				// Write checks nothing, so it can write a page no
+				// allocation touched.
+				a := m.next + trace.Addr(rng.IntN(4*pageWords)*WordSize)
+				m.Write(a, 1+rng.Uint64N(1<<32))
+				written[pageOf(a)] = true
+				touched = append(touched, a)
+			default:
+				// Reads and checks beyond the allocations create pages
+				// without writing them.
+				a := m.next + trace.Addr(rng.IntN(4*pageWords)*WordSize)
+				m.Read(a)
+				m.Check(1, a, trace.Load)
+				touched = append(touched, a)
+			}
+		}
+		got := map[uint64]bool{}
+		for idx, p := range m.pages {
+			if p.lo != p.hi {
+				got[idx] = true
+			}
+			for i := range pageWords {
+				if (p.vals[i] != 0 || p.state[i] != Unmapped) && (i < int(p.lo) || i >= int(p.hi)) {
+					t.Fatalf("round %d: page %d slot %d written outside its dirty span [%d, %d)", round, idx, i, p.lo, p.hi)
+				}
+			}
+		}
+		if len(got) != len(m.dirty) || !maps.Equal(got, written) {
+			t.Fatalf("round %d: %d dirty pages %v (list %d), wrote %v", round, len(got), got, len(m.dirty), written)
+		}
+		// Mark slots Reset must skip behind the memory's back: one of a
+		// clean page, and one just past a dirty page's span.
+		var marks []*uint64
+		markedClean, markedSpan := false, false
+		for _, p := range m.pages {
+			switch {
+			case p.lo == p.hi && !markedClean:
+				markedClean = true
+				marks = append(marks, &p.vals[0])
+			case p.lo != p.hi && p.hi < pageWords && !markedSpan:
+				markedSpan = true
+				marks = append(marks, &p.vals[p.hi])
+			}
+		}
+		if markedClean {
+			cleanRounds++
+		}
+		if markedSpan {
+			spanRounds++
+		}
+		for _, v := range marks {
+			*v = 7
+		}
+		m.Reset()
+		if len(m.dirty) != 0 {
+			t.Fatalf("round %d: %d dirty pages after Reset", round, len(m.dirty))
+		}
+		for _, v := range marks {
+			if *v != 7 {
+				t.Fatalf("round %d: Reset zeroed a slot no one wrote", round)
+			}
+			*v = 0
+		}
+		for idx, p := range m.pages {
+			if *p != (page{}) {
+				t.Fatalf("round %d: page %d not zero after Reset", round, idx)
+			}
+		}
+		for _, a := range touched {
+			if !reflect.DeepEqual(m.Check(1, a, trace.Store), fresh.Check(1, a, trace.Store)) {
+				t.Fatalf("round %d: %#x after Reset checks %v; New() checks %v",
+					round, uint64(a), m.Check(1, a, trace.Store), fresh.Check(1, a, trace.Store))
+			}
+		}
+		if a, b := m.Alloc(3), New().Alloc(3); a != b {
+			t.Fatalf("round %d: first base after Reset %#x, New() %#x", round, uint64(a), uint64(b))
+		}
+		m.Reset()
+	}
+	if cleanRounds == 0 || spanRounds == 0 {
+		t.Fatalf("%d rounds had a clean page and %d a partly dirty one: the skips went unchecked", cleanRounds, spanRounds)
 	}
 }

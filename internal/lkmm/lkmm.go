@@ -373,7 +373,7 @@ func (r *Reacher) firstThread() int {
 // thread with ops left. It reports false when c was the last.
 func (r *Reacher) advance(c *choice) bool {
 	threads := r.x.test.Threads
-	if !c.directive && threads[c.thread][r.pc[c.thread]].Kind != OpBarrier {
+	if !c.directive && r.directable(threads[c.thread][r.pc[c.thread]]) {
 		c.directive = true
 		return true
 	}
@@ -384,6 +384,26 @@ func (r *Reacher) advance(c *choice) bool {
 		}
 	}
 	return false
+}
+
+// directable reports whether the search tries op with its site directed.
+// RunModel tries every store and load, so its Runs count every directive
+// assignment. A goal-directed search skips a directive OEMU ignores — a
+// store the model cannot delay, a load it cannot version — whose run is
+// the undirected run again: directing such a site changes nothing, since
+// OEMU reads a site's directive only when it executes and each run starts
+// with history tracking on.
+func (r *Reacher) directable(op Op) bool {
+	switch {
+	case op.Kind == OpBarrier:
+		return false
+	case r.targets == nil:
+		return true
+	case op.Kind == OpStore:
+		return r.x.mm.Delayable(op.Atomic)
+	default:
+		return r.x.mm.Versionable(op.Atomic)
+	}
 }
 
 // contradicts reports, after op executed, whether it was the writer of a

@@ -9,92 +9,77 @@ import (
 	"ozz/internal/memmodel"
 )
 
-// fmtKey is the original text encoding of a state, kept as the oracle the
-// binary visited-state key is checked against: a different but equally
-// injective key must partition the state space identically.
-func fmtKey(s *state) string {
+// fmtKey renders a state's fields as text, reading them through the
+// layout: only the live entries of each history and store buffer, never
+// the words past their lengths. It is the oracle the flat visited-set key
+// is checked against: keying by a state's raw words partitions the state
+// space as the fields do only if every unused entry is always zero.
+func fmtKey(l *layout, s state) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "c%d|", s.clock)
-	for _, h := range s.hist {
-		for _, v := range h {
-			fmt.Fprintf(&b, "%d:%d,", v.time, v.val)
+	fmt.Fprintf(&b, "c%d|", s[0])
+	for _, h := range l.hist {
+		for i := 0; i < int(s[h]); i++ {
+			fmt.Fprintf(&b, "%d:%d,", s[h+1+2*i], s[h+2+2*i])
 		}
 		b.WriteByte(';')
 	}
-	for i := range s.pc {
-		fmt.Fprintf(&b, "p%d,", s.pc[i])
-		for _, p := range s.sb[i] {
-			fmt.Fprintf(&b, "s%d:%d,", p.loc, p.val)
+	for t, q := range l.sb {
+		fmt.Fprintf(&b, "p%d,", s[l.pc(t)])
+		for i := 0; i < int(s[q]); i++ {
+			fmt.Fprintf(&b, "s%d:%d,", s[q+1+2*i], s[q+2+2*i])
 		}
-		fmt.Fprintf(&b, "w%d,", s.tRmb[i])
-		for l := range s.hist {
-			fmt.Fprintf(&b, "%d:%d,", s.lastCommit[s.at(i, l)], s.seen[s.at(i, l)])
+		fmt.Fprintf(&b, "w%d,", s[l.window(t)])
+		for loc := range l.hist {
+			fmt.Fprintf(&b, "%d:%d,", s[l.cowr(t, loc)], s[l.corr(t, loc)])
 		}
 		b.WriteByte('|')
 	}
-	for _, r := range s.regs {
+	for _, r := range l.registers(s) {
 		fmt.Fprintf(&b, "r%d,", r)
 	}
 	return b.String()
 }
 
-// clone deep-copies the state into freshly allocated storage.
-func (s *state) clone() *state {
-	ns := &state{
-		clock: s.clock,
-		hist:  make([][]version, len(s.hist)),
-		pc:    slices.Clone(s.pc),
-		sb:    make([][]pendingStore, len(s.sb)),
-		slab:  slices.Clone(s.slab),
-	}
-	ns.carve()
-	for i, h := range s.hist {
-		ns.hist[i] = slices.Clone(h)
-	}
-	for i, b := range s.sb {
-		ns.sb[i] = slices.Clone(b)
-	}
-	return ns
-}
-
 // RunModelFmtKey is RunModel with the visited set keyed by fmtKey, every
 // successor cloned into fresh storage before it is explored, and the
 // original exit path (clone, drain every thread, then read the registers).
-// It shares only the transition rules with RunModel.
+// It shares only the layout and the transition rules with RunModel.
 func RunModelFmtKey(t *lkmm.Test, mm *memmodel.Table) *Result {
-	m := &machine{test: t, mm: mm, slots: newStates(t, 2)}
+	m := &machine{test: t, mm: mm}
+	m.l.build(t)
+	m.slots = make([]uint64, 3*m.l.words)
 	out := lkmm.NewOutcomeSet()
 	visited := map[string]bool{}
-	var explore func(s *state)
-	explore = func(s *state) {
-		k := fmtKey(s)
+	var explore func(s state)
+	explore = func(s state) {
+		k := fmtKey(&m.l, s)
 		if visited[k] {
 			return
 		}
 		visited[k] = true
 		done := true
 		for ti := range t.Threads {
-			if s.pc[ti] >= len(t.Threads[ti]) {
+			if s[m.l.pc(ti)] >= uint64(len(t.Threads[ti])) {
 				continue
 			}
 			done = false
 			succ, n := m.step(s, ti, 0)
-			branches := make([]*state, n)
+			branches := make([]state, n)
 			for i, ns := range succ[:n] {
-				branches[i] = ns.clone()
+				branches[i] = slices.Clone(ns)
 			}
 			for _, ns := range branches {
 				explore(ns)
 			}
 		}
 		if done {
-			ns := s.clone()
+			ns := slices.Clone(s)
 			for ti := range t.Threads {
-				ns.drain(ti)
+				m.l.drain(ns, ti)
 			}
-			out.Add(ns.regs)
+			out.Add(m.l.registers(ns))
 		}
 	}
-	explore(&newStates(t, 1)[0])
+	explore(make(state, m.l.words))
 	return &Result{Outcomes: out.Outcomes, States: len(visited)}
 }

@@ -46,15 +46,32 @@
 // Reacher.Reaches searches the same machine for a goal instead: whether
 // any execution ends in one of a given set of register files. Fence
 // repair's legality check asks it with the buggy outcomes as goals, so
-// the search stops at the first buggy outcome and prunes states whose
-// already-final registers rule every goal out.
+// the search stops at the first buggy outcome and never builds a state
+// whose already-final registers rule every goal out.
+//
+// A machine state is one flat []uint64, placed by a per-test layout:
+//
+//	clock
+//	per thread:   pc, versioning-window start, then the CoWR floor and
+//	              the CoRR floor of every location
+//	registers
+//	per location: history length, then one (time, value) pair per entry
+//	per thread:   store-buffer length, then one (location, value) pair
+//	              per entry
+//
+// Each history and store-buffer window is as large as it can grow in the
+// test — one entry per store to the location, one per store of the
+// thread — and entries past a window's length stay zero (a drain zeroes
+// what it commits). Equal states therefore have equal words: a successor
+// is one copy, and the visited-set key is the state's own words. A
+// history lists a location's commits in coherence order (the initial 0 at
+// time 0 is implicit); a store buffer lists a thread's in-flight stores in
+// program order, at most one per location.
 package model
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
-	"hash/maphash"
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -83,220 +100,136 @@ func (r *Result) Sorted() []string {
 	return out
 }
 
-// version is one committed value of a location: the logical commit time
-// and the value written. The commit history per location is the model's
-// coherence order; versioned loads pick from it.
-type version struct {
-	time uint64
-	val  uint64
+// state is one abstract machine configuration, laid out by its test's
+// layout (see the package doc). The clock is word 0.
+type state []uint64
+
+// layout places one test's states in their words.
+type layout struct {
+	locs int
+	// threadWords is the size of one thread's block; thread t's block
+	// starts at 1 + t*threadWords.
+	threadWords int
+	// regs and nregs are the offset of register 0 and the register count.
+	regs, nregs int
+	// hist[l] and sb[t] are the offsets of location l's history length
+	// and thread t's store-buffer length; their entries follow.
+	hist, sb []int
+	// words is the state size.
+	words int
 }
 
-// pendingStore is one in-flight entry of a thread's virtual store buffer.
-type pendingStore struct {
-	loc int
-	val uint64
-}
-
-// state is one abstract machine configuration. All slices are dense and
-// fixed-shape for a given test (locations and threads are indexes), which
-// keys canonically for the visited-state set.
-type state struct {
-	clock uint64
-	// hist is the per-location commit history in coherence order; the
-	// initial value 0 at time 0 is implicit. Every state owns its
-	// histories' backing arrays: copyFrom copies them, never aliases.
-	hist [][]version
-	// pc is each thread's next-op index.
-	pc []int
-	// sb is each thread's virtual store buffer, program order, at most
-	// one entry per location (coalescing).
-	sb [][]pendingStore
-	// slab backs tRmb, lastCommit, seen and regs, so copyFrom copies them
-	// with one copy.
-	slab []uint64
-	// tRmb is each thread's versioning-window start (§3.2).
-	tRmb []uint64
-	// lastCommit[at(t, loc)] is the commit time of thread t's own newest
-	// committed store to loc (CoWR floor), 0 if none.
-	lastCommit []uint64
-	// seen[at(t, loc)] is the version time thread t most recently
-	// observed at loc (CoRR floor), 0 if none.
-	seen []uint64
-	// regs is the global register file (loads write it).
-	regs []uint64
-}
-
-// storeCaps sets histCap to each location's store count and sbCap to each
-// thread's, reusing the arrays' storage, and returns them with the total
-// store count. These are the largest a history and a store buffer can
-// grow in the test.
-func storeCaps(t *lkmm.Test, histCap, sbCap []int) ([]int, []int, int) {
-	histCap = slices.Grow(histCap[:0], t.NumLocs)[:t.NumLocs]
-	sbCap = slices.Grow(sbCap[:0], len(t.Threads))[:len(t.Threads)]
-	clear(histCap)
-	clear(sbCap)
-	stores := 0
+// build lays out test t's states, reusing the layout's storage.
+func (l *layout) build(t *lkmm.Test) {
+	threads, locs := len(t.Threads), t.NumLocs
+	l.locs = locs
+	l.threadWords = 2 + 2*locs
+	l.regs, l.nregs = 1+threads*l.threadWords, t.NumRegs
+	l.hist = slices.Grow(l.hist[:0], locs)[:locs]
+	l.sb = slices.Grow(l.sb[:0], threads)[:threads]
+	clear(l.hist)
+	clear(l.sb)
+	// Count the stores per location and per thread — the most entries a
+	// history and a buffer can hold — then turn the counts into offsets.
 	for ti, ops := range t.Threads {
 		for _, op := range ops {
 			if op.Kind == lkmm.OpStore {
-				histCap[op.Loc]++
-				sbCap[ti]++
-				stores++
+				l.hist[op.Loc]++
+				l.sb[ti]++
 			}
 		}
 	}
-	return histCap, sbCap, stores
+	w := l.regs + l.nregs
+	for i, n := range l.hist {
+		l.hist[i], w = w, w+1+2*n
+	}
+	for i, n := range l.sb {
+		l.sb[i], w = w, w+1+2*n
+	}
+	l.words = w
 }
 
-// newStates allocates n states for test t, carving their storage from
-// one backing array per field. Each history and store buffer gets a window
-// as large as it can grow in this test — one entry per store to the
-// location, one per store of the thread — so neither copyFrom nor the
-// transition rules ever reallocate them.
-func newStates(t *lkmm.Test, n int) []state {
-	threads, locs := len(t.Threads), t.NumLocs
-	histCap, sbCap, stores := storeCaps(t, nil, nil)
-	slabLen := threads + 2*threads*locs + t.NumRegs
-	states := make([]state, n)
-	hists := make([][]version, n*locs)
-	sbs := make([][]pendingStore, n*threads)
-	versions := make([]version, n*stores)
-	pending := make([]pendingStore, n*stores)
-	pcs := make([]int, n*threads)
-	slab := make([]uint64, n*slabLen)
-	for i := range states {
-		s := &states[i]
-		s.hist, hists = hists[:locs:locs], hists[locs:]
-		for l, c := range histCap {
-			s.hist[l], versions = versions[:0:c], versions[c:]
-		}
-		s.sb, sbs = sbs[:threads:threads], sbs[threads:]
-		for ti, c := range sbCap {
-			s.sb[ti], pending = pending[:0:c], pending[c:]
-		}
-		s.pc, pcs = pcs[:threads:threads], pcs[threads:]
-		s.slab, slab = slab[:slabLen:slabLen], slab[slabLen:]
-		s.carve()
-	}
-	return states
-}
+// pc is the offset of thread t's next-op index.
+func (l *layout) pc(t int) int { return 1 + t*l.threadWords }
 
-// carve points tRmb, lastCommit, seen and regs at their windows of slab.
-func (s *state) carve() {
-	n, tl := len(s.pc), len(s.pc)*len(s.hist)
-	s.tRmb = s.slab[:n:n]
-	s.lastCommit = s.slab[n : n+tl : n+tl]
-	s.seen = s.slab[n+tl : n+2*tl : n+2*tl]
-	s.regs = s.slab[n+2*tl:]
-}
+// window is the offset of thread t's versioning-window start (§3.2).
+func (l *layout) window(t int) int { return 2 + t*l.threadWords }
 
-// reset makes s the initial state: clock 0, every pc, window, floor and
-// register 0, and every history and store buffer empty.
-func (s *state) reset() {
-	s.clock = 0
-	clear(s.pc)
-	clear(s.slab)
-	for i := range s.hist {
-		s.hist[i] = s.hist[i][:0]
-	}
-	for i := range s.sb {
-		s.sb[i] = s.sb[i][:0]
-	}
-}
+// cowr is the offset of the commit time of thread t's own newest
+// committed store to loc (CoWR floor), 0 if none.
+func (l *layout) cowr(t, loc int) int { return 3 + t*l.threadWords + loc }
 
-// at indexes thread t's entry for loc in lastCommit and seen.
-func (s *state) at(t, loc int) int { return t*len(s.hist) + loc }
+// corr is the offset of the version time thread t most recently observed
+// at loc (CoRR floor), 0 if none.
+func (l *layout) corr(t, loc int) int { return 3 + t*l.threadWords + l.locs + loc }
 
-// copyFrom overwrites s, a state of the same test, with src. It copies
-// into the storage s owns, so it allocates nothing.
-func (s *state) copyFrom(src *state) {
-	s.clock = src.clock
-	copy(s.pc, src.pc)
-	copy(s.slab, src.slab)
-	for i, h := range src.hist {
-		s.hist[i] = append(s.hist[i][:0], h...)
-	}
-	for i, b := range src.sb {
-		s.sb[i] = append(s.sb[i][:0], b...)
-	}
-}
-
-// appendKey appends the state's canonical binary encoding to b for the
-// visited set. Every field is a uvarint; the variable-length hist and sb
-// entries carry length prefixes and everything else has a fixed count for
-// a given test, so the encoding is injective.
-func (s *state) appendKey(b []byte) []byte {
-	b = binary.AppendUvarint(b, s.clock)
-	for _, h := range s.hist {
-		b = binary.AppendUvarint(b, uint64(len(h)))
-		for _, v := range h {
-			b = binary.AppendUvarint(b, v.time)
-			b = binary.AppendUvarint(b, v.val)
-		}
-	}
-	for _, pc := range s.pc {
-		b = binary.AppendUvarint(b, uint64(pc))
-	}
-	for _, q := range s.sb {
-		b = binary.AppendUvarint(b, uint64(len(q)))
-		for _, p := range q {
-			b = binary.AppendUvarint(b, uint64(p.loc))
-			b = binary.AppendUvarint(b, p.val)
-		}
-	}
-	for _, v := range s.slab {
-		b = binary.AppendUvarint(b, v)
-	}
-	return b
-}
+// registers returns s's register file (loads write it).
+func (l *layout) registers(s state) []uint64 { return s[l.regs : l.regs+l.nregs] }
 
 // commit appends a new version of loc to the coherence order and advances
 // the logical clock.
-func (s *state) commit(t, loc int, val uint64) {
-	s.clock++
-	s.hist[loc] = append(s.hist[loc], version{time: s.clock, val: val})
-	s.lastCommit[s.at(t, loc)] = s.clock
+func (l *layout) commit(s state, t, loc int, val uint64) {
+	s[0]++
+	h := l.hist[loc]
+	e := h + 1 + 2*int(s[h])
+	s[h]++
+	s[e], s[e+1] = s[0], val
+	s[l.cowr(t, loc)] = s[0]
 }
 
 // drain commits thread t's buffered stores in program order (a barrier
-// drain, release semantics, or thread exit).
-func (s *state) drain(t int) {
-	for _, p := range s.sb[t] {
-		s.commit(t, p.loc, p.val)
+// drain, release semantics, or thread exit) and zeroes the buffer.
+func (l *layout) drain(s state, t int) {
+	b := l.sb[t]
+	end := b + 1 + 2*int(s[b])
+	for e := b + 1; e < end; e += 2 {
+		l.commit(s, t, int(s[e]), s[e+1])
 	}
-	s.sb[t] = s.sb[t][:0]
+	clear(s[b:end])
+}
+
+// buffer appends a store of val to loc to thread t's store buffer.
+func (l *layout) buffer(s state, t, loc int, val uint64) {
+	b := l.sb[t]
+	e := b + 1 + 2*int(s[b])
+	s[b]++
+	s[e], s[e+1] = uint64(loc), val
 }
 
 // current returns the newest version of loc (the memory value) and its
 // commit time; (0, 0) when the location was never stored to.
-func (s *state) current(loc int) (val, time uint64) {
-	h := s.hist[loc]
-	if len(h) == 0 {
+func (l *layout) current(s state, loc int) (val, time uint64) {
+	h := l.hist[loc]
+	if s[h] == 0 {
 		return 0, 0
 	}
-	last := h[len(h)-1]
-	return last.val, last.time
+	e := h + 1 + 2*int(s[h]-1)
+	return s[e+1], s[e]
 }
 
 // valueAt returns the value loc held at logical time floor — the newest
 // version with commit time <= floor — and that version's time. This is
 // the versioning-window-start value a stale load observes (§3.2).
-func (s *state) valueAt(loc int, floor uint64) (val, time uint64) {
-	for _, v := range s.hist[loc] {
-		if v.time > floor {
+func (l *layout) valueAt(s state, loc int, floor uint64) (val, time uint64) {
+	h := l.hist[loc]
+	end := h + 1 + 2*int(s[h])
+	for e := h + 1; e < end; e += 2 {
+		if s[e] > floor {
 			break
 		}
-		val, time = v.val, v.time
+		val, time = s[e+1], s[e]
 	}
 	return val, time
 }
 
-// pendingIndex returns the index of thread t's in-flight store to loc, or
-// -1 when none is buffered.
-func (s *state) pendingIndex(t, loc int) int {
-	for i, p := range s.sb[t] {
-		if p.loc == loc {
-			return i
+// pending returns the offset of thread t's in-flight store to loc, whose
+// value is the next word, or -1 when none is buffered.
+func (l *layout) pending(s state, t, loc int) int {
+	b := l.sb[t]
+	end := b + 1 + 2*int(s[b])
+	for e := b + 1; e < end; e += 2 {
+		if s[e] == uint64(loc) {
+			return e
 		}
 	}
 	return -1
@@ -307,19 +240,23 @@ func (s *state) pendingIndex(t, loc int) int {
 type machine struct {
 	test    *lkmm.Test
 	mm      *memmodel.Table
+	l       layout
 	visited stateSet
-	// slots[2d] and slots[2d+1] hold the successors of the state explored
-	// at depth d. A successor stays valid until the next step at its
+	// slots holds the root state, then the successors of the state
+	// explored at each depth: depth d's are slots 2d+1 and 2d+2, each
+	// l.words long. A successor stays valid until the next step at its
 	// depth, which comes only after its own subtree is explored.
-	slots    []state
+	slots    []uint64
 	outcomes *lkmm.OutcomeSet
 	// targets are the register vectors a goal-directed search looks for;
 	// found is set once a finished state matches one, and ends the search.
 	targets [][]uint64
 	found   bool
+	// writes[r] counts the loads into register r.
+	writes []int
 	// final lists the registers with exactly one writer. Such a register
-	// is final once its writer has retired, and a state whose final
-	// registers contradict every target is pruned.
+	// is final once its writer has retired, and a load whose successor's
+	// final registers contradict every target builds no successor.
 	final []finalReg
 }
 
@@ -335,94 +272,84 @@ type finalReg struct {
 // exhaustive and deterministic; litmus tests are tiny by design, so the
 // deduplicated state space is small.
 func RunModel(t *lkmm.Test, mm *memmodel.Table) *Result {
-	// Every step retires one op, so the search is at most NumOps deep,
-	// with two successor slots per level plus the root.
-	states := newStates(t, 2*t.NumOps()+1)
-	m := &machine{
-		test:     t,
-		mm:       mm,
-		visited:  newStateSet(),
-		slots:    states[1:],
-		outcomes: lkmm.NewOutcomeSet(),
-	}
-	m.explore(&states[0], 0)
-	return &Result{Outcomes: m.outcomes.Outcomes, States: m.visited.len()}
+	return new(Reacher).RunModel(t, mm)
 }
 
-// Reacher answers reachability questions over the same machine RunModel
-// explores. It keeps its states, successor slots and visited set across
-// calls and re-carves them only when a test needs more depth or different
-// history, store-buffer or register capacities, so a caller asking about
-// many variants of one test (fence candidates add only barriers and
-// annotations) sizes them once. The zero value is ready to use; a Reacher
-// must not be used by two goroutines at once.
+// Reacher explores the reference machine with storage it keeps across
+// calls: its layout, successor slots and visited set grow to the largest
+// test asked about and are reused, so a caller asking about many tests
+// (fence candidates add only barriers and annotations) allocates nothing
+// per call once warm, beyond the outcome set RunModel returns. The zero
+// value is ready to use; a Reacher must not be used by two goroutines at
+// once.
 type Reacher struct {
-	m      machine
-	states []state
-	// histCap, sbCap and regs are the capacities states was carved for.
-	histCap, sbCap []int
-	regs           int
-	// histNext and sbNext receive the capacities of the test asked about.
-	histNext, sbNext []int
-	// writes[r] counts the loads into register r.
-	writes []int
+	m machine
+}
+
+// RunModel is the package-level RunModel on r's storage.
+func (r *Reacher) RunModel(t *lkmm.Test, mm *memmodel.Table) *Result {
+	m := &r.m
+	root := r.prepare(t, mm)
+	m.targets, m.outcomes = nil, lkmm.NewOutcomeSet()
+	m.explore(root, 0)
+	res := &Result{Outcomes: m.outcomes.Outcomes, States: m.visited.len()}
+	m.outcomes = nil
+	return res
 }
 
 // Reaches reports whether some execution of t under mm ends with its
 // register file equal to one of targets (each of length t.NumRegs). It
-// stops at the first such execution, and never explores a state whose
+// stops at the first such execution, and never builds a state whose
 // single-writer registers already hold values no target has; the answer
 // equals asking whether RunModel's outcome set contains a target.
 func (r *Reacher) Reaches(t *lkmm.Test, mm *memmodel.Table, targets [][]uint64) bool {
 	if len(targets) == 0 {
 		return false
 	}
-	root := r.prepare(t)
 	m := &r.m
-	m.test, m.mm, m.targets, m.found = t, mm, targets, false
-	if m.visited.table == nil {
-		m.visited = newStateSet()
-	}
-	m.visited.reset()
+	root := r.prepare(t, mm)
+	m.targets, m.found = targets, false
 	r.buildFinal(t)
 	m.explore(root, 0)
 	return m.found
 }
 
-// prepare returns a zeroed root state for t, reusing the Reacher's
-// storage when it fits and re-carving it when it does not.
-func (r *Reacher) prepare(t *lkmm.Test) *state {
-	r.histNext, r.sbNext, _ = storeCaps(t, r.histNext, r.sbNext)
-	need := 2*t.NumOps() + 1
-	if len(r.states) < need || t.NumRegs != r.regs ||
-		!slices.Equal(r.histNext, r.histCap) || !slices.Equal(r.sbNext, r.sbCap) {
-		r.states = newStates(t, need)
-		r.histCap = append(r.histCap[:0], r.histNext...)
-		r.sbCap = append(r.sbCap[:0], r.sbNext...)
-		r.regs = t.NumRegs
+// prepare lays out t, sizes the slots and empties the visited set, reusing
+// their storage, and returns the zeroed root state.
+func (r *Reacher) prepare(t *lkmm.Test, mm *memmodel.Table) state {
+	m := &r.m
+	m.test, m.mm = t, mm
+	m.l.build(t)
+	// Every step retires one op, so the search is at most NumOps deep,
+	// with two successor slots per level plus the root.
+	need := (2*t.NumOps() + 1) * m.l.words
+	if cap(m.slots) < need {
+		m.slots = make([]uint64, need)
 	}
-	r.m.slots = r.states[1:]
-	root := &r.states[0]
-	root.reset()
+	m.slots = m.slots[:need]
+	m.visited.reset(m.l.words)
+	root := state(m.slots[:m.l.words])
+	clear(root)
 	return root
 }
 
 // buildFinal fills the machine's single-writer register list for t.
 func (r *Reacher) buildFinal(t *lkmm.Test) {
-	r.writes = slices.Grow(r.writes[:0], t.NumRegs)[:t.NumRegs]
-	clear(r.writes)
+	m := &r.m
+	m.writes = slices.Grow(m.writes[:0], t.NumRegs)[:t.NumRegs]
+	clear(m.writes)
 	for _, ops := range t.Threads {
 		for _, op := range ops {
 			if op.Kind == lkmm.OpLoad {
-				r.writes[op.Reg]++
+				m.writes[op.Reg]++
 			}
 		}
 	}
-	r.m.final = r.m.final[:0]
+	m.final = m.final[:0]
 	for ti, ops := range t.Threads {
 		for pos, op := range ops {
-			if op.Kind == lkmm.OpLoad && r.writes[op.Reg] == 1 {
-				r.m.final = append(r.m.final, finalReg{reg: op.Reg, thread: ti, pos: pos})
+			if op.Kind == lkmm.OpLoad && m.writes[op.Reg] == 1 {
+				m.final = append(m.final, finalReg{reg: op.Reg, thread: ti, pos: pos})
 			}
 		}
 	}
@@ -430,18 +357,14 @@ func (r *Reacher) buildFinal(t *lkmm.Test) {
 
 // explore recurses over all successor states of s, the state at search
 // depth d, recording the outcome when every thread has retired. A
-// goal-directed search prunes s when it cannot reach a target and returns
-// as soon as one is found.
-func (m *machine) explore(s *state, d int) {
-	if m.targets != nil && m.contradicts(s) {
-		return
-	}
+// goal-directed search returns as soon as a target is found.
+func (m *machine) explore(s state, d int) {
 	if !m.visited.insert(s) {
 		return
 	}
 	done := true
-	for ti := range m.test.Threads {
-		if s.pc[ti] >= len(m.test.Threads[ti]) {
+	for ti, ops := range m.test.Threads {
+		if s[m.l.pc(ti)] >= uint64(len(ops)) {
 			continue
 		}
 		done = false
@@ -459,26 +382,38 @@ func (m *machine) explore(s *state, d int) {
 	// Thread exit drains any remaining buffered stores (the syscall
 	// boundary, §3.1), but draining commits memory only: the registers
 	// are already final.
+	regs := m.l.registers(s)
 	if m.targets == nil {
-		m.outcomes.Add(s.regs)
+		m.outcomes.Add(regs)
 		return
 	}
 	for _, tg := range m.targets {
-		if slices.Equal(s.regs, tg) {
+		if slices.Equal(regs, tg) {
 			m.found = true
 			return
 		}
 	}
 }
 
-// contradicts reports whether every target disagrees with one of s's
-// final single-writer registers, so no execution through s ends on a
-// target.
-func (m *machine) contradicts(s *state) bool {
+// prunes reports whether a goal-directed search should drop the successor
+// of s in which load op retires with val: op is its register's only
+// writer, and with that register final at val, every target disagrees
+// with one of the final registers, so no execution through the successor
+// ends on a target. Only such a load can make a state contradict the
+// targets, so checking here, before the successor is built, prunes every
+// state a check of each state would.
+func (m *machine) prunes(s state, op lkmm.Op, val uint64) bool {
+	if m.targets == nil || m.writes[op.Reg] != 1 {
+		return false
+	}
 next:
 	for _, tg := range m.targets {
+		if tg[op.Reg] != val {
+			continue
+		}
+		// op's own entry is skipped: its thread's pc is still op's.
 		for _, f := range m.final {
-			if s.pc[f.thread] > f.pos && s.regs[f.reg] != tg[f.reg] {
+			if s[m.l.pc(f.thread)] > uint64(f.pos) && s[m.l.regs+f.reg] != tg[f.reg] {
 				continue next
 			}
 		}
@@ -488,18 +423,21 @@ next:
 }
 
 // succ returns successor slot k of depth d refilled with a copy of s.
-func (m *machine) succ(s *state, d, k int) *state {
-	ns := &m.slots[2*d+k]
-	ns.copyFrom(s)
+func (m *machine) succ(s state, d, k int) state {
+	w := m.l.words
+	ns := state(m.slots[(2*d+1+k)*w : (2*d+2+k)*w])
+	copy(ns, s)
 	return ns
 }
 
 // step executes thread ti's next op from s, the state at depth d, and
 // returns every permitted successor — one per nondeterministic choice the
-// memory model grants the op — in depth d's slots.
-func (m *machine) step(s *state, ti, d int) (out [2]*state, n int) {
-	mm := m.mm
-	op := m.test.Threads[ti][s.pc[ti]]
+// memory model grants the op — in depth d's slots. A goal-directed search
+// gets only the load successors it does not prune.
+func (m *machine) step(s state, ti, d int) (out [2]state, n int) {
+	mm, l := m.mm, &m.l
+	pc := l.pc(ti)
+	op := m.test.Threads[ti][s[pc]]
 	switch op.Kind {
 	case lkmm.OpBarrier:
 		// The barrier table of the active model: store-ordering barriers
@@ -507,24 +445,24 @@ func (m *machine) step(s *state, ti, d int) (out [2]*state, n int) {
 		// window (under LKMM these are exactly the five §10.1 barrier PPO
 		// cases; under TSO only smp_mb does either).
 		ns := m.succ(s, d, 0)
-		ns.pc[ti]++
+		ns[pc]++
 		if mm.OrdersStores(op.Bar) {
-			ns.drain(ti)
+			l.drain(ns, ti)
 		}
 		if mm.OrdersLoads(op.Bar) {
-			ns.tRmb[ti] = ns.clock
+			ns[l.window(ti)] = ns[0]
 		}
-		return [2]*state{ns}, 1
+		return [2]state{ns}, 1
 
 	case lkmm.OpStore:
 		if mm.Release(op.Atomic) {
 			// Case 5 (or a TSO locked RMW): all precedent accesses
 			// complete first; the release store itself is never delayed.
 			ns := m.succ(s, d, 0)
-			ns.pc[ti]++
-			ns.drain(ti)
-			ns.commit(ti, op.Loc, op.Val)
-			return [2]*state{ns}, 1
+			ns[pc]++
+			l.drain(ns, ti)
+			l.commit(ns, ti, op.Loc, op.Val)
+			return [2]state{ns}, 1
 		}
 		if mm.StoreStoreOrdered() {
 			// FIFO store buffer (x86-TSO): no coalescing — a second store
@@ -533,78 +471,77 @@ func (m *machine) step(s *state, ti, d int) (out [2]*state, n int) {
 			// visibility order matches program order. Mirrors the
 			// emulator's FlushPPO rules exactly.
 			inOrder := m.succ(s, d, 0)
-			inOrder.pc[ti]++
-			inOrder.drain(ti)
-			inOrder.commit(ti, op.Loc, op.Val)
+			inOrder[pc]++
+			l.drain(inOrder, ti)
+			l.commit(inOrder, ti, op.Loc, op.Val)
 			if !mm.Delayable(op.Atomic) {
-				return [2]*state{inOrder}, 1
+				return [2]state{inOrder}, 1
 			}
 			delayed := m.succ(s, d, 1)
-			if s.pendingIndex(ti, op.Loc) >= 0 {
-				delayed.drain(ti)
+			if l.pending(s, ti, op.Loc) >= 0 {
+				l.drain(delayed, ti)
 			}
-			delayed.pc[ti]++
-			delayed.sb[ti] = append(delayed.sb[ti], pendingStore{loc: op.Loc, val: op.Val})
-			return [2]*state{inOrder, delayed}, 2
+			delayed[pc]++
+			l.buffer(delayed, ti, op.Loc, op.Val)
+			return [2]state{inOrder, delayed}, 2
 		}
-		if idx := s.pendingIndex(ti, op.Loc); idx >= 0 {
+		if e := l.pending(s, ti, op.Loc); e >= 0 {
 			// CoWW: same-location program order is preserved by
 			// coalescing into the in-flight entry; the intermediate
 			// value never reaches the coherence order (a real store
 			// buffer also permits this).
 			ns := m.succ(s, d, 0)
-			ns.pc[ti]++
-			ns.sb[ti][idx].val = op.Val
-			return [2]*state{ns}, 1
+			ns[pc]++
+			ns[e+1] = op.Val
+			return [2]state{ns}, 1
 		}
 		// The store-buffering choice of §3.1: commit in place, or — when
 		// the model lets this annotation delay — hold the value back
 		// until the next drain point.
 		inOrder := m.succ(s, d, 0)
-		inOrder.pc[ti]++
-		inOrder.commit(ti, op.Loc, op.Val)
+		inOrder[pc]++
+		l.commit(inOrder, ti, op.Loc, op.Val)
 		if !mm.Delayable(op.Atomic) {
-			return [2]*state{inOrder}, 1
+			return [2]state{inOrder}, 1
 		}
 		delayed := m.succ(s, d, 1)
-		delayed.pc[ti]++
-		delayed.sb[ti] = append(delayed.sb[ti], pendingStore{loc: op.Loc, val: op.Val})
-		return [2]*state{inOrder, delayed}, 2
+		delayed[pc]++
+		l.buffer(delayed, ti, op.Loc, op.Val)
+		return [2]state{inOrder, delayed}, 2
 
 	case lkmm.OpLoad:
-		if idx := s.pendingIndex(ti, op.Loc); idx >= 0 {
+		if e := l.pending(s, ti, op.Loc); e >= 0 {
 			// CoWR: an in-flight own store must be forwarded. The
 			// forwarded value is not yet in the coherence order, so the
 			// seen floor does not move.
-			ns := m.succ(s, d, 0)
-			ns.pc[ti]++
-			ns.regs[op.Reg] = ns.sb[ti][idx].val
-			if mm.LoadBarrier(op.Atomic) {
-				ns.tRmb[ti] = ns.clock
+			if m.prunes(s, op, s[e+1]) {
+				return out, 0
 			}
-			return [2]*state{ns}, 1
+			ns := m.succ(s, d, 0)
+			ns[pc]++
+			ns[l.regs+op.Reg] = ns[e+1]
+			if mm.LoadBarrier(op.Atomic) {
+				ns[l.window(ti)] = ns[0]
+			}
+			return [2]state{ns}, 1
 		}
 		// The versioning choice of §3.2: observe the current value, or —
 		// when the model lets this annotation version — the value the
 		// location held at the window start. The window floor honours the
-		// load barriers (tRmb), the thread's own commits (CoWR), and
-		// versions already observed (CoRR). A model with no versionable
-		// loads (TSO: no invalidation-queue effects) always reads the
-		// current value.
-		curVal, curTime := s.current(op.Loc)
-		out[0] = m.readLoad(m.succ(s, d, 0), ti, op, curVal, curTime)
-		n = 1
+		// load barriers (the window start), the thread's own commits
+		// (CoWR), and versions already observed (CoRR). A model with no
+		// versionable loads (TSO: no invalidation-queue effects) always
+		// reads the current value.
+		curVal, curTime := l.current(s, op.Loc)
+		if !m.prunes(s, op, curVal) {
+			out[n] = m.readLoad(m.succ(s, d, n), ti, op, curVal, curTime)
+			n++
+		}
 		if mm.Versionable(op.Atomic) {
-			floor := s.tRmb[ti]
-			if lc := s.lastCommit[s.at(ti, op.Loc)]; lc > floor {
-				floor = lc
-			}
-			if sv := s.seen[s.at(ti, op.Loc)]; sv > floor {
-				floor = sv
-			}
-			if oldVal, oldTime := s.valueAt(op.Loc, floor); oldTime != curTime {
-				out[1] = m.readLoad(m.succ(s, d, 1), ti, op, oldVal, oldTime)
-				n = 2
+			floor := max(s[l.window(ti)], s[l.cowr(ti, op.Loc)], s[l.corr(ti, op.Loc)])
+			if oldVal, oldTime := l.valueAt(s, op.Loc, floor); oldTime != curTime && !m.prunes(s, op, oldVal) {
+				out[n] = m.readLoad(m.succ(s, d, n), ti, op, oldVal, oldTime)
+				n++
 			}
 		}
 		return out, n
@@ -617,80 +554,68 @@ func (m *machine) step(s *state, ti, d int) (out [2]*state, n int) {
 // and the CoRR floor update, plus the window pin of model-designated
 // load-barrier annotations (LKMM Cases 4 and 6; acquire only under
 // ARMv8).
-func (m *machine) readLoad(ns *state, ti int, op lkmm.Op, val, time uint64) *state {
-	ns.pc[ti]++
-	ns.regs[op.Reg] = val
-	ns.seen[ns.at(ti, op.Loc)] = time
+func (m *machine) readLoad(ns state, ti int, op lkmm.Op, val, time uint64) state {
+	l := &m.l
+	ns[l.pc(ti)]++
+	ns[l.regs+op.Reg] = val
+	ns[l.corr(ti, op.Loc)] = time
 	if m.mm.LoadBarrier(op.Atomic) {
-		ns.tRmb[ti] = ns.clock
+		ns[l.window(ti)] = ns[0]
 	}
 	return ns
 }
 
-// stateSet is the visited-state set. Keys are appended back to back to
-// one arena, and an open-addressing table maps each key's hash to its
+// stateSet is the visited-state set. Every key is one state's words, all
+// of one test's layout and so of one width: key i is keys[i*width :
+// (i+1)*width]. An open-addressing table maps each key's hash to its
 // index, so inserting a new state costs no allocation of its own and
 // looking up a visited one costs none at all.
 type stateSet struct {
-	arena []byte
-	// ends[i] is the arena offset just past key i; key i starts where key
-	// i-1 ends.
-	ends []uint32
+	keys  []uint64
+	width int
 	// table holds tag<<32 | (i+1) for key i, where tag is the high half of
 	// the key's hash; 0 marks an empty slot. The low bits of the tag pick
 	// the home slot, and the table is kept at most half full.
 	table []uint64
-	seed  maphash.Seed
 }
 
-func newStateSet() stateSet {
-	return stateSet{
-		arena: make([]byte, 0, 4096),
-		ends:  make([]uint32, 0, 128),
-		table: make([]uint64, 256),
-		seed:  maphash.MakeSeed(),
+func (v *stateSet) len() int { return len(v.keys) / v.width }
+
+// reset empties the set for keys of width words, keeping its storage.
+func (v *stateSet) reset(width int) {
+	if v.table == nil {
+		v.table = make([]uint64, 256)
 	}
-}
-
-func (v *stateSet) len() int { return len(v.ends) }
-
-// reset empties the set, keeping its storage.
-func (v *stateSet) reset() {
-	v.arena = v.arena[:0]
-	v.ends = v.ends[:0]
+	v.keys = v.keys[:0]
+	v.width = width
 	clear(v.table)
 }
 
-// key returns key i's bytes.
-func (v *stateSet) key(i int) []byte {
-	start := uint32(0)
-	if i > 0 {
-		start = v.ends[i-1]
-	}
-	return v.arena[start:v.ends[i]]
-}
-
-// insert adds s's key and reports whether it was new. A key already
-// present is truncated off the arena again.
-func (v *stateSet) insert(s *state) bool {
-	start := len(v.arena)
-	v.arena = s.appendKey(v.arena)
-	k := v.arena[start:]
-	tag := maphash.Bytes(v.seed, k) >> 32
+// insert adds s and reports whether it was new.
+func (v *stateSet) insert(s state) bool {
+	tag := hashWords(s) >> 32
 	mask := uint64(len(v.table) - 1)
 	for i := tag & mask; ; i = (i + 1) & mask {
 		e := v.table[i]
 		if e == 0 {
-			v.ends = append(v.ends, uint32(len(v.arena)))
-			v.table[i] = tag<<32 | uint64(len(v.ends))
-			if 2*len(v.ends) > len(v.table) {
+			if len(v.keys)+len(s) > cap(v.keys) {
+				// Double by hand: append grows a large slice by a
+				// quarter, which copies the keys too often.
+				v.keys = slices.Grow(v.keys, max(len(v.keys), 64*len(s)))
+			}
+			v.keys = append(v.keys, s...)
+			n := v.len()
+			v.table[i] = tag<<32 | uint64(n)
+			if 2*n > len(v.table) {
 				v.grow()
 			}
 			return true
 		}
-		if e>>32 == tag && bytes.Equal(v.key(int(uint32(e))-1), k) {
-			v.arena = v.arena[:start]
-			return false
+		if e>>32 == tag {
+			k := (int(uint32(e)) - 1) * v.width
+			if slices.Equal(v.keys[k:k+v.width], s) {
+				return false
+			}
 		}
 	}
 }
@@ -710,4 +635,32 @@ func (v *stateSet) grow() {
 		}
 		v.table[i] = e
 	}
+}
+
+// Constants of hashWords, from wyhash.
+const (
+	hashK0 = 0xa0761d6478bd642f
+	hashK1 = 0xe7037ed1a0b428db
+	hashK2 = 0x8ebc6af09c88c6e3
+)
+
+// hashWords hashes a state's words two at a time, wyhash style: each
+// round folds the 128-bit product of one word and the other word mixed
+// with the hash so far, so one multiply covers two words and a difference
+// in any word reaches the high half the table's tags come from.
+func hashWords(w []uint64) uint64 {
+	h := uint64(len(w)) ^ hashK0
+	for ; len(w) >= 2; w = w[2:] {
+		h = mix(w[0]^hashK1, w[1]^h)
+	}
+	if len(w) == 1 {
+		h = mix(w[0]^hashK1, h^hashK2)
+	}
+	return mix(h^hashK0, hashK2)
+}
+
+// mix folds the 128-bit product of a and b into 64 bits.
+func mix(a, b uint64) uint64 {
+	hi, lo := bits.Mul64(a, b)
+	return hi ^ lo
 }

@@ -9,6 +9,12 @@ import (
 	"ozz/internal/memmodel"
 )
 
+// applyFences builds the repaired test of fences into fresh storage, so
+// it stays valid while other candidates are built.
+func applyFences(t *lkmm.Test, fences []Fence) *lkmm.Test {
+	return new(repairedTest).build(t, fences)
+}
+
 // reachShapes lists the soundness sweep's tests: every suite shape, two
 // hand-written shapes whose registers have two writers or none, and n
 // generated shapes.
@@ -152,9 +158,10 @@ func TestLitmusReachesMatchesRunModel(t *testing.T) {
 }
 
 // TestLegalityAllocsIndependentOfStates checks that a problem's legality
-// checks reuse its search storage: once the problem has made its first
-// check, a check allocates only the repaired test it builds, whether its
-// search visits few states or many. The small and large candidates are
+// checks reuse a worker's storage: once the worker has made its first
+// check, a check allocates nothing — not its repaired test, not its
+// search — whether its search visits few states or many. The small and
+// large candidates are
 // the legal size-1 or size-2 candidates of one suite shape whose full
 // enumerations visit the fewest and the most states, from the shape where
 // those two counts differ most.
@@ -171,11 +178,11 @@ func TestLegalityAllocsIndependentOfStates(t *testing.T) {
 			// Every candidate is legal without a search.
 			continue
 		}
-		var r model.Reacher
+		var w searchers
 		var lo, hi cand
 		singles := q.singleFences()
 		for _, c := range append(combinations(singles, 1), combinations(singles, 2)...) {
-			if !q.checkLegal(&r, c, q.primary) {
+			if !q.checkLegal(&w, c, q.primary) {
 				continue
 			}
 			n := model.RunModel(applyFences(e.Test, c), q.primary).States
@@ -193,15 +200,14 @@ func TestLegalityAllocsIndependentOfStates(t *testing.T) {
 	if p == nil {
 		t.Fatal("no suite shape has legal candidates with different state counts")
 	}
-	var r model.Reacher
-	p.checkLegal(&r, small.fences, p.primary)
+	var w searchers
+	p.checkLegal(&w, small.fences, p.primary)
 	for _, c := range []cand{small, large} {
-		check := testing.AllocsPerRun(20, func() { p.checkLegal(&r, c.fences, p.primary) })
-		build := testing.AllocsPerRun(20, func() { applyFences(p.test, c.fences) })
-		t.Logf("%s %v: %d states, check %.0f allocs, repaired test %.0f", p.test.Name, c.fences, c.states, check, build)
-		if check != build {
-			t.Errorf("%s %v (%d states): legality check allocates %.0f, building its repaired test %.0f",
-				p.test.Name, c.fences, c.states, check, build)
+		check := testing.AllocsPerRun(20, func() { p.checkLegal(&w, c.fences, p.primary) })
+		t.Logf("%s %v: %d states, check %.0f allocs", p.test.Name, c.fences, c.states, check)
+		if check != 0 {
+			t.Errorf("%s %v (%d states): warm legality check allocates %.0f, want 0",
+				p.test.Name, c.fences, c.states, check)
 		}
 	}
 }

@@ -103,9 +103,9 @@ func TestMinimality(t *testing.T) {
 			continue
 		}
 		p := newProblem(e.Test, litmusLabels(e.Test), Options{}, -1)
-		var r model.Reacher
+		var w searchers
 		for _, sug := range res.Suggestions {
-			if !p.legal(&r, sug.Fences, p.primary) {
+			if !p.legal(&w, sug.Fences, p.primary) {
 				t.Errorf("%s: suggestion %s is not legal", e.Test.Name, sug)
 			}
 			if len(sug.Fences) == 1 {
@@ -120,7 +120,7 @@ func TestMinimality(t *testing.T) {
 						sub = append(sub, f)
 					}
 				}
-				if p.legal(&r, sub, p.primary) {
+				if p.legal(&w, sub, p.primary) {
 					t.Errorf("%s: suggestion %s is not minimal — dropping %s keeps it legal",
 						e.Test.Name, sug, sug.Fences[drop])
 				}
@@ -162,11 +162,11 @@ func TestLegalityMemo(t *testing.T) {
 			reached := map[string]int{}
 			closed := map[string]int{}
 			p := newProblem(e.Test, litmusLabels(e.Test), opts, -1)
-			p.enumerate = func(test *lkmm.Test, mm *memmodel.Table) *model.Result {
+			p.enumerate = func(r *model.Reacher, test *lkmm.Test, mm *memmodel.Table) *model.Result {
 				mu.Lock()
 				explored[fmt.Sprintf("%s %v", mm.Name(), test.Threads)]++
 				mu.Unlock()
-				return model.RunModel(test, mm)
+				return r.RunModel(test, mm)
 			}
 			p.reach = func(r *model.Reacher, test *lkmm.Test, mm *memmodel.Table, targets [][]uint64) bool {
 				mu.Lock()
@@ -307,13 +307,13 @@ var legalitySink bool
 
 // BenchmarkLegality runs every size-1 and size-2 legality check of every
 // named suite shape once per iteration, with the legality memo off, so
-// each check searches the reference model. Each shape's problem and
-// Reacher persist across iterations, as they do across one search's
-// candidates.
+// each check builds its repaired test and searches the reference model.
+// Each shape's problem and worker storage persist across iterations, as
+// they do across one search's candidates.
 func BenchmarkLegality(b *testing.B) {
 	type shape struct {
 		p     *problem
-		r     model.Reacher
+		w     searchers
 		cands [][]Fence
 	}
 	var shapes []*shape
@@ -329,7 +329,7 @@ func BenchmarkLegality(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, s := range shapes {
 			for _, c := range s.cands {
-				legalitySink = s.p.legal(&s.r, c, s.p.primary)
+				legalitySink = s.p.legal(&s.w, c, s.p.primary)
 			}
 		}
 	}

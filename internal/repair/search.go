@@ -61,8 +61,8 @@ type problem struct {
 	// OEMU-driven litmus search (litmusReach).
 	closure func(fences []Fence, mm *memmodel.Table) bool
 	// enumerate is the reference enumerator behind buggy sets
-	// (model.RunModel).
-	enumerate func(t *lkmm.Test, mm *memmodel.Table) *model.Result
+	// (model.Reacher.RunModel), asked with the problem's enum Reacher.
+	enumerate func(r *model.Reacher, t *lkmm.Test, mm *memmodel.Table) *model.Result
 	// reach is the reference reachability check behind legality
 	// (model.Reacher.Reaches), asked with a validation worker's Reacher.
 	reach func(r *model.Reacher, t *lkmm.Test, mm *memmodel.Table, targets [][]uint64) bool
@@ -77,7 +77,10 @@ type problem struct {
 	// worker's storage fits them all.
 	searchers []searchers
 
-	mu    sync.Mutex
+	mu sync.Mutex
+	// enum is the storage of the buggy-set enumerations, used under mu:
+	// the SC baseline and each model enumerate the same test.
+	enum  model.Reacher
 	buggy map[string]*buggyOutcomes
 	sc    map[lkmm.Outcome]bool
 	// legality memoizes legal verdicts for the whole search, so size-k
@@ -91,10 +94,22 @@ type problem struct {
 }
 
 // searchers is one validation worker's storage: the reference model's
-// Reacher for legality and the OEMU litmus Reacher for closure.
+// Reacher for legality, the OEMU litmus Reacher for closure, and the
+// repaired test each check builds and then searches.
 type searchers struct {
 	legal   model.Reacher
 	closure lkmm.Reacher
+	fix     repairedTest
+}
+
+// repairedTest is storage a repaired test is built into, reused from one
+// candidate to the next.
+type repairedTest struct {
+	test lkmm.Test
+	// src is the unrepaired test the name was derived from.
+	src *lkmm.Test
+	// ops backs every thread's ops.
+	ops []lkmm.Op
 }
 
 // buggyOutcomes is the buggy set under one model, rendered and as the
@@ -125,7 +140,7 @@ func newProblem(test *lkmm.Test, labels [][]string, opts Options, restrict int) 
 		primary:      opts.model(),
 		opts:         opts,
 		restrict:     restrict,
-		enumerate:    model.RunModel,
+		enumerate:    (*model.Reacher).RunModel,
 		reach:        (*model.Reacher).Reaches,
 		litmusReach:  (*lkmm.Reacher).Reaches,
 		buggy:        map[string]*buggyOutcomes{},
@@ -145,9 +160,9 @@ func (p *problem) buggySet(mm *memmodel.Table) *buggyOutcomes {
 		return b
 	}
 	if p.sc == nil {
-		p.sc = p.enumerate(p.test, scBaseline).Outcomes
+		p.sc = p.enumerate(&p.enum, p.test, scBaseline).Outcomes
 	}
-	weak := p.enumerate(p.test, mm)
+	weak := p.enumerate(&p.enum, p.test, mm)
 	b := &buggyOutcomes{}
 	for _, s := range weak.Sorted() {
 		if o := lkmm.Outcome(s); !p.sc[o] {
@@ -254,25 +269,21 @@ func combinations(singles []Fence, k int) [][]Fence {
 	return out
 }
 
-// applyFences builds the repaired litmus test: barriers spliced into their
-// gaps (several in one gap in ascending kind order), strengthened ops
-// re-annotated. Candidates hold a handful of fences, so each gap and op
-// scans them all instead of indexing them; every thread's ops share one
-// array.
-func applyFences(t *lkmm.Test, fences []Fence) *lkmm.Test {
-	inserts := 0
-	for _, f := range fences {
-		if f.Action == ActionInsert {
-			inserts++
-		}
+// build builds the repaired litmus test into b and returns it, valid
+// until the next build: barriers spliced into their gaps (several in one
+// gap in ascending kind order), strengthened ops re-annotated. Candidates
+// hold a handful of fences, so each gap and op scans them all instead of
+// indexing them; every thread's ops share one array.
+func (b *repairedTest) build(t *lkmm.Test, fences []Fence) *lkmm.Test {
+	if b.src != t {
+		b.src = t
+		b.test.Name = t.Name + "+fix"
 	}
-	all := make([]lkmm.Op, 0, t.NumOps()+inserts)
-	nt := &lkmm.Test{
-		Name:    t.Name + "+fix",
-		Threads: make([][]lkmm.Op, len(t.Threads)),
-		NumLocs: t.NumLocs,
-		NumRegs: t.NumRegs,
-	}
+	nt := &b.test
+	nt.NumLocs, nt.NumRegs = t.NumLocs, t.NumRegs
+	nt.Threads = slices.Grow(nt.Threads[:0], len(t.Threads))[:len(t.Threads)]
+	// An insertion adds one op, a strengthening none.
+	all := slices.Grow(b.ops[:0], t.NumOps()+len(fences))
 	for ti, ops := range t.Threads {
 		start := len(all)
 		for i := 0; i <= len(ops); i++ {
@@ -296,6 +307,7 @@ func applyFences(t *lkmm.Test, fences []Fence) *lkmm.Test {
 		}
 		nt.Threads[ti] = all[start:len(all):len(all)]
 	}
+	b.ops = all
 	return nt
 }
 
@@ -320,11 +332,11 @@ func fenceSetKey(fences []Fence) string {
 }
 
 // legal reports whether the repaired test forbids every buggy outcome
-// under mm, per the reference model, searching with r. Verdicts are
-// memoized per (fence set, model).
-func (p *problem) legal(r *model.Reacher, fences []Fence, mm *memmodel.Table) bool {
+// under mm, per the reference model, checking with w's storage. Verdicts
+// are memoized per (fence set, model).
+func (p *problem) legal(w *searchers, fences []Fence, mm *memmodel.Table) bool {
 	return p.memo(p.legality, fences, mm, func(fences []Fence, mm *memmodel.Table) bool {
-		return p.checkLegal(r, fences, mm)
+		return p.checkLegal(w, fences, mm)
 	})
 }
 
@@ -347,35 +359,37 @@ func (p *problem) memo(verdicts map[legalKey]*legalVerdict, fences []Fence, mm *
 }
 
 // checkLegal asks the reference model whether the repaired test can
-// still reach a buggy outcome; the search stops at the first one.
-func (p *problem) checkLegal(r *model.Reacher, fences []Fence, mm *memmodel.Table) bool {
-	return !p.reach(r, applyFences(p.test, fences), mm, p.buggySet(mm).regs)
+// still reach a buggy outcome; the search stops at the first one. It
+// builds and searches the test in w's storage, so once w is warm it
+// allocates nothing.
+func (p *problem) checkLegal(w *searchers, fences []Fence, mm *memmodel.Table) bool {
+	return !p.reach(&w.legal, w.fix.build(p.test, fences), mm, p.buggySet(mm).regs)
 }
 
 // closes reports whether the candidate closes the bug under mm in the
 // live layer: the injected in-vivo oracle when present, otherwise the
-// OEMU-driven litmus search of the repaired test, run with r. Only the
-// litmus closure, a pure function of (fence set, model), is memoized: the
-// in-vivo oracle runs the engine, and its runs are counted, so it
-// executes exactly the runs an unmemoized search would.
-func (p *problem) closes(r *lkmm.Reacher, fences []Fence, mm *memmodel.Table) bool {
+// OEMU-driven litmus search of the repaired test, run on w's storage.
+// Only the litmus closure, a pure function of (fence set, model), is
+// memoized: the in-vivo oracle runs the engine, and its runs are counted,
+// so it executes exactly the runs an unmemoized search would.
+func (p *problem) closes(w *searchers, fences []Fence, mm *memmodel.Table) bool {
 	if p.closure != nil {
 		return p.closure(fences, mm)
 	}
 	return p.memo(p.litmusClosed, fences, mm, func(fences []Fence, mm *memmodel.Table) bool {
-		return p.litmusCloses(r, fences, mm)
+		return p.litmusCloses(w, fences, mm)
 	})
 }
 
 // litmusCloses asks OEMU whether some run of the repaired test still ends
 // in a buggy outcome; the search stops at the first one.
-func (p *problem) litmusCloses(r *lkmm.Reacher, fences []Fence, mm *memmodel.Table) bool {
-	repaired := applyFences(p.test, fences)
+func (p *problem) litmusCloses(w *searchers, fences []Fence, mm *memmodel.Table) bool {
+	repaired := w.fix.build(p.test, fences)
 	if lkmm.NumDirectiveSites(repaired) > lkmm.MaxDirectiveSites {
 		// Too wide for the OEMU search: rely on legality alone.
 		return true
 	}
-	return !p.litmusReach(r, repaired, mm, p.buggySet(mm).regs)
+	return !p.litmusReach(&w.closure, repaired, mm, p.buggySet(mm).regs)
 }
 
 // Candidate verdict codes.
@@ -405,15 +419,15 @@ func (p *problem) validate(w *searchers, fences []Fence) verdict {
 					sub = append(sub, f)
 				}
 			}
-			if p.legal(&w.legal, sub, p.primary) {
+			if p.legal(w, sub, p.primary) {
 				return verdict{status: vNonMinimal}
 			}
 		}
 	}
-	if !p.legal(&w.legal, fences, p.primary) {
+	if !p.legal(w, fences, p.primary) {
 		return verdict{status: vIllegal}
 	}
-	if !p.closes(&w.closure, fences, p.primary) {
+	if !p.closes(w, fences, p.primary) {
 		return verdict{status: vUnclosed}
 	}
 	return verdict{status: vOK, models: p.modelReports(w, fences)}
@@ -428,7 +442,7 @@ func (p *problem) modelReports(w *searchers, fences []Fence) []ModelReport {
 		switch {
 		case len(p.buggySet(mm).outcomes) == 0:
 			status = StatusUnnecessary
-		case p.legal(&w.legal, fences, mm) && p.closes(&w.closure, fences, mm):
+		case p.legal(w, fences, mm) && p.closes(w, fences, mm):
 			status = StatusFixes
 		}
 		out = append(out, ModelReport{Model: mm.Name(), Status: status})
