@@ -308,8 +308,8 @@ func BenchmarkMinimize(b *testing.B) {
 	b.ResetTimer()
 	var calls int
 	for i := 0; i < b.N; i++ {
-		m, _, _ := env.Minimize(p, 2, 3, hit, title)
-		calls = len(m.Calls)
+		m := env.Minimize(core.Finding{Prog: p, I: 2, J: 3, Hint: hit, Title: title})
+		calls = len(m.Prog.Calls)
 	}
 	b.ReportMetric(float64(len(p.Calls)), "calls-before")
 	b.ReportMetric(float64(calls), "calls-after")

@@ -329,8 +329,8 @@ func TestCrossStrategyProperties(t *testing.T) {
 		}
 	})
 
-	// Property 2: suppressing the OEMU directives (NoReorder — the triage
-	// re-run) makes every hint execution behave in-order: no reordering
+	// Property 2: suppressing the OEMU directives (a finding's request
+	// with no reorder sites — the triage re-run) makes every hint execution behave in-order: no reordering
 	// occurs and no OOO crash fires, even though the interleaving
 	// schedule is identical. This is §2.3's claim that interleaving
 	// control alone cannot expose missing-barrier bugs, as a property
@@ -353,7 +353,8 @@ func TestCrossStrategyProperties(t *testing.T) {
 			}
 			fired := false
 			for _, h := range hs {
-				res := env.RunMTI(core.MTIOpts{Prog: p, I: 1, J: 2, Hint: h, NoReorder: true})
+				f := core.Finding{Prog: p, I: 1, J: 2, Hint: h}
+				res := env.RunMTI(f.Request(nil, nil))
 				if res.Reordered != 0 {
 					t.Fatalf("%s: hint %s reordered %d accesses with directives suppressed",
 						sw, h, res.Reordered)

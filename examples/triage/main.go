@@ -1,8 +1,9 @@
-// Triage: the post-discovery pipeline — given a crashing campaign finding,
-// (1) classify it as a genuine OOO bug by re-running the same schedule
-// WITHOUT reordering directives (the paper's authors triaged 61 crash
+// Triage: the post-discovery pipeline — given a crashing campaign finding
+// (a core.Finding: program, pair, hint and title), (1) classify it as a
+// genuine OOO bug by re-running the same schedule with an empty reorder
+// set, Finding.Request(nil, nil) (the paper's authors triaged 61 crash
 // titles manually, §6.1; here it is automatic), and (2) minimize the
-// reproducer syzkaller-style while the crash persists.
+// reproducer syzkaller-style while Finding.Reproduced still holds.
 //
 //	go run ./examples/triage
 package main
@@ -28,49 +29,49 @@ func main() {
 		panic(err)
 	}
 
-	// Find a reproducing (pair, hint).
+	// Find a reproducing (pair, hint): a finding whose hint's own reorder
+	// sites reproduce the title.
 	sti := env.RunSTI(p)
-	var hit *hints.Hint
-	var i, j int
+	var f *core.Finding
 	for _, pr := range [][2]int{{2, 3}, {1, 2}, {2, 4}} {
 		for _, h := range hints.Calculate(sti.CallEvents[pr[0]], sti.CallEvents[pr[1]]) {
-			if res := env.RunMTI(core.MTIOpts{Prog: p, I: pr[0], J: pr[1], Hint: h}); res.Crash != nil && res.Crash.Title == title {
-				hit, i, j = h, pr[0], pr[1]
+			cand := core.Finding{Prog: p, I: pr[0], J: pr[1], Hint: h, Title: title}
+			if cand.Reproduced(env.RunMTI(cand.Request(h.Reorder, nil))) {
+				f = &cand
 				break
 			}
 		}
-		if hit != nil {
+		if f != nil {
 			break
 		}
 	}
-	if hit == nil {
+	if f == nil {
 		fmt.Println("no reproducer found (unexpected)")
 		return
 	}
 	fmt.Printf("reproduced: %s\n", title)
 	fmt.Printf("  pair: calls %d and %d; hint: %s, sched=%s\n",
-		i, j, hit.Type(), modules.SiteName(hit.Sched))
+		f.I, f.J, f.Hint.Type(), modules.SiteName(f.Hint.Sched))
 
-	// Step 1 — OOO triage: same schedule, reordering off.
-	rerun := env.RunMTI(core.MTIOpts{Prog: p, I: i, J: j, Hint: hit, NoReorder: true})
-	if rerun.Crash == nil {
+	// Step 1 — OOO triage: same schedule, no reorder sites.
+	if !f.Reproduced(env.RunMTI(f.Request(nil, nil))) {
 		fmt.Println("  triage: crash vanishes in order -> genuine OOO bug")
 	} else {
 		fmt.Println("  triage: crash persists in order -> plain interleaving race")
 	}
 
 	// Step 2 — minimize the reproducer.
-	minned, mi, mj := env.Minimize(p, i, j, hit, title)
+	minned := env.Minimize(*f)
 	fmt.Printf("  minimized: %d calls -> %d calls (pair now %d,%d)\n",
-		len(p.Calls), len(minned.Calls), mi, mj)
-	for _, line := range strings.Split(strings.TrimRight(minned.String(), "\n"), "\n") {
+		len(p.Calls), len(minned.Prog.Calls), minned.I, minned.J)
+	for _, line := range strings.Split(strings.TrimRight(minned.Prog.String(), "\n"), "\n") {
 		fmt.Println("    " + line)
 	}
 
 	// Contrast: a plain interleaving race fails the triage — the vmci
 	// use-after-free reproduces on a schedule alone (destroy frees the
 	// pair between the waiter's pointer load and its dereference), with
-	// reordering directives OFF.
+	// no reorder sites.
 	fmt.Println()
 	fmt.Println("contrast — the vmci use-after-free (a plain race, no reordering needed):")
 	env2 := ozz.NewEnv([]string{"vmci"}, ozz.Bugs("vmci:uaf_race"))
@@ -85,7 +86,8 @@ func main() {
 		Sched:     modules.SiteByName("vmci_qp_wait:READ_ONCE"),
 		SchedOcc:  1,
 	}
-	res := env2.RunMTI(core.MTIOpts{Prog: p2, I: 2, J: 3, Hint: raceHint, NoReorder: true})
+	race := core.Finding{Prog: p2, I: 2, J: 3, Hint: raceHint}
+	res := env2.RunMTI(race.Request(nil, nil))
 	if res.Crash != nil {
 		fmt.Printf("  %s\n", res.Crash.Title)
 		fmt.Println("  triage: crash reproduces with reordering OFF -> plain interleaving race")

@@ -5,12 +5,10 @@ import (
 	"time"
 
 	"ozz/internal/engine"
-	"ozz/internal/hints"
 	"ozz/internal/memmodel"
 	"ozz/internal/modules"
 	"ozz/internal/obs"
 	"ozz/internal/repair"
-	"ozz/internal/syzlang"
 	"ozz/internal/trace"
 )
 
@@ -119,39 +117,33 @@ type Stats struct {
 // repairFinding runs the fence-repair search for a newly-discovered OOO
 // finding (pool workers call it under the title-is-new guard).
 // It returns nil when Config.Repair is off. events is the step's STI
-// profile of p, so the extra cost is the search itself.
-func repairFinding(env *Env, cfg *Config, co *campaignObs, p *syzlang.Program, events [][]trace.Event, i, j int, h *hints.Hint, title string, soft bool) *repair.Result {
+// profile of the finding's program, so the extra cost is the search
+// itself.
+func repairFinding(env *Env, cfg *Config, co *campaignObs, f *Finding, events [][]trace.Event) *repair.Result {
 	if !cfg.Repair {
 		return nil
 	}
 	start := time.Now()
 	defer observe(co.stRepair, start)
-	return repair.InVivo(repair.InVivoInput{
-		Prog:   p,
-		I:      i,
-		J:      j,
-		Hint:   h,
-		Events: events,
-		Title:  title,
-		Soft:   soft,
-	}, env, repair.Options{Model: cfg.Model, Metrics: co.repair})
+	return repair.InVivo(*f, events, env, repair.Options{Model: cfg.Model, Metrics: co.repair})
 }
 
 // probeModels is the cross-model probe: it re-runs a newly-found OOO
-// bug's MTI under every OTHER registered memory model and returns the
-// sorted names of the models under which the finding reproduces — the
-// report's "reorders under" line. The campaign's own model is included
-// without a re-run (the finding just reproduced under it). Probe runs
-// are observation only: they touch neither the deterministic Stats
-// counters nor the coverage corpus, so campaign goldens are unaffected.
-// Safe to call concurrently (pool workers probe job-side).
-func probeModels(env *Env, base *memmodel.Table, p *syzlang.Program, i, j int, h *hints.Hint, reproduced func(*MTIResult) bool) []string {
+// finding under every OTHER registered memory model and returns the
+// sorted names of the models under which it reproduces — the report's
+// "reorders under" line. The campaign's own model is included without a
+// re-run (the finding just reproduced under it). Probe runs are
+// observation only: they touch neither the deterministic Stats counters
+// nor the coverage corpus, so campaign goldens are unaffected. Safe to
+// call concurrently (pool workers probe job-side).
+func probeModels(env *Env, base *memmodel.Table, f *Finding) []string {
 	models := []string{base.Name()}
+	req := f.Request(f.Hint.Reorder, nil)
 	for _, mm := range memmodel.All() {
 		if mm == base {
 			continue
 		}
-		if reproduced(env.RunMTIUnder(MTIOpts{Prog: p, I: i, J: j, Hint: h}, mm)) {
+		if f.Reproduced(env.RunMTIUnder(req, mm)) {
 			models = append(models, mm.Name())
 		}
 	}

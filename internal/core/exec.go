@@ -92,6 +92,12 @@ type MTIResult = engine.Result
 // multi-threaded input (§4.4).
 type MTIOpts = engine.Request
 
+// Finding is a report's reproducer: the multi-threaded input that
+// produced it and its title. Triage, the cross-model probe, fence repair
+// and Minimize re-run it through Finding.Request and judge each run with
+// Finding.Reproduced.
+type Finding = engine.Finding
+
 // RunSTI executes the program sequentially on one task, profiling each
 // call's memory accesses and barriers — OZZ's first workflow step. The
 // result owns its profile.

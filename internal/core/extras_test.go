@@ -190,7 +190,8 @@ func TestMinimize(t *testing.T) {
 	if hit == nil {
 		t.Fatal("no reproducing hint found")
 	}
-	minned, mi, mj := env.Minimize(p, hi, hj, hit, title)
+	m := env.Minimize(Finding{Prog: p, I: hi, J: hj, Hint: hit, Title: title})
+	minned, mi, mj := m.Prog, m.I, m.J
 	if len(minned.Calls) >= len(p.Calls) {
 		t.Fatalf("minimization removed nothing (%d calls)", len(minned.Calls))
 	}

@@ -1,46 +1,36 @@
 package core
 
-import (
-	"ozz/internal/hints"
-	"ozz/internal/syzlang"
-)
-
-// Minimize shrinks a crashing multi-threaded input, syzkaller-style: it
-// repeatedly removes calls other than the concurrent pair while the crash
-// (same title) still reproduces under the same scheduling hint. Instruction
-// sites are static, so the hint stays valid across call removal; only the
-// pair indices shift.
+// Minimize shrinks a finding's program, syzkaller-style: it repeatedly
+// removes calls other than the concurrent pair while the finding still
+// reproduces under the same scheduling hint. Instruction sites are
+// static, so the hint stays valid across call removal; only the pair
+// indices shift.
 //
-// It returns the minimized program and the updated pair indices.
-func (e *Env) Minimize(p *syzlang.Program, i, j int, h *hints.Hint, title string) (*syzlang.Program, int, int) {
-	reproduces := func(q *syzlang.Program, qi, qj int) bool {
-		res := e.RunMTI(MTIOpts{Prog: q, I: qi, J: qj, Hint: h})
-		return res.Crash != nil && res.Crash.Title == title
-	}
-	cur, ci, cj := p.Clone(), i, j
+// It returns the minimized finding, whose program is a copy.
+func (e *Env) Minimize(f Finding) Finding {
+	f.Prog = f.Prog.Clone()
 	for {
 		removed := false
-		for victim := len(cur.Calls) - 1; victim >= 0; victim-- {
-			if victim == ci || victim == cj {
+		for victim := len(f.Prog.Calls) - 1; victim >= 0; victim-- {
+			if victim == f.I || victim == f.J {
 				continue
 			}
-			cand := cur.Clone()
-			cand.DeleteCall(victim)
-			ni, nj := ci, cj
-			if victim < ni {
-				ni--
+			cand := f
+			cand.Prog = f.Prog.Clone()
+			cand.Prog.DeleteCall(victim)
+			if victim < cand.I {
+				cand.I--
 			}
-			if victim < nj {
-				nj--
+			if victim < cand.J {
+				cand.J--
 			}
-			if reproduces(cand, ni, nj) {
-				cur, ci, cj = cand, ni, nj
-				removed = true
+			if cand.Reproduced(e.RunMTI(cand.Request(cand.Hint.Reorder, nil))) {
+				f, removed = cand, true
 				break // restart the scan over the smaller program
 			}
 		}
 		if !removed {
-			return cur, ci, cj
+			return f
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -424,65 +423,64 @@ func (p *Pool) runPair(w *worker, res *jobResult, sti *STIResult, i, j int) {
 // counted job-locally (rebased at merge). events is the step's STI
 // profile, for the fence-repair search.
 func (p *Pool) harvestJob(w *worker, res *jobResult, events [][]trace.Event, i, j int, h *hints.Hint, rank int, mres *MTIResult) {
-	prog := res.prog
+	f := Finding{Prog: res.prog, I: i, J: j, Hint: h}
 	if c := mres.Crash; c != nil {
-		// Triage: re-run the same schedule without reordering directives.
-		// If the crash still reproduces in order, it is a plain
-		// interleaving race, not an OOO bug.
+		// Triage: re-run the same schedule with no reorder sites. If the
+		// crash still reproduces in order, it is a plain interleaving
+		// race, not an OOO bug.
+		f.Title = c.Title
 		ooo := !mres.PrefixCrash
 		if ooo {
-			rerun := w.env.RunMTI(MTIOpts{Prog: prog, I: i, J: j, Hint: h, NoReorder: true, Out: &w.triage})
+			rerun := w.env.RunMTI(f.Request(nil, &w.triage))
 			observeRun(&w.stages.triage, rerun)
-			ooo = rerun.Crash == nil || rerun.Crash.Title != c.Title
+			ooo = !f.Reproduced(rerun)
 		}
 		if ooo {
-			title := c.Title
-			p.addOOOReport(w, res, title, c.Oracle, prog, events, i, j, h, rank, false, func(pr *MTIResult) bool {
-				return pr.Crash != nil && pr.Crash.Title == title
-			})
+			p.addOOOReport(w, res, f, c.Oracle, events, rank)
 		} else {
 			res.reports = append(res.reports, jobReport{r: &report.Report{Title: c.Title, Oracle: c.Oracle}})
 		}
 	}
+	f.Soft = true
 	for _, s := range mres.Soft {
-		p.addOOOReport(w, res, s, "semantic", prog, events, i, j, h, rank, true, func(pr *MTIResult) bool {
-			return slices.Contains(pr.Soft, s)
-		})
+		f.Title = s
+		p.addOOOReport(w, res, f, "semantic", events, rank)
 	}
 }
 
-// addOOOReport appends to the step's reports the OOO finding titled
-// title of hint h on pair (i, j). A title an earlier batch merged is a
+// addOOOReport appends to the step's reports the OOO finding f, found by
+// the step's hint of the given rank. A title an earlier batch merged is a
 // duplicate merge drops after reading its Title and OOO, so the report
 // holds only those. For any other title, it also probes the other memory
-// models (reproduced tells whether a probe run hit the finding) and
-// searches a fence repair. The probe runs job-side so it parallelizes
-// with the rest of the batch and Models is set before the report is
-// published. In-batch duplicates probe and search redundantly but
-// deterministically, and only the merge-ordered first instance survives.
-func (p *Pool) addOOOReport(w *worker, res *jobResult, title, oracle string, prog *syzlang.Program, events [][]trace.Event, i, j int, h *hints.Hint, rank int, soft bool, reproduced func(*MTIResult) bool) {
-	if p.Reports.Get(title) != nil {
-		res.reports = append(res.reports, jobReport{r: &report.Report{Title: title, OOO: true}, rebaseTests: true})
+// models and searches a fence repair. The probe runs job-side so it
+// parallelizes with the rest of the batch and Models is set before the
+// report is published. In-batch duplicates probe and search redundantly
+// but deterministically, and only the merge-ordered first instance
+// survives.
+func (p *Pool) addOOOReport(w *worker, res *jobResult, f Finding, oracle string, events [][]trace.Event, rank int) {
+	if p.Reports.Get(f.Title) != nil {
+		res.reports = append(res.reports, jobReport{r: &report.Report{Title: f.Title, OOO: true}, rebaseTests: true})
 		return
 	}
+	h := f.Hint
 	r := &report.Report{
-		Title:      title,
+		Title:      f.Title,
 		Oracle:     oracle,
 		OOO:        true,
 		Type:       h.Type(),
 		HypBarrier: fmt.Sprintf("before %s (%s)", modules.SiteName(h.Sched), h.Test),
-		Pair:       PairName(prog, i, j),
+		Pair:       PairName(f.Prog, f.I, f.J),
 		HintRank:   rank + 1,
 		Tests:      int(res.mtis),
 	}
-	if !soft {
+	if !f.Soft {
 		for _, s := range h.Reorder {
 			r.ReorderedSites = append(r.ReorderedSites, modules.SiteName(s))
 		}
 	}
 	jr := jobReport{r: r, rebaseTests: true}
-	r.Models = probeModels(&w.env, p.cfg.Model, prog, i, j, h, reproduced)
-	if jr.repair = repairFinding(&w.env, &p.cfg, p.co, prog, events, i, j, h, title, soft); jr.repair != nil {
+	r.Models = probeModels(&w.env, p.cfg.Model, &f)
+	if jr.repair = repairFinding(&w.env, &p.cfg, p.co, &f, events); jr.repair != nil {
 		r.SuggestedFix = jr.repair.Lines()
 	}
 	res.reports = append(res.reports, jr)

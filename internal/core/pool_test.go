@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"ozz/internal/engine"
+	"ozz/internal/hints"
 	"ozz/internal/kernel"
 	"ozz/internal/modules"
 	"ozz/internal/obs"
@@ -477,15 +478,40 @@ func settledGoroutines() int {
 	return n
 }
 
+// warmRunners leaves n idle engine runners whose pair sessions keep their
+// carriers: n engine workers each run one MTI while all n are held. A
+// warm-up pool cannot promise that, since a worker that only ran steps
+// without MTIs starts no carrier.
+func warmRunners(t *testing.T, n int) {
+	env := NewEnv([]string{"watchqueue"}, nil)
+	p, err := modules.Target("watchqueue").Parse("r0 = wq_create()\nwq_post_notification(r0, 0x4)\nwq_pipe_read(r0)\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sti := env.RunSTI(p)
+	hs := hints.Calculate(sti.CallEvents[1], sti.CallEvents[2])
+	if len(hs) == 0 {
+		t.Fatal("no hints for the warm-up pair")
+	}
+	ws := make([]*engine.Worker, n)
+	for i := range ws {
+		ws[i] = env.eng.Worker()
+		ws[i].Run(env.config(), engine.OOO{}, MTIOpts{Prog: p, I: 1, J: 2, Hint: hs[0]})
+	}
+	for _, w := range ws {
+		w.Close()
+	}
+}
+
 // TestPoolRunGoroutines: the coordinator runs worker 0's steps itself, so
 // a width-1 Run starts no goroutine and a width-2 Run exactly one. Steps
-// sample the goroutine count; a warm-up pool of the same width runs first,
-// so the engine runners the measured run takes already keep their pair
+// sample the goroutine count; runners for the width are warmed first, so
+// the engine runners the measured run takes already keep their pair
 // sessions' carriers.
 func TestPoolRunGoroutines(t *testing.T) {
 	cfg := Config{Seed: 1, UseSeeds: true}
 	for _, width := range []int{1, 2} {
-		NewPool(cfg, width).Run(64)
+		warmRunners(t, width)
 		probe := new(goroutineProbe)
 		p := NewPool(cfg, width)
 		p.Env().Strategy = probe

@@ -15,8 +15,9 @@ import (
 // sites through Table 2's directives on the reorderer — DelayStoreAt for a
 // store-barrier test, ReadOldValueAt for a load-barrier test — and nothing
 // else. The cases run in order, three rounds, on one engine, so every run
-// after the first gets recycled kernel threads: the NoReorder case follows
-// a reordering run and sees any directive that leaked across the recycle.
+// after the first gets recycled kernel threads: the case with no reorder
+// sites follows a reordering run and sees any directive that leaked
+// across the recycle.
 // Each case directs one site, so its effect is one reordering and the
 // value "r" reads from x.
 func TestHintDirectivesOnRecycledEngine(t *testing.T) {
@@ -62,7 +63,7 @@ func TestHintDirectivesOnRecycledEngine(t *testing.T) {
 		x         uint64 // the value "r" reads from x; it always reads y = 1
 	}{
 		{"store barrier delays its sites", storeHint, false, memmodel.LKMM, 1, 0},
-		{"NoReorder after a reordering run", storeHint, true, memmodel.LKMM, 0, 1},
+		{"no reorder sites on a recycled kernel", storeHint, true, memmodel.LKMM, 0, 1},
 		{"load barrier versions its sites", loadHint, false, memmodel.LKMM, 1, 0},
 		{"load barrier under TSO", loadHint, false, memmodel.TSO, 0, 1},
 	}
@@ -71,7 +72,11 @@ func TestHintDirectivesOnRecycledEngine(t *testing.T) {
 		for _, c := range cases {
 			t.Run(fmt.Sprintf("%s/round%d", c.name, round), func(t *testing.T) {
 				base = 0
-				req := Request{Prog: pr, I: 0, J: 1, Hint: c.hint, NoReorder: c.noReorder}
+				f := Finding{Prog: pr, I: 0, J: 1, Hint: c.hint}
+				req := f.Request(c.hint.Reorder, nil)
+				if c.noReorder {
+					req = f.Request(nil, nil)
+				}
 				res := e.run(Config{Instrumented: true, Model: c.model}, OOO{}, req, m.build)
 				if res.Crash != nil || res.Deadlock != nil {
 					t.Fatalf("run aborted: %+v", res)

@@ -37,11 +37,6 @@ type Request struct {
 	// Hint is the OOO scheduling hint: interleaving point plus reordering
 	// directives. A nil hint makes the OOO strategy run sequentially.
 	Hint *hints.Hint
-	// NoReorder suppresses the OEMU directives while keeping the
-	// breakpoint schedule — the triage re-run that separates genuine OOO
-	// bugs from plain interleaving races (the paper's authors performed
-	// this classification manually on 61 crash titles, §6.1).
-	NoReorder bool
 	// Prof, when non-nil, receives each call's memory-access events in
 	// sequential runs (requires an instrumented kernel). The engine resets
 	// it once per run and records the calls back to back; the result's
@@ -55,6 +50,55 @@ type Request struct {
 	// Seed feeds seeded schedule policies (the Interleave strategy's
 	// random schedule; KCSAN's sampling stream).
 	Seed int64
+}
+
+// Finding is a report's reproducer: the multi-threaded input whose run
+// produced the report, and the title it produced. Every re-run of a
+// report — triage, the cross-model probe, fence repair's in-vivo closure
+// and minimization — builds its request with Request and judges the
+// result with Reproduced.
+type Finding struct {
+	// Prog is the reproducer program.
+	Prog *syzlang.Program
+	// I and J index the racing call pair (I < J).
+	I, J int
+	// Hint is the scheduling hint whose run produced the report: the
+	// breakpoint schedule, and the reorder sites that reproduce it.
+	Hint *hints.Hint
+	// Title is the report's title: a crash title, or a soft-oracle
+	// report's when Soft is set.
+	Title string
+	// Soft marks Title as a soft-oracle report rather than a kernel
+	// crash.
+	Soft bool
+}
+
+// Request returns the request that re-runs the finding's schedule with
+// OEMU directives at the reorder sites only, writing into out (nil: a
+// fresh result). The hint's own sites reproduce the finding; other sites
+// get a copy of the hint that holds reorder itself. No sites is the
+// triage run: the same schedule with nothing reordered, which separates
+// OOO bugs from plain interleaving races (the paper's authors classified
+// 61 crash titles this way by hand, §6.1).
+func (f *Finding) Request(reorder []trace.InstrID, out *Result) Request {
+	h := f.Hint
+	if !slices.Equal(reorder, h.Reorder) {
+		c := *h
+		c.Reorder = reorder
+		h = &c
+	}
+	return Request{Prog: f.Prog, I: f.I, J: f.J, Hint: h, Out: out}
+}
+
+// Reproduced reports whether a run reproduced the finding: it crashed
+// with the finding's title or, for a soft finding, a soft oracle reported
+// the title. A crash and a soft report with the same title are different
+// findings.
+func (f *Finding) Reproduced(res *Result) bool {
+	if f.Soft {
+		return slices.Contains(res.Soft, f.Title)
+	}
+	return res.Crash != nil && res.Crash.Title == f.Title
 }
 
 // Result is the outcome of one engine run — the union of what the
@@ -143,6 +187,9 @@ type runner struct {
 	// t tallies the metrics of the runner's runs until its holder
 	// flushes them into its engine's registry.
 	t tally
+	// held marks a runner takeRunner handed out and releaseRunner has not
+	// taken back: only those count as in use.
+	held bool
 }
 
 // newRunner returns a runner over a fresh kernel.
@@ -165,12 +212,17 @@ func newRunner() *runner {
 // Reset on a used kernel is much cheaper than rebuilding memory pages,
 // emulator maps, and allocator state from scratch, and the runner's pair
 // session keeps its two carriers, so short-lived engines reuse what
-// earlier ones built. The list keeps as many runners as the process ever
-// ran at once, for its whole life, so live heap does not depend on when
-// the collector runs.
+// earlier ones built. Each time the last runner in use comes back, the
+// list keeps only as many runners as were in use at once since the last
+// such time, so sequential pools of one width reuse the same runners and
+// a narrower workload does not keep a wider one's alive. What it keeps
+// does not depend on when the collector runs.
 var idle struct {
 	mu sync.Mutex
 	r  []*runner
+	// inUse counts the runners taken and not yet put back or dropped, and
+	// peak the most in use at once since inUse was last 0.
+	inUse, peak int
 }
 
 // takeRunner returns the most recently released idle runner, or a new
@@ -183,18 +235,46 @@ func takeRunner() *runner {
 		idle.r[n-1] = nil
 		idle.r = idle.r[:n-1]
 	}
+	idle.inUse++
+	idle.peak = max(idle.peak, idle.inUse)
 	idle.mu.Unlock()
 	if r == nil {
 		r = newRunner()
 	}
+	r.held = true
 	return r
 }
 
-// putRunner returns a runner whose metrics are flushed to the idle list.
-func putRunner(r *runner) {
+// releaseRunner ends a runner's use: it goes back on the idle list, or
+// is dropped when recycle is false (its run panicked). When it was the
+// last runner in use, the list drops its least recently released
+// runners beyond the peak. A dropped runner's carriers stop: a runner
+// leaves use only before any task ran or once every task is done, so
+// they are at rest.
+func releaseRunner(r *runner, recycle bool) {
+	var drop []*runner
 	idle.mu.Lock()
-	idle.r = append(idle.r, r)
+	if recycle {
+		idle.r = append(idle.r, r)
+	} else {
+		drop = append(drop, r)
+	}
+	if r.held {
+		r.held = false
+		idle.inUse--
+	}
+	if idle.inUse == 0 {
+		if n := len(idle.r) - idle.peak; n > 0 {
+			drop = append(drop, idle.r[:n]...)
+			idle.r = slices.Delete(idle.r, 0, n)
+		}
+		idle.peak = 0
+	}
 	idle.mu.Unlock()
+	for _, r := range drop {
+		r.seq.Close()
+		r.pair.Close()
+	}
 }
 
 // Engine executes requests. It is safe for concurrent use: every run
@@ -265,18 +345,11 @@ func (w *Worker) Flush() {
 // Close flushes the worker's metrics and returns its runner to the
 // process's idle list. The worker may run again afterwards, on a runner
 // it takes then. A runner whose run panicked is dropped, not recycled,
-// and the carriers its sessions keep are stopped: a panic leaves Run
-// only before any task ran or once every task is done, so they are at
-// rest.
+// and the carriers its sessions keep are stopped.
 func (w *Worker) Close() {
 	w.Flush()
-	switch {
-	case w.r == nil:
-	case w.busy:
-		w.r.seq.Close()
-		w.r.pair.Close()
-	default:
-		putRunner(w.r)
+	if w.r != nil {
+		releaseRunner(w.r, !w.busy)
 	}
 	w.r, w.busy = nil, false
 }
@@ -305,9 +378,8 @@ func (e *Engine) Run(cfg Config, s Strategy, req Request) *Result {
 // run is Run with an injectable module builder (white-box tests).
 func (e *Engine) run(cfg Config, s Strategy, req Request, build buildFunc) *Result {
 	w := Worker{e: e}
-	res := w.run(cfg, s, req, build)
-	w.Close()
-	return res
+	defer w.Close()
+	return w.run(cfg, s, req, build)
 }
 
 // run executes one request on the runner's kernel, from start on, and

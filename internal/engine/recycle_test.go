@@ -150,14 +150,22 @@ func TestRecycledKernelEquivalence(t *testing.T) {
 	}
 }
 
+// idleLen returns the number of idle runners.
+func idleLen() int {
+	idle.mu.Lock()
+	defer idle.mu.Unlock()
+	return len(idle.r)
+}
+
 // TestShortLivedEnginesRecycle: engines built for a few runs each and
 // dropped, two at a time, the way hunts and repair ops build short-lived
 // pools, recycle the process's idle runners instead of building their
-// own: the goroutines their runs leave behind (each runner keeps three
+// own: the goroutines their runs leave behind (each runner keeps two
 // carriers) stay within what two runners in flight hold, not one
-// runner's carriers per engine. Sessions created and closed the way the
-// benchmarks and micro drivers do then return the goroutine count to
-// its baseline.
+// runner's carriers per engine. Width-2 pools and then width-1 pools
+// leave one idle runner, whose carriers are all that stay. Sessions
+// created and closed the way the benchmarks and micro drivers do then
+// return the goroutine count to its baseline.
 func TestShortLivedEnginesRecycle(t *testing.T) {
 	_, cfg, sti, mti := stepRuns(t)
 	runtime.GC()
@@ -182,6 +190,26 @@ func TestShortLivedEnginesRecycle(t *testing.T) {
 		t.Fatalf("200 short-lived engines left %d goroutines over the %d before, want at most %d", n-before, before, 2*2)
 	}
 
+	// A width-w pool holds w engine workers from their first run to
+	// Close.
+	pool := Request{Prog: mti.Prog, I: mti.I, J: mti.J, Hint: mti.Hint}
+	for _, width := range []int{2, 2, 1, 1} {
+		ws := make([]*Worker, width)
+		for i := range ws {
+			ws[i] = NewObs(nil).Worker()
+			ws[i].Run(cfg, OOO{}, pool)
+		}
+		for _, w := range ws {
+			w.Close()
+		}
+		if n := idleLen(); n != width {
+			t.Fatalf("after width-%d pools the idle list holds %d runners, want %d", width, n, width)
+		}
+	}
+	if n := runtime.NumGoroutine(); n > before+2 {
+		t.Fatalf("width-1 pools left %d goroutines over the %d before, want at most one runner's 2", n-before, before)
+	}
+
 	base := runtime.NumGoroutine()
 	for i := 0; i < 50; i++ {
 		s := sched.NewSession(sched.Sequential{})
@@ -198,6 +226,40 @@ func TestShortLivedEnginesRecycle(t *testing.T) {
 			t.Fatalf("%d goroutines after closing 50 sessions, want the %d before", runtime.NumGoroutine(), base)
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestIdleRunnersKeptWhileOverlapping: independent pools whose runs
+// overlap keep every runner they held at once, so each round of two
+// overlapping width-1 pools recycles the previous round's two runners
+// and builds none.
+func TestIdleRunnersKeptWhileOverlapping(t *testing.T) {
+	_, cfg, _, mti := stepRuns(t)
+	e := NewObs(nil)
+	const rounds = 20
+	for round := 0; round < rounds; round++ {
+		var running, done sync.WaitGroup
+		running.Add(2)
+		done.Add(2)
+		for g := 0; g < 2; g++ {
+			go func() {
+				defer done.Done()
+				w := e.Worker()
+				w.Run(cfg, OOO{}, Request{Prog: mti.Prog, I: mti.I, J: mti.J, Hint: mti.Hint})
+				// Both pools hold their runner before either closes.
+				running.Done()
+				running.Wait()
+				w.Close()
+			}()
+		}
+		done.Wait()
+		if n := idleLen(); n != 2 {
+			t.Fatalf("round %d: %d idle runners after two overlapping pools, want 2", round, n)
+		}
+	}
+	acquires := e.Obs().CounterVec("ozz_kernel_acquires_total", "", "source")
+	if built := acquires.With("built").Value(); built > 2 {
+		t.Fatalf("%d rounds of two overlapping pools built %d kernels, want at most 2", rounds, built)
 	}
 }
 

@@ -89,13 +89,14 @@ func (OOO) Name() string { return "ooo" }
 // OEMU store-history tracking on from the very first prefix access — a
 // versioned load may legitimately observe prefix-era values — so Attach
 // re-enables the tracking the engine disables by default for engine runs.
-// Store-barrier tests and sequential (STI) runs execute no versioned
-// loads and leave it off, as do runs under a model with no versionable
-// loads at all (TSO): its read-old directives are inert, so recording
-// history would be pure overhead. The engine installs the run's model
-// before Attach, so the emulator's table is authoritative here.
+// Store-barrier tests, load tests with no reorder sites (triage runs) and
+// sequential (STI) runs execute no versioned loads and leave it off, as
+// do runs under a model with no versionable loads at all (TSO): its
+// read-old directives are inert, so recording history would be pure
+// overhead. The engine installs the run's model before Attach, so the
+// emulator's table is authoritative here.
 func (OOO) Attach(k *kernel.Kernel, req *Request) {
-	if req.Hint != nil && !req.NoReorder && req.Hint.Test == hints.LoadBarrierTest &&
+	if h := req.Hint; h != nil && len(h.Reorder) > 0 && h.Test == hints.LoadBarrierTest &&
 		k.Em.Model().AnyVersionable() {
 		k.Em.SetHistoryTracking(true)
 	}
@@ -137,12 +138,9 @@ func (OOO) Pair(req *Request, plan *PairPlan) bool {
 
 // armOOO installs the hint's directives on the reorderer (Table 2): a
 // store-barrier test delays the stores at the hint's sites, a
-// load-barrier test versions the loads there. NoReorder runs install
-// none.
+// load-barrier test versions the loads there. A hint with no sites (a
+// triage run) installs none.
 func armOOO(req *Request, ta, _ *kernel.Task) {
-	if req.NoReorder {
-		return
-	}
 	hint := req.Hint
 	dir := &ta.OEMU().Dir
 	for _, s := range hint.Reorder {

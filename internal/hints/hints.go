@@ -112,16 +112,6 @@ func (h *Hint) Type() string {
 	return "S-S"
 }
 
-// WithReorder returns a copy of the hint whose reorder directive set is
-// replaced by sites (the slice is copied). The repair search uses it to
-// probe weakened directive sets — the reorderings a candidate fence
-// still permits.
-func (h *Hint) WithReorder(sites []trace.InstrID) *Hint {
-	c := *h
-	c.Reorder = append([]trace.InstrID(nil), sites...)
-	return &c
-}
-
 // String renders the hint for reports.
 func (h *Hint) String() string {
 	rs := make([]string, len(h.Reorder))

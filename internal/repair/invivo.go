@@ -6,41 +6,14 @@ import (
 	"ozz/internal/lkmm"
 	"ozz/internal/memmodel"
 	"ozz/internal/modules"
-	"ozz/internal/syzlang"
 	"ozz/internal/trace"
 )
 
-// Executor is the slice of the campaign environment the in-vivo closure
-// check needs: pair runs under the campaign's model and under an explicit
-// model table. core.Env satisfies it directly (its MTIOpts/MTIResult are
-// aliases of the engine types).
+// Executor runs the in-vivo closure check's re-runs of a finding under
+// an explicit model table. core.Env satisfies it directly (its
+// MTIOpts/MTIResult are aliases of the engine types).
 type Executor interface {
-	// RunMTI executes the pair under the campaign's configured model.
-	RunMTI(o engine.Request) *engine.Result
-	// RunMTIUnder executes the pair under an explicit model table.
 	RunMTIUnder(o engine.Request, mm *memmodel.Table) *engine.Result
-}
-
-// InVivoInput is a crashing campaign finding handed to the repair search.
-type InVivoInput struct {
-	// Prog is the reproducer program.
-	Prog *syzlang.Program
-	// I and J index the racing call pair (as executed, I < J).
-	I, J int
-	// Hint is the scheduling hint that produced the crash: its Sched /
-	// SchedOcc locate the hypothetical barrier, its Reorder sites bound
-	// the candidate space.
-	Hint *hints.Hint
-	// Events holds the sequential profile of every call (STI
-	// CallEvents); the racing pair's entries seed the litmus
-	// abstraction.
-	Events [][]trace.Event
-	// Title is the crash (or soft-oracle) title closure must not
-	// reproduce.
-	Title string
-	// Soft marks Title as a soft-oracle report rather than a kernel
-	// crash.
-	Soft bool
 }
 
 // abstraction is the litmus view of the racing pair: thread 0 is the
@@ -60,19 +33,20 @@ type abstraction struct {
 // reference enumeration stays tractable on access-heavy reproducers.
 const maxObserverOps = 8
 
-// abstract builds the litmus abstraction of the racing pair, or nil when
-// the hint's scheduling point or reorder sites cannot be located in the
-// profile (nothing to search over).
-func abstract(in InVivoInput) *abstraction {
-	h := in.Hint
-	ri, oi := in.I, in.J
+// abstract builds the litmus abstraction of the finding's racing pair
+// from events, the sequential profile of every call of its program (STI
+// CallEvents), or nil when the hint's scheduling point or reorder sites
+// cannot be located in the profile (nothing to search over).
+func abstract(f *engine.Finding, events [][]trace.Event) *abstraction {
+	h := f.Hint
+	ri, oi := f.I, f.J
 	if h.Reorderer == 1 {
-		ri, oi = in.J, in.I
+		ri, oi = f.J, f.I
 	}
-	if ri >= len(in.Events) || oi >= len(in.Events) {
+	if ri >= len(events) || oi >= len(events) {
 		return nil
 	}
-	rev, oev := in.Events[ri], in.Events[oi]
+	rev, oev := events[ri], events[oi]
 
 	// Locate the scheduling-point access the way the engine's breakpoint
 	// does: the SchedOcc'th dynamic occurrence of the site (non-NoYield
@@ -139,7 +113,7 @@ func abstract(in InVivoInput) *abstraction {
 	}
 	chosen[schedIdx] = true
 
-	a := &abstraction{test: &lkmm.Test{Name: in.Title}}
+	a := &abstraction{test: &lkmm.Test{Name: f.Title}}
 	locOf := map[trace.Addr]int{}
 	valNext := map[int]uint64{}
 	loc := func(addr trace.Addr) int {
@@ -340,7 +314,7 @@ func (a *abstraction) remainingSites(h *hints.Hint, fences []Fence, mm *memmodel
 // siteSubsets enumerates the directive-site subsets a closure probe
 // re-runs: every non-empty subset when the set is small, otherwise the
 // full set plus each singleton. An empty remainder yields one nil entry —
-// the triage-style NoReorder run.
+// the triage run.
 func siteSubsets(sites []trace.InstrID) [][]trace.InstrID {
 	if len(sites) == 0 {
 		return [][]trace.InstrID{nil}
@@ -369,34 +343,17 @@ func siteSubsets(sites []trace.InstrID) [][]trace.InstrID {
 // re-executes the reproducer under.
 const closureSeeds = 3
 
-// closes is the in-vivo closure oracle: re-execute the reproducer with
-// the candidate's surviving reorder directives installed, across
-// closureSeeds seeds and every directive subset; the crash must never
+// closes is the in-vivo closure oracle: re-execute the finding under mm
+// with the candidate's surviving reorder directives installed, across
+// closureSeeds seeds and every directive subset; the finding must never
 // reproduce.
-func (a *abstraction) closes(in InVivoInput, ex Executor, primary *memmodel.Table, fences []Fence, mm *memmodel.Table) bool {
-	remaining := a.remainingSites(in.Hint, fences, mm)
+func (a *abstraction) closes(f *engine.Finding, ex Executor, fences []Fence, mm *memmodel.Table) bool {
+	remaining := a.remainingSites(f.Hint, fences, mm)
 	for seed := 0; seed < closureSeeds; seed++ {
 		for _, sub := range siteSubsets(remaining) {
-			req := engine.Request{
-				Prog: in.Prog,
-				I:    in.I,
-				J:    in.J,
-				Hint: in.Hint.WithReorder(sub),
-				Seed: int64(seed),
-			}
-			if len(sub) == 0 {
-				// Nothing left to reorder: the triage-style schedule-only
-				// re-run must stay clean too.
-				req.Hint = in.Hint
-				req.NoReorder = true
-			}
-			var res *engine.Result
-			if mm == primary {
-				res = ex.RunMTI(req)
-			} else {
-				res = ex.RunMTIUnder(req, mm)
-			}
-			if reproduced(res, in) {
+			req := f.Request(sub, nil)
+			req.Seed = int64(seed)
+			if f.Reproduced(ex.RunMTIUnder(req, mm)) {
 				return false
 			}
 		}
@@ -404,40 +361,25 @@ func (a *abstraction) closes(in InVivoInput, ex Executor, primary *memmodel.Tabl
 	return true
 }
 
-// reproduced reports whether an engine result re-triggered the finding.
-func reproduced(res *engine.Result, in InVivoInput) bool {
-	if res == nil {
-		return false
-	}
-	if in.Soft {
-		for _, s := range res.Soft {
-			if s == in.Title {
-				return true
-			}
-		}
-		return false
-	}
-	return res.Crash != nil && res.Crash.Title == in.Title
-}
-
-// InVivo searches for the minimal fence repair of a crashing campaign
-// finding. The racing pair is abstracted into a litmus test (thread 0 the
-// reorderer's window around the scheduling point, thread 1 the observer's
-// shared accesses); legality searches the reference model over it, and
-// closure re-executes the real reproducer through the engine with the
-// candidate's surviving directives installed. Fences are placed only on
-// the reorderer's side — the hypothetical-barrier location the hint
-// names.
-func InVivo(in InVivoInput, ex Executor, opts Options) *Result {
-	kind := in.Hint.Type()
-	a := abstract(in)
+// InVivo searches for the minimal fence repair of a campaign finding.
+// events is the sequential profile of every call of the finding's
+// program (STI CallEvents); the racing pair's entries seed the litmus
+// abstraction (thread 0 the reorderer's window around the scheduling
+// point, thread 1 the observer's shared accesses). Legality searches the
+// reference model over it, and closure re-executes the finding through
+// the engine with the candidate's surviving directives installed. Fences
+// are placed only on the reorderer's side — the hypothetical-barrier
+// location the hint names.
+func InVivo(f engine.Finding, events [][]trace.Event, ex Executor, opts Options) *Result {
+	kind := f.Hint.Type()
+	a := abstract(&f, events)
 	if a == nil {
 		opts.Metrics.search()
-		return &Result{Target: in.Title, Kind: kind, Model: opts.model().Name()}
+		return &Result{Target: f.Title, Kind: kind, Model: opts.model().Name()}
 	}
 	p := newProblem(a.test, a.labels, opts, 0)
 	p.closure = func(fences []Fence, mm *memmodel.Table) bool {
-		return a.closes(in, ex, p.primary, fences, mm)
+		return a.closes(&f, ex, fences, mm)
 	}
-	return p.run(in.Title, kind)
+	return p.run(f.Title, kind)
 }
