@@ -9,12 +9,11 @@
 // Usage:
 //
 //	ozz-repair -bug watchqueue:pipe_wmb [-budget 200] [-seed 42] [-model lkmm] [-json]
-//	ozz-repair -litmus "MP+wmb only" [-model lkmm] [-max-fences 2] [-workers 1] [-json]
+//	ozz-repair -litmus "MP+wmb only" [-model lkmm] [-max-fences 2] [-json]
 //	ozz-repair -list
 //
 // In -bug mode the campaign runs the repair search with its defaults, so
-// -max-fences and -workers, which tune the litmus search, are rejected
-// there.
+// -max-fences, which bounds the litmus search, is rejected there.
 package main
 
 import (
@@ -60,7 +59,6 @@ func run(args []string, stdout io.Writer) int {
 		seed      = fs.Int64("seed", 42, "campaign seed")
 		modelName = fs.String("model", "lkmm", "primary memory model to validate against")
 		maxFences = fs.Int("max-fences", 2, "largest candidate size searched (-litmus only)")
-		workers   = fs.Int("workers", 1, "parallel candidate validations (-litmus only)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -82,12 +80,10 @@ func run(args []string, stdout io.Writer) int {
 		return 2
 	}
 	if *bug != "" {
-		litmusOnly := false
-		fs.Visit(func(f *flag.Flag) {
-			litmusOnly = litmusOnly || f.Name == "max-fences" || f.Name == "workers"
-		})
-		if litmusOnly {
-			fmt.Fprintln(stdout, "-max-fences and -workers apply to -litmus only")
+		bounded := false
+		fs.Visit(func(f *flag.Flag) { bounded = bounded || f.Name == "max-fences" })
+		if bounded {
+			fmt.Fprintln(stdout, "-max-fences applies to -litmus only")
 			return 2
 		}
 	}
@@ -112,7 +108,7 @@ func run(args []string, stdout io.Writer) int {
 			return 2
 		}
 		doc.Reproduced = true
-		doc.Repair = repair.Litmus(test, repair.Options{Model: mm, MaxFences: *maxFences, Workers: *workers})
+		doc.Repair = repair.Litmus(test, repair.Options{Model: mm, MaxFences: *maxFences})
 	} else {
 		doc.Mode, doc.Target = "bug", *bug
 		b, ok := modules.FindBug(*bug)

@@ -96,24 +96,32 @@ func TestTextMode(t *testing.T) {
 // TestUsageErrors pins the exit codes: 2 for usage problems, 1 when no
 // repair comes out.
 func TestUsageErrors(t *testing.T) {
-	cases := [][]string{
-		{},
-		{"-bug", "x", "-litmus", "y"},
-		{"-bug", "no:such_bug"},
-		{"-litmus", "no such shape"},
-		{"-model", "power", "-bug", "watchqueue:pipe_wmb"},
-		{"-no-such-flag"},
-		// -bug runs the campaign's repair search, which takes neither
-		// litmus flag, even at its default value; -closure-seeds is gone.
-		{"-bug", "watchqueue:pipe_wmb", "-max-fences", "1"},
-		{"-bug", "watchqueue:pipe_wmb", "-max-fences", "2"},
-		{"-bug", "watchqueue:pipe_wmb", "-workers", "2"},
-		{"-closure-seeds", "3", "-bug", "watchqueue:pipe_wmb"},
+	cases := []struct {
+		args []string
+		// out, when set, must appear in the output.
+		out string
+	}{
+		{args: []string{}},
+		{args: []string{"-bug", "x", "-litmus", "y"}},
+		{args: []string{"-bug", "no:such_bug"}},
+		{args: []string{"-litmus", "no such shape"}},
+		{args: []string{"-model", "power", "-bug", "watchqueue:pipe_wmb"}},
+		{args: []string{"-no-such-flag"}},
+		// -bug runs the campaign's repair search, which takes no
+		// -max-fences, even at its default value.
+		{args: []string{"-bug", "watchqueue:pipe_wmb", "-max-fences", "1"}, out: "-max-fences applies to -litmus only"},
+		{args: []string{"-bug", "watchqueue:pipe_wmb", "-max-fences", "2"}, out: "-max-fences applies to -litmus only"},
+		// The search is sequential and -closure-seeds is gone.
+		{args: []string{"-bug", "watchqueue:pipe_wmb", "-workers", "2"}, out: "flag provided but not defined"},
+		{args: []string{"-closure-seeds", "3", "-bug", "watchqueue:pipe_wmb"}, out: "flag provided but not defined"},
 	}
-	for _, args := range cases {
+	for _, c := range cases {
 		var buf bytes.Buffer
-		if code := run(args, &buf); code != 2 {
-			t.Errorf("run(%v) exited %d, want 2", args, code)
+		if code := run(c.args, &buf); code != 2 {
+			t.Errorf("run(%v) exited %d, want 2", c.args, code)
+		}
+		if !strings.Contains(buf.String(), c.out) {
+			t.Errorf("run(%v) output lacks %q:\n%s", c.args, c.out, buf.String())
 		}
 	}
 	// An already-correct litmus shape has nothing to repair: exit 1.

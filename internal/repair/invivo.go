@@ -374,8 +374,9 @@ func InVivo(f engine.Finding, events [][]trace.Event, ex Executor, opts Options)
 	kind := f.Hint.Type()
 	a := abstract(&f, events)
 	if a == nil {
-		opts.Metrics.search()
-		return &Result{Target: f.Title, Kind: kind, Model: opts.model().Name()}
+		res := &Result{Target: f.Title, Kind: kind, Model: opts.model().Name()}
+		opts.Metrics.publish(res)
+		return res
 	}
 	p := newProblem(a.test, a.labels, opts, 0)
 	p.closure = func(fences []Fence, mm *memmodel.Table) bool {

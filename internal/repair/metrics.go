@@ -6,8 +6,7 @@ import "ozz/internal/obs"
 // valid and records nothing, so searches run unchanged without a
 // registry.
 type Metrics struct {
-	// Searches counts repair searches started
-	// (ozz_repair_searches_total).
+	// Searches counts repair searches run (ozz_repair_searches_total).
 	Searches *obs.Counter
 	// CandidatesEnumerated counts candidates generated across all size
 	// classes (ozz_repair_candidates_enumerated_total).
@@ -29,7 +28,7 @@ type Metrics struct {
 func RegisterMetrics(reg *obs.Registry) *Metrics {
 	return &Metrics{
 		Searches: reg.Counter("ozz_repair_searches_total",
-			"Fence-repair searches started."),
+			"Fence-repair searches run."),
 		CandidatesEnumerated: reg.Counter("ozz_repair_candidates_enumerated_total",
 			"Repair candidates enumerated across all size classes."),
 		CandidatesValidated: reg.Counter("ozz_repair_candidates_validated_total",
@@ -42,32 +41,25 @@ func RegisterMetrics(reg *obs.Registry) *Metrics {
 	}
 }
 
-func (m *Metrics) search() {
-	if m != nil {
-		m.Searches.Add(1)
+// publish adds one finished search's counts, from its Stats, to the
+// counters.
+func (m *Metrics) publish(res *Result) {
+	if m == nil {
+		return
 	}
-}
-
-func (m *Metrics) enumerated(n int) {
-	if m != nil {
-		m.CandidatesEnumerated.Add(uint64(n))
+	s := res.Stats
+	m.Searches.Add(1)
+	m.CandidatesEnumerated.Add(uint64(s.Enumerated))
+	m.CandidatesValidated.Add(uint64(s.Validated))
+	for _, r := range []struct {
+		reason string
+		n      int
+	}{{"legality", s.RejectedLegality}, {"closure", s.RejectedClosure}, {"minimality", s.RejectedMinimality}} {
+		if r.n > 0 {
+			m.CandidatesRejected.With(r.reason).Add(uint64(r.n))
+		}
 	}
-}
-
-func (m *Metrics) validated() {
-	if m != nil {
-		m.CandidatesValidated.Add(1)
-	}
-}
-
-func (m *Metrics) rejected(reason string) {
-	if m != nil {
-		m.CandidatesRejected.With(reason).Add(1)
-	}
-}
-
-func (m *Metrics) suggested() {
-	if m != nil {
+	if len(res.Suggestions) > 0 {
 		m.SuggestionsTotal.Add(1)
 	}
 }

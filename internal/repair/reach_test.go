@@ -158,8 +158,8 @@ func TestLitmusReachesMatchesRunModel(t *testing.T) {
 }
 
 // TestLegalityAllocsIndependentOfStates checks that a problem's legality
-// checks reuse a worker's storage: once the worker has made its first
-// check, a check allocates nothing — not its repaired test, not its
+// checks reuse its storage: once the problem has made its first check,
+// a check allocates nothing — not its repaired test, not its
 // search — whether its search visits few states or many. The small and
 // large candidates are
 // the legal size-1 or size-2 candidates of one suite shape whose full
@@ -178,11 +178,10 @@ func TestLegalityAllocsIndependentOfStates(t *testing.T) {
 			// Every candidate is legal without a search.
 			continue
 		}
-		var w searchers
 		var lo, hi cand
 		singles := q.singleFences()
 		for _, c := range append(combinations(singles, 1), combinations(singles, 2)...) {
-			if !q.checkLegal(&w, c, q.primary) {
+			if !q.checkLegal(c, q.primary) {
 				continue
 			}
 			n := model.RunModel(applyFences(e.Test, c), q.primary).States
@@ -200,10 +199,9 @@ func TestLegalityAllocsIndependentOfStates(t *testing.T) {
 	if p == nil {
 		t.Fatal("no suite shape has legal candidates with different state counts")
 	}
-	var w searchers
-	p.checkLegal(&w, small.fences, p.primary)
+	p.checkLegal(small.fences, p.primary)
 	for _, c := range []cand{small, large} {
-		check := testing.AllocsPerRun(20, func() { p.checkLegal(&w, c.fences, p.primary) })
+		check := testing.AllocsPerRun(20, func() { p.checkLegal(c.fences, p.primary) })
 		t.Logf("%s %v: %d states, check %.0f allocs", p.test.Name, c.fences, c.states, check)
 		if check != 0 {
 			t.Errorf("%s %v (%d states): warm legality check allocates %.0f, want 0",

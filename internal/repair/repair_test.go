@@ -3,8 +3,8 @@ package repair
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
-	"sync"
 	"testing"
 
 	"ozz/internal/lkmm"
@@ -103,9 +103,8 @@ func TestMinimality(t *testing.T) {
 			continue
 		}
 		p := newProblem(e.Test, litmusLabels(e.Test), Options{}, -1)
-		var w searchers
 		for _, sug := range res.Suggestions {
-			if !p.legal(&w, sug.Fences, p.primary) {
+			if !p.checkLegal(sug.Fences, p.primary) {
 				t.Errorf("%s: suggestion %s is not legal", e.Test.Name, sug)
 			}
 			if len(sug.Fences) == 1 {
@@ -120,7 +119,7 @@ func TestMinimality(t *testing.T) {
 						sub = append(sub, f)
 					}
 				}
-				if p.legal(&w, sub, p.primary) {
+				if p.checkLegal(sub, p.primary) {
 					t.Errorf("%s: suggestion %s is not minimal — dropping %s keeps it legal",
 						e.Test.Name, sug, sug.Fences[drop])
 				}
@@ -130,102 +129,286 @@ func TestMinimality(t *testing.T) {
 }
 
 // TestEnumerationDeterminism checks that repair results are identical
-// across repeated runs and across worker counts.
+// across repeated runs.
 func TestEnumerationDeterminism(t *testing.T) {
 	for _, name := range []string{"MP (relaxed)", "MP+wmb only"} {
-		base := Litmus(suiteTest(t, name), Options{Workers: 1})
-		for _, workers := range []int{1, 4} {
-			for run := 0; run < 2; run++ {
-				got := Litmus(suiteTest(t, name), Options{Workers: workers})
-				if !reflect.DeepEqual(base, got) {
-					t.Fatalf("%s: result diverged (workers=%d run=%d):\nbase: %s\ngot:  %s",
-						name, workers, run, base.Render(), got.Render())
-				}
+		base := Litmus(suiteTest(t, name), Options{})
+		for run := 0; run < 2; run++ {
+			if got := Litmus(suiteTest(t, name), Options{}); !reflect.DeepEqual(base, got) {
+				t.Fatalf("%s: result diverged (run=%d):\nbase: %s\ngot:  %s",
+					name, run, base.Render(), got.Render())
 			}
 		}
 	}
 }
 
-// TestLegalityMemo runs the Litmus search over every suite shape with a
-// counting reference enumerator (buggy sets), a counting reachability
-// check (legality) and a counting OEMU litmus search (closure): with
-// the legality and litmus closure memos, no (test, model) pair may be
-// explored twice by any of them — across size classes, per-model reports,
-// or concurrent workers — and the result must deep-equal both Litmus and
-// the unmemoized search.
-func TestLegalityMemo(t *testing.T) {
+// TestSearchChecksOnce runs the Litmus search over every suite shape with
+// a counting reference enumerator (buggy sets), a counting reachability
+// check (legality) and a counting OEMU litmus search (closure): no
+// (test, model) pair may be explored twice by any of them — across size
+// classes or per-model reports — and the result must deep-equal Litmus.
+// The same search with a closure oracle that rejects every candidate
+// searches every size class up to 3, so minimality checks sub-candidates
+// that no earlier check reached; it must not repeat a check either.
+func TestSearchChecksOnce(t *testing.T) {
 	for _, e := range lkmm.Suite() {
-		for _, workers := range []int{1, 4} {
-			opts := Options{Workers: workers}
-			var mu sync.Mutex
-			explored := map[string]int{}
-			reached := map[string]int{}
-			closed := map[string]int{}
-			p := newProblem(e.Test, litmusLabels(e.Test), opts, -1)
-			p.enumerate = func(r *model.Reacher, test *lkmm.Test, mm *memmodel.Table) *model.Result {
-				mu.Lock()
-				explored[fmt.Sprintf("%s %v", mm.Name(), test.Threads)]++
-				mu.Unlock()
-				return r.RunModel(test, mm)
+		checkOnce(t, e.Test, nil)
+		checkOnce(t, e.Test, closeNone)
+	}
+	checkOnce(t, sbRing(), closeNone)
+}
+
+// checkOnce runs one search of test, with closure as its closure oracle
+// (nil: the OEMU litmus search, up to 2 fences; otherwise up to 3),
+// counting every enumeration, legality check and litmus closure search.
+func checkOnce(t *testing.T, test *lkmm.Test, closure func([]Fence, *memmodel.Table) bool) {
+	t.Helper()
+	opts := Options{}
+	if closure != nil {
+		opts.MaxFences = 3
+	}
+	search := func() *problem {
+		p := newProblem(test, litmusLabels(test), opts, -1)
+		p.closure = closure
+		return p
+	}
+	explored := map[string]int{}
+	reached := map[string]int{}
+	closed := map[string]int{}
+	p := search()
+	p.enumerate = func(r *model.Reacher, test *lkmm.Test, mm *memmodel.Table) *model.Result {
+		explored[fmt.Sprintf("%s %v", mm.Name(), test.Threads)]++
+		return r.RunModel(test, mm)
+	}
+	p.reach = func(r *model.Reacher, test *lkmm.Test, mm *memmodel.Table, targets [][]uint64) bool {
+		reached[fmt.Sprintf("%s %v", mm.Name(), test.Threads)]++
+		return r.Reaches(test, mm, targets)
+	}
+	p.litmusReach = func(r *lkmm.Reacher, test *lkmm.Test, mm *memmodel.Table, targets [][]uint64) bool {
+		closed[fmt.Sprintf("%s %v", mm.Name(), test.Threads)]++
+		return r.Reaches(test, mm, targets)
+	}
+	got := p.run(test.Name, "litmus")
+	for what, counts := range map[string]map[string]int{
+		"explorations": explored, "legality checks": reached, "litmus closure searches": closed,
+	} {
+		for k, n := range counts {
+			if n > 1 {
+				t.Errorf("%s (oracle %t): %d %s of %s", test.Name, closure != nil, n, what, k)
 			}
-			p.reach = func(r *model.Reacher, test *lkmm.Test, mm *memmodel.Table, targets [][]uint64) bool {
-				mu.Lock()
-				reached[fmt.Sprintf("%s %v", mm.Name(), test.Threads)]++
-				mu.Unlock()
-				return r.Reaches(test, mm, targets)
-			}
-			p.litmusReach = func(r *lkmm.Reacher, test *lkmm.Test, mm *memmodel.Table, targets [][]uint64) bool {
-				mu.Lock()
-				closed[fmt.Sprintf("%s %v", mm.Name(), test.Threads)]++
-				mu.Unlock()
-				return r.Reaches(test, mm, targets)
-			}
-			got := p.run(e.Test.Name, "litmus")
-			for k, n := range explored {
-				if n > 1 {
-					t.Errorf("%s (workers=%d): %d explorations of %s", e.Test.Name, workers, n, k)
+		}
+	}
+	if len(got.BuggyOutcomes) > 0 && len(reached) == 0 {
+		t.Errorf("%s (oracle %t): search with buggy outcomes made no legality check", test.Name, closure != nil)
+	}
+	if want := referenceSearch(search()); !reflect.DeepEqual(got, want) {
+		t.Errorf("%s (oracle %t): counted search diverged from the reference:\ngot:  %s\nwant: %s",
+			test.Name, closure != nil, got.Render(), want.Render())
+	}
+}
+
+// closeNone is a closure oracle that rejects every candidate.
+func closeNone([]Fence, *memmodel.Table) bool { return false }
+
+// closeBarriersOnly is a closure oracle that rejects every candidate
+// with a strengthening, so a legal strengthening is unclosed and the
+// search goes on to larger candidates.
+func closeBarriersOnly(fences []Fence, _ *memmodel.Table) bool {
+	for _, f := range fences {
+		if f.Action == ActionStrengthen {
+			return false
+		}
+	}
+	return true
+}
+
+// sbRing is a three-thread store-buffering ring: each thread stores to
+// its own location and then loads its successor's. All three loads
+// reading 0 needs every store-load pair reordered, so the repair needs
+// a full barrier on every thread — the only suite-sized test whose
+// search reaches size class 3.
+func sbRing() *lkmm.Test {
+	return &lkmm.Test{Name: "SB ring (3 threads)", Threads: [][]lkmm.Op{
+		{lkmm.W(0, 1), lkmm.R(1, 0)},
+		{lkmm.W(1, 1), lkmm.R(2, 1)},
+		{lkmm.W(2, 1), lkmm.R(0, 2)},
+	}, NumLocs: 3, NumRegs: 3}
+}
+
+// combinations generates every size-k subset of singles in lexicographic
+// index order, by recursion rather than nextCombination's successor step.
+func combinations(singles []Fence, k int) [][]Fence {
+	var out [][]Fence
+	for _, idx := range indexCombinations(len(singles), k) {
+		c := make([]Fence, k)
+		for i, j := range idx {
+			c[i] = singles[j]
+		}
+		out = append(out, c)
+	}
+	return out
+}
+
+// indexCombinations generates every size-k subset of {0, ..., n-1} as
+// ascending indexes, in lexicographic order.
+func indexCombinations(n, k int) [][]int {
+	var out [][]int
+	idx := make([]int, k)
+	var rec func(start, depth int)
+	rec = func(start, depth int) {
+		if depth == k {
+			out = append(out, slices.Clone(idx))
+			return
+		}
+		for j := start; j <= n-(k-depth); j++ {
+			idx[depth] = j
+			rec(j+1, depth+1)
+		}
+	}
+	rec(0, 0)
+	return out
+}
+
+// referenceSearch is p's search with no verdict reused: every candidate
+// re-checks each drop-one sub-candidate, and every per-model report
+// checks legality and closure afresh, the primary model's too.
+func referenceSearch(p *problem) *Result {
+	res := &Result{Target: p.test.Name, Kind: "litmus", Model: p.primary.Name()}
+	for _, o := range p.buggySet(p.primary).outcomes {
+		res.BuggyOutcomes = append(res.BuggyOutcomes, string(o))
+	}
+	if len(res.BuggyOutcomes) == 0 {
+		return res
+	}
+	singles := p.singleFences()
+	for size := 1; size <= p.opts.maxFences() && len(res.Suggestions) == 0; size++ {
+		cands := combinations(singles, size)
+		res.Stats.Enumerated += len(cands)
+	cand:
+		for _, c := range cands {
+			for drop := range c {
+				if len(c) > 1 && p.checkLegal(slices.Delete(slices.Clone(c), drop, drop+1), p.primary) {
+					res.Stats.RejectedMinimality++
+					continue cand
 				}
 			}
-			for k, n := range reached {
-				if n > 1 {
-					t.Errorf("%s (workers=%d): %d legality checks of %s", e.Test.Name, workers, n, k)
+			if !p.checkLegal(c, p.primary) {
+				res.Stats.RejectedLegality++
+				continue
+			}
+			if !p.closes(c, p.primary) {
+				res.Stats.RejectedClosure++
+				continue
+			}
+			res.Stats.Validated++
+			sug := &Suggestion{Fences: c}
+			for _, mm := range memmodel.All() {
+				status := StatusInsufficient
+				switch {
+				case len(p.buggySet(mm).outcomes) == 0:
+					status = StatusUnnecessary
+				case p.checkLegal(c, mm) && p.closes(c, mm):
+					status = StatusFixes
+				}
+				sug.Models = append(sug.Models, ModelReport{Model: mm.Name(), Status: status})
+			}
+			res.Suggestions = append(res.Suggestions, sug)
+		}
+	}
+	rankSuggestions(res.Suggestions)
+	return res
+}
+
+// TestMatchesReferenceSearch checks the search, which reads the previous
+// size class's legality verdicts and the primary model's own, against
+// referenceSearch, which reuses none: every suite shape and the
+// three-thread store-buffering ring, under lkmm, tso and armv8, at
+// MaxFences 1 to 3, with the OEMU litmus closure and with a closure
+// oracle that rejects strengthenings (so minimality also checks
+// sub-candidates that minimality rejected before their own legality
+// check). The ring under lkmm must reach size class 3 and validate
+// exactly one candidate, a full barrier on every thread.
+func TestMatchesReferenceSearch(t *testing.T) {
+	tests := []*lkmm.Test{sbRing()}
+	for _, e := range lkmm.Suite() {
+		tests = append(tests, e.Test)
+	}
+	for _, name := range []string{"lkmm", "tso", "armv8"} {
+		mm, err := memmodel.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, test := range tests {
+			for max := 1; max <= 3; max++ {
+				for _, closure := range []func([]Fence, *memmodel.Table) bool{nil, closeBarriersOnly} {
+					search := func() *problem {
+						p := newProblem(test, litmusLabels(test), Options{Model: mm, MaxFences: max}, -1)
+						p.closure = closure
+						return p
+					}
+					got, want := search().run(test.Name, "litmus"), referenceSearch(search())
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("%s under %s, MaxFences %d (oracle %t): search diverged from the reference:\ngot:  %s\nwant: %s",
+							test.Name, name, max, closure != nil, got.Render(), want.Render())
+					}
 				}
 			}
-			if len(got.BuggyOutcomes) > 0 && len(reached) == 0 {
-				t.Errorf("%s (workers=%d): search with buggy outcomes made no legality check", e.Test.Name, workers)
-			}
-			for k, n := range closed {
-				if n > 1 {
-					t.Errorf("%s (workers=%d): %d litmus closure searches of %s", e.Test.Name, workers, n, k)
-				}
-			}
-			if want := Litmus(e.Test, opts); !reflect.DeepEqual(got, want) {
-				t.Errorf("%s (workers=%d): counted search diverged from Litmus:\ngot:  %s\nwant: %s",
-					e.Test.Name, workers, got.Render(), want.Render())
-			}
-			plain := newProblem(e.Test, litmusLabels(e.Test), opts, -1)
-			plain.legality, plain.litmusClosed = nil, nil
-			if want := plain.run(e.Test.Name, "litmus"); !reflect.DeepEqual(got, want) {
-				t.Errorf("%s (workers=%d): memoized search diverged from unmemoized:\ngot:  %s\nwant: %s",
-					e.Test.Name, workers, got.Render(), want.Render())
-			}
+		}
+	}
+	res := Litmus(sbRing(), Options{MaxFences: 3})
+	if res.Stats.Enumerated != 575 || len(res.Suggestions) != 1 {
+		t.Fatalf("SB ring: %d candidates and %d suggestions, want 575 and 1:\n%s",
+			res.Stats.Enumerated, len(res.Suggestions), res.Render())
+	}
+	for _, f := range res.Suggestions[0].Fences {
+		if f.Action != ActionInsert || f.Barrier != "smp_mb" {
+			t.Fatalf("SB ring suggestion %s is not an smp_mb on every thread", res.Suggestions[0])
 		}
 	}
 }
 
-// TestFenceSetKeyInjective checks that distinct candidates of sizes 1 and
-// 2 never share a legality memo key.
-func TestFenceSetKeyInjective(t *testing.T) {
-	test := suiteTest(t, "MP (relaxed)")
-	singles := newProblem(test, litmusLabels(test), Options{}, -1).singleFences()
-	seen := map[string][]Fence{}
-	for size := 1; size <= 2; size++ {
-		for _, c := range combinations(singles, size) {
-			k := fenceSetKey(c)
-			if prev, ok := seen[k]; ok {
-				t.Fatalf("candidates %v and %v share a key", prev, c)
+// TestRank checks that nextCombination walks the subsets in the order
+// indexCombinations generates them, and that rank gives each subset, and
+// each of its drop-one subsets, its position in that order, for n <= 9
+// and k <= 4.
+func TestRank(t *testing.T) {
+	for n := 0; n <= 9; n++ {
+		for k := 1; k <= 4 && k <= n; k++ {
+			all := indexCombinations(n, k)
+			if len(all) != binomial(n, k) {
+				t.Fatalf("n=%d k=%d: %d subsets, binomial says %d", n, k, len(all), binomial(n, k))
 			}
-			seen[k] = c
+			var below map[string]int
+			if k > 1 {
+				below = map[string]int{}
+				for i, sub := range indexCombinations(n, k-1) {
+					below[fmt.Sprint(sub)] = i
+				}
+			}
+			idx := slices.Clone(all[0])
+			for i, want := range all {
+				if i > 0 && !nextCombination(idx, n) {
+					t.Fatalf("n=%d k=%d: walk ended after %d subsets", n, k, i)
+				}
+				if !slices.Equal(idx, want) {
+					t.Fatalf("n=%d k=%d: subset %d walked as %v, want %v", n, k, i, idx, want)
+				}
+				if r := rank(idx, -1, n); r != i {
+					t.Errorf("n=%d k=%d: rank(%v) = %d, want %d", n, k, idx, r, i)
+				}
+				for drop := range idx {
+					if k == 1 {
+						break
+					}
+					sub := slices.Delete(slices.Clone(idx), drop, drop+1)
+					if r := rank(idx, drop, n); r != below[fmt.Sprint(sub)] {
+						t.Errorf("n=%d k=%d: rank(%v without %d) = %d, want %d", n, k, idx, drop, r, below[fmt.Sprint(sub)])
+					}
+				}
+			}
+			if nextCombination(idx, n) {
+				t.Errorf("n=%d k=%d: walk continued past %v", n, k, all[len(all)-1])
+			}
 		}
 	}
 }
@@ -306,20 +489,18 @@ func BenchmarkLitmusRepair(b *testing.B) {
 var legalitySink bool
 
 // BenchmarkLegality runs every size-1 and size-2 legality check of every
-// named suite shape once per iteration, with the legality memo off, so
-// each check builds its repaired test and searches the reference model.
-// Each shape's problem and worker storage persist across iterations, as
-// they do across one search's candidates.
+// named suite shape once per iteration, so each check builds its
+// repaired test and searches the reference model. Each shape's problem
+// and its storage persist across iterations, as they do across one
+// search's candidates.
 func BenchmarkLegality(b *testing.B) {
 	type shape struct {
 		p     *problem
-		w     searchers
 		cands [][]Fence
 	}
 	var shapes []*shape
 	for _, e := range lkmm.Suite() {
 		p := newProblem(e.Test, litmusLabels(e.Test), Options{}, -1)
-		p.legality = nil
 		p.buggySet(p.primary)
 		singles := p.singleFences()
 		shapes = append(shapes, &shape{p: p, cands: append(combinations(singles, 1), combinations(singles, 2)...)})
@@ -329,7 +510,7 @@ func BenchmarkLegality(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, s := range shapes {
 			for _, c := range s.cands {
-				legalitySink = s.p.legal(&s.w, c, s.p.primary)
+				legalitySink = s.p.checkLegal(c, s.p.primary)
 			}
 		}
 	}

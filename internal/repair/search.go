@@ -2,11 +2,8 @@ package repair
 
 import (
 	"cmp"
-	"encoding/binary"
 	"slices"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"ozz/internal/lkmm"
 	"ozz/internal/lkmm/model"
@@ -23,11 +20,6 @@ type Options struct {
 	// at the first size class that validates at least one candidate, so
 	// suggestions are always minimal-size.
 	MaxFences int
-	// Workers is the number of goroutines validating candidates of one
-	// size class (default 1). Results are independent of the worker
-	// count: verdicts are collected by candidate index and folded into
-	// stats in enumeration order.
-	Workers int
 	// Metrics, when non-nil, receives ozz_repair_* counter increments.
 	Metrics *Metrics
 }
@@ -64,42 +56,34 @@ type problem struct {
 	// (model.Reacher.RunModel), asked with the problem's enum Reacher.
 	enumerate func(r *model.Reacher, t *lkmm.Test, mm *memmodel.Table) *model.Result
 	// reach is the reference reachability check behind legality
-	// (model.Reacher.Reaches), asked with a validation worker's Reacher.
+	// (model.Reacher.Reaches), asked with the searchers' Reacher.
 	reach func(r *model.Reacher, t *lkmm.Test, mm *memmodel.Table, targets [][]uint64) bool
 	// litmusReach is the OEMU reachability check behind the litmus
-	// closure (lkmm.Reacher.Reaches), asked with a validation worker's
-	// Reacher.
+	// closure (lkmm.Reacher.Reaches), asked with the searchers' Reacher.
 	litmusReach func(r *lkmm.Reacher, t *lkmm.Test, mm *memmodel.Table, targets [][]uint64) bool
 
-	// searchers holds one validation worker's search storage each, kept
-	// for the whole search: every candidate's repaired test has the
-	// unrepaired test's stores, loads, locations and registers, so a
-	// worker's storage fits them all.
-	searchers []searchers
+	// searchers is the storage of every legality and closure check,
+	// kept for the whole search: every candidate's repaired test has the
+	// unrepaired test's stores, loads, locations and registers, so the
+	// storage fits them all.
+	searchers searchers
 
-	mu sync.Mutex
-	// enum is the storage of the buggy-set enumerations, used under mu:
-	// the SC baseline and each model enumerate the same test.
+	// enum is the storage of the buggy-set enumerations: the SC
+	// baseline and each model enumerate the same test.
 	enum  model.Reacher
 	buggy map[string]*buggyOutcomes
 	sc    map[lkmm.Outcome]bool
-	// legality memoizes legal verdicts for the whole search, so size-k
-	// minimality checks reuse the size-(k-1) verdicts and per-model
-	// reports reuse the primary model's. nil disables the memo.
-	legality map[legalKey]*legalVerdict
-	// litmusClosed memoizes litmus closure verdicts the same way, so
-	// per-model reports reuse the closure validate just passed. The
-	// in-vivo closure is never memoized. nil disables the memo.
-	litmusClosed map[legalKey]*legalVerdict
 }
 
-// searchers is one validation worker's storage: the reference model's
-// Reacher for legality, the OEMU litmus Reacher for closure, and the
-// repaired test each check builds and then searches.
+// searchers is the search's check storage: the reference model's
+// Reacher for legality, the OEMU litmus Reacher for closure, the
+// repaired test each check builds and then searches, and the drop-one
+// sub-candidate a minimality check builds.
 type searchers struct {
 	legal   model.Reacher
 	closure lkmm.Reacher
 	fix     repairedTest
+	sub     []Fence
 }
 
 // repairedTest is storage a repaired test is built into, reused from one
@@ -119,33 +103,17 @@ type buggyOutcomes struct {
 	regs     [][]uint64
 }
 
-// legalKey identifies one memoized verdict: a candidate's fence set (see
-// fenceSetKey) under one model.
-type legalKey struct {
-	model  string
-	fences string
-}
-
-// legalVerdict is one memoized verdict. once makes concurrent validation
-// workers that need the same verdict share one check.
-type legalVerdict struct {
-	once sync.Once
-	ok   bool
-}
-
 func newProblem(test *lkmm.Test, labels [][]string, opts Options, restrict int) *problem {
 	return &problem{
-		test:         test,
-		labels:       labels,
-		primary:      opts.model(),
-		opts:         opts,
-		restrict:     restrict,
-		enumerate:    (*model.Reacher).RunModel,
-		reach:        (*model.Reacher).Reaches,
-		litmusReach:  (*lkmm.Reacher).Reaches,
-		buggy:        map[string]*buggyOutcomes{},
-		legality:     map[legalKey]*legalVerdict{},
-		litmusClosed: map[legalKey]*legalVerdict{},
+		test:        test,
+		labels:      labels,
+		primary:     opts.model(),
+		opts:        opts,
+		restrict:    restrict,
+		enumerate:   (*model.Reacher).RunModel,
+		reach:       (*model.Reacher).Reaches,
+		litmusReach: (*lkmm.Reacher).Reaches,
+		buggy:       map[string]*buggyOutcomes{},
 	}
 }
 
@@ -154,8 +122,6 @@ func newProblem(test *lkmm.Test, labels [][]string, opts Options, restrict int) 
 // behaviours a repair must forbid. Each model's set is derived once per
 // problem, and its outcomes are parsed into register vectors then.
 func (p *problem) buggySet(mm *memmodel.Table) *buggyOutcomes {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if b, ok := p.buggy[mm.Name()]; ok {
 		return b
 	}
@@ -177,8 +143,8 @@ func (p *problem) buggySet(mm *memmodel.Table) *buggyOutcomes {
 // singleFences enumerates every single-fence candidate in a fixed order:
 // barrier insertions at every gap of every (allowed) thread, then
 // annotation strengthenings, sorted by (weight, thread, position, kind) so
-// the combination generator — and therefore the whole search — is
-// deterministic across runs and worker counts.
+// the candidate walk — and therefore the whole search — is
+// deterministic across runs.
 func (p *problem) singleFences() []Fence {
 	var out []Fence
 	for t, ops := range p.test.Threads {
@@ -245,28 +211,60 @@ func (p *problem) singleFences() []Fence {
 	return out
 }
 
-// combinations generates every size-k subset of singles in lexicographic
-// index order.
-func combinations(singles []Fence, k int) [][]Fence {
-	var out [][]Fence
-	idx := make([]int, k)
-	var rec func(start, depth int)
-	rec = func(start, depth int) {
-		if depth == k {
-			c := make([]Fence, k)
-			for i, j := range idx {
-				c[i] = singles[j]
-			}
-			out = append(out, c)
-			return
-		}
-		for j := start; j <= len(singles)-(k-depth); j++ {
-			idx[depth] = j
-			rec(j+1, depth+1)
-		}
+// nextCombination advances idx, a subset of {0, ..., n-1} as ascending
+// indexes, to its successor in lexicographic order, in place, and reports
+// false when idx was the last subset of its size.
+func nextCombination(idx []int, n int) bool {
+	k := len(idx)
+	i := k - 1
+	for i >= 0 && idx[i] == n-k+i {
+		i--
 	}
-	rec(0, 0)
-	return out
+	if i < 0 {
+		return false
+	}
+	idx[i]++
+	for j := i + 1; j < k; j++ {
+		idx[j] = idx[j-1] + 1
+	}
+	return true
+}
+
+// rank returns the position of idx with its entry at drop removed (drop
+// -1 removes none), a subset of {0, ..., n-1} as ascending indexes, among
+// the subsets of its size in the order nextCombination walks them. Each
+// entry counts the subsets that share the entries before it and hold a
+// smaller index in its place.
+func rank(idx []int, drop, n int) int {
+	k := len(idx)
+	if drop >= 0 {
+		k--
+	}
+	r, prev, pos := 0, -1, 0
+	for i, c := range idx {
+		if i == drop {
+			continue
+		}
+		for j := prev + 1; j < c; j++ {
+			r += binomial(n-1-j, k-1-pos)
+		}
+		prev = c
+		pos++
+	}
+	return r
+}
+
+// binomial returns n choose k, the number of size-k candidates of n
+// single fences.
+func binomial(n, k int) int {
+	if k < 0 || k > n {
+		return 0
+	}
+	r := 1
+	for i := 0; i < k; i++ {
+		r = r * (n - i) / (i + 1)
+	}
+	return r
 }
 
 // build builds the repaired litmus test into b and returns it, valid
@@ -311,85 +309,53 @@ func (b *repairedTest) build(t *lkmm.Test, fences []Fence) *lkmm.Test {
 	return nt
 }
 
-// fenceSetKey encodes a candidate as a binary string of its fences'
-// (thread, position, action, barrier, atomicity) coordinates. Candidates
-// and their minimality sub-candidates list fences in singleFences order,
-// so one set always encodes the same way.
-func fenceSetKey(fences []Fence) string {
-	b := make([]byte, 0, 8*len(fences))
-	for _, f := range fences {
-		action := uint64(0)
-		if f.Action == ActionStrengthen {
-			action = 1
-		}
-		b = binary.AppendUvarint(b, uint64(f.thread))
-		b = binary.AppendUvarint(b, uint64(f.pos))
-		b = binary.AppendUvarint(b, action)
-		b = binary.AppendUvarint(b, uint64(f.bar))
-		b = binary.AppendUvarint(b, uint64(f.atom))
-	}
-	return string(b)
-}
-
-// legal reports whether the repaired test forbids every buggy outcome
-// under mm, per the reference model, checking with w's storage. Verdicts
-// are memoized per (fence set, model).
-func (p *problem) legal(w *searchers, fences []Fence, mm *memmodel.Table) bool {
-	return p.memo(p.legality, fences, mm, func(fences []Fence, mm *memmodel.Table) bool {
-		return p.checkLegal(w, fences, mm)
-	})
-}
-
-// memo returns check's verdict on (fences, mm), computing it at most once
-// per key of verdicts. A nil verdicts map disables the memo.
-func (p *problem) memo(verdicts map[legalKey]*legalVerdict, fences []Fence, mm *memmodel.Table, check func([]Fence, *memmodel.Table) bool) bool {
-	if verdicts == nil {
-		return check(fences, mm)
-	}
-	k := legalKey{model: mm.Name(), fences: fenceSetKey(fences)}
-	p.mu.Lock()
-	v := verdicts[k]
-	if v == nil {
-		v = &legalVerdict{}
-		verdicts[k] = v
-	}
-	p.mu.Unlock()
-	v.once.Do(func() { v.ok = check(fences, mm) })
-	return v.ok
-}
-
 // checkLegal asks the reference model whether the repaired test can
 // still reach a buggy outcome; the search stops at the first one. It
-// builds and searches the test in w's storage, so once w is warm it
-// allocates nothing.
-func (p *problem) checkLegal(w *searchers, fences []Fence, mm *memmodel.Table) bool {
-	return !p.reach(&w.legal, w.fix.build(p.test, fences), mm, p.buggySet(mm).regs)
+// builds and searches the test in the problem's storage, so once that
+// is warm it allocates nothing.
+func (p *problem) checkLegal(fences []Fence, mm *memmodel.Table) bool {
+	s := &p.searchers
+	return !p.reach(&s.legal, s.fix.build(p.test, fences), mm, p.buggySet(mm).regs)
 }
 
 // closes reports whether the candidate closes the bug under mm in the
 // live layer: the injected in-vivo oracle when present, otherwise the
-// OEMU-driven litmus search of the repaired test, run on w's storage.
-// Only the litmus closure, a pure function of (fence set, model), is
-// memoized: the in-vivo oracle runs the engine, and its runs are counted,
-// so it executes exactly the runs an unmemoized search would.
-func (p *problem) closes(w *searchers, fences []Fence, mm *memmodel.Table) bool {
+// OEMU-driven litmus search of the repaired test.
+func (p *problem) closes(fences []Fence, mm *memmodel.Table) bool {
 	if p.closure != nil {
 		return p.closure(fences, mm)
 	}
-	return p.memo(p.litmusClosed, fences, mm, func(fences []Fence, mm *memmodel.Table) bool {
-		return p.litmusCloses(w, fences, mm)
-	})
+	return p.litmusCloses(fences, mm)
 }
 
 // litmusCloses asks OEMU whether some run of the repaired test still ends
 // in a buggy outcome; the search stops at the first one.
-func (p *problem) litmusCloses(w *searchers, fences []Fence, mm *memmodel.Table) bool {
-	repaired := w.fix.build(p.test, fences)
+func (p *problem) litmusCloses(fences []Fence, mm *memmodel.Table) bool {
+	s := &p.searchers
+	repaired := s.fix.build(p.test, fences)
 	if lkmm.NumDirectiveSites(repaired) > lkmm.MaxDirectiveSites {
 		// Too wide for the OEMU search: rely on legality alone.
 		return true
 	}
-	return !p.litmusReach(&w.closure, repaired, mm, p.buggySet(mm).regs)
+	return !p.litmusReach(&s.closure, repaired, mm, p.buggySet(mm).regs)
+}
+
+// legality is a primary-model legality verdict the search keeps for a
+// candidate of a size class, until the next size's minimality checks
+// have read it.
+type legality uint8
+
+const (
+	unchecked legality = iota
+	legal
+	illegal
+)
+
+func legalityOf(ok bool) legality {
+	if ok {
+		return legal
+	}
+	return illegal
 }
 
 // Candidate verdict codes.
@@ -400,49 +366,52 @@ const (
 	vNonMinimal
 )
 
-type verdict struct {
-	status int
-	models []ModelReport
-}
-
-// validate runs the full check chain on one candidate: minimality (every
-// strict sub-candidate must be illegal under the primary model), legality,
-// closure, and finally the per-registered-model probe. w is the calling
-// worker's search storage.
-func (p *problem) validate(w *searchers, fences []Fence) verdict {
+// validate runs the primary model's check chain on one candidate, the
+// fences at ascending indexes idx into n singles: minimality (every
+// drop-one sub-candidate must be illegal), legality, then closure.
+// below holds the previous size class's legality verdicts by rank; a
+// sub-candidate with none there, one minimality rejected before its own
+// legality check, is checked now and its verdict kept. The candidate's
+// own legality verdict is stored in *own.
+func (p *problem) validate(fences []Fence, idx []int, n int, below []legality, own *legality) int {
 	if len(fences) > 1 {
-		sub := make([]Fence, 0, len(fences)-1)
 		for drop := range fences {
-			sub = sub[:0]
-			for i, f := range fences {
-				if i != drop {
-					sub = append(sub, f)
-				}
+			v := &below[rank(idx, drop, n)]
+			if *v == unchecked {
+				sub := append(p.searchers.sub[:0], fences[:drop]...)
+				p.searchers.sub = append(sub, fences[drop+1:]...)
+				*v = legalityOf(p.checkLegal(p.searchers.sub, p.primary))
 			}
-			if p.legal(w, sub, p.primary) {
-				return verdict{status: vNonMinimal}
+			if *v == legal {
+				return vNonMinimal
 			}
 		}
 	}
-	if !p.legal(w, fences, p.primary) {
-		return verdict{status: vIllegal}
+	if *own = legalityOf(p.checkLegal(fences, p.primary)); *own == illegal {
+		return vIllegal
 	}
-	if !p.closes(w, fences, p.primary) {
-		return verdict{status: vUnclosed}
+	if !p.closes(fences, p.primary) {
+		return vUnclosed
 	}
-	return verdict{status: vOK, models: p.modelReports(w, fences)}
+	return vOK
 }
 
-// modelReports probes the validated candidate under every registered
-// memory model.
-func (p *problem) modelReports(w *searchers, fences []Fence) []ModelReport {
+// modelReports probes a validated candidate under every registered
+// memory model. validate has found it legal and closing under the
+// primary model, so only an in-vivo closure runs again there: its
+// engine runs are part of every run count.
+func (p *problem) modelReports(fences []Fence) []ModelReport {
 	var out []ModelReport
 	for _, mm := range memmodel.All() {
 		status := StatusInsufficient
 		switch {
 		case len(p.buggySet(mm).outcomes) == 0:
 			status = StatusUnnecessary
-		case p.legal(w, fences, mm) && p.closes(w, fences, mm):
+		case mm.Name() == p.primary.Name():
+			if p.closure == nil || p.closure(fences, mm) {
+				status = StatusFixes
+			}
+		case p.checkLegal(fences, mm) && p.closes(fences, mm):
 			status = StatusFixes
 		}
 		out = append(out, ModelReport{Model: mm.Name(), Status: status})
@@ -450,48 +419,14 @@ func (p *problem) modelReports(w *searchers, fences []Fence) []ModelReport {
 	return out
 }
 
-// validateAll validates one size class, optionally in parallel. Verdicts
-// come back indexed by candidate, so downstream accounting is independent
-// of scheduling.
-func (p *problem) validateAll(cands [][]Fence) []verdict {
-	out := make([]verdict, len(cands))
-	workers := min(p.opts.Workers, len(cands))
-	if workers < 1 {
-		workers = 1
-	}
-	if n := workers - len(p.searchers); n > 0 {
-		p.searchers = append(p.searchers, make([]searchers, n)...)
-	}
-	if workers == 1 {
-		for i, c := range cands {
-			out[i] = p.validate(&p.searchers[0], c)
-		}
-		return out
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w *searchers) {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(cands) {
-					return
-				}
-				out[i] = p.validate(w, cands[i])
-			}
-		}(&p.searchers[w])
-	}
-	wg.Wait()
-	return out
-}
-
 // run executes the ascending-size search and assembles the ranked Result.
+// Each size class walks its candidates in lexicographic order in one
+// reused index tuple, and keeps their legality verdicts by rank for the
+// next size's minimality checks, so each (fence set, model) is checked
+// at most once.
 func (p *problem) run(target, kind string) *Result {
-	m := p.opts.Metrics
-	m.search()
 	res := &Result{Target: target, Kind: kind, Model: p.primary.Name()}
+	defer p.opts.Metrics.publish(res)
 	for _, o := range p.buggySet(p.primary).outcomes {
 		res.BuggyOutcomes = append(res.BuggyOutcomes, string(o))
 	}
@@ -499,34 +434,42 @@ func (p *problem) run(target, kind string) *Result {
 		return res
 	}
 	singles := p.singleFences()
-	for size := 1; size <= p.opts.maxFences() && len(res.Suggestions) == 0; size++ {
-		cands := combinations(singles, size)
-		if len(cands) == 0 {
-			break
+	n := len(singles)
+	var below []legality
+	var idx []int
+	var fences []Fence
+	for size := 1; size <= min(p.opts.maxFences(), n) && len(res.Suggestions) == 0; size++ {
+		verdicts := make([]legality, binomial(n, size))
+		res.Stats.Enumerated += len(verdicts)
+		idx = append(idx, size-1)
+		for i := range idx {
+			idx[i] = i
 		}
-		res.Stats.Enumerated += len(cands)
-		m.enumerated(len(cands))
-		for i, v := range p.validateAll(cands) {
-			switch v.status {
+		for r := range verdicts {
+			if r > 0 {
+				nextCombination(idx, n)
+			}
+			fences = fences[:0]
+			for _, j := range idx {
+				fences = append(fences, singles[j])
+			}
+			switch p.validate(fences, idx, n, below, &verdicts[r]) {
 			case vOK:
 				res.Stats.Validated++
-				m.validated()
-				res.Suggestions = append(res.Suggestions, &Suggestion{Fences: cands[i], Models: v.models})
+				res.Suggestions = append(res.Suggestions, &Suggestion{
+					Fences: slices.Clone(fences),
+					Models: p.modelReports(fences),
+				})
 			case vIllegal:
 				res.Stats.RejectedLegality++
-				m.rejected("legality")
 			case vUnclosed:
 				res.Stats.RejectedClosure++
-				m.rejected("closure")
 			case vNonMinimal:
 				res.Stats.RejectedMinimality++
-				m.rejected("minimality")
 			}
 		}
+		below = verdicts
 	}
 	rankSuggestions(res.Suggestions)
-	if len(res.Suggestions) > 0 {
-		m.suggested()
-	}
 	return res
 }

@@ -157,7 +157,7 @@ func TestConfigSurface(t *testing.T) {
 		"internal/core.Env":          {"Modules", "Bugs", "Model", "Strategy"},
 		"internal/engine.Config":     {"Modules", "Bugs", "Instrumented", "Model"},
 		"internal/dist.CampaignSpec": {"Modules", "Bugs", "UseSeeds", "Model"},
-		"internal/repair.Options":    {"Model", "MaxFences", "Workers", "Metrics"},
+		"internal/repair.Options":    {"Model", "MaxFences", "Metrics"},
 	}
 	for key, fields := range want {
 		dir, typeName, _ := strings.Cut(key, ".")
