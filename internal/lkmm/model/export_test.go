@@ -11,8 +11,8 @@ import (
 
 // fmtKey renders a state's fields as text, reading them through the
 // layout: only the live entries of each history and store buffer, never
-// the words past their lengths. It is the oracle the flat visited-set key
-// is checked against: keying by a state's raw words partitions the state
+// the bytes past their lengths. It is the oracle the flat visited-set key
+// is checked against: keying by a state's raw bytes partitions the state
 // space as the fields do only if every unused entry is always zero.
 func fmtKey(l *layout, s state) string {
 	var b strings.Builder
@@ -43,12 +43,14 @@ func fmtKey(l *layout, s state) string {
 // RunModelFmtKey is RunModel with the visited set keyed by fmtKey, every
 // successor cloned into fresh storage before it is explored, and the
 // original exit path (clone, drain every thread, then read the registers).
-// It shares only the layout and the transition rules with RunModel.
+// It shares only the layout, value table included, and the transition
+// rules with RunModel, so it cannot catch a fault in the interning
+// (TestRelabelledValues does).
 func RunModelFmtKey(t *lkmm.Test, mm *memmodel.Table) *Result {
-	m := &machine{test: t, mm: mm}
-	m.l.build(t)
-	m.slots = make([]uint64, 3*m.l.words)
 	out := lkmm.NewOutcomeSet()
+	m := &machine{test: t, mm: mm, outcomes: out}
+	m.l.build(t)
+	m.slots = make([]uint8, 3*m.l.words)
 	visited := map[string]bool{}
 	var explore func(s state)
 	explore = func(s state) {
@@ -59,7 +61,7 @@ func RunModelFmtKey(t *lkmm.Test, mm *memmodel.Table) *Result {
 		visited[k] = true
 		done := true
 		for ti := range t.Threads {
-			if s[m.l.pc(ti)] >= uint64(len(t.Threads[ti])) {
+			if int(s[m.l.pc(ti)]) >= len(t.Threads[ti]) {
 				continue
 			}
 			done = false
@@ -77,7 +79,11 @@ func RunModelFmtKey(t *lkmm.Test, mm *memmodel.Table) *Result {
 			for ti := range t.Threads {
 				m.l.drain(ns, ti)
 			}
-			out.Add(m.l.registers(ns))
+			regs := make([]uint64, t.NumRegs)
+			for i, v := range m.l.registers(ns) {
+				regs[i] = m.l.vals[v]
+			}
+			out.Add(regs)
 		}
 	}
 	explore(make(state, m.l.words))

@@ -12,10 +12,10 @@ import (
 )
 
 // TestBinaryKeyMatchesFmtOracle checks the visited-state key — a state's
-// raw words — against a fmt-built key of its live fields: over the named
+// raw bytes — against a fmt-built key of its live fields: over the named
 // suite plus 500 generated shapes, under every registered model, both
 // explorations must visit the same number of states and permit the same
-// outcomes. A transition that left a stale word past a history or
+// outcomes. A transition that left a stale byte past a history or
 // store-buffer length would split one state into two here.
 func TestBinaryKeyMatchesFmtOracle(t *testing.T) {
 	var tests []*lkmm.Test
@@ -44,10 +44,11 @@ func TestBinaryKeyMatchesFmtOracle(t *testing.T) {
 
 // TestReacherRunModelReuse runs RunModel on one Reacher over the named
 // suite plus 500 generated shapes under lkmm, tso and armv8, in a shuffled
-// order that mixes shapes of every size and every model, with a Reaches
-// call between runs: each result's States and Outcomes must equal a fresh
-// RunModel's, so nothing a call leaves in the Reacher's storage reaches
-// the next.
+// order that mixes shapes of every size and every model, with two Reaches
+// calls between runs — one that misses and one that finds its target:
+// each result's States and Outcomes must equal a fresh RunModel's, so
+// nothing a call leaves in the Reacher's storage, its found flag
+// included, reaches the next.
 func TestReacherRunModelReuse(t *testing.T) {
 	type job struct {
 		test *lkmm.Test
@@ -82,6 +83,12 @@ func TestReacherRunModelReuse(t *testing.T) {
 		}
 		if j.test.NumRegs > 0 && r.Reaches(j.test, j.mm, [][]uint64{miss}) {
 			t.Fatalf("job %d, %s/%s: Reaches finds the all-99 register file", i, j.mm.Name(), j.test.Name)
+		}
+		// And one for an outcome the shape reaches, which ends its search
+		// early; the next RunModel must still explore in full.
+		hit := lkmm.Outcome(want.Sorted()[0])
+		if !r.Reaches(j.test, j.mm, [][]uint64{hit.Regs()}) {
+			t.Fatalf("job %d, %s/%s: Reaches misses the permitted %s", i, j.mm.Name(), j.test.Name, hit)
 		}
 	}
 }

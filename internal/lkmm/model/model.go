@@ -49,7 +49,7 @@
 // the search stops at the first buggy outcome and never builds a state
 // whose already-final registers rule every goal out.
 //
-// A machine state is one flat []uint64, placed by a per-test layout:
+// A machine state is one flat []uint8, placed by a per-test layout:
 //
 //	clock
 //	per thread:   pc, versioning-window start, then the CoWR floor and
@@ -59,17 +59,29 @@
 //	per thread:   store-buffer length, then one (location, value) pair
 //	              per entry
 //
+// Every value a state holds — a register, a history entry's value, a
+// buffered store's value — is an index into the layout's value table,
+// which interns the values the test's stores write (index 0 is the
+// initial 0); RunModel maps registers back to values only when it records
+// an outcome, and Reacher.Reaches maps its targets to indexes once per
+// call. Every other word is a clock time, a pc, a length or a location
+// index, so each fits one byte for a test within Fits' limits: at most
+// 255 ops in a thread, 255 stores and 255 locations.
+//
 // Each history and store-buffer window is as large as it can grow in the
 // test — one entry per store to the location, one per store of the
 // thread — and entries past a window's length stay zero (a drain zeroes
-// what it commits). Equal states therefore have equal words: a successor
-// is one copy, and the visited-set key is the state's own words. A
-// history lists a location's commits in coherence order (the initial 0 at
-// time 0 is implicit); a store buffer lists a thread's in-flight stores in
+// what it commits), as do the padding bytes that round a state up to a
+// multiple of 8. Equal states therefore have equal bytes: a successor is
+// one copy, and the visited-set key is the state's own bytes. A history
+// lists a location's commits in coherence order (the initial 0 at time 0
+// is implicit); a store buffer lists a thread's in-flight stores in
 // program order, at most one per location.
 package model
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -100,11 +112,43 @@ func (r *Result) Sorted() []string {
 	return out
 }
 
-// state is one abstract machine configuration, laid out by its test's
-// layout (see the package doc). The clock is word 0.
-type state []uint64
+// limit is the largest count a state byte holds: Fits' bound on a test's
+// ops per thread, stores and locations.
+const limit = 255
 
-// layout places one test's states in their words.
+// Fits reports whether the reference machine can explore t: at most 255
+// ops in any thread, 255 stores and 255 locations, so every clock time,
+// pc, length, location and value index of its states fits one byte.
+// RunModel and Reacher.Reaches panic on a test that does not fit.
+func Fits(t *lkmm.Test) bool { return unfit(t) == "" }
+
+// unfit names the first of Fits' limits t exceeds, or "" when it fits.
+func unfit(t *lkmm.Test) string {
+	if t.NumLocs > limit {
+		return "locations"
+	}
+	stores := 0
+	for _, ops := range t.Threads {
+		if len(ops) > limit {
+			return "ops in a thread"
+		}
+		for _, op := range ops {
+			if op.Kind == lkmm.OpStore {
+				stores++
+			}
+		}
+	}
+	if stores > limit {
+		return "stores"
+	}
+	return ""
+}
+
+// state is one abstract machine configuration, laid out by its test's
+// layout (see the package doc). The clock is byte 0.
+type state []uint8
+
+// layout places one test's states in their bytes.
 type layout struct {
 	locs int
 	// threadWords is the size of one thread's block; thread t's block
@@ -115,11 +159,19 @@ type layout struct {
 	// hist[l] and sb[t] are the offsets of location l's history length
 	// and thread t's store-buffer length; their entries follow.
 	hist, sb []int
-	// words is the state size.
+	// words is the state size, one byte per word, padded to a multiple
+	// of 8.
 	words int
+	// vals is the value table: value index i stands for vals[i], and
+	// vals[0] is the initial 0.
+	vals []uint64
+	// stored[t][i] is the value index of thread t's op i when it is a
+	// store.
+	stored [][]uint8
 }
 
-// build lays out test t's states, reusing the layout's storage.
+// build lays out test t's states and interns its stored values, reusing
+// the layout's storage.
 func (l *layout) build(t *lkmm.Test) {
 	threads, locs := len(t.Threads), t.NumLocs
 	l.locs = locs
@@ -129,13 +181,17 @@ func (l *layout) build(t *lkmm.Test) {
 	l.sb = slices.Grow(l.sb[:0], threads)[:threads]
 	clear(l.hist)
 	clear(l.sb)
+	l.vals = append(l.vals[:0], 0)
+	l.stored = slices.Grow(l.stored[:0], threads)[:threads]
 	// Count the stores per location and per thread — the most entries a
 	// history and a buffer can hold — then turn the counts into offsets.
 	for ti, ops := range t.Threads {
-		for _, op := range ops {
+		l.stored[ti] = slices.Grow(l.stored[ti][:0], len(ops))[:len(ops)]
+		for i, op := range ops {
 			if op.Kind == lkmm.OpStore {
 				l.hist[op.Loc]++
 				l.sb[ti]++
+				l.stored[ti][i] = l.intern(op.Val)
 			}
 		}
 	}
@@ -146,7 +202,18 @@ func (l *layout) build(t *lkmm.Test) {
 	for i, n := range l.sb {
 		l.sb[i], w = w, w+1+2*n
 	}
-	l.words = w
+	l.words = (w + 7) &^ 7
+}
+
+// intern returns v's value index, adding v to the value table if it is
+// new.
+func (l *layout) intern(v uint64) uint8 {
+	i := slices.Index(l.vals, v)
+	if i < 0 {
+		i = len(l.vals)
+		l.vals = append(l.vals, v)
+	}
+	return uint8(i)
 }
 
 // pc is the offset of thread t's next-op index.
@@ -163,12 +230,12 @@ func (l *layout) cowr(t, loc int) int { return 3 + t*l.threadWords + loc }
 // at loc (CoRR floor), 0 if none.
 func (l *layout) corr(t, loc int) int { return 3 + t*l.threadWords + l.locs + loc }
 
-// registers returns s's register file (loads write it).
-func (l *layout) registers(s state) []uint64 { return s[l.regs : l.regs+l.nregs] }
+// registers returns s's register file (loads write it) as value indexes.
+func (l *layout) registers(s state) []uint8 { return s[l.regs : l.regs+l.nregs] }
 
-// commit appends a new version of loc to the coherence order and advances
-// the logical clock.
-func (l *layout) commit(s state, t, loc int, val uint64) {
+// commit appends a new version of loc, holding value index val, to the
+// coherence order and advances the logical clock.
+func (l *layout) commit(s state, t, loc int, val uint8) {
 	s[0]++
 	h := l.hist[loc]
 	e := h + 1 + 2*int(s[h])
@@ -188,17 +255,18 @@ func (l *layout) drain(s state, t int) {
 	clear(s[b:end])
 }
 
-// buffer appends a store of val to loc to thread t's store buffer.
-func (l *layout) buffer(s state, t, loc int, val uint64) {
+// buffer appends a store of value index val to loc to thread t's store
+// buffer.
+func (l *layout) buffer(s state, t, loc int, val uint8) {
 	b := l.sb[t]
 	e := b + 1 + 2*int(s[b])
 	s[b]++
-	s[e], s[e+1] = uint64(loc), val
+	s[e], s[e+1] = uint8(loc), val
 }
 
-// current returns the newest version of loc (the memory value) and its
-// commit time; (0, 0) when the location was never stored to.
-func (l *layout) current(s state, loc int) (val, time uint64) {
+// current returns the newest version of loc (the memory value's index)
+// and its commit time; (0, 0) when the location was never stored to.
+func (l *layout) current(s state, loc int) (val, time uint8) {
 	h := l.hist[loc]
 	if s[h] == 0 {
 		return 0, 0
@@ -207,10 +275,10 @@ func (l *layout) current(s state, loc int) (val, time uint64) {
 	return s[e+1], s[e]
 }
 
-// valueAt returns the value loc held at logical time floor — the newest
-// version with commit time <= floor — and that version's time. This is
-// the versioning-window-start value a stale load observes (§3.2).
-func (l *layout) valueAt(s state, loc int, floor uint64) (val, time uint64) {
+// valueAt returns the value index loc held at logical time floor — the
+// newest version with commit time <= floor — and that version's time.
+// This is the versioning-window-start value a stale load observes (§3.2).
+func (l *layout) valueAt(s state, loc int, floor uint8) (val, time uint8) {
 	h := l.hist[loc]
 	end := h + 1 + 2*int(s[h])
 	for e := h + 1; e < end; e += 2 {
@@ -223,12 +291,12 @@ func (l *layout) valueAt(s state, loc int, floor uint64) (val, time uint64) {
 }
 
 // pending returns the offset of thread t's in-flight store to loc, whose
-// value is the next word, or -1 when none is buffered.
+// value index is the next byte, or -1 when none is buffered.
 func (l *layout) pending(s state, t, loc int) int {
 	b := l.sb[t]
 	end := b + 1 + 2*int(s[b])
 	for e := b + 1; e < end; e += 2 {
-		if s[e] == uint64(loc) {
+		if s[e] == uint8(loc) {
 			return e
 		}
 	}
@@ -236,7 +304,7 @@ func (l *layout) pending(s state, t, loc int) int {
 }
 
 // machine is one exploration: exhaustive when outcomes is set (RunModel),
-// goal-directed when targets is set (Reacher.Reaches).
+// goal-directed otherwise (Reacher.Reaches).
 type machine struct {
 	test    *lkmm.Test
 	mm      *memmodel.Table
@@ -246,12 +314,17 @@ type machine struct {
 	// explored at each depth: depth d's are slots 2d+1 and 2d+2, each
 	// l.words long. A successor stays valid until the next step at its
 	// depth, which comes only after its own subtree is explored.
-	slots    []uint64
+	slots    []uint8
 	outcomes *lkmm.OutcomeSet
-	// targets are the register vectors a goal-directed search looks for;
-	// found is set once a finished state matches one, and ends the search.
-	targets [][]uint64
-	found   bool
+	// regVals is a finished state's register file mapped back to values,
+	// as RunModel records it.
+	regVals []uint64
+	// targets are the register files, as value-index vectors sliced from
+	// targetBuf, a goal-directed search looks for; found is set once a
+	// finished state matches one, and ends the search.
+	targets   [][]uint8
+	targetBuf []uint8
+	found     bool
 	// writes[r] counts the loads into register r.
 	writes []int
 	// final lists the registers with exactly one writer. Such a register
@@ -270,7 +343,8 @@ type finalReg struct {
 // the permitted outcome set; every transition rule reads its
 // barrier/atomicity semantics from the model's table. The search is
 // exhaustive and deterministic; litmus tests are tiny by design, so the
-// deduplicated state space is small.
+// deduplicated state space is small. It panics on a test that does not
+// Fit.
 func RunModel(t *lkmm.Test, mm *memmodel.Table) *Result {
 	return new(Reacher).RunModel(t, mm)
 }
@@ -290,7 +364,8 @@ type Reacher struct {
 func (r *Reacher) RunModel(t *lkmm.Test, mm *memmodel.Table) *Result {
 	m := &r.m
 	root := r.prepare(t, mm)
-	m.targets, m.outcomes = nil, lkmm.NewOutcomeSet()
+	m.regVals = slices.Grow(m.regVals[:0], t.NumRegs)[:t.NumRegs]
+	m.outcomes = lkmm.NewOutcomeSet()
 	m.explore(root, 0)
 	res := &Result{Outcomes: m.outcomes.Outcomes, States: m.visited.len()}
 	m.outcomes = nil
@@ -301,36 +376,65 @@ func (r *Reacher) RunModel(t *lkmm.Test, mm *memmodel.Table) *Result {
 // register file equal to one of targets (each of length t.NumRegs). It
 // stops at the first such execution, and never builds a state whose
 // single-writer registers already hold values no target has; the answer
-// equals asking whether RunModel's outcome set contains a target.
+// equals asking whether RunModel's outcome set contains a target. It
+// panics on a test that does not Fit.
 func (r *Reacher) Reaches(t *lkmm.Test, mm *memmodel.Table, targets [][]uint64) bool {
 	if len(targets) == 0 {
 		return false
 	}
 	m := &r.m
 	root := r.prepare(t, mm)
-	m.targets, m.found = targets, false
+	if !m.setTargets(targets) {
+		return false
+	}
 	r.buildFinal(t)
 	m.explore(root, 0)
 	return m.found
 }
 
-// prepare lays out t, sizes the slots and empties the visited set, reusing
-// their storage, and returns the zeroed root state.
+// prepare checks that t fits, lays it out, sizes the slots and empties
+// the visited set, reusing their storage, and returns the zeroed root
+// state.
 func (r *Reacher) prepare(t *lkmm.Test, mm *memmodel.Table) state {
+	if what := unfit(t); what != "" {
+		panic(fmt.Sprintf("model: test %q has more than %d %s", t.Name, limit, what))
+	}
 	m := &r.m
-	m.test, m.mm = t, mm
+	m.test, m.mm, m.found = t, mm, false
 	m.l.build(t)
 	// Every step retires one op, so the search is at most NumOps deep,
 	// with two successor slots per level plus the root.
 	need := (2*t.NumOps() + 1) * m.l.words
 	if cap(m.slots) < need {
-		m.slots = make([]uint64, need)
+		m.slots = make([]uint8, need)
 	}
 	m.slots = m.slots[:need]
 	m.visited.reset(m.l.words)
 	root := state(m.slots[:m.l.words])
 	clear(root)
 	return root
+}
+
+// setTargets maps targets to value-index vectors in the machine's
+// storage, dropping every target that holds a value no store writes (no
+// register ever holds one), and reports whether any remain.
+func (m *machine) setTargets(targets [][]uint64) bool {
+	m.targetBuf = slices.Grow(m.targetBuf[:0], len(targets)*m.l.nregs)
+	m.targets = m.targets[:0]
+next:
+	for _, tg := range targets {
+		start := len(m.targetBuf)
+		for _, v := range tg {
+			i := slices.Index(m.l.vals, v)
+			if i < 0 {
+				m.targetBuf = m.targetBuf[:start]
+				continue next
+			}
+			m.targetBuf = append(m.targetBuf, uint8(i))
+		}
+		m.targets = append(m.targets, m.targetBuf[start:len(m.targetBuf):len(m.targetBuf)])
+	}
+	return len(m.targets) > 0
 }
 
 // buildFinal fills the machine's single-writer register list for t.
@@ -364,7 +468,7 @@ func (m *machine) explore(s state, d int) {
 	}
 	done := true
 	for ti, ops := range m.test.Threads {
-		if s[m.l.pc(ti)] >= uint64(len(ops)) {
+		if int(s[m.l.pc(ti)]) >= len(ops) {
 			continue
 		}
 		done = false
@@ -383,12 +487,15 @@ func (m *machine) explore(s state, d int) {
 	// boundary, §3.1), but draining commits memory only: the registers
 	// are already final.
 	regs := m.l.registers(s)
-	if m.targets == nil {
-		m.outcomes.Add(regs)
+	if m.outcomes != nil {
+		for i, v := range regs {
+			m.regVals[i] = m.l.vals[v]
+		}
+		m.outcomes.Add(m.regVals)
 		return
 	}
 	for _, tg := range m.targets {
-		if slices.Equal(regs, tg) {
+		if bytes.Equal(regs, tg) {
 			m.found = true
 			return
 		}
@@ -396,14 +503,14 @@ func (m *machine) explore(s state, d int) {
 }
 
 // prunes reports whether a goal-directed search should drop the successor
-// of s in which load op retires with val: op is its register's only
-// writer, and with that register final at val, every target disagrees
-// with one of the final registers, so no execution through the successor
-// ends on a target. Only such a load can make a state contradict the
-// targets, so checking here, before the successor is built, prunes every
-// state a check of each state would.
-func (m *machine) prunes(s state, op lkmm.Op, val uint64) bool {
-	if m.targets == nil || m.writes[op.Reg] != 1 {
+// of s in which load op retires with value index val: op is its
+// register's only writer, and with that register final at val, every
+// target disagrees with one of the final registers, so no execution
+// through the successor ends on a target. Only such a load can make a
+// state contradict the targets, so checking here, before the successor is
+// built, prunes every state a check of each state would.
+func (m *machine) prunes(s state, op lkmm.Op, val uint8) bool {
+	if m.outcomes != nil || m.writes[op.Reg] != 1 {
 		return false
 	}
 next:
@@ -413,7 +520,7 @@ next:
 		}
 		// op's own entry is skipped: its thread's pc is still op's.
 		for _, f := range m.final {
-			if s[m.l.pc(f.thread)] > uint64(f.pos) && s[m.l.regs+f.reg] != tg[f.reg] {
+			if int(s[m.l.pc(f.thread)]) > f.pos && s[m.l.regs+f.reg] != tg[f.reg] {
 				continue next
 			}
 		}
@@ -455,13 +562,14 @@ func (m *machine) step(s state, ti, d int) (out [2]state, n int) {
 		return [2]state{ns}, 1
 
 	case lkmm.OpStore:
+		val := l.stored[ti][s[pc]]
 		if mm.Release(op.Atomic) {
 			// Case 5 (or a TSO locked RMW): all precedent accesses
 			// complete first; the release store itself is never delayed.
 			ns := m.succ(s, d, 0)
 			ns[pc]++
 			l.drain(ns, ti)
-			l.commit(ns, ti, op.Loc, op.Val)
+			l.commit(ns, ti, op.Loc, val)
 			return [2]state{ns}, 1
 		}
 		if mm.StoreStoreOrdered() {
@@ -473,7 +581,7 @@ func (m *machine) step(s state, ti, d int) (out [2]state, n int) {
 			inOrder := m.succ(s, d, 0)
 			inOrder[pc]++
 			l.drain(inOrder, ti)
-			l.commit(inOrder, ti, op.Loc, op.Val)
+			l.commit(inOrder, ti, op.Loc, val)
 			if !mm.Delayable(op.Atomic) {
 				return [2]state{inOrder}, 1
 			}
@@ -482,7 +590,7 @@ func (m *machine) step(s state, ti, d int) (out [2]state, n int) {
 				l.drain(delayed, ti)
 			}
 			delayed[pc]++
-			l.buffer(delayed, ti, op.Loc, op.Val)
+			l.buffer(delayed, ti, op.Loc, val)
 			return [2]state{inOrder, delayed}, 2
 		}
 		if e := l.pending(s, ti, op.Loc); e >= 0 {
@@ -492,7 +600,7 @@ func (m *machine) step(s state, ti, d int) (out [2]state, n int) {
 			// buffer also permits this).
 			ns := m.succ(s, d, 0)
 			ns[pc]++
-			ns[e+1] = op.Val
+			ns[e+1] = val
 			return [2]state{ns}, 1
 		}
 		// The store-buffering choice of §3.1: commit in place, or — when
@@ -500,13 +608,13 @@ func (m *machine) step(s state, ti, d int) (out [2]state, n int) {
 		// until the next drain point.
 		inOrder := m.succ(s, d, 0)
 		inOrder[pc]++
-		l.commit(inOrder, ti, op.Loc, op.Val)
+		l.commit(inOrder, ti, op.Loc, val)
 		if !mm.Delayable(op.Atomic) {
 			return [2]state{inOrder}, 1
 		}
 		delayed := m.succ(s, d, 1)
 		delayed[pc]++
-		l.buffer(delayed, ti, op.Loc, op.Val)
+		l.buffer(delayed, ti, op.Loc, val)
 		return [2]state{inOrder, delayed}, 2
 
 	case lkmm.OpLoad:
@@ -554,7 +662,7 @@ func (m *machine) step(s state, ti, d int) (out [2]state, n int) {
 // and the CoRR floor update, plus the window pin of model-designated
 // load-barrier annotations (LKMM Cases 4 and 6; acquire only under
 // ARMv8).
-func (m *machine) readLoad(ns state, ti int, op lkmm.Op, val, time uint64) state {
+func (m *machine) readLoad(ns state, ti int, op lkmm.Op, val, time uint8) state {
 	l := &m.l
 	ns[l.pc(ti)]++
 	ns[l.regs+op.Reg] = val
@@ -565,13 +673,13 @@ func (m *machine) readLoad(ns state, ti int, op lkmm.Op, val, time uint64) state
 	return ns
 }
 
-// stateSet is the visited-state set. Every key is one state's words, all
+// stateSet is the visited-state set. Every key is one state's bytes, all
 // of one test's layout and so of one width: key i is keys[i*width :
 // (i+1)*width]. An open-addressing table maps each key's hash to its
 // index, so inserting a new state costs no allocation of its own and
 // looking up a visited one costs none at all.
 type stateSet struct {
-	keys  []uint64
+	keys  []uint8
 	width int
 	// table holds tag<<32 | (i+1) for key i, where tag is the high half of
 	// the key's hash; 0 marks an empty slot. The low bits of the tag pick
@@ -581,7 +689,7 @@ type stateSet struct {
 
 func (v *stateSet) len() int { return len(v.keys) / v.width }
 
-// reset empties the set for keys of width words, keeping its storage.
+// reset empties the set for keys of width bytes, keeping its storage.
 func (v *stateSet) reset(width int) {
 	if v.table == nil {
 		v.table = make([]uint64, 256)
@@ -613,7 +721,7 @@ func (v *stateSet) insert(s state) bool {
 		}
 		if e>>32 == tag {
 			k := (int(uint32(e)) - 1) * v.width
-			if slices.Equal(v.keys[k:k+v.width], s) {
+			if bytes.Equal(v.keys[k:k+v.width], s) {
 				return false
 			}
 		}
@@ -644,17 +752,19 @@ const (
 	hashK2 = 0x8ebc6af09c88c6e3
 )
 
-// hashWords hashes a state's words two at a time, wyhash style: each
-// round folds the 128-bit product of one word and the other word mixed
-// with the hash so far, so one multiply covers two words and a difference
-// in any word reaches the high half the table's tags come from.
-func hashWords(w []uint64) uint64 {
-	h := uint64(len(w)) ^ hashK0
-	for ; len(w) >= 2; w = w[2:] {
-		h = mix(w[0]^hashK1, w[1]^h)
+// hashWords hashes a state's bytes as little-endian 8-byte words (every
+// layout pads its states to a multiple of 8), two words at a time,
+// wyhash style: each round folds the 128-bit product of one word and the
+// other word mixed with the hash so far, so one multiply covers 16 bytes
+// and a difference in any byte reaches the high half the table's tags
+// come from.
+func hashWords(s []uint8) uint64 {
+	h := uint64(len(s)) ^ hashK0
+	for ; len(s) >= 16; s = s[16:] {
+		h = mix(binary.LittleEndian.Uint64(s)^hashK1, binary.LittleEndian.Uint64(s[8:])^h)
 	}
-	if len(w) == 1 {
-		h = mix(w[0]^hashK1, h^hashK2)
+	if len(s) >= 8 {
+		h = mix(binary.LittleEndian.Uint64(s)^hashK1, h^hashK2)
 	}
 	return mix(h^hashK0, hashK2)
 }

@@ -1,9 +1,12 @@
 package repair
 
 import (
+	"slices"
+
 	"ozz/internal/engine"
 	"ozz/internal/hints"
 	"ozz/internal/lkmm"
+	"ozz/internal/lkmm/model"
 	"ozz/internal/memmodel"
 	"ozz/internal/modules"
 	"ozz/internal/trace"
@@ -35,9 +38,12 @@ const maxObserverOps = 8
 
 // abstract builds the litmus abstraction of the finding's racing pair
 // from events, the sequential profile of every call of its program (STI
-// CallEvents), or nil when the hint's scheduling point or reorder sites
-// cannot be located in the profile (nothing to search over).
-func abstract(f *engine.Finding, events [][]trace.Event) *abstraction {
+// CallEvents), or nil when there is nothing to search over: the hint's
+// scheduling point or reorder sites cannot be located in the profile, or
+// the abstraction with maxFences barriers inserted into thread 0 — the
+// largest repaired test a search builds — does not fit the reference
+// model (model.Fits).
+func abstract(f *engine.Finding, events [][]trace.Event, maxFences int) *abstraction {
 	h := f.Hint
 	ri, oi := f.I, f.J
 	if h.Reorderer == 1 {
@@ -225,6 +231,15 @@ func abstract(f *engine.Finding, events [][]trace.Event) *abstraction {
 	}
 	a.test.NumLocs = len(locOf)
 	a.test.NumRegs = regs
+	widest := *a.test
+	widest.Threads = slices.Clone(a.test.Threads)
+	widest.Threads[0] = slices.Clip(t0)
+	for range maxFences {
+		widest.Threads[0] = append(widest.Threads[0], lkmm.Op{Kind: lkmm.OpBarrier})
+	}
+	if !model.Fits(&widest) {
+		return nil
+	}
 	return a
 }
 
@@ -372,7 +387,7 @@ func (a *abstraction) closes(f *engine.Finding, ex Executor, fences []Fence, mm 
 // location the hint names.
 func InVivo(f engine.Finding, events [][]trace.Event, ex Executor, opts Options) *Result {
 	kind := f.Hint.Type()
-	a := abstract(&f, events)
+	a := abstract(&f, events, opts.maxFences())
 	if a == nil {
 		res := &Result{Target: f.Title, Kind: kind, Model: opts.model().Name()}
 		opts.Metrics.publish(res)
