@@ -7,7 +7,6 @@ import (
 
 	"ozz/internal/modules"
 	"ozz/internal/obs"
-	"ozz/internal/report"
 )
 
 // table34Switches returns the bug switches of every Table 3 and Table 4
@@ -79,14 +78,10 @@ func TestStepMemoEquivalence(t *testing.T) {
 	}
 }
 
-// TestStepMemoReplayMatchesExecution: replaying a recorded step yields
-// what executing its program again yields — the same counts and the same
-// reports with job-local Tests. Models and SuggestedFix are not compared:
-// a job fills them only for titles not yet merged, so they depend on
-// what the campaign had found when the job ran. For the same reason, an
-// OOO report whose title was merged before its job ran holds only what
-// merge reads of a duplicate, its Title and OOO; its title must be
-// merged, and only those fields are compared.
+// TestStepMemoReplayMatchesExecution: a record holds what executing its
+// program again yields — the same counts and as many reports — and every
+// title the fresh execution reports is already merged, which is what
+// makes replaying the reports as duplicates exact.
 func TestStepMemoReplayMatchesExecution(t *testing.T) {
 	cfg := Config{Seed: 7, UseSeeds: true, Bugs: table34Switches()}
 	p := NewPool(cfg, 2)
@@ -95,9 +90,10 @@ func TestStepMemoReplayMatchesExecution(t *testing.T) {
 	w := ref.newWorker(1)
 	w.open(ref)
 	defer w.eng.Close()
-	compared, rebased, full := 0, 0, 0
+	var key []byte
+	compared, reported := 0, 0
 	for _, prog := range p.CorpusPrograms() {
-		rec, ok := p.memo[prog.Key()]
+		rec, ok := p.memo[prog.Hash(&key)]
 		if !ok {
 			continue
 		}
@@ -105,35 +101,78 @@ func TestStepMemoReplayMatchesExecution(t *testing.T) {
 		rec.replay(&got)
 		want := jobResult{prog: prog}
 		ref.runJob(w, &want)
-		if got.mtis != want.mtis || got.hints != want.hints || got.vacuous != want.vacuous || got.migrations != want.migrations {
-			t.Errorf("%s: replayed counts %+v, executed %+v", prog, got, want)
+		if got.stepCounts != want.stepCounts {
+			t.Errorf("%s: replayed counts %+v, executed %+v", prog, got.stepCounts, want.stepCounts)
 		}
-		if len(got.reports) != len(want.reports) {
-			t.Fatalf("%s: replayed %d reports, executed %d", prog, len(got.reports), len(want.reports))
+		if got.dups != len(want.reports) || len(got.reports) != 0 {
+			t.Errorf("%s: replayed %d duplicates and %d reports, executed %d reports", prog, got.dups, len(got.reports), len(want.reports))
 		}
-		for k, jr := range want.reports {
-			r, g := *jr.r, *got.reports[k].r
-			r.Models, r.SuggestedFix = nil, nil
-			g.Models, g.SuggestedFix = nil, nil
-			if g.OOO && g.Oracle == "" {
-				if p.Reports.Get(g.Title) == nil {
-					t.Errorf("%s: replayed a bare report for %q, a title the campaign never merged", prog, g.Title)
-				}
-				r = report.Report{Title: r.Title, OOO: r.OOO}
-			} else {
-				full++
-			}
-			if !reflect.DeepEqual(g, r) || got.reports[k].rebaseTests != jr.rebaseTests {
-				t.Errorf("%s: replayed report\n%s\nexecuted\n%s", prog, &g, &r)
-			}
-			if jr.rebaseTests && r.Tests > 0 {
-				rebased++
+		for _, jr := range want.reports {
+			if p.Reports.Get(jr.r.Title) == nil {
+				t.Errorf("%s: executed report %q, a title the campaign never merged", prog, jr.r.Title)
 			}
 		}
 		compared++
+		reported += len(want.reports)
 	}
-	if compared == 0 || rebased == 0 || full == 0 {
-		t.Fatalf("compared %d memo entries with %d OOO reports, %d of them in full; the test exercises nothing", compared, rebased, full)
+	if compared == 0 || reported == 0 {
+		t.Fatalf("compared %d memo entries with %d reports; the test exercises nothing", compared, reported)
+	}
+}
+
+// TestStepMemoSkipsOverflow: a step whose counts do not fit a record is
+// not recorded, so its program executes again if it repeats; one that
+// fits is.
+func TestStepMemoSkipsOverflow(t *testing.T) {
+	p := NewPool(Config{Seed: 1}, 1)
+	fits := stepCounts{mtis: 255, hints: 1 << 20, vacuous: 255, migrations: 255}
+	cases := []struct {
+		name    string
+		counts  stepCounts
+		reports int
+		want    bool
+	}{
+		{"fits", fits, 255, true},
+		{"mtis", stepCounts{mtis: 256}, 0, false},
+		{"vacuous", stepCounts{vacuous: 256}, 0, false},
+		{"migrations", stepCounts{migrations: 1 << 8}, 0, false},
+		{"reports", stepCounts{}, 256, false},
+	}
+	for k, c := range cases {
+		res := jobResult{key: uint64(k), stepCounts: c.counts, reports: make([]jobReport, c.reports)}
+		p.record(&res)
+		rec, ok := p.memo[res.key]
+		if ok != c.want {
+			t.Errorf("%s: recorded = %v, want %v", c.name, ok, c.want)
+		}
+		if !ok {
+			continue
+		}
+		var got jobResult
+		rec.replay(&got)
+		if got.stepCounts != c.counts || got.dups != c.reports {
+			t.Errorf("%s: replayed %+v and %d reports, recorded %+v and %d", c.name, got.stepCounts, got.dups, c.counts, c.reports)
+		}
+	}
+}
+
+// TestProgramHashesDistinct: the distinct programs of a 10,240-step
+// fixed-kernel campaign have as many distinct memo hashes as distinct
+// keys.
+func TestProgramHashesDistinct(t *testing.T) {
+	p := NewPool(Config{Seed: 1}, 1)
+	keys, hashes := map[string]bool{}, map[uint64]bool{}
+	var buf []byte
+	for b := 0; b < 10240/batchSize; b++ {
+		p.Run(batchSize)
+		for _, res := range p.results {
+			keys[res.prog.Key()] = true
+			hashes[res.prog.Hash(&buf)] = true
+		}
+	}
+	t.Logf("%d distinct programs", len(keys))
+	if len(hashes) != len(keys) {
+		t.Errorf("%d distinct keys hash to %d distinct values", len(keys), len(hashes))
 	}
 }
 

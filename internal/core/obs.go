@@ -151,6 +151,6 @@ func (c *campaignObs) stepEvent(wid int, res *jobResult) {
 	}
 	c.ev.Info(wid, "step", map[string]any{
 		"step": res.idx, "mtis": res.mtis, "hints": res.hints,
-		"vacuous": res.vacuous, "reports": len(res.reports),
+		"vacuous": res.vacuous, "reports": len(res.reports) + res.dups,
 	})
 }

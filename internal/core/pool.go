@@ -121,11 +121,11 @@ type Pool struct {
 	steps   uint64 // next global step index
 	repairs map[string]*repair.Result
 
-	// memo maps Program.Key to the record of an executed step (see
+	// memo maps Program.Hash to the record of an executed step (see
 	// record). It is written only by merge and read lock-free by workers
 	// during a batch. Only the test seam withoutStepMemo sets it to nil,
 	// which disables replay.
-	memo map[string]stepRecord
+	memo map[uint64]stepRecord
 
 	// ws holds each worker's step scratch across Run calls; run grows it
 	// to Workers. Only run and its workers touch it.
@@ -158,7 +158,7 @@ func NewPool(cfg Config, workers int) *Pool {
 		co:      newCampaignObs(env.Obs(), cfg.Events),
 		Reports: NewSafeReportSet(),
 		repairs: make(map[string]*repair.Result),
-		memo:    make(map[string]stepRecord),
+		memo:    make(map[uint64]stepRecord),
 	}
 	p.co.workers.Set(float64(workers))
 	if cfg.UseSeeds {
@@ -227,11 +227,10 @@ func jobSeed(seed int64, idx uint64) int64 {
 
 // jobReport is one finding produced inside a job. The report is final
 // once the job ends: merge publishes a copy, completed with the step's
-// program text, and the step memo keeps the original. rebaseTests marks
-// reports whose Tests field counts job-local MTIs at discovery time; the
-// merger rebases the copy onto the campaign-cumulative count in index
-// order, so the final value is the campaign's MTI count at discovery, at
-// any width.
+// program text. rebaseTests marks reports whose Tests field counts
+// job-local MTIs at discovery time; the merger rebases the copy onto the
+// campaign-cumulative count in index order, so the final value is the
+// campaign's MTI count at discovery, at any width.
 type jobReport struct {
 	r           *report.Report
 	rebaseTests bool
@@ -241,8 +240,8 @@ type jobReport struct {
 }
 
 // stepCounts are a step's work counters, summed into Stats at merge. A
-// step tests at most maxPairs pairs and runs at most maxHintsPerPair MTIs
-// per pair, so 32 bits hold every count, and a memo record stays small.
+// memo record keeps them in fewer bits, and only for a step whose counts
+// fit (see stepRecord).
 type stepCounts struct {
 	mtis    uint32
 	hints   uint32
@@ -259,12 +258,14 @@ type jobResult struct {
 	// prog is the step's program: a pending seed or the slot's program
 	// buffer, valid until the slot's next step is planned.
 	prog *syzlang.Program
-	// key is prog's Program.Key when the memo is on: the memo lookup,
+	// key is prog's Program.Hash when the memo is on: the memo lookup,
 	// and the key record files an executed step under.
-	key []byte
-	// replayed marks a step served from the memo: it executed nothing
-	// and carries no coverage.
+	key uint64
+	// replayed marks a step served from the memo: it executed nothing,
+	// carries no coverage and no reports, and dups counts the reports
+	// its program produced when it executed, every one a duplicate now.
 	replayed bool
+	dups     int
 	stiCov   []uint64 // STI coverage (corpus admission signal)
 	// mtiCov is the union of the step's MTI coverage, each edge once.
 	mtiCov  []uint64
@@ -277,7 +278,6 @@ func (res *jobResult) reset(idx uint64) {
 	clear(res.reports) // the last step's reports: merged, or dropped
 	*res = jobResult{
 		idx:     idx,
-		key:     res.key[:0],
 		stiCov:  res.stiCov[:0],
 		mtiCov:  res.mtiCov[:0],
 		reports: res.reports[:0],
@@ -323,6 +323,8 @@ type worker struct {
 	// stages tallies the worker's stage durations until the next batch
 	// barrier, where the coordinator flushes them with eng's metrics.
 	stages stageTallies
+	// key is the buffer the step's program key is hashed from.
+	key []byte
 	// mtiCov collects the current step's MTI edges.
 	mtiCov kernel.EdgeSet
 	// hints is the worker's hint-calculation memory. It owns the hints
@@ -349,8 +351,8 @@ type worker struct {
 // its recorded outcome instead.
 func (p *Pool) runJob(w *worker, res *jobResult) {
 	if p.memo != nil {
-		res.key = res.prog.AppendKey(res.key[:0])
-		if rec, ok := p.memo[string(res.key)]; ok {
+		res.key = res.prog.Hash(&w.key)
+		if rec, ok := p.memo[res.key]; ok {
 			rec.replay(res)
 			return
 		}
@@ -486,46 +488,42 @@ func (p *Pool) addOOOReport(w *worker, res *jobResult, f Finding, oracle string,
 	res.reports = append(res.reports, jr)
 }
 
-// stepRecord is the step memo's record of an executed step: its counts
-// and its reports. Coverage is not kept: the campaign EdgeSet only grows,
-// so a replay's edges are already merged. The repair results are
-// dropped: merge publishes them only with a title not yet merged, and
-// every title the step reported is merged by the time a later batch
-// replays it.
+// stepRecord is the step memo's record of an executed step, in 8 bytes:
+// its counts and how many reports it produced. Coverage is not kept: the
+// campaign EdgeSet only grows, so a replay's edges are already merged.
+// Nor are reports: merge adds every title not yet known, so a later
+// batch's replay of the step merges its reports as that many duplicates.
 type stepRecord struct {
-	stepCounts
-	// reports is nil for a step that reported nothing. Behind a pointer,
-	// the list keeps the memo's map entries small: a full memo's tables
-	// are a large part of a campaign's live heap.
-	reports *[]jobReport
+	hints                              uint32
+	mtis, vacuous, migrations, reports uint8
 }
 
-// record memoizes an executed step's outcome under its program key. The
-// record shares the step's reports, which nothing changes once the job
-// has ended. Caller holds p.mu and the workers are parked.
+// record memoizes an executed step's outcome under its program hash. A
+// step whose counts do not fit a record is not recorded: its program
+// executes again if it repeats. Caller holds p.mu and the workers are
+// parked.
 func (p *Pool) record(res *jobResult) {
+	rec := stepRecord{res.hints, uint8(res.mtis), uint8(res.vacuous), uint8(res.migrations), uint8(len(res.reports))}
+	if rec.counts() != res.stepCounts || int(rec.reports) != len(res.reports) {
+		return
+	}
 	if len(p.memo) >= memoCap {
 		clear(p.memo)
 	}
-	rec := stepRecord{stepCounts: res.stepCounts}
-	if len(res.reports) > 0 {
-		reports := make([]jobReport, len(res.reports))
-		for k, jr := range res.reports {
-			reports[k] = jobReport{r: jr.r, rebaseTests: jr.rebaseTests}
-		}
-		rec.reports = &reports
-	}
-	p.memo[string(res.key)] = rec
+	p.memo[res.key] = rec
+}
+
+// counts returns the step counts rec holds.
+func (rec stepRecord) counts() stepCounts {
+	return stepCounts{mtis: uint32(rec.mtis), hints: rec.hints, vacuous: uint32(rec.vacuous), migrations: uint32(rec.migrations)}
 }
 
 // replay fills res, a step testing the program rec was recorded for,
 // with rec's outcome.
-func (rec *stepRecord) replay(res *jobResult) {
+func (rec stepRecord) replay(res *jobResult) {
 	res.replayed = true
-	res.stepCounts = rec.stepCounts
-	if rec.reports != nil {
-		res.reports = append(res.reports, *rec.reports...)
-	}
+	res.stepCounts = rec.counts()
+	res.dups = int(rec.reports)
 }
 
 // merge folds one step result into the campaign state. Called in strict
@@ -536,6 +534,7 @@ func (rec *stepRecord) replay(res *jobResult) {
 func (p *Pool) merge(res *jobResult, found *[]*report.Report) {
 	if res.replayed {
 		p.co.memoHits.Inc()
+		p.co.reportsDup.Add(uint64(res.dups))
 	} else {
 		p.co.memoMisses.Inc()
 		if p.memo != nil {

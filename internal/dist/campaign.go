@@ -3,8 +3,6 @@ package dist
 import (
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -213,12 +211,11 @@ func (m *Manager) completeLocked(ws *workerState, leaseID uint64) {
 	})
 }
 
-// progHash keys the manager's corpus: the 16-hex-digit FNV-1a hash of a
-// Program.Key(), a fixed 16 bytes per program instead of its key text.
+// progHash keys the manager's corpus: Program.Hash in hex, at most 16
+// bytes per program instead of its key text.
 func progHash(p *syzlang.Program) string {
-	h := fnv.New64a()
-	_, _ = io.WriteString(h, p.Key())
-	return strconv.FormatUint(h.Sum64(), 16)
+	var key []byte
+	return strconv.FormatUint(p.Hash(&key), 16)
 }
 
 // admitProgramLocked merges one program into the campaign corpus,

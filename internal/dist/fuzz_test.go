@@ -1,7 +1,11 @@
 package dist
 
 import (
+	"bytes"
 	"encoding/json"
+	"hash/crc32"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -83,6 +87,110 @@ func FuzzProtocol(f *testing.F) {
 				t.Fatalf("%T wire form not canonical after one encode:\nbody: %q\nfirst: %s\nsecond: %s",
 					msg, body, out, out2)
 			}
+		}
+	})
+}
+
+// FuzzWALReplay writes arbitrary bytes as a campaign's log and replays
+// it, as a restarted manager does with crash residue. Invariants: replay
+// never panics; it applies exactly the newline-terminated lines before
+// the first one that fails to decode or fails its CRC, each with its own
+// type and payload; it truncates the file to exactly those lines; and a
+// second replay applies the same records and finds no torn tail. The
+// same bytes are decoded as a snapshot file, which must not panic
+// either.
+func FuzzWALReplay(f *testing.F) {
+	path := filepath.Join(f.TempDir(), "wal.log")
+	w, err := openWAL(path, newDistObs(nil, nil))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, r := range []struct {
+		t string
+		d any
+	}{
+		{walEpoch, walEpochD{Epoch: 2}},
+		{walWorker, walWorkerD{ID: 1, Name: "w1"}},
+		{walProgram, walProgramD{Src: "r0 = wq_create()\nwq_pipe_read(r0)\n"}},
+		{walReport, report.Report{Title: "KCSAN: data-race in wq_post", OOO: true}},
+		{walComplete, walCompleteD{Shard: 3}},
+	} {
+		if err := w.append(r.t, r.d); err != nil {
+			f.Fatal(err)
+		}
+	}
+	w.close()
+	seed, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed)
+	f.Add(seed[:len(seed)-1])                                          // the last record lacks its newline
+	f.Add(seed[:len(seed)/2])                                          // cut mid-record
+	f.Add(bytes.Replace(seed, []byte(`"crc":`), []byte(`"crc":1`), 1)) // the first CRC altered
+	f.Add([]byte("\n{}\n"))
+	snap, err := json.Marshal(CampaignSnapshot{Format: SnapshotFormat, Name: defaultCampaign, Epoch: 2,
+		TotalSteps: 40, ShardSteps: 10, Seed: 1, Completed: []int{0, 2},
+		Workers: []SnapshotWorker{{ID: 1, Name: "w1"}}, Corpus: "r0 = wq_create()\n",
+		Reports: []*report.Report{{Title: "KCSAN: data-race in wq_post", OOO: true}}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(snap)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		path := filepath.Join(dir, "wal.log")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		// The intact prefix: whole lines, each a record whose CRC checks.
+		var want []walRecord
+		intact := 0
+		for rest := data; ; {
+			i := bytes.IndexByte(rest, '\n')
+			if i < 0 {
+				break
+			}
+			var rec walRecord
+			if json.Unmarshal(rest[:i+1], &rec) != nil || rec.CRC != crc32.ChecksumIEEE(rec.D) {
+				break
+			}
+			want = append(want, rec)
+			intact += i + 1
+			rest = rest[i+1:]
+		}
+		for pass := 0; pass < 2; pass++ {
+			var got []walRecord
+			n, torn, err := replayWAL(path, func(typ string, d json.RawMessage) {
+				got = append(got, walRecord{T: typ, CRC: crc32.ChecksumIEEE(d), D: d})
+			})
+			if err != nil {
+				t.Fatalf("pass %d: replay: %v", pass, err)
+			}
+			wantTorn := int64(len(data) - intact)
+			if pass == 1 {
+				wantTorn = 0
+			}
+			if torn != wantTorn {
+				t.Fatalf("pass %d: torn = %d, want %d", pass, torn, wantTorn)
+			}
+			if n != len(want) || !reflect.DeepEqual(got, want) {
+				t.Fatalf("pass %d: applied %d records %+v, want the %d intact ones %+v", pass, n, got, len(want), want)
+			}
+			after, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(after, data[:intact]) {
+				t.Fatalf("pass %d: file left as %q, want the intact prefix %q", pass, after, data[:intact])
+			}
+		}
+		snapPath := filepath.Join(dir, "snapshot.json")
+		if err := os.WriteFile(snapPath, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if snap, err := readSnapshotFile(snapPath); err == nil && (snap == nil || snap.Format != SnapshotFormat) {
+			t.Fatalf("readSnapshotFile accepted %q as %+v", data, snap)
 		}
 	})
 }

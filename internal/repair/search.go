@@ -271,7 +271,9 @@ func binomial(n, k int) int {
 // until the next build: barriers spliced into their gaps (several in one
 // gap in ascending kind order), strengthened ops re-annotated. Candidates
 // hold a handful of fences, so each gap and op scans them all instead of
-// indexing them; every thread's ops share one array.
+// indexing them by position; the scans take each Fence by pointer, since
+// a Fence is six strings and more, too large to copy per scan. Every
+// thread's ops share one array.
 func (b *repairedTest) build(t *lkmm.Test, fences []Fence) *lkmm.Test {
 	if b.src != t {
 		b.src = t
@@ -286,8 +288,8 @@ func (b *repairedTest) build(t *lkmm.Test, fences []Fence) *lkmm.Test {
 		start := len(all)
 		for i := 0; i <= len(ops); i++ {
 			gap := len(all)
-			for _, f := range fences {
-				if f.Action == ActionInsert && f.thread == ti && f.pos == i {
+			for k := range fences {
+				if f := &fences[k]; f.Action == ActionInsert && f.thread == ti && f.pos == i {
 					all = append(all, lkmm.Op{Kind: lkmm.OpBarrier, Bar: f.bar})
 				}
 			}
@@ -296,8 +298,8 @@ func (b *repairedTest) build(t *lkmm.Test, fences []Fence) *lkmm.Test {
 				break
 			}
 			op := ops[i]
-			for _, f := range fences {
-				if f.Action == ActionStrengthen && f.thread == ti && f.pos == i {
+			for k := range fences {
+				if f := &fences[k]; f.Action == ActionStrengthen && f.thread == ti && f.pos == i {
 					op.Atomic = f.atom
 				}
 			}

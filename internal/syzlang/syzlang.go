@@ -161,6 +161,19 @@ func (p *Program) AppendKey(dst []byte) []byte {
 	return dst
 }
 
+// Hash returns the 64-bit FNV-1a hash of p's Key, encoding the key into
+// *buf, whose storage it reuses: a caller that keeps *buf across
+// programs hashes without allocating. The hash has no seed, so equal
+// keys hash equal in every process.
+func (p *Program) Hash(buf *[]byte) uint64 {
+	*buf = p.AppendKey((*buf)[:0])
+	h := uint64(14695981039346656037)
+	for _, b := range *buf {
+		h = (h ^ uint64(b)) * 1099511628211
+	}
+	return h
+}
+
 // String serializes the program in a syzlang-like text form:
 //
 //	r0 = tls_socket()

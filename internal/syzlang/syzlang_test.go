@@ -1,6 +1,7 @@
 package syzlang
 
 import (
+	"hash/fnv"
 	"math/rand"
 	"strings"
 	"testing"
@@ -132,6 +133,40 @@ func TestAppendKey(t *testing.T) {
 	}
 	if got := string(p.AppendKey(buf[:0])); got != want {
 		t.Errorf("AppendKey into a reused buffer = %q", got)
+	}
+}
+
+// TestHash: Hash is FNV-1a over the Key bytes, with no seed (one program
+// hashes to a pinned constant in every process), a clone hashes equal to
+// its original, and hashing into a warm buffer allocates nothing.
+func TestHash(t *testing.T) {
+	tg := testTarget()
+	p, err := tg.Parse("r0 = sock_open()\nsock_bind(r0, 0xa)\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf []byte
+	if got, want := p.Hash(&buf), uint64(0xf63823c1b9bdffa1); got != want {
+		t.Errorf("Hash = %#x, want %#x", got, want)
+	}
+	if string(buf) != p.Key() {
+		t.Errorf("Hash left %q in its buffer, want the key %q", buf, p.Key())
+	}
+	r := rand.New(rand.NewSource(5))
+	for i := 0; i < 100; i++ {
+		q := &Program{}
+		tg.Generate(q, r, 4, "")
+		h := fnv.New64a()
+		h.Write([]byte(q.Key()))
+		if got := q.Hash(&buf); got != h.Sum64() {
+			t.Fatalf("Hash = %#x, FNV-1a of the key %#x\n%s", got, h.Sum64(), q)
+		}
+		if got, want := q.Clone().Hash(&buf), q.Hash(&buf); got != want {
+			t.Fatalf("clone hashes to %#x, original to %#x\n%s", got, want, q)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { p.Hash(&buf) }); n != 0 {
+		t.Errorf("Hash into a warm buffer allocates %v objects", n)
 	}
 }
 
