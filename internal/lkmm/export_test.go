@@ -7,10 +7,6 @@ import (
 	"ozz/internal/trace"
 )
 
-// Runs reports how many runs the Reacher's last search executed to
-// completion; a run abandoned at a contradicting prefix does not count.
-func (r *Reacher) Runs() int { return r.runs }
-
 // directiveSite is one op an OEMU directive can target: a store it may
 // delay or a load it may version.
 type directiveSite struct {

@@ -4,10 +4,10 @@
 // engine exhaustively enumerates every thread interleaving AND every OEMU
 // directive assignment (which stores to delay, which loads to version), and
 // collects the set of observable outcomes (final register values).
-// Reacher.Reaches searches the same runs for a goal instead — can any run
-// end with one of a given set of register files? — stopping at the first
-// and skipping every run whose prefix rules them all out; fence repair's
-// closure check asks it with the buggy outcomes as goals.
+// RunModel is that enumeration; the differential harness
+// (internal/lkmm/diff) pins its outcome sets to the reference model's
+// (internal/lkmm/model), which is what fence repair's legality check
+// searches.
 //
 // Compliance then means: outcomes the LKMM forbids are unreachable no
 // matter the directives, and — the emulation-capability direction — weak
@@ -184,9 +184,8 @@ func (r *Result) Sorted() []string {
 func instrID(t, i int) trace.InstrID { return trace.InstrID(t*100 + i + 1) }
 
 // MaxDirectiveSites bounds the directive sites — stores and loads — of a
-// test RunModel and Reacher.Reaches search: each site's directive is
-// chosen on or off, so the search is exponential in them. Both panic on a
-// wider test.
+// test RunModel searches: each site's directive is chosen on or off, so
+// the search is exponential in them. RunModel panics on a wider test.
 const MaxDirectiveSites = 12
 
 // NumDirectiveSites counts the ops an OEMU directive can target: the
@@ -205,50 +204,35 @@ func NumDirectiveSites(test *Test) int {
 
 // RunModel enumerates all interleavings x directive assignments under
 // the given memory model and returns the observable outcomes: the
-// emulator executes each with the model's semantics table active. It is
-// Reacher's search with no targets, so every run completes and is
-// collected. The search is exhaustive (exponential in program size —
-// litmus tests are tiny by design).
+// emulator executes each with the model's semantics table active. The
+// search is exhaustive (exponential in program size — litmus tests are
+// tiny by design).
 func RunModel(test *Test, mm *memmodel.Table) *Result {
-	var r Reacher
+	if NumDirectiveSites(test) > MaxDirectiveSites {
+		panic("litmus test too large for exhaustive directive enumeration")
+	}
+	var e enumerator
 	out := NewOutcomeSet()
-	r.search(test, mm, nil, out)
-	return &Result{Outcomes: out.Outcomes, Runs: r.runs}
+	e.run(test, mm, out)
+	return &Result{Outcomes: out.Outcomes, Runs: e.runs}
 }
 
-// Reacher answers reachability questions over the OEMU litmus executor:
-// whether some interleaving and directive assignment of a test ends with
-// given final registers. It searches depth first over one choice per
-// executed op: which thread runs next and, when that op is a store or a
-// load, whether its site is directed to delay or to version. OEMU reads a
-// site's directive only when the site executes, and every run starts
-// from a reset emulator with history tracking on, so a run up to position
-// p depends only on its first p choices: the search replays each run from
-// the start on one reused executor, and when a prefix can reach no
-// target it skips every run that shares it.
-//
-// A Reacher keeps its executor, choice path and register tables across
-// calls, so a caller asking about many variants of one test allocates
-// nothing per run once warm. The zero value is ready to use; a Reacher
-// must not be used by two goroutines at once.
-type Reacher struct {
+// enumerator is RunModel's search over the OEMU litmus executor. It
+// searches depth first over one choice per executed op: which thread
+// runs next and, when that op is a store or a load, whether its site is
+// directed to delay or to version. OEMU reads a site's directive only
+// when the site executes, and every run starts from a reset emulator
+// with history tracking on, so a run up to position p depends only on
+// its first p choices: the search replays each run from the start on
+// one reused executor.
+type enumerator struct {
 	x executor
 	// path holds the current run's choices, one per executed op; the
 	// runs that share path[:p] are searched together.
 	path []choice
 	// pc[t] counts thread t's ops among the choices executed so far.
 	pc []int
-	// writes[r] counts the loads into register r.
-	writes []int
-	// final lists the registers with exactly one writer. Such a register
-	// is final once its writer has executed, and a prefix whose final
-	// registers contradict every target is abandoned.
-	final []finalReg
-	// targets are the register vectors a goal-directed search looks for;
-	// a search with none completes every run and adds it to out.
-	targets [][]uint64
-	out     *OutcomeSet
-	// runs counts the runs executed to completion.
+	// runs counts the runs executed.
 	runs int
 }
 
@@ -259,109 +243,50 @@ type choice struct {
 	directive bool
 }
 
-// finalReg is a register with a single writer: the load at pos of thread.
-type finalReg struct {
-	reg, thread, pos int
-}
-
-// Reaches reports whether some interleaving and directive assignment of
-// test under mm ends with its registers equal to one of targets (each of
-// length test.NumRegs). It stops at the first such run, and abandons a
-// prefix as soon as its single-writer registers hold values no target
-// has; the answer equals asking whether RunModel's outcome set contains a
-// target.
-func (r *Reacher) Reaches(test *Test, mm *memmodel.Table, targets [][]uint64) bool {
-	if len(targets) == 0 {
-		return false
-	}
-	return r.search(test, mm, targets, nil)
-}
-
-// search runs the depth-first search over test's runs under mm, looking
-// for targets or, with none, adding every run's outcome to out. It
-// reports whether a target was reached.
-func (r *Reacher) search(test *Test, mm *memmodel.Table, targets [][]uint64, out *OutcomeSet) bool {
-	if NumDirectiveSites(test) > MaxDirectiveSites {
-		panic("litmus test too large for exhaustive directive enumeration")
-	}
-	total := r.prepare(test, mm, targets, out)
+// run searches every run of test under mm and adds each one's outcome
+// to out.
+func (e *enumerator) run(test *Test, mm *memmodel.Table, out *OutcomeSet) {
+	e.x.load(test, mm)
+	e.pc = make([]int, len(test.Threads))
+	total := test.NumOps()
 	for {
 		// Replay path, then extend it with each position's first choice
-		// until the run completes or its prefix is abandoned.
-		r.x.reset()
-		clear(r.pc)
-		pos, pruned := 0, false
-		for ; pos < total; pos++ {
-			if pos == len(r.path) {
-				r.path = append(r.path, choice{thread: r.firstThread()})
+		// until the run completes.
+		e.x.reset()
+		clear(e.pc)
+		for pos := 0; pos < total; pos++ {
+			if pos == len(e.path) {
+				e.path = append(e.path, choice{thread: e.firstThread()})
 			}
-			c := r.path[pos]
-			oi := r.pc[c.thread]
-			r.pc[c.thread]++
-			r.x.exec(c.thread, oi, c.directive)
-			if r.targets != nil && r.contradicts(test.Threads[c.thread][oi]) {
-				pruned = true
-				break
-			}
+			c := e.path[pos]
+			oi := e.pc[c.thread]
+			e.pc[c.thread]++
+			e.x.exec(c.thread, oi, c.directive)
 		}
-		if !pruned {
-			r.runs++
-			regs := r.x.finish()
-			if r.targets == nil {
-				r.out.Add(regs)
-			} else if r.matches(regs) {
-				return true
-			}
-			pos = total - 1
-		}
-		// Undo choices from pos back to the deepest one with an untried
-		// alternative; the runs below it are next.
+		e.runs++
+		out.Add(e.x.finish())
+		// Undo choices from the last back to the deepest one with an
+		// untried alternative; the runs below it are next.
+		pos := total - 1
 		for ; pos >= 0; pos-- {
-			c := &r.path[pos]
-			r.pc[c.thread]--
-			if r.advance(c) {
+			c := &e.path[pos]
+			e.pc[c.thread]--
+			if e.advance(c) {
 				break
 			}
 		}
 		if pos < 0 {
-			return false
+			return
 		}
-		r.path = r.path[:pos+1]
+		e.path = e.path[:pos+1]
 	}
-}
-
-// prepare loads test into the executor and sizes the search tables for
-// it, reusing their storage, and returns the test's op count.
-func (r *Reacher) prepare(test *Test, mm *memmodel.Table, targets [][]uint64, out *OutcomeSet) int {
-	r.x.load(test, mm)
-	r.targets, r.out, r.runs = targets, out, 0
-	r.path = r.path[:0]
-	r.pc = slices.Grow(r.pc[:0], len(test.Threads))[:len(test.Threads)]
-	r.writes = slices.Grow(r.writes[:0], test.NumRegs)[:test.NumRegs]
-	clear(r.writes)
-	for _, ops := range test.Threads {
-		for _, op := range ops {
-			if op.Kind == OpLoad {
-				r.writes[op.Reg]++
-			}
-		}
-	}
-	r.final = r.final[:0]
-	for ti, ops := range test.Threads {
-		for pos, op := range ops {
-			if op.Kind == OpLoad && r.writes[op.Reg] == 1 {
-				r.final = append(r.final, finalReg{reg: op.Reg, thread: ti, pos: pos})
-			}
-		}
-	}
-	return test.NumOps()
 }
 
 // firstThread is the first choice at a new position: the lowest thread
 // with ops left, undirected.
-func (r *Reacher) firstThread() int {
-	for t, ops := range r.x.test.Threads {
-		if r.pc[t] < len(ops) {
+func (e *enumerator) firstThread() int {
+	for t, ops := range e.x.test.Threads {
+		if e.pc[t] < len(ops) {
 			return t
 		}
 	}
@@ -369,68 +294,18 @@ func (r *Reacher) firstThread() int {
 }
 
 // advance moves c, whose position's prefix pc describes, to its next
-// alternative: the same thread with its site directed, then each later
+// alternative: the same thread with its site directed (every store and
+// load, so Runs counts every directive assignment), then each later
 // thread with ops left. It reports false when c was the last.
-func (r *Reacher) advance(c *choice) bool {
-	threads := r.x.test.Threads
-	if !c.directive && r.directable(threads[c.thread][r.pc[c.thread]]) {
+func (e *enumerator) advance(c *choice) bool {
+	threads := e.x.test.Threads
+	if !c.directive && threads[c.thread][e.pc[c.thread]].Kind != OpBarrier {
 		c.directive = true
 		return true
 	}
 	for t := c.thread + 1; t < len(threads); t++ {
-		if r.pc[t] < len(threads[t]) {
+		if e.pc[t] < len(threads[t]) {
 			*c = choice{thread: t}
-			return true
-		}
-	}
-	return false
-}
-
-// directable reports whether the search tries op with its site directed.
-// RunModel tries every store and load, so its Runs count every directive
-// assignment. A goal-directed search skips a directive OEMU ignores — a
-// store the model cannot delay, a load it cannot version — whose run is
-// the undirected run again: directing such a site changes nothing, since
-// OEMU reads a site's directive only when it executes and each run starts
-// with history tracking on.
-func (r *Reacher) directable(op Op) bool {
-	switch {
-	case op.Kind == OpBarrier:
-		return false
-	case r.targets == nil:
-		return true
-	case op.Kind == OpStore:
-		return r.x.mm.Delayable(op.Atomic)
-	default:
-		return r.x.mm.Versionable(op.Atomic)
-	}
-}
-
-// contradicts reports, after op executed, whether it was the writer of a
-// single-writer register and every target now disagrees with one of the
-// final registers, so no run through the current prefix ends on a
-// target.
-func (r *Reacher) contradicts(op Op) bool {
-	if op.Kind != OpLoad || r.writes[op.Reg] != 1 {
-		return false
-	}
-	regs := r.x.regs
-next:
-	for _, tg := range r.targets {
-		for _, f := range r.final {
-			if r.pc[f.thread] > f.pos && regs[f.reg] != tg[f.reg] {
-				continue next
-			}
-		}
-		return false
-	}
-	return true
-}
-
-// matches reports whether regs equals one of the targets.
-func (r *Reacher) matches(regs []uint64) bool {
-	for _, tg := range r.targets {
-		if slices.Equal(regs, tg) {
 			return true
 		}
 	}

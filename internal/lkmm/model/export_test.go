@@ -48,7 +48,7 @@ func fmtKey(l *layout, s state) string {
 // (TestRelabelledValues does).
 func RunModelFmtKey(t *lkmm.Test, mm *memmodel.Table) *Result {
 	out := lkmm.NewOutcomeSet()
-	m := &machine{test: t, mm: mm, outcomes: out}
+	m := &machine{test: t, mm: mm, exhaustive: true}
 	m.l.build(t)
 	m.slots = make([]uint8, 3*m.l.words)
 	visited := map[string]bool{}

@@ -62,11 +62,12 @@
 // Every value a state holds — a register, a history entry's value, a
 // buffered store's value — is an index into the layout's value table,
 // which interns the values the test's stores write (index 0 is the
-// initial 0); RunModel maps registers back to values only when it records
-// an outcome, and Reacher.Reaches maps its targets to indexes once per
-// call. Every other word is a clock time, a pc, a length or a location
-// index, so each fits one byte for a test within Fits' limits: at most
-// 255 ops in a thread, 255 stores and 255 locations.
+// initial 0); RunModel keeps each distinct final register file as these
+// indexes and maps it back to values once, when it returns, and
+// Reacher.Reaches maps its targets to indexes once per call. Every other
+// word is a clock time, a pc, a length or a location index, so each fits
+// one byte for a test within Fits' limits: at most 255 ops in a thread,
+// 255 stores and 255 locations.
 //
 // Each history and store-buffer window is as large as it can grow in the
 // test — one entry per store to the location, one per store of the
@@ -303,8 +304,8 @@ func (l *layout) pending(s state, t, loc int) int {
 	return -1
 }
 
-// machine is one exploration: exhaustive when outcomes is set (RunModel),
-// goal-directed otherwise (Reacher.Reaches).
+// machine is one exploration: exhaustive when exhaustive is set
+// (RunModel), goal-directed otherwise (Reacher.Reaches).
 type machine struct {
 	test    *lkmm.Test
 	mm      *memmodel.Table
@@ -314,10 +315,20 @@ type machine struct {
 	// explored at each depth: depth d's are slots 2d+1 and 2d+2, each
 	// l.words long. A successor stays valid until the next step at its
 	// depth, which comes only after its own subtree is explored.
-	slots    []uint8
-	outcomes *lkmm.OutcomeSet
-	// regVals is a finished state's register file mapped back to values,
-	// as RunModel records it.
+	slots []uint8
+	// exhaustive is set for RunModel's search, which records each
+	// finished state's register file in outcomes once: finished states
+	// that differ only in memory share one, and only RunModel's result
+	// renders the register files as text.
+	exhaustive bool
+	// outcomes holds the register files, as value indexes in regFile's
+	// width, of the exhaustive search's finished states.
+	outcomes stateSet
+	// regFile is a finished state's register file padded with zeroes to
+	// a multiple of 8 bytes, the width hashWords reads.
+	regFile []uint8
+	// regVals is a recorded register file mapped back to values, as
+	// RunModel renders it.
 	regVals []uint64
 	// targets are the register files, as value-index vectors sliced from
 	// targetBuf, a goal-directed search looks for; found is set once a
@@ -364,12 +375,23 @@ type Reacher struct {
 func (r *Reacher) RunModel(t *lkmm.Test, mm *memmodel.Table) *Result {
 	m := &r.m
 	root := r.prepare(t, mm)
+	w := max((t.NumRegs+7)&^7, 8)
+	m.regFile = slices.Grow(m.regFile[:0], w)[:w]
+	clear(m.regFile)
 	m.regVals = slices.Grow(m.regVals[:0], t.NumRegs)[:t.NumRegs]
-	m.outcomes = lkmm.NewOutcomeSet()
+	m.outcomes.reset(w, 16)
+	m.exhaustive = true
 	m.explore(root, 0)
-	res := &Result{Outcomes: m.outcomes.Outcomes, States: m.visited.len()}
-	m.outcomes = nil
-	return res
+	m.exhaustive = false
+	n := m.outcomes.len()
+	out := lkmm.OutcomeSet{Outcomes: make(map[lkmm.Outcome]bool, n)}
+	for k := 0; k < n; k++ {
+		for i, v := range m.outcomes.key(k)[:t.NumRegs] {
+			m.regVals[i] = m.l.vals[v]
+		}
+		out.Add(m.regVals)
+	}
+	return &Result{Outcomes: out.Outcomes, States: m.visited.len()}
 }
 
 // Reaches reports whether some execution of t under mm ends with its
@@ -409,7 +431,7 @@ func (r *Reacher) prepare(t *lkmm.Test, mm *memmodel.Table) state {
 		m.slots = make([]uint8, need)
 	}
 	m.slots = m.slots[:need]
-	m.visited.reset(m.l.words)
+	m.visited.reset(m.l.words, 256)
 	root := state(m.slots[:m.l.words])
 	clear(root)
 	return root
@@ -487,11 +509,9 @@ func (m *machine) explore(s state, d int) {
 	// boundary, §3.1), but draining commits memory only: the registers
 	// are already final.
 	regs := m.l.registers(s)
-	if m.outcomes != nil {
-		for i, v := range regs {
-			m.regVals[i] = m.l.vals[v]
-		}
-		m.outcomes.Add(m.regVals)
+	if m.exhaustive {
+		copy(m.regFile, regs)
+		m.outcomes.insert(m.regFile)
 		return
 	}
 	for _, tg := range m.targets {
@@ -510,7 +530,7 @@ func (m *machine) explore(s state, d int) {
 // state contradict the targets, so checking here, before the successor is
 // built, prunes every state a check of each state would.
 func (m *machine) prunes(s state, op lkmm.Op, val uint8) bool {
-	if m.outcomes != nil || m.writes[op.Reg] != 1 {
+	if m.exhaustive || m.writes[op.Reg] != 1 {
 		return false
 	}
 next:
@@ -689,10 +709,15 @@ type stateSet struct {
 
 func (v *stateSet) len() int { return len(v.keys) / v.width }
 
-// reset empties the set for keys of width bytes, keeping its storage.
-func (v *stateSet) reset(width int) {
+// key returns key i, in insertion order.
+func (v *stateSet) key(i int) []uint8 { return v.keys[i*v.width : (i+1)*v.width] }
+
+// reset empties the set for keys of width bytes, keeping its storage. A
+// set's first reset makes its table, with room for slots entries (a power
+// of two); it doubles as the set fills.
+func (v *stateSet) reset(width, slots int) {
 	if v.table == nil {
-		v.table = make([]uint64, 256)
+		v.table = make([]uint64, slots)
 	}
 	v.keys = v.keys[:0]
 	v.width = width

@@ -192,3 +192,17 @@ func BenchmarkRunModel(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkReacherRunModel is BenchmarkRunModel under lkmm on one warm
+// Reacher, as the repair search enumerates buggy sets: what is left per
+// call is the result and its outcomes.
+func BenchmarkReacherRunModel(b *testing.B) {
+	suite := lkmm.Suite()
+	var r Reacher
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, e := range suite {
+			resultSink = r.RunModel(e.Test, memmodel.LKMM)
+		}
+	}
+}

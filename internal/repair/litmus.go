@@ -28,12 +28,12 @@ func litmusLabels(t *lkmm.Test) [][]string {
 
 // Litmus searches for the minimal fence repair of a raw litmus test: the
 // buggy outcomes are the test's weak-only behaviours under the primary
-// model, legality searches the reference model, and closure asks OEMU —
-// the same emulator campaigns execute in vivo — whether some run of the
-// repaired test still ends in a buggy outcome (lkmm.Reacher.Reaches).
-// Fences may be placed on any thread. Repaired tests with more than
-// lkmm.MaxDirectiveSites directive sites skip the closure layer and
-// validate on legality alone.
+// model, and the reference model's legality verdict decides alone — a
+// litmus test has no in-vivo run to close. OEMU, the emulator campaigns
+// execute in vivo, reaches exactly the reference model's outcomes on
+// every repaired suite test legality passes
+// (TestLitmusRepairAgreesWithOEMU), so asking it again would repeat the
+// verdict. Fences may be placed on any thread.
 func Litmus(test *lkmm.Test, opts Options) *Result {
 	p := newProblem(test, litmusLabels(test), opts, -1)
 	return p.run(test.Name, "litmus")

@@ -34,7 +34,7 @@ func RegisterMetrics(reg *obs.Registry) *Metrics {
 		CandidatesValidated: reg.Counter("ozz_repair_candidates_validated_total",
 			"Repair candidates that passed legality, closure, and minimality."),
 		CandidatesRejected: reg.CounterVec("ozz_repair_candidates_rejected_total",
-			"Repair candidates rejected, by check (legality = reference enumerator, closure = live engine/OEMU, minimality = a fence was droppable).",
+			"Repair candidates rejected, by check (legality = reference enumerator, closure = live engine, minimality = a fence was droppable).",
 			"reason"),
 		SuggestionsTotal: reg.Counter("ozz_repair_suggestions_total",
 			"Repair searches that produced at least one validated suggestion."),

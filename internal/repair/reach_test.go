@@ -1,6 +1,9 @@
 package repair
 
 import (
+	"fmt"
+	"reflect"
+	"slices"
 	"testing"
 
 	"ozz/internal/lkmm"
@@ -99,62 +102,61 @@ func TestReachesMatchesRunModel(t *testing.T) {
 	t.Logf("%d checks", checks)
 }
 
-// TestLitmusReachesMatchesRunModel checks the goal-directed OEMU closure
-// search against the OEMU enumerator it replaced: under lkmm, tso and
-// armv8, each outcome lkmm.RunModel returns is reachable on its own and an
-// all-99 register vector is not, over every suite shape, the two
-// hand-written register-sharing shapes and 2,000 generated shapes; and for
-// the named shapes, Reaches with the problem's buggy set as targets answers
-// whether RunModel meets that set on every single-fence candidate, as the
-// repair closure asks it. One Reacher serves every question.
-func TestLitmusReachesMatchesRunModel(t *testing.T) {
-	var r lkmm.Reacher
-	checks := 0
+// TestLitmusRepairAgreesWithOEMU checks the premise that lets legality
+// decide litmus repair alone: OEMU, which closure asks in vivo, reaches
+// exactly the reference model's outcomes on every repaired test the
+// search finds legal. For every suite shape under lkmm, tso and armv8 at
+// MaxFences 1 to 3, it collects, through the reach seam, each repaired
+// test whose legality check passed — minimality's sub-candidates and the
+// per-model reports' other models included — and compares lkmm.RunModel
+// with model.RunModel on it. Every shape's search stops by size class 2,
+// so MaxFences 3 must return what 2 does.
+func TestLitmusRepairAgreesWithOEMU(t *testing.T) {
+	type repaired struct {
+		test *lkmm.Test
+		mm   *memmodel.Table
+	}
+	legal := map[string]repaired{}
 	for _, name := range []string{"lkmm", "tso", "armv8"} {
 		mm, err := memmodel.ByName(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		shapes := reachShapes(2000)
-		named := len(shapes) - 2000
-		for i, test := range shapes {
-			for o := range lkmm.RunModel(test, mm).Outcomes {
-				checks++
-				if !r.Reaches(test, mm, [][]uint64{o.Regs()}) {
-					t.Errorf("%s under %s: RunModel reaches %s, Reaches says no\n%s", test.Name, name, o, diff.Format(test))
+		for _, e := range lkmm.Suite() {
+			var results []*Result
+			for max := 1; max <= 3; max++ {
+				p := newProblem(e.Test, litmusLabels(e.Test), Options{Model: mm, MaxFences: max}, -1)
+				p.reach = func(r *model.Reacher, test *lkmm.Test, mm *memmodel.Table, targets [][]uint64) bool {
+					reached := r.Reaches(test, mm, targets)
+					key := fmt.Sprintf("%s %v", mm.Name(), test.Threads)
+					if _, seen := legal[key]; !seen && !reached {
+						c := *test
+						c.Threads = make([][]lkmm.Op, len(test.Threads))
+						for ti, ops := range test.Threads {
+							c.Threads[ti] = slices.Clone(ops)
+						}
+						legal[key] = repaired{&c, mm}
+					}
+					return reached
 				}
+				results = append(results, p.run(e.Test.Name, "litmus"))
 			}
-			if test.NumRegs > 0 {
-				checks++
-				none := make([]uint64, test.NumRegs)
-				for i := range none {
-					none[i] = 99
-				}
-				if r.Reaches(test, mm, [][]uint64{none}) {
-					t.Errorf("%s under %s: Reaches found the unreachable %v", test.Name, name, none)
-				}
-			}
-			if i >= named {
-				continue
-			}
-			p := newProblem(test, litmusLabels(test), Options{Model: mm}, -1)
-			buggy := p.buggySet(mm)
-			for _, f := range p.singleFences() {
-				v := applyFences(test, []Fence{f})
-				checks++
-				want := false
-				vres := lkmm.RunModel(v, mm)
-				for _, o := range buggy.outcomes {
-					want = want || vres.Has(o)
-				}
-				if got := r.Reaches(v, mm, buggy.regs); got != want {
-					t.Errorf("%s under %s: Reaches(buggy set %v) = %v, RunModel says %v\n%s",
-						test.Name, name, buggy.outcomes, got, want, diff.Format(v))
-				}
+			if !reflect.DeepEqual(results[2], results[1]) {
+				t.Errorf("%s under %s: MaxFences 3 differs from 2:\n3: %s\n2: %s",
+					e.Test.Name, name, results[2].Render(), results[1].Render())
 			}
 		}
 	}
-	t.Logf("%d checks", checks)
+	if len(legal) == 0 {
+		t.Fatal("no legal repaired test was collected")
+	}
+	for _, r := range legal {
+		if d := diff.CompareModel(r.test, r.mm); d != nil {
+			t.Errorf("repaired %s under %s: OEMU and the reference model disagree: %s\n%s",
+				r.test.Name, r.mm.Name(), d, diff.Format(r.test))
+		}
+	}
+	t.Logf("%d legal repaired tests", len(legal))
 }
 
 // TestLegalityAllocsIndependentOfStates checks that a problem's legality

@@ -28,10 +28,12 @@
 //   - closure: the live engine must agree. For in-vivo findings the
 //     reproducer is re-executed under the OOO strategy with the
 //     candidate's surviving reorder directives installed, across several
-//     seeds and directive subsets; the crash must not reproduce. For
-//     litmus inputs OEMU plays the same role: lkmm.Reacher.Reaches
-//     searches the repaired test's interleavings and directive
-//     assignments for a run that still ends in a buggy outcome.
+//     seeds and directive subsets; the crash must not reproduce. Litmus
+//     inputs have no live engine run, so legality decides alone there:
+//     the differential harness (internal/lkmm/diff) pins OEMU's litmus
+//     outcome sets to the reference enumerator's, and a test checks that
+//     every repaired suite test legality passes has equal outcome sets
+//     under both.
 //
 // Every validated suggestion is additionally probed under every registered
 // memory model and annotated per model: "fixes" (legal and closing),

@@ -143,10 +143,10 @@ func TestEnumerationDeterminism(t *testing.T) {
 }
 
 // TestSearchChecksOnce runs the Litmus search over every suite shape with
-// a counting reference enumerator (buggy sets), a counting reachability
-// check (legality) and a counting OEMU litmus search (closure): no
-// (test, model) pair may be explored twice by any of them — across size
-// classes or per-model reports — and the result must deep-equal Litmus.
+// a counting reference enumerator (buggy sets) and a counting
+// reachability check (legality): no (test, model) pair may be explored
+// twice by either — across size classes or per-model reports — and the
+// result must deep-equal the reference search.
 // The same search with a closure oracle that rejects every candidate
 // searches every size class up to 3, so minimality checks sub-candidates
 // that no earlier check reached; it must not repeat a check either.
@@ -159,8 +159,8 @@ func TestSearchChecksOnce(t *testing.T) {
 }
 
 // checkOnce runs one search of test, with closure as its closure oracle
-// (nil: the OEMU litmus search, up to 2 fences; otherwise up to 3),
-// counting every enumeration, legality check and litmus closure search.
+// (nil: none, as in litmus mode, up to 2 fences; otherwise up to 3),
+// counting every enumeration and legality check.
 func checkOnce(t *testing.T, test *lkmm.Test, closure func([]Fence, *memmodel.Table) bool) {
 	t.Helper()
 	opts := Options{}
@@ -174,7 +174,6 @@ func checkOnce(t *testing.T, test *lkmm.Test, closure func([]Fence, *memmodel.Ta
 	}
 	explored := map[string]int{}
 	reached := map[string]int{}
-	closed := map[string]int{}
 	p := search()
 	p.enumerate = func(r *model.Reacher, test *lkmm.Test, mm *memmodel.Table) *model.Result {
 		explored[fmt.Sprintf("%s %v", mm.Name(), test.Threads)]++
@@ -184,13 +183,9 @@ func checkOnce(t *testing.T, test *lkmm.Test, closure func([]Fence, *memmodel.Ta
 		reached[fmt.Sprintf("%s %v", mm.Name(), test.Threads)]++
 		return r.Reaches(test, mm, targets)
 	}
-	p.litmusReach = func(r *lkmm.Reacher, test *lkmm.Test, mm *memmodel.Table, targets [][]uint64) bool {
-		closed[fmt.Sprintf("%s %v", mm.Name(), test.Threads)]++
-		return r.Reaches(test, mm, targets)
-	}
 	got := p.run(test.Name, "litmus")
 	for what, counts := range map[string]map[string]int{
-		"explorations": explored, "legality checks": reached, "litmus closure searches": closed,
+		"explorations": explored, "legality checks": reached,
 	} {
 		for k, n := range counts {
 			if n > 1 {
@@ -323,8 +318,8 @@ func referenceSearch(p *problem) *Result {
 // size class's legality verdicts and the primary model's own, against
 // referenceSearch, which reuses none: every suite shape and the
 // three-thread store-buffering ring, under lkmm, tso and armv8, at
-// MaxFences 1 to 3, with the OEMU litmus closure and with a closure
-// oracle that rejects strengthenings (so minimality also checks
+// MaxFences 1 to 3, with no closure oracle (litmus mode) and with one
+// that rejects strengthenings (so minimality also checks
 // sub-candidates that minimality rejected before their own legality
 // check). The ring under lkmm must reach size class 3 and validate
 // exactly one candidate, a full barrier on every thread.

@@ -13,8 +13,8 @@ import (
 
 // Options configures a repair search.
 type Options struct {
-	// Model is the primary memory model candidates must be legal and
-	// closing under; nil selects the registered "lkmm" table.
+	// Model is the primary memory model candidates must be legal (and,
+	// in vivo, closing) under; nil selects the registered "lkmm" table.
 	Model *memmodel.Table
 	// MaxFences bounds the candidate size (default 2). The search stops
 	// at the first size class that validates at least one candidate, so
@@ -40,7 +40,7 @@ func (o Options) maxFences() int {
 
 // problem is one repair search over a litmus abstraction of the racing
 // pair: the test, per-op display labels, the primary model, and a closure
-// oracle (nil means the OEMU litmus search).
+// oracle (nil in litmus mode, where legality decides alone).
 type problem struct {
 	test    *lkmm.Test
 	labels  [][]string
@@ -49,8 +49,7 @@ type problem struct {
 	// restrict limits fence placement to one thread (the reorderer's
 	// abstraction, in vivo); -1 allows every thread (litmus mode).
 	restrict int
-	// closure overrides the closure oracle; nil falls back to the
-	// OEMU-driven litmus search (litmusReach).
+	// closure is the in-vivo closure oracle; nil passes every candidate.
 	closure func(fences []Fence, mm *memmodel.Table) bool
 	// enumerate is the reference enumerator behind buggy sets
 	// (model.Reacher.RunModel), asked with the problem's enum Reacher.
@@ -58,12 +57,9 @@ type problem struct {
 	// reach is the reference reachability check behind legality
 	// (model.Reacher.Reaches), asked with the searchers' Reacher.
 	reach func(r *model.Reacher, t *lkmm.Test, mm *memmodel.Table, targets [][]uint64) bool
-	// litmusReach is the OEMU reachability check behind the litmus
-	// closure (lkmm.Reacher.Reaches), asked with the searchers' Reacher.
-	litmusReach func(r *lkmm.Reacher, t *lkmm.Test, mm *memmodel.Table, targets [][]uint64) bool
 
-	// searchers is the storage of every legality and closure check,
-	// kept for the whole search: every candidate's repaired test has the
+	// searchers is the storage of every legality check, kept for the
+	// whole search: every candidate's repaired test has the
 	// unrepaired test's stores, loads, locations and registers, so the
 	// storage fits them all.
 	searchers searchers
@@ -76,14 +72,12 @@ type problem struct {
 }
 
 // searchers is the search's check storage: the reference model's
-// Reacher for legality, the OEMU litmus Reacher for closure, the
-// repaired test each check builds and then searches, and the drop-one
-// sub-candidate a minimality check builds.
+// Reacher for legality, the repaired test each check builds and then
+// searches, and the drop-one sub-candidate a minimality check builds.
 type searchers struct {
-	legal   model.Reacher
-	closure lkmm.Reacher
-	fix     repairedTest
-	sub     []Fence
+	legal model.Reacher
+	fix   repairedTest
+	sub   []Fence
 }
 
 // repairedTest is storage a repaired test is built into, reused from one
@@ -105,15 +99,14 @@ type buggyOutcomes struct {
 
 func newProblem(test *lkmm.Test, labels [][]string, opts Options, restrict int) *problem {
 	return &problem{
-		test:        test,
-		labels:      labels,
-		primary:     opts.model(),
-		opts:        opts,
-		restrict:    restrict,
-		enumerate:   (*model.Reacher).RunModel,
-		reach:       (*model.Reacher).Reaches,
-		litmusReach: (*lkmm.Reacher).Reaches,
-		buggy:       map[string]*buggyOutcomes{},
+		test:      test,
+		labels:    labels,
+		primary:   opts.model(),
+		opts:      opts,
+		restrict:  restrict,
+		enumerate: (*model.Reacher).RunModel,
+		reach:     (*model.Reacher).Reaches,
+		buggy:     map[string]*buggyOutcomes{},
 	}
 }
 
@@ -321,25 +314,10 @@ func (p *problem) checkLegal(fences []Fence, mm *memmodel.Table) bool {
 }
 
 // closes reports whether the candidate closes the bug under mm in the
-// live layer: the injected in-vivo oracle when present, otherwise the
-// OEMU-driven litmus search of the repaired test.
+// live engine: the in-vivo oracle's verdict. Litmus mode has no oracle,
+// so there the reference model's legality verdict decides alone.
 func (p *problem) closes(fences []Fence, mm *memmodel.Table) bool {
-	if p.closure != nil {
-		return p.closure(fences, mm)
-	}
-	return p.litmusCloses(fences, mm)
-}
-
-// litmusCloses asks OEMU whether some run of the repaired test still ends
-// in a buggy outcome; the search stops at the first one.
-func (p *problem) litmusCloses(fences []Fence, mm *memmodel.Table) bool {
-	s := &p.searchers
-	repaired := s.fix.build(p.test, fences)
-	if lkmm.NumDirectiveSites(repaired) > lkmm.MaxDirectiveSites {
-		// Too wide for the OEMU search: rely on legality alone.
-		return true
-	}
-	return !p.litmusReach(&s.closure, repaired, mm, p.buggySet(mm).regs)
+	return p.closure == nil || p.closure(fences, mm)
 }
 
 // legality is a primary-model legality verdict the search keeps for a
@@ -400,8 +378,8 @@ func (p *problem) validate(fences []Fence, idx []int, n int, below []legality, o
 
 // modelReports probes a validated candidate under every registered
 // memory model. validate has found it legal and closing under the
-// primary model, so only an in-vivo closure runs again there: its
-// engine runs are part of every run count.
+// primary model, so only the closure runs again there: an in-vivo
+// closure's engine runs are part of every run count.
 func (p *problem) modelReports(fences []Fence) []ModelReport {
 	var out []ModelReport
 	for _, mm := range memmodel.All() {
@@ -410,7 +388,7 @@ func (p *problem) modelReports(fences []Fence) []ModelReport {
 		case len(p.buggySet(mm).outcomes) == 0:
 			status = StatusUnnecessary
 		case mm.Name() == p.primary.Name():
-			if p.closure == nil || p.closure(fences, mm) {
+			if p.closes(fences, mm) {
 				status = StatusFixes
 			}
 		case p.checkLegal(fences, mm) && p.closes(fences, mm):
